@@ -1,35 +1,21 @@
-//! Jones–Plassmann coloring with largest-degree-first priorities, plus
-//! the **list-constrained** Jones–Plassmann kernel the Picasso solver
-//! runs on its per-iteration conflict graphs.
+//! Jones–Plassmann coloring with largest-degree-first priorities.
 //!
-//! The whole-graph [`jones_plassmann_ldf`] is the algorithm family of
-//! ECL-GC-R (Alabandi & Burtscher): in each round the vertices whose
+//! [`jones_plassmann_ldf`] is the algorithm family of ECL-GC-R
+//! (Alabandi & Burtscher): in each round the vertices whose
 //! (degree, random-tiebreak) priority beats every uncolored neighbor
 //! form an independent set and are colored concurrently with the
 //! smallest color unused among their colored neighbors. High quality
 //! (close to sequential LF) at the cost of many rounds on dense graphs —
 //! matching the paper's observation that ECL-GC-R is the quality leader
 //! but the slowest GPU baseline.
-//!
-//! [`jones_plassmann_list`] adapts the same independent-set round
-//! structure to Picasso's Line-8/9 problem: each vertex may only take a
-//! color from its own palette list, and a vertex whose list is exhausted
-//! by committed neighbors is *dry* (retried in the next Picasso
-//! iteration) rather than first-fit extended. Every round is two
-//! phases — a parallel proposal pass that reads only the previous
-//! round's committed snapshot, then a sequential commit — so the output
-//! is a pure function of `(graph, lists, active, seed)`: bit-identical
-//! however the proposal pass is partitioned across threads.
 
 use crate::UNCOLORED;
 use graph::CsrGraph;
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Deterministic per-vertex tiebreak hash (splitmix64 finalizer).
 #[inline]
-pub(crate) fn tiebreak(seed: u64, v: u32) -> u64 {
+fn tiebreak(seed: u64, v: u32) -> u64 {
     let mut x = seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15);
     x ^= x >> 33;
     x = x.wrapping_mul(0xFF51AFD7ED558CCD);
@@ -46,115 +32,6 @@ pub struct ParallelColoring {
     pub num_colors: u32,
     /// Rounds until convergence.
     pub rounds: u32,
-}
-
-/// Result of a **list-constrained** parallel kernel
-/// ([`jones_plassmann_list`], [`crate::speculative::speculative_list`])
-/// over a conflict graph: a partial coloring where every assigned color
-/// comes from the vertex's own list and vertices whose lists ran dry
-/// are reported instead of force-colored.
-#[derive(Clone, Debug, Default)]
-pub struct ListParallelOutcome {
-    /// Per-vertex color ([`UNCOLORED`] for inactive or dry vertices).
-    pub colors: Vec<u32>,
-    /// Active vertices whose lists ran dry, ascending.
-    pub uncolored: Vec<u32>,
-    /// Parallel rounds until convergence (including a final sequential
-    /// repair pass, when one ran).
-    pub rounds: u32,
-    /// Speculative kernels only: proposals that lost a same-color
-    /// conflict to a smaller-id neighbor and had to re-propose.
-    pub repair_conflicts: u64,
-}
-
-/// Proposal sentinel: the vertex's list is exhausted by committed
-/// neighbors. (Real palette colors are bounded by the cumulative
-/// palette total, far below `u32::MAX - 1`.)
-pub(crate) const DRY: u32 = u32::MAX - 1;
-
-thread_local! {
-    /// Per-thread scratch for the committed-neighbor color set, so the
-    /// proposal passes allocate nothing per vertex in steady state.
-    static TAKEN: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Splits `len` items into at most `chunks` contiguous ranges — the
-/// explicit work-partition layer of the list kernels. Outputs are
-/// invariant to the partition (proptest-pinned), so `chunks` is purely
-/// a throughput knob.
-pub(crate) fn chunk_ranges(len: usize, chunks: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, len);
-    let size = len.div_ceil(chunks);
-    (0..chunks)
-        .map(|i| (i * size, ((i + 1) * size).min(len)))
-        .filter(|&(lo, hi)| lo < hi)
-        .collect()
-}
-
-/// Runs `f(v)` for every worklist vertex and stores the result in that
-/// vertex's proposal slot. `chunks == 0` is the strictly sequential
-/// reference execution; `chunks >= 1` partitions the worklist into that
-/// many ranges and fans them out over the rayon pool. `f` must be a
-/// pure function of the pre-round snapshot, which is what makes the two
-/// paths (and any partition) bit-identical.
-pub(crate) fn propose_all<F>(worklist: &[u32], proposals: &[AtomicU32], chunks: usize, f: F)
-where
-    F: Fn(u32) -> u32 + Sync,
-{
-    if chunks == 0 {
-        for &v in worklist {
-            proposals[v as usize].store(f(v), Ordering::Relaxed);
-        }
-        return;
-    }
-    let ranges = chunk_ranges(worklist.len(), chunks);
-    ranges.par_iter().for_each(|&(lo, hi)| {
-        for &v in &worklist[lo..hi] {
-            proposals[v as usize].store(f(v), Ordering::Relaxed);
-        }
-    });
-}
-
-/// Deterministic pseudo-random pick among the feasible colors of `v`'s
-/// list: the colors not already held by a committed neighbor. Returns
-/// [`DRY`] when none remain. Pure in `(gc, lists, colors, v, salt)`.
-pub(crate) fn pick_list_color<'a, L>(
-    gc: &CsrGraph,
-    lists: &L,
-    colors: &[u32],
-    v: u32,
-    salt: u64,
-) -> u32
-where
-    L: Fn(u32) -> &'a [u32] + Sync,
-{
-    TAKEN.with(|t| {
-        let mut taken = t.borrow_mut();
-        taken.clear();
-        for &u in gc.neighbors(v as usize) {
-            let c = colors[u as usize];
-            if c != UNCOLORED {
-                taken.push(c);
-            }
-        }
-        taken.sort_unstable();
-        let row = lists(v);
-        let feasible = row
-            .iter()
-            .filter(|c| taken.binary_search(c).is_err())
-            .count();
-        if feasible == 0 {
-            return DRY;
-        }
-        let k = (tiebreak(salt, v) % feasible as u64) as usize;
-        *row.iter()
-            .filter(|c| taken.binary_search(c).is_err())
-            .nth(k)
-            .expect("k < feasible count")
-    })
 }
 
 /// Jones–Plassmann with LDF priority. Deterministic for a given seed.
@@ -213,88 +90,6 @@ pub fn jones_plassmann_ldf(g: &CsrGraph, seed: u64) -> ParallelColoring {
     }
 }
 
-/// List-constrained Jones–Plassmann over the `active` vertices of a
-/// conflict graph.
-///
-/// Each round, every pending vertex whose `(tiebreak(seed, v), v)`
-/// priority beats all pending neighbors is a *winner*; winners form an
-/// independent set and are colored concurrently with a deterministic
-/// pseudo-random feasible color from their own list (dry winners — no
-/// feasible color left — retire to `uncolored`). Proposals read only
-/// the previous round's committed colors, so the outcome is a pure
-/// function of `(gc, lists, active, seed)` — bit-identical for every
-/// `chunks` partition and equal to the `chunks == 0` sequential
-/// reference.
-///
-/// `lists` maps a vertex id to its (sorted) color list; `active` must
-/// be duplicate-free. Vertices outside `active` are ignored entirely:
-/// they are never colored and never constrain a neighbor.
-pub fn jones_plassmann_list<'a, L>(
-    gc: &CsrGraph,
-    lists: &L,
-    active: &[u32],
-    seed: u64,
-    chunks: usize,
-) -> ListParallelOutcome
-where
-    L: Fn(u32) -> &'a [u32] + Sync,
-{
-    let n = gc.num_vertices();
-    let mut colors = vec![UNCOLORED; n];
-    let mut pending = vec![false; n];
-    let mut prio = vec![0u64; n];
-    for &v in active {
-        pending[v as usize] = true;
-        prio[v as usize] = tiebreak(seed, v);
-    }
-    let proposals: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut worklist: Vec<u32> = active.to_vec();
-    let mut uncolored: Vec<u32> = Vec::new();
-    let mut rounds = 0u32;
-
-    while !worklist.is_empty() {
-        rounds += 1;
-        let pick_salt = seed ^ (rounds as u64).wrapping_mul(0xA5C0_10E5_27BD_4F1D);
-        {
-            let colors = &colors;
-            let pending = &pending;
-            let prio = &prio;
-            propose_all(&worklist, &proposals, chunks, move |v| {
-                let pv = (prio[v as usize], v);
-                for &u in gc.neighbors(v as usize) {
-                    if pending[u as usize] && (prio[u as usize], u) > pv {
-                        return UNCOLORED; // not a local maximum this round
-                    }
-                }
-                pick_list_color(gc, lists, colors, v, pick_salt)
-            });
-        }
-        // Sequential commit of the independent set (winners are mutually
-        // non-adjacent, so their concurrent picks cannot conflict).
-        worklist.retain(|&v| match proposals[v as usize].load(Ordering::Relaxed) {
-            UNCOLORED => true,
-            DRY => {
-                pending[v as usize] = false;
-                uncolored.push(v);
-                false
-            }
-            c => {
-                pending[v as usize] = false;
-                colors[v as usize] = c;
-                false
-            }
-        });
-    }
-
-    uncolored.sort_unstable();
-    ListParallelOutcome {
-        colors,
-        uncolored,
-        rounds,
-        repair_conflicts: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,105 +140,5 @@ mod tests {
         let r = jones_plassmann_ldf(&g, 3);
         assert!(is_valid_coloring(&g, &r.colors));
         assert!(r.num_colors <= 3);
-    }
-
-    /// Ample shared lists: every outcome color must come from the list
-    /// and no edge may go monochromatic.
-    fn check_list_outcome(
-        gc: &CsrGraph,
-        lists: &[Vec<u32>],
-        active: &[u32],
-        out: &ListParallelOutcome,
-    ) {
-        for &v in active {
-            let c = out.colors[v as usize];
-            if c == UNCOLORED {
-                assert!(
-                    out.uncolored.contains(&v),
-                    "vertex {v} neither colored nor dry"
-                );
-            } else {
-                assert!(
-                    lists[v as usize].contains(&c),
-                    "vertex {v} got color {c} outside its list"
-                );
-            }
-        }
-        for (u, v) in gc.edges() {
-            let (cu, cv) = (out.colors[u as usize], out.colors[v as usize]);
-            if cu != UNCOLORED {
-                assert_ne!(cu, cv, "edge ({u},{v}) monochromatic");
-            }
-        }
-    }
-
-    fn shared_lists(n: usize, colors: std::ops::Range<u32>) -> Vec<Vec<u32>> {
-        vec![colors.collect::<Vec<u32>>(); n]
-    }
-
-    #[test]
-    fn list_kernel_colors_a_cycle_with_ample_lists() {
-        let gc = cycle_graph(30);
-        let lists = shared_lists(30, 0..4);
-        let active: Vec<u32> = (0..30).collect();
-        let out = jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &active, 7, 4);
-        check_list_outcome(&gc, &lists, &active, &out);
-        assert!(out.uncolored.is_empty(), "4 colors suffice on a cycle");
-        assert_eq!(out.repair_conflicts, 0, "JP never repairs");
-    }
-
-    #[test]
-    fn list_kernel_reports_dry_vertices_on_tight_palettes() {
-        // K8 with 3-color lists: at most 3 vertices can color.
-        let gc = complete_graph(8);
-        let lists = shared_lists(8, 0..3);
-        let active: Vec<u32> = (0..8).collect();
-        let out = jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &active, 3, 2);
-        check_list_outcome(&gc, &lists, &active, &out);
-        let colored = active
-            .iter()
-            .filter(|&&v| out.colors[v as usize] != UNCOLORED)
-            .count();
-        assert_eq!(colored, 3);
-        assert_eq!(out.uncolored.len(), 5);
-    }
-
-    #[test]
-    fn list_kernel_is_partition_invariant() {
-        let gc = erdos_renyi(120, 0.15, 9);
-        let lists = shared_lists(120, 10..18);
-        let active: Vec<u32> = (0..120).collect();
-        let reference =
-            jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &active, 11, 0);
-        for chunks in [1usize, 2, 4, 8, 64] {
-            let out =
-                jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &active, 11, chunks);
-            assert_eq!(out.colors, reference.colors, "chunks={chunks}");
-            assert_eq!(out.uncolored, reference.uncolored, "chunks={chunks}");
-            assert_eq!(out.rounds, reference.rounds, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn list_kernel_respects_active_subset() {
-        let gc = cycle_graph(12);
-        let lists = shared_lists(12, 0..2);
-        let active: Vec<u32> = vec![0, 1, 5];
-        let out = jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &active, 1, 2);
-        check_list_outcome(&gc, &lists, &active, &out);
-        for v in 0..12u32 {
-            if !active.contains(&v) {
-                assert_eq!(out.colors[v as usize], UNCOLORED);
-            }
-        }
-    }
-
-    #[test]
-    fn list_kernel_empty_active() {
-        let gc = cycle_graph(5);
-        let lists = shared_lists(5, 0..2);
-        let out = jones_plassmann_list(&gc, &|v| lists[v as usize].as_slice(), &[], 0, 4);
-        assert!(out.uncolored.is_empty());
-        assert_eq!(out.rounds, 0);
     }
 }

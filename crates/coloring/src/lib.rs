@@ -15,15 +15,6 @@
 //! Every baseline here *loads the entire graph* — deliberately. That is
 //! the memory behaviour Table IV contrasts with Picasso, which only ever
 //! materializes per-iteration conflict subgraphs.
-//!
-//! The [`jp`] and [`speculative`] modules additionally host the
-//! **list-constrained** deterministic kernels
-//! ([`jones_plassmann_list`], [`speculative_list`]) that the Picasso
-//! solver runs on its per-iteration conflict subgraphs — the parallel
-//! implementations of the paper's Lines 8–9, promoted from baseline
-//! status into the solve path. Their outputs are pure functions of
-//! `(graph, lists, active, seed)`, bit-identical across any thread or
-//! partition count.
 
 pub mod dsatur;
 pub mod greedy;
@@ -34,9 +25,9 @@ pub mod verify;
 
 pub use dsatur::dsatur;
 pub use greedy::{colpack_color, greedy_color, ColoringResult};
-pub use jp::{jones_plassmann_ldf, jones_plassmann_list, ListParallelOutcome};
+pub use jp::jones_plassmann_ldf;
 pub use ordering::OrderingHeuristic;
-pub use speculative::{speculative_list, speculative_parallel};
+pub use speculative::speculative_parallel;
 pub use verify::{is_valid_coloring, num_colors, validate_oracle_coloring};
 
 /// Sentinel for a vertex that has not been assigned a color.

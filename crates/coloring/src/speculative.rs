@@ -8,129 +8,11 @@
 //! memory-hungry baseline in Table IV: on top of the CSR it materializes
 //! the full COO edge list (reproduced here deliberately).
 
-use crate::jp::{pick_list_color, propose_all, ListParallelOutcome, ParallelColoring, DRY};
+use crate::jp::ParallelColoring;
 use crate::UNCOLORED;
 use graph::CsrGraph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// After this many speculative rounds the straggler tail is finished by
-/// a deterministic sequential pass. In practice conflicts decay
-/// geometrically and the limit is only reached on adversarial graphs.
-const SPEC_ROUND_LIMIT: u32 = 24;
-
-/// Deterministic speculative color-then-repair over the `active`
-/// vertices of a conflict graph, constrained to per-vertex color lists.
-///
-/// Each round *every* pending vertex optimistically proposes a
-/// deterministic pseudo-random feasible color from its list (no
-/// independent-set gate — that is the speculation). A verdict pass then
-/// detects pending neighbors that proposed the same color and keeps
-/// only the smallest-id proposer; losers re-propose next round with a
-/// fresh per-round salt. Both passes read only the previous round's
-/// committed snapshot plus this round's proposal array, so the outcome
-/// is a pure function of `(gc, lists, active, seed)` — bit-identical
-/// for every `chunks` partition (0 = sequential reference) — unlike the
-/// racy whole-graph [`speculative_parallel`] baseline above.
-///
-/// Rounds are bounded by [`SPEC_ROUND_LIMIT`]; any remaining stragglers
-/// are finished by a deterministic sequential first-feasible sweep in
-/// ascending vertex order (counted as one extra round).
-pub fn speculative_list<'a, L>(
-    gc: &CsrGraph,
-    lists: &L,
-    active: &[u32],
-    seed: u64,
-    chunks: usize,
-) -> ListParallelOutcome
-where
-    L: Fn(u32) -> &'a [u32] + Sync,
-{
-    let n = gc.num_vertices();
-    let mut colors = vec![UNCOLORED; n];
-    let mut pending = vec![false; n];
-    for &v in active {
-        pending[v as usize] = true;
-    }
-    let proposals: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let verdicts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut worklist: Vec<u32> = active.to_vec();
-    let mut uncolored: Vec<u32> = Vec::new();
-    let mut rounds = 0u32;
-    let mut repair_conflicts = 0u64;
-
-    while !worklist.is_empty() && rounds < SPEC_ROUND_LIMIT {
-        rounds += 1;
-        let salt = seed ^ (rounds as u64).wrapping_mul(0x9E3779B97F4A7C15);
-
-        // Phase 1: every pending vertex proposes, optimistically assuming
-        // no pending neighbor picks the same color.
-        {
-            let colors = &colors;
-            propose_all(&worklist, &proposals, chunks, move |v| {
-                pick_list_color(gc, lists, colors, v, salt)
-            });
-        }
-
-        // Phase 2: verdicts. A proposal commits unless a *smaller-id*
-        // pending neighbor proposed the same color (the loser-by-id rule;
-        // dry verdicts always stand). Reads only proposals + pending,
-        // both fixed for the round, so this too is partition-invariant.
-        {
-            let pending = &pending;
-            let proposals_ref = &proposals;
-            propose_all(&worklist, &verdicts, chunks, move |v| {
-                let p = proposals_ref[v as usize].load(Ordering::Relaxed);
-                if p == DRY {
-                    return 1;
-                }
-                for &u in gc.neighbors(v as usize) {
-                    if u < v
-                        && pending[u as usize]
-                        && proposals_ref[u as usize].load(Ordering::Relaxed) == p
-                    {
-                        return 0;
-                    }
-                }
-                1
-            });
-        }
-
-        // Phase 3: sequential commit. The smallest-id vertex of any
-        // conflict cluster always wins, so every round makes progress.
-        worklist.retain(|&v| {
-            if verdicts[v as usize].load(Ordering::Relaxed) == 0 {
-                repair_conflicts += 1;
-                return true;
-            }
-            pending[v as usize] = false;
-            match proposals[v as usize].load(Ordering::Relaxed) {
-                DRY => uncolored.push(v),
-                c => colors[v as usize] = c,
-            }
-            false
-        });
-    }
-
-    if !worklist.is_empty() {
-        // Straggler tail: deterministic sequential finish, ascending ids.
-        rounds += 1;
-        for &v in &worklist {
-            match pick_list_color(gc, lists, &colors, v, seed) {
-                DRY => uncolored.push(v),
-                c => colors[v as usize] = c,
-            }
-        }
-    }
-
-    uncolored.sort_unstable();
-    ListParallelOutcome {
-        colors,
-        uncolored,
-        rounds,
-        repair_conflicts,
-    }
-}
 
 /// Speculative parallel coloring. Deterministic only in its *validity*;
 /// the exact coloring depends on thread interleaving, like the original.
@@ -236,107 +118,5 @@ mod tests {
         let g = erdos_renyi(150, 0.6, 7);
         let r = speculative_parallel(&g, 7);
         assert!(is_valid_coloring(&g, &r.colors));
-    }
-
-    fn shared_lists(n: usize, colors: std::ops::Range<u32>) -> Vec<Vec<u32>> {
-        vec![colors.collect::<Vec<u32>>(); n]
-    }
-
-    fn check_list_outcome(
-        gc: &CsrGraph,
-        lists: &[Vec<u32>],
-        active: &[u32],
-        out: &ListParallelOutcome,
-    ) {
-        for &v in active {
-            let c = out.colors[v as usize];
-            if c == UNCOLORED {
-                assert!(
-                    out.uncolored.contains(&v),
-                    "vertex {v} neither colored nor dry"
-                );
-            } else {
-                assert!(
-                    lists[v as usize].contains(&c),
-                    "vertex {v} got color {c} outside its list"
-                );
-            }
-        }
-        for (u, v) in gc.edges() {
-            let (cu, cv) = (out.colors[u as usize], out.colors[v as usize]);
-            if cu != UNCOLORED {
-                assert_ne!(cu, cv, "edge ({u},{v}) monochromatic");
-            }
-        }
-    }
-
-    #[test]
-    fn list_kernel_valid_on_random_graphs() {
-        for seed in 0..4 {
-            let gc = erdos_renyi(150, 0.1, seed);
-            let lists = shared_lists(150, 100..120);
-            let active: Vec<u32> = (0..150).collect();
-            let out = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &active, seed, 4);
-            check_list_outcome(&gc, &lists, &active, &out);
-            assert!(out.uncolored.is_empty(), "20 colors ample at p=0.1");
-        }
-    }
-
-    #[test]
-    fn list_kernel_is_partition_invariant() {
-        let gc = erdos_renyi(120, 0.2, 11);
-        let lists = shared_lists(120, 0..12);
-        let active: Vec<u32> = (0..120).collect();
-        let reference = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &active, 5, 0);
-        for chunks in [1usize, 2, 4, 8, 64] {
-            let out = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &active, 5, chunks);
-            assert_eq!(out.colors, reference.colors, "chunks={chunks}");
-            assert_eq!(out.uncolored, reference.uncolored, "chunks={chunks}");
-            assert_eq!(out.rounds, reference.rounds, "chunks={chunks}");
-            assert_eq!(
-                out.repair_conflicts, reference.repair_conflicts,
-                "chunks={chunks}"
-            );
-        }
-    }
-
-    #[test]
-    fn list_kernel_tight_palette_reports_dry() {
-        let gc = complete_graph(10);
-        let lists = shared_lists(10, 0..4);
-        let active: Vec<u32> = (0..10).collect();
-        let out = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &active, 2, 3);
-        check_list_outcome(&gc, &lists, &active, &out);
-        let colored = active
-            .iter()
-            .filter(|&&v| out.colors[v as usize] != UNCOLORED)
-            .count();
-        assert_eq!(colored, 4);
-        assert_eq!(out.uncolored.len(), 6);
-    }
-
-    #[test]
-    fn list_kernel_repairs_are_counted_on_dense_conflicts() {
-        // A clique with one shared list forces same-color proposals in
-        // round 1, so at least one repair must be recorded.
-        let gc = complete_graph(16);
-        let lists = shared_lists(16, 0..32);
-        let active: Vec<u32> = (0..16).collect();
-        let out = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &active, 0, 4);
-        check_list_outcome(&gc, &lists, &active, &out);
-        assert!(
-            out.repair_conflicts > 0,
-            "clique must collide at least once"
-        );
-        assert!(out.uncolored.is_empty(), "32 colors cover K16");
-    }
-
-    #[test]
-    fn list_kernel_empty_active() {
-        let gc = cycle_graph(6);
-        let lists = shared_lists(6, 0..2);
-        let out = speculative_list(&gc, &|v| lists[v as usize].as_slice(), &[], 9, 2);
-        assert!(out.uncolored.is_empty());
-        assert_eq!(out.rounds, 0);
     }
 }

@@ -338,35 +338,6 @@ impl<'a> BucketSource<'a> {
             }
         }
     }
-
-    /// The PR-5 bool-hits consumer, kept as the reference the
-    /// density-sweep equivalence tests and the `oracle_batch` sparse
-    /// bench compare the mask pipeline against: same emission, one
-    /// `bool` per examined lane via
-    /// [`PackedBuckets::tail_edge_bits`].
-    pub fn scan_shard_packed_bool(
-        &self,
-        s: usize,
-        packed: &PackedBuckets,
-        hits: &mut Vec<bool>,
-        emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
-        let k = s;
-        let bucket = self.index.bucket(k);
-        let start = self.index.bucket_start(k);
-        for a in 0..bucket.len() {
-            let u = bucket[a] as usize;
-            packed.tail_edge_bits(start, bucket.len(), a, u, hits);
-            for (t, &hit) in hits.iter().enumerate() {
-                if hit {
-                    let v = bucket[a + 1 + t] as usize;
-                    if !packed.shares_color_below(u, v, k) {
-                        emit_edge(u as u32, v as u32);
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl PairSource for BucketSource<'_> {
@@ -896,17 +867,6 @@ mod tests {
             assert!(stats.skipped_words <= stats.scanned_words);
             assert!(stats.hit_bits >= truth.len() as u64);
             assert!(stats.scanned_words * 64 >= source.candidate_pairs());
-
-            // The legacy bool consumer emits the identical edge set.
-            let mut hits = Vec::new();
-            let mut bool_edges = Vec::new();
-            for s in 0..source.num_shards() {
-                source.scan_shard_packed_bool(s, &packed, &mut hits, &mut |u, v| {
-                    bool_edges.push((u, v))
-                });
-            }
-            bool_edges.sort_unstable();
-            assert_eq!(bool_edges, truth, "qubits={qubits} bool consumer");
 
             // Row grain, split at awkward cuts including mid-bucket.
             for parts in [1usize, 3, 7] {

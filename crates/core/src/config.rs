@@ -47,20 +47,6 @@ pub enum ListColoringScheme {
     /// Static order: visit in the given heuristic's order, take the first
     /// feasible color from the vertex's own list.
     Static(coloring::OrderingHeuristic),
-    /// Parallel list-constrained Jones–Plassmann rounds
-    /// ([`crate::listcolor::jp_list_color_into`]). Deterministic per
-    /// seed, bit-identical across thread counts.
-    JonesPlassmann,
-    /// Parallel speculative color-then-repair
-    /// ([`crate::listcolor::speculative_list_color_into`]). Deterministic
-    /// per seed, bit-identical across thread counts.
-    Speculative,
-    /// Per-iteration calibrated choice between greedy / JP / speculative
-    /// ([`crate::listcolor::ColorCalibrator`]). Every candidate kernel is
-    /// individually deterministic, but the *choice* is fed by wall-clock
-    /// timings, so the end-to-end coloring may vary run to run — opt in
-    /// where throughput matters more than replay determinism.
-    Auto,
 }
 
 impl ListColoringScheme {
@@ -69,9 +55,6 @@ impl ListColoringScheme {
         use coloring::OrderingHeuristic as H;
         Ok(match label {
             "greedy" | "dynamic" => ListColoringScheme::DynamicGreedy,
-            "jp" | "jones-plassmann" => ListColoringScheme::JonesPlassmann,
-            "spec" | "speculative" => ListColoringScheme::Speculative,
-            "auto" => ListColoringScheme::Auto,
             "natural" => ListColoringScheme::Static(H::Natural),
             "random" => ListColoringScheme::Static(H::Random),
             "lf" => ListColoringScheme::Static(H::LargestFirst),
@@ -80,8 +63,8 @@ impl ListColoringScheme {
             "id" => ListColoringScheme::Static(H::IncidenceDegree),
             other => {
                 return Err(format!(
-                    "unknown coloring scheme '{other}' (expected greedy, jp, spec, auto, \
-                     natural, random, lf, sl, dlf, or id)"
+                    "unknown coloring scheme '{other}' (expected greedy, natural, random, \
+                     lf, sl, dlf, or id)"
                 ))
             }
         })
@@ -92,9 +75,6 @@ impl ListColoringScheme {
         use coloring::OrderingHeuristic as H;
         match self {
             ListColoringScheme::DynamicGreedy => "greedy",
-            ListColoringScheme::JonesPlassmann => "jp",
-            ListColoringScheme::Speculative => "spec",
-            ListColoringScheme::Auto => "auto",
             ListColoringScheme::Static(H::Natural) => "natural",
             ListColoringScheme::Static(H::Random) => "random",
             ListColoringScheme::Static(H::LargestFirst) => "lf",
@@ -271,9 +251,7 @@ mod tests {
 
     #[test]
     fn scheme_labels_round_trip() {
-        for label in [
-            "greedy", "jp", "spec", "auto", "natural", "random", "lf", "sl", "dlf", "id",
-        ] {
+        for label in ["greedy", "natural", "random", "lf", "sl", "dlf", "id"] {
             let scheme = ListColoringScheme::from_label(label).expect(label);
             assert_eq!(scheme.label(), label);
         }
@@ -281,11 +259,16 @@ mod tests {
             ListColoringScheme::from_label("dynamic"),
             Ok(ListColoringScheme::DynamicGreedy)
         );
-        assert_eq!(
-            ListColoringScheme::from_label("jones-plassmann"),
-            Ok(ListColoringScheme::JonesPlassmann)
-        );
         assert!(ListColoringScheme::from_label("bogus").is_err());
+        // The removed parallel and autotuned schemes fail with the error
+        // that lists what remains.
+        for gone in ["jp", "spec", "auto", "jones-plassmann", "speculative"] {
+            let err = ListColoringScheme::from_label(gone).unwrap_err();
+            assert!(
+                err.contains(&format!("'{gone}'")) && err.contains("greedy, natural"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

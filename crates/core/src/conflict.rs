@@ -49,15 +49,11 @@
 //! sum of in-bucket pair counts) — the quantity the `conflict_build`
 //! bench compares across engines.
 
-use crate::assign::ColorLists;
 use crate::candidates::PairSource;
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
-use graph::{
-    csr_from_coo_parallel, csr_from_coo_parallel_in, csr_from_coo_sequential_in, CsrGraph,
-    EdgeOracle,
-};
+use graph::{csr_from_coo_parallel_in, csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -80,8 +76,7 @@ pub struct ConflictBuild {
     pub packed_lanes: u64,
     /// Hit-mask word counters of the packed consumers (zero on scalar
     /// builds): total words scanned, zero words skipped whole, and set
-    /// bits walked — the lane-occupancy signal behind the
-    /// [`PackCalibrator`](crate::PackCalibrator)'s density estimate.
+    /// bits walked — the build's lane-occupancy signal.
     pub scan_stats: MaskScanStats,
     /// For the device backend: whether the CSR was assembled on-device
     /// (`Some(true)`), on the host after an edge-list download
@@ -628,15 +623,6 @@ pub fn build_device<O: EdgeOracle>(
     })
 }
 
-/// Cuts `0..n` rows into `k` contiguous ranges with near-equal *pair*
-/// work: row `i` owns `n-1-i` candidate pairs, so equal-width cuts would
-/// leave the first shard with almost all the work. Used by the
-/// row-sharded reference path.
-pub fn balanced_row_cuts(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-    let weights: Vec<u64> = (0..n).map(|i| (n - 1 - i) as u64).collect();
-    device::balanced_weight_cuts(&weights, k)
-}
-
 /// Multi-device conflict construction on the candidate engine with
 /// **sub-bucket sharding** — the paper's stated future work
 /// ("distributed multi-GPU parallel implementations"), implemented over
@@ -844,127 +830,10 @@ pub fn build_multi_device<O: EdgeOracle>(
     })
 }
 
-/// The legacy row-sharded multi-device build, kept **only as a test and
-/// bench reference** for [`build_multi_device`]: it enumerates all pairs
-/// row-by-row (no candidate engine, no index replica) with one
-/// pair-balanced contiguous row shard per device. The `conflict_build`
-/// bench measures the gap between the two.
-pub fn build_multi_device_rowsharded<O: EdgeOracle>(
-    oracle: &O,
-    lists: &ColorLists,
-    devices: &[DeviceSim],
-    input_bytes_per_vertex: usize,
-) -> Result<ConflictBuild, DeviceError> {
-    assert!(!devices.is_empty(), "need at least one device");
-    let m = oracle.num_vertices();
-    debug_assert_eq!(m, lists.len());
-    if m < 2 {
-        return Ok(ConflictBuild {
-            graph: CsrGraph::empty(m),
-            num_edges: 0,
-            candidate_pairs: 0,
-            packed_lanes: 0,
-            scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(false),
-        });
-    }
-    let cuts = balanced_row_cuts(m, devices.len());
-
-    let shard_edges: Vec<Result<Vec<(u32, u32)>, DeviceError>> = cuts
-        .iter()
-        .zip(devices.iter().cycle())
-        .map(|(rows, dev)| {
-            let input_bytes = m * input_bytes_per_vertex;
-            let _input = dev.alloc::<u8>(input_bytes)?;
-            dev.note_h2d(input_bytes);
-            let _counters = dev.alloc::<u8>(rows.len() * 4)?;
-            let avail_slots = dev.available_bytes() / std::mem::size_of::<u32>();
-            let shard_pairs: usize = rows.clone().map(|i| m - 1 - i).sum();
-            if shard_pairs == 0 {
-                // Tail shard of zero-pair rows: nothing to build.
-                return Ok(Vec::new());
-            }
-            let edge_slots = (2 * shard_pairs).min(avail_slots);
-            if edge_slots == 0 {
-                return Err(DeviceError::OutOfMemory {
-                    requested: std::mem::size_of::<u32>(),
-                    available: dev.available_bytes(),
-                });
-            }
-            let mut edge_buf = dev.alloc::<u32>(edge_slots)?;
-            let cursor = AtomicUsize::new(0);
-            let overflow = AtomicBool::new(false);
-            {
-                struct SendPtr(*mut u32);
-                unsafe impl Send for SendPtr {}
-                unsafe impl Sync for SendPtr {}
-                let out = SendPtr(edge_buf.as_mut_slice().as_mut_ptr());
-                let out_ref = &out;
-                let rows_len = rows.len();
-                let row_base = rows.start;
-                dev.launch_blocks(rows_len, rayon::current_num_threads() * 2, |_b, local| {
-                    let mut staged: Vec<u32> = Vec::new();
-                    for li in local {
-                        let i = row_base + li;
-                        for j in (i + 1)..m {
-                            if lists.intersects(i, j) && oracle.has_edge(i, j) {
-                                staged.push(i as u32);
-                                staged.push(j as u32);
-                            }
-                        }
-                    }
-                    if staged.is_empty() {
-                        return;
-                    }
-                    let at = cursor.fetch_add(staged.len(), Ordering::Relaxed);
-                    if at + staged.len() > edge_slots {
-                        overflow.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            staged.as_ptr(),
-                            out_ref.0.add(at),
-                            staged.len(),
-                        );
-                    }
-                })?;
-            }
-            if overflow.load(Ordering::Relaxed) {
-                return Err(DeviceError::OutOfMemory {
-                    requested: cursor.load(Ordering::Relaxed) * std::mem::size_of::<u32>(),
-                    available: edge_slots * std::mem::size_of::<u32>(),
-                });
-            }
-            let used = cursor.load(Ordering::Relaxed);
-            dev.note_d2h(used * std::mem::size_of::<u32>());
-            Ok(edge_buf.as_slice()[..used]
-                .chunks_exact(2)
-                .map(|p| (p[0], p[1]))
-                .collect())
-        })
-        .collect();
-
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for shard in shard_edges {
-        edges.extend(shard?);
-    }
-    edges.sort_unstable();
-    let num_edges = edges.len();
-    let m64 = m as u64;
-    Ok(ConflictBuild {
-        graph: csr_from_coo_parallel(m, &edges),
-        num_edges,
-        candidate_pairs: m64 * m64.saturating_sub(1) / 2,
-        packed_lanes: 0,
-        scan_stats: MaskScanStats::default(),
-        csr_on_device: Some(false),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::ColorLists;
     use graph::FnOracle;
 
     fn dense_oracle(m: usize) -> FnOracle<impl Fn(usize, usize) -> bool + Sync> {
@@ -1051,25 +920,30 @@ mod tests {
 
     #[test]
     fn parallel_build_warms_the_arena_pool_once() {
-        // The pool grows to the concurrency high-water mark during the
-        // first parallel build; same-shape rebuilds create no arenas and
-        // return every arena to the pool.
+        // Blocks outnumber threads, but arenas are only created when
+        // every pooled one is lent out: the pool never grows past the
+        // concurrency bound (the shim's thread count), however many
+        // same-shape rebuilds run, and every arena comes back. (How close
+        // a given build gets to that bound depends on scheduling, so the
+        // bound — not the first build's count — is the pinned quantity.)
         let m = 300;
         let oracle = dense_oracle(m);
+        let threads = rayon::current_num_threads();
         let mut ctx = ctx_for(&ColorLists::assign(m, 0, 40, 4, 3, 1));
         let first = build_parallel(&oracle, &mut ctx);
-        let created = ctx.scratch_pool().arenas_created();
-        assert!(created > 0, "parallel blocks must draw from the pool");
-        assert_eq!(ctx.scratch_pool().arenas_pooled(), created, "all returned");
-        for iter in 2..5u64 {
+        assert!(
+            ctx.scratch_pool().arenas_created() > 0,
+            "parallel blocks must draw from the pool"
+        );
+        for iter in 2..6u64 {
             ctx.set_lists(ColorLists::assign(m, 0, 40, 4, 3, iter));
             let again = build_parallel(&oracle, &mut ctx);
-            assert_eq!(
-                ctx.scratch_pool().arenas_created(),
-                created,
-                "iteration {iter} created new arenas"
+            let created = ctx.scratch_pool().arenas_created();
+            assert!(
+                created <= threads,
+                "iteration {iter}: {created} arenas for {threads} threads"
             );
-            assert_eq!(ctx.scratch_pool().arenas_pooled(), created);
+            assert_eq!(ctx.scratch_pool().arenas_pooled(), created, "all returned");
             assert_eq!(again.graph.num_vertices(), first.graph.num_vertices());
         }
         // The device kernels share the same pool.
@@ -1306,33 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_cuts_cover_rows_and_balance_pairs() {
-        for (n, k) in [(100usize, 4usize), (1000, 7), (10, 3), (5, 8), (2, 1)] {
-            let cuts = balanced_row_cuts(n, k);
-            // Coverage: the cuts concatenate to 0..n.
-            let mut at = 0usize;
-            for c in &cuts {
-                assert_eq!(c.start, at);
-                at = c.end;
-            }
-            assert_eq!(at, n, "n={n} k={k}");
-            // Balance: no shard holds more than ~2x the ideal pair load
-            // (the last row granularity limits precision on tiny inputs).
-            if n >= 100 {
-                let total = (n * (n - 1) / 2) as f64;
-                let ideal = total / cuts.len() as f64;
-                for c in &cuts {
-                    let pairs: usize = c.clone().map(|i| n - 1 - i).sum();
-                    assert!(
-                        (pairs as f64) < 2.0 * ideal + n as f64,
-                        "n={n} k={k} shard {c:?} has {pairs} pairs vs ideal {ideal}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn multi_device_agrees_with_all_other_backends() {
         for num_devices in [1usize, 2, 4, 8] {
             let m = 150;
@@ -1361,23 +1208,6 @@ mod tests {
                 assert_eq!(d.stats().kernel_launches, 1);
                 assert_eq!(d.used_bytes(), 0, "buffers must be released");
             }
-        }
-    }
-
-    #[test]
-    fn multi_device_matches_rowsharded_reference() {
-        for num_devices in [1usize, 3] {
-            let m = 130;
-            let oracle = dense_oracle(m);
-            let lists = ColorLists::assign(m, 5, 25, 4, 9, 1);
-            let devices: Vec<DeviceSim> = (0..num_devices)
-                .map(|_| DeviceSim::new(16 * 1024 * 1024))
-                .collect();
-            let engine = build_multi_device(&oracle, &mut ctx_for(&lists), &devices, 16).unwrap();
-            let reference = build_multi_device_rowsharded(&oracle, &lists, &devices, 16).unwrap();
-            assert_eq!(engine.graph, reference.graph, "devices={num_devices}");
-            assert_eq!(engine.num_edges, reference.num_edges);
-            assert!(engine.candidate_pairs <= reference.candidate_pairs);
         }
     }
 

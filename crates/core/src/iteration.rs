@@ -30,8 +30,8 @@
 use crate::assign::{BucketIndex, BucketLoad, ColorLists};
 use crate::candidates::CandidateEngine;
 use crate::config::ListColoringScheme;
-use crate::listcolor::{ColorCalibrator, ColorScratch, ColoringVerdict, SchemeKind};
-use crate::packed::{PackCalibrator, PackedBuckets, PackingMode, PackingVerdict};
+use crate::listcolor::{ColorScratch, SchemeKind};
+use crate::packed::{PackedBuckets, PackingMode};
 use device::FaultPlan;
 use graph::{CsrArena, CsrGraph, EdgeOracle};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,18 +175,6 @@ pub struct IterationContext {
     /// by every backend of the round, mirrored by the solver into
     /// [`PicassoResult::pack_builds`](crate::PicassoResult::pack_builds).
     pack_builds: usize,
-    /// The measured scalar-vs-packed crossover model behind
-    /// [`PackingMode::Auto`] (see [`PackCalibrator`]). Fed by the solver
-    /// via [`IterationContext::record_packing`] after each conflict
-    /// build; consulted by the single decision helper shared by
-    /// [`IterationContext::ensure_packed`] and the forecast twin
-    /// [`IterationContext::will_pack`].
-    calibrator: PackCalibrator,
-    /// The measured greedy-vs-JP-vs-speculative crossover model behind
-    /// [`ListColoringScheme::Auto`] (see [`ColorCalibrator`]). Fed by
-    /// the solver via [`IterationContext::record_coloring`] after each
-    /// Line-8/9 run.
-    color_calibrator: ColorCalibrator,
     scratch: IterationScratch,
     /// Cooperative cancellation point for the solver: when set, the
     /// iteration loop checks it between phases and aborts with
@@ -223,8 +211,6 @@ impl IterationContext {
             packed_active: false,
             packing: PackingMode::Auto,
             pack_builds: 0,
-            calibrator: PackCalibrator::new(),
-            color_calibrator: ColorCalibrator::default(),
             scratch: IterationScratch::default(),
             deadline: None,
             fault_plan: None,
@@ -233,7 +219,7 @@ impl IterationContext {
 
     /// Arms (or clears) the solver's cooperative deadline. Callers that
     /// reuse one context across jobs must set it before **every** solve
-    /// — it persists until replaced, like the calibrators.
+    /// — it persists until replaced.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -325,120 +311,46 @@ impl IterationContext {
         self.packing
     }
 
-    /// The calibrated crossover model behind [`PackingMode::Auto`].
-    pub fn calibrator(&self) -> &PackCalibrator {
-        &self.calibrator
-    }
-
-    /// Feeds one finished conflict build back into the calibrator: the
-    /// measured build time becomes a scalar- or packed-rate observation
-    /// (whichever path ran), and the post-observation decision is
-    /// compared against the path that was actually chosen — a mismatch
-    /// is a *mispredict*, the quantity the `Auto` crossover is tuned to
-    /// minimize. The solver calls this once per iteration, right after
-    /// the conflict build; `packed_words` is the oracle's packed word
-    /// width (`None` = no packed form). Degenerate builds (zero
-    /// candidate pairs) carry no signal and are skipped.
+    /// Kept for callers written against the wall-clock packing
+    /// autotuner: a no-op. The packing decision is a pure function of
+    /// the lists and the oracle's word width (see
+    /// [`PackingMode::Auto`]), so no build outcome feeds back into it and
+    /// the solver no longer calls this.
     pub fn record_packing(
         &mut self,
-        build: &crate::conflict::ConflictBuild,
-        secs: f64,
-        packed_words: Option<usize>,
-    ) -> PackingVerdict {
-        if build.candidate_pairs == 0 {
-            return PackingVerdict::default();
-        }
-        let chosen = build.packed_lanes > 0;
-        if let Some(words) = packed_words {
-            if self.bucketed {
-                if chosen {
-                    self.calibrator.observe_packed(
-                        build.candidate_pairs,
-                        build.scan_stats.hit_bits,
-                        words,
-                        secs,
-                    );
-                } else {
-                    self.calibrator.observe_scalar(
-                        build.candidate_pairs,
-                        build.num_edges as u64,
-                        words,
-                        secs,
-                    );
-                }
-            }
-        }
-        let predicted = self.packing_decision(packed_words);
-        let mispredicted = chosen != predicted;
-        self.calibrator.note_outcome(mispredicted);
-        PackingVerdict {
-            chosen,
-            predicted,
-            mispredicted,
-        }
+        _build: &crate::conflict::ConflictBuild,
+        _secs: f64,
+        _packed_words: Option<usize>,
+    ) {
     }
 
-    /// The calibrated crossover model behind
-    /// [`ListColoringScheme::Auto`].
-    pub fn color_calibrator(&self) -> &ColorCalibrator {
-        &self.color_calibrator
-    }
-
-    /// Resolves the configured coloring scheme to the kernel that should
-    /// run on this iteration's conflict instance. Fixed schemes map
-    /// directly; `Auto` consults the [`ColorCalibrator`] with the
-    /// instance shape (`|Vc|`, `|Ec|`, list size).
+    /// Resolves the configured coloring scheme to the kernel that runs
+    /// on this iteration's conflict instance — a fixed mapping; the
+    /// instance shape (`|Vc|`, `|Ec|`, list size) does not enter it.
     pub fn choose_scheme(
         &self,
         scheme: ListColoringScheme,
-        vertices: usize,
-        edges: usize,
-        list_size: usize,
+        _vertices: usize,
+        _edges: usize,
+        _list_size: usize,
     ) -> SchemeKind {
         match scheme {
             ListColoringScheme::DynamicGreedy => SchemeKind::Greedy,
             ListColoringScheme::Static(_) => SchemeKind::Static,
-            ListColoringScheme::JonesPlassmann => SchemeKind::JonesPlassmann,
-            ListColoringScheme::Speculative => SchemeKind::Speculative,
-            ListColoringScheme::Auto => self.color_calibrator.choose(vertices, edges, list_size),
         }
     }
 
-    /// Feeds one finished Line-8/9 run back into the color calibrator
-    /// (mirror of [`IterationContext::record_packing`]): the measured
-    /// coloring time becomes a rate observation for the kernel that ran,
-    /// and the post-observation choice is compared against it — a
-    /// mismatch is a *mispredict*, surfaced per iteration as
-    /// [`IterationStats::scheme_mispredicted`]. Static runs are
-    /// operator-forced and never graded; empty instances carry no
-    /// signal and are skipped.
-    ///
-    /// [`IterationStats::scheme_mispredicted`]: crate::solver::IterationStats::scheme_mispredicted
+    /// Kept for callers written against the wall-clock scheme autotuner:
+    /// a no-op, like [`IterationContext::record_packing`]. The solver no
+    /// longer calls it.
     pub fn record_coloring(
         &mut self,
-        kind: SchemeKind,
-        vertices: usize,
-        edges: usize,
-        list_size: usize,
-        secs: f64,
-    ) -> ColoringVerdict {
-        if vertices == 0 || kind == SchemeKind::Static {
-            return ColoringVerdict {
-                chosen: kind,
-                predicted: kind,
-                mispredicted: false,
-            };
-        }
-        self.color_calibrator
-            .observe(kind, vertices, edges, list_size, secs);
-        let predicted = self.color_calibrator.choose(vertices, edges, list_size);
-        let mispredicted = predicted != kind;
-        self.color_calibrator.note_outcome(mispredicted);
-        ColoringVerdict {
-            chosen: kind,
-            predicted,
-            mispredicted,
-        }
+        _kind: SchemeKind,
+        _vertices: usize,
+        _edges: usize,
+        _list_size: usize,
+        _secs: f64,
+    ) {
     }
 
     /// The lists plus the coloring scratch — the borrow of the Line-8/9
@@ -479,11 +391,13 @@ impl IterationContext {
         }
     }
 
-    /// The single packing-decision site (the forecast's `will_pack` and
-    /// the build's `ensure_packed` used to duplicate this match): a pure
-    /// function of the context, the policy, and the oracle's packed word
-    /// width (`None` = no packed form). `Auto` consults the calibrated
-    /// crossover model ([`PackCalibrator::should_pack`]).
+    /// The single packing-decision site, shared by the build's
+    /// `ensure_packed` and the forecast's `will_pack`: a pure function of
+    /// the lists, the policy, and the oracle's packed word width (`None`
+    /// = no packed form). `Auto` packs when the iteration's candidate
+    /// pairs are at least the key words the packing pass writes
+    /// (`total_pairs ≥ N·L·w`): below that the pass costs more than the
+    /// scan it speeds up.
     fn packing_decision(&self, packed_words: Option<usize>) -> bool {
         let Some(words) = packed_words else {
             return false;
@@ -494,11 +408,10 @@ impl IterationContext {
         match self.packing {
             PackingMode::Never => false,
             PackingMode::Always => true,
-            PackingMode::Auto => self.calibrator.should_pack(
-                self.load.total_pairs,
-                self.lists.len() * self.lists.list_size(),
-                words,
-            ),
+            PackingMode::Auto => {
+                let key_words = (self.lists.len() * self.lists.list_size()) as u64 * words as u64;
+                self.load.total_pairs >= key_words.max(1)
+            }
         }
     }
 
@@ -567,8 +480,8 @@ impl IterationContext {
     /// [`IterationContext::engine_and_scratch`] plus this iteration's
     /// packed oracle replica (built on first use, `None` when packing
     /// was skipped — all-pairs engine, unpackable oracle, `Never`
-    /// policy, or an `Auto` decision that the `O(N·L)` packing pass
-    /// would not amortize). The borrow every packed-capable conflict
+    /// policy, or an `Auto` pair load below the `N·L·w` key words of
+    /// the packing pass). The borrow every packed-capable conflict
     /// builder starts from.
     ///
     /// **Contract:** the replica is cached for the whole iteration, so
@@ -912,10 +825,36 @@ mod tests {
         // and the O(N·L) packing pass cannot amortize.
         ctx.set_lists(ColorLists::assign(40, 0, 600, 2, 7, 1));
         assert!(ctx.prefers_buckets());
-        assert!(!PackCalibrator::default().should_pack(ctx.bucket_load().total_pairs, 40 * 2, 1));
+        assert!(ctx.bucket_load().total_pairs < 40 * 2);
         let (_, packed, _) = ctx.engine_packed_scratch(&oracle);
         assert!(packed.is_none(), "Auto must skip the degenerate load");
         assert_eq!(ctx.pack_builds(), 0);
+    }
+
+    #[test]
+    fn auto_packing_is_the_counted_pair_rule() {
+        // Auto packs exactly when the bucketed iteration's candidate
+        // pairs reach the key words the packing pass writes — a pure
+        // function of the lists and the word width, never of history.
+        let mut ctx = IterationContext::new();
+        for (n, palette, list, seed) in [
+            (40usize, 600u32, 2u32, 7u64),
+            (120, 30, 4, 3),
+            (200, 400, 3, 5),
+            (300, 40, 6, 1),
+        ] {
+            ctx.set_lists(ColorLists::assign(n, 0, palette, list, seed, 1));
+            let pairs = ctx.bucket_load().total_pairs;
+            for words in [1usize, 2, 5] {
+                let expect = ctx.prefers_buckets() && pairs >= (n * list as usize * words) as u64;
+                assert_eq!(
+                    ctx.packing_decision(Some(words)),
+                    expect,
+                    "n={n} P={palette} L={list} w={words}: {pairs} pairs"
+                );
+            }
+            assert!(!ctx.packing_decision(None), "no packed form, no pack");
+        }
     }
 
     #[test]

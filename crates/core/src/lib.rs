@@ -61,11 +61,9 @@ pub use candidates::{AllPairsSource, BucketSource, CandidateEngine, PairSource};
 pub use config::{ConflictBackend, ListColoringScheme, PicassoConfig};
 pub use conflict::ConflictBuild;
 pub use iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
-pub use listcolor::{ColorCalibrator, ColorScratch, ColoringVerdict, ListColorOutcome, SchemeKind};
+pub use listcolor::{ColorScratch, ListColorOutcome, SchemeKind};
 pub use oracle::{LiveView, PauliComplementOracle};
-pub use packed::{
-    MaskScanStats, PackCalibrator, PackedBuckets, PackingMode, PackingVerdict, PACK_LANES,
-};
+pub use packed::{MaskScanStats, PackedBuckets, PackingMode};
 pub use partition::{partition_operator, UnitaryGroup, UnitaryPartition};
 pub use solver::{IterationStats, Picasso, PicassoResult, SolveError};
 pub use sweep::{grid_sweep, SweepPoint};

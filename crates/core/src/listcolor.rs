@@ -14,12 +14,7 @@
 //!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
-//! favoured the dynamic scheme, and two deterministic parallel kernels —
-//! [`jp_list_color_into`] (list-constrained Jones–Plassmann rounds) and
-//! [`speculative_list_color_into`] (optimistic color-then-repair) — wrap
-//! the `coloring` crate's partition-invariant implementations.
-//! [`ColorCalibrator`] picks between greedy and the parallel kernels per
-//! iteration from calibrated EWMA ns/unit rates.
+//! favoured the dynamic scheme.
 
 use crate::assign::ColorLists;
 use coloring::OrderingHeuristic;
@@ -35,10 +30,6 @@ pub struct ListColorOutcome {
     pub assigned: Vec<(u32, u32)>,
     /// Local vertices whose lists ran dry (`Vu` in the paper).
     pub uncolored: Vec<u32>,
-    /// Rounds the kernel ran (1 for the sequential schemes).
-    pub rounds: u32,
-    /// Same-color speculation conflicts repaired (speculative only).
-    pub repair_conflicts: u64,
 }
 
 impl ListColorOutcome {
@@ -46,8 +37,6 @@ impl ListColorOutcome {
     pub fn clear(&mut self) {
         self.assigned.clear();
         self.uncolored.clear();
-        self.rounds = 0;
-        self.repair_conflicts = 0;
     }
 }
 
@@ -119,7 +108,6 @@ pub fn greedy_list_color_into(
     out: &mut ListColorOutcome,
 ) {
     out.clear();
-    out.rounds = 1;
     let m = gc.num_vertices();
     let l_max = lists.list_size();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
@@ -237,7 +225,6 @@ pub fn static_list_color_into(
     out: &mut ListColorOutcome,
 ) {
     out.clear();
-    out.rounds = 1;
     let m = gc.num_vertices();
     let order = heuristic.order(gc, seed);
 
@@ -296,57 +283,6 @@ pub fn static_list_color(
     out
 }
 
-/// Converts a `coloring` list-kernel result into the solver's
-/// assignment-pair outcome shape.
-fn adopt_parallel_outcome(
-    active: &[u32],
-    res: coloring::ListParallelOutcome,
-    out: &mut ListColorOutcome,
-) {
-    out.clear();
-    for &v in active {
-        let c = res.colors[v as usize];
-        if c != coloring::UNCOLORED {
-            out.assigned.push((v, c));
-        }
-    }
-    out.uncolored.extend_from_slice(&res.uncolored);
-    out.rounds = res.rounds;
-    out.repair_conflicts = res.repair_conflicts;
-}
-
-/// List-constrained Jones–Plassmann rounds
-/// ([`coloring::jones_plassmann_list`]) over the conflict graph. The
-/// result is a pure function of `(gc, lists, active, seed)` —
-/// bit-identical for any `chunks` partition / thread count.
-pub fn jp_list_color_into(
-    gc: &CsrGraph,
-    lists: &ColorLists,
-    active: &[u32],
-    seed: u64,
-    chunks: usize,
-    out: &mut ListColorOutcome,
-) {
-    let res = coloring::jones_plassmann_list(gc, &|v| lists.row(v as usize), active, seed, chunks);
-    adopt_parallel_outcome(active, res, out);
-}
-
-/// Deterministic speculative color-then-repair
-/// ([`coloring::speculative_list`]) over the conflict graph. Same purity
-/// contract as [`jp_list_color_into`]; additionally reports
-/// `repair_conflicts`.
-pub fn speculative_list_color_into(
-    gc: &CsrGraph,
-    lists: &ColorLists,
-    active: &[u32],
-    seed: u64,
-    chunks: usize,
-    out: &mut ListColorOutcome,
-) {
-    let res = coloring::speculative_list(gc, &|v| lists.row(v as usize), active, seed, chunks);
-    adopt_parallel_outcome(active, res, out);
-}
-
 /// Which Line-8/9 kernel actually ran for an iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum SchemeKind {
@@ -355,204 +291,15 @@ pub enum SchemeKind {
     Greedy,
     /// Sequential static-order first-fit under an ordering heuristic.
     Static,
-    /// Parallel list-constrained Jones–Plassmann rounds.
-    JonesPlassmann,
-    /// Parallel speculative color-then-repair.
-    Speculative,
 }
 
 impl SchemeKind {
-    /// Stable lowercase label (serde/CLI).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::Greedy => "greedy",
-            SchemeKind::Static => "static",
-            SchemeKind::JonesPlassmann => "jp",
-            SchemeKind::Speculative => "spec",
-        }
-    }
-
     /// One-letter code for dense `--stats` columns.
     pub fn letter(self) -> char {
         match self {
             SchemeKind::Greedy => 'g',
             SchemeKind::Static => 't',
-            SchemeKind::JonesPlassmann => 'j',
-            SchemeKind::Speculative => 's',
         }
-    }
-}
-
-/// Post-hoc grade of one auto-scheme decision (mirrors
-/// `PackingVerdict`): what ran, what the freshly-updated calibrator
-/// would now choose, and whether they disagree.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ColoringVerdict {
-    /// Kernel that actually ran.
-    pub chosen: SchemeKind,
-    /// Kernel the updated calibrator would pick for the same shape.
-    pub predicted: SchemeKind,
-    /// `chosen != predicted` (always false for forced schemes).
-    pub mispredicted: bool,
-}
-
-const DEGREE_CLASSES: usize = 3;
-const PALETTE_CLASSES: usize = 3;
-
-/// Below this many work units (`|Vc| + |Ec|`) the per-round parallel
-/// overheads (atomics, fan-out, worklist retain) cannot pay off; the
-/// calibrator always answers `Greedy`.
-const PARALLEL_FLOOR_UNITS: u64 = 4096;
-
-/// EWMA smoothing factor for observed rates.
-const COLOR_ALPHA: f64 = 0.3;
-/// Observed rates are clamped to seed/8 .. seed*8 so one degenerate
-/// timing cannot wedge a class.
-const COLOR_CLAMP: f64 = 8.0;
-
-/// Seed ns-per-unit rates by (degree class × palette class), measured on
-/// the `list_color` bench (single-thread n=2048 conflict graphs; see
-/// `BENCH_color.json`). Rates are *wall-clock*, so on multi-core hosts
-/// the parallel kernels' learned rates fall below these and the
-/// crossover shifts toward JP/speculative automatically.
-const SEED_GREEDY_NS: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES] =
-    [[8.0, 9.0, 11.0], [9.0, 11.0, 13.0], [11.0, 12.0, 14.0]];
-const SEED_JP_NS: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES] = [
-    [30.0, 40.0, 55.0],
-    [60.0, 75.0, 95.0],
-    [110.0, 120.0, 135.0],
-];
-const SEED_SPEC_NS: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES] =
-    [[14.0, 17.0, 20.0], [18.0, 22.0, 26.0], [25.0, 27.0, 31.0]];
-
-/// Work-unit count for a conflict-coloring instance.
-#[inline]
-fn units(vertices: usize, edges: usize) -> u64 {
-    vertices as u64 + edges as u64
-}
-
-#[inline]
-fn degree_class(vertices: usize, edges: usize) -> usize {
-    // Average degree 2E/V of the conflict graph's active part.
-    let avg2 = (2 * edges).checked_div(vertices).unwrap_or(0);
-    if avg2 < 4 {
-        0
-    } else if avg2 <= 32 {
-        1
-    } else {
-        2
-    }
-}
-
-#[inline]
-fn palette_class(list_size: usize) -> usize {
-    if list_size <= 4 {
-        0
-    } else if list_size <= 8 {
-        1
-    } else {
-        2
-    }
-}
-
-/// Calibrated scheme chooser in the `PackCalibrator` mold: EWMA
-/// ns-per-unit rates per (degree class × palette class) for each kernel,
-/// seeded from bench measurements, updated from the solver's own
-/// per-iteration `color_secs`, and graded post-hoc
-/// (`scheme_predicted` / `scheme_mispredicted` in `IterationStats`).
-///
-/// Because the rates are wall-clock, thread count needs no explicit
-/// modelling: on many-core hosts the parallel kernels simply *observe*
-/// faster and win more classes.
-#[derive(Clone, Debug)]
-pub struct ColorCalibrator {
-    greedy_ns: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES],
-    jp_ns: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES],
-    spec_ns: [[f64; PALETTE_CLASSES]; DEGREE_CLASSES],
-    decisions: u64,
-    mispredicts: u64,
-}
-
-impl Default for ColorCalibrator {
-    fn default() -> Self {
-        ColorCalibrator {
-            greedy_ns: SEED_GREEDY_NS,
-            jp_ns: SEED_JP_NS,
-            spec_ns: SEED_SPEC_NS,
-            decisions: 0,
-            mispredicts: 0,
-        }
-    }
-}
-
-impl ColorCalibrator {
-    /// Pure decision: cheapest predicted kernel for this instance shape.
-    /// Ties and tiny instances prefer `Greedy` (deterministic, 0-alloc).
-    pub fn choose(&self, vertices: usize, edges: usize, list_size: usize) -> SchemeKind {
-        let u = units(vertices, edges);
-        if u < PARALLEL_FLOOR_UNITS {
-            return SchemeKind::Greedy;
-        }
-        let d = degree_class(vertices, edges);
-        let p = palette_class(list_size);
-        let mut best = SchemeKind::Greedy;
-        let mut best_ns = self.greedy_ns[d][p];
-        if self.spec_ns[d][p] < best_ns {
-            best = SchemeKind::Speculative;
-            best_ns = self.spec_ns[d][p];
-        }
-        if self.jp_ns[d][p] < best_ns {
-            best = SchemeKind::JonesPlassmann;
-        }
-        best
-    }
-
-    /// Feeds one observed kernel run back into the rate tables.
-    pub fn observe(
-        &mut self,
-        kind: SchemeKind,
-        vertices: usize,
-        edges: usize,
-        list_size: usize,
-        secs: f64,
-    ) {
-        let u = units(vertices, edges);
-        if u == 0 || secs <= 0.0 {
-            return;
-        }
-        let rate = secs * 1e9 / u as f64;
-        let d = degree_class(vertices, edges);
-        let p = palette_class(list_size);
-        let (table, seed) = match kind {
-            SchemeKind::Greedy => (&mut self.greedy_ns, SEED_GREEDY_NS[d][p]),
-            SchemeKind::Speculative => (&mut self.spec_ns, SEED_SPEC_NS[d][p]),
-            SchemeKind::JonesPlassmann => (&mut self.jp_ns, SEED_JP_NS[d][p]),
-            // Static runs are operator-forced; they never inform the
-            // greedy-vs-parallel crossover.
-            SchemeKind::Static => return,
-        };
-        let cell = &mut table[d][p];
-        *cell += COLOR_ALPHA * (rate - *cell);
-        *cell = cell.clamp(seed / COLOR_CLAMP, seed * COLOR_CLAMP);
-    }
-
-    /// Records one graded decision.
-    pub fn note_outcome(&mut self, mispredicted: bool) {
-        self.decisions += 1;
-        if mispredicted {
-            self.mispredicts += 1;
-        }
-    }
-
-    /// Graded decisions so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Decisions whose post-hoc re-prediction disagreed with the kernel
-    /// that ran.
-    pub fn mispredicts(&self) -> u64 {
-        self.mispredicts
     }
 }
 
@@ -701,54 +448,5 @@ mod tests {
         let out = greedy_list_color(&gc, &lists, &[], 0);
         assert!(out.assigned.is_empty());
         assert!(out.uncolored.is_empty());
-    }
-
-    #[test]
-    fn parallel_wrappers_produce_valid_outcomes() {
-        let gc = erdos_renyi(100, 0.2, 6);
-        let active: Vec<u32> = (0..100).collect();
-        let lists = ColorLists::assign(100, 0, 18, 6, 4, 0);
-        let mut out = ListColorOutcome::default();
-        jp_list_color_into(&gc, &lists, &active, 12, 4, &mut out);
-        check_outcome(&gc, &lists, &active, &out);
-        assert!(out.rounds >= 1);
-        speculative_list_color_into(&gc, &lists, &active, 12, 4, &mut out);
-        check_outcome(&gc, &lists, &active, &out);
-        assert!(out.rounds >= 1);
-    }
-
-    #[test]
-    fn calibrator_floors_small_instances_to_greedy() {
-        let cal = ColorCalibrator::default();
-        assert_eq!(cal.choose(100, 200, 6), SchemeKind::Greedy);
-        // Above the floor the seeded tables still favor greedy
-        // single-threaded, but the choice must be a function of the
-        // tables, not hardcoded — drive spec's rate down and re-ask.
-        let mut cal = ColorCalibrator::default();
-        let shape = (10_000usize, 100_000usize, 6usize);
-        for _ in 0..64 {
-            cal.observe(SchemeKind::Speculative, shape.0, shape.1, shape.2, 1e-5);
-        }
-        assert_eq!(
-            cal.choose(shape.0, shape.1, shape.2),
-            SchemeKind::Speculative,
-            "fast observed spec rates must win the class"
-        );
-    }
-
-    #[test]
-    fn calibrator_clamps_and_grades() {
-        let mut cal = ColorCalibrator::default();
-        // Absurdly slow observation cannot push the rate beyond seed*8.
-        for _ in 0..100 {
-            cal.observe(SchemeKind::Greedy, 10_000, 100_000, 6, 10.0);
-        }
-        let d = degree_class(10_000, 100_000);
-        let p = palette_class(6);
-        assert!(cal.greedy_ns[d][p] <= SEED_GREEDY_NS[d][p] * COLOR_CLAMP);
-        cal.note_outcome(false);
-        cal.note_outcome(true);
-        assert_eq!(cal.decisions(), 2);
-        assert_eq!(cal.mispredicts(), 1);
     }
 }

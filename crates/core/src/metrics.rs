@@ -45,17 +45,8 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
         .counter("solver_pack_builds_total")
         .add(result.pack_builds as u64);
     registry
-        .counter("solver_color_rounds_total")
-        .add(result.total_color_rounds());
-    registry
-        .counter("solver_repair_conflicts_total")
-        .add(result.total_repair_conflicts());
-    registry
-        .counter("solver_packing_mispredicts_total")
-        .add(result.packing_mispredicts() as u64);
-    registry
-        .counter("solver_scheme_mispredicts_total")
-        .add(result.scheme_mispredicts() as u64);
+        .counter("solver_safety_valve_vertices_total")
+        .add(result.safety_valve_vertices as u64);
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");
@@ -124,6 +115,10 @@ mod tests {
         assert_eq!(assign.count(), result.iterations.len() as u64);
         assert_eq!(registry.histogram("solver_total_ns").count(), 1);
         assert_eq!(
+            registry.counter("solver_safety_valve_vertices_total").get(),
+            result.safety_valve_vertices as u64
+        );
+        assert_eq!(
             registry.gauge("solver_max_conflict_edges").get(),
             result.max_conflict_edges() as u64
         );
@@ -134,6 +129,23 @@ mod tests {
         assert_eq!(
             registry.counter("solver_candidate_pairs_total").get(),
             2 * result.total_candidate_pairs()
+        );
+    }
+
+    #[test]
+    fn safety_valve_vertices_are_counted() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let strings = pauli::string::random_unique_set(200, 8, &mut rng);
+        let set = EncodedSet::from_strings(&strings);
+        let mut cfg = PicassoConfig::normal(4);
+        cfg.max_iterations = 1;
+        let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
+        assert!(result.safety_valve_vertices > 0);
+        let registry = Registry::new();
+        record_result(&registry, &result);
+        assert_eq!(
+            registry.counter("solver_safety_valve_vertices_total").get(),
+            result.safety_valve_vertices as u64
         );
     }
 

@@ -209,6 +209,7 @@ mod tests {
                 device_stats: None,
                 index_builds: 0,
                 pack_builds: 0,
+                safety_valve_vertices: 0,
             },
         };
         let mut op = PauliSum::zero(2);

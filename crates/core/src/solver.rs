@@ -136,31 +136,12 @@ pub struct IterationStats {
     pub skipped_words: u64,
     /// Hit-mask words the packed kernel produced this iteration.
     pub scanned_words: u64,
-    /// What the calibrated `Auto` model predicts for this iteration's
-    /// shape *after* absorbing its timing observation (see
-    /// [`IterationContext::record_packing`](crate::IterationContext::record_packing)).
-    pub packing_predicted: bool,
-    /// Whether the path actually chosen disagrees with
-    /// `packing_predicted` — a packing mispredict.
-    pub packing_mispredicted: bool,
     /// Vertices colored on Line 8 (no conflicts).
     pub colored_unconflicted: usize,
     /// Vertices colored by Algorithm 2 / the static scheme.
     pub colored_in_conflict: usize,
-    /// The Line-8/9 kernel that actually ran this iteration.
+    /// The Line-8/9 kernel that ran this iteration.
     pub scheme_chosen: listcolor::SchemeKind,
-    /// What the calibrated `Auto` model picks for this iteration's shape
-    /// *after* absorbing its timing observation (see
-    /// [`IterationContext::record_coloring`](crate::IterationContext::record_coloring)).
-    pub scheme_predicted: listcolor::SchemeKind,
-    /// Whether the kernel actually run disagrees with `scheme_predicted`
-    /// — a scheme mispredict.
-    pub scheme_mispredicted: bool,
-    /// Rounds the coloring kernel ran (1 for the sequential schemes).
-    pub color_rounds: u32,
-    /// Same-color speculation conflicts repaired (speculative kernel
-    /// only; zero elsewhere).
-    pub repair_conflicts: u64,
     /// Vertices left for the next iteration (`|Vu|`).
     pub uncolored_after: usize,
     /// Seconds in list assignment (Line 6).
@@ -197,6 +178,10 @@ pub struct PicassoResult {
     /// iteration took a scalar path (all-pairs fallback, unpackable
     /// oracle, or packing disabled).
     pub pack_builds: usize,
+    /// Vertices still live after [`PicassoConfig::max_iterations`] that
+    /// the safety valve gave one fresh color each instead of a palette
+    /// color. Zero on every solve that converges within the bound.
+    pub safety_valve_vertices: usize,
 }
 
 impl PicassoResult {
@@ -252,16 +237,6 @@ impl PicassoResult {
         self.total_hit_bits() as f64 / lanes as f64
     }
 
-    /// Iterations whose chosen scalar/packed path disagreed with the
-    /// post-observation calibrated prediction (see
-    /// [`IterationStats::packing_mispredicted`]).
-    pub fn packing_mispredicts(&self) -> usize {
-        self.iterations
-            .iter()
-            .filter(|s| s.packing_mispredicted)
-            .count()
-    }
-
     /// Fraction of the solve's candidate enumeration that ran through
     /// the packed lane kernel, in `[0, 1]` — 1.0 when every iteration
     /// packed, 0.0 when none did.
@@ -286,28 +261,6 @@ impl PicassoResult {
     /// Total seconds spent coloring.
     pub fn color_secs(&self) -> f64 {
         self.iterations.iter().map(|s| s.color_secs).sum()
-    }
-
-    /// Sum of coloring-kernel rounds across iterations (each sequential
-    /// scheme counts one round per iteration).
-    pub fn total_color_rounds(&self) -> u64 {
-        self.iterations.iter().map(|s| s.color_rounds as u64).sum()
-    }
-
-    /// Sum of repaired speculation conflicts across iterations (see
-    /// [`IterationStats::repair_conflicts`]).
-    pub fn total_repair_conflicts(&self) -> u64 {
-        self.iterations.iter().map(|s| s.repair_conflicts).sum()
-    }
-
-    /// Iterations whose chosen coloring kernel disagreed with the
-    /// post-observation calibrated prediction (see
-    /// [`IterationStats::scheme_mispredicted`]).
-    pub fn scheme_mispredicts(&self) -> usize {
-        self.iterations
-            .iter()
-            .filter(|s| s.scheme_mispredicted)
-            .count()
     }
 
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
@@ -392,6 +345,7 @@ impl Picasso {
         let mut live: Vec<u32> = (0..n as u32).collect();
         let mut next_base = 0u32;
         let mut iterations = Vec::new();
+        let mut safety_valve_vertices = 0usize;
 
         // Devices inherit the context's fault plan (if any): chaos
         // testing threads through here without touching `PicassoConfig`,
@@ -457,10 +411,12 @@ impl Picasso {
             deadline_hit(iter)?;
             iter += 1;
             if iter > cfg.max_iterations {
-                // Safety valve: one fresh color per remaining vertex.
+                // Safety valve: one fresh color per remaining vertex,
+                // counted so a solve that needed it says so.
                 for (k, &v) in live.iter().enumerate() {
                     colors[v as usize] = next_base + k as u32;
                 }
+                safety_valve_vertices = live.len();
                 live.clear();
                 break;
             }
@@ -533,17 +489,6 @@ impl Picasso {
             };
             drop(build_span);
             let conflict_secs = t1.elapsed().as_secs_f64();
-            // Feed the measured build back into the Auto calibrator and
-            // grade the iteration's packing decision against the
-            // post-observation model.
-            let verdict = ctx.record_packing(
-                &build,
-                conflict_secs,
-                view.packed_form().map(|f| f.words.max(1)),
-            );
-            if verdict.mispredicted {
-                telemetry::event!("packing_mispredict", iter = iter);
-            }
             // Phase seam: a deadline passing during the build aborts
             // before any coloring work starts.
             if let Err(e) = deadline_hit(iter - 1) {
@@ -572,71 +517,33 @@ impl Picasso {
                 build.num_edges,
                 list_size as usize,
             );
-            let color_seed = cfg.seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            let chunks = rayon::current_num_threads();
+            let (lists, cs) = ctx.lists_and_color_scratch();
             match cfg.scheme {
+                ListColoringScheme::DynamicGreedy => listcolor::greedy_list_color_into(
+                    &gc,
+                    lists,
+                    &conflicted,
+                    cfg.seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15),
+                    cs,
+                    &mut outcome,
+                ),
                 // The static seed predates the splitmix mixing of the
-                // other schemes; kept verbatim for replay compatibility.
-                ListColoringScheme::Static(h) => {
-                    let (lists, cs) = ctx.lists_and_color_scratch();
-                    listcolor::static_list_color_into(
-                        &gc,
-                        lists,
-                        &conflicted,
-                        h,
-                        cfg.seed ^ iter as u64,
-                        cs,
-                        &mut outcome,
-                    );
-                }
-                _ => match kind {
-                    listcolor::SchemeKind::Greedy => {
-                        let (lists, cs) = ctx.lists_and_color_scratch();
-                        listcolor::greedy_list_color_into(
-                            &gc,
-                            lists,
-                            &conflicted,
-                            color_seed,
-                            cs,
-                            &mut outcome,
-                        );
-                    }
-                    listcolor::SchemeKind::JonesPlassmann => listcolor::jp_list_color_into(
-                        &gc,
-                        ctx.lists(),
-                        &conflicted,
-                        color_seed,
-                        chunks,
-                        &mut outcome,
-                    ),
-                    listcolor::SchemeKind::Speculative => listcolor::speculative_list_color_into(
-                        &gc,
-                        ctx.lists(),
-                        &conflicted,
-                        color_seed,
-                        chunks,
-                        &mut outcome,
-                    ),
-                    listcolor::SchemeKind::Static => unreachable!("Static is matched above"),
-                },
+                // greedy one; kept verbatim for replay compatibility.
+                ListColoringScheme::Static(h) => listcolor::static_list_color_into(
+                    &gc,
+                    lists,
+                    &conflicted,
+                    h,
+                    cfg.seed ^ iter as u64,
+                    cs,
+                    &mut outcome,
+                ),
             }
             for &(v, c) in &outcome.assigned {
                 colors[live[v as usize] as usize] = c;
             }
             drop(color_span);
             let color_secs = t2.elapsed().as_secs_f64();
-            // Feed the measured coloring back into the Auto scheme
-            // calibrator and grade this iteration's kernel choice.
-            let cverdict = ctx.record_coloring(
-                kind,
-                conflicted.len(),
-                build.num_edges,
-                list_size as usize,
-                color_secs,
-            );
-            if cverdict.mispredicted {
-                telemetry::event!("scheme_mispredict", iter = iter);
-            }
             // The conflict graph is done for this round: hand its
             // storage back so the next iteration's CSR assembles into
             // the same arrays (the allocation-free Line 7 loop).
@@ -662,15 +569,9 @@ impl Picasso {
                 hit_bits: build.scan_stats.hit_bits,
                 skipped_words: build.scan_stats.skipped_words,
                 scanned_words: build.scan_stats.scanned_words,
-                packing_predicted: verdict.predicted,
-                packing_mispredicted: verdict.mispredicted,
                 colored_unconflicted,
                 colored_in_conflict: outcome.assigned.len(),
-                scheme_chosen: cverdict.chosen,
-                scheme_predicted: cverdict.predicted,
-                scheme_mispredicted: cverdict.mispredicted,
-                color_rounds: outcome.rounds,
-                repair_conflicts: outcome.repair_conflicts,
+                scheme_chosen: kind,
                 uncolored_after: new_live.len(),
                 assign_secs,
                 conflict_secs,
@@ -714,6 +615,7 @@ impl Picasso {
             device_stats,
             index_builds: ctx.index_builds() - index_builds_at_start,
             pack_builds: ctx.pack_builds() - pack_builds_at_start,
+            safety_valve_vertices,
         })
     }
 }
@@ -1014,7 +916,6 @@ mod tests {
         // a real ratio.
         assert!(r.total_hit_bits() > 0);
         assert!(r.hit_density() > 0.0 && r.hit_density() <= 1.0);
-        assert!(r.packing_mispredicts() <= r.iterations.len());
         // A scalar-only solve reports empty scan stats.
         let never = Picasso::new(PicassoConfig::normal(4).with_backend(ConflictBackend::AllPairs))
             .solve_pauli(&set)
@@ -1229,6 +1130,33 @@ mod tests {
     }
 
     #[test]
+    fn safety_valve_counts_the_vertices_it_colors() {
+        let set = random_set(200, 8, 10);
+        let mut cfg = PicassoConfig::normal(1);
+        cfg.max_iterations = 1;
+        let capped = Picasso::new(cfg).solve_pauli(&set).unwrap();
+        assert_eq!(capped.iterations.len(), 1);
+        // Exactly the vertices left uncolored by the one iteration went
+        // through the valve, each with a color of its own.
+        let leftover = capped.iterations[0].uncolored_after;
+        assert!(leftover > 0, "one Normal iteration leaves vertices dry");
+        assert_eq!(capped.safety_valve_vertices, leftover);
+        let valve_base = capped.iterations[0].palette_size;
+        let valve_colors: Vec<u32> = capped
+            .colors
+            .iter()
+            .copied()
+            .filter(|&c| c >= valve_base)
+            .collect();
+        assert_eq!(valve_colors.len(), leftover);
+        // An unbounded solve never touches the valve.
+        let full = Picasso::new(PicassoConfig::normal(1))
+            .solve_pauli(&set)
+            .unwrap();
+        assert_eq!(full.safety_valve_vertices, 0);
+    }
+
+    #[test]
     fn static_scheme_also_converges_to_valid_coloring() {
         let set = random_set(100, 8, 11);
         let cfg = PicassoConfig::normal(5).with_scheme(ListColoringScheme::Static(
@@ -1240,64 +1168,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_schemes_also_converge_to_valid_colorings() {
-        let set = random_set(120, 9, 13);
-        let oracle = PauliComplementOracle::new(&set);
-        for scheme in [
-            ListColoringScheme::JonesPlassmann,
-            ListColoringScheme::Speculative,
-            ListColoringScheme::Auto,
-        ] {
-            let cfg = PicassoConfig::normal(5).with_scheme(scheme);
-            let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
-            assert!(
-                validate_oracle_coloring(&oracle, &result.colors).is_ok(),
-                "scheme {scheme:?}"
-            );
-            assert!(result.total_color_rounds() >= result.iterations.len() as u64);
-        }
-    }
-
-    #[test]
-    fn parallel_schemes_are_deterministic_per_seed() {
-        let set = random_set(110, 9, 14);
-        for scheme in [
-            ListColoringScheme::JonesPlassmann,
-            ListColoringScheme::Speculative,
-        ] {
-            let cfg = PicassoConfig::normal(9).with_scheme(scheme);
-            let a = Picasso::new(cfg).solve_pauli(&set).unwrap();
-            let b = Picasso::new(cfg).solve_pauli(&set).unwrap();
-            assert_eq!(a.colors, b.colors, "scheme {scheme:?}");
-        }
-    }
-
-    #[test]
     fn scheme_stats_are_surfaced_per_iteration() {
         let set = random_set(100, 8, 15);
-        let cfg = PicassoConfig::normal(6).with_scheme(ListColoringScheme::Speculative);
-        let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
-        for s in &result.iterations {
-            assert_eq!(s.scheme_chosen, crate::SchemeKind::Speculative);
-            if s.conflict_vertices > 0 {
-                assert!(s.color_rounds >= 1);
-            }
+        let cfg = PicassoConfig::normal(6).with_scheme(ListColoringScheme::Static(
+            coloring::OrderingHeuristic::Natural,
+        ));
+        let stat = Picasso::new(cfg).solve_pauli(&set).unwrap();
+        for s in &stat.iterations {
+            assert_eq!(s.scheme_chosen, crate::SchemeKind::Static);
         }
-        // Aggregates agree with the per-iteration rows.
-        assert_eq!(
-            result.total_repair_conflicts(),
-            result
-                .iterations
-                .iter()
-                .map(|s| s.repair_conflicts)
-                .sum::<u64>()
-        );
         let greedy = Picasso::new(PicassoConfig::normal(6))
             .solve_pauli(&set)
             .unwrap();
         for s in &greedy.iterations {
             assert_eq!(s.scheme_chosen, crate::SchemeKind::Greedy);
-            assert_eq!(s.repair_conflicts, 0);
         }
     }
 

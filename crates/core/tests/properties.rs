@@ -9,8 +9,7 @@ use device::DeviceSim;
 use graph::FnOracle;
 use pauli::EncodedSet;
 use picasso::conflict::{
-    build_device, build_multi_device, build_multi_device_rowsharded, build_parallel,
-    build_sequential, build_sequential_allpairs,
+    build_device, build_multi_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
 use picasso::listcolor::greedy_list_color;
 use picasso::{
@@ -173,8 +172,7 @@ proptest! {
     /// (palette, α) × device counts {1, 2, 3, 7} produce CSRs
     /// bit-identical to the sequential reference — including the
     /// degenerate two-color-palette case where two coarse buckets must
-    /// split across more devices than there are buckets — and the
-    /// row-sharded legacy reference agrees too.
+    /// split across more devices than there are buckets.
     #[test]
     fn multi_device_sharding_matches_sequential_for_all_device_counts(
         n in 2usize..60,
@@ -205,8 +203,6 @@ proptest! {
         prop_assert_eq!(seq.num_edges, multi.num_edges);
         prop_assert_eq!(seq.candidate_pairs, multi.candidate_pairs);
         prop_assert!(ctx.index_builds() <= 1);
-        let rowsharded = build_multi_device_rowsharded(&oracle, &lists, &devices, 16).unwrap();
-        prop_assert_eq!(&seq.graph, &rowsharded.graph);
     }
 
     /// End-to-end determinism across engines: for a fixed seed, a full

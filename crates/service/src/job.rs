@@ -218,8 +218,8 @@ pub struct JobConfig {
     /// capacity failure the job re-solves down MultiDevice → Device →
     /// Parallel → Sequential with the identical coloring.
     pub backend: Option<String>,
-    /// List-coloring scheme override (`greedy`, `jp`, `spec`, `auto`, or
-    /// a static ordering: `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
+    /// List-coloring scheme override (`greedy`, or a static ordering:
+    /// `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
     pub coloring: Option<String>,
     /// Soft wall-clock budget for the job, measured from enqueue. The
     /// solver checks it cooperatively between phases; an expired job
@@ -773,7 +773,7 @@ mod tests {
             seed: Some(9),
             aggressive: false,
             backend: Some("seq".into()),
-            coloring: Some("jp".into()),
+            coloring: Some("sl".into()),
             deadline_ms: None,
         }
         .effective()
@@ -782,7 +782,7 @@ mod tests {
         assert_eq!(cfg.alpha, 4.0);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.backend, ConflictBackend::Sequential);
-        assert_eq!(cfg.scheme, ListColoringScheme::JonesPlassmann);
+        assert_eq!(cfg.scheme.label(), "sl");
         let aggressive = JobConfig {
             aggressive: true,
             ..JobConfig::default()
@@ -795,7 +795,7 @@ mod tests {
     #[test]
     fn coloring_override_round_trips_and_distinguishes_the_cache_key() {
         let mut req = sample_request();
-        req.config.coloring = Some("spec".into());
+        req.config.coloring = Some("dlf".into());
         let line = serde_json::to_string(&req.to_json()).unwrap();
         let back = SolveRequest::from_json_line(&line).unwrap();
         assert_eq!(back, req);
@@ -807,6 +807,20 @@ mod tests {
                 "config": {"coloring": "rainbow"}}"#
         )
         .is_err());
+        // So are the removed parallel and autotuned schemes, with the
+        // label parser's error naming the schemes that remain.
+        for gone in ["jp", "spec", "auto"] {
+            let line = format!(
+                r#"{{"id": "x", "workload": {{"type": "synthetic_pauli", "n": 4, "qubits": 2}},
+                    "config": {{"coloring": "{gone}"}}}}"#
+            );
+            let err = SolveRequest::from_json_line(&line).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown coloring scheme '{gone}'"))
+                    && err.contains("expected greedy, natural"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

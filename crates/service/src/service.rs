@@ -844,6 +844,37 @@ mod tests {
     }
 
     #[test]
+    fn removed_coloring_schemes_are_permanent_config_failures() {
+        // Built in code (bypassing JSON validation): a removed scheme
+        // label is a configuration error, turned away at admission with
+        // the label parser's message and never retried.
+        let service = small_service(1);
+        let requests: Vec<SolveRequest> = ["jp", "spec", "auto"]
+            .iter()
+            .map(|label| {
+                let mut req = synth(label, 40, 1);
+                req.config.coloring = Some(label.to_string());
+                req
+            })
+            .collect();
+        let report = service.process_batch(requests);
+        for (resp, label) in report.responses.iter().zip(["jp", "spec", "auto"]) {
+            match &resp.outcome {
+                JobOutcome::Rejected { reason } => assert!(
+                    reason.contains(&format!("unknown coloring scheme '{label}'"))
+                        && reason.contains("expected greedy, natural"),
+                    "{reason}"
+                ),
+                other => panic!("{label}: {other:?}"),
+            }
+        }
+        assert_eq!(report.metrics.rejected, 3);
+        assert_eq!(report.metrics.retries, 0);
+        assert_eq!(report.metrics.solved, 0);
+        assert!(service.quarantined().is_empty());
+    }
+
+    #[test]
     fn impossible_synthetic_workload_fails_the_job_not_the_batch() {
         // Constructed directly (bypassing JSON validation): the solve
         // path re-checks and yields a per-job Failed response instead of

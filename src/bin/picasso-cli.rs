@@ -4,7 +4,7 @@
 //! ```text
 //! picasso-cli strings.txt [--palette PCT] [--alpha A] [--seed N]
 //!             [--aggressive] [--backend seq|par|allpairs|device:MIB]
-//!             [--coloring greedy|jp|spec|auto|natural|random|lf|sl|dlf|id]
+//!             [--coloring greedy|natural|random|lf|sl|dlf|id]
 //!             [--json] [--stats] [--metrics FILE] [--trace FILE]
 //!
 //! picasso-cli serve [REQUESTS.jsonl|-] [--out FILE] [--workers N]
@@ -73,7 +73,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: picasso-cli [FILE|-] [--palette PCT] [--alpha A] [--seed N] \
          [--aggressive] [--backend seq|par|allpairs|device:MIB] \
-         [--coloring greedy|jp|spec|auto|natural|random|lf|sl|dlf|id] [--json] [--stats] \
+         [--coloring greedy|natural|random|lf|sl|dlf|id] [--json] [--stats] \
          [--metrics FILE] [--trace FILE]"
     );
     exit(2);
@@ -739,29 +739,13 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |hit% |skipw \
-             |pred |sch |rnd |rep |colms |Vc |Ec |uncolored"
+             |sch |colms |Vc |Ec |uncolored"
         );
         for s in &result.iterations {
-            // `pred` grades the calibrated Auto decision: chosen mode /
-            // post-observation predicted mode, "!" on a mispredict.
-            let pred = format!(
-                "{}/{}{}",
-                if s.packed_lanes > 0 { "p" } else { "s" },
-                if s.packing_predicted { "p" } else { "s" },
-                if s.packing_mispredicted { "!" } else { "" }
-            );
-            // `sch` grades the Line-8/9 kernel choice the same way:
-            // chosen kernel / post-observation predicted kernel
-            // (g=greedy, t=static, j=jp, s=speculative).
-            let sch = format!(
-                "{}/{}{}",
-                s.scheme_chosen.letter(),
-                s.scheme_predicted.letter(),
-                if s.scheme_mispredicted { "!" } else { "" }
-            );
+            // `sch` is the Line-8/9 kernel that ran (g=greedy, t=static).
             eprintln!(
-                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} {:>5} \
-                 {:>4} {:>4} {:>4} {:>6.2} {:>6} {:>8} {:>6}",
+                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} {:>4} \
+                 {:>6.2} {:>6} {:>8} {:>6}",
                 s.iteration,
                 s.live_vertices,
                 s.palette_size,
@@ -773,10 +757,7 @@ fn main() {
                 100.0 * s.packed_lanes as f64 / s.candidate_pairs.max(1) as f64,
                 100.0 * s.hit_bits as f64 / s.packed_lanes.max(1) as f64,
                 s.skipped_words,
-                pred,
-                sch,
-                s.color_rounds,
-                s.repair_conflicts,
+                s.scheme_chosen.letter(),
                 1e3 * s.color_secs,
                 s.conflict_vertices,
                 s.conflict_edges,

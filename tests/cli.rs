@@ -74,24 +74,25 @@ fn stats_table_surfaces_packed_lane_columns() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("|packed |lane%"), "header in:\n{stderr}");
     assert!(
-        stderr.contains("|hit% |skipw |pred"),
+        stderr.contains("|hit% |skipw |sch"),
         "mask-scan columns in:\n{stderr}"
     );
     assert!(stderr.contains("pack builds:"), "summary in:\n{stderr}");
     assert!(
-        stderr.contains("hit density") && stderr.contains("packing mispredicts"),
+        stderr.contains("hit density") && stderr.contains("mask words skipped whole"),
         "mask-scan summary in:\n{stderr}"
     );
-    // Every iteration row grades the packing decision as chosen/predicted.
+    // Every iteration row says whether it packed (y/n column).
     let rows: Vec<&str> = stderr
         .lines()
         .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
         .collect();
     assert!(!rows.is_empty(), "stats rows in:\n{stderr}");
     for row in &rows {
+        let packed = row.split_whitespace().nth(7);
         assert!(
-            row.contains("p/") || row.contains("s/"),
-            "pred column in row: {row}"
+            matches!(packed, Some("y") | Some("n")),
+            "packed column in row: {row}"
         );
     }
     let doc: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
@@ -106,7 +107,7 @@ fn stats_table_surfaces_packed_lane_columns() {
     assert!(doc["total_skipped_words"].as_u64().is_some());
     let density = doc["hit_density"].as_f64().unwrap();
     assert!((0.0..=1.0).contains(&density), "hit density {density}");
-    assert!(doc["packing_mispredicts"].as_u64().is_some());
+    assert_eq!(doc["safety_valve_vertices"].as_u64(), Some(0));
 }
 
 #[test]
@@ -139,42 +140,54 @@ fn coloring_flag_selects_scheme_and_surfaces_telemetry() {
         )
     };
 
-    let (doc, stderr) = run("jp");
-    // Stats table gains the scheme/rounds/repair/coloring-ms columns.
-    assert!(
-        stderr.contains("|sch |rnd |rep |colms"),
-        "header in:\n{stderr}"
-    );
-    assert!(stderr.contains("coloring [jp]:"), "footer in:\n{stderr}");
-    assert!(
-        stderr.contains("scheme mispredicts"),
-        "footer in:\n{stderr}"
-    );
-    // Every iteration row grades the coloring decision as chosen/predicted.
+    let (doc, stderr) = run("lf");
+    // Stats table carries the scheme and coloring-ms columns.
+    assert!(stderr.contains("|sch |colms"), "header in:\n{stderr}");
+    assert!(stderr.contains("coloring [lf]:"), "footer in:\n{stderr}");
+    assert!(stderr.contains("safety valve"), "footer in:\n{stderr}");
+    // Every iteration row names the kernel that ran (t = static).
     let rows: Vec<&str> = stderr
         .lines()
         .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
         .collect();
     assert!(!rows.is_empty(), "stats rows in:\n{stderr}");
     for row in &rows {
-        assert!(row.contains("j/"), "sch column in row: {row}");
+        assert_eq!(
+            row.split_whitespace().nth(11),
+            Some("t"),
+            "sch column in row: {row}"
+        );
     }
-    // JSON contract: scheme label plus the coloring telemetry totals.
-    assert_eq!(doc["coloring"], "jp");
+    // JSON contract: scheme label plus the coloring telemetry.
+    assert_eq!(doc["coloring"], "lf");
     assert!(doc["color_secs"].as_f64().unwrap() >= 0.0);
-    assert!(doc["total_color_rounds"].as_u64().unwrap() >= 1);
-    assert!(doc["total_repair_conflicts"].as_u64().is_some());
-    assert!(doc["scheme_mispredicts"].as_u64().is_some());
+    assert_eq!(doc["safety_valve_vertices"].as_u64(), Some(0));
 
-    // The speculative scheme is deterministic end to end, and greedy
-    // reports no repair conflicts (it never speculates).
-    let (spec_a, _) = run("spec");
-    let (spec_b, _) = run("spec");
-    assert_eq!(spec_a["groups"], spec_b["groups"]);
-    assert_eq!(spec_a["coloring"], "spec");
-    let (greedy, _) = run("greedy");
-    assert_eq!(greedy["total_repair_conflicts"].as_u64().unwrap(), 0);
-    assert_eq!(greedy["num_strings"], spec_a["num_strings"]);
+    // Static orderings are deterministic end to end; greedy is the
+    // default and names itself.
+    let (lf_again, _) = run("lf");
+    assert_eq!(doc["groups"], lf_again["groups"]);
+    let (greedy, greedy_stderr) = run("greedy");
+    assert_eq!(greedy["coloring"], "greedy");
+    assert_eq!(greedy["num_strings"], doc["num_strings"]);
+    assert!(greedy_stderr.contains("coloring [greedy]:"));
+
+    // The removed parallel and autotuned schemes fail with the label
+    // parser's error, which lists the schemes that remain.
+    for gone in ["jp", "spec", "auto"] {
+        let out = Command::new(CLI)
+            .arg(&path)
+            .args(["--coloring", gone])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--coloring {gone}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown coloring scheme '{gone}'"))
+                && stderr.contains("expected greedy, natural, random, lf, sl, dlf, or id"),
+            "stderr: {stderr}"
+        );
+    }
 
     // Unknown schemes are rejected loudly.
     let bad = Command::new(CLI)

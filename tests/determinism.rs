@@ -1,0 +1,218 @@
+//! Determinism is a tested invariant: a solve's output is a pure
+//! function of (instance, config, seed). In particular it must not
+//! depend on what the `IterationContext` solved before — the packing
+//! decision and the device forecasts read counted quantities only — nor
+//! on which (differently warmed) service worker serves a request.
+//!
+//! The vendored proptest runner cannot shrink, so every assertion names
+//! the sampled seeds: a failure message is enough to replay the case.
+
+use graph::PackedWordOracle;
+use pauli::EncodedSet;
+use picasso::{ConflictBackend, IterationContext, PauliComplementOracle, Picasso, PicassoConfig};
+use picasso_service::{JobOutcome, ServiceConfig, SolveRequest, SolveService, Workload};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const DEVICES: usize = 3;
+
+fn random_set(n: usize, qubits: usize, seed: u64) -> EncodedSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    EncodedSet::from_strings(&pauli::string::random_unique_set(n, qubits, &mut rng))
+}
+
+/// Warms `ctx` with solves of shapes unlike the instance under test:
+/// larger and smaller Pauli sets, another register width, the
+/// Aggressive preset, a synthetic oracle, and several backends.
+fn warm_up(ctx: &mut IterationContext, n: usize, warm_seed: u64) {
+    let big = random_set(n * 2 + 37, 20, warm_seed);
+    let small = random_set(n / 3 + 5, 6, warm_seed ^ 1);
+    let oracle = PackedWordOracle::with_edge_density(n + 50, 2, 0.02, warm_seed ^ 2);
+    let normal = PicassoConfig::normal(warm_seed);
+    Picasso::new(normal.with_backend(ConflictBackend::Parallel))
+        .solve_pauli_in(&big, ctx)
+        .expect("warm-up solve");
+    Picasso::new(PicassoConfig::aggressive(warm_seed).with_backend(ConflictBackend::Sequential))
+        .solve_pauli_in(&small, ctx)
+        .expect("warm-up solve");
+    Picasso::new(normal.with_backend(ConflictBackend::Device {
+        capacity_bytes: 64 << 20,
+    }))
+    .solve_oracle_in(&oracle, ctx)
+    .expect("warm-up solve");
+}
+
+fn backends() -> [(ConflictBackend, bool); 4] {
+    [
+        (ConflictBackend::Sequential, false),
+        (ConflictBackend::Parallel, false),
+        (
+            ConflictBackend::Device {
+                capacity_bytes: 64 << 20,
+            },
+            true,
+        ),
+        (
+            ConflictBackend::MultiDevice {
+                devices: DEVICES,
+                capacity_each: 32 << 20,
+            },
+            true,
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same instance solved on a cold context and on one warmed by
+    /// unrelated solves: colors, packed-replica builds, per-iteration
+    /// packed lanes, and the oracle-aware device forecasts all agree,
+    /// on every backend (the device ones behind the strict forecast).
+    #[test]
+    fn cold_and_warmed_contexts_agree(
+        n in 80usize..260,
+        qubits in prop_oneof![Just(8usize), Just(12), Just(30)],
+        seed in any::<u64>(),
+        warm_seed in any::<u64>(),
+    ) {
+        let set = random_set(n, qubits, seed);
+        let oracle = PauliComplementOracle::new(&set);
+        let mut warm = IterationContext::new();
+        warm_up(&mut warm, n, warm_seed);
+        prop_assert!(warm.index_builds() > 0, "warm-up ran (seeds {} / {})", seed, warm_seed);
+
+        for (backend, strict) in backends() {
+            let cfg = PicassoConfig::normal(seed)
+                .with_backend(backend)
+                .with_strict_forecast(strict);
+            let cold = Picasso::new(cfg).solve_pauli_in(&set, &mut IterationContext::new());
+            let hot = Picasso::new(cfg).solve_pauli_in(&set, &mut warm);
+            prop_assert!(
+                cold.is_ok() && hot.is_ok(),
+                "{:?} (seeds {} / {}): {:?} / {:?}",
+                backend, seed, warm_seed, cold.as_ref().err(), hot.as_ref().err()
+            );
+            let (cold, hot) = (cold.unwrap(), hot.unwrap());
+            prop_assert_eq!(
+                &cold.colors, &hot.colors,
+                "{:?} colors (seeds {} / {})", backend, seed, warm_seed
+            );
+            prop_assert_eq!(
+                cold.pack_builds, hot.pack_builds,
+                "{:?} pack builds (seeds {} / {})", backend, seed, warm_seed
+            );
+            let lanes = |r: &picasso::PicassoResult| -> Vec<u64> {
+                r.iterations.iter().map(|s| s.packed_lanes).collect()
+            };
+            prop_assert_eq!(
+                lanes(&cold), lanes(&hot),
+                "{:?} packed lanes (seeds {} / {})", backend, seed, warm_seed
+            );
+        }
+
+        // The forecasts the strict gate compares against the budget,
+        // for the first iteration's lists, from both contexts.
+        let cfg = PicassoConfig::normal(seed);
+        let (palette, list) = (cfg.palette_size(n), cfg.list_size(n));
+        let bpv = picasso::conflict::device_input_bytes_per_vertex(qubits, list as usize);
+        let mut cold = IterationContext::new();
+        for ctx in [&mut cold, &mut warm] {
+            ctx.assign_lists(n, 0, palette, list, cfg.seed, 1);
+        }
+        prop_assert_eq!(
+            cold.device_forecast_bytes_for(&oracle, bpv),
+            warm.device_forecast_bytes_for(&oracle, bpv),
+            "device forecast (seeds {} / {})", seed, warm_seed
+        );
+        prop_assert_eq!(
+            cold.multi_device_forecast_bytes_for(&oracle, bpv, DEVICES),
+            warm.multi_device_forecast_bytes_for(&oracle, bpv, DEVICES),
+            "multi-device forecast (seeds {} / {})", seed, warm_seed
+        );
+    }
+}
+
+/// A one-worker service, so every batch it drains runs on the same
+/// pooled context.
+fn one_worker_service() -> SolveService {
+    SolveService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+}
+
+fn warm_service(service: &SolveService, shapes: &[(usize, usize, &str)], seed: u64) {
+    let requests = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(n, qubits, backend))| {
+            let mut req = SolveRequest::new(
+                format!("warm-{i}"),
+                Workload::SyntheticPauli {
+                    n,
+                    qubits,
+                    seed: seed ^ i as u64,
+                },
+            );
+            req.config.backend = Some(backend.into());
+            req
+        })
+        .chain(std::iter::once(SolveRequest::new(
+            "warm-graph",
+            Workload::SyntheticGraph {
+                n: 150,
+                density: 0.3,
+                seed,
+            },
+        )))
+        .collect();
+    let report = service.process_batch(requests);
+    assert!(report.metrics.solved > 0, "warm-up solved something");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same request served by two differently warmed workers (and by
+    /// a cold one) serializes to byte-identical response lines.
+    #[test]
+    fn differently_warmed_workers_serve_byte_identical_responses(
+        n in 60usize..220,
+        backend in prop_oneof![Just("seq"), Just("par"), Just("device:64"), Just("multi:3:16")],
+        coloring in prop_oneof![Just("greedy"), Just("sl")],
+        seed in any::<u64>(),
+    ) {
+        let a = one_worker_service();
+        let b = one_worker_service();
+        let cold = one_worker_service();
+        warm_service(&a, &[(400, 20, "par"), (50, 6, "seq")], seed);
+        warm_service(&b, &[(90, 10, "device:64"), (300, 14, "multi:2:32")], seed ^ 7);
+
+        let mut request = SolveRequest::new(
+            "target",
+            Workload::SyntheticPauli { n, qubits: 10, seed },
+        );
+        request.config.backend = Some(backend.into());
+        request.config.coloring = Some(coloring.into());
+        let mut lines = Vec::new();
+        for service in [&a, &b, &cold] {
+            let report = service.process_batch(vec![request.clone()]);
+            let response = &report.responses[0];
+            prop_assert!(
+                matches!(response.outcome, JobOutcome::Solved(_)),
+                "{} {} (seed {}): {:?}", backend, coloring, seed, response.outcome
+            );
+            lines.push(response.to_json_line());
+        }
+        prop_assert_eq!(
+            &lines[0], &lines[1],
+            "warm workers disagree on {} {} (seed {})", backend, coloring, seed
+        );
+        prop_assert_eq!(
+            &lines[0], &lines[2],
+            "warm and cold workers disagree on {} {} (seed {})", backend, coloring, seed
+        );
+    }
+}

@@ -1,19 +1,32 @@
-//! Property suite for the parallel list-coloring kernels: whatever the
-//! conflict-graph density, palette shape, or seed, (a) Jones–Plassmann
-//! and speculative outcomes are *valid* partial list-colorings, (b) they
-//! are **bit-identical** across worklist partitions {1, 2, 4, 8} and
-//! equal to the strictly sequential (`chunks = 0`) reference execution —
-//! the property that makes them bit-identical across rayon thread
-//! counts — and (c) the solver's end-to-end color counts under the
-//! parallel schemes stay within a bounded quality delta of sequential
-//! dynamic greedy across the same density sweep oracles as
+//! Property suite for the list-coloring kernels of Lines 8–9: whatever
+//! the conflict-graph density, palette shape, or seed, (a) the dynamic
+//! bucket greedy of Algorithm 2 and every static-order scheme produce
+//! *valid* partial list-colorings, (b) a warm, reused `ColorScratch`
+//! reproduces a fresh one bit for bit, and (c) the solver's end-to-end
+//! color counts under the static orderings stay within a bounded
+//! quality delta of greedy across the same density-sweep oracles as
 //! `tests/packed_equivalence.rs`.
 
-use coloring::{jones_plassmann_list, speculative_list, ListParallelOutcome, UNCOLORED};
+use coloring::OrderingHeuristic;
 use graph::{CsrGraph, PackedWordOracle};
 use picasso::conflict::build_sequential;
-use picasso::{ColorLists, IterationContext, ListColoringScheme, Picasso, PicassoConfig};
+use picasso::listcolor::{
+    greedy_list_color, greedy_list_color_into, static_list_color, static_list_color_into,
+};
+use picasso::{
+    ColorLists, ColorScratch, IterationContext, ListColorOutcome, ListColoringScheme, Picasso,
+    PicassoConfig,
+};
 use proptest::prelude::*;
+
+const STATIC_ORDERS: [OrderingHeuristic; 6] = [
+    OrderingHeuristic::Natural,
+    OrderingHeuristic::Random,
+    OrderingHeuristic::LargestFirst,
+    OrderingHeuristic::SmallestLast,
+    OrderingHeuristic::DynamicLargestFirst,
+    OrderingHeuristic::IncidenceDegree,
+];
 
 /// A per-iteration conflict instance the solver would face: the conflict
 /// CSR of a synthetic packed-word oracle under random palette lists,
@@ -40,44 +53,49 @@ fn conflict_instance(
 
 /// Validity of a partial list-coloring: assigned colors come from the
 /// vertex's own list, no edge is monochromatic, and every active vertex
-/// is either colored or reported dry (exactly once, ascending).
-fn assert_valid(gc: &CsrGraph, lists: &ColorLists, active: &[u32], out: &ListParallelOutcome) {
-    let mut accounted = 0usize;
-    for &v in active {
-        let c = out.colors[v as usize];
-        if c == UNCOLORED {
-            assert!(
-                out.uncolored.binary_search(&v).is_ok(),
-                "vertex {v} neither colored nor dry"
-            );
-        } else {
-            assert!(
-                lists.row(v as usize).contains(&c),
-                "vertex {v} got color {c} outside its list"
-            );
-            accounted += 1;
+/// is either colored or reported dry, exactly once.
+fn check_valid(
+    gc: &CsrGraph,
+    lists: &ColorLists,
+    active: &[u32],
+    out: &ListColorOutcome,
+) -> Result<(), String> {
+    let mut colors = vec![u32::MAX; gc.num_vertices()];
+    for &(v, c) in &out.assigned {
+        if !lists.row(v as usize).contains(&c) {
+            return Err(format!("vertex {v} got color {c} outside its list"));
         }
+        colors[v as usize] = c;
     }
-    assert!(
-        out.uncolored.windows(2).all(|w| w[0] < w[1]),
-        "dry list sorted"
-    );
-    assert_eq!(accounted + out.uncolored.len(), active.len());
+    let mut seen: Vec<u32> = out
+        .assigned
+        .iter()
+        .map(|&(v, _)| v)
+        .chain(out.uncolored.iter().copied())
+        .collect();
+    seen.sort_unstable();
+    let mut expected = active.to_vec();
+    expected.sort_unstable();
+    if seen != expected {
+        return Err("active vertices not each colored or dry exactly once".into());
+    }
     for (u, v) in gc.edges() {
-        let (cu, cv) = (out.colors[u as usize], out.colors[v as usize]);
-        if cu != UNCOLORED {
-            assert_ne!(cu, cv, "edge ({u},{v}) monochromatic");
+        let (cu, cv) = (colors[u as usize], colors[v as usize]);
+        if cu != u32::MAX && cu == cv {
+            return Err(format!("edge ({u},{v}) monochromatic"));
         }
     }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) + (b): both kernels valid and partition-invariant across the
-    /// density sweep.
+    /// (a) + (b): greedy and every static order are valid across the
+    /// density sweep, and one scratch reused across all of them (the
+    /// solver's warm path) matches fresh buffers bit for bit.
     #[test]
-    fn kernels_valid_and_bit_identical_across_partitions(
+    fn kernels_valid_and_bit_identical_across_scratch_reuse(
         density in prop_oneof![Just(0.0f64), Just(0.01), Just(0.5), Just(1.0)],
         words in prop_oneof![Just(1usize), Just(2)],
         n in 40usize..120,
@@ -86,54 +104,34 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (gc, lists, active) = conflict_instance(n, words, density, palette, list, seed);
-        let rows = |v: u32| lists.row(v as usize);
+        let mut scratch = ColorScratch::default();
+        let mut warm = ListColorOutcome::default();
 
-        let run_jp = |chunks: usize| jones_plassmann_list(&gc, &rows, &active, seed, chunks);
-        let run_spec = |chunks: usize| speculative_list(&gc, &rows, &active, seed, chunks);
-        let kernels: [&dyn Fn(usize) -> ListParallelOutcome; 2] = [&run_jp, &run_spec];
-        for kernel in kernels {
-            // chunks = 0 is the strictly sequential two-phase reference.
-            let reference = kernel(0);
-            assert_valid(&gc, &lists, &active, &reference);
-            // Thread-count stand-ins: every partition must reproduce the
-            // reference bit for bit.
-            for chunks in [1usize, 2, 4, 8] {
-                let out = kernel(chunks);
-                prop_assert_eq!(&out.colors, &reference.colors, "chunks={}", chunks);
-                prop_assert_eq!(&out.uncolored, &reference.uncolored, "chunks={}", chunks);
-                prop_assert_eq!(out.rounds, reference.rounds, "chunks={}", chunks);
-                prop_assert_eq!(
-                    out.repair_conflicts, reference.repair_conflicts,
-                    "chunks={}", chunks
-                );
-            }
+        greedy_list_color_into(&gc, &lists, &active, seed, &mut scratch, &mut warm);
+        let fresh = greedy_list_color(&gc, &lists, &active, seed);
+        let valid = check_valid(&gc, &lists, &active, &fresh);
+        prop_assert!(valid.is_ok(), "greedy (seed {}): {:?}", seed, valid);
+        prop_assert_eq!(&warm.assigned, &fresh.assigned, "greedy (seed {})", seed);
+        prop_assert_eq!(&warm.uncolored, &fresh.uncolored, "greedy (seed {})", seed);
+
+        for h in STATIC_ORDERS {
+            static_list_color_into(&gc, &lists, &active, h, seed, &mut scratch, &mut warm);
+            let fresh = static_list_color(&gc, &lists, &active, h, seed);
+            let valid = check_valid(&gc, &lists, &active, &fresh);
+            prop_assert!(valid.is_ok(), "{:?} (seed {}): {:?}", h, seed, valid);
+            prop_assert_eq!(&warm.assigned, &fresh.assigned, "{:?} (seed {})", h, seed);
+            prop_assert_eq!(&warm.uncolored, &fresh.uncolored, "{:?} (seed {})", h, seed);
         }
-    }
-
-    /// JP never repairs (winners are an independent set); the
-    /// speculative kernel's extra rounds stay bounded.
-    #[test]
-    fn kernel_round_invariants(
-        density in prop_oneof![Just(0.01f64), Just(0.5)],
-        n in 40usize..100,
-        seed in any::<u64>(),
-    ) {
-        let (gc, lists, active) = conflict_instance(n, 1, density, 12, 4, seed);
-        let rows = |v: u32| lists.row(v as usize);
-        let jp = jones_plassmann_list(&gc, &rows, &active, seed, 4);
-        prop_assert_eq!(jp.repair_conflicts, 0);
-        let spec = speculative_list(&gc, &rows, &active, seed, 4);
-        // SPEC_ROUND_LIMIT plus the sequential finish.
-        prop_assert!(spec.rounds <= 25, "spec rounds {}", spec.rounds);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (c): solver end-to-end across the density sweep — every scheme
-    /// yields a valid coloring of the oracle graph, deterministically,
-    /// with color counts within a bounded delta of sequential greedy.
+    /// (c): solver end-to-end across the density sweep — every static
+    /// order yields a valid coloring of the oracle graph,
+    /// deterministically, with color counts within a bounded delta of
+    /// the dynamic greedy default.
     #[test]
     fn solver_quality_delta_bounded_across_density_sweep(
         density in prop_oneof![Just(0.0f64), Just(0.01), Just(0.5), Just(1.0)],
@@ -143,53 +141,32 @@ proptest! {
         let oracle = PackedWordOracle::with_edge_density(n, 2, density, seed);
         let base = PicassoConfig::normal(seed ^ 0xD1CE);
         let greedy = Picasso::new(base).solve_oracle(&oracle).unwrap();
-        prop_assert!(coloring::verify::validate_oracle_coloring(&oracle, &greedy.colors).is_ok());
-
-        for scheme in [
-            ListColoringScheme::JonesPlassmann,
-            ListColoringScheme::Speculative,
-        ] {
-            let cfg = base.with_scheme(scheme);
-            let par = Picasso::new(cfg).solve_oracle(&oracle).unwrap();
-            prop_assert!(
-                coloring::verify::validate_oracle_coloring(&oracle, &par.colors).is_ok(),
-                "{:?} at density {}", scheme, density
-            );
-            // Determinism per seed.
-            let again = Picasso::new(cfg).solve_oracle(&oracle).unwrap();
-            prop_assert_eq!(&par.colors, &again.colors, "{:?} must be deterministic", scheme);
-            // Bounded quality delta in both directions: the parallel
-            // kernels may trade some quality for rounds, but not
-            // unboundedly (and vice versa).
-            let (g, p) = (greedy.num_colors as usize, par.num_colors as usize);
-            prop_assert!(
-                p <= g + g / 2 + 16 && g <= p + p / 2 + 16,
-                "{:?} at density {}: {} colors vs greedy {}", scheme, density, p, g
-            );
-        }
-    }
-}
-
-/// Non-property pin: the solver's Auto scheme matches one of the fixed
-/// kernels' validity guarantees and never worsens the small-instance
-/// path (tiny instances sit below the calibrator's parallel floor, so
-/// Auto must reproduce DynamicGreedy's coloring bit for bit).
-#[test]
-fn auto_scheme_on_small_instances_matches_greedy_exactly() {
-    for seed in 0..4u64 {
-        let oracle = PackedWordOracle::with_edge_density(80, 1, 0.3, seed);
-        let greedy = Picasso::new(PicassoConfig::normal(seed))
-            .solve_oracle(&oracle)
-            .unwrap();
-        let auto = Picasso::new(PicassoConfig::normal(seed).with_scheme(ListColoringScheme::Auto))
-            .solve_oracle(&oracle)
-            .unwrap();
-        assert_eq!(
-            auto.colors, greedy.colors,
-            "below the parallel floor Auto must be greedy (seed {seed})"
+        prop_assert!(
+            coloring::verify::validate_oracle_coloring(&oracle, &greedy.colors).is_ok(),
+            "greedy at density {} (seed {})", density, seed
         );
-        for s in &auto.iterations {
-            assert_eq!(s.scheme_chosen, picasso::SchemeKind::Greedy);
+
+        for h in [
+            OrderingHeuristic::Natural,
+            OrderingHeuristic::LargestFirst,
+            OrderingHeuristic::SmallestLast,
+        ] {
+            let cfg = base.with_scheme(ListColoringScheme::Static(h));
+            let stat = Picasso::new(cfg).solve_oracle(&oracle).unwrap();
+            prop_assert!(
+                coloring::verify::validate_oracle_coloring(&oracle, &stat.colors).is_ok(),
+                "{:?} at density {} (seed {})", h, density, seed
+            );
+            let again = Picasso::new(cfg).solve_oracle(&oracle).unwrap();
+            prop_assert_eq!(
+                &stat.colors, &again.colors,
+                "{:?} must be deterministic (seed {})", h, seed
+            );
+            let (g, s) = (greedy.num_colors as usize, stat.num_colors as usize);
+            prop_assert!(
+                s <= g + g / 2 + 16 && g <= s + s / 2 + 16,
+                "{:?} at density {} (seed {}): {} colors vs greedy {}", h, density, seed, s, g
+            );
         }
     }
 }

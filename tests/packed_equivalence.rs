@@ -123,8 +123,8 @@ proptest! {
     /// Density sweep over the synthetic packed-word oracle: from the
     /// empty graph through ~1% and ~50% to all-edges buckets, at one-
     /// and multi-word row widths, the mask-kernel CSRs are bit-identical
-    /// to the scalar bucketed build, the all-pairs reference, *and* the
-    /// legacy bool-hits consumer — across all five backends.
+    /// to the scalar bucketed build and the all-pairs reference, across
+    /// all five backends.
     #[test]
     fn density_sweep_pins_mask_csrs_across_all_backends(
         density in prop_oneof![Just(0.0f64), Just(0.01), Just(0.5), Just(1.0)],
@@ -172,29 +172,6 @@ proptest! {
                 prop_assert_eq!(seq.scan_stats.hit_bits, seq.candidate_pairs);
                 prop_assert_eq!(seq.scan_stats.skipped_words, 0);
             }
-        }
-
-        // Legacy bool-hits consumer emits the identical edge set.
-        if ctx.pack_builds() == 1 {
-            let index = lists.bucket_index();
-            let mut packed = PackedBuckets::new();
-            prop_assert!(packed.pack_from(&oracle, &lists, &index));
-            let source = BucketSource::new(&lists, &index);
-            let mut hits = Vec::new();
-            let mut legacy: Vec<(u32, u32)> = Vec::new();
-            for s in 0..index.num_buckets() {
-                source.scan_shard_packed_bool(s, &packed, &mut hits, &mut |u, v| {
-                    legacy.push((u.min(v), u.max(v)));
-                });
-            }
-            legacy.sort_unstable();
-            let mut mask_edges: Vec<(u32, u32)> = reference
-                .graph
-                .edges()
-                .map(|(u, v)| (u.min(v), u.max(v)))
-                .collect();
-            mask_edges.sort_unstable();
-            prop_assert_eq!(legacy, mask_edges, "bool vs mask consumer at density {}", density);
         }
     }
 }
