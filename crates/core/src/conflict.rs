@@ -283,8 +283,8 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// Rayon-parallel bucketed build over pair-balanced blocks of the flat
 /// pivot-row space. Every block checks a [`TaskArena`] out of the
 /// context's [`ScratchPool`] for its staging/run/hit/remap buffers and
-/// returns it afterwards, so once the pool has warmed to the concurrency
-/// high-water mark (during the first build) the parallel path allocates
+/// returns it afterwards, so once the pool holds one arena per thread
+/// the parallel path allocates
 /// **no staging buffers per task** — the per-thread extension of the
 /// context's zero-allocation property. Blocks merge into the context's
 /// COO arena under a lock; the merge is sorted before CSR assembly, so
@@ -921,39 +921,38 @@ mod tests {
     #[test]
     fn parallel_build_warms_the_arena_pool_once() {
         // Blocks outnumber threads, but arenas are only created when
-        // every pooled one is lent out: the pool never grows past the
-        // concurrency bound (the shim's thread count), however many
-        // same-shape rebuilds run, and every arena comes back. (How close
-        // a given build gets to that bound depends on scheduling, so the
-        // bound — not the first build's count — is the pinned quantity.)
+        // every pooled one is lent out, and at most `threads` tasks hold
+        // one at once. How many a cold build creates depends on how its
+        // spawned chunks overlap, so after it the pool is topped up to
+        // that concurrency bound: from then on no build — parallel or
+        // device — may create another arena, and every arena comes back.
         let m = 300;
         let oracle = dense_oracle(m);
         let threads = rayon::current_num_threads();
         let mut ctx = ctx_for(&ColorLists::assign(m, 0, 40, 4, 3, 1));
         let first = build_parallel(&oracle, &mut ctx);
-        assert!(
-            ctx.scratch_pool().arenas_created() > 0,
-            "parallel blocks must draw from the pool"
-        );
+        let pool = ctx.scratch_pool();
+        let cold = pool.arenas_created();
+        assert!(cold > 0, "parallel blocks must draw from the pool");
+        assert!(cold <= threads, "{cold} arenas for {threads} threads");
+        assert_eq!(pool.arenas_pooled(), cold, "all returned");
+        let warm: Vec<TaskArena> = (0..threads).map(|_| pool.take()).collect();
+        warm.into_iter().for_each(|arena| pool.put(arena));
+        let pinned = |ctx: &IterationContext, what: &str| {
+            assert_eq!(ctx.scratch_pool().arenas_created(), threads, "{what}");
+            assert_eq!(ctx.scratch_pool().arenas_pooled(), threads, "{what}");
+        };
+        pinned(&ctx, "topped up");
         for iter in 2..6u64 {
             ctx.set_lists(ColorLists::assign(m, 0, 40, 4, 3, iter));
             let again = build_parallel(&oracle, &mut ctx);
-            let created = ctx.scratch_pool().arenas_created();
-            assert!(
-                created <= threads,
-                "iteration {iter}: {created} arenas for {threads} threads"
-            );
-            assert_eq!(ctx.scratch_pool().arenas_pooled(), created, "all returned");
+            pinned(&ctx, &format!("rebuild {iter}"));
             assert_eq!(again.graph.num_vertices(), first.graph.num_vertices());
         }
         // The device kernels share the same pool.
         let dev = DeviceSim::new(64 * 1024 * 1024);
         let _ = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
-        assert_eq!(
-            ctx.scratch_pool().arenas_pooled(),
-            ctx.scratch_pool().arenas_created(),
-            "device blocks must return their arenas too"
-        );
+        pinned(&ctx, "device build");
     }
 
     #[test]

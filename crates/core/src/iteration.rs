@@ -64,11 +64,13 @@ pub struct TaskArena {
 /// A pool of [`TaskArena`]s shared by the tasks of the parallel conflict
 /// builds (rayon blocks, device kernel blocks). Arenas are created only
 /// when a task finds the pool empty and are returned after use, so the
-/// pool warms up to the concurrency high-water mark on the first build
-/// and the parallel backends allocate **no staging buffers per task**
-/// from then on — the per-thread extension of the iteration context's
-/// zero-allocation property ([`ScratchPool::arenas_created`] lets tests
-/// pin it).
+/// pool never holds more arenas than the most tasks that ever ran at
+/// once (at most the thread count). Which builds reach that high-water
+/// mark depends on how their tasks overlap; once the pool holds one
+/// arena per thread, the parallel backends allocate **no staging
+/// buffers per task** — the per-thread extension of the iteration
+/// context's zero-allocation property ([`ScratchPool::arenas_created`]
+/// lets tests pin it).
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     arenas: Mutex<Vec<TaskArena>>,
@@ -91,8 +93,8 @@ impl ScratchPool {
         self.arenas.lock().unwrap().push(arena);
     }
 
-    /// Total arenas ever created — stable across same-shape builds once
-    /// the pool has warmed to the concurrency high-water mark.
+    /// Total arenas ever created — never above the most tasks that held
+    /// an arena at once, and constant once it reaches the thread count.
     pub fn arenas_created(&self) -> usize {
         self.created.load(Ordering::Relaxed)
     }

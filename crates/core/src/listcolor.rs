@@ -21,7 +21,6 @@ use coloring::OrderingHeuristic;
 use graph::CsrGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Outcome of list-coloring a conflict graph.
 #[derive(Clone, Debug, Default)]
@@ -283,24 +282,14 @@ pub fn static_list_color(
     out
 }
 
-/// Which Line-8/9 kernel actually ran for an iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+/// The Line-8/9 kernel a [`crate::ListColoringScheme`] resolves to
+/// ([`crate::IterationContext::choose_scheme`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchemeKind {
     /// Sequential dynamic bucket greedy (Algorithm 2).
-    #[default]
     Greedy,
     /// Sequential static-order first-fit under an ordering heuristic.
     Static,
-}
-
-impl SchemeKind {
-    /// One-letter code for dense `--stats` columns.
-    pub fn letter(self) -> char {
-        match self {
-            SchemeKind::Greedy => 'g',
-            SchemeKind::Static => 't',
-        }
-    }
 }
 
 #[cfg(test)]

@@ -140,8 +140,6 @@ pub struct IterationStats {
     pub colored_unconflicted: usize,
     /// Vertices colored by Algorithm 2 / the static scheme.
     pub colored_in_conflict: usize,
-    /// The Line-8/9 kernel that ran this iteration.
-    pub scheme_chosen: listcolor::SchemeKind,
     /// Vertices left for the next iteration (`|Vu|`).
     pub uncolored_after: usize,
     /// Seconds in list assignment (Line 6).
@@ -511,12 +509,6 @@ impl Picasso {
                     conflicted.push(local as u32);
                 }
             }
-            let kind = ctx.choose_scheme(
-                cfg.scheme,
-                conflicted.len(),
-                build.num_edges,
-                list_size as usize,
-            );
             let (lists, cs) = ctx.lists_and_color_scratch();
             match cfg.scheme {
                 ListColoringScheme::DynamicGreedy => listcolor::greedy_list_color_into(
@@ -571,7 +563,6 @@ impl Picasso {
                 scanned_words: build.scan_stats.scanned_words,
                 colored_unconflicted,
                 colored_in_conflict: outcome.assigned.len(),
-                scheme_chosen: kind,
                 uncolored_after: new_live.len(),
                 assign_secs,
                 conflict_secs,
@@ -1165,24 +1156,6 @@ mod tests {
         let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
         let oracle = PauliComplementOracle::new(&set);
         assert!(validate_oracle_coloring(&oracle, &result.colors).is_ok());
-    }
-
-    #[test]
-    fn scheme_stats_are_surfaced_per_iteration() {
-        let set = random_set(100, 8, 15);
-        let cfg = PicassoConfig::normal(6).with_scheme(ListColoringScheme::Static(
-            coloring::OrderingHeuristic::Natural,
-        ));
-        let stat = Picasso::new(cfg).solve_pauli(&set).unwrap();
-        for s in &stat.iterations {
-            assert_eq!(s.scheme_chosen, crate::SchemeKind::Static);
-        }
-        let greedy = Picasso::new(PicassoConfig::normal(6))
-            .solve_pauli(&set)
-            .unwrap();
-        for s in &greedy.iterations {
-            assert_eq!(s.scheme_chosen, crate::SchemeKind::Greedy);
-        }
     }
 
     #[test]

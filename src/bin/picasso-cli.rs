@@ -739,12 +739,11 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |hit% |skipw \
-             |sch |colms |Vc |Ec |uncolored"
+             |colms |Vc |Ec |uncolored"
         );
         for s in &result.iterations {
-            // `sch` is the Line-8/9 kernel that ran (g=greedy, t=static).
             eprintln!(
-                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} {:>4} \
+                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} \
                  {:>6.2} {:>6} {:>8} {:>6}",
                 s.iteration,
                 s.live_vertices,
@@ -757,7 +756,6 @@ fn main() {
                 100.0 * s.packed_lanes as f64 / s.candidate_pairs.max(1) as f64,
                 100.0 * s.hit_bits as f64 / s.packed_lanes.max(1) as f64,
                 s.skipped_words,
-                s.scheme_chosen.letter(),
                 1e3 * s.color_secs,
                 s.conflict_vertices,
                 s.conflict_edges,
