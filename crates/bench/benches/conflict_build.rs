@@ -254,7 +254,7 @@ fn bench_oracle_sparse(c: &mut Criterion) {
     let lists = ColorLists::assign(n, 0, cfg.palette_size(n), cfg.list_size(n), 1, 1);
     let index = lists.bucket_index();
     let source = BucketSource::new(&lists, &index);
-    let shards = source.num_shards();
+    let rows = 0..source.num_rows();
     let mut records = Vec::new();
 
     for &density in densities {
@@ -267,29 +267,31 @@ fn bench_oracle_sparse(c: &mut Criterion) {
         // The scalar block arm: candidate runs through the batched
         // oracle, one `bool` per candidate.
         let mut scalar_scan = |emit: &mut dyn FnMut(u32, u32)| {
-            for s in 0..shards {
-                source.scan_shard_scratch(s, &mut run, &mut |u, vs| {
-                    hits.clear();
-                    hits.resize(vs.len(), false);
-                    oracle.has_edge_block_scratch(u, vs, &mut hits, &mut mapped);
-                    for (&v, &hit) in vs.iter().zip(hits.iter()) {
-                        if hit {
-                            emit(u as u32, v as u32);
-                        }
+            source.scan_rows_scratch(rows.clone(), &mut run, &mut |u, vs| {
+                hits.clear();
+                hits.resize(vs.len(), false);
+                oracle.has_edge_block_scratch(u, vs, &mut hits, &mut mapped);
+                for (&v, &hit) in vs.iter().zip(hits.iter()) {
+                    if hit {
+                        emit(u as u32, v as u32);
                     }
-                });
-            }
+                }
+            });
         };
 
         // Correctness gate: both arms emit the identical edge set.
         let mut mask_edges: Vec<(u32, u32)> = Vec::new();
         let mut scalar_edges: Vec<(u32, u32)> = Vec::new();
         let mut stats = MaskScanStats::default();
-        for s in 0..shards {
-            source.scan_shard_packed(s, &packed, &mut masks, &mut stats, &mut |u, v| {
+        source.scan_rows_packed(
+            rows.clone(),
+            &packed,
+            &mut masks,
+            &mut stats,
+            &mut |u, v| {
                 mask_edges.push((u.min(v), u.max(v)));
-            });
-        }
+            },
+        );
         scalar_scan(&mut |u, v| scalar_edges.push((u.min(v), u.max(v))));
         mask_edges.sort_unstable();
         scalar_edges.sort_unstable();
@@ -313,11 +315,9 @@ fn bench_oracle_sparse(c: &mut Criterion) {
         let mask_scan = |masks: &mut Vec<u64>| {
             let mut edges = 0usize;
             let mut stats = MaskScanStats::default();
-            for s in 0..shards {
-                source.scan_shard_packed(s, &packed, masks, &mut stats, &mut |_u, _v| {
-                    edges += 1;
-                });
-            }
+            source.scan_rows_packed(rows.clone(), &packed, masks, &mut stats, &mut |_u, _v| {
+                edges += 1;
+            });
             edges
         };
         let scalar_secs = time_min(&mut || {

@@ -58,7 +58,7 @@ pub fn materialize_complement(set: &EncodedSet) -> graph::CsrGraph {
             row
         })
         .collect();
-    graph::csr_from_coo_parallel(n, &edges)
+    graph::csr_from_coo_sequential(n, &edges)
 }
 
 /// All instances of a tier, generated at the harness scale.

@@ -16,18 +16,17 @@
 //! sorts adjacency, every backend — and either engine — produces a
 //! bit-identical CSR graph.
 //!
-//! **Sharding.** A [`PairSource`] exposes its work at two granularities.
-//! *Shards* (rows for the all-pairs source, buckets for the bucketed
-//! one) carry per-shard weights so the rayon and device backends can
-//! schedule balanced blocks. *Flat pivot rows* subdivide shards further:
-//! every pivot vertex of every shard is one row, so a single bucket's
-//! pair triangle can be split across devices at row granularity —
-//! **sub-bucket sharding**, needed because contiguous bucket shards can
-//! be coarser than a device (a two-color palette has only two buckets).
-//! Candidates are emitted as `(pivot, run)` groups, which the builders
-//! feed to the batched oracle path
-//! ([`graph::EdgeOracle::has_edge_block_scratch`]) to amortize encoding
-//! loads.
+//! **Rows.** A [`PairSource`] exposes its work as one flat space of
+//! *pivot rows*: row `i` is vertex `i` for the all-pairs source, and one
+//! (bucket, position) membership for the bucketed one, so a single
+//! bucket's pair triangle can be split across blocks and devices at row
+//! granularity — **sub-bucket sharding**, needed because whole buckets
+//! can be coarser than a device (a two-color palette has only two
+//! buckets). Per-row weights let every parallel backend cut the space
+//! into pair-balanced contiguous spans. Candidates are emitted as
+//! `(pivot, run)` groups, which the builders feed to the batched oracle
+//! path ([`graph::EdgeOracle::has_edge_block_scratch`]) to amortize
+//! encoding loads.
 //!
 //! **Engine choice.** In the Aggressive regime (`L` close to `P`) every
 //! bucket degenerates toward the full vertex set and the bucketed scan
@@ -44,34 +43,15 @@ use crate::assign::{BucketIndex, ColorLists};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use std::ops::Range;
 
-std::thread_local! {
-    /// Run-staging buffer backing the non-`_scratch` scan defaults: one
-    /// reused buffer per thread instead of the fresh `Vec` per shard the
-    /// defaults used to construct. Taken (not borrowed) around each
-    /// scan, so a re-entrant scan inside an `emit` callback simply finds
-    /// an empty cell and allocates its own buffer instead of panicking.
-    static DEFAULT_RUN: std::cell::Cell<Vec<usize>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
-/// Runs `f` with this thread's shared run-staging buffer.
-fn with_default_run<R>(f: impl FnOnce(&mut Vec<usize>) -> R) -> R {
-    DEFAULT_RUN.with(|cell| {
-        let mut run = cell.take();
-        let out = f(&mut run);
-        cell.set(run);
-        out
-    })
-}
-
-/// A deterministic, sharded source of candidate pairs.
+/// A deterministic source of candidate pairs over a flat pivot-row
+/// space.
 ///
-/// Contract: across all shards (equivalently, across all flat rows),
-/// each unordered pair `{u, v}` with intersecting color lists is emitted
-/// exactly once, as `u` paired with an ascending run containing `v` (or
-/// vice versa), and never any pair with disjoint lists. Shard and row
-/// contents and order are pure functions of the lists, never of
-/// scheduling, and `scan_rows` over any partition of `0..num_rows()`
-/// emits exactly the pairs of a full shard scan.
+/// Contract: across all rows, each unordered pair `{u, v}` with
+/// intersecting color lists is emitted exactly once, as `u` paired with
+/// an ascending run containing `v` (or vice versa), and never any pair
+/// with disjoint lists. Row contents and order are pure functions of the
+/// lists, never of scheduling, and a scan over any partition of
+/// `0..num_rows()` emits exactly the pairs of a full scan.
 pub trait PairSource: Sync {
     /// Vertex count `m` of the underlying live set.
     fn num_vertices(&self) -> usize;
@@ -81,34 +61,28 @@ pub trait PairSource: Sync {
     /// in-bucket pair counts).
     fn candidate_pairs(&self) -> u64;
 
-    /// Number of independent shards.
-    fn num_shards(&self) -> usize;
+    /// Total pivot rows in the flat row space.
+    fn num_rows(&self) -> usize;
 
-    /// Enumeration weight of shard `s`, for balanced block scheduling.
-    fn shard_weight(&self, s: usize) -> u64;
+    /// Enumeration weights of all rows, in row order; sums to
+    /// [`PairSource::candidate_pairs`]. The parallel backends cut the
+    /// row space into pair-balanced spans with them.
+    fn row_weights(&self) -> Vec<u64>;
 
-    /// Emits shard `s`'s candidates as `(pivot, ascending candidate
-    /// run)` groups. The run slice is only valid for the duration of the
-    /// callback. Defaults to [`PairSource::scan_shard_scratch`] over one
-    /// thread-shared staging buffer (it used to build a fresh `Vec` per
-    /// shard — the allocation-per-shard footgun).
-    fn scan_shard(&self, s: usize, emit: &mut dyn FnMut(usize, &[usize])) {
-        with_default_run(|run| self.scan_shard_scratch(s, run, emit));
-    }
-
-    /// Like [`PairSource::scan_shard`] with the run staging buffer drawn
-    /// from the caller (cleared per pivot, never shrunk) — the entry
-    /// point of pooled-arena tasks and the method concrete sources
-    /// implement.
-    fn scan_shard_scratch(
+    /// Emits the candidates of the contiguous rows `rows`, in row order,
+    /// as `(pivot, ascending candidate run)` groups. The run slice is
+    /// only valid for the duration of the callback; `run` is the
+    /// caller's staging buffer (cleared per pivot, never shrunk), so a
+    /// warm scan allocates nothing.
+    fn scan_rows_scratch(
         &self,
-        s: usize,
+        rows: Range<usize>,
         run: &mut Vec<usize>,
         emit: &mut dyn FnMut(usize, &[usize]),
     );
 
-    /// Packed-kernel scan of shard `s`: every pivot's **whole bucket
-    /// tail** gets its edge bits as `u64` hit masks from `packed`'s
+    /// Packed-kernel scan of the contiguous rows `rows`: every pivot's
+    /// bucket tail gets its edge bits as `u64` hit masks from `packed`'s
     /// word-transposed lanes in one straight-line loop
     /// ([`PackedBuckets::tail_edge_mask`]); the consumer skips zero
     /// words whole, walks set bits with `trailing_zeros`, applies the
@@ -119,25 +93,10 @@ pub trait PairSource: Sync {
     /// `masks` is the caller's reusable mask staging; word/bit counters
     /// accumulate into `stats`.
     ///
-    /// Emits exactly `{(u, v) : scan_shard emits the pair ∧ the packed
-    /// oracle has the edge}`. Only the bucketed source supports it; the
-    /// builders route here only when the iteration context actually
-    /// packed (which implies a bucketed engine).
-    fn scan_shard_packed(
-        &self,
-        s: usize,
-        packed: &PackedBuckets,
-        masks: &mut Vec<u64>,
-        stats: &mut MaskScanStats,
-        emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
-        let _ = (s, packed, masks, stats, emit_edge);
-        unreachable!("packed scan on a source without bucket structure");
-    }
-
-    /// [`PairSource::scan_shard_packed`] over contiguous flat rows,
-    /// splitting bucket tails mid-bucket exactly like
-    /// [`PairSource::scan_rows`].
+    /// Emits exactly `{(u, v) : scan_rows_scratch emits the pair ∧ the
+    /// packed oracle has the edge}`. Only the bucketed source supports
+    /// it; the builders route here only when the iteration context
+    /// actually packed (which implies a bucketed engine).
     fn scan_rows_packed(
         &self,
         rows: Range<usize>,
@@ -149,48 +108,10 @@ pub trait PairSource: Sync {
         let _ = (rows, packed, masks, stats, emit_edge);
         unreachable!("packed scan on a source without bucket structure");
     }
-
-    /// Total pivot rows in the flattened row space (the sub-bucket
-    /// sharding granularity). Defaults to one row per shard.
-    fn num_rows(&self) -> usize {
-        self.num_shards()
-    }
-
-    /// Enumeration weights of all flat rows, in row order; sums to
-    /// [`PairSource::candidate_pairs`]. Defaults to the per-shard
-    /// weights (one row per shard).
-    fn row_weights(&self) -> Vec<u64> {
-        (0..self.num_shards())
-            .map(|s| self.shard_weight(s))
-            .collect()
-    }
-
-    /// Emits the candidates of the contiguous flat rows `rows`, in row
-    /// order. Defaults to scanning whole shards (valid when one shard is
-    /// one row); bucketed sources override it to split a bucket's pair
-    /// triangle mid-bucket.
-    fn scan_rows(&self, rows: Range<usize>, emit: &mut dyn FnMut(usize, &[usize])) {
-        for s in rows {
-            self.scan_shard(s, emit);
-        }
-    }
-
-    /// [`PairSource::scan_rows`] with a caller-provided run staging
-    /// buffer (see [`PairSource::scan_shard_scratch`]).
-    fn scan_rows_scratch(
-        &self,
-        rows: Range<usize>,
-        run: &mut Vec<usize>,
-        emit: &mut dyn FnMut(usize, &[usize]),
-    ) {
-        for s in rows {
-            self.scan_shard_scratch(s, run, emit);
-        }
-    }
 }
 
-/// The legacy reference enumeration: every row `i` against every `j > i`,
-/// filtered by list intersection. `Θ(m²)` examinations.
+/// The legacy reference enumeration: every row `i` (vertex `i`) against
+/// every `j > i`, filtered by list intersection. `Θ(m²)` examinations.
 pub struct AllPairsSource<'a> {
     lists: &'a ColorLists,
 }
@@ -214,36 +135,39 @@ impl PairSource for AllPairsSource<'_> {
     }
 
     #[inline]
-    fn num_shards(&self) -> usize {
+    fn num_rows(&self) -> usize {
         self.lists.len()
     }
 
-    #[inline]
-    fn shard_weight(&self, s: usize) -> u64 {
-        (self.lists.len() - 1 - s) as u64
+    fn row_weights(&self) -> Vec<u64> {
+        let m = self.lists.len();
+        (0..m).map(|i| (m - 1 - i) as u64).collect()
     }
 
-    fn scan_shard_scratch(
+    fn scan_rows_scratch(
         &self,
-        s: usize,
+        rows: Range<usize>,
         run: &mut Vec<usize>,
         emit: &mut dyn FnMut(usize, &[usize]),
     ) {
         let m = self.lists.len();
-        run.clear();
-        for j in (s + 1)..m {
-            if self.lists.intersects(s, j) {
-                run.push(j);
+        for i in rows {
+            run.clear();
+            for j in (i + 1)..m {
+                if self.lists.intersects(i, j) {
+                    run.push(j);
+                }
             }
-        }
-        if !run.is_empty() {
-            emit(s, run);
+            if !run.is_empty() {
+                emit(i, run);
+            }
         }
     }
 }
 
-/// The bucketed engine: shards are palette buckets; in-bucket pairs pass
-/// the smallest-shared-color deduplication filter before emission. The
+/// The bucketed engine: rows are the (bucket, position) memberships of
+/// the palette buckets; in-bucket pairs pass the smallest-shared-color
+/// deduplication filter before emission. The
 /// inverted index is **borrowed** — it is built once per iteration by
 /// the owning [`IterationContext`](crate::iteration::IterationContext)
 /// and shared by every backend of that iteration.
@@ -351,43 +275,6 @@ impl PairSource for BucketSource<'_> {
     }
 
     #[inline]
-    fn num_shards(&self) -> usize {
-        self.index.num_buckets()
-    }
-
-    #[inline]
-    fn shard_weight(&self, s: usize) -> u64 {
-        self.index.bucket_pairs(s)
-    }
-
-    fn scan_shard_scratch(
-        &self,
-        s: usize,
-        run: &mut Vec<usize>,
-        emit: &mut dyn FnMut(usize, &[usize]),
-    ) {
-        self.scan_positions(s, 0..self.index.bucket(s).len(), run, emit);
-    }
-
-    fn scan_shard_packed(
-        &self,
-        s: usize,
-        packed: &PackedBuckets,
-        masks: &mut Vec<u64>,
-        stats: &mut MaskScanStats,
-        emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
-        self.scan_positions_packed(
-            s,
-            0..self.index.bucket(s).len(),
-            packed,
-            masks,
-            stats,
-            emit_edge,
-        );
-    }
-
-    #[inline]
     fn num_rows(&self) -> usize {
         self.index.num_rows()
     }
@@ -404,10 +291,6 @@ impl PairSource for BucketSource<'_> {
     /// Sub-bucket scan: `rows` may start and end mid-bucket, splitting a
     /// bucket's pair triangle between callers while every pivot row is
     /// still scanned by exactly one of them.
-    fn scan_rows(&self, rows: Range<usize>, emit: &mut dyn FnMut(usize, &[usize])) {
-        with_default_run(|run| self.scan_rows_scratch(rows, run, emit));
-    }
-
     fn scan_rows_scratch(
         &self,
         rows: Range<usize>,
@@ -420,7 +303,7 @@ impl PairSource for BucketSource<'_> {
     }
 
     /// Packed sub-bucket scan, same mid-bucket splitting as
-    /// [`PairSource::scan_rows`] (literally: both walk the span through
+    /// [`PairSource::scan_rows_scratch`] (literally: both walk the span through
     /// [`walk_row_span`], so the packed and scalar row partitions cannot
     /// drift apart).
     fn scan_rows_packed(
@@ -543,39 +426,6 @@ impl PairSource for CandidateEngine<'_> {
         }
     }
 
-    fn num_shards(&self) -> usize {
-        match self {
-            CandidateEngine::Buckets(s) => s.num_shards(),
-            CandidateEngine::AllPairs(s) => s.num_shards(),
-        }
-    }
-
-    fn shard_weight(&self, s: usize) -> u64 {
-        match self {
-            CandidateEngine::Buckets(src) => src.shard_weight(s),
-            CandidateEngine::AllPairs(src) => src.shard_weight(s),
-        }
-    }
-
-    fn scan_shard(&self, s: usize, emit: &mut dyn FnMut(usize, &[usize])) {
-        match self {
-            CandidateEngine::Buckets(src) => src.scan_shard(s, emit),
-            CandidateEngine::AllPairs(src) => src.scan_shard(s, emit),
-        }
-    }
-
-    fn scan_shard_scratch(
-        &self,
-        s: usize,
-        run: &mut Vec<usize>,
-        emit: &mut dyn FnMut(usize, &[usize]),
-    ) {
-        match self {
-            CandidateEngine::Buckets(src) => src.scan_shard_scratch(s, run, emit),
-            CandidateEngine::AllPairs(src) => src.scan_shard_scratch(s, run, emit),
-        }
-    }
-
     fn num_rows(&self) -> usize {
         match self {
             CandidateEngine::Buckets(s) => s.num_rows(),
@@ -590,13 +440,6 @@ impl PairSource for CandidateEngine<'_> {
         }
     }
 
-    fn scan_rows(&self, rows: Range<usize>, emit: &mut dyn FnMut(usize, &[usize])) {
-        match self {
-            CandidateEngine::Buckets(src) => src.scan_rows(rows, emit),
-            CandidateEngine::AllPairs(src) => src.scan_rows(rows, emit),
-        }
-    }
-
     fn scan_rows_scratch(
         &self,
         rows: Range<usize>,
@@ -606,24 +449,6 @@ impl PairSource for CandidateEngine<'_> {
         match self {
             CandidateEngine::Buckets(src) => src.scan_rows_scratch(rows, run, emit),
             CandidateEngine::AllPairs(src) => src.scan_rows_scratch(rows, run, emit),
-        }
-    }
-
-    fn scan_shard_packed(
-        &self,
-        s: usize,
-        packed: &PackedBuckets,
-        masks: &mut Vec<u64>,
-        stats: &mut MaskScanStats,
-        emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
-        match self {
-            CandidateEngine::Buckets(src) => {
-                src.scan_shard_packed(s, packed, masks, stats, emit_edge)
-            }
-            CandidateEngine::AllPairs(src) => {
-                src.scan_shard_packed(s, packed, masks, stats, emit_edge)
-            }
         }
     }
 
@@ -650,14 +475,11 @@ impl PairSource for CandidateEngine<'_> {
 /// ground truth for the equivalence suites).
 pub fn collect_pairs<S: PairSource>(source: &S) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
-    for s in 0..source.num_shards() {
-        source.scan_shard(s, &mut |u, vs| {
-            for &v in vs {
-                let (a, b) = (u.min(v) as u32, u.max(v) as u32);
-                pairs.push((a, b));
-            }
-        });
-    }
+    source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {
+        for &v in vs {
+            pairs.push((u.min(v) as u32, u.max(v) as u32));
+        }
+    });
     pairs.sort_unstable();
     pairs
 }
@@ -681,7 +503,7 @@ mod tests {
 
     fn collect_rows<S: PairSource>(source: &S, rows: Range<usize>) -> Vec<(u32, u32)> {
         let mut pairs = Vec::new();
-        source.scan_rows(rows, &mut |u, vs| {
+        source.scan_rows_scratch(rows, &mut Vec::new(), &mut |u, vs| {
             for &v in vs {
                 let (a, b) = (u.min(v) as u32, u.max(v) as u32);
                 pairs.push((a, b));
@@ -753,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_weights_sum_to_candidate_pairs() {
+    fn row_weights_sum_to_candidate_pairs() {
         for (palette, list) in [(30u32, 4u32), (6, 6), (50, 2)] {
             let lists = ColorLists::assign(100, 0, palette, list, 3, 1);
             let index = lists.bucket_index();
@@ -761,11 +583,6 @@ mod tests {
                 CandidateEngine::Buckets(BucketSource::new(&lists, &index)),
                 CandidateEngine::AllPairs(AllPairsSource::new(&lists)),
             ] {
-                let sum: u64 = (0..source.num_shards())
-                    .map(|s| source.shard_weight(s))
-                    .sum();
-                assert_eq!(sum, source.candidate_pairs());
-                // Flat rows refine shards: same total at finer grain.
                 let rows = source.row_weights();
                 assert_eq!(rows.len(), source.num_rows());
                 assert_eq!(rows.iter().sum::<u64>(), source.candidate_pairs());
@@ -778,45 +595,31 @@ mod tests {
         let lists = ColorLists::assign(60, 0, 15, 3, 9, 1);
         let index = lists.bucket_index();
         let source = BucketSource::new(&lists, &index);
-        for s in 0..source.num_shards() {
-            source.scan_shard(s, &mut |u, vs| {
-                assert!(vs.windows(2).all(|w| w[0] < w[1]));
-                assert!(vs.iter().all(|&v| v > u));
-            });
-        }
+        source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {
+            assert!(vs.windows(2).all(|w| w[0] < w[1]));
+            assert!(vs.iter().all(|&v| v > u));
+        });
     }
 
     #[test]
-    fn scratch_scans_match_the_allocating_scans() {
-        // The pooled-arena entry points must emit exactly what the
-        // allocating ones do, for both sources, at shard and row grain.
+    fn a_stale_run_buffer_does_not_leak_into_the_scan() {
+        // Pooled arenas hand scans a run buffer full of another scan's
+        // candidates; the scan must clear it per pivot.
         let lists = ColorLists::assign(64, 3, 14, 4, 13, 2);
         let index = lists.bucket_index();
         for source in [
             CandidateEngine::Buckets(BucketSource::new(&lists, &index)),
             CandidateEngine::AllPairs(AllPairsSource::new(&lists)),
         ] {
-            let mut run = Vec::new();
-            let mut scratch_pairs = Vec::new();
-            for s in 0..source.num_shards() {
-                source.scan_shard_scratch(s, &mut run, &mut |u, vs| {
-                    for &v in vs {
-                        scratch_pairs.push((u.min(v) as u32, u.max(v) as u32));
-                    }
-                });
-            }
-            scratch_pairs.sort_unstable();
-            assert_eq!(scratch_pairs, collect_pairs(&source));
-
-            let rows = source.num_rows();
-            let mut row_pairs = Vec::new();
-            source.scan_rows_scratch(0..rows, &mut run, &mut |u, vs| {
+            let mut run = vec![usize::MAX; 100];
+            let mut pairs = Vec::new();
+            source.scan_rows_scratch(0..source.num_rows(), &mut run, &mut |u, vs| {
                 for &v in vs {
-                    row_pairs.push((u.min(v) as u32, u.max(v) as u32));
+                    pairs.push((u.min(v) as u32, u.max(v) as u32));
                 }
             });
-            row_pairs.sort_unstable();
-            assert_eq!(row_pairs, collect_pairs(&source));
+            pairs.sort_unstable();
+            assert_eq!(pairs, collect_pairs(&source));
         }
     }
 
@@ -840,55 +643,42 @@ mod tests {
             // Ground truth: scalar candidate scan filtered by the
             // scalar oracle.
             let mut truth = Vec::new();
-            for s in 0..source.num_shards() {
-                source.scan_shard(s, &mut |u, vs| {
-                    for &v in vs {
-                        if oracle.has_edge(u, v) {
-                            truth.push((u as u32, v as u32));
-                        }
+            source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {
+                for &v in vs {
+                    if oracle.has_edge(u, v) {
+                        truth.push((u as u32, v as u32));
                     }
-                });
-            }
+                }
+            });
             truth.sort_unstable();
 
+            // Split at awkward cuts, including mid-bucket.
             let mut masks = Vec::new();
-            let mut stats = MaskScanStats::default();
-            let mut shard_edges = Vec::new();
-            for s in 0..source.num_shards() {
-                source.scan_shard_packed(s, &packed, &mut masks, &mut stats, &mut |u, v| {
-                    shard_edges.push((u, v))
-                });
-            }
-            shard_edges.sort_unstable();
-            assert_eq!(shard_edges, truth, "qubits={qubits} shard grain");
-            // Every examined word is either skipped or scanned, hits
-            // dominate the (deduplicated) emission, and the per-pivot
-            // word totals cover the candidate pairs.
-            assert!(stats.skipped_words <= stats.scanned_words);
-            assert!(stats.hit_bits >= truth.len() as u64);
-            assert!(stats.scanned_words * 64 >= source.candidate_pairs());
-
-            // Row grain, split at awkward cuts including mid-bucket.
             for parts in [1usize, 3, 7] {
                 let rows = source.num_rows();
                 let step = rows.div_ceil(parts).max(1);
                 let mut row_edges = Vec::new();
+                let mut stats = MaskScanStats::default();
                 let mut at = 0usize;
                 while at < rows {
                     let hi = (at + step).min(rows);
-                    let mut row_stats = MaskScanStats::default();
                     source.scan_rows_packed(
                         at..hi,
                         &packed,
                         &mut masks,
-                        &mut row_stats,
+                        &mut stats,
                         &mut |u, v| row_edges.push((u, v)),
                     );
-                    stats.merge(row_stats);
                     at = hi;
                 }
                 row_edges.sort_unstable();
                 assert_eq!(row_edges, truth, "qubits={qubits} parts={parts}");
+                // Every examined word is either skipped or scanned, hits
+                // dominate the (deduplicated) emission, and the per-pivot
+                // word totals cover the candidate pairs.
+                assert!(stats.skipped_words <= stats.scanned_words);
+                assert!(stats.hit_bits >= truth.len() as u64);
+                assert!(stats.scanned_words * 64 >= source.candidate_pairs());
             }
         }
     }

@@ -39,10 +39,13 @@
 //! because the conflict graph construction is deterministic"). The
 //! argument: the emitted pair *set* is a pure function of the lists
 //! (smallest-shared-color deduplication is scheduling-independent), the
-//! oracle is pure, and CSR assembly counts both endpoints and sorts each
-//! adjacency slice — so any edge order produced by any scheduling (or
-//! any partition of the flat pivot-row space across devices) collapses
-//! to the same bit-identical CSR.
+//! oracle is pure, and every backend assembles with the one CSR builder
+//! ([`graph::csr_from_coo_sequential_in`]), which counts both endpoints
+//! and sorts each adjacency row. That per-row sort alone makes the
+//! output independent of edge order, so the edges of any scheduling (or
+//! any partition of the flat pivot-row space across blocks and devices)
+//! go to assembly unsorted and still collapse to the same bit-identical
+//! CSR.
 //!
 //! Each build reports `candidate_pairs`, the oracle-independent
 //! enumeration work it performed (all-pairs: `m(m−1)/2`; bucketed: the
@@ -53,7 +56,7 @@ use crate::candidates::PairSource;
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
-use graph::{csr_from_coo_parallel_in, csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
+use graph::{csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -115,38 +118,6 @@ fn scan_rows_edges<O: EdgeOracle, S: PairSource + ?Sized>(
         return;
     }
     source.scan_rows_scratch(rows, run, &mut |u, vs| {
-        hits.clear();
-        hits.resize(vs.len(), false);
-        oracle.has_edge_block_scratch(u, vs, hits, mapped);
-        for (&v, &hit) in vs.iter().zip(hits.iter()) {
-            if hit {
-                push(u as u32, v as u32);
-            }
-        }
-    });
-}
-
-/// Like [`scan_rows_edges`] but over one whole shard — the granularity
-/// of the single-device kernel blocks.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn scan_shard_edges<O: EdgeOracle, S: PairSource + ?Sized>(
-    oracle: &O,
-    source: &S,
-    packed: Option<&PackedBuckets>,
-    shard: usize,
-    run: &mut Vec<usize>,
-    hits: &mut Vec<bool>,
-    masks: &mut Vec<u64>,
-    stats: &mut MaskScanStats,
-    mapped: &mut Vec<usize>,
-    mut push: impl FnMut(u32, u32),
-) {
-    if let Some(packed) = packed {
-        source.scan_shard_packed(shard, packed, masks, stats, &mut |u, v| push(u, v));
-        return;
-    }
-    source.scan_shard_scratch(shard, run, &mut |u, vs| {
         hits.clear();
         hits.resize(vs.len(), false);
         oracle.has_edge_block_scratch(u, vs, hits, mapped);
@@ -287,8 +258,8 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// the parallel path allocates
 /// **no staging buffers per task** — the per-thread extension of the
 /// context's zero-allocation property. Blocks merge into the context's
-/// COO arena under a lock; the merge is sorted before CSR assembly, so
-/// the output is bit-identical to the sequential build under any
+/// COO arena under a lock in scheduling order; CSR assembly sorts each
+/// row, so the output is bit-identical to the sequential build under any
 /// scheduling.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
@@ -343,19 +314,104 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
         pool.put(arena);
     });
     *edges = merged.into_inner().unwrap();
-    edges.sort_unstable();
     drop(scan_span);
     let num_edges = edges.len();
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_coo_parallel_in(m, edges, csr),
+        graph: csr_from_coo_sequential_in(m, edges, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
         scan_stats: shared_stats.into_stats(),
         csr_on_device: None,
     }
+}
+
+/// The staged pair kernel both device backends launch on `dev` over the
+/// flat rows `base..base + weights.len()`: blocks own pair-balanced row
+/// ranges ([`DeviceSim::launch_weighted_span`]), draw their staging
+/// buffers from the context's arena `pool`, stage their edges locally as
+/// flat `u, v` words, and bulk-reserve output slots in `coo` with one
+/// atomic `fetch_add`, so the write pattern is race-free. A block whose
+/// slots would run past `coo` raises the overflow flag instead of
+/// writing, and the launch fails with [`DeviceError::OutOfMemory`].
+/// Returns the number of `coo` words written.
+#[allow(clippy::too_many_arguments)]
+fn launch_staged_pair_kernel<O: EdgeOracle, S: PairSource + ?Sized>(
+    dev: &DeviceSim,
+    oracle: &O,
+    source: &S,
+    packed: Option<&PackedBuckets>,
+    pool: &ScratchPool,
+    coo: &mut [u32],
+    weights: &[u64],
+    base: usize,
+    num_blocks: usize,
+    stats: &SharedScanStats,
+) -> Result<usize, DeviceError> {
+    struct SendPtr(*mut u32);
+    // SAFETY: the one field points into `coo`, which stays mutably
+    // borrowed for the whole launch; blocks write through it only at the
+    // disjoint slot ranges `cursor` hands out, and the launch joins every
+    // block before `coo` is read.
+    unsafe impl Send for SendPtr {}
+    unsafe impl Sync for SendPtr {}
+    let slots = coo.len();
+    let out = SendPtr(coo.as_mut_ptr());
+    let out_ref = &out;
+    let cursor = AtomicUsize::new(0);
+    let overflow = AtomicBool::new(false);
+    dev.launch_weighted_span(weights, base, num_blocks, |_b, rows| {
+        let mut arena = pool.take();
+        let TaskArena {
+            staged,
+            run,
+            hits,
+            masks,
+            mapped,
+            ..
+        } = &mut arena;
+        staged.clear();
+        let mut block_stats = MaskScanStats::default();
+        scan_rows_edges(
+            oracle,
+            source,
+            packed,
+            rows,
+            run,
+            hits,
+            masks,
+            &mut block_stats,
+            mapped,
+            |u, v| {
+                staged.push(u);
+                staged.push(v);
+            },
+        );
+        stats.add(block_stats);
+        if !staged.is_empty() {
+            let at = cursor.fetch_add(staged.len(), Ordering::Relaxed);
+            if at + staged.len() > slots {
+                overflow.store(true, Ordering::Relaxed);
+            } else {
+                // SAFETY: `fetch_add` hands every block a disjoint slot
+                // range, checked to end within `coo`.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(staged.as_ptr(), out_ref.0.add(at), staged.len());
+                }
+            }
+        }
+        pool.put(arena);
+    })?;
+    let used = cursor.into_inner();
+    if overflow.into_inner() {
+        return Err(DeviceError::OutOfMemory {
+            requested: used * std::mem::size_of::<u32>(),
+            available: std::mem::size_of_val(coo),
+        });
+    }
+    Ok(used)
 }
 
 /// Per-vertex byte footprint of the inputs Algorithm 3 copies to the GPU:
@@ -387,10 +443,10 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 ///    The budget charge is a [`device::DeviceLease`]; the backing
 ///    storage is the context's reused COO word arena, so a warm build
 ///    allocates no host memory for it,
-/// 5. launch the bucket-blocked pair kernel
-///    ([`DeviceSim::launch_weighted_blocks`]: blocks own contiguous
-///    shard ranges of near-equal pair weight, stage locally and
-///    bulk-reserve slots with one atomic),
+/// 5. launch the staged pair kernel over the flat pivot-row space
+///    ([`DeviceSim::launch_weighted_span`]: blocks own contiguous row
+///    ranges of near-equal pair weight, possibly mid-bucket, stage
+///    locally and bulk-reserve slots with one atomic),
 /// 6. if the CSR (2·|Ec| adjacency slots) fits in the *remaining* device
 ///    memory, assemble it "on device" and download it; otherwise download
 ///    the raw edge list and assemble on the host. Either way the arrays
@@ -495,85 +551,26 @@ pub fn build_device<O: EdgeOracle>(
     coo.clear();
     coo.resize(edge_slots, 0);
 
-    // (5) Bucket-blocked pair kernel: blocks own contiguous shard ranges
-    // of near-equal pair weight; each block stages edges locally and
-    // reserves output slots with a single fetch_add so the write pattern
-    // is race-free.
-    let cursor = AtomicUsize::new(0);
-    let overflow = AtomicBool::new(false);
+    // (5) Staged pair kernel over pair-balanced blocks of the flat
+    // pivot-row space.
     let shared_stats = SharedScanStats::default();
-    {
-        struct SendPtr(*mut u32);
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        let out = SendPtr(coo.as_mut_ptr());
-        let out_ref = &out;
-        let num_blocks = rayon::current_num_threads() * 4;
-        let weights: Vec<u64> = (0..engine.num_shards())
-            .map(|s| engine.shard_weight(s))
-            .collect();
-        // Kernel blocks draw their staging buffers from the context's
-        // arena pool instead of allocating per launch.
-        dev.launch_weighted_blocks(&weights, num_blocks, |_b, shards| {
-            let mut arena = pool.take();
-            let TaskArena {
-                staged,
-                run,
-                hits,
-                masks,
-                mapped,
-                ..
-            } = &mut arena;
-            staged.clear();
-            let mut stats = MaskScanStats::default();
-            for s in shards {
-                scan_shard_edges(
-                    oracle,
-                    &engine,
-                    packed,
-                    s,
-                    run,
-                    hits,
-                    masks,
-                    &mut stats,
-                    mapped,
-                    |u, v| {
-                        staged.push(u);
-                        staged.push(v);
-                    },
-                );
-            }
-            shared_stats.add(stats);
-            if !staged.is_empty() {
-                let at = cursor.fetch_add(staged.len(), Ordering::Relaxed);
-                if at + staged.len() > edge_slots {
-                    overflow.store(true, Ordering::Relaxed);
-                } else {
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            staged.as_ptr(),
-                            out_ref.0.add(at),
-                            staged.len(),
-                        );
-                    }
-                }
-            }
-            pool.put(arena);
-        })?;
-    }
-    if overflow.load(Ordering::Relaxed) {
-        return Err(DeviceError::OutOfMemory {
-            requested: cursor.load(Ordering::Relaxed) * std::mem::size_of::<u32>(),
-            available: edge_slots * std::mem::size_of::<u32>(),
-        });
-    }
-    let used_slots = cursor.load(Ordering::Relaxed);
+    let used_slots = launch_staged_pair_kernel(
+        dev,
+        oracle,
+        &engine,
+        packed,
+        pool,
+        coo,
+        &engine.row_weights(),
+        0,
+        rayon::current_num_threads() * 4,
+        &shared_stats,
+    )?;
     let num_edges = used_slots / 2;
     let scan_stats = shared_stats.into_stats();
 
-    // Canonicalize into the context's COO arena: block scheduling
-    // perturbs edge order, but CSR construction sorts adjacency, so the
-    // result is order-independent.
+    // Into the context's COO arena in kernel order: CSR assembly sorts
+    // each row, so block scheduling cannot change the graph.
     edges.clear();
     edges.extend(coo[..used_slots].chunks_exact(2).map(|p| (p[0], p[1])));
 
@@ -582,39 +579,22 @@ pub fn build_device<O: EdgeOracle>(
     // only if those entries fit in the memory still available *next to*
     // the COO arena. (The arena is capped at 2·candidate_pairs slots, so
     // it no longer stands in for "all remaining memory" the way the
-    // legacy 2·m·(m−1) allocation did.)
-    let csr_entries = 2 * num_edges;
-    let on_device = csr_entries * std::mem::size_of::<u32>() <= dev.available_bytes();
-    let graph = if on_device {
-        match dev.reserve(csr_entries.max(1) * std::mem::size_of::<u32>()) {
-            Ok(_lease) => {
-                let g = csr_from_coo_parallel_in(m, edges, csr);
-                dev.note_d2h(csr_entries * std::mem::size_of::<u32>());
-                g
-            }
-            Err(_) => {
-                // Paranoia: if the CSR reservation races out of budget,
-                // fall back to the host path.
-                dev.note_d2h(used_slots * std::mem::size_of::<u32>());
-                edges.sort_unstable();
-                return Ok(ConflictBuild {
-                    graph: csr_from_coo_sequential_in(m, edges, csr),
-                    num_edges,
-                    candidate_pairs,
-                    packed_lanes,
-                    scan_stats,
-                    csr_on_device: Some(false),
-                });
-            }
-        }
+    // legacy 2·m·(m−1) allocation did.) A failed reservation means host
+    // assembly; the graph is the same either way.
+    let csr_bytes = 2 * num_edges * std::mem::size_of::<u32>();
+    let csr_lease = if csr_bytes <= dev.available_bytes() {
+        dev.reserve(csr_bytes.max(std::mem::size_of::<u32>())).ok()
     } else {
-        dev.note_d2h(used_slots * std::mem::size_of::<u32>());
-        edges.sort_unstable();
-        csr_from_coo_sequential_in(m, edges, csr)
+        None
     };
-
+    let on_device = csr_lease.is_some();
+    dev.note_d2h(if on_device {
+        csr_bytes
+    } else {
+        used_slots * std::mem::size_of::<u32>()
+    });
     Ok(ConflictBuild {
-        graph,
+        graph: csr_from_coo_sequential_in(m, edges, csr),
         num_edges,
         candidate_pairs,
         packed_lanes,
@@ -747,81 +727,29 @@ pub fn build_multi_device<O: EdgeOracle>(
         let _edge_lease = dev.reserve(edge_slots * std::mem::size_of::<u32>())?;
         coo.clear();
         coo.resize(edge_slots, 0);
-        let cursor = AtomicUsize::new(0);
-        let overflow = AtomicBool::new(false);
-        {
-            struct SendPtr(*mut u32);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let out = SendPtr(coo.as_mut_ptr());
-            let out_ref = &out;
-            let num_blocks = rayon::current_num_threads() * 2;
-            // (5) Triangle-sharded kernel: blocks own pair-balanced row
-            // ranges of this device's span (global row ids), drawing
-            // their staging buffers from the context's arena pool.
-            dev.launch_weighted_span(span_weights, span.start, num_blocks, |_b, rows| {
-                let mut arena = pool.take();
-                let TaskArena {
-                    staged,
-                    run,
-                    hits,
-                    masks,
-                    mapped,
-                    ..
-                } = &mut arena;
-                staged.clear();
-                let mut stats = MaskScanStats::default();
-                scan_rows_edges(
-                    oracle,
-                    &engine,
-                    packed,
-                    rows,
-                    run,
-                    hits,
-                    masks,
-                    &mut stats,
-                    mapped,
-                    |u, v| {
-                        staged.push(u);
-                        staged.push(v);
-                    },
-                );
-                shared_stats.add(stats);
-                if !staged.is_empty() {
-                    let at = cursor.fetch_add(staged.len(), Ordering::Relaxed);
-                    if at + staged.len() > edge_slots {
-                        overflow.store(true, Ordering::Relaxed);
-                    } else {
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                staged.as_ptr(),
-                                out_ref.0.add(at),
-                                staged.len(),
-                            );
-                        }
-                    }
-                }
-                pool.put(arena);
-            })?;
-        }
-        if overflow.load(Ordering::Relaxed) {
-            return Err(DeviceError::OutOfMemory {
-                requested: cursor.load(Ordering::Relaxed) * std::mem::size_of::<u32>(),
-                available: edge_slots * std::mem::size_of::<u32>(),
-            });
-        }
-        let used = cursor.load(Ordering::Relaxed);
+        // (5) Triangle-sharded kernel: blocks own pair-balanced row
+        // ranges of this device's span (global row ids).
+        let used = launch_staged_pair_kernel(
+            dev,
+            oracle,
+            &engine,
+            packed,
+            pool,
+            coo,
+            span_weights,
+            span.start,
+            rayon::current_num_threads() * 2,
+            &shared_stats,
+        )?;
         dev.note_d2h(used * std::mem::size_of::<u32>());
         // Host-side merge straight into the context's COO arena — no
         // per-device intermediate.
         edges.extend(coo[..used].chunks_exact(2).map(|p| (p[0], p[1])));
     }
 
-    // Sorting makes the merge order-independent before CSR assembly.
-    edges.sort_unstable();
     let num_edges = edges.len();
     Ok(ConflictBuild {
-        graph: csr_from_coo_parallel_in(m, edges, csr),
+        graph: csr_from_coo_sequential_in(m, edges, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -903,18 +831,28 @@ mod tests {
     fn device_agrees_with_host_builds() {
         for m in [1usize, 8, 50, 120] {
             let oracle = dense_oracle(m);
-            let lists = ColorLists::assign(m, 10, (m as u32 / 4).max(2), 3, 9, 1);
-            let mut ctx = ctx_for(&lists);
-            let host = build_parallel(&oracle, &mut ctx);
-            let dev = DeviceSim::new(64 * 1024 * 1024);
-            let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
-            assert_eq!(host.graph, devb.graph, "m={m}");
-            assert_eq!(host.num_edges, devb.num_edges);
-            if m >= 2 {
-                assert_eq!(host.candidate_pairs, devb.candidate_pairs, "m={m}");
+            // The second palette has two colors and one-slot lists: two
+            // buckets, so whole-bucket blocks would give the kernel at
+            // most two tasks; its row blocks split each bucket's triangle.
+            for lists in [
+                ColorLists::assign(m, 10, (m as u32 / 4).max(2), 3, 9, 1),
+                ColorLists::assign(m, 0, 2, 1, 3, 0),
+            ] {
+                let what = format!("m={m} P={}", lists.palette_size());
+                let mut ctx = ctx_for(&lists);
+                let seq = build_sequential(&oracle, &mut ctx);
+                let host = build_parallel(&oracle, &mut ctx);
+                let dev = DeviceSim::new(64 * 1024 * 1024);
+                let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+                assert_eq!(seq.graph, devb.graph, "{what}");
+                assert_eq!(host.graph, devb.graph, "{what}");
+                assert_eq!(host.num_edges, devb.num_edges, "{what}");
+                if m >= 2 {
+                    assert_eq!(host.candidate_pairs, devb.candidate_pairs, "{what}");
+                }
+                assert!(devb.csr_on_device.is_some());
+                assert!(ctx.index_builds() <= 1, "index shared across backends");
             }
-            assert!(devb.csr_on_device.is_some());
-            assert!(ctx.index_builds() <= 1, "index shared across backends");
         }
     }
 

@@ -50,7 +50,7 @@ pub struct TaskArena {
     pub edges: Vec<(u32, u32)>,
     /// Flat `u, v, u, v, …` edge staging for the device kernels.
     pub staged: Vec<u32>,
-    /// Candidate-run staging for [`crate::PairSource::scan_rows`].
+    /// Candidate-run staging for [`crate::PairSource::scan_rows_scratch`].
     pub run: Vec<usize>,
     /// Oracle hit vector for batched `has_edge_block` queries.
     pub hits: Vec<bool>,
@@ -394,12 +394,12 @@ impl IterationContext {
     }
 
     /// The single packing-decision site, shared by the build's
-    /// `ensure_packed` and the forecast's `will_pack`: a pure function of
-    /// the lists, the policy, and the oracle's packed word width (`None`
-    /// = no packed form). `Auto` packs when the iteration's candidate
-    /// pairs are at least the key words the packing pass writes
-    /// (`total_pairs ≥ N·L·w`): below that the pass costs more than the
-    /// scan it speeds up.
+    /// `ensure_packed` and the forecast's `input_replica_forecast`: a
+    /// pure function of the lists, the policy, and the oracle's packed
+    /// word width (`None` = no packed form). `Auto` packs when the
+    /// iteration's candidate pairs are at least the key words the packing
+    /// pass writes (`total_pairs ≥ N·L·w`): below that the pass costs
+    /// more than the scan it speeds up.
     fn packing_decision(&self, packed_words: Option<usize>) -> bool {
         let Some(words) = packed_words else {
             return false;
@@ -570,46 +570,29 @@ impl IterationContext {
     }
 
     /// Worst-case bytes Algorithm 3 can charge **one device** for this
-    /// iteration's build, computable pre-oracle and pre-index from the
-    /// lists' metadata and bucket histogram alone: the encoded-input
-    /// replica, the per-vertex edge-offset counters, the (bucketed)
-    /// inverted-index upload, and a COO arena of two `u32` slots per
-    /// candidate pair (each candidate yields at most one edge, so a
-    /// build that passes this forecast can never overflow mid-kernel).
-    /// [`crate::PicassoConfig::strict_device_forecast`] compares this
-    /// against the device budget before any kernel launches.
-    pub fn device_forecast_bytes(&self, input_bytes_per_vertex: usize) -> usize {
-        self.device_forecast_impl(input_bytes_per_vertex, None)
-    }
-
-    /// Oracle-aware [`IterationContext::device_forecast_bytes`]: when
-    /// the oracle has a packed form *and* this iteration's packing
-    /// decision engages, the input-replica term is the **exact** packed
-    /// upload (lists + key lanes + query rows + palette bitmasks at the
-    /// oracle's true word width) instead of the raw set — matching what
-    /// [`crate::conflict::build_device`] will actually charge, including
-    /// for oracles whose packed width exceeds the raw input's word share
-    /// (the symplectic encoding at small registers). The solver's strict
-    /// gate uses this variant; the oracle-agnostic one assumes the
-    /// scalar upload.
+    /// iteration's build over `oracle`, computable pre-oracle and
+    /// pre-index from the lists' metadata and bucket histogram alone:
+    /// the input replica, the per-vertex edge-offset counters, the
+    /// (bucketed) inverted-index upload, and a COO arena of two `u32`
+    /// slots per candidate pair (each candidate yields at most one edge,
+    /// so a build that passes this forecast can never overflow
+    /// mid-kernel). When the oracle has a packed form *and* this
+    /// iteration's packing decision engages, the input-replica term is
+    /// the **exact** packed upload (lists + key lanes + query rows +
+    /// palette bitmasks at the oracle's true word width) instead of the
+    /// raw set — matching what [`crate::conflict::build_device`] will
+    /// actually charge, including for oracles whose packed width exceeds
+    /// the raw input's word share (the symplectic encoding at small
+    /// registers). [`crate::PicassoConfig::strict_device_forecast`]
+    /// compares this against the device budget before any kernel
+    /// launches.
     pub fn device_forecast_bytes_for<O: EdgeOracle + ?Sized>(
         &self,
         oracle: &O,
         input_bytes_per_vertex: usize,
     ) -> usize {
-        self.device_forecast_impl(
-            input_bytes_per_vertex,
-            oracle.packed_form().map(|f| f.words.max(1)),
-        )
-    }
-
-    fn device_forecast_impl(
-        &self,
-        input_bytes_per_vertex: usize,
-        packed_words: Option<usize>,
-    ) -> usize {
         let m = self.lists.len();
-        let input = self.input_replica_forecast(input_bytes_per_vertex, packed_words);
+        let input = self.input_replica_forecast(input_bytes_per_vertex, oracle);
         if m < 2 {
             return input;
         }
@@ -627,8 +610,10 @@ impl IterationContext {
     }
 
     /// Worst-case bytes charged to **each of `devices` budgets** by the
-    /// sub-bucket-sharded multi-device build: the full input and index
-    /// replicas plus this device's pair-balanced span share of the COO
+    /// sub-bucket-sharded multi-device build over `oracle`: the full
+    /// input replica (packed or raw, as in
+    /// [`IterationContext::device_forecast_bytes_for`]) and index
+    /// replica plus this device's pair-balanced span share of the COO
     /// arena. Span balancing is row-granular, so the pair share is
     /// padded by one deepest-bucket row — a conservative bound on how
     /// far [`device::balanced_weight_cuts`] can overshoot the ideal
@@ -636,37 +621,14 @@ impl IterationContext {
     /// charged for the *whole* row space: spans are balanced by pair
     /// weight, not row count, so a skewed histogram can hand one device
     /// nearly every row while its pair share stays fair.
-    pub fn multi_device_forecast_bytes(
-        &self,
-        input_bytes_per_vertex: usize,
-        devices: usize,
-    ) -> usize {
-        self.multi_device_forecast_impl(input_bytes_per_vertex, devices, None)
-    }
-
-    /// Oracle-aware [`IterationContext::multi_device_forecast_bytes`]
-    /// (see [`IterationContext::device_forecast_bytes_for`]).
     pub fn multi_device_forecast_bytes_for<O: EdgeOracle + ?Sized>(
         &self,
         oracle: &O,
         input_bytes_per_vertex: usize,
         devices: usize,
     ) -> usize {
-        self.multi_device_forecast_impl(
-            input_bytes_per_vertex,
-            devices,
-            oracle.packed_form().map(|f| f.words.max(1)),
-        )
-    }
-
-    fn multi_device_forecast_impl(
-        &self,
-        input_bytes_per_vertex: usize,
-        devices: usize,
-        packed_words: Option<usize>,
-    ) -> usize {
         let m = self.lists.len();
-        let input = self.input_replica_forecast(input_bytes_per_vertex, packed_words);
+        let input = self.input_replica_forecast(input_bytes_per_vertex, oracle);
         if m < 2 || devices == 0 {
             return input;
         }
@@ -688,30 +650,24 @@ impl IterationContext {
             .saturating_add(coo)
     }
 
-    /// Whether this iteration's builds will take the packed path, given
-    /// an oracle whose packed word width is `packed_words` (`None` = no
-    /// packed form). The forecast's twin of
-    /// [`IterationContext::ensure_packed`]: a pure function of the
-    /// context and the width, evaluated without building anything, so
-    /// the strict gate predicts exactly the path the build will choose.
-    fn will_pack(&self, packed_words: Option<usize>) -> bool {
-        self.packing_decision(packed_words)
-    }
-
     /// Bytes of the device input replica this iteration will charge: the
     /// raw upload (`m · input_bpv`, words + color lists) on any scalar
-    /// path, or — when the packing decision engages for an oracle of
-    /// `packed_words` width — the **exact** packed upload: the color
-    /// lists plus one key lane per bucket membership, one query row per
-    /// vertex, and one palette bitmask per vertex, matching
-    /// [`PackedBuckets::device_bytes`] term for term.
-    fn input_replica_forecast(
+    /// path, or — when the packing decision engages for `oracle`'s
+    /// packed width — the **exact** packed upload: the color lists plus
+    /// one key lane per bucket membership, one query row per vertex, and
+    /// one palette bitmask per vertex, matching
+    /// [`PackedBuckets::device_bytes`] term for term. The decision is
+    /// the build's own ([`IterationContext::packing_decision`]),
+    /// evaluated without building anything, so the strict gate predicts
+    /// exactly the path the build will choose.
+    fn input_replica_forecast<O: EdgeOracle + ?Sized>(
         &self,
         input_bytes_per_vertex: usize,
-        packed_words: Option<usize>,
+        oracle: &O,
     ) -> usize {
         let m = self.lists.len();
-        if !self.will_pack(packed_words) {
+        let packed_words = oracle.packed_form().map(|f| f.words.max(1));
+        if !self.packing_decision(packed_words) {
             return m * input_bytes_per_vertex;
         }
         let w = packed_words.unwrap_or(1);
@@ -918,7 +874,7 @@ mod tests {
         let oracle = FnOracle::new(m, |u, v| (u * 13 + v * 7) % 3 == 0);
         let mut ctx = IterationContext::new();
         ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let forecast = ctx.device_forecast_bytes(16);
+        let forecast = ctx.device_forecast_bytes_for(&oracle, 16);
         // The forecast is derived from metadata and the histogram alone.
         assert_eq!(ctx.index_builds(), 0, "forecast must not build the index");
         // It is a true worst-case bound: a device with exactly that
@@ -933,10 +889,9 @@ mod tests {
     fn oracle_aware_forecast_bounds_the_packed_build_exactly() {
         // SymplecticSet at 10 qubits has a packed width of 2 u64 words —
         // *wider* than the 3-bit `words_for()` share the raw input
-        // charge is derived from. The oracle-aware forecast charges the
-        // true replica, so a device with exactly that budget completes
-        // the packed build; the oracle-agnostic forecast (raw upload)
-        // would have under-charged it.
+        // charge is derived from. The forecast charges the true replica,
+        // so a device with exactly that budget completes the packed
+        // build; a raw-upload charge would have under-charged it.
         use crate::conflict::build_device;
         use device::DeviceSim;
         use rand::SeedableRng;
@@ -949,26 +904,25 @@ mod tests {
         ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
         let input_bpv = pauli::encode::words_for(10) * 8 + 4 * std::mem::size_of::<u32>();
         let aware = ctx.device_forecast_bytes_for(&oracle, input_bpv);
-        let agnostic = ctx.device_forecast_bytes(input_bpv);
+        // With packing disabled the forecast charges the raw upload, the
+        // same as for an oracle without a packed form.
+        let mut scalar_ctx = IterationContext::new();
+        scalar_ctx.set_packing(PackingMode::Never);
+        scalar_ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
+        let raw = scalar_ctx.device_forecast_bytes_for(&oracle, input_bpv);
+        let unpackable = graph::FnOracle::new(m, |_, _| false);
+        assert_eq!(ctx.device_forecast_bytes_for(&unpackable, input_bpv), raw);
         assert!(
-            aware > agnostic,
-            "the symplectic replica ({aware} B) must out-charge the raw upload ({agnostic} B)"
+            aware > raw,
+            "the symplectic replica ({aware} B) must out-charge the raw upload ({raw} B)"
         );
         assert_eq!(ctx.pack_builds(), 0, "forecast must not pack");
         let dev = DeviceSim::new(aware);
         let built = build_device(&oracle, &mut ctx, &dev, input_bpv).unwrap();
         assert_eq!(built.packed_lanes, built.candidate_pairs, "packed path ran");
         assert!(dev.stats().peak_bytes <= aware);
-        // With packing disabled the two forecasts agree (raw upload),
-        // and the scalar build fits that budget too.
-        let mut scalar_ctx = IterationContext::new();
-        scalar_ctx.set_packing(PackingMode::Never);
-        scalar_ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        assert_eq!(
-            scalar_ctx.device_forecast_bytes_for(&oracle, input_bpv),
-            scalar_ctx.device_forecast_bytes(input_bpv)
-        );
-        let dev = DeviceSim::new(scalar_ctx.device_forecast_bytes(input_bpv));
+        // The scalar build fits the raw forecast.
+        let dev = DeviceSim::new(raw);
         let scalar = build_device(&oracle, &mut scalar_ctx, &dev, input_bpv).unwrap();
         assert_eq!(scalar.graph, built.graph);
     }
@@ -1003,7 +957,7 @@ mod tests {
         for devices in [1usize, 2, 5] {
             let mut ctx = IterationContext::new();
             ctx.set_lists(ColorLists::assign(m, 0, 20, 4, 7, 1));
-            let forecast = ctx.multi_device_forecast_bytes(16, devices);
+            let forecast = ctx.multi_device_forecast_bytes_for(&oracle, 16, devices);
             let fleet: Vec<DeviceSim> = (0..devices).map(|_| DeviceSim::new(forecast)).collect();
             build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
             for d in &fleet {

@@ -77,16 +77,6 @@ pub struct MaskScanStats {
     pub skipped_words: u64,
 }
 
-impl MaskScanStats {
-    /// Folds another pass's counters into this one.
-    #[inline]
-    pub fn merge(&mut self, other: MaskScanStats) {
-        self.hit_bits += other.hit_bits;
-        self.scanned_words += other.scanned_words;
-        self.skipped_words += other.skipped_words;
-    }
-}
-
 /// The packed, bucket-major oracle replica of one iteration (see the
 /// module docs for the layout).
 #[derive(Debug, Default)]

@@ -25,7 +25,7 @@ pub enum SolveError {
     NoDevices,
     /// [`PicassoConfig::strict_device_forecast`] is set and an
     /// iteration's pre-oracle worst-case footprint
-    /// ([`IterationContext::device_forecast_bytes`](crate::IterationContext::device_forecast_bytes))
+    /// ([`IterationContext::device_forecast_bytes_for`](crate::IterationContext::device_forecast_bytes_for))
     /// exceeded the device budget: the iteration was rejected **before
     /// any oracle query or kernel launch**, instead of discovering the
     /// overflow mid-kernel as the legacy capped-arena path does.

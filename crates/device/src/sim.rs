@@ -280,64 +280,15 @@ impl DeviceSim {
         Ok(())
     }
 
-    /// Launches a block-structured kernel: the grid is cut into
-    /// `num_blocks` contiguous ranges, one rayon task per block — the
-    /// shape used by the conflict-graph kernel so each block can keep a
-    /// local edge staging buffer.
-    pub fn launch_blocks<F: Fn(usize, std::ops::Range<usize>) + Sync>(
-        &self,
-        grid: usize,
-        num_blocks: usize,
-        kernel: F,
-    ) -> Result<(), DeviceError> {
-        use rayon::prelude::*;
-        self.fault_check(FaultSite::DeviceLaunch)?;
-        self.state.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        let num_blocks = num_blocks.max(1);
-        let block = grid.div_ceil(num_blocks);
-        (0..num_blocks).into_par_iter().for_each(|b| {
-            let lo = b * block;
-            let hi = ((b + 1) * block).min(grid);
-            if lo < hi {
-                kernel(b, lo..hi);
-            }
-        });
-        Ok(())
-    }
-
-    /// Launches a *weighted* block kernel over `weights.len()` work items
-    /// (e.g. palette buckets whose pair counts vary wildly): items are
-    /// cut into at most `num_blocks` contiguous ranges of near-equal
-    /// total weight, one rayon task per range. Equal-width cuts would
-    /// leave a block stuck with one giant bucket's whole tail of work;
-    /// weighted cuts are the bucket-blocked shape the candidate-pair
-    /// kernel needs.
-    pub fn launch_weighted_blocks<F: Fn(usize, std::ops::Range<usize>) + Sync>(
-        &self,
-        weights: &[u64],
-        num_blocks: usize,
-        kernel: F,
-    ) -> Result<(), DeviceError> {
-        use rayon::prelude::*;
-        self.fault_check(FaultSite::DeviceLaunch)?;
-        self.state.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        let cuts = balanced_weight_cuts(weights, num_blocks);
-        cuts.into_par_iter().enumerate().for_each(|(b, range)| {
-            if !range.is_empty() {
-                kernel(b, range);
-            }
-        });
-        Ok(())
-    }
-
-    /// Launches a weighted block kernel over a *span* of a larger flat
-    /// work space: `weights` describes items `base..base + weights.len()`
-    /// of some global enumeration (e.g. the pivot rows of a triangle
-    /// shard owned by this device), and the kernel receives **global**
-    /// item ranges. This is the launch shape of sub-bucket-sharded
-    /// multi-device builds, where each device owns a contiguous row span
-    /// that may start and end mid-bucket. An empty span is a valid
-    /// launch (counted, no blocks executed).
+    /// Launches a *weighted* block kernel over a span of a flat work
+    /// space: `weights` describes items `base..base + weights.len()` of
+    /// some global enumeration (e.g. the pivot rows a device owns, which
+    /// may start and end mid-bucket), cut into at most `num_blocks`
+    /// contiguous ranges of near-equal total weight, one rayon task per
+    /// range. The kernel receives **global** item ranges. Equal-width cuts
+    /// would leave a block stuck with one giant bucket's whole tail of
+    /// work; weighted cuts are the shape the candidate-pair kernel needs.
+    /// An empty span is a valid launch (counted, no blocks executed).
     pub fn launch_weighted_span<F: Fn(usize, std::ops::Range<usize>) + Sync>(
         &self,
         weights: &[u64],
@@ -345,17 +296,24 @@ impl DeviceSim {
         num_blocks: usize,
         kernel: F,
     ) -> Result<(), DeviceError> {
-        self.launch_weighted_blocks(weights, num_blocks, |b, local| {
-            kernel(b, base + local.start..base + local.end)
-        })
+        use rayon::prelude::*;
+        self.fault_check(FaultSite::DeviceLaunch)?;
+        self.state.kernel_launches.fetch_add(1, Ordering::Relaxed);
+        let cuts = balanced_weight_cuts(weights, num_blocks);
+        cuts.into_par_iter().enumerate().for_each(|(b, local)| {
+            if !local.is_empty() {
+                kernel(b, base + local.start..base + local.end);
+            }
+        });
+        Ok(())
     }
 }
 
 /// Cuts `0..weights.len()` into at most `k` contiguous ranges whose total
 /// weights are near-equal (each range closes as soon as it reaches the
 /// ideal share, so no range exceeds the ideal by more than one item).
-/// Deterministic; used by [`DeviceSim::launch_weighted_blocks`] and the
-/// multi-device sharding.
+/// Deterministic; used by [`DeviceSim::launch_weighted_span`] and the
+/// parallel and multi-device row sharding.
 pub fn balanced_weight_cuts(weights: &[u64], k: usize) -> Vec<std::ops::Range<usize>> {
     let n = weights.len();
     let k = k.max(1);
@@ -442,29 +400,14 @@ mod tests {
     }
 
     #[test]
-    fn block_launch_partitions_exactly() {
-        let dev = DeviceSim::new(1024);
-        let seen = Mutex::new(vec![false; 103]);
-        dev.launch_blocks(103, 7, |_b, range| {
-            let mut s = seen.lock();
-            for i in range {
-                assert!(!s[i], "index {i} covered twice");
-                s[i] = true;
-            }
-        })
-        .unwrap();
-        assert!(seen.lock().iter().all(|&x| x));
-    }
-
-    #[test]
-    fn weighted_block_launch_covers_all_items_once() {
+    fn weighted_span_launch_covers_all_items_once() {
         let dev = DeviceSim::new(1024);
         // Heavily skewed weights: one giant item among many small ones.
         let weights: Vec<u64> = (0..50)
             .map(|i| if i == 7 { 10_000 } else { i as u64 })
             .collect();
         let seen = Mutex::new(vec![false; 50]);
-        dev.launch_weighted_blocks(&weights, 6, |_b, range| {
+        dev.launch_weighted_span(&weights, 0, 6, |_b, range| {
             let mut s = seen.lock();
             for i in range {
                 assert!(!s[i], "item {i} covered twice");

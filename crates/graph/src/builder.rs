@@ -2,14 +2,13 @@
 //!
 //! Mirrors the construction step of the paper's Algorithm 3: count
 //! per-vertex edge counts, exclusive prefix sum into offsets, scatter
-//! arcs, sort adjacency slices. The parallel variant uses atomic counters
-//! for the scatter and rayon for the per-slice sort, and produces a graph
-//! identical to the sequential build (the paper stresses its GPU path is
+//! arcs, sort adjacency slices. The per-row sort makes the output
+//! independent of edge order and of the orientation of each `(u, v)`
+//! pair, so every backend hands its edges over unsorted and still gets
+//! the identical graph (the paper stresses its GPU path is
 //! deterministic).
 
 use crate::csr::CsrGraph;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Reusable CSR staging storage: the offset / adjacency / cursor arrays
 /// a build assembles into. The output [`CsrGraph`] takes ownership of
@@ -21,10 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct CsrArena {
     offsets: Vec<usize>,
     adj: Vec<u32>,
-    /// Sequential scatter cursors.
+    /// Scatter cursors.
     cursors: Vec<usize>,
-    /// Parallel count/scatter cursors (atomics reset in place).
-    atomics: Vec<AtomicUsize>,
 }
 
 impl CsrArena {
@@ -47,14 +44,13 @@ impl CsrArena {
         }
     }
 
-    /// Current capacities `(offsets, adj, cursors, atomics)` —
-    /// introspection hook for the allocation-reuse tests.
-    pub fn capacities(&self) -> (usize, usize, usize, usize) {
+    /// Current capacities `(offsets, adj, cursors)` — introspection hook
+    /// for the allocation-reuse tests.
+    pub fn capacities(&self) -> (usize, usize, usize) {
         (
             self.offsets.capacity(),
             self.adj.capacity(),
             self.cursors.capacity(),
-            self.atomics.capacity(),
         )
     }
 
@@ -114,55 +110,11 @@ pub fn csr_from_coo_sequential_in(
     CsrGraph::from_parts(offsets, adj)
 }
 
-/// Parallel CSR build; same contract and output as the sequential one.
-pub fn csr_from_coo_parallel(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
-    csr_from_coo_parallel_in(n, edges, &mut CsrArena::new())
-}
-
-/// [`csr_from_coo_parallel`] assembling into (and growing) an
-/// [`CsrArena`]'s storage; identical output to the sequential build.
+/// Alias of [`csr_from_coo_sequential_in`], kept under the name of the
+/// former thread-parallel assembler (which lost to the sequential build
+/// on every benchmark workload) for callers written against it.
 pub fn csr_from_coo_parallel_in(n: usize, edges: &[(u32, u32)], arena: &mut CsrArena) -> CsrGraph {
-    arena.atomics.clear();
-    arena.atomics.resize_with(n, || AtomicUsize::new(0));
-    {
-        let counts = &arena.atomics;
-        edges.par_iter().for_each(|&(u, v)| {
-            debug_assert!(u != v, "self loop {u}");
-            counts[u as usize].fetch_add(1, Ordering::Relaxed);
-            counts[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let mut offsets = arena.take_offsets(n);
-    for v in 0..n {
-        offsets[v + 1] = offsets[v] + arena.atomics[v].load(Ordering::Relaxed);
-    }
-    // Reuse the atomics as scatter cursors, pre-loaded with the offsets.
-    for (c, &o) in arena.atomics.iter().zip(offsets.iter()) {
-        c.store(o, Ordering::Relaxed);
-    }
-    let mut adj = arena.take_adj(edges.len() * 2);
-    let cursor = &arena.atomics;
-    // Scatter and per-slice sort through raw pointers; slots are
-    // disjoint because the per-vertex cursors hand out disjoint indices
-    // (and the sort ranges are the disjoint adjacency slices).
-    struct SendPtr(*mut u32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let ptr = SendPtr(adj.as_mut_ptr());
-    let ptr_ref = &ptr;
-    edges.par_iter().for_each(|&(u, v)| {
-        let iu = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-        let iv = cursor[v as usize].fetch_add(1, Ordering::Relaxed);
-        unsafe {
-            *ptr_ref.0.add(iu) = v;
-            *ptr_ref.0.add(iv) = u;
-        }
-    });
-    (0..n).into_par_iter().for_each(|v| {
-        let (s, e) = (offsets[v], offsets[v + 1]);
-        unsafe { std::slice::from_raw_parts_mut(ptr_ref.0.add(s), e - s) }.sort_unstable();
-    });
-    CsrGraph::from_parts(offsets, adj)
+    csr_from_coo_sequential_in(n, edges, arena)
 }
 
 #[cfg(test)]
@@ -201,18 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        for seed in 0..5 {
-            let edges = random_edges(120, 800, seed);
-            let a = csr_from_coo_sequential(120, &edges);
-            let b = csr_from_coo_parallel(120, &edges);
-            assert_eq!(a, b, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn empty_edge_list() {
-        let g = csr_from_coo_parallel(10, &[]);
+        let g = csr_from_coo_sequential(10, &[]);
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.num_edges(), 0);
         assert!(g.validate().is_ok());
@@ -220,7 +162,7 @@ mod tests {
 
     #[test]
     fn single_edge() {
-        let g = csr_from_coo_parallel(2, &[(0, 1)]);
+        let g = csr_from_coo_sequential(2, &[(0, 1)]);
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
         assert_eq!(g.degree(0), 1);
@@ -236,26 +178,20 @@ mod tests {
 
     #[test]
     fn arena_builds_match_and_reuse_storage() {
-        // Both `_in` builders produce the exact graphs of the fresh
-        // builders, and a recycled arena serves same-or-smaller builds
-        // without growing any of its arrays.
+        // The arena build produces the exact graph of the fresh build,
+        // and a recycled arena serves same-or-smaller builds without
+        // growing any of its arrays.
         let mut arena = CsrArena::new();
         let big = random_edges(150, 900, 7);
         let g = csr_from_coo_sequential_in(150, &big, &mut arena);
         assert_eq!(g, csr_from_coo_sequential(150, &big));
         arena.recycle(g);
-        // Warm the parallel-side cursors too before snapshotting.
-        let warm = csr_from_coo_parallel_in(150, &big, &mut arena);
-        arena.recycle(warm);
         let caps = arena.capacities();
         for seed in 0..4 {
             let edges = random_edges(120, 700, seed);
-            let seq = csr_from_coo_sequential_in(120, &edges, &mut arena);
-            assert_eq!(seq, csr_from_coo_sequential(120, &edges), "seed {seed}");
-            arena.recycle(seq);
-            let par = csr_from_coo_parallel_in(120, &edges, &mut arena);
-            assert_eq!(par, csr_from_coo_parallel(120, &edges), "seed {seed}");
-            arena.recycle(par);
+            let g = csr_from_coo_sequential_in(120, &edges, &mut arena);
+            assert_eq!(g, csr_from_coo_sequential(120, &edges), "seed {seed}");
+            arena.recycle(g);
             assert_eq!(arena.capacities(), caps, "seed {seed}: arena grew");
         }
     }
@@ -265,11 +201,11 @@ mod tests {
         let mut arena = CsrArena::new();
         let g = csr_from_coo_sequential(50, &random_edges(50, 400, 1));
         arena.recycle(g);
-        let (off, adj, _, _) = arena.capacities();
+        let (off, adj, _) = arena.capacities();
         assert!(off >= 51 && adj >= 800);
         // Recycling a smaller graph must not shrink the arena.
         arena.recycle(csr_from_coo_sequential(5, &[(0, 1)]));
-        let (off2, adj2, _, _) = arena.capacities();
+        let (off2, adj2, _) = arena.capacities();
         assert!(off2 >= off && adj2 >= adj);
     }
 }

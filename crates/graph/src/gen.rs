@@ -1,6 +1,6 @@
 //! Synthetic graph generators for tests and generic benchmarks.
 
-use crate::builder::csr_from_coo_parallel;
+use crate::builder::csr_from_coo_sequential;
 use crate::csr::CsrGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> CsrGraph {
                 .collect::<Vec<_>>()
         })
         .collect();
-    csr_from_coo_parallel(n, &edges)
+    csr_from_coo_sequential(n, &edges)
 }
 
 /// The complete graph K_n.
@@ -32,7 +32,7 @@ pub fn complete_graph(n: usize) -> CsrGraph {
     let edges: Vec<(u32, u32)> = (0..n as u32)
         .flat_map(|u| ((u + 1)..n as u32).map(move |v| (u, v)))
         .collect();
-    csr_from_coo_parallel(n, &edges)
+    csr_from_coo_sequential(n, &edges)
 }
 
 /// The cycle C_n (n ≥ 3).
@@ -42,7 +42,7 @@ pub fn cycle_graph(n: usize) -> CsrGraph {
         .map(|u| (u, (u + 1) % n as u32))
         .map(|(u, v)| (u.min(v), u.max(v)))
         .collect();
-    csr_from_coo_parallel(n, &edges)
+    csr_from_coo_sequential(n, &edges)
 }
 
 /// The path P_n.
@@ -50,14 +50,14 @@ pub fn path_graph(n: usize) -> CsrGraph {
     let edges: Vec<(u32, u32)> = (0..n.saturating_sub(1) as u32)
         .map(|u| (u, u + 1))
         .collect();
-    csr_from_coo_parallel(n, &edges)
+    csr_from_coo_sequential(n, &edges)
 }
 
 /// The star K_{1,n−1}: vertex 0 adjacent to all others.
 pub fn star_graph(n: usize) -> CsrGraph {
     assert!(n >= 1);
     let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (0, v)).collect();
-    csr_from_coo_parallel(n, &edges)
+    csr_from_coo_sequential(n, &edges)
 }
 
 #[cfg(test)]

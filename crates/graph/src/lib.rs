@@ -10,8 +10,8 @@
 //!   exactly the memory behaviour Table IV contrasts.
 //!
 //! The CSR builder mirrors Algorithm 3's construction: count per-vertex
-//! degrees, exclusive prefix sum, then scatter — available sequentially
-//! and in a rayon-parallel variant that produces an identical graph.
+//! degrees, exclusive prefix sum, scatter, then sort each adjacency row —
+//! one sequential assembler whose output does not depend on edge order.
 
 pub mod builder;
 pub mod csr;
@@ -20,8 +20,7 @@ pub mod oracle;
 pub mod stats;
 
 pub use builder::{
-    csr_from_coo_parallel, csr_from_coo_parallel_in, csr_from_coo_sequential,
-    csr_from_coo_sequential_in, CsrArena,
+    csr_from_coo_parallel_in, csr_from_coo_sequential, csr_from_coo_sequential_in, CsrArena,
 };
 pub use csr::CsrGraph;
 pub use gen::{complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph};

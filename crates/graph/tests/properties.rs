@@ -1,7 +1,10 @@
 //! Property tests for the graph substrate.
 
-use graph::{csr_from_coo_parallel, csr_from_coo_sequential, ComplementView, EdgeOracle};
+use graph::{csr_from_coo_sequential, ComplementView, EdgeOracle};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Generates a unique undirected edge list over `n` vertices.
@@ -19,12 +22,34 @@ fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Parallel and sequential CSR builds agree for arbitrary inputs.
+    /// Assembly ignores edge order and pair orientation: a shuffled
+    /// list and a list with random `(u, v)` flipped to `(v, u)` give the
+    /// CSR of the sorted list. The builders rely on this to hand their
+    /// edges over unsorted.
     #[test]
-    fn parallel_build_equals_sequential(edges in arb_edges(60)) {
-        let a = csr_from_coo_sequential(60, &edges);
-        let b = csr_from_coo_parallel(60, &edges);
-        prop_assert_eq!(a, b);
+    fn csr_ignores_edge_order_and_orientation(edges in arb_edges(60), seed in any::<u64>()) {
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        let reference = csr_from_coo_sequential(60, &sorted);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shuffled = edges.clone();
+        shuffled.shuffle(&mut rng);
+        prop_assert_eq!(
+            &csr_from_coo_sequential(60, &shuffled),
+            &reference,
+            "shuffled, seed {}",
+            seed
+        );
+        let flipped: Vec<(u32, u32)> = shuffled
+            .iter()
+            .map(|&(u, v)| if rng.random_bool(0.5) { (v, u) } else { (u, v) })
+            .collect();
+        prop_assert_eq!(
+            &csr_from_coo_sequential(60, &flipped),
+            &reference,
+            "flipped, seed {}",
+            seed
+        );
     }
 
     /// The built CSR is well-formed and contains exactly the input edges.

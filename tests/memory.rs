@@ -93,7 +93,7 @@ fn warm_parallel_builds_stop_allocating_per_task() {
     let _guard = MEASURE_LOCK.lock().unwrap();
     // The rayon backend draws its per-task staging buffers from the
     // iteration context's arena pool, so a warm same-shape build performs
-    // a small, shard-count-independent number of allocations (the output
+    // a small, bucket-count-independent number of allocations (the output
     // CSR, the block cuts, and the thread-scope overhead of the rayon
     // fan-out) — not the O(#buckets) per-task buffers of the pre-pool
     // implementation.
@@ -131,7 +131,7 @@ fn warm_parallel_builds_stop_allocating_per_task() {
     let large = warm_allocs(1600);
     assert!(
         large < small.max(8) * 4,
-        "warm allocations must not scale with shard count: {small} @400 vs {large} @1600"
+        "warm allocations must not scale with bucket count: {small} @400 vs {large} @1600"
     );
     assert!(
         large < 256,
@@ -332,42 +332,6 @@ fn warm_solve_allocations_are_identical_across_sink_modes() {
     assert!(
         registry.histogram("span_conflict_build_ns").count() > 0,
         "the aggregating sink must actually have observed the solve"
-    );
-}
-
-#[test]
-fn scan_shard_defaults_reuse_one_thread_buffer() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    // Regression for the default-impl footgun: `scan_shard`/`scan_rows`
-    // without a caller buffer used to construct a fresh `Vec` per shard
-    // (one per bucket — hundreds per scan). The defaults now route
-    // through one thread-shared staging buffer: a warm full scan of
-    // every shard of both sources allocates nothing.
-    use picasso::{AllPairsSource, BucketSource, ColorLists, PairSource};
-    let lists = ColorLists::assign(400, 0, 50, 4, 3, 1);
-    let index = lists.bucket_index();
-    let bucketed = BucketSource::new(&lists, &index);
-    let allpairs = AllPairsSource::new(&lists);
-    let mut sink = 0usize;
-    let full_scan = |sink: &mut usize| {
-        for s in 0..bucketed.num_shards() {
-            bucketed.scan_shard(s, &mut |u, vs| *sink += u + vs.len());
-        }
-        bucketed.scan_rows(0..bucketed.num_rows(), &mut |u, vs| *sink += u + vs.len());
-        for s in 0..allpairs.num_shards() {
-            allpairs.scan_shard(s, &mut |u, vs| *sink += u + vs.len());
-        }
-    };
-    // Warm pass grows the thread-local buffer to the largest run.
-    full_scan(&mut sink);
-    let before = memtrack::total_allocations();
-    full_scan(&mut sink);
-    let after = memtrack::total_allocations();
-    std::hint::black_box(sink);
-    assert_eq!(
-        after - before,
-        0,
-        "buffer-less scans must reuse the thread-shared staging buffer"
     );
 }
 

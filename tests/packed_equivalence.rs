@@ -205,9 +205,15 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     let source = BucketSource::new(&lists, &index);
     let mut stats = MaskScanStats::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    source.scan_shard_packed(0, &packed, &mut masks, &mut stats, &mut |u, v| {
-        edges.push((u.min(v), u.max(v)));
-    });
+    source.scan_rows_packed(
+        0..source.num_rows(),
+        &packed,
+        &mut masks,
+        &mut stats,
+        &mut |u, v| {
+            edges.push((u.min(v), u.max(v)));
+        },
+    );
     edges.sort_unstable();
     assert_eq!(edges, vec![(0, 64), (0, 65), (64, 65)]);
     assert_eq!(stats.hit_bits, 3, "one set bit per defect pair");
