@@ -260,7 +260,7 @@ fn bench_oracle_sparse(c: &mut Criterion) {
     for &density in densities {
         let oracle = graph::PackedWordOracle::with_edge_density(n, 1, density, 11);
         let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, &index));
+        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
         let mut masks: Vec<u64> = Vec::new();
         let (mut run, mut hits, mut mapped) = (Vec::new(), Vec::new(), Vec::new());
 

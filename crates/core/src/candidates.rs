@@ -37,7 +37,9 @@
 //! inverted index: the solver's
 //! [`IterationContext`](crate::iteration::IterationContext) builds the
 //! index at most once per iteration and lends it to every backend via
-//! [`CandidateEngine::with_index`].
+//! [`CandidateEngine::with_index`]. Both engines have a packed scan
+//! ([`PairSource::scan_rows_packed`]): the all-pairs source runs on the
+//! replica's identity layout, which needs no index at all.
 
 use crate::assign::{BucketIndex, ColorLists};
 use crate::packed::{MaskScanStats, PackedBuckets};
@@ -82,21 +84,20 @@ pub trait PairSource: Sync {
     );
 
     /// Packed-kernel scan of the contiguous rows `rows`: every pivot's
-    /// bucket tail gets its edge bits as `u64` hit masks from `packed`'s
+    /// tail gets its edge bits as `u64` hit masks from `packed`'s
     /// word-transposed lanes in one straight-line loop
     /// ([`PackedBuckets::tail_edge_mask`]); the consumer skips zero
     /// words whole, walks set bits with `trailing_zeros`, applies the
-    /// smallest-shared-color deduplication filter only on those hits,
-    /// and emits surviving pairs as **edges** directly — the
-    /// oracle-block stage of the scalar path disappears, and the walk
-    /// cost tracks the hit count rather than the candidate count.
-    /// `masks` is the caller's reusable mask staging; word/bit counters
-    /// accumulate into `stats`.
+    /// shared-color filter only on those hits, and emits surviving pairs
+    /// as **edges** directly — the oracle-block stage of the scalar path
+    /// disappears, and the walk cost tracks the hit count rather than
+    /// the candidate count. `packed` must have been packed with this
+    /// source's layout: the bucket index for the bucketed source, the
+    /// identity layout (`None`) for all-pairs. `masks` is the caller's
+    /// reusable mask staging; word/bit counters accumulate into `stats`.
     ///
     /// Emits exactly `{(u, v) : scan_rows_scratch emits the pair ∧ the
-    /// packed oracle has the edge}`. Only the bucketed source supports
-    /// it; the builders route here only when the iteration context
-    /// actually packed (which implies a bucketed engine).
+    /// packed oracle has the edge}`, in the scalar scan's row order.
     fn scan_rows_packed(
         &self,
         rows: Range<usize>,
@@ -104,14 +105,33 @@ pub trait PairSource: Sync {
         masks: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
-        let _ = (rows, packed, masks, stats, emit_edge);
-        unreachable!("packed scan on a source without bucket structure");
+    );
+}
+
+/// Walks one pivot's hit masks: counts the scanned, skipped (all-zero)
+/// and set bits into `stats`, and hands every set bit's tail position
+/// `t` to `hit` in ascending order — the consumer loop shared by both
+/// sources' packed scans.
+#[inline]
+fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: impl FnMut(usize)) {
+    stats.scanned_words += masks.len() as u64;
+    for (wi, &word) in masks.iter().enumerate() {
+        if word == 0 {
+            stats.skipped_words += 1;
+            continue;
+        }
+        stats.hit_bits += u64::from(word.count_ones());
+        let mut word = word;
+        while word != 0 {
+            hit(wi * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
     }
 }
 
-/// The legacy reference enumeration: every row `i` (vertex `i`) against
-/// every `j > i`, filtered by list intersection. `Θ(m²)` examinations.
+/// The all-pairs enumeration: every row `i` (vertex `i`) against every
+/// `j > i`, filtered by list intersection. `Θ(m²)` examinations — the
+/// engine's choice when buckets degenerate (`L` close to `P`).
 pub struct AllPairsSource<'a> {
     lists: &'a ColorLists,
 }
@@ -161,6 +181,35 @@ impl PairSource for AllPairsSource<'_> {
             if !run.is_empty() {
                 emit(i, run);
             }
+        }
+    }
+
+    /// Packed all-pairs scan over the identity layout (one bucket of all
+    /// `m` vertices in order): row `i`'s hit mask covers `i+1..m`, and a
+    /// hit survives iff the two lists share any palette color
+    /// ([`PackedBuckets::shares_color_below`] at the palette size) — a
+    /// test skipped when `2L > P`, where every two lists intersect.
+    /// Emission order is `(i, v)` ascending, the scalar scan's order.
+    fn scan_rows_packed(
+        &self,
+        rows: Range<usize>,
+        packed: &PackedBuckets,
+        masks: &mut Vec<u64>,
+        stats: &mut MaskScanStats,
+        emit_edge: &mut dyn FnMut(u32, u32),
+    ) {
+        let m = self.lists.len();
+        debug_assert_eq!(packed.num_rows(), m);
+        let palette = self.lists.palette_size() as usize;
+        let always_shared = 2 * self.lists.list_size() > palette;
+        for i in rows {
+            packed.tail_edge_mask(0, m, i, i, masks);
+            for_each_hit(masks, stats, |t| {
+                let v = i + 1 + t;
+                if always_shared || packed.shares_color_below(i, v, palette) {
+                    emit_edge(i as u32, v as u32);
+                }
+            });
         }
     }
 }
@@ -241,25 +290,14 @@ impl<'a> BucketSource<'a> {
         for a in positions {
             let u = bucket[a] as usize;
             packed.tail_edge_mask(start, bucket.len(), a, u, masks);
-            stats.scanned_words += masks.len() as u64;
             let tail = &bucket[a + 1..];
-            for (wi, &word) in masks.iter().enumerate() {
-                if word == 0 {
-                    stats.skipped_words += 1;
-                    continue;
+            for_each_hit(masks, stats, |t| {
+                let v = tail[t] as usize;
+                // Emit only from the smallest shared color's bucket.
+                if !packed.shares_color_below(u, v, k) {
+                    emit_edge(u as u32, v as u32);
                 }
-                stats.hit_bits += u64::from(word.count_ones());
-                let mut word = word;
-                while word != 0 {
-                    let t = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let v = tail[t] as usize;
-                    // Emit only from the smallest shared color's bucket.
-                    if !packed.shares_color_below(u, v, k) {
-                        emit_edge(u as u32, v as u32);
-                    }
-                }
-            }
+            });
         }
     }
 }
@@ -638,7 +676,7 @@ mod tests {
             let index = lists.bucket_index();
             let source = BucketSource::new(&lists, &index);
             let mut packed = PackedBuckets::new();
-            assert!(packed.pack_from(&oracle, &lists, &index));
+            assert!(packed.pack_from(&oracle, &lists, Some(&index)));
 
             // Ground truth: scalar candidate scan filtered by the
             // scalar oracle.
@@ -680,6 +718,60 @@ mod tests {
                 assert!(stats.hit_bits >= truth.len() as u64);
                 assert!(stats.scanned_words * 64 >= source.candidate_pairs());
             }
+        }
+    }
+
+    #[test]
+    fn packed_all_pairs_scan_matches_the_scalar_sequence_at_any_cut() {
+        use crate::oracle::PauliComplementOracle;
+        use graph::EdgeOracle;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        // P = 64, L = 10: all-pairs is still the cheaper engine, but
+        // 2L ≤ P, so some hits share no color and the filter rejects
+        // them. Single-word and multi-word forms.
+        for qubits in [8usize, 30] {
+            let strings = pauli::string::random_unique_set(150, qubits, &mut rng);
+            let set = pauli::EncodedSet::from_strings(&strings);
+            let oracle = PauliComplementOracle::new(&set);
+            let lists = ColorLists::assign(150, 0, 64, 10, 3, 1);
+            assert!(!CandidateEngine::prefers_buckets(&lists));
+            let source = AllPairsSource::new(&lists);
+            let mut packed = PackedBuckets::new();
+            assert!(packed.pack_from(&oracle, &lists, None));
+
+            let mut truth = Vec::new();
+            source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {
+                for &v in vs {
+                    if oracle.has_edge(u, v) {
+                        truth.push((u as u32, v as u32));
+                    }
+                }
+            });
+            let mut rejected = 0u64;
+            let mut masks = Vec::new();
+            for parts in [1usize, 4, 9] {
+                let step = 150usize.div_ceil(parts);
+                let mut edges = Vec::new();
+                let mut stats = MaskScanStats::default();
+                for at in (0..150).step_by(step) {
+                    source.scan_rows_packed(
+                        at..(at + step).min(150),
+                        &packed,
+                        &mut masks,
+                        &mut stats,
+                        &mut |u, v| edges.push((u, v)),
+                    );
+                }
+                // The same sequence, not only the same set.
+                assert_eq!(edges, truth, "qubits={qubits} parts={parts}");
+                assert!(stats.scanned_words * 64 >= source.candidate_pairs());
+                rejected = stats.hit_bits - truth.len() as u64;
+            }
+            assert!(
+                rejected > 0,
+                "qubits={qubits}: the color filter must reject hits"
+            );
         }
     }
 

@@ -25,10 +25,21 @@
 //! set exactly. When `L` approaches `P` and buckets degenerate toward
 //! the full vertex set, the engine falls back to the all-pairs scan —
 //! the choice is a pure function of the lists, so every backend makes
-//! the same one. The legacy scan survives as
-//! [`build_sequential_allpairs`] (backend
-//! [`crate::ConflictBackend::AllPairs`]), the reference the equivalence
-//! suites compare against.
+//! the same one.
+//!
+//! # The packed kernel, for either engine
+//!
+//! Whenever the iteration context packs ([`crate::packed`]), every
+//! engine-driven builder scans through the AND-popcount hit-mask kernel
+//! ([`crate::PairSource::scan_rows_packed`]) instead of the scalar
+//! block path — the bucketed engine over its bucket-major replica, the
+//! all-pairs engine over the identity layout (one bucket of all `m`
+//! vertices, no index). The device backends then charge the replica
+//! instead of the raw encoded set. The scalar `Θ(m²)` scan survives
+//! only as [`build_sequential_allpairs`] (backend
+//! [`crate::ConflictBackend::AllPairs`]): it never packs, so it stays
+//! the independent ground truth the equivalence suites check the packed
+//! paths against.
 //!
 //! # Determinism
 //!
@@ -681,12 +692,7 @@ pub fn build_multi_device<O: EdgeOracle>(
         // the lists; the raw encoded set otherwise. A narrow span no
         // longer charges all `m` query rows.
         let input_bytes = match packed {
-            Some(p) => {
-                let index = engine
-                    .index()
-                    .expect("a packed build implies the bucketed engine");
-                m * list_bytes + p.device_bytes_for_span(index, span.clone())
-            }
+            Some(p) => m * list_bytes + p.device_bytes_for_span(engine.index(), span.clone()),
             None => m * input_bytes_per_vertex,
         };
         let _input = dev.reserve(input_bytes)?;
@@ -998,7 +1004,7 @@ mod tests {
             cuts.push(end..end);
         }
         let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, &index));
+        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
         let list_bytes = m * 3 * 4;
         let mut ctx = ctx_for(&lists);
         ctx.set_packing(PackingMode::Always);
@@ -1009,7 +1015,7 @@ mod tests {
         assert_eq!(built.packed_lanes, built.candidate_pairs);
         let mut some_span_is_narrow = false;
         for (span, dev) in cuts.iter().zip(fleet.iter()) {
-            let span_bytes = packed.device_bytes_for_span(&index, span.clone());
+            let span_bytes = packed.device_bytes_for_span(Some(&index), span.clone());
             assert_eq!(
                 dev.stats().h2d_bytes,
                 list_bytes + span_bytes + index.device_bytes(),
@@ -1020,6 +1026,65 @@ mod tests {
         assert!(
             some_span_is_narrow,
             "with {devices} devices at least one span must upload less than the full replica"
+        );
+    }
+
+    #[test]
+    fn packed_all_pairs_device_charges_match_the_forecast() {
+        // L close to P: the engine falls back to all-pairs, which now
+        // packs the identity layout. The strict forecast's input term is
+        // exactly what the device build uploads (no index to add), and
+        // multi-device spans charge slices of that replica.
+        use crate::candidates::CandidateEngine;
+        use crate::oracle::PauliComplementOracle;
+        use crate::packed::PackedBuckets;
+        use rand::SeedableRng;
+        let m = 160;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let strings = pauli::string::random_unique_set(m, 12, &mut rng);
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let oracle = PauliComplementOracle::new(&set);
+        let lists = ColorLists::assign(m, 0, 8, 6, 5, 0);
+        let mut ctx = ctx_for(&lists);
+        assert!(!ctx.prefers_buckets());
+        let forecast = ctx.input_replica_forecast(16, &oracle);
+        let dev = DeviceSim::new(8 * 1024 * 1024);
+        let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        assert_eq!(
+            built.packed_lanes, built.candidate_pairs,
+            "all-pairs packed"
+        );
+        assert_eq!((ctx.pack_builds(), ctx.index_builds()), (1, 0));
+        // Lists + (m key rows + m query rows + m bitmasks) · 8 B.
+        assert_eq!(forecast, m * 6 * 4 + 3 * m * 8);
+        assert_eq!(dev.stats().h2d_bytes, forecast, "forecast = device input");
+
+        let engine = CandidateEngine::with_index(&lists, None);
+        let devices = 4usize;
+        let cuts = device::balanced_weight_cuts(&engine.row_weights(), devices);
+        let mut packed = PackedBuckets::new();
+        assert!(packed.pack_from(&oracle, &lists, None));
+        let fleet: Vec<DeviceSim> = (0..devices)
+            .map(|_| DeviceSim::new(8 * 1024 * 1024))
+            .collect();
+        let multi = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+        assert_eq!(multi.graph, built.graph);
+        assert_eq!(multi.packed_lanes, multi.candidate_pairs);
+        let mut some_span_is_narrow = false;
+        for (span, dev) in cuts.iter().zip(fleet.iter()) {
+            let span_bytes = packed.device_bytes_for_span(None, span.clone());
+            assert!(span_bytes <= packed.device_bytes(), "span {span:?}");
+            assert_eq!(
+                dev.stats().h2d_bytes,
+                m * 6 * 4 + span_bytes,
+                "span {span:?}"
+            );
+            some_span_is_narrow |= span_bytes < packed.device_bytes();
+        }
+        assert!(some_span_is_narrow);
+        assert_eq!(
+            build_sequential_allpairs(&oracle, &mut ctx).graph,
+            built.graph
         );
     }
 

@@ -396,35 +396,45 @@ impl IterationContext {
     /// The single packing-decision site, shared by the build's
     /// `ensure_packed` and the forecast's `input_replica_forecast`: a
     /// pure function of the lists, the policy, and the oracle's packed
-    /// word width (`None` = no packed form). `Auto` packs when the
+    /// word width (`None` = no packed form). Both engines pack: the
+    /// all-pairs scan runs on the identity layout. `Auto` packs when the
     /// iteration's candidate pairs are at least the key words the packing
-    /// pass writes (`total_pairs ≥ N·L·w`): below that the pass costs
-    /// more than the scan it speeds up.
+    /// pass writes (`pairs ≥ key_rows·w`, [`Self::num_rows`] key rows):
+    /// below that the pass costs more than the scan it speeds up.
     fn packing_decision(&self, packed_words: Option<usize>) -> bool {
         let Some(words) = packed_words else {
             return false;
         };
-        if !self.bucketed {
-            return false;
-        }
         match self.packing {
             PackingMode::Never => false,
             PackingMode::Always => true,
             PackingMode::Auto => {
-                let key_words = (self.lists.len() * self.lists.list_size()) as u64 * words as u64;
-                self.load.total_pairs >= key_words.max(1)
+                let key_words = self.num_rows() as u64 * words as u64;
+                self.forecast_pairs() >= key_words.max(1)
             }
         }
     }
 
+    /// Flat pivot rows of the selected engine — also the packed
+    /// replica's key rows: `N·L` bucket memberships for the bucketed
+    /// engine, `N` vertices for all-pairs.
+    fn num_rows(&self) -> usize {
+        if self.bucketed {
+            self.lists.len() * self.lists.list_size()
+        } else {
+            self.lists.len()
+        }
+    }
+
     /// Builds the packed oracle replica for the current iteration if the
-    /// bucketed engine is selected, the policy engages, and the oracle
-    /// has a packed form — lazily, at most once per iteration, into the
-    /// persistent arena. Idempotent within an iteration: the decision
-    /// (and the replica) is shared by every backend of the round.
-    /// `parallel` selects [`PackedBuckets::pack_from_parallel`] for the
-    /// key-lane scatter — only the parallel backends request it, so the
-    /// sequential build stays allocation-free.
+    /// policy engages and the oracle has a packed form — lazily, at most
+    /// once per iteration, into the persistent arena: bucket-major over
+    /// the shared index for the bucketed engine, the identity layout
+    /// (no index built) for all-pairs. Idempotent within an iteration:
+    /// the decision (and the replica) is shared by every backend of the
+    /// round. `parallel` selects [`PackedBuckets::pack_from_parallel`]
+    /// for the key-lane scatter — only the parallel backends request it,
+    /// so the sequential build stays allocation-free.
     fn ensure_packed<O: EdgeOracle + ?Sized>(&mut self, oracle: &O, parallel: bool) {
         if self.packed_valid {
             // The replica is cached per iteration: every build between
@@ -450,11 +460,11 @@ impl IterationContext {
         }
         self.ensure_index();
         let _span = telemetry::span!("replica_pack");
+        let index = self.bucketed.then_some(&self.index);
         let packed = if parallel {
-            self.packed
-                .pack_from_parallel(oracle, &self.lists, &self.index)
+            self.packed.pack_from_parallel(oracle, &self.lists, index)
         } else {
-            self.packed.pack_from(oracle, &self.lists, &self.index)
+            self.packed.pack_from(oracle, &self.lists, index)
         };
         if packed {
             self.packed_active = true;
@@ -468,11 +478,7 @@ impl IterationContext {
     /// iteration).
     pub fn engine_and_scratch(&mut self) -> (CandidateEngine<'_>, &mut IterationScratch) {
         self.ensure_index();
-        let index = if self.bucketed {
-            Some(&self.index)
-        } else {
-            None
-        };
+        let index = self.bucketed.then_some(&self.index);
         (
             CandidateEngine::with_index(&self.lists, index),
             &mut self.scratch,
@@ -481,10 +487,9 @@ impl IterationContext {
 
     /// [`IterationContext::engine_and_scratch`] plus this iteration's
     /// packed oracle replica (built on first use, `None` when packing
-    /// was skipped — all-pairs engine, unpackable oracle, `Never`
-    /// policy, or an `Auto` pair load below the `N·L·w` key words of
-    /// the packing pass). The borrow every packed-capable conflict
-    /// builder starts from.
+    /// was skipped — unpackable oracle, `Never` policy, or an `Auto`
+    /// pair load below the `key_rows·w` key words of the packing pass).
+    /// The borrow every packed-capable conflict builder starts from.
     ///
     /// **Contract:** the replica is cached for the whole iteration, so
     /// every build between two lists changes must pass the *same*
@@ -530,11 +535,7 @@ impl IterationContext {
     ) {
         self.ensure_index();
         self.ensure_packed(oracle, parallel);
-        let index = if self.bucketed {
-            Some(&self.index)
-        } else {
-            None
-        };
+        let index = self.bucketed.then_some(&self.index);
         let packed = if self.packed_active {
             Some(&self.packed)
         } else {
@@ -634,11 +635,7 @@ impl IterationContext {
         }
         let pairs = self.forecast_pairs();
         let span_pairs = pairs.div_ceil(devices as u64) + self.load.max_bucket as u64;
-        let rows = if self.bucketed {
-            m * self.lists.list_size()
-        } else {
-            m
-        };
+        let rows = self.num_rows();
         let counters = rows.saturating_mul(4);
         let coo = 2u64
             .saturating_mul(span_pairs.min(pairs))
@@ -654,13 +651,14 @@ impl IterationContext {
     /// raw upload (`m · input_bpv`, words + color lists) on any scalar
     /// path, or — when the packing decision engages for `oracle`'s
     /// packed width — the **exact** packed upload: the color lists plus
-    /// one key lane per bucket membership, one query row per vertex, and
-    /// one palette bitmask per vertex, matching
-    /// [`PackedBuckets::device_bytes`] term for term. The decision is
-    /// the build's own ([`IterationContext::packing_decision`]),
-    /// evaluated without building anything, so the strict gate predicts
-    /// exactly the path the build will choose.
-    fn input_replica_forecast<O: EdgeOracle + ?Sized>(
+    /// one key lane per flat row ([`Self::num_rows`]: `N·L` bucketed,
+    /// `N` all-pairs), one query row per vertex, and one palette bitmask
+    /// per vertex, matching [`PackedBuckets::device_bytes`] term for
+    /// term. The decision is the build's own
+    /// ([`IterationContext::packing_decision`]), evaluated without
+    /// building anything, so the strict gate predicts exactly the path
+    /// the build will choose.
+    pub(crate) fn input_replica_forecast<O: EdgeOracle + ?Sized>(
         &self,
         input_bytes_per_vertex: usize,
         oracle: &O,
@@ -675,7 +673,7 @@ impl IterationContext {
         let word_bytes = w * std::mem::size_of::<u64>();
         let palette_words = (self.lists.palette_size() as usize).div_ceil(64).max(1);
         (m * l * std::mem::size_of::<u32>())
-            .saturating_add((m * l + m).saturating_mul(word_bytes))
+            .saturating_add((self.num_rows() + m).saturating_mul(word_bytes))
             .saturating_add(m * palette_words * std::mem::size_of::<u64>())
     }
 
@@ -791,20 +789,27 @@ mod tests {
 
     #[test]
     fn auto_packing_is_the_counted_pair_rule() {
-        // Auto packs exactly when the bucketed iteration's candidate
-        // pairs reach the key words the packing pass writes — a pure
-        // function of the lists and the word width, never of history.
+        // Auto packs exactly when the iteration's candidate pairs reach
+        // the key words the packing pass writes (N·L key rows bucketed,
+        // N all-pairs) — a pure function of the lists and the word
+        // width, never of history.
         let mut ctx = IterationContext::new();
         for (n, palette, list, seed) in [
             (40usize, 600u32, 2u32, 7u64),
             (120, 30, 4, 3),
             (200, 400, 3, 5),
             (300, 40, 6, 1),
+            (80, 6, 6, 2),
+            (3, 4, 4, 1),
         ] {
             ctx.set_lists(ColorLists::assign(n, 0, palette, list, seed, 1));
-            let pairs = ctx.bucket_load().total_pairs;
+            let (pairs, key_rows) = if ctx.prefers_buckets() {
+                (ctx.bucket_load().total_pairs, n * list as usize)
+            } else {
+                ((n * (n - 1) / 2) as u64, n)
+            };
             for words in [1usize, 2, 5] {
-                let expect = ctx.prefers_buckets() && pairs >= (n * list as usize * words) as u64;
+                let expect = pairs >= (key_rows * words) as u64;
                 assert_eq!(
                     ctx.packing_decision(Some(words)),
                     expect,
@@ -817,6 +822,7 @@ mod tests {
 
     #[test]
     fn all_pairs_iterations_never_build_the_index() {
+        use rand::SeedableRng;
         let mut ctx = IterationContext::new();
         // L = P: buckets degenerate, engine falls back.
         ctx.set_lists(ColorLists::assign(80, 0, 3, 3, 5, 1));
@@ -824,6 +830,16 @@ mod tests {
         let (engine, _) = ctx.engine_and_scratch();
         assert!(!engine.is_bucketed());
         assert_eq!(ctx.index_builds(), 0);
+        // The all-pairs engine packs the identity layout — still without
+        // the index.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let strings = pauli::string::random_unique_set(80, 10, &mut rng);
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let oracle = crate::oracle::PauliComplementOracle::new(&set);
+        let (engine, packed, _) = ctx.engine_packed_scratch(&oracle);
+        assert!(!engine.is_bucketed());
+        assert_eq!(packed.map(PackedBuckets::num_rows), Some(80));
+        assert_eq!((ctx.pack_builds(), ctx.index_builds()), (1, 0));
     }
 
     #[test]
@@ -928,6 +944,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "different oracle was passed mid-iteration")]
     fn swapping_oracles_mid_iteration_is_caught_in_debug() {
         use rand::SeedableRng;

@@ -31,14 +31,23 @@
 //! only on surviving bits, so the `O(L)` list merge is paid on hits
 //! instead of on every candidate.
 //!
+//! **All-pairs is one bucket.** When the candidate engine falls back to
+//! the all-pairs scan, the replica takes the *identity layout*: a single
+//! bucket holding every live vertex in order (`num_rows = m`, lane `v`
+//! = local vertex `v`, keys at `keys[w_i·m + v]`). Row `i`'s tail is then
+//! vertices `i+1..m`, and the same kernel, zero-word skip and palette
+//! filter serve both engines — the all-pairs consumer keeps a hit iff
+//! the two lists share any palette color.
+//!
 //! The replica is built at most once per iteration, into a persistent
 //! arena owned by the [`IterationContext`](crate::IterationContext)
 //! (the `pack_builds` counter pins the contract), and is **skipped**
-//! when the engine falls back to all-pairs, when the oracle has no
-//! packed form, or — in [`PackingMode::Auto`] — when the iteration's
-//! bucket-pair load is smaller than the `O(N·L·w)` packing pass itself
-//! (`total_pairs < N·L·w`, counted from the pre-oracle bucket
-//! histogram, so the decision is a pure function of the lists).
+//! when the oracle has no packed form or — in [`PackingMode::Auto`] —
+//! when the iteration's candidate pairs are fewer than the key words
+//! the packing pass writes (`pairs < key_rows·w`, with `key_rows = N·L`
+//! for the bucketed engine and `N` for all-pairs, counted from the
+//! pre-oracle bucket histogram, so the decision is a pure function of
+//! the lists).
 
 use crate::assign::{BucketIndex, ColorLists};
 use graph::EdgeOracle;
@@ -47,14 +56,14 @@ use rayon::prelude::*;
 /// Whether (and when) the iteration context builds the packed replica.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PackingMode {
-    /// Pack whenever the engine is bucketed, the oracle has a packed
-    /// form, and the iteration's candidate pairs are at least the key
-    /// words the packing pass writes (`total_pairs ≥ N·L·w`) — the
-    /// default.
+    /// Pack whenever the oracle has a packed form and the iteration's
+    /// candidate pairs are at least the key words the packing pass
+    /// writes (`pairs ≥ key_rows·w`; `key_rows` is `N·L` for the
+    /// bucketed engine, `N` for all-pairs) — the default.
     #[default]
     Auto,
-    /// Pack whenever the engine is bucketed and the oracle has a packed
-    /// form, however small the iteration (equivalence suites).
+    /// Pack whenever the oracle has a packed form, for either engine and
+    /// however small the iteration (equivalence suites).
     Always,
     /// Never pack: every backend takes the scalar block path (the bench
     /// baseline and an escape hatch).
@@ -109,8 +118,9 @@ impl PackedBuckets {
     }
 
     /// (Re)builds the replica for `oracle` over `lists` and their
-    /// `index`, reusing this arena's storage. Returns `false` — leaving
-    /// the replica inactive — when the oracle has no packed form.
+    /// `index` (`None`: the all-pairs identity layout), reusing this
+    /// arena's storage. Returns `false` — leaving the replica inactive —
+    /// when the oracle has no packed form.
     ///
     /// This serial pass is the one the sequential backend uses: it
     /// allocates nothing once the arena is warm, which
@@ -119,21 +129,22 @@ impl PackedBuckets {
         &mut self,
         oracle: &O,
         lists: &ColorLists,
-        index: &BucketIndex,
+        index: Option<&BucketIndex>,
     ) -> bool {
         self.pack_impl(oracle, lists, index, false)
     }
 
-    /// [`PackedBuckets::pack_from`], with the key scatter fanned out
-    /// over rayon in contiguous bucket ranges (each task owns a
+    /// [`PackedBuckets::pack_from`], with the bucketed key scatter fanned
+    /// out over rayon in contiguous bucket ranges (each task owns a
     /// disjoint slice of the flat key rows, so the writes never
     /// overlap). The parallel backends use this; the sequential path
-    /// keeps the serial pass because the thread fan-out allocates.
+    /// keeps the serial pass because the thread fan-out allocates. The
+    /// identity layout's `O(m·w)` scatter always runs serially.
     pub fn pack_from_parallel<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
         lists: &ColorLists,
-        index: &BucketIndex,
+        index: Option<&BucketIndex>,
     ) -> bool {
         self.pack_impl(oracle, lists, index, true)
     }
@@ -142,7 +153,7 @@ impl PackedBuckets {
         &mut self,
         oracle: &O,
         lists: &ColorLists,
-        index: &BucketIndex,
+        index: Option<&BucketIndex>,
         parallel: bool,
     ) -> bool {
         let Some(form) = oracle.packed_form() else {
@@ -153,7 +164,7 @@ impl PackedBuckets {
         debug_assert_eq!(m, lists.len());
         self.words = w;
         self.odd_means_edge = form.odd_means_edge;
-        self.num_rows = index.num_rows();
+        self.num_rows = index.map_or(m, BucketIndex::num_rows);
         self.num_vertices = m;
         self.query.clear();
         self.query.resize(m * w, 0);
@@ -174,38 +185,37 @@ impl PackedBuckets {
         }
         self.keys.clear();
         self.keys.resize(self.num_rows * w, 0);
-        if parallel && w <= PAR_PACK_MAX_WORDS && index.num_buckets() > 1 {
-            self.scatter_keys_parallel(oracle, index, w);
-        } else {
-            self.scatter_keys_serial(oracle, index, w);
+        match index {
+            Some(index) if parallel && w <= PAR_PACK_MAX_WORDS && index.num_buckets() > 1 => {
+                self.scatter_keys_parallel(oracle, index, w)
+            }
+            _ => self.scatter_keys_serial(oracle, index, w),
         }
         true
     }
 
+    /// Serial key scatter, bucket by bucket — or, without an index, the
+    /// all-pairs identity layout: one bucket of all `m` local vertices
+    /// in order, word-transposed as `keys[w_i·m + v]`.
     fn scatter_keys_serial<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
-        index: &BucketIndex,
+        index: Option<&BucketIndex>,
         w: usize,
     ) {
         let mut tmp = std::mem::take(&mut self.tmp);
         tmp.clear();
         tmp.resize(w, 0);
-        for k in 0..index.num_buckets() {
-            let bucket = index.bucket(k);
-            let base = index.bucket_start(k) * w;
-            let b = bucket.len();
-            for (lane, &v) in bucket.iter().enumerate() {
-                if w == 1 {
-                    let at = base + lane;
-                    oracle.write_key_words(v as usize, &mut self.keys[at..at + 1]);
-                } else {
-                    oracle.write_key_words(v as usize, &mut tmp);
-                    for (wi, &word) in tmp.iter().enumerate() {
-                        self.keys[base + wi * b + lane] = word;
-                    }
+        match index {
+            Some(index) => {
+                for k in 0..index.num_buckets() {
+                    let bucket = index.bucket(k);
+                    let base = index.bucket_start(k) * w;
+                    let keys = &mut self.keys[base..base + bucket.len() * w];
+                    scatter_bucket(oracle, keys, bucket.iter().map(|&v| v as usize), &mut tmp);
                 }
             }
+            None => scatter_bucket(oracle, &mut self.keys, 0..self.num_vertices, &mut tmp),
         }
         self.tmp = tmp;
     }
@@ -253,7 +263,8 @@ impl PackedBuckets {
         self.words
     }
 
-    /// Flat key rows (`Σ_c |B_c| = N·L`) currently packed.
+    /// Flat key rows currently packed: `Σ_c |B_c| = N·L` for a bucketed
+    /// layout, `N` for the all-pairs identity layout.
     #[inline]
     pub fn num_rows(&self) -> usize {
         self.num_rows
@@ -273,24 +284,31 @@ impl PackedBuckets {
     /// uploads to one device: the key lanes from the span's first pivot
     /// row through the end of the last bucket it touches (a pivot scans
     /// its whole bucket tail), one query row per pivot in the span, and
-    /// the palette bitmasks of the touched buckets' members. Always
-    /// `≤ device_bytes()`, and equal to it for the full-row span — so
-    /// the full-replica forecasts remain a sound upper bound while
+    /// the palette bitmasks of the touched buckets' members. `index` is
+    /// the layout the replica was packed with: `None` (all-pairs) is one
+    /// bucket of all `m` vertices, so a span charges key rows
+    /// `span.start..m`, `span.len()` query rows and all `m` bitmasks.
+    /// Always `≤ device_bytes()`, and equal to it for the full-row span —
+    /// so the full-replica forecasts remain a sound upper bound while
     /// narrow spans stop charging all `m` query rows.
     pub fn device_bytes_for_span(
         &self,
-        index: &BucketIndex,
+        index: Option<&BucketIndex>,
         span: std::ops::Range<usize>,
     ) -> usize {
         if span.is_empty() {
             return 0;
         }
-        debug_assert_eq!(index.num_rows(), self.num_rows);
         debug_assert!(span.end <= self.num_rows);
-        let first = index.row_bucket(span.start);
-        let last = index.row_bucket(span.end - 1);
-        let touched_start = index.bucket_start(first);
-        let touched_end = index.bucket_start(last + 1);
+        let (touched_start, touched_end) = match index {
+            Some(index) => {
+                debug_assert_eq!(index.num_rows(), self.num_rows);
+                let first = index.row_bucket(span.start);
+                let last = index.row_bucket(span.end - 1);
+                (index.bucket_start(first), index.bucket_start(last + 1))
+            }
+            None => (0, self.num_rows),
+        };
         let key_rows = touched_end - span.start;
         let query_rows = span.len().min(self.num_vertices);
         let mask_rows = (touched_end - touched_start).min(self.num_vertices);
@@ -431,6 +449,29 @@ impl PackedBuckets {
     }
 }
 
+/// Writes the key words of one bucket's `members` into its key slice
+/// `keys` (`members.len() · w` words), word-transposed: word `w_i` of
+/// lane `lane` lands at `keys[w_i·B + lane]`. `tmp` is `w` words of
+/// staging for multi-word forms.
+fn scatter_bucket<O: EdgeOracle + ?Sized>(
+    oracle: &O,
+    keys: &mut [u64],
+    members: impl ExactSizeIterator<Item = usize>,
+    tmp: &mut [u64],
+) {
+    let b = members.len();
+    for (lane, v) in members.enumerate() {
+        if tmp.len() == 1 {
+            oracle.write_key_words(v, &mut keys[lane..lane + 1]);
+        } else {
+            oracle.write_key_words(v, tmp);
+            for (wi, &word) in tmp.iter().enumerate() {
+                keys[wi * b + lane] = word;
+            }
+        }
+    }
+}
+
 /// Widest form the parallel key scatter stages on the stack; wider
 /// forms (beyond any real Pauli encoding) fall back to the serial pass.
 const PAR_PACK_MAX_WORDS: usize = 16;
@@ -562,7 +603,7 @@ mod tests {
         let index = lists.bucket_index();
         let mut packed = PackedBuckets::new();
         assert!(
-            packed.pack_from(oracle, lists, &index),
+            packed.pack_from(oracle, lists, Some(&index)),
             "oracle must be packable"
         );
         assert_eq!(packed.num_rows(), index.num_rows());
@@ -588,6 +629,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The all-pairs identity layout: row `i`'s tail is `i+1..m`, and
+    /// the serial and parallel packs write the same replica.
+    fn check_identity_matches_scalar<O: EdgeOracle>(oracle: &O, lists: &ColorLists) {
+        let m = lists.len();
+        let mut packed = PackedBuckets::new();
+        assert!(packed.pack_from(oracle, lists, None));
+        assert_eq!(packed.num_rows(), m);
+        let mut parallel = PackedBuckets::new();
+        assert!(parallel.pack_from_parallel(oracle, lists, None));
+        assert_eq!(packed.keys, parallel.keys);
+        let mut masks = Vec::new();
+        for i in 0..m {
+            packed.tail_edge_mask(0, m, i, i, &mut masks);
+            assert_eq!(masks.len(), (m - i - 1).div_ceil(64));
+            for t in 0..m - i - 1 {
+                assert_eq!(
+                    masks[t / 64] >> (t % 64) & 1 == 1,
+                    oracle.has_edge(i, i + 1 + t),
+                    "identity pivot {i} vs {}",
+                    i + 1 + t
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn identity_layout_matches_the_scalar_oracle() {
+        // One-word, multi-word 3-bit and symplectic forms, plus a live
+        // view (the solver's oracle shape after iteration 1).
+        for qubits in [1usize, 8, 30] {
+            let ss = strings(90, qubits, 4);
+            let lists = ColorLists::assign(90, 0, 6, 5, 5, 1);
+            let enc = EncodedSet::from_strings(&ss);
+            check_identity_matches_scalar(&PauliComplementOracle::new(&enc), &lists);
+            let sym = SymplecticSet::from_strings(&ss);
+            check_identity_matches_scalar(&PauliComplementOracle::new(&sym), &lists);
+        }
+        let ss = strings(140, 10, 8);
+        let enc = EncodedSet::from_strings(&ss);
+        let inner = PauliComplementOracle::new(&enc);
+        let live: Vec<u32> = (0..70u32).map(|i| i * 2 + 1).collect();
+        let lists = ColorLists::assign(70, 0, 4, 4, 9, 2);
+        check_identity_matches_scalar(&LiveView::new(&inner, &live), &lists);
+        check_identity_matches_scalar(
+            &ComplementView::new(&inner),
+            &ColorLists::assign(140, 0, 3, 3, 1, 1),
+        );
+    }
+
+    #[test]
+    fn identity_span_charges_cover_the_tail_rows() {
+        let ss = strings(100, 12, 13);
+        let enc = EncodedSet::from_strings(&ss);
+        let oracle = PauliComplementOracle::new(&enc);
+        let lists = ColorLists::assign(100, 0, 8, 6, 3, 1);
+        let mut packed = PackedBuckets::new();
+        assert!(packed.pack_from(&oracle, &lists, None));
+        // 100 key rows + 100 query rows + 100 one-word bitmasks.
+        assert_eq!(packed.device_bytes(), 300 * 8);
+        assert_eq!(
+            packed.device_bytes_for_span(None, 0..100),
+            packed.device_bytes()
+        );
+        assert_eq!(packed.device_bytes_for_span(None, 0..0), 0);
+        // Rows 40..60 read key rows 40..100, 20 query rows, 100 bitmasks.
+        assert_eq!(
+            packed.device_bytes_for_span(None, 40..60),
+            (60 + 20 + 100) * 8
+        );
     }
 
     #[test]
@@ -638,8 +750,8 @@ mod tests {
             let index = lists.bucket_index();
             let mut serial = PackedBuckets::new();
             let mut parallel = PackedBuckets::new();
-            assert!(serial.pack_from(&oracle, &lists, &index));
-            assert!(parallel.pack_from_parallel(&oracle, &lists, &index));
+            assert!(serial.pack_from(&oracle, &lists, Some(&index)));
+            assert!(parallel.pack_from_parallel(&oracle, &lists, Some(&index)));
             assert_eq!(serial.keys, parallel.keys, "{qubits} qubits");
             assert_eq!(serial.query, parallel.query);
             assert_eq!(serial.color_masks, parallel.color_masks);
@@ -690,8 +802,8 @@ mod tests {
         let index = lists.bucket_index();
         let oracle = graph::FnOracle::new(20, |u, v| (u + v) % 2 == 0);
         let mut packed = PackedBuckets::new();
-        assert!(!packed.pack_from(&oracle, &lists, &index));
-        assert!(!packed.pack_from_parallel(&oracle, &lists, &index));
+        assert!(!packed.pack_from(&oracle, &lists, Some(&index)));
+        assert!(!packed.pack_from_parallel(&oracle, &lists, Some(&index)));
     }
 
     #[test]
@@ -701,11 +813,11 @@ mod tests {
         let oracle = PauliComplementOracle::new(&enc);
         let mut packed = PackedBuckets::new();
         let big = ColorLists::assign(100, 0, 20, 4, 3, 1);
-        assert!(packed.pack_from(&oracle, &big, &big.bucket_index()));
+        assert!(packed.pack_from(&oracle, &big, Some(&big.bucket_index())));
         let caps = (packed.keys.capacity(), packed.query.capacity());
         for iter in 2..5u64 {
             let lists = ColorLists::assign(100, 0, 20, 4, 3, iter);
-            assert!(packed.pack_from(&oracle, &lists, &lists.bucket_index()));
+            assert!(packed.pack_from(&oracle, &lists, Some(&lists.bucket_index())));
             assert_eq!(
                 (packed.keys.capacity(), packed.query.capacity()),
                 caps,
@@ -723,26 +835,26 @@ mod tests {
         let lists = ColorLists::assign(50, 0, 10, 4, 3, 1);
         let mut packed = PackedBuckets::new();
         let index = lists.bucket_index();
-        assert!(packed.pack_from(&oracle, &lists, &index));
+        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
         // 50 vertices × 4 list colors = 200 key rows + 50 query rows +
         // 50 one-word palette bitmasks (palette 10 < 64), one word each.
         assert_eq!(packed.device_bytes(), (200 + 50 + 50) * 8);
         // The full-row span charges exactly the full replica…
         assert_eq!(
-            packed.device_bytes_for_span(&index, 0..index.num_rows()),
+            packed.device_bytes_for_span(Some(&index), 0..index.num_rows()),
             packed.device_bytes()
         );
         // …while a narrow span charges only its touched slice, and an
         // empty span charges nothing.
-        assert_eq!(packed.device_bytes_for_span(&index, 0..0), 0);
+        assert_eq!(packed.device_bytes_for_span(Some(&index), 0..0), 0);
         let k = index.num_buckets() / 2;
         let span = index.bucket_start(k)..index.bucket_start(k + 1);
         let b = span.len();
         assert_eq!(
-            packed.device_bytes_for_span(&index, span.clone()),
+            packed.device_bytes_for_span(Some(&index), span.clone()),
             (b + b.min(50) + b.min(50)) * 8
         );
-        assert!(packed.device_bytes_for_span(&index, span) < packed.device_bytes());
+        assert!(packed.device_bytes_for_span(Some(&index), span) < packed.device_bytes());
     }
 
     #[test]
@@ -756,11 +868,11 @@ mod tests {
         let lists = ColorLists::assign(90, 0, 9, 3, 4, 1);
         let index = lists.bucket_index();
         let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, &index));
+        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
         let rows = index.num_rows();
         for cut in [1, rows / 3, rows / 2, rows - 1] {
-            let a = packed.device_bytes_for_span(&index, 0..cut);
-            let b = packed.device_bytes_for_span(&index, cut..rows);
+            let a = packed.device_bytes_for_span(Some(&index), 0..cut);
+            let b = packed.device_bytes_for_span(Some(&index), cut..rows);
             assert!(a <= packed.device_bytes());
             assert!(b <= packed.device_bytes());
             // Each side alone never exceeds the full replica, and both

@@ -184,6 +184,47 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
 }
 
 #[test]
+fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // The all-pairs twin of the test above: Aggressive lists (L close to
+    // P) select the all-pairs engine, which packs the identity layout
+    // into the same arena — no index, no allocation once warm.
+    use picasso::conflict::build_sequential;
+    use picasso::{IterationContext, PauliComplementOracle};
+    use rand::SeedableRng;
+    let n = 800;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    let strings = pauli::string::random_unique_set(n, 12, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let oracle = PauliComplementOracle::new(&set);
+    let cfg = PicassoConfig::aggressive(1);
+    let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
+    let mut ctx = IterationContext::new();
+    for iter in 1..=3u64 {
+        ctx.assign_lists(n, 0, p, l, 1, iter);
+        let built = build_sequential(&oracle, &mut ctx);
+        ctx.recycle_csr(built.graph);
+    }
+    ctx.assign_lists(n, 0, p, l, 1, 3);
+    assert!(!ctx.prefers_buckets(), "Aggressive lists select all-pairs");
+    let before = memtrack::total_allocations();
+    let built = build_sequential(&oracle, &mut ctx);
+    let after = memtrack::total_allocations();
+    assert!(built.num_edges > 0);
+    assert_eq!(
+        built.packed_lanes, built.candidate_pairs,
+        "the packed all-pairs kernel must be the path being measured"
+    );
+    assert_eq!(ctx.index_builds(), 0, "all-pairs packing builds no index");
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state all-pairs packed build + CSR assembly must allocate nothing"
+    );
+    ctx.recycle_csr(built.graph);
+}
+
+#[test]
 fn warm_sequential_coloring_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
     // Line 8-9 companion to the build test above: the dynamic bucket

@@ -11,9 +11,11 @@ use picasso::conflict::{
     build_device, build_multi_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
 use picasso::{
-    BucketSource, ColorLists, IterationContext, PackedBuckets, PackingMode, PauliComplementOracle,
+    AllPairsSource, BucketSource, CandidateEngine, ColorLists, IterationContext, MaskScanStats,
+    PackedBuckets, PackingMode, PairSource, PauliComplementOracle,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,8 +82,8 @@ proptest! {
             if packed_engaged {
                 prop_assert_eq!(lanes, pairs, "{}: packed lanes cover enumeration", name);
             } else {
-                // L close to P: the engine fell back to all-pairs and no
-                // replica was built — the scalar path must have run.
+                // Always packs either engine (all-pairs on the identity
+                // layout), so only a pair-free build skips the replica.
                 prop_assert_eq!(lanes, 0u64, "{}", name);
             }
         }
@@ -114,6 +116,119 @@ proptest! {
         let mut enc_ctx = ctx_with(&lists, PackingMode::Always);
         let enc_build = build_sequential(&enc_oracle, &mut enc_ctx);
         prop_assert_eq!(&enc_build.graph, &packed.graph);
+    }
+}
+
+/// The COO edge sequence the last build left in the context's staging
+/// arena (CSR assembly reads it without consuming it).
+fn staged_edges(ctx: &mut IterationContext) -> Vec<(u32, u32)> {
+    ctx.lists_and_scratch().1.edges.clone()
+}
+
+/// `(palette, list)` shapes where the engine falls back to all-pairs:
+/// `2L ≤ P` with `L ≥ √P` (the shared-color filter really rejects
+/// hits there), and `2L > P` (every pair shares a color).
+fn all_pairs_shape() -> impl Strategy<Value = (u32, u32)> {
+    prop_oneof![
+        Just((64u32, 10u32)),
+        Just((40, 8)),
+        Just((100, 12)),
+        (4u32..24, 0u32..1000).prop_map(|(p, r)| (p, p / 2 + 1 + r % (p - p / 2))),
+    ]
+}
+
+/// The packed all-pairs scan (identity layout) against the scalar
+/// all-pairs reference over `oracle`: the emitted `(u, v)` sequence —
+/// from the source scan and from the build's COO staging — must equal
+/// the reference loop's, and every backend's CSR must agree, with one
+/// replica and no bucket index.
+fn check_packed_all_pairs<O: graph::EdgeOracle>(
+    oracle: &O,
+    lists: &ColorLists,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let n = lists.len();
+    // Scalar ground truth: the reference all-pairs loop's COO.
+    let mut scalar_ctx = ctx_with(lists, PackingMode::Never);
+    let reference = build_sequential_allpairs(oracle, &mut scalar_ctx);
+    let truth = staged_edges(&mut scalar_ctx);
+
+    // The packed source scan, straight off an identity replica.
+    let mut packed = PackedBuckets::new();
+    prop_assert!(packed.pack_from(oracle, lists, None), "seed {}", seed);
+    prop_assert_eq!(packed.num_rows(), n, "seed {}", seed);
+    let mut edges = Vec::new();
+    let mut stats = MaskScanStats::default();
+    AllPairsSource::new(lists).scan_rows_packed(
+        0..n,
+        &packed,
+        &mut Vec::new(),
+        &mut stats,
+        &mut |u, v| edges.push((u, v)),
+    );
+    prop_assert_eq!(&edges, &truth, "seed {}: source scan sequence", seed);
+    prop_assert!(stats.hit_bits >= truth.len() as u64, "seed {}", seed);
+
+    // The packed sequential build stages the same sequence.
+    let mut ctx = ctx_with(lists, PackingMode::Always);
+    let seq = build_sequential(oracle, &mut ctx);
+    prop_assert_eq!(
+        &staged_edges(&mut ctx),
+        &truth,
+        "seed {}: build sequence",
+        seed
+    );
+    prop_assert_eq!(&seq.graph, &reference.graph, "seed {}", seed);
+    prop_assert_eq!(seq.packed_lanes, seq.candidate_pairs, "seed {}", seed);
+
+    // Every other backend reads the same replica.
+    let par = build_parallel(oracle, &mut ctx);
+    let dev = device::DeviceSim::new(64 * 1024 * 1024);
+    let devb = build_device(oracle, &mut ctx, &dev, 16).unwrap();
+    let fleet: Vec<device::DeviceSim> = (0..3)
+        .map(|_| device::DeviceSim::new(32 * 1024 * 1024))
+        .collect();
+    let multi = build_multi_device(oracle, &mut ctx, &fleet, 16).unwrap();
+    for (name, build) in [("parallel", &par), ("device", &devb), ("multi", &multi)] {
+        prop_assert_eq!(&build.graph, &reference.graph, "seed {}: {}", seed, name);
+        prop_assert_eq!(
+            build.packed_lanes,
+            build.candidate_pairs,
+            "seed {}: {}",
+            seed,
+            name
+        );
+    }
+    prop_assert_eq!(ctx.pack_builds(), 1, "seed {}", seed);
+    prop_assert_eq!(ctx.index_builds(), 0, "seed {}", seed);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Packed all-pairs equals the scalar all-pairs scan pair for pair,
+    /// for the 3-bit form (one- and multi-word) and the multi-word
+    /// symplectic form.
+    #[test]
+    fn packed_all_pairs_scan_matches_the_scalar_scan_pair_for_pair(
+        symplectic in any::<bool>(),
+        qubits in prop_oneof![Just(1usize), Just(8), Just(21), Just(26), Just(70)],
+        n in 30usize..100,
+        shape in all_pairs_shape(),
+        seed in any::<u64>(),
+    ) {
+        let (palette, list) = shape;
+        let lists = ColorLists::assign(n, 3, palette, list, seed ^ 0x2545_f491, 1);
+        prop_assume!(!CandidateEngine::prefers_buckets(&lists));
+        let strings = random_strings(n, qubits, seed);
+        if symplectic {
+            let sym = SymplecticSet::from_strings(&strings);
+            check_packed_all_pairs(&PauliComplementOracle::new(&sym), &lists, seed)?;
+        } else {
+            let enc = EncodedSet::from_strings(&strings);
+            check_packed_all_pairs(&PauliComplementOracle::new(&enc), &lists, seed)?;
+        }
     }
 }
 
@@ -193,7 +308,7 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     assert_eq!(index.num_buckets(), 1);
     assert_eq!(index.bucket(0).len(), n);
     let mut packed = PackedBuckets::new();
-    assert!(packed.pack_from(&oracle, &lists, &index));
+    assert!(packed.pack_from(&oracle, &lists, Some(&index)));
     let mut masks = Vec::new();
     packed.tail_edge_mask(0, n, 0, index.bucket(0)[0] as usize, &mut masks);
     assert_eq!(masks.len(), 2, "69-lane tail spans two mask words");
@@ -201,7 +316,6 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     assert_eq!(masks[1], 1u64, "low-bit hit in word 1");
     // The zero-word-skip consumer recovers exactly the defect triangle
     // (one hit bit per edge, every other word skipped whole).
-    use picasso::{MaskScanStats, PairSource};
     let source = BucketSource::new(&lists, &index);
     let mut stats = MaskScanStats::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
