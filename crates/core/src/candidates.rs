@@ -13,7 +13,7 @@
 //! ([`ColorLists::first_common`]), so every candidate reaches the oracle
 //! exactly once. The emitted pair *set* is therefore identical to the
 //! all-pairs scan's (`intersects ∧ oracle`), and since CSR assembly
-//! sorts adjacency, every backend — and either engine — produces a
+//! orders each adjacency row ascending, every backend — and either engine — produces a
 //! bit-identical CSR graph.
 //!
 //! **Rows.** A [`PairSource`] exposes its work as one flat space of

@@ -51,12 +51,19 @@
 //! argument: the emitted pair *set* is a pure function of the lists
 //! (smallest-shared-color deduplication is scheduling-independent), the
 //! oracle is pure, and every backend assembles with the one CSR builder
-//! ([`graph::csr_from_coo_sequential_in`]), which counts both endpoints
-//! and sorts each adjacency row. That per-row sort alone makes the
+//! ([`graph::csr_from_coo_blocks_in`]), which counts both endpoints and
+//! orders each adjacency row ascending. That row order alone makes the
 //! output independent of edge order, so the edges of any scheduling (or
 //! any partition of the flat pivot-row space across blocks and devices)
-//! go to assembly unsorted and still collapse to the same bit-identical
-//! CSR.
+//! collapse to the same bit-identical CSR. The order decides only the
+//! assembly's cost: short rows sort, long rows that arrive ascending
+//! stay, other long rows go through a bitmap (see [`graph::builder`]).
+//! The sequential scans emit the COO in pivot-row order, which leaves
+//! every all-pairs row ascending; the rayon build merges its blocks in
+//! scheduling order but hands them to the assembler in cut order, so
+//! its scatter sees that same sequential COO. The device backends copy
+//! their COO in kernel order. Each pair is emitted once, as the
+//! assembler's unique-edge contract requires.
 //!
 //! Each build reports `candidate_pairs`, the oracle-independent
 //! enumeration work it performed (all-pairs: `m(m−1)/2`; bucketed: the
@@ -67,7 +74,7 @@ use crate::candidates::PairSource;
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
-use graph::{csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
+use graph::{csr_from_coo_blocks_in, csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -269,21 +276,32 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// the parallel path allocates
 /// **no staging buffers per task** — the per-thread extension of the
 /// context's zero-allocation property. Blocks merge into the context's
-/// COO arena under a lock in scheduling order; CSR assembly sorts each
-/// row, so the output is bit-identical to the sequential build under any
-/// scheduling.
+/// COO arena under a lock in scheduling order, each recording its range
+/// in the context's block table
+/// ([`IterationScratch::edge_blocks`]). CSR assembly then scatters those
+/// ranges in cut order ([`graph::csr_from_coo_blocks_in`]), which is
+/// exactly the sequential build's COO order: rows arrive as ordered as
+/// the sequential scan leaves them, and the output is bit-identical to
+/// the sequential build under any scheduling. The COO arena keeps the
+/// edges in scheduling order.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        edges, pool, csr, ..
+        edges,
+        edge_blocks,
+        pool,
+        csr,
+        ..
     } = scratch;
     let pool: &ScratchPool = pool;
     edges.clear();
     let row_weights = engine.row_weights();
     let cuts = device::balanced_weight_cuts(&row_weights, rayon::current_num_threads() * 4);
-    let merged = std::sync::Mutex::new(std::mem::take(edges));
+    edge_blocks.clear();
+    edge_blocks.resize(cuts.len(), 0..0);
+    let merged = std::sync::Mutex::new((std::mem::take(edges), std::mem::take(edge_blocks)));
     let shared_stats = SharedScanStats::default();
     let scan_span = telemetry::SpanGuard::begin(
         if packed.is_some() {
@@ -294,7 +312,7 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
         "",
         0,
     );
-    cuts.into_par_iter().for_each(|rows| {
+    cuts.into_par_iter().enumerate().for_each(|(cut, rows)| {
         let mut arena = pool.take();
         let TaskArena {
             edges: staged,
@@ -320,17 +338,25 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
         );
         shared_stats.add(stats);
         if !staged.is_empty() {
-            merged.lock().unwrap().extend_from_slice(staged);
+            let mut guard = merged
+                .lock()
+                .expect("COO merge lock poisoned: another block panicked while merging");
+            let (coo, blocks) = &mut *guard;
+            let start = coo.len();
+            coo.extend_from_slice(staged);
+            blocks[cut] = start..coo.len();
         }
         pool.put(arena);
     });
-    *edges = merged.into_inner().unwrap();
+    (*edges, *edge_blocks) = merged
+        .into_inner()
+        .expect("COO merge lock poisoned: a block panicked while merging");
     drop(scan_span);
     let num_edges = edges.len();
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_coo_sequential_in(m, edges, csr),
+        graph: csr_from_coo_blocks_in(m, edges, edge_blocks, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -1086,6 +1112,47 @@ mod tests {
             build_sequential_allpairs(&oracle, &mut ctx).graph,
             built.graph
         );
+    }
+
+    #[test]
+    fn parallel_blocks_in_visit_order_replay_the_sequential_coo() {
+        // The rayon build's block table, visited in cut order, is the
+        // sequential build's COO pair for pair — on a bucketed and on an
+        // all-pairs packed iteration. On the all-pairs one that order
+        // leaves every row ascending, so neither build ever needs the
+        // assembler's row bitmap.
+        use crate::oracle::PauliComplementOracle;
+        use crate::packed::PackingMode;
+        use rand::SeedableRng;
+        let m = 160;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let strings = pauli::string::random_unique_set(m, 12, &mut rng);
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let oracle = PauliComplementOracle::new(&set);
+        for (what, lists, bucketed) in [
+            ("bucketed", ColorLists::assign(m, 0, 24, 4, 9, 1), true),
+            ("all-pairs", ColorLists::assign(m, 0, 8, 6, 5, 0), false),
+        ] {
+            let mut ctx = ctx_for(&lists);
+            ctx.set_packing(PackingMode::Always);
+            assert_eq!(ctx.prefers_buckets(), bucketed, "{what}");
+            let seq = build_sequential(&oracle, &mut ctx);
+            let seq_coo = ctx.lists_and_scratch().1.edges.clone();
+            let par = build_parallel(&oracle, &mut ctx);
+            assert_eq!(par.packed_lanes, par.candidate_pairs, "{what}: packed");
+            assert_eq!(par.graph, seq.graph, "{what}");
+            let scratch = ctx.lists_and_scratch().1;
+            let nonempty = scratch.edge_blocks.iter().filter(|b| !b.is_empty()).count();
+            assert!(nonempty > 1, "{what}: {nonempty} non-empty blocks");
+            let visited: Vec<(u32, u32)> = scratch
+                .edge_blocks
+                .iter()
+                .flat_map(|b| scratch.edges[b.clone()].iter().copied())
+                .collect();
+            assert_eq!(visited, seq_coo, "{what}");
+            let bitmap_words = scratch.csr.capacities().3;
+            assert_eq!(bitmap_words == 0, !bucketed, "{what}: {bitmap_words}");
+        }
     }
 
     #[test]

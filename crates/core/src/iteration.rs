@@ -114,6 +114,11 @@ impl ScratchPool {
 pub struct IterationScratch {
     /// COO edge staging / merge buffer (`(u, v)` pairs).
     pub edges: Vec<(u32, u32)>,
+    /// The rayon-parallel build's block table: entry `k` is the range of
+    /// `edges` that cut `k` of the flat pivot-row space merged (empty if
+    /// it found no edge). Visiting it in index order replays the
+    /// sequential COO order, which is how that build assembles.
+    pub edge_blocks: Vec<std::ops::Range<usize>>,
     /// Oracle hit vector for batched `has_edge_block` queries.
     pub hits: Vec<bool>,
     /// Hit-mask words for the packed kernel's zero-word-skipping consumer

@@ -10,8 +10,12 @@
 //!   exactly the memory behaviour Table IV contrasts.
 //!
 //! The CSR builder mirrors Algorithm 3's construction: count per-vertex
-//! degrees, exclusive prefix sum, scatter, then sort each adjacency row —
-//! one sequential assembler whose output does not depend on edge order.
+//! degrees, exclusive prefix sum, scatter, then order each adjacency row
+//! ascending — one sequential assembler whose output does not depend on
+//! edge order. Rows are ordered by a counted rule (see [`builder`]):
+//! short rows sort, long rows the scan already delivered ascending stay
+//! as they are, and other long rows go through an `n`-bit bitmap. The
+//! input must hold unique edges; a duplicate arc in a long row panics.
 
 pub mod builder;
 pub mod csr;
@@ -20,7 +24,8 @@ pub mod oracle;
 pub mod stats;
 
 pub use builder::{
-    csr_from_coo_parallel_in, csr_from_coo_sequential, csr_from_coo_sequential_in, CsrArena,
+    csr_from_coo_blocks_in, csr_from_coo_parallel_in, csr_from_coo_sequential,
+    csr_from_coo_sequential_in, CsrArena,
 };
 pub use csr::CsrGraph;
 pub use gen::{complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph};

@@ -1,11 +1,15 @@
 //! Property tests for the graph substrate.
 
-use graph::{csr_from_coo_sequential, ComplementView, EdgeOracle};
+use graph::{
+    csr_from_coo_blocks_in, csr_from_coo_sequential, csr_from_coo_sequential_in, ComplementView,
+    CsrArena, EdgeOracle,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Generates a unique undirected edge list over `n` vertices.
 fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -17,6 +21,27 @@ fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
             .filter(|e| seen.insert(*e))
             .collect()
     })
+}
+
+/// Unique edges over 300 vertices whose rows fall on both sides of the
+/// assembler's `len < ⌈n/64⌉ = 5` short-row rule: a sparse random part
+/// (degrees around 6) plus one hub adjacent to about half the vertices.
+fn arb_mixed_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    (
+        arb_edges(300),
+        0..300u32,
+        proptest::collection::vec(any::<bool>(), 300),
+    )
+        .prop_map(|(mut edges, hub, picks)| {
+            let mut seen: HashSet<(u32, u32)> = edges.iter().copied().collect();
+            for (v, pick) in (0..300u32).zip(picks) {
+                let e = (hub.min(v), hub.max(v));
+                if pick && v != hub && seen.insert(e) {
+                    edges.push(e);
+                }
+            }
+            edges
+        })
 }
 
 proptest! {
@@ -48,6 +73,51 @@ proptest! {
             &csr_from_coo_sequential(60, &flipped),
             &reference,
             "flipped, seed {}",
+            seed
+        );
+    }
+
+    /// Short rows (sorted) and long rows (kept if ascending, else
+    /// bitmap-ordered) both come out as the sorted list's CSR, and so
+    /// does the block entry point over a random partition of a shuffled,
+    /// randomly flipped list visited in a random order.
+    #[test]
+    fn csr_rows_and_blocks_in_any_order_match_the_sorted_list(
+        edges in arb_mixed_edges(),
+        seed in any::<u64>(),
+    ) {
+        let n = 300;
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        let reference = csr_from_coo_sequential(n, &sorted);
+        prop_assert!(
+            (0..n).any(|v| reference.degree(v) < n.div_ceil(64))
+                && (0..n).any(|v| reference.degree(v) >= n.div_ceil(64)),
+            "rows on both sides of the rule, seed {}",
+            seed
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shuffled: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(u, v)| if rng.random_bool(0.5) { (v, u) } else { (u, v) })
+            .collect();
+        shuffled.shuffle(&mut rng);
+        let mut arena = CsrArena::new();
+        let whole = csr_from_coo_sequential_in(n, &shuffled, &mut arena);
+        prop_assert_eq!(&whole, &reference, "shuffled, seed {}", seed);
+        arena.recycle(whole);
+        let mut cuts: Vec<usize> = (0..rng.random_range(0..8usize))
+            .map(|_| rng.random_range(0..=shuffled.len()))
+            .chain([0, shuffled.len()])
+            .collect();
+        cuts.sort_unstable();
+        let mut blocks: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+        blocks.shuffle(&mut rng);
+        prop_assert_eq!(
+            &csr_from_coo_blocks_in(n, &shuffled, &blocks, &mut arena),
+            &reference,
+            "blocks {:?}, seed {}",
+            blocks,
             seed
         );
     }

@@ -180,6 +180,15 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
         0,
         "steady-state conflict build + CSR assembly must allocate nothing"
     );
+    // A bucketed iteration delivers rows as one sorted run per shared
+    // colour, so the measured assembly ran the row bitmap: the zero
+    // covers that path too.
+    assert!(
+        ctx.prefers_buckets(),
+        "Normal lists select the bucketed engine"
+    );
+    let bitmap_words = ctx.lists_and_scratch().1.csr.capacities().3;
+    assert!(bitmap_words > 0, "some row took the bitmap path");
     ctx.recycle_csr(built.graph);
 }
 
