@@ -11,8 +11,24 @@
 //! [`IterationContext`](crate::iteration::IterationContext): the color
 //! lists, the shared [`BucketIndex`](crate::assign::BucketIndex) (built
 //! at most once per iteration, lent to every backend), and the reusable
-//! scratch arenas (COO staging, oracle hit vectors, live-view remapping
-//! buffers) that persist across iterations.
+//! scratch arenas (COO group staging, oracle hit vectors, live-view
+//! remapping buffers) that persist across iterations.
+//!
+//! # COO format
+//!
+//! Every builder stages its edges in one format, the edge groups of
+//! [`graph::CooGroups`]: a flat `u32` buffer of `[pivot, len, v_1 …
+//! v_len]`, the pivot stored once per group. The scans emit their hits
+//! row by row — a pivot and the surviving members of its candidate run —
+//! so a group is one pivot row and the COO costs about 4 bytes per edge
+//! instead of the 8 of a `(u32, u32)` pair. The builder's `num_edges` is
+//! the sum of the groups' lengths. The simulated device kernels still
+//! stage flat `u, v` pairs in their device arena, as Algorithm 3's COO
+//! does (so the device forecasts and transfer accounting keep the
+//! `2 · pairs` word bound); the host merge regroups them through the same
+//! writer. [`IterationScratch::edges`], the old pair buffer, is no longer
+//! touched by any builder: it stays only as the benchmark replay's pair
+//! staging.
 //!
 //! # Candidate enumeration
 //!
@@ -51,19 +67,21 @@
 //! argument: the emitted pair *set* is a pure function of the lists
 //! (smallest-shared-color deduplication is scheduling-independent), the
 //! oracle is pure, and every backend assembles with the one CSR builder
-//! ([`graph::csr_from_coo_blocks_in`]), which counts both endpoints and
-//! orders each adjacency row ascending. That row order alone makes the
-//! output independent of edge order, so the edges of any scheduling (or
-//! any partition of the flat pivot-row space across blocks and devices)
-//! collapse to the same bit-identical CSR. The order decides only the
-//! assembly's cost: short rows sort, long rows that arrive ascending
-//! stay, other long rows go through a bitmap (see [`graph::builder`]).
-//! The sequential scans emit the COO in pivot-row order, which leaves
-//! every all-pairs row ascending; the rayon build merges its blocks in
-//! scheduling order but hands them to the assembler in cut order, so
-//! its scatter sees that same sequential COO. The device backends copy
-//! their COO in kernel order. Each pair is emitted once, as the
-//! assembler's unique-edge contract requires.
+//! ([`graph::csr_from_groups_blocks_in`]), which counts both endpoints
+//! and orders each adjacency row ascending. That row order alone makes
+//! the output independent of edge order and of how the edges are split
+//! into groups, so the edges of any scheduling (or any partition of the
+//! flat pivot-row space across blocks and devices) collapse to the same
+//! bit-identical CSR. The order decides only the assembly's cost: short
+//! rows sort, long rows that arrive ascending stay, other long rows go
+//! through a bitmap (see [`graph::builder`]). The sequential scans emit
+//! their groups in pivot-row order; on all-pairs iterations pivots and
+//! runs both ascend, so the scatter writes every row ascending. The
+//! rayon build merges its blocks' groups in scheduling order but hands
+//! them to the assembler in cut order, so its scatter sees those same
+//! sequential groups. The device backends regroup their flat pairs in
+//! kernel order. Each pair is emitted once, as the assembler's
+//! unique-edge contract requires.
 //!
 //! Each build reports `candidate_pairs`, the oracle-independent
 //! enumeration work it performed (all-pairs: `m(m−1)/2`; bucketed: the
@@ -74,7 +92,7 @@ use crate::candidates::PairSource;
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
-use graph::{csr_from_coo_blocks_in, csr_from_coo_sequential_in, CsrGraph, EdgeOracle};
+use graph::{csr_from_groups_blocks_in, CooGroups, CsrArena, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -176,10 +194,16 @@ impl SharedScanStats {
     }
 }
 
+/// Assembles the finished groups of `groups` as one block.
+fn csr_from_groups_in(m: usize, groups: &CooGroups, csr: &mut CsrArena) -> CsrGraph {
+    let words = groups.words();
+    csr_from_groups_blocks_in(m, words, std::slice::from_ref(&(0..words.len())), csr)
+}
+
 /// Sequential bucketed build: one pass over the flat pivot-row space —
 /// through the packed lane kernel whenever the context packed this
-/// iteration — with the COO/run/hit/remap arenas *and* the CSR assembly
-/// arrays all drawn from the context. Once the arenas are warm (and
+/// iteration — with the COO group/run/hit/remap arenas *and* the CSR
+/// assembly arrays all drawn from the context. Once the arenas are warm (and
 /// retired graphs are recycled via
 /// [`IterationContext::recycle_csr`]), a steady-state build performs
 /// **zero** heap allocations, output CSR included.
@@ -188,7 +212,7 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        edges,
+        groups,
         hits,
         masks,
         mapped,
@@ -196,7 +220,7 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
         csr,
         ..
     } = scratch;
-    edges.clear();
+    groups.clear();
     let mut stats = MaskScanStats::default();
     let scan_span = telemetry::SpanGuard::begin(
         if packed.is_some() {
@@ -217,14 +241,15 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
         masks,
         &mut stats,
         mapped,
-        |u, v| edges.push((u, v)),
+        |u, v| groups.push(u, v),
     );
+    groups.finish();
     drop(scan_span);
-    let num_edges = edges.len();
+    let num_edges = groups.num_edges();
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_coo_sequential_in(m, edges, csr),
+        graph: csr_from_groups_in(m, groups, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -237,7 +262,7 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
 /// ([`crate::ConflictBackend::AllPairs`]): a verbatim `Θ(m²)` scalar
 /// scan, kept as the independent ground truth the bucketed backends are
 /// validated against. Ignores the engine (and never builds the shared
-/// index); only the context's COO arena is reused.
+/// index); only the context's COO group and CSR arenas are reused.
 pub fn build_sequential_allpairs<O: EdgeOracle>(
     oracle: &O,
     ctx: &mut IterationContext,
@@ -245,22 +270,23 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
     let (lists, scratch) = ctx.lists_and_scratch();
     let m = oracle.num_vertices();
     debug_assert_eq!(m, lists.len());
-    let IterationScratch { edges, csr, .. } = scratch;
-    edges.clear();
+    let IterationScratch { groups, csr, .. } = scratch;
+    groups.clear();
     let scan_span = telemetry::span!("scalar_scan");
     for i in 0..m {
         for j in (i + 1)..m {
             if lists.intersects(i, j) && oracle.has_edge(i, j) {
-                edges.push((i as u32, j as u32));
+                groups.push(i as u32, j as u32);
             }
         }
     }
+    groups.finish();
     drop(scan_span);
-    let num_edges = edges.len();
+    let num_edges = groups.num_edges();
     let m64 = m as u64;
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_coo_sequential_in(m, edges, csr),
+        graph: csr_from_groups_in(m, groups, csr),
         num_edges,
         candidate_pairs: m64 * m64.saturating_sub(1) / 2,
         packed_lanes: 0,
@@ -275,33 +301,36 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// returns it afterwards, so once the pool holds one arena per thread
 /// the parallel path allocates
 /// **no staging buffers per task** — the per-thread extension of the
-/// context's zero-allocation property. Blocks merge into the context's
-/// COO arena under a lock in scheduling order, each recording its range
-/// in the context's block table
-/// ([`IterationScratch::edge_blocks`]). CSR assembly then scatters those
-/// ranges in cut order ([`graph::csr_from_coo_blocks_in`]), which is
-/// exactly the sequential build's COO order: rows arrive as ordered as
-/// the sequential scan leaves them, and the output is bit-identical to
-/// the sequential build under any scheduling. The COO arena keeps the
-/// edges in scheduling order.
+/// context's zero-allocation property. Each block stages its edges as
+/// groups and appends them to the context's group arena under a lock in
+/// scheduling order, recording their word range in the context's block
+/// table ([`IterationScratch::edge_blocks`]); a pivot row never spans
+/// two cuts, so every range holds whole groups. CSR assembly then
+/// scatters those ranges in cut order
+/// ([`graph::csr_from_groups_blocks_in`]), which is exactly the
+/// sequential build's COO order: rows arrive as ordered as the
+/// sequential scan leaves them, and the output is bit-identical to the
+/// sequential build under any scheduling. The group arena keeps the
+/// blocks in scheduling order. [`IterationScratch::edges`] is left
+/// untouched.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        edges,
+        groups,
         edge_blocks,
         pool,
         csr,
         ..
     } = scratch;
     let pool: &ScratchPool = pool;
-    edges.clear();
+    groups.clear();
     let row_weights = engine.row_weights();
     let cuts = device::balanced_weight_cuts(&row_weights, rayon::current_num_threads() * 4);
     edge_blocks.clear();
     edge_blocks.resize(cuts.len(), 0..0);
-    let merged = std::sync::Mutex::new((std::mem::take(edges), std::mem::take(edge_blocks)));
+    let merged = std::sync::Mutex::new((std::mem::take(groups), std::mem::take(edge_blocks)));
     let shared_stats = SharedScanStats::default();
     let scan_span = telemetry::SpanGuard::begin(
         if packed.is_some() {
@@ -315,7 +344,7 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
     cuts.into_par_iter().enumerate().for_each(|(cut, rows)| {
         let mut arena = pool.take();
         let TaskArena {
-            edges: staged,
+            groups: staged,
             run,
             hits,
             masks,
@@ -334,29 +363,30 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
             masks,
             &mut stats,
             mapped,
-            |u, v| staged.push((u, v)),
+            |u, v| staged.push(u, v),
         );
+        staged.finish();
         shared_stats.add(stats);
-        if !staged.is_empty() {
+        if !staged.words().is_empty() {
             let mut guard = merged
                 .lock()
                 .expect("COO merge lock poisoned: another block panicked while merging");
             let (coo, blocks) = &mut *guard;
-            let start = coo.len();
-            coo.extend_from_slice(staged);
-            blocks[cut] = start..coo.len();
+            let start = coo.words().len();
+            coo.append(staged);
+            blocks[cut] = start..coo.words().len();
         }
         pool.put(arena);
     });
-    (*edges, *edge_blocks) = merged
+    (*groups, *edge_blocks) = merged
         .into_inner()
         .expect("COO merge lock poisoned: a block panicked while merging");
     drop(scan_span);
-    let num_edges = edges.len();
+    let num_edges = groups.num_edges();
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_coo_blocks_in(m, edges, edge_blocks, csr),
+        graph: csr_from_groups_blocks_in(m, groups.words(), edge_blocks, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -451,6 +481,15 @@ fn launch_staged_pair_kernel<O: EdgeOracle, S: PairSource + ?Sized>(
     Ok(used)
 }
 
+/// Pushes a device kernel's flat `u, v, u, v, …` words into `groups`:
+/// consecutive pairs of one pivot (a kernel block stages each row's hits
+/// together) share a group.
+fn regroup(groups: &mut CooGroups, flat: &[u32]) {
+    for pair in flat.chunks_exact(2) {
+        groups.push(pair[0], pair[1]);
+    }
+}
+
 /// Per-vertex byte footprint of the inputs Algorithm 3 copies to the GPU:
 /// the packed 3-bit Pauli words plus the color list.
 pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usize {
@@ -475,8 +514,10 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 ///    bucketed engine is selected — the enumeration structure is now
 ///    device-resident state and is charged like any other input,
 /// 4. reserve `min(2 · candidate_pairs, whatever fits)` u32 slots for
-///    the unordered COO edge list (each candidate yields at most one
-///    edge, so the arena is far below the legacy `2·m·(m−1)` bound).
+///    the unordered COO edge list, staged as flat `u, v` pairs (each
+///    candidate yields at most one edge, so the arena is far below the
+///    legacy `2·m·(m−1)` bound; a group layout could need three words
+///    for a one-hit row and break that bound).
 ///    The budget charge is a [`device::DeviceLease`]; the backing
 ///    storage is the context's reused COO word arena, so a warm build
 ///    allocates no host memory for it,
@@ -486,8 +527,9 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 ///    locally and bulk-reserve slots with one atomic),
 /// 6. if the CSR (2·|Ec| adjacency slots) fits in the *remaining* device
 ///    memory, assemble it "on device" and download it; otherwise download
-///    the raw edge list and assemble on the host. Either way the arrays
-///    come from the context's CSR arena.
+///    the raw edge list and assemble on the host. Either way the pairs
+///    are regrouped into the context's group arena and the arrays come
+///    from the context's CSR arena.
 ///
 /// Fails with [`DeviceError::OutOfMemory`] when the inputs don't fit or
 /// the kernel produces more edges than the allocation holds — the same
@@ -503,7 +545,7 @@ pub fn build_device<O: EdgeOracle>(
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        edges,
+        groups,
         pool,
         coo,
         csr,
@@ -606,10 +648,12 @@ pub fn build_device<O: EdgeOracle>(
     let num_edges = used_slots / 2;
     let scan_stats = shared_stats.into_stats();
 
-    // Into the context's COO arena in kernel order: CSR assembly sorts
-    // each row, so block scheduling cannot change the graph.
-    edges.clear();
-    edges.extend(coo[..used_slots].chunks_exact(2).map(|p| (p[0], p[1])));
+    // Regrouped into the context's group arena in kernel order: CSR
+    // assembly orders each row, so block scheduling cannot change the
+    // graph.
+    groups.clear();
+    regroup(groups, &coo[..used_slots]);
+    groups.finish();
 
     // (6) CSR placement decision (Line 5 of Algorithm 3, `|Ecoo| <=
     // AvailMem/2`): the CSR stores each edge twice; build it on-device
@@ -631,7 +675,7 @@ pub fn build_device<O: EdgeOracle>(
         used_slots * std::mem::size_of::<u32>()
     });
     Ok(ConflictBuild {
-        graph: csr_from_coo_sequential_in(m, edges, csr),
+        graph: csr_from_groups_in(m, groups, csr),
         num_edges,
         candidate_pairs,
         packed_lanes,
@@ -671,7 +715,7 @@ pub fn build_multi_device<O: EdgeOracle>(
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        edges,
+        groups,
         pool,
         coo,
         csr,
@@ -707,7 +751,7 @@ pub fn build_multi_device<O: EdgeOracle>(
         "truncated span carries candidate pairs"
     );
 
-    edges.clear();
+    groups.clear();
     let shared_stats = SharedScanStats::default();
     for (span, dev) in cuts.iter().zip(devices.iter()) {
         // (1) Input replica, charged to this device's budget: when this
@@ -774,14 +818,15 @@ pub fn build_multi_device<O: EdgeOracle>(
             &shared_stats,
         )?;
         dev.note_d2h(used * std::mem::size_of::<u32>());
-        // Host-side merge straight into the context's COO arena — no
-        // per-device intermediate.
-        edges.extend(coo[..used].chunks_exact(2).map(|p| (p[0], p[1])));
+        // Host-side merge, regrouped straight into the context's group
+        // arena — no per-device intermediate.
+        regroup(groups, &coo[..used]);
     }
+    groups.finish();
 
-    let num_edges = edges.len();
+    let num_edges = groups.num_edges();
     Ok(ConflictBuild {
-        graph: csr_from_coo_sequential_in(m, edges, csr),
+        graph: csr_from_groups_in(m, groups, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -1114,13 +1159,33 @@ mod tests {
         );
     }
 
+    /// Walks a group buffer, checking that its headers tile it exactly;
+    /// returns `(groups, entries)`.
+    fn count_groups(words: &[u32]) -> (usize, usize) {
+        let (mut groups, mut entries, mut at) = (0, 0, 0);
+        while at < words.len() {
+            let len = words[at + 1] as usize;
+            assert!(len > 0, "empty group at word {at}");
+            groups += 1;
+            entries += len;
+            at += 2 + len;
+        }
+        assert_eq!(at, words.len(), "groups tile the buffer");
+        (groups, entries)
+    }
+
     #[test]
-    fn parallel_blocks_in_visit_order_replay_the_sequential_coo() {
-        // The rayon build's block table, visited in cut order, is the
-        // sequential build's COO pair for pair — on a bucketed and on an
-        // all-pairs packed iteration. On the all-pairs one that order
-        // leaves every row ascending, so neither build ever needs the
-        // assembler's row bitmap.
+    fn group_bytes_and_parallel_blocks_replay_the_sequential_groups() {
+        // The COO's size is pinned: `num_edges` entry words plus two
+        // header words per group, at most one group per pivot row. The
+        // rayon build's block table, visited in cut order, is the
+        // sequential build's group buffer word for word — on a bucketed
+        // and on an all-pairs packed iteration. On the all-pairs one that
+        // order leaves every row ascending, so neither build ever needs
+        // the assembler's row bitmap. Neither build touches the pair
+        // buffer `edges`. (A pivot whose rows sat on both sides of a cut,
+        // with no hit between them, would be one group sequentially and
+        // two in parallel — same graph; these instances have none.)
         use crate::oracle::PauliComplementOracle;
         use crate::packed::PackingMode;
         use rand::SeedableRng;
@@ -1136,20 +1201,30 @@ mod tests {
             let mut ctx = ctx_for(&lists);
             ctx.set_packing(PackingMode::Always);
             assert_eq!(ctx.prefers_buckets(), bucketed, "{what}");
+            let rows = ctx.engine_and_scratch().0.num_rows();
+            ctx.lists_and_scratch().1.edges.push((0, 1));
             let seq = build_sequential(&oracle, &mut ctx);
-            let seq_coo = ctx.lists_and_scratch().1.edges.clone();
+            let seq_words = ctx.lists_and_scratch().1.groups.words().to_vec();
+            let (groups, entries) = count_groups(&seq_words);
+            assert_eq!(entries, seq.num_edges, "{what}");
+            assert_eq!(seq_words.len(), seq.num_edges + 2 * groups, "{what}");
+            assert!(groups <= rows, "{what}: {groups} groups, {rows} rows");
+            assert!(groups < seq.num_edges, "{what}: runs hold several hits");
+
             let par = build_parallel(&oracle, &mut ctx);
             assert_eq!(par.packed_lanes, par.candidate_pairs, "{what}: packed");
             assert_eq!(par.graph, seq.graph, "{what}");
+            assert_eq!(par.num_edges, seq.num_edges, "{what}");
             let scratch = ctx.lists_and_scratch().1;
             let nonempty = scratch.edge_blocks.iter().filter(|b| !b.is_empty()).count();
             assert!(nonempty > 1, "{what}: {nonempty} non-empty blocks");
-            let visited: Vec<(u32, u32)> = scratch
+            let visited: Vec<u32> = scratch
                 .edge_blocks
                 .iter()
-                .flat_map(|b| scratch.edges[b.clone()].iter().copied())
+                .flat_map(|b| scratch.groups.words()[b.clone()].iter().copied())
                 .collect();
-            assert_eq!(visited, seq_coo, "{what}");
+            assert_eq!(visited, seq_words, "{what}");
+            assert_eq!(scratch.edges, [(0, 1)], "{what}: pair buffer untouched");
             let bitmap_words = scratch.csr.capacities().3;
             assert_eq!(bitmap_words == 0, !bucketed, "{what}: {bitmap_words}");
         }

@@ -33,21 +33,22 @@ use crate::config::ListColoringScheme;
 use crate::listcolor::{ColorScratch, SchemeKind};
 use crate::packed::{PackedBuckets, PackingMode};
 use device::FaultPlan;
-use graph::{CsrArena, CsrGraph, EdgeOracle};
+use graph::{CooGroups, CsrArena, CsrGraph, EdgeOracle};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-task staging buffers one block of a parallel build checks out
-/// of a [`ScratchPool`]: COO edge staging (tuple form for the host
-/// paths, flat form for the device kernels), the oracle hit vector, and
+/// of a [`ScratchPool`]: COO edge staging (edge groups for the rayon
+/// build, flat pairs for the device kernels), the oracle hit vector, and
 /// the live-view remap arena. Buffers are cleared by the borrower, never
 /// shrunk, so a recycled arena serves a same-shape block without
 /// allocating.
 #[derive(Debug, Default)]
 pub struct TaskArena {
-    /// `(u, v)` edge staging for the rayon-parallel build.
-    pub edges: Vec<(u32, u32)>,
+    /// Edge-group staging for the rayon-parallel build
+    /// ([`graph::CooGroups`] format).
+    pub groups: CooGroups,
     /// Flat `u, v, u, v, …` edge staging for the device kernels.
     pub staged: Vec<u32>,
     /// Candidate-run staging for [`crate::PairSource::scan_rows_scratch`].
@@ -107,17 +108,25 @@ impl ScratchPool {
 
 /// Reusable scratch arenas lent to the conflict builders. All buffers
 /// persist across iterations (and across backends within an iteration):
-/// they are cleared, never dropped, so steady-state sequential builds
-/// re-allocate none of them (the remaining per-build allocations are
-/// the output CSR and the pair sources' run staging buffer).
+/// they are cleared, never dropped, and the output CSR's arrays come
+/// back through [`IterationContext::recycle_csr`], so a steady-state
+/// sequential build allocates nothing (`tests/memory.rs`).
 #[derive(Debug, Default)]
 pub struct IterationScratch {
-    /// COO edge staging / merge buffer (`(u, v)` pairs).
+    /// The COO every conflict builder stages into and assembles from:
+    /// edge groups `[pivot, len, v_1 … v_len]` ([`graph::CooGroups`]).
+    /// The device builders regroup their kernels' flat pairs here.
+    pub groups: CooGroups,
+    /// `(u, v)` pair staging kept for the benchmark's traced replay,
+    /// which scans into it and re-assembles it with the pair adapter
+    /// ([`graph::csr_from_coo_sequential_in`]). No conflict builder
+    /// reads or writes it.
     pub edges: Vec<(u32, u32)>,
-    /// The rayon-parallel build's block table: entry `k` is the range of
-    /// `edges` that cut `k` of the flat pivot-row space merged (empty if
-    /// it found no edge). Visiting it in index order replays the
-    /// sequential COO order, which is how that build assembles.
+    /// The rayon-parallel build's block table: entry `k` is the word
+    /// range of `groups` that cut `k` of the flat pivot-row space merged
+    /// (empty if it found no edge). A pivot row never spans two cuts, so
+    /// each range holds whole groups; visiting the table in index order
+    /// replays the sequential groups, which is how that build assembles.
     pub edge_blocks: Vec<std::ops::Range<usize>>,
     /// Oracle hit vector for batched `has_edge_block` queries.
     pub hits: Vec<bool>,
@@ -565,11 +574,12 @@ impl IterationContext {
         &self.scratch.pool
     }
 
-    /// Current arena capacities `(edges, hits, mapped)` — introspection
-    /// hook for the reuse tests and the `conflict_build` bench.
+    /// Current arena capacities `(groups, hits, mapped)` (`groups` in
+    /// `u32` words) — introspection hook for the reuse tests and the
+    /// `conflict_build` bench.
     pub fn scratch_capacities(&self) -> (usize, usize, usize) {
         (
-            self.scratch.edges.capacity(),
+            self.scratch.groups.capacity(),
             self.scratch.hits.capacity(),
             self.scratch.mapped.capacity(),
         )
@@ -875,14 +885,14 @@ mod tests {
         assert_eq!(pool.arenas_created(), 0);
         let mut a = pool.take();
         assert_eq!(pool.arenas_created(), 1);
-        a.edges.reserve(1000);
-        let grown = a.edges.capacity();
+        a.staged.reserve(1000);
+        let grown = a.staged.capacity();
         pool.put(a);
         assert_eq!(pool.arenas_pooled(), 1);
         // A recycled arena keeps its grown buffers.
         let b = pool.take();
         assert_eq!(pool.arenas_created(), 1, "no new arena while one rests");
-        assert!(b.edges.capacity() >= grown);
+        assert!(b.staged.capacity() >= grown);
         pool.put(b);
     }
 

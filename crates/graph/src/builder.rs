@@ -1,12 +1,32 @@
-//! CSR construction from unordered COO edge lists.
+//! CSR construction from unordered COO edge groups.
 //!
 //! Mirrors the construction step of the paper's Algorithm 3: count
 //! per-vertex edge counts, exclusive prefix sum into offsets, scatter
 //! arcs, order each adjacency row ascending. The row order makes the
 //! output independent of edge order and of the orientation of each
-//! `(u, v)` pair, so every backend may hand its edges over in any order
-//! and still gets the identical graph (the paper stresses its GPU path
-//! is deterministic).
+//! edge, so every backend may hand its edges over in any order and still
+//! gets the identical graph (the paper stresses its GPU path is
+//! deterministic).
+//!
+//! # COO format
+//!
+//! The conflict builders stage their edges as [`CooGroups`]: one flat
+//! `u32` buffer of groups `[pivot, len, v_1 … v_len]`, the pivot stored
+//! once per group rather than once per edge. A scan that emits its hits
+//! row by row therefore stages about 4 bytes per edge instead of the 8
+//! of a `(u32, u32)` pair. The assembler counts a group's degrees with
+//! one `+= len` for the pivot and `+= 1` per entry, and scatters it by
+//! copying the run into the pivot's row and writing the pivot into each
+//! entry's row. [`csr_from_groups_blocks_in`] assembles group words;
+//! [`csr_from_coo_sequential_in`] visits a pair list in place, each pair
+//! as a one-entry group of the same core, so there is one assembler for
+//! both inputs.
+//!
+//! When pivots and runs both ascend (the all-pairs scan), every row
+//! comes out of the scatter ascending: row `v` first receives the pivots
+//! below `v` in group order, then `v`'s own run.
+//!
+//! # Row ordering
 //!
 //! Rows are ordered without a comparison sort wherever the scan already
 //! did the work. After the scatter each row follows one counted rule,
@@ -22,9 +42,10 @@
 //!   is all zero again for the next row.
 //!
 //! The input contract is a list of unique undirected edges: `u != v` and
-//! no `{u, v}` pair twice. A duplicate arc in a long row would collapse
-//! to one bit, so the bitmap walk asserts — in every build profile —
-//! that it wrote back exactly the row's length.
+//! no `{u, v}` pair twice, whether inside one group's run or across
+//! groups. A duplicate arc in a long row would collapse to one bit, so
+//! the bitmap walk asserts — in every build profile — that it wrote back
+//! exactly the row's length.
 
 use crate::csr::CsrGraph;
 use std::ops::Range;
@@ -96,6 +117,106 @@ impl CsrArena {
     }
 }
 
+/// The COO format every conflict builder hands to the assembler: one
+/// flat `u32` buffer of **groups** `[pivot, len, v_1 … v_len]`, each
+/// standing for the edges `{pivot, v_i}`. The pivot is stored once per
+/// group instead of once per edge, so a scan that emits its hits row by
+/// row stages about one word per edge instead of the two of a
+/// `(u, v)` pair.
+///
+/// [`CooGroups::push`] opens a new group whenever `u` differs from the
+/// open group's pivot and appends `v` to it; the length word is written
+/// once, when the group closes ([`CooGroups::finish`], or the next
+/// pivot). The buffer is cleared, never shrunk, so a warm writer
+/// stages a same-shape build without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct CooGroups {
+    words: Vec<u32>,
+    /// The open group: the index of its pivot word, and the pivot.
+    open: Option<(usize, u32)>,
+    /// Entries in the closed groups.
+    edges: usize,
+}
+
+impl CooGroups {
+    /// An empty writer.
+    pub fn new() -> CooGroups {
+        CooGroups::default()
+    }
+
+    /// Drops every group, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.open = None;
+        self.edges = 0;
+    }
+
+    /// Appends the edge `{u, v}` to the open group if its pivot is `u`,
+    /// else closes that group and opens one for `u`.
+    #[inline]
+    pub fn push(&mut self, u: u32, v: u32) {
+        if !matches!(self.open, Some((_, pivot)) if pivot == u) {
+            self.finish();
+            self.open = Some((self.words.len(), u));
+            self.words.extend_from_slice(&[u, 0]);
+        }
+        self.words.push(v);
+    }
+
+    /// Closes the open group, writing its length word. Call before
+    /// reading [`CooGroups::words`]; pushing afterwards opens a new
+    /// group even for the same pivot.
+    pub fn finish(&mut self) {
+        if let Some((head, _)) = self.open.take() {
+            let len = self.words.len() - head - 2;
+            self.words[head + 1] = u32::try_from(len).expect("group longer than u32::MAX");
+            self.edges += len;
+        }
+    }
+
+    /// Appends `other`'s (finished) groups after this writer's, closing
+    /// this writer's open group first.
+    pub fn append(&mut self, other: &CooGroups) {
+        debug_assert!(other.open.is_none(), "append an unfinished writer");
+        self.finish();
+        self.words.extend_from_slice(&other.words);
+        self.edges += other.edges;
+    }
+
+    /// Edges in the closed groups: the sum of their lengths.
+    pub fn num_edges(&self) -> usize {
+        self.edges
+    }
+
+    /// The group words; every group is closed once [`CooGroups::finish`]
+    /// ran.
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Capacity of the word buffer — introspection hook for the
+    /// allocation-reuse tests.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
+}
+
+/// Iterator over the `(pivot, run)` groups of a group-word slice.
+struct Groups<'a>(&'a [u32]);
+
+impl<'a> Iterator for Groups<'a> {
+    type Item = (u32, &'a [u32]);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, &'a [u32])> {
+        let (&pivot, rest) = self.0.split_first()?;
+        let (&len, rest) = rest.split_first().expect("group without a length word");
+        let (run, rest) = rest.split_at(len as usize);
+        self.0 = rest;
+        Some((pivot, run))
+    }
+}
+
 /// Sequential CSR build from unique undirected edges (`u != v`; no
 /// duplicate `{u, v}` pairs — the conflict-kernel emits each pair once).
 pub fn csr_from_coo_sequential(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
@@ -104,55 +225,84 @@ pub fn csr_from_coo_sequential(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
 
 /// [`csr_from_coo_sequential`] assembling into (and growing) an
 /// [`CsrArena`]'s storage. Output is identical; a warm arena makes the
-/// build allocation-free.
+/// build allocation-free. Each pair is visited in place as a one-entry
+/// group of the group assembler's core, so pair lists and group buffers
+/// go through the same count, scatter and row ordering.
 pub fn csr_from_coo_sequential_in(
     n: usize,
     edges: &[(u32, u32)],
     arena: &mut CsrArena,
 ) -> CsrGraph {
-    csr_from_coo_blocks_in(n, edges, std::slice::from_ref(&(0..edges.len())), arena)
+    assemble(
+        n,
+        || edges.iter().map(|(u, v)| (*u, std::slice::from_ref(v))),
+        arena,
+    )
 }
 
-/// The one CSR assembler: builds the graph of `edges`, scattering the
-/// ranges of `blocks` in the order given. `blocks` must partition
-/// `edges` (empty ranges are fine). The graph is the same for any
-/// partition and any visit order; the order only decides how much row
+/// Builds the graph of the group words `words` ([`CooGroups`] format),
+/// scattering the word ranges of `blocks` in the order given. `blocks`
+/// must partition `words` into whole groups (empty ranges are fine). The
+/// graph is the same for any partition, any visit order and any split of
+/// a pivot's edges across groups; the order only decides how much row
 /// ordering is left to do. A parallel scan that merged its blocks in
 /// scheduling order passes them here in scan order, so the scatter sees
-/// the sequential COO and its rows arrive as sorted as the scan made
+/// the sequential groups and its rows arrive as sorted as the scan made
 /// them.
 ///
 /// # Panics
 ///
-/// If `blocks` do not cover `edges.len()` edges, or if the bitmap row
-/// ordering finds a duplicate arc (a contract violation).
-pub fn csr_from_coo_blocks_in(
+/// If `blocks` do not cover `words.len()` words, if a block ends inside
+/// a group, or if the bitmap row ordering finds a duplicate arc (a
+/// contract violation).
+pub fn csr_from_groups_blocks_in(
     n: usize,
-    edges: &[(u32, u32)],
+    words: &[u32],
     blocks: &[Range<usize>],
     arena: &mut CsrArena,
 ) -> CsrGraph {
     let covered: usize = blocks.iter().map(|b| b.len()).sum();
-    assert_eq!(covered, edges.len(), "blocks must partition the edge list");
+    assert_eq!(
+        covered,
+        words.len(),
+        "blocks must partition the group words"
+    );
+    assemble(
+        n,
+        || blocks.iter().flat_map(|b| Groups(&words[b.clone()])),
+        arena,
+    )
+}
+
+/// The one assembler core over `(pivot, run)` groups. `groups` is
+/// called twice — once to count degrees, once to scatter — and must
+/// yield the same groups both times.
+fn assemble<'a, G>(n: usize, groups: impl Fn() -> G, arena: &mut CsrArena) -> CsrGraph
+where
+    G: Iterator<Item = (u32, &'a [u32])>,
+{
     let mut counts = arena.take_offsets(n);
-    for &(u, v) in edges {
-        debug_assert!(u != v, "self loop {u}");
-        counts[u as usize + 1] += 1;
-        counts[v as usize + 1] += 1;
+    for (u, run) in groups() {
+        counts[u as usize + 1] += run.len();
+        for &v in run {
+            debug_assert!(u != v, "self loop {u}");
+            counts[v as usize + 1] += 1;
+        }
     }
     // Exclusive prefix sum.
     for i in 0..n {
         counts[i + 1] += counts[i];
     }
     let offsets = counts;
-    let mut adj = arena.take_adj(edges.len() * 2);
+    let mut adj = arena.take_adj(offsets[n]);
     arena.cursors.clear();
     arena.cursors.extend_from_slice(&offsets);
     let cursor = &mut arena.cursors;
-    for block in blocks {
-        for &(u, v) in &edges[block.clone()] {
-            adj[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
+    for (u, run) in groups() {
+        let at = cursor[u as usize];
+        adj[at..at + run.len()].copy_from_slice(run);
+        cursor[u as usize] = at + run.len();
+        for &v in run {
             adj[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
@@ -340,11 +490,91 @@ mod tests {
         csr_from_coo_sequential(n, &edges);
     }
 
+    /// Stages `edges` through a [`CooGroups`] writer in the given order.
+    fn groups_of(edges: &[(u32, u32)]) -> CooGroups {
+        let mut groups = CooGroups::new();
+        for &(u, v) in edges {
+            groups.push(u, v);
+        }
+        groups.finish();
+        groups
+    }
+
+    fn csr_from_groups(n: usize, groups: &CooGroups) -> CsrGraph {
+        let words = groups.words();
+        let whole = 0..words.len();
+        csr_from_groups_blocks_in(n, words, std::slice::from_ref(&whole), &mut CsrArena::new())
+    }
+
+    #[test]
+    fn writer_opens_a_group_per_pivot_change() {
+        let groups = groups_of(&[(3, 4), (3, 9), (1, 2), (3, 5)]);
+        assert_eq!(groups.words(), &[3, 2, 4, 9, 1, 1, 2, 3, 1, 5]);
+        assert_eq!(groups.num_edges(), 4);
+        let mut both = groups.clone();
+        both.push(7, 8);
+        both.append(&groups_of(&[(7, 6)]));
+        assert_eq!(
+            &both.words()[10..],
+            &[7, 1, 8, 7, 1, 6],
+            "append closes the open group"
+        );
+        assert_eq!(both.num_edges(), 6);
+        let capacity = both.capacity();
+        both.clear();
+        assert_eq!((both.words().len(), both.num_edges()), (0, 0));
+        assert_eq!(both.capacity(), capacity, "clear keeps the buffer");
+    }
+
+    #[test]
+    fn groups_build_the_pair_graph() {
+        let edges = random_edges(120, 900, 3);
+        let mut by_pivot = edges.clone();
+        by_pivot.sort_unstable();
+        let reference = csr_from_coo_sequential(120, &edges);
+        assert_eq!(csr_from_groups(120, &groups_of(&by_pivot)), reference);
+        assert_eq!(csr_from_groups(120, &groups_of(&edges)), reference);
+        assert_eq!(
+            csr_from_groups(120, &CooGroups::new()),
+            CsrGraph::empty(120)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate arc")]
+    fn duplicate_arc_inside_a_group_run_panics() {
+        // One group `[0, n, …]` whose run holds `7` twice: vertex 0's row
+        // is long and unsorted, so the bitmap catches the repeat in every
+        // build profile.
+        let n = 200u32;
+        let mut edges: Vec<(u32, u32)> = (1..n).rev().map(|v| (0, v)).collect();
+        edges.insert(20, (0, 7));
+        let groups = groups_of(&edges);
+        assert_eq!(groups.words()[1], n, "one group");
+        csr_from_groups(n as usize, &groups);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate arc")]
+    fn duplicate_arc_across_two_groups_panics() {
+        // `{0, 7}` appears in vertex 0's group and again in a later group
+        // pivoted at 7: vertex 0's long row receives 7 twice.
+        let n = 200u32;
+        let mut edges: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
+        edges.push((7, 0));
+        let groups = groups_of(&edges);
+        assert_eq!(groups.words().len(), (n as usize - 1) + 2 + 3, "two groups");
+        csr_from_groups(n as usize, &groups);
+    }
+
     #[test]
     #[should_panic(expected = "partition")]
-    fn blocks_must_cover_every_edge() {
+    fn blocks_must_cover_every_group_word() {
         let edges = random_edges(50, 100, 1);
-        csr_from_coo_blocks_in(50, &edges, &[0..40, 40..60], &mut CsrArena::new());
+        let groups = groups_of(&edges);
+        let words = groups.words();
+        let short = [0..2, 2..words.len() - 3];
+        csr_from_groups_blocks_in(50, words, &short, &mut CsrArena::new());
     }
 
     #[test]

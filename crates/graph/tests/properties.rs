@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate.
 
 use graph::{
-    csr_from_coo_blocks_in, csr_from_coo_sequential, csr_from_coo_sequential_in, ComplementView,
+    csr_from_coo_sequential, csr_from_coo_sequential_in, csr_from_groups_blocks_in, ComplementView,
     CsrArena, EdgeOracle,
 };
 use proptest::prelude::*;
@@ -78,11 +78,10 @@ proptest! {
     }
 
     /// Short rows (sorted) and long rows (kept if ascending, else
-    /// bitmap-ordered) both come out as the sorted list's CSR, and so
-    /// does the block entry point over a random partition of a shuffled,
-    /// randomly flipped list visited in a random order.
+    /// bitmap-ordered) both come out as the sorted list's CSR for a
+    /// shuffled, randomly flipped pair list.
     #[test]
-    fn csr_rows_and_blocks_in_any_order_match_the_sorted_list(
+    fn csr_rows_in_any_order_match_the_sorted_list(
         edges in arb_mixed_edges(),
         seed in any::<u64>(),
     ) {
@@ -102,21 +101,66 @@ proptest! {
             .map(|&(u, v)| if rng.random_bool(0.5) { (v, u) } else { (u, v) })
             .collect();
         shuffled.shuffle(&mut rng);
-        let mut arena = CsrArena::new();
-        let whole = csr_from_coo_sequential_in(n, &shuffled, &mut arena);
+        let whole = csr_from_coo_sequential_in(n, &shuffled, &mut CsrArena::new());
         prop_assert_eq!(&whole, &reference, "shuffled, seed {}", seed);
-        arena.recycle(whole);
+    }
+
+    /// Groups are pairs: the edges, randomly oriented, gathered by pivot,
+    /// each pivot's run ascending, descending or shuffled and split at
+    /// random points into several groups, the groups written in random
+    /// order and the words cut at random group boundaries into blocks
+    /// visited in random order, assemble to the sorted pair list's CSR.
+    #[test]
+    fn groups_in_any_split_and_block_order_match_the_sorted_pairs(
+        edges in arb_mixed_edges(),
+        seed in any::<u64>(),
+    ) {
+        let n = 300;
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        let reference = csr_from_coo_sequential(n, &sorted);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, v) in &edges {
+            let (p, q) = if rng.random_bool(0.5) { (v, u) } else { (u, v) };
+            runs[p as usize].push(q);
+        }
+        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
+        for (pivot, mut run) in runs.into_iter().enumerate() {
+            match rng.random_range(0..3) {
+                0 => run.sort_unstable(),
+                1 => run.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => run.shuffle(&mut rng),
+            }
+            // At most half a run per group: every run of two or more
+            // entries splits.
+            while !run.is_empty() {
+                let take = rng.random_range(1..=run.len().div_ceil(2));
+                groups.push((pivot as u32, run.drain(..take).collect()));
+            }
+        }
+        let pivots: HashSet<u32> = groups.iter().map(|g| g.0).collect();
+        prop_assert!(pivots.len() < groups.len(), "some pivot split, seed {}", seed);
+        groups.shuffle(&mut rng);
+        let mut words = Vec::new();
+        let mut boundaries = vec![0];
+        for (pivot, run) in &groups {
+            words.extend_from_slice(&[*pivot, run.len() as u32]);
+            words.extend_from_slice(run);
+            boundaries.push(words.len());
+        }
         let mut cuts: Vec<usize> = (0..rng.random_range(0..8usize))
-            .map(|_| rng.random_range(0..=shuffled.len()))
-            .chain([0, shuffled.len()])
+            .map(|_| boundaries[rng.random_range(0..boundaries.len())])
+            .chain([0, words.len()])
             .collect();
         cuts.sort_unstable();
         let mut blocks: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
         blocks.shuffle(&mut rng);
         prop_assert_eq!(
-            &csr_from_coo_blocks_in(n, &shuffled, &blocks, &mut arena),
+            &csr_from_groups_blocks_in(n, &words, &blocks, &mut CsrArena::new()),
             &reference,
-            "blocks {:?}, seed {}",
+            "{} groups, blocks {:?}, seed {}",
+            groups.len(),
             blocks,
             seed
         );

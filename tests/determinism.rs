@@ -216,3 +216,39 @@ proptest! {
         );
     }
 }
+
+/// FNV-1a over a colouring, for pinning it in one constant.
+fn digest(colors: &[u32]) -> u64 {
+    colors.iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+        (h ^ u64::from(c)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Colourings do not depend on the thread count. The parallel and
+/// multi-device solves of a fixed instance equal the sequential one and
+/// a digest pinned here; run the suite under `RAYON_NUM_THREADS=1`, `=4`
+/// and the host default to compare thread counts across processes.
+#[test]
+fn colorings_do_not_depend_on_the_thread_count() {
+    let set = random_set(300, 12, 21);
+    let threads = std::env::var("RAYON_NUM_THREADS").unwrap_or_else(|_| "default".into());
+    let solve = |backend| {
+        Picasso::new(PicassoConfig::normal(5).with_backend(backend))
+            .solve_pauli(&set)
+            .expect("solve")
+            .colors
+    };
+    let reference = solve(ConflictBackend::Sequential);
+    for (backend, _) in backends() {
+        assert_eq!(
+            solve(backend),
+            reference,
+            "{backend:?}, RAYON_NUM_THREADS={threads}"
+        );
+    }
+    assert_eq!(
+        digest(&reference),
+        4_675_664_629_842_432_619,
+        "pinned colouring, RAYON_NUM_THREADS={threads}"
+    );
+}

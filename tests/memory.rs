@@ -139,6 +139,27 @@ fn warm_parallel_builds_stop_allocating_per_task() {
     );
 }
 
+/// The measured build staged its `num_edges` edges in the context's
+/// group buffer (entries plus two header words per group), which was
+/// warm before it and did not grow.
+fn assert_group_buffer_reused(
+    ctx: &mut picasso::IterationContext,
+    warm_capacity: usize,
+    num_edges: usize,
+) {
+    assert!(warm_capacity > 0, "group buffer warmed");
+    assert_eq!(
+        ctx.scratch_capacities().0,
+        warm_capacity,
+        "group buffer grew"
+    );
+    let staged = ctx.lists_and_scratch().1.groups.words().len();
+    assert!(
+        staged > num_edges && staged < 3 * num_edges,
+        "{staged} group words for {num_edges} edges"
+    );
+}
+
 #[test]
 fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
@@ -167,6 +188,7 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
     // (identical lists → identical shapes, so the zero is deterministic,
     // not a capacity coin-flip).
     ctx.assign_lists(n, 0, p, l, 1, 3);
+    let groups_warm = ctx.scratch_capacities().0;
     let before = memtrack::total_allocations();
     let built = build_sequential(&oracle, &mut ctx);
     let after = memtrack::total_allocations();
@@ -175,6 +197,7 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
         built.packed_lanes, built.candidate_pairs,
         "the packed kernel must be the path being measured"
     );
+    assert_group_buffer_reused(&mut ctx, groups_warm, built.num_edges);
     assert_eq!(
         after - before,
         0,
@@ -216,10 +239,12 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
     }
     ctx.assign_lists(n, 0, p, l, 1, 3);
     assert!(!ctx.prefers_buckets(), "Aggressive lists select all-pairs");
+    let groups_warm = ctx.scratch_capacities().0;
     let before = memtrack::total_allocations();
     let built = build_sequential(&oracle, &mut ctx);
     let after = memtrack::total_allocations();
     assert!(built.num_edges > 0);
+    assert_group_buffer_reused(&mut ctx, groups_warm, built.num_edges);
     assert_eq!(
         built.packed_lanes, built.candidate_pairs,
         "the packed all-pairs kernel must be the path being measured"

@@ -119,10 +119,18 @@ proptest! {
     }
 }
 
-/// The COO edge sequence the last build left in the context's staging
-/// arena (CSR assembly reads it without consuming it).
+/// The COO edge sequence the last build left in the context's group
+/// arena (CSR assembly reads it without consuming it), expanded from
+/// `[pivot, len, v_1 … v_len]` groups to `(pivot, v_i)` pairs.
 fn staged_edges(ctx: &mut IterationContext) -> Vec<(u32, u32)> {
-    ctx.lists_and_scratch().1.edges.clone()
+    let mut words = ctx.lists_and_scratch().1.groups.words();
+    let mut pairs = Vec::new();
+    while let [pivot, len, rest @ ..] = words {
+        let (run, tail) = rest.split_at(*len as usize);
+        pairs.extend(run.iter().map(|&v| (*pivot, v)));
+        words = tail;
+    }
+    pairs
 }
 
 /// `(palette, list)` shapes where the engine falls back to all-pairs:
