@@ -1,9 +1,8 @@
 //! Conflict-graph construction: the legacy all-pairs scan vs the
 //! bucketed candidate engine, across the sequential / rayon-parallel /
-//! simulated-device / multi-device backends (the Table V microbenchmark,
-//! extended with the enumeration comparison this reproduction's
-//! candidate engine is about and the sub-bucket-sharded multi-device
-//! path introduced with the iteration context).
+//! simulated-device backends (the Table V microbenchmark, extended with
+//! the enumeration comparison this reproduction's candidate engine is
+//! about and the sub-bucket-sharded device fleets).
 //!
 //! Dense synthetic Hamiltonian input: random unique Pauli strings, whose
 //! complement graph is ~50% dense — the regime the paper targets. The
@@ -13,8 +12,9 @@
 //! Normal configuration.
 //!
 //! Beyond raw builder timing:
-//! * `multi_device` group — the sub-bucket-sharded engine build (engine
-//!   + per-device index replica) on three devices;
+//! * `device_fleet` group — Algorithm 3 on a fleet of one device (the
+//!   paper's GPU build) and on a sub-bucket-sharded fleet of three
+//!   (engine + per-device index replica);
 //! * `iteration_scratch` group — the same sequential build through a
 //!   persistent [`IterationContext`] (index built once, arenas warm) vs
 //!   a fresh context per build (the pre-context per-iteration cost:
@@ -27,7 +27,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use device::DeviceSim;
 use pauli::EncodedSet;
 use picasso::conflict::{
-    build_device, build_multi_device, build_parallel, build_sequential, build_sequential_allpairs,
+    build_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
 use picasso::{ColorLists, IterationContext, PackingMode, PauliComplementOracle, PicassoConfig};
 use rand::rngs::StdRng;
@@ -54,11 +54,11 @@ fn fresh_ctx(lists: &ColorLists) -> IterationContext {
     ctx
 }
 
-fn multi_devices(k: usize) -> Vec<DeviceSim> {
+fn fleet(k: usize) -> Vec<DeviceSim> {
     (0..k).map(|_| DeviceSim::new(256 * 1024 * 1024)).collect()
 }
 
-/// Devices used by the multi-device comparison.
+/// Devices of the larger fleet in the fleet comparison.
 const NUM_DEVICES: usize = 3;
 
 fn bench_conflict(c: &mut Criterion) {
@@ -106,28 +106,24 @@ fn bench_conflict(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("parallel", n), |b| {
             b.iter(|| black_box(build_parallel(&oracle, &mut ctx).num_edges))
         });
-        group.bench_function(BenchmarkId::new("device", n), |b| {
-            b.iter(|| {
-                let dev = DeviceSim::new(256 * 1024 * 1024);
-                black_box(build_device(&oracle, &mut ctx, &dev, 16).unwrap().num_edges)
-            })
-        });
         group.finish();
 
-        // Multi-device microbenchmark: the sub-bucket-sharded path.
-        let mut group = c.benchmark_group(format!("multi_device_n{n}"));
+        // Algorithm 3: a fleet of one vs the sub-bucket-sharded fleet.
+        let mut group = c.benchmark_group(format!("device_fleet_n{n}"));
         group.throughput(Throughput::Elements(pairs));
         group.sample_size(if smoke() { 2 } else { 10 });
-        group.bench_function(BenchmarkId::new("subbucket", NUM_DEVICES), |b| {
-            b.iter(|| {
-                let devices = multi_devices(NUM_DEVICES);
-                black_box(
-                    build_multi_device(&oracle, &mut ctx, &devices, 16)
-                        .unwrap()
-                        .num_edges,
-                )
-            })
-        });
+        for devices in [1, NUM_DEVICES] {
+            group.bench_function(BenchmarkId::new("devices", devices), |b| {
+                b.iter(|| {
+                    let devs = fleet(devices);
+                    black_box(
+                        build_device(&oracle, &mut ctx, &devs, 16)
+                            .unwrap()
+                            .num_edges,
+                    )
+                })
+            });
+        }
         group.finish();
 
         // Iteration-scratch reuse, matching the solver's real steady

@@ -62,8 +62,9 @@ pub fn run(cfg: &HarnessConfig) -> Table {
         let inst = Instance::generate(spec, &uniform, 1);
         let n = inst.num_vertices();
         let counts = inst.edge_counts();
-        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
-            capacity_bytes: cfg.device_capacity,
+        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: cfg.device_capacity,
         });
         let list_size = pic_cfg.list_size(n) as usize;
         let cap_edges =
@@ -95,8 +96,9 @@ pub fn run(cfg: &HarnessConfig) -> Table {
                 // The paper's remedy for the large tier: keep P = 12.5%
                 // but drop α to 1, shrinking the conflict graph to fit.
                 let retry_cfg = PicassoConfig::normal(1).with_alpha(1.0).with_backend(
-                    ConflictBackend::Device {
-                        capacity_bytes: cfg.device_capacity,
+                    ConflictBackend::MultiDevice {
+                        devices: 1,
+                        capacity_each: cfg.device_capacity,
                     },
                 );
                 let status = match Picasso::new(retry_cfg).solve_pauli(&inst.set) {

@@ -15,26 +15,83 @@ pub enum ConflictBackend {
     /// against (and as the honest baseline of the `conflict_build`
     /// bench).
     AllPairs,
-    /// Simulated-accelerator build following Algorithm 3, with the given
-    /// device capacity in bytes. Fails with
-    /// [`crate::SolveError::DeviceOom`] when the conflict edge list
-    /// outgrows the device, as the paper's largest instance does on the
-    /// 40 GB A100.
-    Device {
-        /// Device memory budget in bytes.
-        capacity_bytes: usize,
-    },
-    /// Sharded construction across several simulated devices — the
-    /// paper's stated future work ("distributed multi-GPU parallel
-    /// implementations"). Rows are pair-balanced across devices; each
-    /// device replicates the encoded input and owns its shard's edge
-    /// list within its own budget.
+    /// Simulated-accelerator build following Algorithm 3 on a fleet of
+    /// `devices` ([`crate::conflict::build_device`]): one device is the
+    /// paper's GPU build, several its stated future work ("distributed
+    /// multi-GPU parallel implementations"). Rows are pair-balanced
+    /// across devices; each device replicates the encoded input and owns
+    /// its shard's edge list within its own budget. Fails with
+    /// [`crate::SolveError::DeviceOom`] when a shard's edge list outgrows
+    /// its device, as the paper's largest instance does on the 40 GB
+    /// A100.
     MultiDevice {
         /// Number of simulated devices.
         devices: usize,
         /// Memory budget of each device in bytes.
         capacity_each: usize,
     },
+}
+
+impl ConflictBackend {
+    /// Parses the CLI / job-config spelling of a backend: `seq`, `par`,
+    /// `allpairs`, `device:<MiB>` (a fleet of one) or
+    /// `multi:<N>:<MiB>`, with `1 ≤ MiB ≤ 2²⁰` and `1 ≤ N ≤ 64`.
+    pub fn from_label(label: &str) -> Result<ConflictBackend, String> {
+        Ok(match label {
+            "seq" => ConflictBackend::Sequential,
+            "par" => ConflictBackend::Parallel,
+            "allpairs" => ConflictBackend::AllPairs,
+            _ => {
+                let (devices, capacity) = if let Some(cap) = label.strip_prefix("device:") {
+                    (1, cap)
+                } else if let Some(rest) = label.strip_prefix("multi:") {
+                    let (count, cap) = rest
+                        .split_once(':')
+                        .ok_or_else(|| format!("backend {label:?} wants multi:<N>:<MiB>"))?;
+                    let devices: usize = count
+                        .parse()
+                        .map_err(|_| format!("bad device count {count:?} in backend {label:?}"))?;
+                    if devices == 0 || devices > 64 {
+                        return Err(format!("device count {devices} out of [1, 64]"));
+                    }
+                    (devices, cap)
+                } else {
+                    return Err(format!(
+                        "unknown backend {label:?} (want seq | par | allpairs | device:<MiB> \
+                         | multi:<N>:<MiB>)"
+                    ));
+                };
+                let mib: usize = capacity.parse().map_err(|_| {
+                    format!("bad device capacity {capacity:?} in backend {label:?}")
+                })?;
+                if mib == 0 || mib > 1024 * 1024 {
+                    return Err(format!("device capacity {mib} MiB out of [1, 2^20]"));
+                }
+                ConflictBackend::MultiDevice {
+                    devices,
+                    capacity_each: mib << 20,
+                }
+            }
+        })
+    }
+
+    /// Stable label, the inverse of [`ConflictBackend::from_label`];
+    /// device capacities print in whole MiB, rounded down.
+    pub fn label(&self) -> String {
+        match *self {
+            ConflictBackend::Sequential => "seq".into(),
+            ConflictBackend::Parallel => "par".into(),
+            ConflictBackend::AllPairs => "allpairs".into(),
+            ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each,
+            } => format!("device:{}", capacity_each >> 20),
+            ConflictBackend::MultiDevice {
+                devices,
+                capacity_each,
+            } => format!("multi:{devices}:{}", capacity_each >> 20),
+        }
+    }
 }
 
 /// How the conflict graph is list-colored (§IV-B).
@@ -113,8 +170,9 @@ pub struct PicassoConfig {
     /// iteration, so this only triggers on adversarial configurations.
     pub max_iterations: usize,
     /// Device backends only: when set, every iteration's worst-case
-    /// device footprint (input replica + counters + bucket index + a COO
-    /// arena of two slots per [`BucketLoad::total_pairs`] candidate) is
+    /// per-device footprint (input replica + counters + bucket index + a
+    /// COO arena of two slots per candidate pair of the device's
+    /// [`BucketLoad::total_pairs`] share) is
     /// checked against the device budget **before any oracle query or
     /// kernel launch**, and an over-budget iteration fails fast with
     /// [`crate::SolveError::ForecastOverBudget`] instead of discovering
@@ -216,6 +274,54 @@ impl PicassoConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backend_labels_round_trip_and_reject_bad_specs() {
+        for (label, backend) in [
+            ("seq", ConflictBackend::Sequential),
+            ("par", ConflictBackend::Parallel),
+            ("allpairs", ConflictBackend::AllPairs),
+            (
+                "device:64",
+                ConflictBackend::MultiDevice {
+                    devices: 1,
+                    capacity_each: 64 << 20,
+                },
+            ),
+            (
+                "multi:4:16",
+                ConflictBackend::MultiDevice {
+                    devices: 4,
+                    capacity_each: 16 << 20,
+                },
+            ),
+        ] {
+            assert_eq!(ConflictBackend::from_label(label), Ok(backend), "{label}");
+            assert_eq!(backend.label(), label);
+        }
+        // `multi:1:M` is the same fleet of one as `device:M`.
+        assert_eq!(
+            ConflictBackend::from_label("multi:1:8").unwrap().label(),
+            "device:8"
+        );
+        for bad in [
+            "device:",
+            "device:0",
+            "device:nope",
+            // 2^44 MiB: the byte count would wrap a 64-bit usize.
+            "device:17592186044416",
+            "device:1048577",
+            "multi:4",
+            "multi:0:16",
+            "multi:65:16",
+            "multi:2:0",
+            "multi:2:17592186044416",
+            "Device:64",
+            "warp",
+        ] {
+            assert!(ConflictBackend::from_label(bad).is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn paper_presets() {

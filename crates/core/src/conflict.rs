@@ -22,9 +22,9 @@
 //! row by row — a pivot and the surviving members of its candidate run —
 //! so a group is one pivot row and the COO costs about 4 bytes per edge
 //! instead of the 8 of a `(u32, u32)` pair. The builder's `num_edges` is
-//! the sum of the groups' lengths. The simulated device kernels still
-//! stage flat `u, v` pairs in their device arena, as Algorithm 3's COO
-//! does (so the device forecasts and transfer accounting keep the
+//! the sum of the groups' lengths. The simulated device kernel still
+//! stages flat `u, v` pairs in its device arena, as Algorithm 3's COO
+//! does (so the device forecast and transfer accounting keep the
 //! `2 · pairs` word bound); the host merge regroups them through the same
 //! writer. [`IterationScratch::edges`], the old pair buffer, is no longer
 //! touched by any builder: it stays only as the benchmark replay's pair
@@ -50,7 +50,7 @@
 //! ([`crate::PairSource::scan_rows_packed`]) instead of the scalar
 //! block path — the bucketed engine over its bucket-major replica, the
 //! all-pairs engine over the identity layout (one bucket of all `m`
-//! vertices, no index). The device backends then charge the replica
+//! vertices, no index). The device build then charges the replica
 //! instead of the raw encoded set. The scalar `Θ(m²)` scan survives
 //! only as [`build_sequential_allpairs`] (backend
 //! [`crate::ConflictBackend::AllPairs`]): it never packs, so it stays
@@ -59,11 +59,12 @@
 //!
 //! # Determinism
 //!
-//! All engine-driven backends — sequential, rayon-parallel,
-//! simulated-device and sub-bucket-sharded multi-device — are required
-//! to produce **identical** CSR graphs (the paper: "our GPU
-//! implementation produces exactly the same coloring as the CPU-only one
-//! because the conflict graph construction is deterministic"). The
+//! All engine-driven backends — sequential, rayon-parallel and the
+//! simulated device fleet (one device, or several sharded below bucket
+//! granularity) — are required to produce **identical** CSR graphs (the
+//! paper: "our GPU implementation produces exactly the same coloring as
+//! the CPU-only one because the conflict graph construction is
+//! deterministic"). The
 //! argument: the emitted pair *set* is a pure function of the lists
 //! (smallest-shared-color deduplication is scheduling-independent), the
 //! oracle is pure, and every backend assembles with the one CSR builder
@@ -79,7 +80,7 @@
 //! runs both ascend, so the scatter writes every row ascending. The
 //! rayon build merges its blocks' groups in scheduling order but hands
 //! them to the assembler in cut order, so its scatter sees those same
-//! sequential groups. The device backends regroup their flat pairs in
+//! sequential groups. The device build regroups its flat pairs in
 //! kernel order. Each pair is emitted once, as the assembler's
 //! unique-edge contract requires.
 //!
@@ -395,15 +396,16 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
     }
 }
 
-/// The staged pair kernel both device backends launch on `dev` over the
-/// flat rows `base..base + weights.len()`: blocks own pair-balanced row
-/// ranges ([`DeviceSim::launch_weighted_span`]), draw their staging
-/// buffers from the context's arena `pool`, stage their edges locally as
-/// flat `u, v` words, and bulk-reserve output slots in `coo` with one
-/// atomic `fetch_add`, so the write pattern is race-free. A block whose
-/// slots would run past `coo` raises the overflow flag instead of
-/// writing, and the launch fails with [`DeviceError::OutOfMemory`].
-/// Returns the number of `coo` words written.
+/// The staged pair kernel every device of a fleet launches on `dev`
+/// over its flat rows `base..base + weights.len()`: blocks own
+/// pair-balanced row ranges ([`DeviceSim::launch_weighted_span`]), draw
+/// their staging buffers from the context's arena `pool`, stage their
+/// edges locally as flat `u, v` words, and bulk-reserve output slots in
+/// `coo` with one atomic `fetch_add`, so the write pattern is
+/// race-free. A block whose slots would run past `coo` raises the
+/// overflow flag instead of writing, and the launch fails with
+/// [`DeviceError::OutOfMemory`]. Returns the number of `coo` words
+/// written.
 #[allow(clippy::too_many_arguments)]
 fn launch_staged_pair_kernel<O: EdgeOracle, S: PairSource + ?Sized>(
     dev: &DeviceSim,
@@ -497,49 +499,86 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
         + list_size * std::mem::size_of::<u32>()
 }
 
-/// Simulated-device implementation of Algorithm 3, extended with the
-/// bucketed candidate engine and the packed oracle replica.
+/// One contiguous, pair-balanced span of flat pivot rows per device
+/// ([`device::balanced_weight_cuts`]), together covering every row: the
+/// zero-weight tail the cuts may leave joins the last span, and devices
+/// past the cuts get empty spans. A fleet of one gets the whole row
+/// space.
+fn device_spans(weights: &[u64], devices: usize) -> Vec<std::ops::Range<usize>> {
+    let rows = weights.len();
+    let mut spans = device::balanced_weight_cuts(weights, devices);
+    // A cut past the `devices`-th opens only once the first `devices`
+    // ideal shares cover the total weight, so it carries no pairs.
+    spans.truncate(devices);
+    if let Some(last) = spans.last_mut() {
+        last.end = rows;
+    }
+    spans.resize(devices, rows..rows);
+    spans
+}
+
+/// Algorithm 3 on a fleet of simulated devices, extended with the
+/// bucketed candidate engine and the packed oracle replica. A single
+/// GPU — the paper's build — is a fleet of one; several devices are the
+/// paper's stated future work ("distributed multi-GPU parallel
+/// implementations").
 ///
-/// Budget layout, following the paper line by line:
-/// 1. upload the kernel's input: the raw encoded strings + color lists
+/// The engine's flat pivot-row space (one row per bucket position for
+/// the bucketed engine, one per vertex for the all-pairs fallback) is
+/// cut into one contiguous, pair-balanced span per device. A span may
+/// start and end *mid-bucket*: a bucket's pair triangle splits across
+/// devices at row granularity, which is what lets a two-color palette
+/// (two buckets) still occupy eight devices. Each device, in fleet
+/// order, walks the same budget steps, following the paper line by line:
+/// 1. upload the input replica: the raw encoded strings + color lists
 ///    (`input_bytes_per_vertex · m`) on the scalar path, or — when the
-///    iteration packed — the **packed replica** (bucket-major key lanes,
-///    query rows and palette bitmasks,
-///    [`PackedBuckets::device_bytes`]) plus the color lists, charged
-///    *instead of* the raw set: the replica is what the packed kernel
-///    actually reads,
-/// 2. reserve `m` edge-offset counters (4-byte, or 8-byte once
-///    `m² ≥ 2³²`),
+///    iteration packed — the color lists plus the slice of the **packed
+///    replica** its span reads (key lanes, query rows and palette
+///    bitmasks, [`PackedBuckets::device_bytes_for_span`]; the whole
+///    [`PackedBuckets::device_bytes`] for a fleet of one), charged
+///    *instead of* the raw set,
+/// 2. reserve one edge-offset counter per pivot row of the span, at
+///    most `m` (4-byte, or 8-byte once `m² ≥ 2³²`),
 /// 3. upload the bucket index (`N·L + P + 1` u32 values) when the
-///    bucketed engine is selected — the enumeration structure is now
-///    device-resident state and is charged like any other input,
-/// 4. reserve `min(2 · candidate_pairs, whatever fits)` u32 slots for
-///    the unordered COO edge list, staged as flat `u, v` pairs (each
-///    candidate yields at most one edge, so the arena is far below the
-///    legacy `2·m·(m−1)` bound; a group layout could need three words
-///    for a one-hit row and break that bound).
-///    The budget charge is a [`device::DeviceLease`]; the backing
-///    storage is the context's reused COO word arena, so a warm build
-///    allocates no host memory for it,
-/// 5. launch the staged pair kernel over the flat pivot-row space
+///    bucketed engine is selected — every device holds a replica of the
+///    one host-built index,
+/// 4. reserve `min(2 · span pairs, whatever fits)` u32 slots for the
+///    unordered COO edge list, staged as flat `u, v` pairs (each
+///    candidate yields at most one edge; a group layout could need three
+///    words for a one-hit row and break that bound). The budget charge
+///    is a [`device::DeviceLease`]; the backing storage is the
+///    context's reused COO word arena (devices run one after another,
+///    so one arena serves all), so a warm build allocates no host
+///    memory for it,
+/// 5. launch the staged pair kernel over the span
 ///    ([`DeviceSim::launch_weighted_span`]: blocks own contiguous row
-///    ranges of near-equal pair weight, possibly mid-bucket, stage
-///    locally and bulk-reserve slots with one atomic),
-/// 6. if the CSR (2·|Ec| adjacency slots) fits in the *remaining* device
-///    memory, assemble it "on device" and download it; otherwise download
-///    the raw edge list and assemble on the host. Either way the pairs
-///    are regrouped into the context's group arena and the arrays come
-///    from the context's CSR arena.
+///    ranges of near-equal pair weight, stage locally and bulk-reserve
+///    slots with one atomic),
+/// 6. on a fleet of one, if the CSR (2·|Ec| adjacency slots) fits in
+///    the memory still available next to the COO arena, assemble it
+///    "on device" and download it; otherwise download the raw edge list
+///    for host assembly.
 ///
-/// Fails with [`DeviceError::OutOfMemory`] when the inputs don't fit or
-/// the kernel produces more edges than the allocation holds — the same
-/// failure the paper reports for its largest instance on the 40 GB A100.
+/// With `m < 2` each device stops after step 2, and a span without
+/// candidate pairs after step 3. The pairs are regrouped into the
+/// context's group arena and the CSR arrays come from the context's CSR
+/// arena; the graph is bit-identical for any fleet and placement.
+///
+/// Fails with [`DeviceError::OutOfMemory`] when a device's inputs don't
+/// fit or its kernel produces more edges than its allocation holds —
+/// the same failure the paper reports for its largest instance on the
+/// 40 GB A100.
+///
+/// # Panics
+///
+/// If `fleet` is empty.
 pub fn build_device<O: EdgeOracle>(
     oracle: &O,
     ctx: &mut IterationContext,
-    dev: &DeviceSim,
+    fleet: &[DeviceSim],
     input_bytes_per_vertex: usize,
 ) -> Result<ConflictBuild, DeviceError> {
+    assert!(!fleet.is_empty(), "need at least one device");
     let list_bytes = ctx.lists().list_size() * std::mem::size_of::<u32>();
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
@@ -552,6 +591,8 @@ pub fn build_device<O: EdgeOracle>(
         ..
     } = scratch;
     let pool: &ScratchPool = pool;
+    // Only a lone device keeps the CSR next to its COO arena.
+    let mut on_device = fleet.len() == 1;
     if m == 0 {
         return Ok(ConflictBuild {
             graph: CsrGraph::empty(0),
@@ -559,216 +600,36 @@ pub fn build_device<O: EdgeOracle>(
             candidate_pairs: 0,
             packed_lanes: 0,
             scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(true),
+            csr_on_device: Some(on_device),
         });
     }
-
-    // (1) Inputs: charged to the budget and counted as an H2D transfer.
-    // A packed iteration uploads the replica (what its kernel reads)
-    // plus the color lists instead of the raw encoded set.
-    let input_bytes = match packed {
-        Some(p) => m * list_bytes + p.device_bytes(),
-        None => m * input_bytes_per_vertex,
-    };
-    let _input = dev.reserve(input_bytes)?;
-    dev.note_h2d(input_bytes);
-
-    // (2) Edge-offset counters: 8-byte once |V|² overflows u32 (paper §V).
+    // Edge-offset counters are 8-byte once |V|² overflows u32 (paper §V).
     let wide_counters = (m as u64).saturating_mul(m as u64) >= u32::MAX as u64;
-    let counter_bytes = m * if wide_counters { 8 } else { 4 };
-    let _counters = dev.reserve(counter_bytes)?;
-
-    // A single vertex has no candidate pairs; nothing to build.
-    if m < 2 {
-        return Ok(ConflictBuild {
-            graph: CsrGraph::empty(m),
-            num_edges: 0,
-            candidate_pairs: 0,
-            packed_lanes: 0,
-            scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(true),
-        });
-    }
-
-    // (3) A bucketed engine choice makes the shared inverted index
-    // device-resident input, charged and uploaded like the rest.
-    let candidate_pairs = engine.candidate_pairs();
-    let _index_lease = match engine.index() {
-        Some(index) => {
-            let bytes = index.device_bytes();
-            let lease = dev.reserve(bytes)?;
-            dev.note_h2d(bytes);
-            Some(lease)
-        }
-        None => None,
-    };
-    if candidate_pairs == 0 {
-        return Ok(ConflictBuild {
-            graph: CsrGraph::empty(m),
-            num_edges: 0,
-            candidate_pairs: 0,
-            packed_lanes: 0,
-            scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(true),
-        });
-    }
-    let packed_lanes = if packed.is_some() { candidate_pairs } else { 0 };
-
-    // (4) The unordered COO edge list: all remaining memory, capped at
-    // two u32 slots per candidate pair (each yields at most one edge).
-    // Budget via lease; storage from the context's reused word arena.
-    let worst_slots = 2u64.saturating_mul(candidate_pairs).min(usize::MAX as u64) as usize;
-    let avail_slots = dev.available_bytes() / std::mem::size_of::<u32>();
-    let edge_slots = worst_slots.min(avail_slots);
-    if edge_slots == 0 {
-        return Err(DeviceError::OutOfMemory {
-            requested: std::mem::size_of::<u32>(),
-            available: dev.available_bytes(),
-        });
-    }
-    let _edge_lease = dev.reserve(edge_slots * std::mem::size_of::<u32>())?;
-    coo.clear();
-    coo.resize(edge_slots, 0);
-
-    // (5) Staged pair kernel over pair-balanced blocks of the flat
-    // pivot-row space.
-    let shared_stats = SharedScanStats::default();
-    let used_slots = launch_staged_pair_kernel(
-        dev,
-        oracle,
-        &engine,
-        packed,
-        pool,
-        coo,
-        &engine.row_weights(),
-        0,
-        rayon::current_num_threads() * 4,
-        &shared_stats,
-    )?;
-    let num_edges = used_slots / 2;
-    let scan_stats = shared_stats.into_stats();
-
-    // Regrouped into the context's group arena in kernel order: CSR
-    // assembly orders each row, so block scheduling cannot change the
-    // graph.
-    groups.clear();
-    regroup(groups, &coo[..used_slots]);
-    groups.finish();
-
-    // (6) CSR placement decision (Line 5 of Algorithm 3, `|Ecoo| <=
-    // AvailMem/2`): the CSR stores each edge twice; build it on-device
-    // only if those entries fit in the memory still available *next to*
-    // the COO arena. (The arena is capped at 2·candidate_pairs slots, so
-    // it no longer stands in for "all remaining memory" the way the
-    // legacy 2·m·(m−1) allocation did.) A failed reservation means host
-    // assembly; the graph is the same either way.
-    let csr_bytes = 2 * num_edges * std::mem::size_of::<u32>();
-    let csr_lease = if csr_bytes <= dev.available_bytes() {
-        dev.reserve(csr_bytes.max(std::mem::size_of::<u32>())).ok()
-    } else {
-        None
-    };
-    let on_device = csr_lease.is_some();
-    dev.note_d2h(if on_device {
-        csr_bytes
-    } else {
-        used_slots * std::mem::size_of::<u32>()
-    });
-    Ok(ConflictBuild {
-        graph: csr_from_groups_in(m, groups, csr),
-        num_edges,
-        candidate_pairs,
-        packed_lanes,
-        scan_stats,
-        csr_on_device: Some(on_device),
-    })
-}
-
-/// Multi-device conflict construction on the candidate engine with
-/// **sub-bucket sharding** — the paper's stated future work
-/// ("distributed multi-GPU parallel implementations"), implemented over
-/// the simulated devices.
-///
-/// The engine's flat pivot-row space (one row per bucket position for
-/// the bucketed engine, one per vertex row for the all-pairs fallback)
-/// is cut into one contiguous, pair-balanced span per device
-/// ([`device::balanced_weight_cuts`] over the per-row weights). A span
-/// may start and end *mid-bucket*: a single bucket's pair triangle
-/// splits across devices at row granularity, which is what lets a
-/// two-color palette (two buckets) still occupy eight devices.
-///
-/// Every device holds a replica of the encoded input **and of the shared
-/// bucket index**, both charged to its own Algorithm 3 budget; each
-/// device builds the edge list of its span under that budget
-/// ([`DeviceSim::launch_weighted_span`]). Edge lists are merged on the
-/// host (into the context's COO arena) and the CSR assembled there —
-/// bit-identical to every other backend for any device count.
-pub fn build_multi_device<O: EdgeOracle>(
-    oracle: &O,
-    ctx: &mut IterationContext,
-    devices: &[DeviceSim],
-    input_bytes_per_vertex: usize,
-) -> Result<ConflictBuild, DeviceError> {
-    assert!(!devices.is_empty(), "need at least one device");
-    let list_bytes = ctx.lists().list_size() * std::mem::size_of::<u32>();
-    let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
-    let m = engine.num_vertices();
-    debug_assert_eq!(m, oracle.num_vertices());
-    let IterationScratch {
-        groups,
-        pool,
-        coo,
-        csr,
-        ..
-    } = scratch;
-    let pool: &ScratchPool = pool;
-    if m < 2 {
-        return Ok(ConflictBuild {
-            graph: CsrGraph::empty(m),
-            num_edges: 0,
-            candidate_pairs: 0,
-            packed_lanes: 0,
-            scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(false),
-        });
-    }
+    let counter_bytes = if wide_counters { 8 } else { 4 };
     let candidate_pairs = engine.candidate_pairs();
     let row_weights = engine.row_weights();
-    let mut cuts = device::balanced_weight_cuts(&row_weights, devices.len());
-    // Every device participates (replica upload + kernel launch) even
-    // when the weight distribution needs fewer spans than devices.
-    let end = row_weights.len();
-    while cuts.len() < devices.len() {
-        cuts.push(end..end);
-    }
-    // The zip below truncates to `devices.len()` spans; a surplus range
-    // can only be the closing tail after the preceding ranges already
-    // covered the total weight, so it must carry zero pair work.
-    debug_assert!(
-        cuts.iter()
-            .skip(devices.len())
-            .all(|c| row_weights[c.clone()].iter().all(|&w| w == 0)),
-        "truncated span carries candidate pairs"
-    );
-
     groups.clear();
     let shared_stats = SharedScanStats::default();
-    for (span, dev) in cuts.iter().zip(devices.iter()) {
-        // (1) Input replica, charged to this device's budget: when this
-        // iteration packed, only the replica *slice* the span's kernel
-        // actually reads — the touched buckets' key lanes, one query
-        // row per pivot in the span, the touched members' palette
-        // bitmasks ([`PackedBuckets::device_bytes_for_span`]) — plus
-        // the lists; the raw encoded set otherwise. A narrow span no
-        // longer charges all `m` query rows.
+    for (span, dev) in device_spans(&row_weights, fleet.len())
+        .into_iter()
+        .zip(fleet)
+    {
+        // (1) Input replica, charged and counted as an H2D transfer.
         let input_bytes = match packed {
             Some(p) => m * list_bytes + p.device_bytes_for_span(engine.index(), span.clone()),
             None => m * input_bytes_per_vertex,
         };
         let _input = dev.reserve(input_bytes)?;
         dev.note_h2d(input_bytes);
-        // (2) Bucket-index replica: the shared index is built once on the
-        // host but uploaded to (and charged against) every device.
+
+        // (2) Edge-offset counters.
+        let _counters = dev.reserve(span.len().min(m) * counter_bytes)?;
+        // A single vertex has no candidate pairs; nothing to build.
+        if m < 2 {
+            continue;
+        }
+
+        // (3) Bucket-index replica, when the bucketed engine runs.
         let _index_lease = match engine.index() {
             Some(index) => {
                 let bytes = index.device_bytes();
@@ -778,19 +639,14 @@ pub fn build_multi_device<O: EdgeOracle>(
             }
             None => None,
         };
-        // (3) Edge-offset counters for the span's pivot rows.
-        let _counters = dev.reserve(span.len() * 4)?;
         let span_weights = &row_weights[span.clone()];
         let span_pairs: u64 = span_weights.iter().sum();
         if span_pairs == 0 {
-            // Idle span (or weight tail): the kernel still launches so
-            // per-iteration launch accounting is uniform across devices.
-            dev.launch_weighted_span(span_weights, span.start, 1, |_b, _rows| {})?;
             continue;
         }
-        // (4) COO arena, capped at two u32 slots per candidate pair of
-        // the span: budget via lease, storage from the context's reused
-        // word arena (serial over devices, so one arena serves all).
+
+        // (4) The unordered COO edge list: all remaining memory, capped
+        // at two u32 slots per candidate pair of the span.
         let worst_slots = 2u64.saturating_mul(span_pairs).min(usize::MAX as u64) as usize;
         let avail_slots = dev.available_bytes() / std::mem::size_of::<u32>();
         let edge_slots = worst_slots.min(avail_slots);
@@ -803,8 +659,10 @@ pub fn build_multi_device<O: EdgeOracle>(
         let _edge_lease = dev.reserve(edge_slots * std::mem::size_of::<u32>())?;
         coo.clear();
         coo.resize(edge_slots, 0);
-        // (5) Triangle-sharded kernel: blocks own pair-balanced row
-        // ranges of this device's span (global row ids).
+
+        // (5) Staged pair kernel over pair-balanced blocks of the span
+        // (global row ids), regrouped in kernel order: CSR assembly
+        // orders each row, so block scheduling cannot change the graph.
         let used = launch_staged_pair_kernel(
             dev,
             oracle,
@@ -814,13 +672,23 @@ pub fn build_multi_device<O: EdgeOracle>(
             coo,
             span_weights,
             span.start,
-            rayon::current_num_threads() * 2,
+            rayon::current_num_threads() * 4,
             &shared_stats,
         )?;
-        dev.note_d2h(used * std::mem::size_of::<u32>());
-        // Host-side merge, regrouped straight into the context's group
-        // arena — no per-device intermediate.
         regroup(groups, &coo[..used]);
+
+        // (6) CSR placement (Line 5 of Algorithm 3, `|Ecoo| <=
+        // AvailMem/2`): the CSR stores each edge twice — as many words
+        // as the COO's pairs, so the download has the same size either
+        // way. It stays on the device only if it fits in the memory
+        // still available *next to* the COO arena; a failed
+        // reservation means host assembly. The graph is the same
+        // either way.
+        let bytes = used * std::mem::size_of::<u32>();
+        on_device = on_device
+            && bytes <= dev.available_bytes()
+            && dev.reserve(bytes.max(std::mem::size_of::<u32>())).is_ok();
+        dev.note_d2h(bytes);
     }
     groups.finish();
 
@@ -831,7 +699,7 @@ pub fn build_multi_device<O: EdgeOracle>(
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
         scan_stats: shared_stats.into_stats(),
-        csr_on_device: Some(false),
+        csr_on_device: Some(on_device),
     })
 }
 
@@ -905,8 +773,8 @@ mod tests {
     }
 
     #[test]
-    fn device_agrees_with_host_builds() {
-        for m in [1usize, 8, 50, 120] {
+    fn device_fleets_agree_with_host_builds() {
+        for m in [1usize, 8, 50, 150] {
             let oracle = dense_oracle(m);
             // The second palette has two colors and one-slot lists: two
             // buckets, so whole-bucket blocks would give the kernel at
@@ -915,22 +783,41 @@ mod tests {
                 ColorLists::assign(m, 10, (m as u32 / 4).max(2), 3, 9, 1),
                 ColorLists::assign(m, 0, 2, 1, 3, 0),
             ] {
-                let what = format!("m={m} P={}", lists.palette_size());
                 let mut ctx = ctx_for(&lists);
                 let seq = build_sequential(&oracle, &mut ctx);
                 let host = build_parallel(&oracle, &mut ctx);
-                let dev = DeviceSim::new(64 * 1024 * 1024);
-                let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
-                assert_eq!(seq.graph, devb.graph, "{what}");
-                assert_eq!(host.graph, devb.graph, "{what}");
-                assert_eq!(host.num_edges, devb.num_edges, "{what}");
-                if m >= 2 {
-                    assert_eq!(host.candidate_pairs, devb.candidate_pairs, "{what}");
+                assert_eq!(seq.graph, host.graph);
+                for devices in [1usize, 2, 4, 8] {
+                    let what = format!("m={m} P={} devices={devices}", lists.palette_size());
+                    let fleet: Vec<DeviceSim> =
+                        (0..devices).map(|_| DeviceSim::new(16 << 20)).collect();
+                    let built = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+                    assert_eq!(built.graph, host.graph, "{what}");
+                    assert_eq!(built.num_edges, host.num_edges, "{what}");
+                    assert_eq!(built.candidate_pairs, host.candidate_pairs, "{what}");
+                    // Only a lone device keeps the CSR; 16 MiB holds it.
+                    assert_eq!(built.csr_on_device, Some(devices == 1), "{what}");
+                    for d in &fleet {
+                        // Every device holds an input replica, launches
+                        // at most once and releases its buffers.
+                        assert!(d.stats().h2d_bytes >= m * 16, "{what}");
+                        assert!(d.stats().kernel_launches <= 1, "{what}");
+                        assert_eq!(d.used_bytes(), 0, "{what}");
+                    }
+                    assert!(ctx.index_builds() <= 1, "index shared across backends");
                 }
-                assert!(devb.csr_on_device.is_some());
-                assert!(ctx.index_builds() <= 1, "index shared across backends");
             }
         }
+    }
+
+    #[test]
+    fn device_spans_tile_the_row_space() {
+        let weights = [3u64, 0, 2, 1, 0, 0];
+        assert_eq!(device_spans(&weights, 1), vec![0..6]);
+        // The zero-weight tail joins the last span ...
+        assert_eq!(device_spans(&weights, 2), [0..1, 1..6]);
+        // ... and devices past the balanced cuts get empty spans.
+        assert_eq!(device_spans(&weights, 4), [0..1, 1..3, 3..6, 6..6]);
     }
 
     #[test]
@@ -966,7 +853,7 @@ mod tests {
         }
         // The device kernels share the same pool.
         let dev = DeviceSim::new(64 * 1024 * 1024);
-        let _ = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let _ = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         pinned(&ctx, "device build");
     }
 
@@ -994,9 +881,9 @@ mod tests {
             let seq = build_sequential(&oracle, &mut ctx);
             let par = build_parallel(&oracle, &mut ctx);
             let dev = DeviceSim::new(64 * 1024 * 1024);
-            let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+            let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
             let fleet: Vec<DeviceSim> = (0..3).map(|_| DeviceSim::new(32 * 1024 * 1024)).collect();
-            let multi = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+            let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
             let allpairs = build_sequential_allpairs(&oracle, &mut ctx);
 
             for (name, b) in [
@@ -1019,42 +906,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_device_build_charges_the_replica_not_the_raw_set() {
-        use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackingMode;
-        use rand::SeedableRng;
-        let m = 120;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let strings = pauli::string::random_unique_set(m, 12, &mut rng);
-        let set = pauli::EncodedSet::from_strings(&strings);
-        let oracle = PauliComplementOracle::new(&set);
-        let lists = ColorLists::assign(m, 0, 30, 3, 5, 0);
-        let mut ctx = ctx_for(&lists);
-        ctx.set_packing(PackingMode::Always);
-        let index_bytes = lists.bucket_index().device_bytes();
-        // 12 qubits → one word per row; replica = (m·L key lanes + m
-        // query rows + m one-word palette bitmasks) · 8 B, uploaded next
-        // to the m·L·4 B lists.
-        let replica_bytes = (m * 3 + m + m) * 8;
-        let list_bytes = m * 3 * 4;
-        let dev = DeviceSim::new(8 * 1024 * 1024);
-        let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
-        assert_eq!(built.packed_lanes, built.candidate_pairs);
-        assert_eq!(
-            dev.stats().h2d_bytes,
-            list_bytes + replica_bytes + index_bytes,
-            "packed upload = lists + replica + index, not m·input_bpv"
-        );
-        assert_eq!(dev.used_bytes(), 0, "all leases released");
-    }
-
-    #[test]
-    fn packed_multi_device_spans_charge_only_their_replica_slice() {
-        // Satellite regression: every device used to be charged all `m`
-        // query rows (the full `device_bytes()` replica) even when its
-        // sub-bucket span touched a fraction of the rows. Each device's
-        // upload must now be exactly lists + span slice + index.
-        use crate::candidates::CandidateEngine;
+    fn packed_device_spans_charge_only_their_replica_slice() {
+        // Each device uploads exactly the lists, the slice of the packed
+        // replica its span reads and the bucketed engine's index: never
+        // the raw set, and on a wider fleet not all `m` query rows
+        // either. A fleet of one reads the whole replica — at 12 qubits
+        // (one word per row) `(key rows + m query rows + m one-word
+        // palette bitmasks) · 8 B` next to the `m·L·4 B` lists — which is
+        // also the strict forecast's input term.
         use crate::oracle::PauliComplementOracle;
         use crate::packed::{PackedBuckets, PackingMode};
         use rand::SeedableRng;
@@ -1063,100 +922,46 @@ mod tests {
         let strings = pauli::string::random_unique_set(m, 12, &mut rng);
         let set = pauli::EncodedSet::from_strings(&strings);
         let oracle = PauliComplementOracle::new(&set);
-        let lists = ColorLists::assign(m, 0, 30, 3, 5, 0);
-        let devices = 4usize;
-        // Recompute the spans and the replica the build will use.
-        let index = lists.bucket_index();
-        let engine = CandidateEngine::with_index(&lists, Some(&index));
-        let row_weights = engine.row_weights();
-        let mut cuts = device::balanced_weight_cuts(&row_weights, devices);
-        let end = row_weights.len();
-        while cuts.len() < devices {
-            cuts.push(end..end);
-        }
-        let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
-        let list_bytes = m * 3 * 4;
-        let mut ctx = ctx_for(&lists);
-        ctx.set_packing(PackingMode::Always);
-        let fleet: Vec<DeviceSim> = (0..devices)
-            .map(|_| DeviceSim::new(8 * 1024 * 1024))
-            .collect();
-        let built = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-        assert_eq!(built.packed_lanes, built.candidate_pairs);
-        let mut some_span_is_narrow = false;
-        for (span, dev) in cuts.iter().zip(fleet.iter()) {
-            let span_bytes = packed.device_bytes_for_span(Some(&index), span.clone());
+        for (palette, list) in [(30u32, 3usize), (8, 6)] {
+            let lists = ColorLists::assign(m, 0, palette, list as u32, 5, 0);
+            let mut ctx = ctx_for(&lists);
+            ctx.set_packing(PackingMode::Always);
+            let bucketed = ctx.prefers_buckets();
+            assert_eq!(bucketed, palette == 30);
+            let index = bucketed.then(|| lists.bucket_index());
+            let index_bytes = index.as_ref().map_or(0, |i| i.device_bytes());
+            let list_bytes = m * list * 4;
+            let mut packed = PackedBuckets::new();
+            assert!(packed.pack_from(&oracle, &lists, index.as_ref()));
+            let key_rows = if bucketed { m * list } else { m };
+            assert_eq!(packed.device_bytes(), (key_rows + 2 * m) * 8);
             assert_eq!(
-                dev.stats().h2d_bytes,
-                list_bytes + span_bytes + index.device_bytes(),
-                "span {span:?}: upload must be lists + span slice + index, exactly"
+                ctx.input_replica_forecast(16, &oracle),
+                list_bytes + packed.device_bytes()
             );
-            some_span_is_narrow |= span_bytes < packed.device_bytes();
+            let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
+            let weights = ctx.engine_and_scratch().0.row_weights();
+            for devices in [1usize, 4] {
+                let what = format!("P={palette} devices={devices}");
+                let fleet: Vec<DeviceSim> = (0..devices).map(|_| DeviceSim::new(8 << 20)).collect();
+                let built = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+                assert_eq!(built.graph, reference, "{what}");
+                assert_eq!(built.packed_lanes, built.candidate_pairs, "{what}");
+                let mut narrow = 0;
+                for (span, dev) in device_spans(&weights, devices).into_iter().zip(&fleet) {
+                    let span_bytes = packed.device_bytes_for_span(index.as_ref(), span.clone());
+                    assert_eq!(
+                        dev.stats().h2d_bytes,
+                        list_bytes + span_bytes + index_bytes,
+                        "{what} span {span:?}"
+                    );
+                    narrow += usize::from(span_bytes < packed.device_bytes());
+                }
+                assert_eq!(narrow > 0, devices > 1, "{what}: {narrow} narrow spans");
+            }
+            assert_eq!(ctx.pack_builds(), 1, "one replica served every fleet");
+            assert_eq!(ctx.index_builds(), usize::from(bucketed));
         }
-        assert!(
-            some_span_is_narrow,
-            "with {devices} devices at least one span must upload less than the full replica"
-        );
-    }
-
-    #[test]
-    fn packed_all_pairs_device_charges_match_the_forecast() {
-        // L close to P: the engine falls back to all-pairs, which now
-        // packs the identity layout. The strict forecast's input term is
-        // exactly what the device build uploads (no index to add), and
-        // multi-device spans charge slices of that replica.
-        use crate::candidates::CandidateEngine;
-        use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackedBuckets;
-        use rand::SeedableRng;
-        let m = 160;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let strings = pauli::string::random_unique_set(m, 12, &mut rng);
-        let set = pauli::EncodedSet::from_strings(&strings);
-        let oracle = PauliComplementOracle::new(&set);
-        let lists = ColorLists::assign(m, 0, 8, 6, 5, 0);
-        let mut ctx = ctx_for(&lists);
-        assert!(!ctx.prefers_buckets());
-        let forecast = ctx.input_replica_forecast(16, &oracle);
-        let dev = DeviceSim::new(8 * 1024 * 1024);
-        let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
-        assert_eq!(
-            built.packed_lanes, built.candidate_pairs,
-            "all-pairs packed"
-        );
-        assert_eq!((ctx.pack_builds(), ctx.index_builds()), (1, 0));
-        // Lists + (m key rows + m query rows + m bitmasks) · 8 B.
-        assert_eq!(forecast, m * 6 * 4 + 3 * m * 8);
-        assert_eq!(dev.stats().h2d_bytes, forecast, "forecast = device input");
-
-        let engine = CandidateEngine::with_index(&lists, None);
-        let devices = 4usize;
-        let cuts = device::balanced_weight_cuts(&engine.row_weights(), devices);
-        let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, None));
-        let fleet: Vec<DeviceSim> = (0..devices)
-            .map(|_| DeviceSim::new(8 * 1024 * 1024))
-            .collect();
-        let multi = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-        assert_eq!(multi.graph, built.graph);
-        assert_eq!(multi.packed_lanes, multi.candidate_pairs);
-        let mut some_span_is_narrow = false;
-        for (span, dev) in cuts.iter().zip(fleet.iter()) {
-            let span_bytes = packed.device_bytes_for_span(None, span.clone());
-            assert!(span_bytes <= packed.device_bytes(), "span {span:?}");
-            assert_eq!(
-                dev.stats().h2d_bytes,
-                m * 6 * 4 + span_bytes,
-                "span {span:?}"
-            );
-            some_span_is_narrow |= span_bytes < packed.device_bytes();
-        }
-        assert!(some_span_is_narrow);
-        assert_eq!(
-            build_sequential_allpairs(&oracle, &mut ctx).graph,
-            built.graph
-        );
     }
 
     /// Walks a group buffer, checking that its headers tile it exactly;
@@ -1278,84 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_device_reports_oom() {
-        let m = 300;
-        let oracle = dense_oracle(m);
-        // Whole palette shared -> conflict graph == oracle graph, ~22k
-        // edges; a 16 KiB device cannot hold them.
-        let lists = ColorLists::assign(m, 0, 2, 2, 3, 0);
-        let dev = DeviceSim::new(16 * 1024);
-        let err = build_device(&oracle, &mut ctx_for(&lists), &dev, 16);
-        assert!(matches!(err, Err(DeviceError::OutOfMemory { .. })));
-    }
-
-    #[test]
-    fn device_transfer_accounting_nonzero() {
-        let m = 60;
-        let oracle = dense_oracle(m);
-        let lists = ColorLists::assign(m, 0, 8, 3, 1, 0);
-        let dev = DeviceSim::new(8 * 1024 * 1024);
-        let _ = build_device(&oracle, &mut ctx_for(&lists), &dev, 16).unwrap();
-        let stats = dev.stats();
-        assert!(stats.h2d_bytes >= 60 * 16);
-        assert!(stats.d2h_bytes > 0);
-        assert_eq!(stats.kernel_launches, 1);
-        // Everything is freed on exit.
-        assert_eq!(dev.used_bytes(), 0);
-    }
-
-    #[test]
-    fn device_charges_the_bucket_index_to_the_budget() {
-        let m = 120;
-        let oracle = dense_oracle(m);
-        // Sparse lists: the bucketed engine wins and its index is a
-        // device-resident input, so h2d must cover it.
-        let lists = ColorLists::assign(m, 0, 40, 3, 5, 0);
-        let index_bytes = lists.bucket_index().device_bytes();
-        let dev = DeviceSim::new(8 * 1024 * 1024);
-        let built = build_device(&oracle, &mut ctx_for(&lists), &dev, 16).unwrap();
-        assert!(built.candidate_pairs < (m as u64) * (m as u64 - 1) / 2);
-        assert!(
-            dev.stats().h2d_bytes >= m * 16 + index_bytes,
-            "h2d {} must include the {}-byte index",
-            dev.stats().h2d_bytes,
-            index_bytes
-        );
-    }
-
-    #[test]
-    fn multi_device_agrees_with_all_other_backends() {
-        for num_devices in [1usize, 2, 4, 8] {
-            let m = 150;
-            let oracle = dense_oracle(m);
-            let lists = ColorLists::assign(m, 0, 20, 4, 7, 0);
-            let mut ctx = ctx_for(&lists);
-            let host = build_parallel(&oracle, &mut ctx);
-            let devices: Vec<DeviceSim> = (0..num_devices)
-                .map(|_| DeviceSim::new(16 * 1024 * 1024))
-                .collect();
-            let multi = build_multi_device(&oracle, &mut ctx, &devices, 16).unwrap();
-            assert_eq!(host.graph, multi.graph, "devices={num_devices}");
-            assert_eq!(host.num_edges, multi.num_edges);
-            // Multi-device runs on the engine: enumeration accounting
-            // matches the other bucketed backends exactly.
-            assert_eq!(host.candidate_pairs, multi.candidate_pairs);
-            assert_eq!(ctx.index_builds(), 1, "one index for both backends");
-            // Every device did real work (transfers recorded) and every
-            // replica was charged the index bytes.
-            let index_bytes = lists.bucket_index().device_bytes();
-            for d in &devices {
-                assert!(
-                    d.stats().h2d_bytes >= m * 16 + index_bytes,
-                    "devices={num_devices}: replica h2d must include the index"
-                );
-                assert_eq!(d.stats().kernel_launches, 1);
-                assert_eq!(d.used_bytes(), 0, "buffers must be released");
-            }
-        }
-    }
-
-    #[test]
     fn sub_bucket_sharding_splits_coarse_buckets() {
         // Two-color palette: only two buckets, but seven devices must all
         // receive pair work — the degenerate case row sharding of buckets
@@ -1369,7 +1096,7 @@ mod tests {
         assert!(ctx.prefers_buckets(), "two sparse buckets beat all-pairs");
         let host = build_sequential(&oracle, &mut ctx);
         let devices: Vec<DeviceSim> = (0..7).map(|_| DeviceSim::new(4 * 1024 * 1024)).collect();
-        let multi = build_multi_device(&oracle, &mut ctx, &devices, 16).unwrap();
+        let multi = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
         assert_eq!(host.graph, multi.graph);
         assert_eq!(host.candidate_pairs, multi.candidate_pairs);
         // All seven devices launched; the first several carry real pair
@@ -1393,12 +1120,121 @@ mod tests {
         let lists = ColorLists::assign(m, 0, 2, 2, 3, 0); // every adjacent pair conflicts
         let one = vec![DeviceSim::new(128 * 1024)];
         assert!(matches!(
-            build_multi_device(&oracle, &mut ctx_for(&lists), &one, 16),
+            build_device(&oracle, &mut ctx_for(&lists), &one, 16),
             Err(DeviceError::OutOfMemory { .. })
         ));
         let four: Vec<DeviceSim> = (0..4).map(|_| DeviceSim::new(128 * 1024)).collect();
-        let built = build_multi_device(&oracle, &mut ctx_for(&lists), &four, 16).unwrap();
+        let built = build_device(&oracle, &mut ctx_for(&lists), &four, 16).unwrap();
         assert!(built.num_edges > 0);
+    }
+
+    /// One device run of the golden pin: the device's counters, then
+    /// where the CSR was assembled or the OOM payload.
+    type DevicePin = (usize, usize, usize, usize, Result<bool, (usize, usize)>);
+
+    /// Algorithm 3 on a fleet of one, as the golden pin drives it.
+    fn pin_build(
+        oracle: &crate::oracle::PauliComplementOracle<'_, pauli::EncodedSet>,
+        ctx: &mut IterationContext,
+        dev: &DeviceSim,
+    ) -> Result<ConflictBuild, DeviceError> {
+        build_device(oracle, ctx, std::slice::from_ref(dev), 16)
+    }
+
+    /// The one-device strict forecast, as the golden pin reads it.
+    fn pin_forecast(
+        oracle: &crate::oracle::PauliComplementOracle<'_, pauli::EncodedSet>,
+        ctx: &IterationContext,
+    ) -> usize {
+        ctx.device_forecast_bytes_for(oracle, 16, 1)
+    }
+
+    #[test]
+    fn single_device_accounting_is_pinned() {
+        // Golden values for Algorithm 3 on one device, over m, packing,
+        // bucketed vs all-pairs lists and three capacities: 64 MiB, the
+        // strict forecast (the COO lease then leaves no room for an
+        // on-device CSR) and a quarter of it (OOM, at an input
+        // reservation or in the kernel). Each row is
+        // `(m, packed, bucketed lists, forecast, runs)`; a run is
+        // `(peak, h2d, d2h, launches, Ok(csr_on_device) | Err((requested,
+        // available)))`. A change here moves the single-device
+        // `DeviceStats`, OOM payloads or fault-op numbering.
+        use crate::oracle::PauliComplementOracle;
+        use crate::packed::PackingMode;
+        use rand::SeedableRng;
+        #[rustfmt::skip]
+        const PINNED: [(usize, bool, bool, usize, [DevicePin; 3]); 20] = [
+            (0, true, true, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
+            (0, true, false, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
+            (0, false, true, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
+            (0, false, false, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
+            (1, true, true, 36, [(40, 36, 0, 0, Ok(true)), (36, 36, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((36, 9)))]),
+            (1, true, false, 48, [(52, 48, 0, 0, Ok(true)), (48, 48, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((48, 12)))]),
+            (1, false, true, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
+            (1, false, false, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
+            (2, true, true, 236, [(236, 228, 0, 0, Ok(true)), (236, 228, 0, 0, Ok(true)), (0, 0, 0, 0, Err((104, 59)))]),
+            (2, true, false, 112, [(120, 96, 8, 1, Ok(true)), (112, 96, 8, 1, Ok(false)), (0, 0, 0, 0, Err((96, 28)))]),
+            (2, false, true, 164, [(164, 156, 0, 0, Ok(true)), (164, 156, 0, 0, Ok(true)), (40, 32, 0, 0, Err((124, 1)))]),
+            (2, false, false, 48, [(56, 32, 8, 1, Ok(true)), (48, 32, 8, 1, Ok(false)), (0, 0, 0, 0, Err((32, 12)))]),
+            (50, true, true, 7212, [(8748, 3300, 1536, 1, Ok(true)), (7212, 3300, 1536, 1, Ok(false)), (0, 0, 0, 0, Err((2600, 1803)))]),
+            (50, true, false, 12400, [(17048, 2400, 4648, 1, Ok(true)), (12400, 2400, 4648, 1, Ok(false)), (3100, 2400, 0, 1, Err((4648, 500)))]),
+            (50, false, true, 5412, [(6948, 1500, 1536, 1, Ok(true)), (5412, 1500, 1536, 1, Ok(false)), (1000, 800, 0, 0, Err((700, 353)))]),
+            (50, false, false, 10800, [(15448, 800, 4648, 1, Ok(true)), (10800, 800, 4648, 1, Ok(false)), (2700, 800, 0, 1, Err((4648, 1700)))]),
+            (120, true, true, 29316, [(39180, 7780, 9864, 1, Ok(true)), (29316, 7780, 9864, 1, Ok(false)), (6720, 6240, 0, 0, Err((1540, 609)))]),
+            (120, true, false, 63360, [(92120, 5760, 28760, 1, Ok(true)), (63360, 5760, 28760, 1, Ok(false)), (15840, 5760, 0, 1, Err((28760, 9600)))]),
+            (120, false, true, 24996, [(34860, 3460, 9864, 1, Ok(true)), (24996, 3460, 9864, 1, Ok(false)), (6248, 3460, 0, 1, Err((9864, 2308)))]),
+            (120, false, false, 59520, [(88280, 1920, 28760, 1, Ok(true)), (59520, 1920, 28760, 1, Ok(false)), (14880, 1920, 0, 1, Err((28760, 12480)))]),
+        ];
+        let mut rows = PINNED.iter();
+        for m in [0usize, 1, 2, 50, 120] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(m as u64 + 40);
+            let strings = pauli::string::random_unique_set(m, 12, &mut rng);
+            let set = pauli::EncodedSet::from_strings(&strings);
+            let oracle = PauliComplementOracle::new(&set);
+            for packing in [PackingMode::Always, PackingMode::Never] {
+                for (bucketed, palette, list) in [(true, 24u32, 3u32), (false, 8, 6)] {
+                    let fresh = || {
+                        let mut ctx = ctx_for(&ColorLists::assign(m, 0, palette, list, 5, 1));
+                        ctx.set_packing(packing);
+                        ctx
+                    };
+                    let &(pm, ppacked, pbucketed, pforecast, ref pruns) = rows.next().unwrap();
+                    let what = format!("m={m} packing={packing:?} bucketed={bucketed}");
+                    assert_eq!(
+                        (pm, ppacked, pbucketed),
+                        (m, packing == PackingMode::Always, bucketed)
+                    );
+                    let forecast = pin_forecast(&oracle, &fresh());
+                    assert_eq!(forecast, pforecast, "{what}: forecast");
+                    for (capacity, pinned) in
+                        [64 << 20, forecast, forecast / 4].into_iter().zip(pruns)
+                    {
+                        let dev = DeviceSim::new(capacity);
+                        let built = pin_build(&oracle, &mut fresh(), &dev);
+                        let s = dev.stats();
+                        assert_eq!(s.used_bytes, 0, "{what}: every lease released");
+                        let outcome = match built {
+                            Ok(b) => Ok(b.csr_on_device.expect("device build")),
+                            Err(DeviceError::OutOfMemory {
+                                requested,
+                                available,
+                            }) => Err((requested, available)),
+                            Err(e) => panic!("{what}: unexpected {e}"),
+                        };
+                        let run = (
+                            s.peak_bytes,
+                            s.h2d_bytes,
+                            s.d2h_bytes,
+                            s.kernel_launches,
+                            outcome,
+                        );
+                        assert_eq!(&run, pinned, "{what}: capacity {capacity}");
+                    }
+                }
+            }
+        }
+        assert!(rows.next().is_none());
     }
 
     #[test]

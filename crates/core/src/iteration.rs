@@ -21,8 +21,8 @@
 //!   [`IterationStats`](crate::solver::IterationStats).
 //!
 //! The conflict builders ([`crate::conflict`]) all draw from the context
-//! — `build_sequential`, `build_parallel`, `build_device` and the
-//! sub-bucket-sharded `build_multi_device` share one engine view
+//! — `build_sequential`, `build_parallel` and the sub-bucket-sharded
+//! device fleet's `build_device` share one engine view
 //! ([`CandidateEngine::with_index`]) over the context's lists and index,
 //! which is what guarantees every backend enumerates the identical
 //! candidate set.
@@ -585,28 +585,40 @@ impl IterationContext {
         )
     }
 
-    /// Worst-case bytes Algorithm 3 can charge **one device** for this
-    /// iteration's build over `oracle`, computable pre-oracle and
+    /// Worst-case bytes Algorithm 3 can charge **each device** of a
+    /// fleet of `devices` for this iteration's build over `oracle`
+    /// ([`crate::conflict::build_device`]), computable pre-oracle and
     /// pre-index from the lists' metadata and bucket histogram alone:
-    /// the input replica, the per-vertex edge-offset counters, the
-    /// (bucketed) inverted-index upload, and a COO arena of two `u32`
-    /// slots per candidate pair (each candidate yields at most one edge,
-    /// so a build that passes this forecast can never overflow
-    /// mid-kernel). When the oracle has a packed form *and* this
+    /// the full input replica, `m` edge-offset counters, the (bucketed)
+    /// inverted-index replica, and a COO arena of two `u32` slots per
+    /// candidate pair of the device's span (each candidate yields at
+    /// most one edge, so a build that passes this forecast can never
+    /// overflow mid-kernel). When the oracle has a packed form *and* this
     /// iteration's packing decision engages, the input-replica term is
     /// the **exact** packed upload (lists + key lanes + query rows +
     /// palette bitmasks at the oracle's true word width) instead of the
-    /// raw set — matching what [`crate::conflict::build_device`] will
-    /// actually charge, including for oracles whose packed width exceeds
-    /// the raw input's word share (the symplectic encoding at small
-    /// registers). [`crate::PicassoConfig::strict_device_forecast`]
-    /// compares this against the device budget before any kernel
-    /// launches.
+    /// raw set, including for oracles whose packed width exceeds the raw
+    /// input's word share (the symplectic encoding at small registers);
+    /// a device's span slice of that replica is never larger. Spans are
+    /// balanced by pair weight at row granularity, so a device's pair
+    /// share is padded by the heaviest row's weight (under a deepest
+    /// bucket, or `m` for all-pairs) — a bound on how far
+    /// [`device::balanced_weight_cuts`] can overshoot the ideal
+    /// `pairs / devices` split — and never exceeds the total; a fleet of
+    /// one is charged every pair.
+    /// [`crate::PicassoConfig::strict_device_forecast`] compares this
+    /// against the per-device budget before any kernel launches.
+    ///
+    /// # Panics
+    ///
+    /// If `devices` is zero.
     pub fn device_forecast_bytes_for<O: EdgeOracle + ?Sized>(
         &self,
         oracle: &O,
         input_bytes_per_vertex: usize,
+        devices: usize,
     ) -> usize {
+        assert!(devices > 0, "need at least one device");
         let m = self.lists.len();
         let input = self.input_replica_forecast(input_bytes_per_vertex, oracle);
         if m < 2 {
@@ -615,43 +627,13 @@ impl IterationContext {
         let m64 = m as u64;
         let wide_counters = m64.saturating_mul(m64) >= u32::MAX as u64;
         let counters = m * if wide_counters { 8 } else { 4 };
-        let coo = 2u64
-            .saturating_mul(self.forecast_pairs())
-            .saturating_mul(std::mem::size_of::<u32>() as u64)
-            .min(usize::MAX as u64) as usize;
-        input
-            .saturating_add(counters)
-            .saturating_add(self.index_forecast_bytes())
-            .saturating_add(coo)
-    }
-
-    /// Worst-case bytes charged to **each of `devices` budgets** by the
-    /// sub-bucket-sharded multi-device build over `oracle`: the full
-    /// input replica (packed or raw, as in
-    /// [`IterationContext::device_forecast_bytes_for`]) and index
-    /// replica plus this device's pair-balanced span share of the COO
-    /// arena. Span balancing is row-granular, so the pair share is
-    /// padded by one deepest-bucket row — a conservative bound on how
-    /// far [`device::balanced_weight_cuts`] can overshoot the ideal
-    /// `pairs / devices` split — and the edge-offset counters are
-    /// charged for the *whole* row space: spans are balanced by pair
-    /// weight, not row count, so a skewed histogram can hand one device
-    /// nearly every row while its pair share stays fair.
-    pub fn multi_device_forecast_bytes_for<O: EdgeOracle + ?Sized>(
-        &self,
-        oracle: &O,
-        input_bytes_per_vertex: usize,
-        devices: usize,
-    ) -> usize {
-        let m = self.lists.len();
-        let input = self.input_replica_forecast(input_bytes_per_vertex, oracle);
-        if m < 2 || devices == 0 {
-            return input;
-        }
         let pairs = self.forecast_pairs();
-        let span_pairs = pairs.div_ceil(devices as u64) + self.load.max_bucket as u64;
-        let rows = self.num_rows();
-        let counters = rows.saturating_mul(4);
+        let heaviest_row = if self.bucketed {
+            self.load.max_bucket
+        } else {
+            m
+        };
+        let span_pairs = pairs.div_ceil(devices as u64) + heaviest_row as u64;
         let coo = 2u64
             .saturating_mul(span_pairs.min(pairs))
             .saturating_mul(std::mem::size_of::<u32>() as u64)
@@ -905,13 +887,13 @@ mod tests {
         let oracle = FnOracle::new(m, |u, v| (u * 13 + v * 7) % 3 == 0);
         let mut ctx = IterationContext::new();
         ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let forecast = ctx.device_forecast_bytes_for(&oracle, 16);
+        let forecast = ctx.device_forecast_bytes_for(&oracle, 16, 1);
         // The forecast is derived from metadata and the histogram alone.
         assert_eq!(ctx.index_builds(), 0, "forecast must not build the index");
         // It is a true worst-case bound: a device with exactly that
         // budget always completes the build.
         let dev = DeviceSim::new(forecast);
-        let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         assert!(built.num_edges > 0);
         assert!(dev.stats().peak_bytes <= forecast);
     }
@@ -934,27 +916,30 @@ mod tests {
         let mut ctx = IterationContext::new();
         ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
         let input_bpv = pauli::encode::words_for(10) * 8 + 4 * std::mem::size_of::<u32>();
-        let aware = ctx.device_forecast_bytes_for(&oracle, input_bpv);
+        let aware = ctx.device_forecast_bytes_for(&oracle, input_bpv, 1);
         // With packing disabled the forecast charges the raw upload, the
         // same as for an oracle without a packed form.
         let mut scalar_ctx = IterationContext::new();
         scalar_ctx.set_packing(PackingMode::Never);
         scalar_ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let raw = scalar_ctx.device_forecast_bytes_for(&oracle, input_bpv);
+        let raw = scalar_ctx.device_forecast_bytes_for(&oracle, input_bpv, 1);
         let unpackable = graph::FnOracle::new(m, |_, _| false);
-        assert_eq!(ctx.device_forecast_bytes_for(&unpackable, input_bpv), raw);
+        assert_eq!(
+            ctx.device_forecast_bytes_for(&unpackable, input_bpv, 1),
+            raw
+        );
         assert!(
             aware > raw,
             "the symplectic replica ({aware} B) must out-charge the raw upload ({raw} B)"
         );
         assert_eq!(ctx.pack_builds(), 0, "forecast must not pack");
         let dev = DeviceSim::new(aware);
-        let built = build_device(&oracle, &mut ctx, &dev, input_bpv).unwrap();
+        let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), input_bpv).unwrap();
         assert_eq!(built.packed_lanes, built.candidate_pairs, "packed path ran");
         assert!(dev.stats().peak_bytes <= aware);
         // The scalar build fits the raw forecast.
         let dev = DeviceSim::new(raw);
-        let scalar = build_device(&oracle, &mut scalar_ctx, &dev, input_bpv).unwrap();
+        let scalar = build_device(&oracle, &mut scalar_ctx, &[dev], input_bpv).unwrap();
         assert_eq!(scalar.graph, built.graph);
     }
 
@@ -981,23 +966,41 @@ mod tests {
 
     #[test]
     fn multi_device_forecast_bounds_every_replica() {
-        use crate::conflict::build_multi_device;
+        // Bucketed and all-pairs lists; an all-pairs row weighs up to
+        // m − 1 pairs, more than the deepest of these buckets holds.
+        use crate::conflict::build_device;
         use device::DeviceSim;
         use graph::FnOracle;
         let m = 150;
         let oracle = FnOracle::new(m, |u, v| (u * 11 + v * 5) % 2 == 0);
-        for devices in [1usize, 2, 5] {
-            let mut ctx = IterationContext::new();
-            ctx.set_lists(ColorLists::assign(m, 0, 20, 4, 7, 1));
-            let forecast = ctx.multi_device_forecast_bytes_for(&oracle, 16, devices);
-            let fleet: Vec<DeviceSim> = (0..devices).map(|_| DeviceSim::new(forecast)).collect();
-            build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-            for d in &fleet {
-                assert!(
-                    d.stats().peak_bytes <= forecast,
-                    "devices={devices}: replica peaked {} over forecast {forecast}",
-                    d.stats().peak_bytes
-                );
+        for (palette, list, bucketed) in [(20u32, 4u32, true), (30, 6, false)] {
+            for devices in [1usize, 2, 4, 7] {
+                let what = format!("P={palette} devices={devices}");
+                let mut ctx = IterationContext::new();
+                ctx.set_lists(ColorLists::assign(m, 0, palette, list, 7, 1));
+                assert_eq!(ctx.prefers_buckets(), bucketed, "{what}");
+                let forecast = ctx.device_forecast_bytes_for(&oracle, 16, devices);
+                // A fleet whose every device has exactly the forecast
+                // completes.
+                let tight: Vec<DeviceSim> =
+                    (0..devices).map(|_| DeviceSim::new(forecast)).collect();
+                build_device(&oracle, &mut ctx, &tight, 16).unwrap();
+                // Roomy devices lease their span's whole worst-case COO,
+                // which the forecast must cover. (A lone device also
+                // leases its CSR next to the COO; no forecast term
+                // covers that, as it is only taken when it fits.)
+                if devices > 1 {
+                    let roomy: Vec<DeviceSim> =
+                        (0..devices).map(|_| DeviceSim::new(64 << 20)).collect();
+                    build_device(&oracle, &mut ctx, &roomy, 16).unwrap();
+                    for d in &roomy {
+                        assert!(
+                            d.stats().peak_bytes <= forecast,
+                            "{what}: replica peaked {} over forecast {forecast}",
+                            d.stats().peak_bytes
+                        );
+                    }
+                }
             }
         }
     }

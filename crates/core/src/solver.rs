@@ -351,13 +351,7 @@ impl Picasso {
         // testing threads through here without touching `PicassoConfig`,
         // so fault injection can never perturb cache identity.
         let faults = ctx.fault_plan();
-        let dev = match cfg.backend {
-            ConflictBackend::Device { capacity_bytes } => {
-                Some(DeviceSim::with_fault_plan(capacity_bytes, faults))
-            }
-            _ => None,
-        };
-        let multi_dev: Option<Vec<DeviceSim>> = match cfg.backend {
+        let fleet: Vec<DeviceSim> = match cfg.backend {
             ConflictBackend::MultiDevice {
                 devices,
                 capacity_each,
@@ -365,18 +359,18 @@ impl Picasso {
                 if devices == 0 {
                     return Err(SolveError::NoDevices);
                 }
-                Some(
-                    (0..devices)
-                        .map(|d| {
-                            // Salt the plan per device so fleet members
-                            // draw independent fault streams.
-                            let salted = faults.map(|p| p.reseed(p.seed() ^ ((d as u64) << 32)));
-                            DeviceSim::with_fault_plan(capacity_each, salted)
-                        })
-                        .collect(),
-                )
+                (0..devices)
+                    .map(|d| {
+                        // Salt the plan per device so fleet members draw
+                        // independent fault streams; device 0's salt is
+                        // the identity, so a lone device draws the plan's
+                        // own stream.
+                        let salted = faults.map(|p| p.reseed(p.seed() ^ ((d as u64) << 32)));
+                        DeviceSim::with_fault_plan(capacity_each, salted)
+                    })
+                    .collect()
             }
-            _ => None,
+            _ => Vec::new(),
         };
 
         // The per-iteration workspace: constructed once per solve (or
@@ -448,28 +442,14 @@ impl Picasso {
             // error instead of a mid-kernel overflow. A build that
             // passes gets a full-worst-case COO arena and cannot OOM
             // mid-kernel.
-            if cfg.strict_device_forecast {
-                let checked = match cfg.backend {
-                    ConflictBackend::Device { capacity_bytes } => Some((
-                        ctx.device_forecast_bytes_for(&view, input_bpv),
-                        capacity_bytes,
-                    )),
-                    ConflictBackend::MultiDevice {
-                        devices,
-                        capacity_each,
-                    } => Some((
-                        ctx.multi_device_forecast_bytes_for(&view, input_bpv, devices),
-                        capacity_each,
-                    )),
-                    _ => None,
-                };
-                if let Some((estimate_bytes, budget_bytes)) = checked {
-                    if estimate_bytes > budget_bytes {
-                        return Err(SolveError::ForecastOverBudget {
-                            estimate_bytes,
-                            budget_bytes,
-                        });
-                    }
+            if cfg.strict_device_forecast && !fleet.is_empty() {
+                let estimate_bytes = ctx.device_forecast_bytes_for(&view, input_bpv, fleet.len());
+                let budget_bytes = fleet[0].capacity();
+                if estimate_bytes > budget_bytes {
+                    return Err(SolveError::ForecastOverBudget {
+                        estimate_bytes,
+                        budget_bytes,
+                    });
                 }
             }
             let t1 = Instant::now();
@@ -478,12 +458,8 @@ impl Picasso {
                 ConflictBackend::Sequential => conflict::build_sequential(&view, ctx),
                 ConflictBackend::AllPairs => conflict::build_sequential_allpairs(&view, ctx),
                 ConflictBackend::Parallel => conflict::build_parallel(&view, ctx),
-                ConflictBackend::Device { .. } => {
-                    conflict::build_device(&view, ctx, dev.as_ref().unwrap(), input_bpv)
-                        .map_err(SolveError::DeviceOom)?
-                }
                 ConflictBackend::MultiDevice { .. } => {
-                    conflict::build_multi_device(&view, ctx, multi_dev.as_ref().unwrap(), input_bpv)
+                    conflict::build_device(&view, ctx, &fleet, input_bpv)
                         .map_err(SolveError::DeviceOom)?
                 }
             };
@@ -582,20 +558,17 @@ impl Picasso {
             used.dedup();
             used.len() as u32
         };
-        // Multi-device runs report the summed counters across devices.
-        let device_stats = dev.map(|d| d.stats()).or_else(|| {
-            multi_dev.map(|ds| {
-                let mut total = DeviceStats::default();
-                for d in &ds {
-                    let s = d.stats();
-                    total.used_bytes += s.used_bytes;
-                    total.peak_bytes += s.peak_bytes;
-                    total.h2d_bytes += s.h2d_bytes;
-                    total.d2h_bytes += s.d2h_bytes;
-                    total.kernel_launches += s.kernel_launches;
-                }
-                total
-            })
+        // Device runs report the counters summed across the fleet.
+        let device_stats = (!fleet.is_empty()).then(|| {
+            let mut total = DeviceStats::default();
+            for s in fleet.iter().map(DeviceSim::stats) {
+                total.used_bytes += s.used_bytes;
+                total.peak_bytes += s.peak_bytes;
+                total.h2d_bytes += s.h2d_bytes;
+                total.d2h_bytes += s.d2h_bytes;
+                total.kernel_launches += s.kernel_launches;
+            }
+            total
         });
         // A solve is a natural trace boundary: deliver this thread's
         // ring to the sink rather than waiting for it to fill.
@@ -743,8 +716,9 @@ mod tests {
     fn injected_device_faults_surface_as_typed_transient_errors() {
         use device::FaultPlan;
         let set = random_set(60, 8, 6);
-        let cfg = PicassoConfig::normal(3).with_backend(ConflictBackend::Device {
-            capacity_bytes: 32 * 1024 * 1024,
+        let cfg = PicassoConfig::normal(3).with_backend(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: 32 * 1024 * 1024,
         });
         let mut ctx = IterationContext::new();
         ctx.set_fault_plan(Some(FaultPlan::uniform(11, 1.0)));
@@ -770,8 +744,9 @@ mod tests {
         let par = Picasso::new(base.with_backend(ConflictBackend::Parallel))
             .solve_pauli(&set)
             .unwrap();
-        let dev = Picasso::new(base.with_backend(ConflictBackend::Device {
-            capacity_bytes: 32 * 1024 * 1024,
+        let dev = Picasso::new(base.with_backend(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: 32 * 1024 * 1024,
         }))
         .solve_pauli(&set)
         .unwrap();
@@ -981,8 +956,9 @@ mod tests {
         // mode fails fast with the typed forecast error (the legacy path
         // would instead discover an OOM mid-kernel).
         let cfg = PicassoConfig::normal(1)
-            .with_backend(ConflictBackend::Device {
-                capacity_bytes: 4 * 1024,
+            .with_backend(ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each: 4 * 1024,
             })
             .with_strict_forecast(true);
         let err = Picasso::new(cfg).solve_pauli(&set).unwrap_err();
@@ -1003,8 +979,9 @@ mod tests {
     fn strict_forecast_passes_and_matches_plain_solve_when_budget_fits() {
         let set = random_set(200, 8, 6);
         for backend in [
-            ConflictBackend::Device {
-                capacity_bytes: 64 * 1024 * 1024,
+            ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each: 64 * 1024 * 1024,
             },
             ConflictBackend::MultiDevice {
                 devices: 3,
@@ -1040,8 +1017,9 @@ mod tests {
     #[test]
     fn device_oom_surfaces_as_error() {
         let set = random_set(200, 8, 5);
-        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
-            capacity_bytes: 4 * 1024,
+        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: 4 * 1024,
         });
         let err = Picasso::new(cfg).solve_pauli(&set);
         assert!(matches!(err, Err(SolveError::DeviceOom(_))), "got {err:?}");

@@ -9,7 +9,7 @@ use device::DeviceSim;
 use graph::FnOracle;
 use pauli::EncodedSet;
 use picasso::conflict::{
-    build_device, build_multi_device, build_parallel, build_sequential, build_sequential_allpairs,
+    build_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
 use picasso::listcolor::greedy_list_color;
 use picasso::{
@@ -59,9 +59,9 @@ proptest! {
         let a = build_sequential(&oracle, &mut ctx);
         let b = build_parallel(&oracle, &mut ctx);
         let dev = DeviceSim::new(32 * 1024 * 1024);
-        let c = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let c = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         let devices: Vec<DeviceSim> = (0..3).map(|_| DeviceSim::new(16 * 1024 * 1024)).collect();
-        let d = build_multi_device(&oracle, &mut ctx, &devices, 16).unwrap();
+        let d = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
         prop_assert_eq!(&reference.graph, &a.graph);
         prop_assert_eq!(&a.graph, &b.graph);
         prop_assert_eq!(&a.graph, &c.graph);
@@ -158,7 +158,7 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = DeviceSim::new(32 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         prop_assert_eq!(&reference.graph, &seq.graph);
         prop_assert_eq!(&reference.graph, &par.graph);
         prop_assert_eq!(&reference.graph, &devb.graph);
@@ -198,7 +198,7 @@ proptest! {
         let devices: Vec<DeviceSim> = (0..num_devices)
             .map(|_| DeviceSim::new(16 * 1024 * 1024))
             .collect();
-        let multi = build_multi_device(&oracle, &mut ctx, &devices, 16).unwrap();
+        let multi = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
         prop_assert_eq!(&seq.graph, &multi.graph, "devices={}", num_devices);
         prop_assert_eq!(seq.num_edges, multi.num_edges);
         prop_assert_eq!(seq.candidate_pairs, multi.candidate_pairs);

@@ -215,8 +215,9 @@ pub struct JobConfig {
     /// `device:<MiB>` (simulated device of that capacity) or
     /// `multi:<N>:<MiB>` (a fleet of `N` devices, `<MiB>` each). Device
     /// placements start the service's degradation ladder: on a genuine
-    /// capacity failure the job re-solves down MultiDevice → Device →
-    /// Parallel → Sequential with the identical coloring.
+    /// capacity failure the job re-solves down `multi:<N>:<MiB>` →
+    /// `device:<MiB>` → Parallel → Sequential with the identical
+    /// coloring.
     pub backend: Option<String>,
     /// List-coloring scheme override (`greedy`, or a static ordering:
     /// `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
@@ -250,12 +251,8 @@ impl JobConfig {
             }
             cfg = cfg.with_alpha(a);
         }
-        match self.backend.as_deref() {
-            None => {}
-            Some("seq") => cfg = cfg.with_backend(ConflictBackend::Sequential),
-            Some("par") => cfg = cfg.with_backend(ConflictBackend::Parallel),
-            Some("allpairs") => cfg = cfg.with_backend(ConflictBackend::AllPairs),
-            Some(spec) => cfg = cfg.with_backend(parse_device_backend(spec)?),
+        if let Some(label) = self.backend.as_deref() {
+            cfg = cfg.with_backend(ConflictBackend::from_label(label)?);
         }
         if let Some(label) = self.coloring.as_deref() {
             cfg = cfg.with_scheme(ListColoringScheme::from_label(label)?);
@@ -306,42 +303,6 @@ impl JobConfig {
         cfg.effective()?;
         Ok(cfg)
     }
-}
-
-/// Parses the device backend specs `device:<MiB>` and `multi:<N>:<MiB>`.
-fn parse_device_backend(spec: &str) -> Result<ConflictBackend, String> {
-    fn mib(s: &str, spec: &str) -> Result<usize, String> {
-        let mib: usize = s
-            .parse()
-            .map_err(|_| format!("bad device capacity {s:?} in backend {spec:?}"))?;
-        if mib == 0 || mib > 1024 * 1024 {
-            return Err(format!("device capacity {mib} MiB out of [1, 2^20]"));
-        }
-        Ok(mib * 1024 * 1024)
-    }
-    if let Some(cap) = spec.strip_prefix("device:") {
-        return Ok(ConflictBackend::Device {
-            capacity_bytes: mib(cap, spec)?,
-        });
-    }
-    if let Some(rest) = spec.strip_prefix("multi:") {
-        let (count, cap) = rest
-            .split_once(':')
-            .ok_or_else(|| format!("backend {spec:?} wants multi:<N>:<MiB>"))?;
-        let devices: usize = count
-            .parse()
-            .map_err(|_| format!("bad device count {count:?} in backend {spec:?}"))?;
-        if devices == 0 || devices > 64 {
-            return Err(format!("device count {devices} out of [1, 64]"));
-        }
-        return Ok(ConflictBackend::MultiDevice {
-            devices,
-            capacity_each: mib(cap, spec)?,
-        });
-    }
-    Err(format!(
-        "unknown backend {spec:?} (want seq | par | allpairs | device:<MiB> | multi:<N>:<MiB>)"
-    ))
 }
 
 /// One queued unit of work.
@@ -865,8 +826,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             dev.backend,
-            ConflictBackend::Device {
-                capacity_bytes: 64 * 1024 * 1024
+            ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each: 64 * 1024 * 1024,
             }
         );
         let multi = JobConfig {
@@ -886,6 +848,7 @@ mod tests {
             "device:",
             "device:0",
             "device:nope",
+            "device:17592186044416",
             "multi:4",
             "multi:0:16",
             "multi:999:16",

@@ -27,7 +27,7 @@
 //! is spent — then the job is **quarantined** with its full fault
 //! history. Genuine device-capacity failures instead walk the
 //! **degradation ladder** in place — packed → scalar kernels, then
-//! MultiDevice → Device → Parallel → Sequential — re-solving on the next
+//! `MultiDevice{n}` → `MultiDevice{1}` → Parallel → Sequential — re-solving on the next
 //! rung; every backend produces bit-identical colorings, so a degraded
 //! response is indistinguishable from a healthy one. Jobs may carry a
 //! deadline ([`crate::JobConfig::deadline_ms`], measured from enqueue)
@@ -563,7 +563,7 @@ impl SolveService {
     /// One attempt's solve, walking the degradation ladder in place: a
     /// *genuine* device-capacity failure (not an injected fault, not a
     /// deadline) demotes — packed kernels → scalar first, then
-    /// MultiDevice → Device → Parallel → Sequential — and re-solves on
+    /// `MultiDevice{n}` → `MultiDevice{1}` → Parallel → Sequential — and re-solves on
     /// the next rung. Every backend produces bit-identical colorings
     /// (the solver's determinism contract), so degraded responses are
     /// payload-identical to healthy ones; demotions surface only in
@@ -686,10 +686,7 @@ fn injected_site(e: &SolveError) -> Option<FaultSite> {
 /// Whether the backend places work on simulated devices (and can
 /// therefore fail for capacity reasons the ladder can fix).
 fn uses_device(backend: ConflictBackend) -> bool {
-    matches!(
-        backend,
-        ConflictBackend::Device { .. } | ConflictBackend::MultiDevice { .. }
-    )
+    matches!(backend, ConflictBackend::MultiDevice { .. })
 }
 
 /// The next rung down the degradation ladder, or `None` at the bottom.
@@ -697,10 +694,11 @@ fn uses_device(backend: ConflictBackend) -> bool {
 /// interchangeable by the solver's determinism contract.
 fn demote_backend(backend: ConflictBackend) -> Option<ConflictBackend> {
     match backend {
-        ConflictBackend::MultiDevice { capacity_each, .. } => Some(ConflictBackend::Device {
-            capacity_bytes: capacity_each,
+        ConflictBackend::MultiDevice { devices: 1, .. } => Some(ConflictBackend::Parallel),
+        ConflictBackend::MultiDevice { capacity_each, .. } => Some(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each,
         }),
-        ConflictBackend::Device { .. } => Some(ConflictBackend::Parallel),
         ConflictBackend::AllPairs | ConflictBackend::Parallel => Some(ConflictBackend::Sequential),
         ConflictBackend::Sequential => None,
     }
@@ -1107,7 +1105,7 @@ mod tests {
     #[test]
     fn genuine_device_oom_walks_the_ladder_to_an_identical_coloring() {
         // A 1 MiB device cannot hold this build: the ladder demotes
-        // packed → scalar, then Device → Parallel, and the job still
+        // packed → scalar, then the fleet of one → Parallel, and the job still
         // solves — with the exact payload the healthy backend produces.
         let service = small_service(1);
         let mut degraded = synth("degraded", 1500, 7);
@@ -1198,8 +1196,9 @@ mod tests {
         let dev = demote_backend(multi).unwrap();
         assert_eq!(
             dev,
-            ConflictBackend::Device {
-                capacity_bytes: 123
+            ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each: 123,
             }
         );
         assert_eq!(demote_backend(dev).unwrap(), ConflictBackend::Parallel);

@@ -17,9 +17,14 @@ fn main() {
     let set = EncodedSet::from_strings(&strings);
     println!("instance: {} at |V| = {}\n", spec.name, strings.len());
 
+    // Every capacity that completes must give the same coloring: the
+    // device build is bit-identical wherever the CSR is assembled.
+    let mut colors = Vec::new();
+    let mut failed = false;
     for capacity_mib in [64usize, 8, 4, 2, 1] {
-        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
-            capacity_bytes: capacity_mib * 1024 * 1024,
+        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: capacity_mib * 1024 * 1024,
         });
         match Picasso::new(cfg).solve_pauli(&set) {
             Ok(r) => {
@@ -36,15 +41,24 @@ fn main() {
                     r.iterations.len(),
                     memtrack::format_bytes(stats.peak_bytes),
                 );
+                colors.push(r.num_colors);
             }
             Err(SolveError::DeviceOom(e)) => {
                 println!("{capacity_mib:>3} MiB: {e}");
             }
             Err(e) => {
                 println!("{capacity_mib:>3} MiB: unexpected failure: {e}");
+                failed = true;
             }
         }
     }
     println!("\nsmaller devices force host CSR assembly, then fail outright —");
     println!("the same degradation the paper reports against the 40 GB A100.");
+    if colors.windows(2).any(|w| w[0] != w[1]) {
+        eprintln!("color counts differ across capacities: {colors:?}");
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

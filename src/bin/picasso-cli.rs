@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! picasso-cli strings.txt [--palette PCT] [--alpha A] [--seed N]
-//!             [--aggressive] [--backend seq|par|allpairs|device:MIB]
+//!             [--aggressive] [--backend seq|par|allpairs|device:MIB|multi:N:MIB]
 //!             [--coloring greedy|natural|random|lf|sl|dlf|id]
 //!             [--json] [--stats] [--metrics FILE] [--trace FILE]
 //!
@@ -72,7 +72,7 @@ struct CliArgs {
 fn usage() -> ! {
     eprintln!(
         "usage: picasso-cli [FILE|-] [--palette PCT] [--alpha A] [--seed N] \
-         [--aggressive] [--backend seq|par|allpairs|device:MIB] \
+         [--aggressive] [--backend seq|par|allpairs|device:MIB|multi:N:MIB] \
          [--coloring greedy|natural|random|lf|sl|dlf|id] [--json] [--stats] \
          [--metrics FILE] [--trace FILE]"
     );
@@ -127,19 +127,10 @@ fn parse_args() -> CliArgs {
                     .get(i + 1)
                     .map(String::as_str)
                     .unwrap_or_else(|| usage());
-                out.backend = match v {
-                    "seq" => ConflictBackend::Sequential,
-                    "par" => ConflictBackend::Parallel,
-                    "allpairs" => ConflictBackend::AllPairs,
-                    other => match other.strip_prefix("device:") {
-                        Some(mib) => ConflictBackend::Device {
-                            capacity_bytes: mib.parse::<usize>().unwrap_or_else(|_| usage())
-                                * 1024
-                                * 1024,
-                        },
-                        None => usage(),
-                    },
-                };
+                out.backend = ConflictBackend::from_label(v).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                });
                 i += 2;
             }
             "--coloring" => {

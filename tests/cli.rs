@@ -227,6 +227,49 @@ fn allpairs_reference_backend_matches_default() {
 }
 
 #[test]
+fn device_fleet_backend_prints_the_same_groups_as_seq() {
+    let path = write_input(
+        "cli_multi.txt",
+        "XXXX\nYYYY\nZZZZ\nXYZI\nIZYX\nXZXZ\nYZYZ\nZXZX\n",
+    );
+    let run = |backend: &str| {
+        let out = Command::new(CLI)
+            .arg(&path)
+            .args(["--seed", "3", "--backend", backend])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let seq = run("seq");
+    assert!(seq.starts_with("U0:"), "{seq}");
+    assert_eq!(run("multi:2:16"), seq);
+    assert_eq!(run("device:16"), seq);
+}
+
+#[test]
+fn out_of_range_device_capacities_are_usage_errors() {
+    let path = write_input("cli_bad_device.txt", "XZ\nZX\nYY\n");
+    // 2^44 MiB used to wrap to a 0-byte device and report an OOM.
+    for spec in ["device:17592186044416", "device:0"] {
+        let out = Command::new(CLI)
+            .arg(&path)
+            .args(["--backend", spec])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: picasso-cli"), "{spec}: {stderr}");
+        assert!(stderr.contains("out of [1, 2^20]"), "{spec}: {stderr}");
+        assert!(out.stdout.is_empty(), "{spec}");
+    }
+}
+
+#[test]
 fn reads_stdin_with_dash() {
     let mut child = Command::new(CLI)
         .arg("-")

@@ -36,8 +36,9 @@ fn warm_up(ctx: &mut IterationContext, n: usize, warm_seed: u64) {
     Picasso::new(PicassoConfig::aggressive(warm_seed).with_backend(ConflictBackend::Sequential))
         .solve_pauli_in(&small, ctx)
         .expect("warm-up solve");
-    Picasso::new(normal.with_backend(ConflictBackend::Device {
-        capacity_bytes: 64 << 20,
+    Picasso::new(normal.with_backend(ConflictBackend::MultiDevice {
+        devices: 1,
+        capacity_each: 64 << 20,
     }))
     .solve_oracle_in(&oracle, ctx)
     .expect("warm-up solve");
@@ -48,8 +49,9 @@ fn backends() -> [(ConflictBackend, bool); 4] {
         (ConflictBackend::Sequential, false),
         (ConflictBackend::Parallel, false),
         (
-            ConflictBackend::Device {
-                capacity_bytes: 64 << 20,
+            ConflictBackend::MultiDevice {
+                devices: 1,
+                capacity_each: 64 << 20,
             },
             true,
         ),
@@ -121,16 +123,13 @@ proptest! {
         for ctx in [&mut cold, &mut warm] {
             ctx.assign_lists(n, 0, palette, list, cfg.seed, 1);
         }
-        prop_assert_eq!(
-            cold.device_forecast_bytes_for(&oracle, bpv),
-            warm.device_forecast_bytes_for(&oracle, bpv),
-            "device forecast (seeds {} / {})", seed, warm_seed
-        );
-        prop_assert_eq!(
-            cold.multi_device_forecast_bytes_for(&oracle, bpv, DEVICES),
-            warm.multi_device_forecast_bytes_for(&oracle, bpv, DEVICES),
-            "multi-device forecast (seeds {} / {})", seed, warm_seed
-        );
+        for devices in [1, DEVICES] {
+            prop_assert_eq!(
+                cold.device_forecast_bytes_for(&oracle, bpv, devices),
+                warm.device_forecast_bytes_for(&oracle, bpv, devices),
+                "{}-device forecast (seeds {} / {})", devices, seed, warm_seed
+            );
+        }
     }
 }
 

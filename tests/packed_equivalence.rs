@@ -8,7 +8,7 @@
 use graph::{CsrGraph, PackedWordOracle};
 use pauli::{EncodedSet, PauliString, SymplecticSet};
 use picasso::conflict::{
-    build_device, build_multi_device, build_parallel, build_sequential, build_sequential_allpairs,
+    build_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
 use picasso::{
     AllPairsSource, BucketSource, CandidateEngine, ColorLists, IterationContext, MaskScanStats,
@@ -65,10 +65,10 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         let fleet: Vec<device::DeviceSim> =
             (0..3).map(|_| device::DeviceSim::new(32 * 1024 * 1024)).collect();
-        let multi = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+        let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
 
         let builds: [(&str, &graph::CsrGraph, u64, u64); 4] = [
             ("sequential", &seq.graph, seq.packed_lanes, seq.candidate_pairs),
@@ -192,11 +192,11 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
     // Every other backend reads the same replica.
     let par = build_parallel(oracle, &mut ctx);
     let dev = device::DeviceSim::new(64 * 1024 * 1024);
-    let devb = build_device(oracle, &mut ctx, &dev, 16).unwrap();
+    let devb = build_device(oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
     let fleet: Vec<device::DeviceSim> = (0..3)
         .map(|_| device::DeviceSim::new(32 * 1024 * 1024))
         .collect();
-    let multi = build_multi_device(oracle, &mut ctx, &fleet, 16).unwrap();
+    let multi = build_device(oracle, &mut ctx, &fleet, 16).unwrap();
     for (name, build) in [("parallel", &par), ("device", &devb), ("multi", &multi)] {
         prop_assert_eq!(&build.graph, &reference.graph, "seed {}: {}", seed, name);
         prop_assert_eq!(
@@ -272,10 +272,10 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         let fleet: Vec<device::DeviceSim> =
             (0..3).map(|_| device::DeviceSim::new(32 * 1024 * 1024)).collect();
-        let multi = build_multi_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+        let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
         for (name, build) in
             [("sequential", &seq), ("parallel", &par), ("device", &devb), ("multi", &multi)]
         {
