@@ -83,14 +83,10 @@ pub fn run(cfg: &HarnessConfig) -> Table {
                     "ok".into(),
                 ]);
             }
-            // The device backend never reports a zero-device fleet, strict
-            // forecasting is off, and no deadline is armed here.
-            Err(
-                SolveError::NoDevices
-                | SolveError::ForecastOverBudget { .. }
-                | SolveError::DeadlineExceeded { .. },
-            ) => {
-                unreachable!("single-device backend, lazy forecast, no deadline")
+            // A fleet of one is never a zero-device fleet, and no deadline
+            // is armed here.
+            Err(SolveError::NoDevices | SolveError::DeadlineExceeded { .. }) => {
+                unreachable!("single-device backend, no deadline")
             }
             Err(SolveError::DeviceOom(_)) => {
                 // The paper's remedy for the large tier: keep P = 12.5%
@@ -116,12 +112,8 @@ pub fn run(cfg: &HarnessConfig) -> Table {
                         continue;
                     }
                     Err(SolveError::DeviceOom(_)) => "OOM@a2, OOM@a1",
-                    Err(
-                        SolveError::NoDevices
-                        | SolveError::ForecastOverBudget { .. }
-                        | SolveError::DeadlineExceeded { .. },
-                    ) => {
-                        unreachable!("single-device backend, lazy forecast, no deadline")
+                    Err(SolveError::NoDevices | SolveError::DeadlineExceeded { .. }) => {
+                        unreachable!("single-device backend, no deadline")
                     }
                 };
                 table.push_row(vec![

@@ -342,7 +342,7 @@ impl PairSource for BucketSource<'_> {
 
     /// Packed sub-bucket scan, same mid-bucket splitting as
     /// [`PairSource::scan_rows_scratch`] (literally: both walk the span through
-    /// [`walk_row_span`], so the packed and scalar row partitions cannot
+    /// `walk_row_span`, so the packed and scalar row partitions cannot
     /// drift apart).
     fn scan_rows_packed(
         &self,

@@ -169,19 +169,6 @@ pub struct PicassoConfig {
     /// fresh singleton colors. The algorithm colors ≥1 vertex per
     /// iteration, so this only triggers on adversarial configurations.
     pub max_iterations: usize,
-    /// Device backends only: when set, every iteration's worst-case
-    /// per-device footprint (input replica + counters + bucket index + a
-    /// COO arena of two slots per candidate pair of the device's
-    /// [`BucketLoad::total_pairs`] share) is
-    /// checked against the device budget **before any oracle query or
-    /// kernel launch**, and an over-budget iteration fails fast with
-    /// [`crate::SolveError::ForecastOverBudget`] instead of discovering
-    /// the overflow mid-kernel. Off by default: the legacy behavior caps
-    /// the arena at whatever fits and only fails if the actual edge list
-    /// overflows it.
-    ///
-    /// [`BucketLoad::total_pairs`]: crate::BucketLoad::total_pairs
-    pub strict_device_forecast: bool,
 }
 
 impl PicassoConfig {
@@ -196,7 +183,6 @@ impl PicassoConfig {
             log_base: 10.0,
             min_palette: 4,
             max_iterations: 10_000,
-            strict_device_forecast: false,
         }
     }
 
@@ -251,12 +237,6 @@ impl PicassoConfig {
     /// Builder-style log-base override (for ablation studies).
     pub fn with_log_base(mut self, base: f64) -> PicassoConfig {
         self.log_base = base;
-        self
-    }
-
-    /// Builder-style [`PicassoConfig::strict_device_forecast`] override.
-    pub fn with_strict_forecast(mut self, strict: bool) -> PicassoConfig {
-        self.strict_device_forecast = strict;
         self
     }
 

@@ -8,7 +8,7 @@
 //! # The iteration context
 //!
 //! Every builder draws from the solver's
-//! [`IterationContext`](crate::iteration::IterationContext): the color
+//! [`IterationContext`]: the color
 //! lists, the shared [`BucketIndex`](crate::assign::BucketIndex) (built
 //! at most once per iteration, lent to every backend), and the reusable
 //! scratch arenas (COO group staging, oracle hit vectors, live-view
@@ -24,7 +24,7 @@
 //! instead of the 8 of a `(u32, u32)` pair. The builder's `num_edges` is
 //! the sum of the groups' lengths. The simulated device kernel still
 //! stages flat `u, v` pairs in its device arena, as Algorithm 3's COO
-//! does (so the device forecast and transfer accounting keep the
+//! does (so the COO lease and transfer accounting keep the
 //! `2 · pairs` word bound); the host merge regroups them through the same
 //! writer. [`IterationScratch::edges`], the old pair buffer, is no longer
 //! touched by any builder: it stays only as the benchmark replay's pair
@@ -912,8 +912,7 @@ mod tests {
         // the raw set, and on a wider fleet not all `m` query rows
         // either. A fleet of one reads the whole replica — at 12 qubits
         // (one word per row) `(key rows + m query rows + m one-word
-        // palette bitmasks) · 8 B` next to the `m·L·4 B` lists — which is
-        // also the strict forecast's input term.
+        // palette bitmasks) · 8 B` next to the `m·L·4 B` lists.
         use crate::oracle::PauliComplementOracle;
         use crate::packed::{PackedBuckets, PackingMode};
         use rand::SeedableRng;
@@ -935,10 +934,6 @@ mod tests {
             assert!(packed.pack_from(&oracle, &lists, index.as_ref()));
             let key_rows = if bucketed { m * list } else { m };
             assert_eq!(packed.device_bytes(), (key_rows + 2 * m) * 8);
-            assert_eq!(
-                ctx.input_replica_forecast(16, &oracle),
-                list_bytes + packed.device_bytes()
-            );
             let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
             let weights = ctx.engine_and_scratch().0.row_weights();
             for devices in [1usize, 4] {
@@ -1141,22 +1136,15 @@ mod tests {
         build_device(oracle, ctx, std::slice::from_ref(dev), 16)
     }
 
-    /// The one-device strict forecast, as the golden pin reads it.
-    fn pin_forecast(
-        oracle: &crate::oracle::PauliComplementOracle<'_, pauli::EncodedSet>,
-        ctx: &IterationContext,
-    ) -> usize {
-        ctx.device_forecast_bytes_for(oracle, 16, 1)
-    }
-
     #[test]
     fn single_device_accounting_is_pinned() {
         // Golden values for Algorithm 3 on one device, over m, packing,
-        // bucketed vs all-pairs lists and three capacities: 64 MiB, the
-        // strict forecast (the COO lease then leaves no room for an
-        // on-device CSR) and a quarter of it (OOM, at an input
-        // reservation or in the kernel). Each row is
-        // `(m, packed, bucketed lists, forecast, runs)`; a run is
+        // bucketed vs all-pairs lists and three capacities: 64 MiB, a
+        // tight capacity (the worst-case footprint of input replica,
+        // counters, index and a two-slots-per-pair COO lease, which then
+        // leaves no room for an on-device CSR) and a quarter of it (OOM,
+        // at an input reservation or in the kernel). Each row is
+        // `(m, packed, bucketed lists, tight capacity, runs)`; a run is
         // `(peak, h2d, d2h, launches, Ok(csr_on_device) | Err((requested,
         // available)))`. A change here moves the single-device
         // `DeviceStats`, OOM payloads or fault-op numbering.
@@ -1199,21 +1187,18 @@ mod tests {
                         ctx.set_packing(packing);
                         ctx
                     };
-                    let &(pm, ppacked, pbucketed, pforecast, ref pruns) = rows.next().unwrap();
+                    let &(pm, ppacked, pbucketed, tight, ref pruns) = rows.next().unwrap();
                     let what = format!("m={m} packing={packing:?} bucketed={bucketed}");
                     assert_eq!(
                         (pm, ppacked, pbucketed),
                         (m, packing == PackingMode::Always, bucketed)
                     );
-                    let forecast = pin_forecast(&oracle, &fresh());
-                    assert_eq!(forecast, pforecast, "{what}: forecast");
-                    for (capacity, pinned) in
-                        [64 << 20, forecast, forecast / 4].into_iter().zip(pruns)
-                    {
+                    for (capacity, pinned) in [64 << 20, tight, tight / 4].into_iter().zip(pruns) {
                         let dev = DeviceSim::new(capacity);
                         let built = pin_build(&oracle, &mut fresh(), &dev);
                         let s = dev.stats();
                         assert_eq!(s.used_bytes, 0, "{what}: every lease released");
+                        assert!(s.peak_bytes <= capacity, "{what}: peak within capacity");
                         let outcome = match built {
                             Ok(b) => Ok(b.csr_on_device.expect("device build")),
                             Err(DeviceError::OutOfMemory {

@@ -407,14 +407,13 @@ impl IterationContext {
         }
     }
 
-    /// The single packing-decision site, shared by the build's
-    /// `ensure_packed` and the forecast's `input_replica_forecast`: a
-    /// pure function of the lists, the policy, and the oracle's packed
-    /// word width (`None` = no packed form). Both engines pack: the
-    /// all-pairs scan runs on the identity layout. `Auto` packs when the
-    /// iteration's candidate pairs are at least the key words the packing
-    /// pass writes (`pairs ≥ key_rows·w`, [`Self::num_rows`] key rows):
-    /// below that the pass costs more than the scan it speeds up.
+    /// The single packing-decision site, read by the build's
+    /// `ensure_packed`: a pure function of the lists, the policy, and the
+    /// oracle's packed word width (`None` = no packed form). Both engines
+    /// pack: the all-pairs scan runs on the identity layout. `Auto` packs
+    /// when the iteration's candidate pairs are at least the key words the
+    /// packing pass writes (`pairs ≥ key_rows·w`, [`Self::num_rows`] key
+    /// rows): below that the pass costs more than the scan it speeds up.
     fn packing_decision(&self, packed_words: Option<usize>) -> bool {
         let Some(words) = packed_words else {
             return false;
@@ -585,95 +584,6 @@ impl IterationContext {
         )
     }
 
-    /// Worst-case bytes Algorithm 3 can charge **each device** of a
-    /// fleet of `devices` for this iteration's build over `oracle`
-    /// ([`crate::conflict::build_device`]), computable pre-oracle and
-    /// pre-index from the lists' metadata and bucket histogram alone:
-    /// the full input replica, `m` edge-offset counters, the (bucketed)
-    /// inverted-index replica, and a COO arena of two `u32` slots per
-    /// candidate pair of the device's span (each candidate yields at
-    /// most one edge, so a build that passes this forecast can never
-    /// overflow mid-kernel). When the oracle has a packed form *and* this
-    /// iteration's packing decision engages, the input-replica term is
-    /// the **exact** packed upload (lists + key lanes + query rows +
-    /// palette bitmasks at the oracle's true word width) instead of the
-    /// raw set, including for oracles whose packed width exceeds the raw
-    /// input's word share (the symplectic encoding at small registers);
-    /// a device's span slice of that replica is never larger. Spans are
-    /// balanced by pair weight at row granularity, so a device's pair
-    /// share is padded by the heaviest row's weight (under a deepest
-    /// bucket, or `m` for all-pairs) — a bound on how far
-    /// [`device::balanced_weight_cuts`] can overshoot the ideal
-    /// `pairs / devices` split — and never exceeds the total; a fleet of
-    /// one is charged every pair.
-    /// [`crate::PicassoConfig::strict_device_forecast`] compares this
-    /// against the per-device budget before any kernel launches.
-    ///
-    /// # Panics
-    ///
-    /// If `devices` is zero.
-    pub fn device_forecast_bytes_for<O: EdgeOracle + ?Sized>(
-        &self,
-        oracle: &O,
-        input_bytes_per_vertex: usize,
-        devices: usize,
-    ) -> usize {
-        assert!(devices > 0, "need at least one device");
-        let m = self.lists.len();
-        let input = self.input_replica_forecast(input_bytes_per_vertex, oracle);
-        if m < 2 {
-            return input;
-        }
-        let m64 = m as u64;
-        let wide_counters = m64.saturating_mul(m64) >= u32::MAX as u64;
-        let counters = m * if wide_counters { 8 } else { 4 };
-        let pairs = self.forecast_pairs();
-        let heaviest_row = if self.bucketed {
-            self.load.max_bucket
-        } else {
-            m
-        };
-        let span_pairs = pairs.div_ceil(devices as u64) + heaviest_row as u64;
-        let coo = 2u64
-            .saturating_mul(span_pairs.min(pairs))
-            .saturating_mul(std::mem::size_of::<u32>() as u64)
-            .min(usize::MAX as u64) as usize;
-        input
-            .saturating_add(counters)
-            .saturating_add(self.index_forecast_bytes())
-            .saturating_add(coo)
-    }
-
-    /// Bytes of the device input replica this iteration will charge: the
-    /// raw upload (`m · input_bpv`, words + color lists) on any scalar
-    /// path, or — when the packing decision engages for `oracle`'s
-    /// packed width — the **exact** packed upload: the color lists plus
-    /// one key lane per flat row ([`Self::num_rows`]: `N·L` bucketed,
-    /// `N` all-pairs), one query row per vertex, and one palette bitmask
-    /// per vertex, matching [`PackedBuckets::device_bytes`] term for
-    /// term. The decision is the build's own
-    /// ([`IterationContext::packing_decision`]), evaluated without
-    /// building anything, so the strict gate predicts exactly the path
-    /// the build will choose.
-    pub(crate) fn input_replica_forecast<O: EdgeOracle + ?Sized>(
-        &self,
-        input_bytes_per_vertex: usize,
-        oracle: &O,
-    ) -> usize {
-        let m = self.lists.len();
-        let packed_words = oracle.packed_form().map(|f| f.words.max(1));
-        if !self.packing_decision(packed_words) {
-            return m * input_bytes_per_vertex;
-        }
-        let w = packed_words.unwrap_or(1);
-        let l = self.lists.list_size();
-        let word_bytes = w * std::mem::size_of::<u64>();
-        let palette_words = (self.lists.palette_size() as usize).div_ceil(64).max(1);
-        (m * l * std::mem::size_of::<u32>())
-            .saturating_add((self.num_rows() + m).saturating_mul(word_bytes))
-            .saturating_add(m * palette_words * std::mem::size_of::<u64>())
-    }
-
     /// Candidate pairs the selected engine will examine this iteration —
     /// exact, from the pre-oracle bucket histogram (equals
     /// [`BucketIndex::total_pairs`] when bucketed, `m(m−1)/2` otherwise).
@@ -683,19 +593,6 @@ impl IterationContext {
         } else {
             let m = self.lists.len() as u64;
             m * m.saturating_sub(1) / 2
-        }
-    }
-
-    /// Bytes of the shared bucket index a device replica would hold
-    /// (`(N·L + P + 1)` u32 values, matching
-    /// [`BucketIndex::device_bytes`]), zero for the all-pairs fallback —
-    /// computed without building the index.
-    fn index_forecast_bytes(&self) -> usize {
-        if self.bucketed {
-            (self.lists.len() * self.lists.list_size() + self.lists.palette_size() as usize + 1)
-                * std::mem::size_of::<u32>()
-        } else {
-            0
         }
     }
 }
@@ -879,71 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn device_forecast_is_pre_index_and_bounds_the_real_build() {
-        use crate::conflict::build_device;
-        use device::DeviceSim;
-        use graph::FnOracle;
-        let m = 150;
-        let oracle = FnOracle::new(m, |u, v| (u * 13 + v * 7) % 3 == 0);
-        let mut ctx = IterationContext::new();
-        ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let forecast = ctx.device_forecast_bytes_for(&oracle, 16, 1);
-        // The forecast is derived from metadata and the histogram alone.
-        assert_eq!(ctx.index_builds(), 0, "forecast must not build the index");
-        // It is a true worst-case bound: a device with exactly that
-        // budget always completes the build.
-        let dev = DeviceSim::new(forecast);
-        let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
-        assert!(built.num_edges > 0);
-        assert!(dev.stats().peak_bytes <= forecast);
-    }
-
-    #[test]
-    fn oracle_aware_forecast_bounds_the_packed_build_exactly() {
-        // SymplecticSet at 10 qubits has a packed width of 2 u64 words —
-        // *wider* than the 3-bit `words_for()` share the raw input
-        // charge is derived from. The forecast charges the true replica,
-        // so a device with exactly that budget completes the packed
-        // build; a raw-upload charge would have under-charged it.
-        use crate::conflict::build_device;
-        use device::DeviceSim;
-        use rand::SeedableRng;
-        let m = 150;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let strings = pauli::string::random_unique_set(m, 10, &mut rng);
-        let set = pauli::SymplecticSet::from_strings(&strings);
-        let oracle = crate::oracle::PauliComplementOracle::new(&set);
-        let mut ctx = IterationContext::new();
-        ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let input_bpv = pauli::encode::words_for(10) * 8 + 4 * std::mem::size_of::<u32>();
-        let aware = ctx.device_forecast_bytes_for(&oracle, input_bpv, 1);
-        // With packing disabled the forecast charges the raw upload, the
-        // same as for an oracle without a packed form.
-        let mut scalar_ctx = IterationContext::new();
-        scalar_ctx.set_packing(PackingMode::Never);
-        scalar_ctx.set_lists(ColorLists::assign(m, 0, 30, 4, 3, 1));
-        let raw = scalar_ctx.device_forecast_bytes_for(&oracle, input_bpv, 1);
-        let unpackable = graph::FnOracle::new(m, |_, _| false);
-        assert_eq!(
-            ctx.device_forecast_bytes_for(&unpackable, input_bpv, 1),
-            raw
-        );
-        assert!(
-            aware > raw,
-            "the symplectic replica ({aware} B) must out-charge the raw upload ({raw} B)"
-        );
-        assert_eq!(ctx.pack_builds(), 0, "forecast must not pack");
-        let dev = DeviceSim::new(aware);
-        let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), input_bpv).unwrap();
-        assert_eq!(built.packed_lanes, built.candidate_pairs, "packed path ran");
-        assert!(dev.stats().peak_bytes <= aware);
-        // The scalar build fits the raw forecast.
-        let dev = DeviceSim::new(raw);
-        let scalar = build_device(&oracle, &mut scalar_ctx, &[dev], input_bpv).unwrap();
-        assert_eq!(scalar.graph, built.graph);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "different oracle was passed mid-iteration")]
     fn swapping_oracles_mid_iteration_is_caught_in_debug() {
@@ -962,47 +794,6 @@ mod tests {
         // Same lists, different oracle: the cached replica would be
         // wrong — the debug probe must refuse.
         let _ = ctx.engine_packed_scratch(&oracle_b);
-    }
-
-    #[test]
-    fn multi_device_forecast_bounds_every_replica() {
-        // Bucketed and all-pairs lists; an all-pairs row weighs up to
-        // m − 1 pairs, more than the deepest of these buckets holds.
-        use crate::conflict::build_device;
-        use device::DeviceSim;
-        use graph::FnOracle;
-        let m = 150;
-        let oracle = FnOracle::new(m, |u, v| (u * 11 + v * 5) % 2 == 0);
-        for (palette, list, bucketed) in [(20u32, 4u32, true), (30, 6, false)] {
-            for devices in [1usize, 2, 4, 7] {
-                let what = format!("P={palette} devices={devices}");
-                let mut ctx = IterationContext::new();
-                ctx.set_lists(ColorLists::assign(m, 0, palette, list, 7, 1));
-                assert_eq!(ctx.prefers_buckets(), bucketed, "{what}");
-                let forecast = ctx.device_forecast_bytes_for(&oracle, 16, devices);
-                // A fleet whose every device has exactly the forecast
-                // completes.
-                let tight: Vec<DeviceSim> =
-                    (0..devices).map(|_| DeviceSim::new(forecast)).collect();
-                build_device(&oracle, &mut ctx, &tight, 16).unwrap();
-                // Roomy devices lease their span's whole worst-case COO,
-                // which the forecast must cover. (A lone device also
-                // leases its CSR next to the COO; no forecast term
-                // covers that, as it is only taken when it fits.)
-                if devices > 1 {
-                    let roomy: Vec<DeviceSim> =
-                        (0..devices).map(|_| DeviceSim::new(64 << 20)).collect();
-                    build_device(&oracle, &mut ctx, &roomy, 16).unwrap();
-                    for d in &roomy {
-                        assert!(
-                            d.stats().peak_bytes <= forecast,
-                            "{what}: replica peaked {} over forecast {forecast}",
-                            d.stats().peak_bytes
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

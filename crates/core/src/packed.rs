@@ -289,8 +289,8 @@ impl PackedBuckets {
     /// bucket of all `m` vertices, so a span charges key rows
     /// `span.start..m`, `span.len()` query rows and all `m` bitmasks.
     /// Always `≤ device_bytes()`, and equal to it for the full-row span —
-    /// so the full-replica forecasts remain a sound upper bound while
-    /// narrow spans stop charging all `m` query rows.
+    /// so a fleet of one charges the whole replica while narrow spans
+    /// stop charging all `m` query rows.
     pub fn device_bytes_for_span(
         &self,
         index: Option<&BucketIndex>,
@@ -858,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn span_charges_sum_bounded_by_forecast_shape() {
+    fn span_charges_are_bounded_by_the_full_replica() {
         // Spans cutting mid-bucket still charge the whole touched
         // bucket's keys and masks (the pivot scans its full tail).
         let mut rng = StdRng::seed_from_u64(23);

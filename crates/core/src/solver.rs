@@ -23,18 +23,6 @@ pub enum SolveError {
     /// run; a fleet of zero devices is a configuration error and is
     /// rejected loudly.
     NoDevices,
-    /// [`PicassoConfig::strict_device_forecast`] is set and an
-    /// iteration's pre-oracle worst-case footprint
-    /// ([`IterationContext::device_forecast_bytes_for`](crate::IterationContext::device_forecast_bytes_for))
-    /// exceeded the device budget: the iteration was rejected **before
-    /// any oracle query or kernel launch**, instead of discovering the
-    /// overflow mid-kernel as the legacy capped-arena path does.
-    ForecastOverBudget {
-        /// Worst-case bytes the iteration could charge a device.
-        estimate_bytes: usize,
-        /// The configured per-device budget.
-        budget_bytes: usize,
-    },
     /// The deadline armed via
     /// [`IterationContext::set_deadline`](crate::IterationContext::set_deadline)
     /// passed. The solver checks it cooperatively between phases (never
@@ -64,14 +52,6 @@ impl std::fmt::Display for SolveError {
             SolveError::NoDevices => {
                 write!(f, "multi-device backend configured with zero devices")
             }
-            SolveError::ForecastOverBudget {
-                estimate_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "device forecast over budget: iteration could need {estimate_bytes} B \
-                 of a {budget_bytes} B device"
-            ),
             SolveError::DeadlineExceeded {
                 completed_iterations,
             } => write!(
@@ -435,23 +415,6 @@ impl Picasso {
             let view = LiveView::new(oracle, &live);
             let input_bpv =
                 words_bytes_per_vertex + ctx.lists().list_size() * std::mem::size_of::<u32>();
-            // Strict forecast gate: compare the iteration's worst-case
-            // device footprint (pre-oracle, from the bucket histogram)
-            // against the budget, so an over-budget iteration fails here
-            // — before any oracle query or kernel launch — with a typed
-            // error instead of a mid-kernel overflow. A build that
-            // passes gets a full-worst-case COO arena and cannot OOM
-            // mid-kernel.
-            if cfg.strict_device_forecast && !fleet.is_empty() {
-                let estimate_bytes = ctx.device_forecast_bytes_for(&view, input_bpv, fleet.len());
-                let budget_bytes = fleet[0].capacity();
-                if estimate_bytes > budget_bytes {
-                    return Err(SolveError::ForecastOverBudget {
-                        estimate_bytes,
-                        budget_bytes,
-                    });
-                }
-            }
             let t1 = Instant::now();
             let build_span = telemetry::span!("conflict_build", iter = iter);
             let build: ConflictBuild = match cfg.backend {
@@ -664,19 +627,15 @@ mod tests {
         assert!(!oom.is_injected());
 
         let injected = SolveError::DeviceOom(DeviceError::Injected {
-            site: device::FaultSite::DeviceAlloc,
+            site: device::FaultSite::DeviceReserve,
             op: 3,
         });
         assert!(injected.is_injected());
         let src = injected.source().unwrap();
-        assert!(src.to_string().contains("injected device_alloc fault"));
+        assert!(src.to_string().contains("injected device_reserve fault"));
 
         for err in [
             SolveError::NoDevices,
-            SolveError::ForecastOverBudget {
-                estimate_bytes: 2,
-                budget_bytes: 1,
-            },
             SolveError::DeadlineExceeded {
                 completed_iterations: 0,
             },
@@ -947,71 +906,6 @@ mod tests {
             assert_eq!(fresh.num_colors, reused.num_colors);
             assert_eq!(fresh.index_builds, reused.index_builds, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn strict_forecast_rejects_over_budget_before_any_device_work() {
-        let set = random_set(300, 8, 5);
-        // A device far too small for the worst-case footprint: strict
-        // mode fails fast with the typed forecast error (the legacy path
-        // would instead discover an OOM mid-kernel).
-        let cfg = PicassoConfig::normal(1)
-            .with_backend(ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 4 * 1024,
-            })
-            .with_strict_forecast(true);
-        let err = Picasso::new(cfg).solve_pauli(&set).unwrap_err();
-        match err {
-            SolveError::ForecastOverBudget {
-                estimate_bytes,
-                budget_bytes,
-            } => {
-                assert!(estimate_bytes > budget_bytes);
-                assert_eq!(budget_bytes, 4 * 1024);
-            }
-            other => panic!("expected forecast rejection, got {other:?}"),
-        }
-        assert!(err.to_string().contains("forecast over budget"));
-    }
-
-    #[test]
-    fn strict_forecast_passes_and_matches_plain_solve_when_budget_fits() {
-        let set = random_set(200, 8, 6);
-        for backend in [
-            ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 64 * 1024 * 1024,
-            },
-            ConflictBackend::MultiDevice {
-                devices: 3,
-                capacity_each: 32 * 1024 * 1024,
-            },
-        ] {
-            let plain = Picasso::new(PicassoConfig::normal(2).with_backend(backend))
-                .solve_pauli(&set)
-                .unwrap();
-            let strict = Picasso::new(
-                PicassoConfig::normal(2)
-                    .with_backend(backend)
-                    .with_strict_forecast(true),
-            )
-            .solve_pauli(&set)
-            .unwrap();
-            assert_eq!(plain.colors, strict.colors, "{backend:?}");
-        }
-        // Strict mode on a too-small multi-device fleet also rejects.
-        let err = Picasso::new(
-            PicassoConfig::normal(2)
-                .with_backend(ConflictBackend::MultiDevice {
-                    devices: 2,
-                    capacity_each: 2 * 1024,
-                })
-                .with_strict_forecast(true),
-        )
-        .solve_pauli(&set)
-        .unwrap_err();
-        assert!(matches!(err, SolveError::ForecastOverBudget { .. }));
     }
 
     #[test]

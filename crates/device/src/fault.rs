@@ -18,18 +18,14 @@ use std::fmt;
 
 /// Operation classes that can be made to fail by a [`FaultPlan`].
 ///
-/// The first four are device-level (checked inside [`crate::DeviceSim`]);
+/// The first two are device-level (checked inside [`crate::DeviceSim`]);
 /// the worker sites are service-level (checked in the worker loop before
 /// a job runs). Keeping them in one enum gives fault telemetry a single
 /// label space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A [`crate::DeviceSim::alloc`] call fails as if the budget check lost.
-    DeviceAlloc,
     /// A [`crate::DeviceSim::reserve`] lease is refused.
     DeviceReserve,
-    /// A [`crate::DeviceSim::upload`] transfer aborts.
-    DeviceUpload,
     /// A kernel launch aborts before dispatching any block.
     DeviceLaunch,
     /// The worker thread panics mid-job (service layer).
@@ -40,10 +36,8 @@ pub enum FaultSite {
 
 /// Every site, in label order — the iteration space for telemetry
 /// counters and plan builders.
-pub const FAULT_SITES: [FaultSite; 6] = [
-    FaultSite::DeviceAlloc,
+pub const FAULT_SITES: [FaultSite; 4] = [
     FaultSite::DeviceReserve,
-    FaultSite::DeviceUpload,
     FaultSite::DeviceLaunch,
     FaultSite::WorkerPanic,
     FaultSite::WorkerSlow,
@@ -53,37 +47,21 @@ impl FaultSite {
     /// Stable index into per-site tables (thresholds, counters).
     pub fn index(self) -> usize {
         match self {
-            FaultSite::DeviceAlloc => 0,
-            FaultSite::DeviceReserve => 1,
-            FaultSite::DeviceUpload => 2,
-            FaultSite::DeviceLaunch => 3,
-            FaultSite::WorkerPanic => 4,
-            FaultSite::WorkerSlow => 5,
+            FaultSite::DeviceReserve => 0,
+            FaultSite::DeviceLaunch => 1,
+            FaultSite::WorkerPanic => 2,
+            FaultSite::WorkerSlow => 3,
         }
     }
 
     /// Stable snake_case label (metric names, CLI output).
     pub fn label(self) -> &'static str {
         match self {
-            FaultSite::DeviceAlloc => "device_alloc",
             FaultSite::DeviceReserve => "device_reserve",
-            FaultSite::DeviceUpload => "device_upload",
             FaultSite::DeviceLaunch => "device_launch",
             FaultSite::WorkerPanic => "worker_panic",
             FaultSite::WorkerSlow => "worker_slow",
         }
-    }
-
-    /// Whether a fault at this site surfaces as a [`crate::DeviceError`]
-    /// (device sites) rather than a service-layer event (worker sites).
-    pub fn is_device(self) -> bool {
-        matches!(
-            self,
-            FaultSite::DeviceAlloc
-                | FaultSite::DeviceReserve
-                | FaultSite::DeviceUpload
-                | FaultSite::DeviceLaunch
-        )
     }
 }
 
@@ -94,11 +72,10 @@ impl fmt::Display for FaultSite {
 }
 
 /// Per-site salts so the same stream position hashes independently at
-/// every site (arbitrary odd constants).
-const SITE_SALT: [u64; 6] = [
-    0x9E37_79B9_7F4A_7C15,
+/// every site (arbitrary odd constants). Each salt belongs to its site,
+/// not its index: removing a site must not move another site's verdicts.
+const SITE_SALT: [u64; 4] = [
     0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
     0xD6E8_FEB8_6659_FD93,
     0xA076_1D64_95B1_9A27,
     0x8EBC_6AF0_9C88_C6E3,
@@ -118,7 +95,7 @@ fn mix(mut z: u64) -> u64 {
 pub struct FaultPlan {
     seed: u64,
     /// Fire when `hash < threshold`; 0 = never, `u64::MAX` = always.
-    thresholds: [u64; 6],
+    thresholds: [u64; 4],
 }
 
 impl FaultPlan {
@@ -127,7 +104,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            thresholds: [0; 6],
+            thresholds: [0; 4],
         }
     }
 
@@ -227,13 +204,13 @@ mod tests {
         let b = FaultPlan::uniform(42, 0.3);
         let c = FaultPlan::uniform(43, 0.3);
         let va: Vec<bool> = (0..512)
-            .map(|s| a.fires(FaultSite::DeviceAlloc, s))
+            .map(|s| a.fires(FaultSite::DeviceReserve, s))
             .collect();
         let vb: Vec<bool> = (0..512)
-            .map(|s| b.fires(FaultSite::DeviceAlloc, s))
+            .map(|s| b.fires(FaultSite::DeviceReserve, s))
             .collect();
         let vc: Vec<bool> = (0..512)
-            .map(|s| c.fires(FaultSite::DeviceAlloc, s))
+            .map(|s| c.fires(FaultSite::DeviceReserve, s))
             .collect();
         assert_eq!(va, vb, "same seed, same verdicts");
         assert_ne!(va, vc, "different seed, different verdicts");
@@ -242,13 +219,13 @@ mod tests {
     #[test]
     fn sites_draw_independent_streams() {
         let plan = FaultPlan::uniform(9, 0.5);
-        let alloc: Vec<bool> = (0..512)
-            .map(|s| plan.fires(FaultSite::DeviceAlloc, s))
+        let reserve: Vec<bool> = (0..512)
+            .map(|s| plan.fires(FaultSite::DeviceReserve, s))
             .collect();
         let launch: Vec<bool> = (0..512)
             .map(|s| plan.fires(FaultSite::DeviceLaunch, s))
             .collect();
-        assert_ne!(alloc, launch, "site salt separates the streams");
+        assert_ne!(reserve, launch, "site salt separates the streams");
     }
 
     #[test]
@@ -268,6 +245,30 @@ mod tests {
         }
     }
 
+    /// Golden verdict masks (bit `s` = stream `s` fires) for the four
+    /// sites a product path reaches. Each site hashes with its own salt,
+    /// so adding or removing *other* sites must not move these bits.
+    #[test]
+    fn verdict_masks_are_pinned_per_site() {
+        let golden: [(u64, FaultSite, u64); 8] = [
+            (9, FaultSite::DeviceReserve, 0x9541_0014_7010_6080),
+            (9, FaultSite::DeviceLaunch, 0x8542_4CA5_F300_E4E3),
+            (9, FaultSite::WorkerPanic, 0x4251_6418_C08E_1401),
+            (9, FaultSite::WorkerSlow, 0x8011_0112_090A_010C),
+            (42, FaultSite::DeviceReserve, 0x5288_269D_5602_AB00),
+            (42, FaultSite::DeviceLaunch, 0x0010_2242_2848_14F2),
+            (42, FaultSite::WorkerPanic, 0x870D_AA00_E400_0C28),
+            (42, FaultSite::WorkerSlow, 0x2075_8368_0CA4_3682),
+        ];
+        for (seed, site, want) in golden {
+            let plan = FaultPlan::uniform(seed, 0.3);
+            let mask = (0..64u64)
+                .filter(|&s| plan.fires(site, s))
+                .fold(0u64, |m, s| m | 1 << s);
+            assert_eq!(mask, want, "seed {seed} site {site}: {mask:#018X}");
+        }
+    }
+
     #[test]
     fn labels_and_indices_are_stable_and_distinct() {
         let mut seen = std::collections::HashSet::new();
@@ -276,7 +277,5 @@ mod tests {
             assert!(seen.insert(site.label()));
             assert_eq!(format!("{site}"), site.label());
         }
-        assert!(FaultSite::DeviceUpload.is_device());
-        assert!(!FaultSite::WorkerSlow.is_device());
     }
 }

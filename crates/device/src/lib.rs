@@ -7,22 +7,26 @@
 //! policy faithfully on the host:
 //!
 //! * a hard byte budget with OOM failures ([`DeviceError::OutOfMemory`]),
-//! * tracked allocations via RAII [`DeviceBuffer`]s,
-//! * explicit host↔device transfer accounting,
-//! * "kernel launches" that fan a grid out over the rayon thread pool.
+//!   charged through RAII [`DeviceLease`] reservations
+//!   ([`DeviceSim::reserve`]) while the caller keeps the simulated data
+//!   in its own recycled host arrays,
+//! * explicit host↔device transfer accounting ([`DeviceSim::note_h2d`],
+//!   [`DeviceSim::note_d2h`]),
+//! * weighted "kernel launches" ([`DeviceSim::launch_weighted_span`])
+//!   that fan pair-balanced blocks out over the rayon thread pool,
+//! * seeded fault injection at the reserve and launch sites
+//!   ([`FaultPlan`]).
 //!
 //! What is *not* simulated is HBM bandwidth — absolute speeds are host
 //! speeds. The decision logic (which instances fit, when CSR assembly
 //! falls back to the host, when the run OOMs — Fig. 2's capacity line)
 //! is preserved exactly.
 
-pub mod buffer;
 pub mod fault;
 pub mod sim;
 
-pub use buffer::{DeviceBuffer, DeviceLease};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
-pub use sim::{balanced_weight_cuts, DeviceError, DeviceSim, DeviceStats};
+pub use sim::{balanced_weight_cuts, DeviceError, DeviceLease, DeviceSim, DeviceStats};
 
 /// Capacity presets, scaled-down analogues of real devices.
 pub mod presets {

@@ -1,6 +1,5 @@
-//! The device state machine: budgeted allocation, transfers, kernels.
+//! The device state machine: budget reservations, transfers, kernels.
 
-use crate::buffer::DeviceBuffer;
 use crate::fault::{FaultPlan, FaultSite};
 use parking_lot::Mutex;
 use std::fmt;
@@ -58,26 +57,52 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-/// Shared device bookkeeping (buffers hold an `Arc` to it so drops can
+/// Shared device bookkeeping (leases hold an `Arc` to it so drops can
 /// release their bytes).
 #[derive(Debug)]
-pub(crate) struct DeviceState {
-    pub(crate) capacity: usize,
-    pub(crate) used: AtomicUsize,
-    pub(crate) peak: AtomicUsize,
-    pub(crate) h2d_bytes: AtomicUsize,
-    pub(crate) d2h_bytes: AtomicUsize,
-    pub(crate) kernel_launches: AtomicUsize,
-    pub(crate) alloc_lock: Mutex<()>,
+struct DeviceState {
+    capacity: usize,
+    used: AtomicUsize,
+    peak: AtomicUsize,
+    h2d_bytes: AtomicUsize,
+    d2h_bytes: AtomicUsize,
+    kernel_launches: AtomicUsize,
+    alloc_lock: Mutex<()>,
     /// Active fault plan (`None` = no injection, the default — the hot
     /// path then pays exactly one branch per site).
-    pub(crate) faults: Option<FaultPlan>,
-    /// Per-device-site operation counters: the stream positions fed to
-    /// [`FaultPlan::fires`]. Separate streams per site so an extra
-    /// alloc cannot shift which launch fails.
-    pub(crate) fault_ops: [AtomicU64; 4],
+    faults: Option<FaultPlan>,
+    /// Per-device-site operation counters (indexed by
+    /// [`FaultSite::index`]; the device sites come first): the stream
+    /// positions fed to [`FaultPlan::fires`]. Separate streams per site
+    /// so an extra reservation cannot shift which launch fails.
+    fault_ops: [AtomicU64; 2],
     /// Total faults injected by this device (reporting).
-    pub(crate) faults_injected: AtomicU64,
+    faults_injected: AtomicU64,
+}
+
+/// A budget **reservation**: charges bytes to the device (budget check,
+/// peak tracking, release on drop) while the caller brings its own
+/// recycled host array for the simulated data. This is what lets the
+/// conflict builders keep their device COO staging in an
+/// iteration-owned arena — the host side does not allocate a fresh
+/// backing vector per build.
+#[derive(Debug)]
+pub struct DeviceLease {
+    state: Arc<DeviceState>,
+    bytes: usize,
+}
+
+impl DeviceLease {
+    /// Reserved size in bytes (what was charged to the budget).
+    pub fn size_bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+impl Drop for DeviceLease {
+    fn drop(&mut self) {
+        self.state.used.fetch_sub(self.bytes, Ordering::Relaxed);
+    }
 }
 
 /// Counters snapshot for reporting.
@@ -108,9 +133,8 @@ impl DeviceSim {
     }
 
     /// Creates a device with `capacity` bytes of memory and an optional
-    /// fault plan: device-site rates in `faults` make alloc/reserve/
-    /// upload/launch operations fail deterministically as
-    /// [`DeviceError::Injected`].
+    /// fault plan: device-site rates in `faults` make reserve and launch
+    /// operations fail deterministically as [`DeviceError::Injected`].
     pub fn with_fault_plan(capacity: usize, faults: Option<FaultPlan>) -> DeviceSim {
         DeviceSim {
             state: Arc::new(DeviceState {
@@ -125,12 +149,7 @@ impl DeviceSim {
                 // keeps the disabled-path guarantee (one branch, no
                 // hashing) even when callers pass a zero-rate plan.
                 faults: faults.filter(|p| !p.is_noop()),
-                fault_ops: [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ],
+                fault_ops: [AtomicU64::new(0), AtomicU64::new(0)],
                 faults_injected: AtomicU64::new(0),
             }),
         }
@@ -187,34 +206,14 @@ impl DeviceSim {
         }
     }
 
-    /// Allocates an uninitialized (zeroed) buffer of `len` elements,
-    /// failing with [`DeviceError::OutOfMemory`] if it does not fit.
-    pub fn alloc<T: Clone + Default>(&self, len: usize) -> Result<DeviceBuffer<T>, DeviceError> {
-        self.fault_check(FaultSite::DeviceAlloc)?;
-        let bytes = len * std::mem::size_of::<T>();
-        // Serialize the check-and-reserve so concurrent allocations cannot
-        // overshoot the budget.
-        let _guard = self.state.alloc_lock.lock();
-        let used = self.state.used.load(Ordering::Relaxed);
-        let available = self.state.capacity - used;
-        if bytes > available {
-            return Err(DeviceError::OutOfMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        let now = used + bytes;
-        self.state.used.store(now, Ordering::Relaxed);
-        self.state.peak.fetch_max(now, Ordering::Relaxed);
-        Ok(DeviceBuffer::new(Arc::clone(&self.state), len, bytes))
-    }
-
-    /// Reserves `bytes` of budget without allocating backing storage —
-    /// the caller supplies (and recycles) the host array standing in for
-    /// the device data. Accounting is identical to [`DeviceSim::alloc`]:
-    /// serialized budget check, peak tracking, release when the returned
-    /// [`DeviceLease`] drops.
-    pub fn reserve(&self, bytes: usize) -> Result<crate::buffer::DeviceLease, DeviceError> {
+    /// Reserves `bytes` of budget, failing with
+    /// [`DeviceError::OutOfMemory`] if it does not fit. No backing storage
+    /// is allocated — the caller supplies (and recycles) the host array
+    /// standing in for the device data. The check-and-charge is
+    /// serialized, so concurrent reservations cannot overshoot the
+    /// budget; the peak tracks the high-water mark, and the bytes return
+    /// when the [`DeviceLease`] drops.
+    pub fn reserve(&self, bytes: usize) -> Result<DeviceLease, DeviceError> {
         self.fault_check(FaultSite::DeviceReserve)?;
         let _guard = self.state.alloc_lock.lock();
         let used = self.state.used.load(Ordering::Relaxed);
@@ -228,34 +227,14 @@ impl DeviceSim {
         let now = used + bytes;
         self.state.used.store(now, Ordering::Relaxed);
         self.state.peak.fetch_max(now, Ordering::Relaxed);
-        Ok(crate::buffer::DeviceLease::new(
-            Arc::clone(&self.state),
+        Ok(DeviceLease {
+            state: Arc::clone(&self.state),
             bytes,
-        ))
+        })
     }
 
-    /// Allocates a buffer and fills it from host data, counting the
-    /// host→device transfer.
-    pub fn upload<T: Clone + Default>(&self, data: &[T]) -> Result<DeviceBuffer<T>, DeviceError> {
-        self.fault_check(FaultSite::DeviceUpload)?;
-        let mut buf = self.alloc::<T>(data.len())?;
-        buf.as_mut_slice().clone_from_slice(data);
-        self.state
-            .h2d_bytes
-            .fetch_add(std::mem::size_of_val(data), Ordering::Relaxed);
-        Ok(buf)
-    }
-
-    /// Copies a device buffer back to the host, counting the transfer.
-    pub fn download<T: Clone + Default>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        self.state
-            .d2h_bytes
-            .fetch_add(buf.size_bytes(), Ordering::Relaxed);
-        buf.as_slice().to_vec()
-    }
-
-    /// Records a host→device transfer without materializing host data —
-    /// used when the "upload" is of data the simulation keeps elsewhere.
+    /// Records a host→device transfer of `bytes` (the simulated data
+    /// itself stays in the caller's host arrays).
     pub fn note_h2d(&self, bytes: usize) {
         self.state.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -263,21 +242,6 @@ impl DeviceSim {
     /// Records a device→host transfer of `bytes`.
     pub fn note_d2h(&self, bytes: usize) {
         self.state.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Launches a "kernel": `grid` logical threads executed over the
-    /// rayon pool. The closure receives the thread index, exactly like a
-    /// flattened CUDA grid. Fails only under an active [`FaultPlan`]
-    /// whose launch site fires (the kernel then never dispatches).
-    pub fn launch<F: Fn(usize) + Sync>(&self, grid: usize, kernel: F) -> Result<(), DeviceError> {
-        use rayon::prelude::*;
-        self.fault_check(FaultSite::DeviceLaunch)?;
-        self.state.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        // The closure keeps `kernel` borrowed (only `&F: Send` is needed),
-        // so `F` itself does not have to be `Send`.
-        #[allow(clippy::redundant_closure)]
-        (0..grid).into_par_iter().for_each(|tid| kernel(tid));
-        Ok(())
     }
 
     /// Launches a *weighted* block kernel over a span of a flat work
@@ -343,9 +307,9 @@ mod tests {
     #[test]
     fn allocation_respects_capacity() {
         let dev = DeviceSim::new(1024);
-        let a = dev.alloc::<u8>(512).unwrap();
+        let a = dev.reserve(512).unwrap();
         assert_eq!(dev.used_bytes(), 512);
-        let err = dev.alloc::<u8>(1024).unwrap_err();
+        let err = dev.reserve(1024).unwrap_err();
         assert_eq!(
             err,
             DeviceError::OutOfMemory {
@@ -355,48 +319,17 @@ mod tests {
         );
         drop(a);
         assert_eq!(dev.used_bytes(), 0);
-        assert!(dev.alloc::<u8>(1024).is_ok());
+        assert!(dev.reserve(1024).is_ok());
     }
 
     #[test]
     fn peak_tracks_high_water_mark() {
         let dev = DeviceSim::new(4096);
         {
-            let _a = dev.alloc::<u8>(3000).unwrap();
+            let _a = dev.reserve(3000).unwrap();
         }
-        let _b = dev.alloc::<u8>(100).unwrap();
+        let _b = dev.reserve(100).unwrap();
         assert_eq!(dev.stats().peak_bytes, 3000);
-    }
-
-    #[test]
-    fn transfers_are_counted() {
-        let dev = DeviceSim::new(1 << 20);
-        let buf = dev.upload(&[1u32, 2, 3, 4]).unwrap();
-        assert_eq!(dev.stats().h2d_bytes, 16);
-        let back = dev.download(&buf);
-        assert_eq!(back, vec![1, 2, 3, 4]);
-        assert_eq!(dev.stats().d2h_bytes, 16);
-    }
-
-    #[test]
-    fn typed_allocation_sizes() {
-        let dev = DeviceSim::new(1000);
-        let _b = dev.alloc::<u64>(100).unwrap();
-        assert_eq!(dev.used_bytes(), 800);
-        assert!(dev.alloc::<u64>(26).is_err(), "208 B > 200 B remaining");
-    }
-
-    #[test]
-    fn kernel_launch_covers_grid() {
-        use std::sync::atomic::AtomicUsize;
-        let dev = DeviceSim::new(1024);
-        let hits = AtomicUsize::new(0);
-        dev.launch(1000, |_tid| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
-        assert_eq!(dev.stats().kernel_launches, 1);
     }
 
     #[test]
@@ -471,11 +404,11 @@ mod tests {
 
     #[test]
     fn injected_faults_fire_deterministically_per_site() {
-        let plan = FaultPlan::new(77).with_rate(FaultSite::DeviceAlloc, 0.5);
+        let plan = FaultPlan::new(77).with_rate(FaultSite::DeviceReserve, 0.5);
         let run = || {
             let dev = DeviceSim::with_fault_plan(4096, Some(plan));
             (0..64)
-                .map(|_| dev.alloc::<u8>(1).is_err())
+                .map(|_| dev.reserve(1).is_err())
                 .collect::<Vec<bool>>()
         };
         let a = run();
@@ -489,21 +422,28 @@ mod tests {
     fn injected_faults_reserve_no_budget_and_launch_no_kernel() {
         let plan = FaultPlan::uniform(3, 1.0);
         let dev = DeviceSim::with_fault_plan(4096, Some(plan));
-        let err = dev.alloc::<u8>(16).unwrap_err();
+        let err = dev.reserve(16).unwrap_err();
         assert!(err.is_injected(), "{err}");
         assert!(matches!(
             err,
             DeviceError::Injected {
-                site: FaultSite::DeviceAlloc,
-                ..
+                site: FaultSite::DeviceReserve,
+                op: 0
             }
         ));
-        assert!(dev.reserve(16).unwrap_err().is_injected());
-        let launched = dev.launch(10, |_t| panic!("kernel must not dispatch"));
-        assert!(launched.unwrap_err().is_injected());
+        let launched = dev.launch_weighted_span(&[1, 2, 3], 0, 2, |_b, _r| {
+            panic!("kernel must not dispatch")
+        });
+        assert!(matches!(
+            launched,
+            Err(DeviceError::Injected {
+                site: FaultSite::DeviceLaunch,
+                op: 0
+            })
+        ));
         assert_eq!(dev.used_bytes(), 0, "failed ops hold no budget");
         assert_eq!(dev.stats().kernel_launches, 0);
-        assert_eq!(dev.faults_injected(), 3);
+        assert_eq!(dev.faults_injected(), 2);
     }
 
     #[test]
@@ -518,13 +458,36 @@ mod tests {
     fn concurrent_allocations_never_overshoot() {
         use rayon::prelude::*;
         let dev = DeviceSim::new(10_000);
-        let results: Vec<_> = (0..64)
-            .into_par_iter()
-            .map(|_| dev.alloc::<u8>(400))
-            .collect();
+        let results: Vec<_> = (0..64).into_par_iter().map(|_| dev.reserve(400)).collect();
         let succeeded = results.iter().filter(|r| r.is_ok()).count();
         // 25 × 400 = 10 000: at most 25 can succeed.
         assert!(succeeded <= 25, "{succeeded} allocations overshot capacity");
         assert!(dev.used_bytes() <= 10_000);
+    }
+
+    #[test]
+    fn drop_releases_budget_exactly() {
+        let dev = DeviceSim::new(1000);
+        let b1 = dev.reserve(300).unwrap();
+        let b2 = dev.reserve(300).unwrap();
+        assert_eq!(dev.used_bytes(), 600);
+        drop(b1);
+        assert_eq!(dev.used_bytes(), 300);
+        drop(b2);
+        assert_eq!(dev.used_bytes(), 0);
+    }
+
+    #[test]
+    fn reserve_charges_and_releases_the_budget() {
+        let dev = DeviceSim::new(1000);
+        let lease = dev.reserve(600).unwrap();
+        assert_eq!(lease.size_bytes(), 600);
+        assert_eq!(dev.used_bytes(), 600);
+        assert_eq!(dev.stats().peak_bytes, 600);
+        // The remaining budget is enforced against further reservations.
+        assert!(dev.reserve(500).is_err());
+        drop(lease);
+        assert_eq!(dev.used_bytes(), 0);
+        assert!(dev.reserve(1000).is_ok());
     }
 }

@@ -68,7 +68,7 @@ pub struct ServiceMetrics {
     /// Worker-thread panics contained by the isolation boundary.
     pub(crate) panics: Arc<Counter>,
     /// Injected faults observed, per [`FaultSite`] (index order).
-    pub(crate) faults: [Arc<Counter>; 6],
+    pub(crate) faults: [Arc<Counter>; FAULT_SITES.len()],
 }
 
 impl Default for ServiceMetrics {
@@ -295,13 +295,13 @@ mod tests {
     #[test]
     fn fault_counters_split_per_site_and_sum_in_the_snapshot() {
         let m = ServiceMetrics::default();
-        m.fault_counter(FaultSite::DeviceAlloc).add(3);
+        m.fault_counter(FaultSite::DeviceReserve).add(3);
         m.fault_counter(FaultSite::WorkerPanic).inc();
         m.retries.add(2);
         m.quarantined.inc();
         let registry = m.registry();
         assert_eq!(
-            registry.counter("service_fault_device_alloc_total").get(),
+            registry.counter("service_fault_device_reserve_total").get(),
             3
         );
         assert_eq!(

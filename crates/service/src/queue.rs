@@ -30,7 +30,7 @@ pub struct QueuedJob {
     /// original priority and sequence, so it neither jumps nor loses its
     /// place in the deterministic order.
     pub attempts: u32,
-    /// One entry per failed attempt ("attempt N: <error>"), attached to
+    /// One entry per failed attempt (`"attempt N: <error>"`), attached to
     /// the terminal failure when the job is quarantined.
     pub fault_history: Vec<String>,
     /// The work itself.

@@ -2,7 +2,7 @@
 //!
 //! The hot-path contract, in order of importance:
 //!
-//! 1. **Disabled means free.** With no sink installed, [`span!`] costs
+//! 1. **Disabled means free.** With no sink installed, [`span!`](crate::span!) costs
 //!    one relaxed atomic load and constructs a guard whose drop does
 //!    nothing — no clock read, no allocation, no branch the optimizer
 //!    cannot sink. The solver's zero-allocation pins (`tests/memory.rs`)
@@ -10,12 +10,12 @@
 //! 2. **Enabled means ring-buffered.** Records go into a preallocated
 //!    per-thread ring ([`RING_CAPACITY`] fixed-size [`SpanRecord`]s,
 //!    allocated once on a thread's first record). The ring drains to the
-//!    installed [`TelemetrySink`](crate::TelemetrySink) when full and on
+//!    installed [`TelemetrySink`] when full and on
 //!    [`flush_thread`]; between drains the hot path touches only the
 //!    ring — no locks, no heap.
 //!
 //! Spans are guard-style: `let _g = span!("conflict_build", iter = i);`
-//! measures from construction to drop. Events ([`event!`]) are
+//! measures from construction to drop. Events ([`event!`](crate::event!)) are
 //! zero-duration records (degradation rungs, admission rejects).
 
 use crate::sink::TelemetrySink;
@@ -76,7 +76,7 @@ fn epoch() -> Instant {
 }
 
 /// Whether a sink is installed. One relaxed load — the whole cost of a
-/// disabled [`span!`].
+/// disabled [`span!`](crate::span!).
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -157,7 +157,7 @@ fn now_ns() -> u64 {
 }
 
 /// A guard measuring one span from construction to drop. Construct via
-/// [`span!`]; a disabled guard holds `None` and drops for free.
+/// [`span!`](crate::span!); a disabled guard holds `None` and drops for free.
 #[must_use = "a span guard measures until it drops; binding it to _ ends the span immediately"]
 pub struct SpanGuard {
     armed: Option<(Instant, u64)>,

@@ -1,7 +1,7 @@
 //! Determinism is a tested invariant: a solve's output is a pure
 //! function of (instance, config, seed). In particular it must not
 //! depend on what the `IterationContext` solved before — the packing
-//! decision and the device forecasts read counted quantities only — nor
+//! decision reads counted quantities only — nor
 //! on which (differently warmed) service worker serves a request.
 //!
 //! The vendored proptest runner cannot shrink, so every assertion names
@@ -9,7 +9,7 @@
 
 use graph::PackedWordOracle;
 use pauli::EncodedSet;
-use picasso::{ConflictBackend, IterationContext, PauliComplementOracle, Picasso, PicassoConfig};
+use picasso::{ConflictBackend, IterationContext, Picasso, PicassoConfig};
 use picasso_service::{JobOutcome, ServiceConfig, SolveRequest, SolveService, Workload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -44,24 +44,18 @@ fn warm_up(ctx: &mut IterationContext, n: usize, warm_seed: u64) {
     .expect("warm-up solve");
 }
 
-fn backends() -> [(ConflictBackend, bool); 4] {
+fn backends() -> [ConflictBackend; 4] {
     [
-        (ConflictBackend::Sequential, false),
-        (ConflictBackend::Parallel, false),
-        (
-            ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 64 << 20,
-            },
-            true,
-        ),
-        (
-            ConflictBackend::MultiDevice {
-                devices: DEVICES,
-                capacity_each: 32 << 20,
-            },
-            true,
-        ),
+        ConflictBackend::Sequential,
+        ConflictBackend::Parallel,
+        ConflictBackend::MultiDevice {
+            devices: 1,
+            capacity_each: 64 << 20,
+        },
+        ConflictBackend::MultiDevice {
+            devices: DEVICES,
+            capacity_each: 32 << 20,
+        },
     ]
 }
 
@@ -69,9 +63,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The same instance solved on a cold context and on one warmed by
-    /// unrelated solves: colors, packed-replica builds, per-iteration
-    /// packed lanes, and the oracle-aware device forecasts all agree,
-    /// on every backend (the device ones behind the strict forecast).
+    /// unrelated solves: colors, packed-replica builds and per-iteration
+    /// packed lanes all agree, on every backend.
     #[test]
     fn cold_and_warmed_contexts_agree(
         n in 80usize..260,
@@ -80,15 +73,12 @@ proptest! {
         warm_seed in any::<u64>(),
     ) {
         let set = random_set(n, qubits, seed);
-        let oracle = PauliComplementOracle::new(&set);
         let mut warm = IterationContext::new();
         warm_up(&mut warm, n, warm_seed);
         prop_assert!(warm.index_builds() > 0, "warm-up ran (seeds {} / {})", seed, warm_seed);
 
-        for (backend, strict) in backends() {
-            let cfg = PicassoConfig::normal(seed)
-                .with_backend(backend)
-                .with_strict_forecast(strict);
+        for backend in backends() {
+            let cfg = PicassoConfig::normal(seed).with_backend(backend);
             let cold = Picasso::new(cfg).solve_pauli_in(&set, &mut IterationContext::new());
             let hot = Picasso::new(cfg).solve_pauli_in(&set, &mut warm);
             prop_assert!(
@@ -111,23 +101,6 @@ proptest! {
             prop_assert_eq!(
                 lanes(&cold), lanes(&hot),
                 "{:?} packed lanes (seeds {} / {})", backend, seed, warm_seed
-            );
-        }
-
-        // The forecasts the strict gate compares against the budget,
-        // for the first iteration's lists, from both contexts.
-        let cfg = PicassoConfig::normal(seed);
-        let (palette, list) = (cfg.palette_size(n), cfg.list_size(n));
-        let bpv = picasso::conflict::device_input_bytes_per_vertex(qubits, list as usize);
-        let mut cold = IterationContext::new();
-        for ctx in [&mut cold, &mut warm] {
-            ctx.assign_lists(n, 0, palette, list, cfg.seed, 1);
-        }
-        for devices in [1, DEVICES] {
-            prop_assert_eq!(
-                cold.device_forecast_bytes_for(&oracle, bpv, devices),
-                warm.device_forecast_bytes_for(&oracle, bpv, devices),
-                "{}-device forecast (seeds {} / {})", devices, seed, warm_seed
             );
         }
     }
@@ -238,7 +211,7 @@ fn colorings_do_not_depend_on_the_thread_count() {
             .colors
     };
     let reference = solve(ConflictBackend::Sequential);
-    for (backend, _) in backends() {
+    for backend in backends() {
         assert_eq!(
             solve(backend),
             reference,

@@ -93,7 +93,8 @@ proptest! {
 
     /// The symplectic encoding rides the same pipeline: its packed CSRs
     /// equal its own scalar build *and* the 3-bit encoding's (same
-    /// strings → same anticommutation relation → same graph).
+    /// strings → same anticommutation relation → same graph). The device
+    /// build runs the packed kernel on the symplectic replica too.
     #[test]
     fn symplectic_packed_builds_match_both_references(
         qubits in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(130)],
@@ -110,6 +111,11 @@ proptest! {
         let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
         let scalar = build_sequential(&sym_oracle, &mut scalar_ctx);
         prop_assert_eq!(&packed.graph, &scalar.graph);
+        let dev = device::DeviceSim::new(64 * 1024 * 1024);
+        let devb = build_device(&sym_oracle, &mut packed_ctx, std::slice::from_ref(&dev), 16)
+            .unwrap();
+        prop_assert_eq!(&devb.graph, &scalar.graph, "seed {}: device", seed);
+        prop_assert_eq!(devb.packed_lanes, devb.candidate_pairs, "seed {}: packed path ran", seed);
 
         let enc = EncodedSet::from_strings(&strings);
         let enc_oracle = PauliComplementOracle::new(&enc);
