@@ -21,12 +21,16 @@
 //! v_len]`, the pivot stored once per group. The scans emit their hits
 //! row by row — a pivot and the surviving members of its candidate run —
 //! so a group is one pivot row and the COO costs about 4 bytes per edge
-//! instead of the 8 of a `(u32, u32)` pair. The builder's `num_edges` is
-//! the sum of the groups' lengths. The simulated device kernel still
-//! stages flat `u, v` pairs in its device arena, as Algorithm 3's COO
-//! does (so the COO lease and transfer accounting keep the
-//! `2 · pairs` word bound); the host merge regroups them through the same
-//! writer. [`IterationScratch::edges`], the old pair buffer, is no longer
+//! instead of the 8 of a `(u32, u32)` pair. The groups live in the
+//! context's list of per-block arenas ([`IterationScratch::blocks`]):
+//! the sequential builds write the first arena, and every cut-parallel
+//! build — the rayon build and each device of a fleet — scans each
+//! block of pivot rows into its own arena (`scan_cuts`). The builder's
+//! `num_edges` is the sum of the groups' lengths. The device build
+//! charges its budget for Algorithm 3's COO of two `u32` words per edge
+//! (so the COO lease and transfer accounting keep the `2 · pairs` word
+//! bound), but its blocks stage groups on the host like every other
+//! build. [`IterationScratch::edges`], the old pair buffer, is no longer
 //! touched by any builder: it stays only as the benchmark replay's pair
 //! staging.
 //!
@@ -68,7 +72,7 @@
 //! argument: the emitted pair *set* is a pure function of the lists
 //! (smallest-shared-color deduplication is scheduling-independent), the
 //! oracle is pure, and every backend assembles with the one CSR builder
-//! ([`graph::csr_from_groups_blocks_in`]), which counts both endpoints
+//! ([`graph::csr_from_groups_in`]), which counts both endpoints
 //! and orders each adjacency row ascending. That row order alone makes
 //! the output independent of edge order and of how the edges are split
 //! into groups, so the edges of any scheduling (or any partition of the
@@ -78,10 +82,10 @@
 //! through a bitmap (see [`graph::builder`]). The sequential scans emit
 //! their groups in pivot-row order; on all-pairs iterations pivots and
 //! runs both ascend, so the scatter writes every row ascending. The
-//! rayon build merges its blocks' groups in scheduling order but hands
-//! them to the assembler in cut order, so its scatter sees those same
-//! sequential groups. The device build regroups its flat pairs in
-//! kernel order. Each pair is emitted once, as the assembler's
+//! cut-parallel builds scan ascending row ranges into one arena each
+//! and the assembler visits the arenas in order, so under any
+//! scheduling, thread count or fleet size the scatter sees those same
+//! sequential groups. Each pair is emitted once, as the assembler's
 //! unique-edge contract requires.
 //!
 //! Each build reports `candidate_pairs`, the oracle-independent
@@ -93,9 +97,10 @@ use crate::candidates::PairSource;
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
-use graph::{csr_from_groups_blocks_in, CooGroups, CsrArena, CsrGraph, EdgeOracle};
+use graph::{csr_from_groups_in, CooGroups, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A constructed conflict graph plus build metadata.
 #[derive(Debug)]
@@ -142,7 +147,7 @@ fn scan_rows_edges<O: EdgeOracle, S: PairSource + ?Sized>(
     oracle: &O,
     source: &S,
     packed: Option<&PackedBuckets>,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     run: &mut Vec<usize>,
     hits: &mut Vec<bool>,
     masks: &mut Vec<u64>,
@@ -166,8 +171,8 @@ fn scan_rows_edges<O: EdgeOracle, S: PairSource + ?Sized>(
     });
 }
 
-/// Shared atomic accumulator for per-task [`MaskScanStats`] on the
-/// parallel and device paths.
+/// Shared atomic accumulator for the per-block [`MaskScanStats`] of the
+/// cut-parallel builds.
 #[derive(Default)]
 struct SharedScanStats {
     hit_bits: AtomicU64,
@@ -195,10 +200,83 @@ impl SharedScanStats {
     }
 }
 
-/// Assembles the finished groups of `groups` as one block.
-fn csr_from_groups_in(m: usize, groups: &CooGroups, csr: &mut CsrArena) -> CsrGraph {
-    let words = groups.words();
-    csr_from_groups_blocks_in(m, words, std::slice::from_ref(&(0..words.len())), csr)
+/// Clears every group arena of `blocks`, keeping its capacity, and
+/// grows the list to at least `len` arenas. A build starts here, so the
+/// arenas it leaves unused read as empty.
+fn reset_blocks(blocks: &mut Vec<CooGroups>, len: usize) {
+    blocks.iter_mut().for_each(CooGroups::clear);
+    if blocks.len() < len {
+        blocks.resize_with(len, CooGroups::default);
+    }
+}
+
+/// Pair-balanced block cuts of the flat pivot rows `rows`
+/// ([`device::balanced_weight_cuts`] over their `weights`), four per
+/// thread, as global row ranges in ascending order.
+fn block_cuts(weights: &[u64], rows: Range<usize>) -> Vec<Range<usize>> {
+    device::balanced_weight_cuts(&weights[rows.clone()], rayon::current_num_threads() * 4)
+        .into_iter()
+        .map(|cut| rows.start + cut.start..rows.start + cut.end)
+        .collect()
+}
+
+/// The one cut-parallel Line-7 scan: scans each of the ascending flat
+/// row ranges `cuts` into its own group arena, `blocks[first + k]` for
+/// `cuts[k]` (the list grows as needed), one rayon task per cut. Every
+/// task draws its scan buffers from the context's arena `pool` and adds
+/// its mask-scan counters to `stats`. No arena is shared, so there is
+/// nothing to lock or merge: read in order, the arenas hold the groups
+/// the sequential scan of the same rows emits (a pivot row never spans
+/// two cuts).
+#[allow(clippy::too_many_arguments)]
+fn scan_cuts<O: EdgeOracle, S: PairSource + ?Sized>(
+    oracle: &O,
+    source: &S,
+    packed: Option<&PackedBuckets>,
+    pool: &ScratchPool,
+    cuts: &[Range<usize>],
+    blocks: &mut Vec<CooGroups>,
+    first: usize,
+    stats: &SharedScanStats,
+) {
+    let end = first + cuts.len();
+    if blocks.len() < end {
+        blocks.resize_with(end, CooGroups::default);
+    }
+    blocks[first..end]
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(k, groups)| {
+            let mut arena = pool.take();
+            let TaskArena {
+                run,
+                hits,
+                masks,
+                mapped,
+            } = &mut arena;
+            groups.clear();
+            let mut block_stats = MaskScanStats::default();
+            scan_rows_edges(
+                oracle,
+                source,
+                packed,
+                cuts[k].clone(),
+                run,
+                hits,
+                masks,
+                &mut block_stats,
+                mapped,
+                |u, v| groups.push(u, v),
+            );
+            groups.finish();
+            stats.add(block_stats);
+            pool.put(arena);
+        });
+}
+
+/// Edges in the closed groups of `blocks`.
+fn blocks_edges(blocks: &[CooGroups]) -> usize {
+    blocks.iter().map(CooGroups::num_edges).sum()
 }
 
 /// Sequential bucketed build: one pass over the flat pivot-row space —
@@ -213,7 +291,7 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        groups,
+        blocks,
         hits,
         masks,
         mapped,
@@ -221,7 +299,8 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
         csr,
         ..
     } = scratch;
-    groups.clear();
+    reset_blocks(blocks, 1);
+    let groups = &mut blocks[0];
     let mut stats = MaskScanStats::default();
     let scan_span = telemetry::SpanGuard::begin(
         if packed.is_some() {
@@ -250,7 +329,7 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_groups_in(m, groups, csr),
+        graph: csr_from_groups_in(m, blocks, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
@@ -263,7 +342,8 @@ pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -
 /// ([`crate::ConflictBackend::AllPairs`]): a verbatim `Θ(m²)` scalar
 /// scan, kept as the independent ground truth the bucketed backends are
 /// validated against. Ignores the engine (and never builds the shared
-/// index); only the context's COO group and CSR arenas are reused.
+/// index); only the context's first COO group arena and the CSR arena
+/// are reused.
 pub fn build_sequential_allpairs<O: EdgeOracle>(
     oracle: &O,
     ctx: &mut IterationContext,
@@ -271,8 +351,9 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
     let (lists, scratch) = ctx.lists_and_scratch();
     let m = oracle.num_vertices();
     debug_assert_eq!(m, lists.len());
-    let IterationScratch { groups, csr, .. } = scratch;
-    groups.clear();
+    let IterationScratch { blocks, csr, .. } = scratch;
+    reset_blocks(blocks, 1);
+    let groups = &mut blocks[0];
     let scan_span = telemetry::span!("scalar_scan");
     for i in 0..m {
         for j in (i + 1)..m {
@@ -287,7 +368,7 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
     let m64 = m as u64;
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_groups_in(m, groups, csr),
+        graph: csr_from_groups_in(m, blocks, csr),
         num_edges,
         candidate_pairs: m64 * m64.saturating_sub(1) / 2,
         packed_lanes: 0,
@@ -297,42 +378,28 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 }
 
 /// Rayon-parallel bucketed build over pair-balanced blocks of the flat
-/// pivot-row space. Every block checks a [`TaskArena`] out of the
-/// context's [`ScratchPool`] for its staging/run/hit/remap buffers and
-/// returns it afterwards, so once the pool holds one arena per thread
-/// the parallel path allocates
-/// **no staging buffers per task** — the per-thread extension of the
-/// context's zero-allocation property. Each block stages its edges as
-/// groups and appends them to the context's group arena under a lock in
-/// scheduling order, recording their word range in the context's block
-/// table ([`IterationScratch::edge_blocks`]); a pivot row never spans
-/// two cuts, so every range holds whole groups. CSR assembly then
-/// scatters those ranges in cut order
-/// ([`graph::csr_from_groups_blocks_in`]), which is exactly the
+/// pivot-row space, four per thread: `scan_cuts` scans each block into
+/// its own arena of [`IterationScratch::blocks`], drawing its
+/// run/hit/remap buffers from the context's [`ScratchPool`], so once the
+/// pool holds one arena per thread and the block arenas are warm the
+/// parallel path allocates **no staging buffers per task** — the
+/// per-thread extension of the context's zero-allocation property. CSR
+/// assembly visits the arenas in block order, which is exactly the
 /// sequential build's COO order: rows arrive as ordered as the
 /// sequential scan leaves them, and the output is bit-identical to the
-/// sequential build under any scheduling. The group arena keeps the
-/// blocks in scheduling order. [`IterationScratch::edges`] is left
-/// untouched.
+/// sequential build under any scheduling. [`IterationScratch::edges`] is
+/// left untouched.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        groups,
-        edge_blocks,
-        pool,
-        csr,
-        ..
+        blocks, pool, csr, ..
     } = scratch;
-    let pool: &ScratchPool = pool;
-    groups.clear();
+    reset_blocks(blocks, 0);
     let row_weights = engine.row_weights();
-    let cuts = device::balanced_weight_cuts(&row_weights, rayon::current_num_threads() * 4);
-    edge_blocks.clear();
-    edge_blocks.resize(cuts.len(), 0..0);
-    let merged = std::sync::Mutex::new((std::mem::take(groups), std::mem::take(edge_blocks)));
-    let shared_stats = SharedScanStats::default();
+    let cuts = block_cuts(&row_weights, 0..row_weights.len());
+    let stats = SharedScanStats::default();
     let scan_span = telemetry::SpanGuard::begin(
         if packed.is_some() {
             "packed_scan"
@@ -342,153 +409,18 @@ pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> 
         "",
         0,
     );
-    cuts.into_par_iter().enumerate().for_each(|(cut, rows)| {
-        let mut arena = pool.take();
-        let TaskArena {
-            groups: staged,
-            run,
-            hits,
-            masks,
-            mapped,
-            ..
-        } = &mut arena;
-        staged.clear();
-        let mut stats = MaskScanStats::default();
-        scan_rows_edges(
-            oracle,
-            &engine,
-            packed,
-            rows,
-            run,
-            hits,
-            masks,
-            &mut stats,
-            mapped,
-            |u, v| staged.push(u, v),
-        );
-        staged.finish();
-        shared_stats.add(stats);
-        if !staged.words().is_empty() {
-            let mut guard = merged
-                .lock()
-                .expect("COO merge lock poisoned: another block panicked while merging");
-            let (coo, blocks) = &mut *guard;
-            let start = coo.words().len();
-            coo.append(staged);
-            blocks[cut] = start..coo.words().len();
-        }
-        pool.put(arena);
-    });
-    (*groups, *edge_blocks) = merged
-        .into_inner()
-        .expect("COO merge lock poisoned: a block panicked while merging");
+    scan_cuts(oracle, &engine, packed, pool, &cuts, blocks, 0, &stats);
     drop(scan_span);
-    let num_edges = groups.num_edges();
+    let num_edges = blocks_edges(blocks);
     let candidate_pairs = engine.candidate_pairs();
     let _csr_span = telemetry::span!("csr_assembly");
     ConflictBuild {
-        graph: csr_from_groups_blocks_in(m, groups.words(), edge_blocks, csr),
+        graph: csr_from_groups_in(m, blocks, csr),
         num_edges,
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
-        scan_stats: shared_stats.into_stats(),
+        scan_stats: stats.into_stats(),
         csr_on_device: None,
-    }
-}
-
-/// The staged pair kernel every device of a fleet launches on `dev`
-/// over its flat rows `base..base + weights.len()`: blocks own
-/// pair-balanced row ranges ([`DeviceSim::launch_weighted_span`]), draw
-/// their staging buffers from the context's arena `pool`, stage their
-/// edges locally as flat `u, v` words, and bulk-reserve output slots in
-/// `coo` with one atomic `fetch_add`, so the write pattern is
-/// race-free. A block whose slots would run past `coo` raises the
-/// overflow flag instead of writing, and the launch fails with
-/// [`DeviceError::OutOfMemory`]. Returns the number of `coo` words
-/// written.
-#[allow(clippy::too_many_arguments)]
-fn launch_staged_pair_kernel<O: EdgeOracle, S: PairSource + ?Sized>(
-    dev: &DeviceSim,
-    oracle: &O,
-    source: &S,
-    packed: Option<&PackedBuckets>,
-    pool: &ScratchPool,
-    coo: &mut [u32],
-    weights: &[u64],
-    base: usize,
-    num_blocks: usize,
-    stats: &SharedScanStats,
-) -> Result<usize, DeviceError> {
-    struct SendPtr(*mut u32);
-    // SAFETY: the one field points into `coo`, which stays mutably
-    // borrowed for the whole launch; blocks write through it only at the
-    // disjoint slot ranges `cursor` hands out, and the launch joins every
-    // block before `coo` is read.
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let slots = coo.len();
-    let out = SendPtr(coo.as_mut_ptr());
-    let out_ref = &out;
-    let cursor = AtomicUsize::new(0);
-    let overflow = AtomicBool::new(false);
-    dev.launch_weighted_span(weights, base, num_blocks, |_b, rows| {
-        let mut arena = pool.take();
-        let TaskArena {
-            staged,
-            run,
-            hits,
-            masks,
-            mapped,
-            ..
-        } = &mut arena;
-        staged.clear();
-        let mut block_stats = MaskScanStats::default();
-        scan_rows_edges(
-            oracle,
-            source,
-            packed,
-            rows,
-            run,
-            hits,
-            masks,
-            &mut block_stats,
-            mapped,
-            |u, v| {
-                staged.push(u);
-                staged.push(v);
-            },
-        );
-        stats.add(block_stats);
-        if !staged.is_empty() {
-            let at = cursor.fetch_add(staged.len(), Ordering::Relaxed);
-            if at + staged.len() > slots {
-                overflow.store(true, Ordering::Relaxed);
-            } else {
-                // SAFETY: `fetch_add` hands every block a disjoint slot
-                // range, checked to end within `coo`.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(staged.as_ptr(), out_ref.0.add(at), staged.len());
-                }
-            }
-        }
-        pool.put(arena);
-    })?;
-    let used = cursor.into_inner();
-    if overflow.into_inner() {
-        return Err(DeviceError::OutOfMemory {
-            requested: used * std::mem::size_of::<u32>(),
-            available: std::mem::size_of_val(coo),
-        });
-    }
-    Ok(used)
-}
-
-/// Pushes a device kernel's flat `u, v, u, v, …` words into `groups`:
-/// consecutive pairs of one pivot (a kernel block stages each row's hits
-/// together) share a group.
-fn regroup(groups: &mut CooGroups, flat: &[u32]) {
-    for pair in flat.chunks_exact(2) {
-        groups.push(pair[0], pair[1]);
     }
 }
 
@@ -504,7 +436,7 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 /// zero-weight tail the cuts may leave joins the last span, and devices
 /// past the cuts get empty spans. A fleet of one gets the whole row
 /// space.
-fn device_spans(weights: &[u64], devices: usize) -> Vec<std::ops::Range<usize>> {
+fn device_spans(weights: &[u64], devices: usize) -> Vec<Range<usize>> {
     let rows = weights.len();
     let mut spans = device::balanced_weight_cuts(weights, devices);
     // A cut past the `devices`-th opens only once the first `devices`
@@ -543,26 +475,28 @@ fn device_spans(weights: &[u64], devices: usize) -> Vec<std::ops::Range<usize>> 
 ///    bucketed engine is selected — every device holds a replica of the
 ///    one host-built index,
 /// 4. reserve `min(2 · span pairs, whatever fits)` u32 slots for the
-///    unordered COO edge list, staged as flat `u, v` pairs (each
-///    candidate yields at most one edge; a group layout could need three
-///    words for a one-hit row and break that bound). The budget charge
-///    is a [`device::DeviceLease`]; the backing storage is the
-///    context's reused COO word arena (devices run one after another,
-///    so one arena serves all), so a warm build allocates no host
-///    memory for it,
-/// 5. launch the staged pair kernel over the span
-///    ([`DeviceSim::launch_weighted_span`]: blocks own contiguous row
-///    ranges of near-equal pair weight, stage locally and bulk-reserve
-///    slots with one atomic),
-/// 6. on a fleet of one, if the CSR (2·|Ec| adjacency slots) fits in
-///    the memory still available next to the COO arena, assemble it
-///    "on device" and download it; otherwise download the raw edge list
-///    for host assembly.
+///    unordered COO edge list — two words per edge, as Algorithm 3's
+///    COO stores each edge (each candidate yields at most one edge, so
+///    the worst case is two words per candidate pair). The budget charge
+///    is a [`device::DeviceLease`]; no host array mirrors it,
+/// 5. launch the kernel ([`DeviceSim::launch`]: the launch fault check
+///    and counter), then run it: the span is cut into pair-balanced
+///    blocks of contiguous rows, each scanned into its own group arena
+///    of the context on the rayon pool (`scan_cuts`, the rayon build's
+///    scan). If the span's edges need more than the lease's two words
+///    each, the launch fails with [`DeviceError::OutOfMemory`]
+///    (`requested = 2·edges·4` bytes, `available` = the lease),
+/// 6. on a fleet of one, if the CSR (2·|Ec| adjacency slots, the
+///    `2·edges·4` bytes of the COO) fits in the memory still available
+///    next to the COO lease, assemble it "on device" and download it;
+///    otherwise download the raw edge list for host assembly. Either
+///    download counts `2·edges·4` bytes.
 ///
 /// With `m < 2` each device stops after step 2, and a span without
-/// candidate pairs after step 3. The pairs are regrouped into the
-/// context's group arena and the CSR arrays come from the context's CSR
-/// arena; the graph is bit-identical for any fleet and placement.
+/// candidate pairs after step 3. The devices' block arenas follow each
+/// other in fleet order, so read in order they hold the sequential
+/// groups, and the CSR arrays come from the context's CSR arena; the
+/// graph is bit-identical for any fleet and placement.
 ///
 /// Fails with [`DeviceError::OutOfMemory`] when a device's inputs don't
 /// fit or its kernel produces more edges than its allocation holds —
@@ -584,14 +518,10 @@ pub fn build_device<O: EdgeOracle>(
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
-        groups,
-        pool,
-        coo,
-        csr,
-        ..
+        blocks, pool, csr, ..
     } = scratch;
-    let pool: &ScratchPool = pool;
-    // Only a lone device keeps the CSR next to its COO arena.
+    reset_blocks(blocks, 0);
+    // Only a lone device keeps the CSR next to its COO lease.
     let mut on_device = fleet.len() == 1;
     if m == 0 {
         return Ok(ConflictBuild {
@@ -606,10 +536,12 @@ pub fn build_device<O: EdgeOracle>(
     // Edge-offset counters are 8-byte once |V|² overflows u32 (paper §V).
     let wide_counters = (m as u64).saturating_mul(m as u64) >= u32::MAX as u64;
     let counter_bytes = if wide_counters { 8 } else { 4 };
+    let word = std::mem::size_of::<u32>();
     let candidate_pairs = engine.candidate_pairs();
     let row_weights = engine.row_weights();
-    groups.clear();
-    let shared_stats = SharedScanStats::default();
+    let stats = SharedScanStats::default();
+    // Block arenas filled by the devices so far.
+    let mut filled = 0;
     for (span, dev) in device_spans(&row_weights, fleet.len())
         .into_iter()
         .zip(fleet)
@@ -639,8 +571,7 @@ pub fn build_device<O: EdgeOracle>(
             }
             None => None,
         };
-        let span_weights = &row_weights[span.clone()];
-        let span_pairs: u64 = span_weights.iter().sum();
+        let span_pairs: u64 = row_weights[span.clone()].iter().sum();
         if span_pairs == 0 {
             continue;
         }
@@ -648,57 +579,49 @@ pub fn build_device<O: EdgeOracle>(
         // (4) The unordered COO edge list: all remaining memory, capped
         // at two u32 slots per candidate pair of the span.
         let worst_slots = 2u64.saturating_mul(span_pairs).min(usize::MAX as u64) as usize;
-        let avail_slots = dev.available_bytes() / std::mem::size_of::<u32>();
-        let edge_slots = worst_slots.min(avail_slots);
+        let edge_slots = worst_slots.min(dev.available_bytes() / word);
         if edge_slots == 0 {
             return Err(DeviceError::OutOfMemory {
-                requested: std::mem::size_of::<u32>(),
+                requested: word,
                 available: dev.available_bytes(),
             });
         }
-        let _edge_lease = dev.reserve(edge_slots * std::mem::size_of::<u32>())?;
-        coo.clear();
-        coo.resize(edge_slots, 0);
+        let edge_lease = dev.reserve(edge_slots * word)?;
 
-        // (5) Staged pair kernel over pair-balanced blocks of the span
-        // (global row ids), regrouped in kernel order: CSR assembly
-        // orders each row, so block scheduling cannot change the graph.
-        let used = launch_staged_pair_kernel(
-            dev,
-            oracle,
-            &engine,
-            packed,
-            pool,
-            coo,
-            span_weights,
-            span.start,
-            rayon::current_num_threads() * 4,
-            &shared_stats,
-        )?;
-        regroup(groups, &coo[..used]);
+        // (5) One launch over pair-balanced blocks of the span (global
+        // row ids), each block into its own arena after the previous
+        // device's.
+        dev.launch()?;
+        let cuts = block_cuts(&row_weights, span);
+        scan_cuts(oracle, &engine, packed, pool, &cuts, blocks, filled, &stats);
+        let span_blocks = &blocks[filled..filled + cuts.len()];
+        filled += cuts.len();
+        let bytes = 2 * blocks_edges(span_blocks) * word;
+        if bytes > edge_lease.size_bytes() {
+            return Err(DeviceError::OutOfMemory {
+                requested: bytes,
+                available: edge_lease.size_bytes(),
+            });
+        }
 
         // (6) CSR placement (Line 5 of Algorithm 3, `|Ecoo| <=
         // AvailMem/2`): the CSR stores each edge twice — as many words
         // as the COO's pairs, so the download has the same size either
         // way. It stays on the device only if it fits in the memory
-        // still available *next to* the COO arena; a failed
+        // still available *next to* the COO lease; a failed
         // reservation means host assembly. The graph is the same
         // either way.
-        let bytes = used * std::mem::size_of::<u32>();
-        on_device = on_device
-            && bytes <= dev.available_bytes()
-            && dev.reserve(bytes.max(std::mem::size_of::<u32>())).is_ok();
+        on_device =
+            on_device && bytes <= dev.available_bytes() && dev.reserve(bytes.max(word)).is_ok();
         dev.note_d2h(bytes);
     }
-    groups.finish();
 
-    let num_edges = groups.num_edges();
     Ok(ConflictBuild {
-        graph: csr_from_groups_in(m, groups, csr),
-        num_edges,
+        num_edges: blocks_edges(blocks),
+        graph: csr_from_groups_in(m, blocks, csr),
         candidate_pairs,
         packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
-        scan_stats: shared_stats.into_stats(),
+        scan_stats: stats.into_stats(),
         csr_on_device: Some(on_device),
     })
 }
@@ -974,18 +897,29 @@ mod tests {
         (groups, entries)
     }
 
+    /// The last build's group words: the context's block arenas read in
+    /// order.
+    fn blocks_words(ctx: &mut IterationContext) -> Vec<u32> {
+        let blocks = &ctx.lists_and_scratch().1.blocks;
+        blocks
+            .iter()
+            .flat_map(|b| b.words().iter().copied())
+            .collect()
+    }
+
     #[test]
     fn group_bytes_and_parallel_blocks_replay_the_sequential_groups() {
         // The COO's size is pinned: `num_edges` entry words plus two
         // header words per group, at most one group per pivot row. The
-        // rayon build's block table, visited in cut order, is the
-        // sequential build's group buffer word for word — on a bucketed
-        // and on an all-pairs packed iteration. On the all-pairs one that
-        // order leaves every row ascending, so neither build ever needs
-        // the assembler's row bitmap. Neither build touches the pair
-        // buffer `edges`. (A pivot whose rows sat on both sides of a cut,
-        // with no hit between them, would be one group sequentially and
-        // two in parallel — same graph; these instances have none.)
+        // block arenas of the rayon build and of device fleets of one and
+        // three, read in order, are the sequential build's group buffer
+        // word for word — on a bucketed and on an all-pairs packed
+        // iteration. On the all-pairs one that order leaves every row
+        // ascending, so no build ever needs the assembler's row bitmap.
+        // No build touches the pair buffer `edges`. (A pivot whose rows
+        // sat on both sides of a cut, with no hit between them, would be
+        // one group sequentially and two in parallel — same graph; these
+        // instances have none.)
         use crate::oracle::PauliComplementOracle;
         use crate::packed::PackingMode;
         use rand::SeedableRng;
@@ -1004,26 +938,32 @@ mod tests {
             let rows = ctx.engine_and_scratch().0.num_rows();
             ctx.lists_and_scratch().1.edges.push((0, 1));
             let seq = build_sequential(&oracle, &mut ctx);
-            let seq_words = ctx.lists_and_scratch().1.groups.words().to_vec();
+            let seq_words = blocks_words(&mut ctx);
             let (groups, entries) = count_groups(&seq_words);
             assert_eq!(entries, seq.num_edges, "{what}");
             assert_eq!(seq_words.len(), seq.num_edges + 2 * groups, "{what}");
             assert!(groups <= rows, "{what}: {groups} groups, {rows} rows");
             assert!(groups < seq.num_edges, "{what}: runs hold several hits");
 
-            let par = build_parallel(&oracle, &mut ctx);
-            assert_eq!(par.packed_lanes, par.candidate_pairs, "{what}: packed");
-            assert_eq!(par.graph, seq.graph, "{what}");
-            assert_eq!(par.num_edges, seq.num_edges, "{what}");
+            let fleet = |devices: usize| -> Vec<DeviceSim> {
+                (0..devices).map(|_| DeviceSim::new(16 << 20)).collect()
+            };
+            for name in ["par", "device:1", "device:3"] {
+                let built = match name {
+                    "par" => build_parallel(&oracle, &mut ctx),
+                    "device:1" => build_device(&oracle, &mut ctx, &fleet(1), 16).unwrap(),
+                    _ => build_device(&oracle, &mut ctx, &fleet(3), 16).unwrap(),
+                };
+                let what = format!("{what} {name}");
+                assert_eq!(built.packed_lanes, built.candidate_pairs, "{what}: packed");
+                assert_eq!(built.graph, seq.graph, "{what}");
+                assert_eq!(built.num_edges, seq.num_edges, "{what}");
+                let blocks = &ctx.lists_and_scratch().1.blocks;
+                let nonempty = blocks.iter().filter(|b| b.num_edges() > 0).count();
+                assert!(nonempty > 1, "{what}: {nonempty} non-empty blocks");
+                assert_eq!(blocks_words(&mut ctx), seq_words, "{what}");
+            }
             let scratch = ctx.lists_and_scratch().1;
-            let nonempty = scratch.edge_blocks.iter().filter(|b| !b.is_empty()).count();
-            assert!(nonempty > 1, "{what}: {nonempty} non-empty blocks");
-            let visited: Vec<u32> = scratch
-                .edge_blocks
-                .iter()
-                .flat_map(|b| scratch.groups.words()[b.clone()].iter().copied())
-                .collect();
-            assert_eq!(visited, seq_words, "{what}");
             assert_eq!(scratch.edges, [(0, 1)], "{what}: pair buffer untouched");
             let bitmap_words = scratch.csr.capacities().3;
             assert_eq!(bitmap_words == 0, !bucketed, "{what}: {bitmap_words}");

@@ -2,8 +2,8 @@
 //!
 //! Algorithm 1 re-derives the same palette structures every round: the
 //! color lists, the inverted bucket index feeding the candidate engine,
-//! and a family of scratch buffers (COO edge staging, oracle hit
-//! vectors, live-view index remapping). Before this module each conflict
+//! and a family of scratch buffers (per-block COO edge-group arenas,
+//! oracle hit vectors, live-view index remapping). Before this module each conflict
 //! backend rebuilt its own `BucketIndex` and every build re-allocated
 //! its buffers; the [`IterationContext`] centralizes all of it:
 //!
@@ -38,19 +38,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The per-task staging buffers one block of a parallel build checks out
-/// of a [`ScratchPool`]: COO edge staging (edge groups for the rayon
-/// build, flat pairs for the device kernels), the oracle hit vector, and
-/// the live-view remap arena. Buffers are cleared by the borrower, never
-/// shrunk, so a recycled arena serves a same-shape block without
-/// allocating.
+/// The per-task scan buffers one block of a parallel build checks out
+/// of a [`ScratchPool`]: candidate-run staging, the oracle hit vector,
+/// the packed kernel's hit masks and the live-view remap arena. A block
+/// stages its edges in its own [`IterationScratch::blocks`] arena, not
+/// here. Buffers are cleared by the borrower, never shrunk, so a
+/// recycled arena serves a same-shape block without allocating.
 #[derive(Debug, Default)]
 pub struct TaskArena {
-    /// Edge-group staging for the rayon-parallel build
-    /// ([`graph::CooGroups`] format).
-    pub groups: CooGroups,
-    /// Flat `u, v, u, v, …` edge staging for the device kernels.
-    pub staged: Vec<u32>,
     /// Candidate-run staging for [`crate::PairSource::scan_rows_scratch`].
     pub run: Vec<usize>,
     /// Oracle hit vector for batched `has_edge_block` queries.
@@ -62,13 +57,13 @@ pub struct TaskArena {
     pub mapped: Vec<usize>,
 }
 
-/// A pool of [`TaskArena`]s shared by the tasks of the parallel conflict
-/// builds (rayon blocks, device kernel blocks). Arenas are created only
+/// A pool of [`TaskArena`]s shared by the blocks of the parallel conflict
+/// builds (the rayon build's and every device's). Arenas are created only
 /// when a task finds the pool empty and are returned after use, so the
 /// pool never holds more arenas than the most tasks that ever ran at
 /// once (at most the thread count). Which builds reach that high-water
 /// mark depends on how their tasks overlap; once the pool holds one
-/// arena per thread, the parallel backends allocate **no staging
+/// arena per thread, the parallel backends allocate **no scan
 /// buffers per task** — the per-thread extension of the iteration
 /// context's zero-allocation property ([`ScratchPool::arenas_created`]
 /// lets tests pin it).
@@ -114,20 +109,21 @@ impl ScratchPool {
 #[derive(Debug, Default)]
 pub struct IterationScratch {
     /// The COO every conflict builder stages into and assembles from:
-    /// edge groups `[pivot, len, v_1 … v_len]` ([`graph::CooGroups`]).
-    /// The device builders regroup their kernels' flat pairs here.
-    pub groups: CooGroups,
+    /// one edge-group arena ([`graph::CooGroups`], groups `[pivot, len,
+    /// v_1 … v_len]`) per block of flat pivot rows, in row order. The
+    /// sequential and all-pairs builds write `blocks[0]`; the rayon build
+    /// writes one arena per cut, and a device fleet one per block of
+    /// each device's span, device after device. Read in order, the
+    /// arenas hold the last build's groups — every arena it did not use
+    /// is empty — and CSR assembly visits them so
+    /// ([`graph::csr_from_groups_in`]). The list is grown, never
+    /// shrunk, and every arena keeps its capacity.
+    pub blocks: Vec<CooGroups>,
     /// `(u, v)` pair staging kept for the benchmark's traced replay,
     /// which scans into it and re-assembles it with the pair adapter
     /// ([`graph::csr_from_coo_sequential_in`]). No conflict builder
     /// reads or writes it.
     pub edges: Vec<(u32, u32)>,
-    /// The rayon-parallel build's block table: entry `k` is the word
-    /// range of `groups` that cut `k` of the flat pivot-row space merged
-    /// (empty if it found no edge). A pivot row never spans two cuts, so
-    /// each range holds whole groups; visiting the table in index order
-    /// replays the sequential groups, which is how that build assembles.
-    pub edge_blocks: Vec<std::ops::Range<usize>>,
     /// Oracle hit vector for batched `has_edge_block` queries.
     pub hits: Vec<bool>,
     /// Hit-mask words for the packed kernel's zero-word-skipping consumer
@@ -140,9 +136,9 @@ pub struct IterationScratch {
     /// ([`crate::PairSource::scan_rows_scratch`]) — the buffer that used
     /// to be the last per-build allocation of the sequential backend.
     pub run: Vec<usize>,
-    /// Per-task arena pool for the parallel backends (rayon blocks and
-    /// device kernel blocks draw their staging buffers from here instead
-    /// of allocating per task).
+    /// Per-task arena pool for the parallel backends (the blocks of the
+    /// rayon build and of every device draw their scan buffers from here
+    /// instead of allocating per task).
     pub pool: ScratchPool,
     /// CSR assembly arena: the offset/adjacency/cursor arrays every
     /// builder assembles its output graph into. The solver hands retired
@@ -150,11 +146,6 @@ pub struct IterationScratch {
     /// loop that makes steady-state Line 7 — **including CSR assembly**
     /// — allocation-free.
     pub csr: CsrArena,
-    /// Host storage standing in for the simulated device's COO edge
-    /// arena: the device builders charge the budget with a
-    /// [`device::DeviceLease`] and stage into this reused array instead
-    /// of allocating a backing vector per build.
-    pub coo: Vec<u32>,
     /// Line-8/9 buffers for the sequential coloring schemes (live-list
     /// matrix, buckets, stamps). Persists across iterations so the warm
     /// greedy path allocates nothing (`tests/memory.rs`).
@@ -573,12 +564,12 @@ impl IterationContext {
         &self.scratch.pool
     }
 
-    /// Current arena capacities `(groups, hits, mapped)` (`groups` in
-    /// `u32` words) — introspection hook for the reuse tests and the
-    /// `conflict_build` bench.
+    /// Current arena capacities `(blocks, hits, mapped)` (`blocks` in
+    /// `u32` words, summed over the group arenas) — introspection hook
+    /// for the reuse tests and the `conflict_build` bench.
     pub fn scratch_capacities(&self) -> (usize, usize, usize) {
         (
-            self.scratch.groups.capacity(),
+            self.scratch.blocks.iter().map(CooGroups::capacity).sum(),
             self.scratch.hits.capacity(),
             self.scratch.mapped.capacity(),
         )
@@ -764,14 +755,14 @@ mod tests {
         assert_eq!(pool.arenas_created(), 0);
         let mut a = pool.take();
         assert_eq!(pool.arenas_created(), 1);
-        a.staged.reserve(1000);
-        let grown = a.staged.capacity();
+        a.run.reserve(1000);
+        let grown = a.run.capacity();
         pool.put(a);
         assert_eq!(pool.arenas_pooled(), 1);
         // A recycled arena keeps its grown buffers.
         let b = pool.take();
         assert_eq!(pool.arenas_created(), 1, "no new arena while one rests");
-        assert!(b.staged.capacity() >= grown);
+        assert!(b.run.capacity() >= grown);
         pool.put(b);
     }
 

@@ -12,8 +12,10 @@
 //!   in its own recycled host arrays,
 //! * explicit host↔device transfer accounting ([`DeviceSim::note_h2d`],
 //!   [`DeviceSim::note_d2h`]),
-//! * weighted "kernel launches" ([`DeviceSim::launch_weighted_span`])
-//!   that fan pair-balanced blocks out over the rayon thread pool,
+//! * counted "kernel launches" ([`DeviceSim::launch`]) behind the launch
+//!   fault site, plus the pair-balanced cuts
+//!   ([`balanced_weight_cuts`]) the caller fans out as the kernel's
+//!   blocks,
 //! * seeded fault injection at the reserve and launch sites
 //!   ([`FaultPlan`]).
 //!

@@ -244,31 +244,14 @@ impl DeviceSim {
         self.state.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Launches a *weighted* block kernel over a span of a flat work
-    /// space: `weights` describes items `base..base + weights.len()` of
-    /// some global enumeration (e.g. the pivot rows a device owns, which
-    /// may start and end mid-bucket), cut into at most `num_blocks`
-    /// contiguous ranges of near-equal total weight, one rayon task per
-    /// range. The kernel receives **global** item ranges. Equal-width cuts
-    /// would leave a block stuck with one giant bucket's whole tail of
-    /// work; weighted cuts are the shape the candidate-pair kernel needs.
-    /// An empty span is a valid launch (counted, no blocks executed).
-    pub fn launch_weighted_span<F: Fn(usize, std::ops::Range<usize>) + Sync>(
-        &self,
-        weights: &[u64],
-        base: usize,
-        num_blocks: usize,
-        kernel: F,
-    ) -> Result<(), DeviceError> {
-        use rayon::prelude::*;
+    /// Launches one kernel: the launch-site fault check, then the launch
+    /// counter. The kernel body itself is the caller's — the conflict
+    /// builders scan their blocks on the host thread pool right after —
+    /// so an injected launch fault dispatches nothing and counts no
+    /// launch.
+    pub fn launch(&self) -> Result<(), DeviceError> {
         self.fault_check(FaultSite::DeviceLaunch)?;
         self.state.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        let cuts = balanced_weight_cuts(weights, num_blocks);
-        cuts.into_par_iter().enumerate().for_each(|(b, local)| {
-            if !local.is_empty() {
-                kernel(b, base + local.start..base + local.end);
-            }
-        });
         Ok(())
     }
 }
@@ -276,8 +259,10 @@ impl DeviceSim {
 /// Cuts `0..weights.len()` into at most `k` contiguous ranges whose total
 /// weights are near-equal (each range closes as soon as it reaches the
 /// ideal share, so no range exceeds the ideal by more than one item).
-/// Deterministic; used by [`DeviceSim::launch_weighted_span`] and the
-/// parallel and multi-device row sharding.
+/// Deterministic; the rayon-parallel build and every device of a fleet
+/// cut their pivot rows into blocks with it, and the fleet cuts the row
+/// space into per-device spans. Equal-width cuts would leave one block
+/// stuck with a giant bucket's whole tail of work.
 pub fn balanced_weight_cuts(weights: &[u64], k: usize) -> Vec<std::ops::Range<usize>> {
     let n = weights.len();
     let k = k.max(1);
@@ -333,46 +318,44 @@ mod tests {
     }
 
     #[test]
-    fn weighted_span_launch_covers_all_items_once() {
+    fn launches_are_counted_and_hold_no_budget() {
         let dev = DeviceSim::new(1024);
-        // Heavily skewed weights: one giant item among many small ones.
-        let weights: Vec<u64> = (0..50)
-            .map(|i| if i == 7 { 10_000 } else { i as u64 })
-            .collect();
-        let seen = Mutex::new(vec![false; 50]);
-        dev.launch_weighted_span(&weights, 0, 6, |_b, range| {
-            let mut s = seen.lock();
-            for i in range {
-                assert!(!s[i], "item {i} covered twice");
-                s[i] = true;
-            }
-        })
-        .unwrap();
-        assert!(seen.lock().iter().all(|&x| x));
+        dev.launch().unwrap();
         assert_eq!(dev.stats().kernel_launches, 1);
+        let _lease = dev.reserve(100).unwrap();
+        dev.launch().unwrap();
+        let stats = dev.stats();
+        assert_eq!(stats.kernel_launches, 2);
+        assert_eq!(
+            (stats.used_bytes, stats.h2d_bytes, stats.d2h_bytes),
+            (100, 0, 0)
+        );
     }
 
     #[test]
-    fn weighted_span_launch_offsets_ranges_globally() {
-        let dev = DeviceSim::new(1024);
-        let weights: Vec<u64> = (0..40).map(|i| (i % 5) as u64 + 1).collect();
-        let base = 17usize;
-        let seen = Mutex::new(vec![false; 40]);
-        dev.launch_weighted_span(&weights, base, 4, |_b, range| {
-            assert!(range.start >= base && range.end <= base + 40, "{range:?}");
-            let mut s = seen.lock();
-            for i in range {
-                assert!(!s[i - base], "global item {i} covered twice");
-                s[i - base] = true;
+    fn balanced_cuts_cover_skewed_weights_once() {
+        // Heavily skewed weights: one giant item among many small ones.
+        // The cuts tile the items exactly once, and the giant item closes
+        // its cut as soon as it is reached.
+        let weights: Vec<u64> = (0..50)
+            .map(|i| if i == 7 { 10_000 } else { i as u64 })
+            .collect();
+        let cuts = balanced_weight_cuts(&weights, 6);
+        assert!(cuts.len() <= 6);
+        let mut seen = [false; 50];
+        for range in &cuts {
+            for i in range.clone() {
+                assert!(!seen[i], "item {i} covered twice");
+                seen[i] = true;
             }
-        })
-        .unwrap();
-        assert!(seen.lock().iter().all(|&x| x));
-        assert_eq!(dev.stats().kernel_launches, 1);
-        // An empty span is still a (counted) launch with no blocks.
-        dev.launch_weighted_span(&[], 99, 3, |_b, _r| panic!("no blocks expected"))
-            .unwrap();
-        assert_eq!(dev.stats().kernel_launches, 2);
+        }
+        assert!(seen.iter().all(|&x| x));
+        assert_eq!(cuts[0], 0..8, "the giant item ends the first cut");
+        let empty = balanced_weight_cuts(&[], 3);
+        assert!(
+            empty.len() == 1 && empty[0].is_empty(),
+            "an empty span is one empty cut"
+        );
     }
 
     #[test]
@@ -431,11 +414,8 @@ mod tests {
                 op: 0
             }
         ));
-        let launched = dev.launch_weighted_span(&[1, 2, 3], 0, 2, |_b, _r| {
-            panic!("kernel must not dispatch")
-        });
         assert!(matches!(
-            launched,
+            dev.launch(),
             Err(DeviceError::Injected {
                 site: FaultSite::DeviceLaunch,
                 op: 0

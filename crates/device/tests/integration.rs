@@ -1,7 +1,8 @@
 //! Device-simulation integration: a realistic reserve → upload → kernel
 //! → download pipeline with budget churn and OOM recovery.
 
-use device::{DeviceError, DeviceSim};
+use device::{balanced_weight_cuts, DeviceError, DeviceSim};
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
@@ -12,13 +13,16 @@ fn pipeline_computes_and_accounts() {
     let lease = dev.reserve(bytes).unwrap();
     dev.note_h2d(bytes);
 
-    // Kernel: sum of squares over unit-weight blocks of the input.
+    // Kernel: one launch, then a sum of squares over unit-weight blocks
+    // of the input, fanned out over the thread pool.
+    dev.launch().unwrap();
     let acc = AtomicU64::new(0);
-    dev.launch_weighted_span(&vec![1; input.len()], 0, 8, |_b, range| {
+    let blocks = balanced_weight_cuts(&vec![1; input.len()], 8);
+    assert_eq!(blocks.len(), 8);
+    blocks.into_par_iter().for_each(|range| {
         let sum: u64 = input[range].iter().map(|&v| v as u64 * v as u64).sum();
         acc.fetch_add(sum, Ordering::Relaxed);
-    })
-    .unwrap();
+    });
     let expected: u64 = (0..1000u64).map(|v| v * v).sum();
     assert_eq!(acc.load(Ordering::Relaxed), expected);
 

@@ -17,14 +17,18 @@
 //! of a `(u32, u32)` pair. The assembler counts a group's degrees with
 //! one `+= len` for the pivot and `+= 1` per entry, and scatters it by
 //! copying the run into the pivot's row and writing the pivot into each
-//! entry's row. [`csr_from_groups_blocks_in`] assembles group words;
+//! entry's row. [`csr_from_groups_in`] assembles a list of group
+//! arenas, visited in the order given;
 //! [`csr_from_coo_sequential_in`] visits a pair list in place, each pair
 //! as a one-entry group of the same core, so there is one assembler for
 //! both inputs.
 //!
 //! When pivots and runs both ascend (the all-pairs scan), every row
 //! comes out of the scatter ascending: row `v` first receives the pivots
-//! below `v` in group order, then `v`'s own run.
+//! below `v` in group order, then `v`'s own run. A parallel scan that
+//! stages each block of pivot rows in its own arena and passes the
+//! arenas in block order hands the scatter exactly the sequential
+//! groups.
 //!
 //! # Row ordering
 //!
@@ -48,7 +52,6 @@
 //! exactly the row's length.
 
 use crate::csr::CsrGraph;
-use std::ops::Range;
 
 /// Reusable CSR staging storage: the offset / adjacency / cursor arrays
 /// a build assembles into, plus the row-ordering bitmap. The output
@@ -174,15 +177,6 @@ impl CooGroups {
         }
     }
 
-    /// Appends `other`'s (finished) groups after this writer's, closing
-    /// this writer's open group first.
-    pub fn append(&mut self, other: &CooGroups) {
-        debug_assert!(other.open.is_none(), "append an unfinished writer");
-        self.finish();
-        self.words.extend_from_slice(&other.words);
-        self.edges += other.edges;
-    }
-
     /// Edges in the closed groups: the sum of their lengths.
     pub fn num_edges(&self) -> usize {
         self.edges
@@ -240,38 +234,26 @@ pub fn csr_from_coo_sequential_in(
     )
 }
 
-/// Builds the graph of the group words `words` ([`CooGroups`] format),
-/// scattering the word ranges of `blocks` in the order given. `blocks`
-/// must partition `words` into whole groups (empty ranges are fine). The
-/// graph is the same for any partition, any visit order and any split of
-/// a pivot's edges across groups; the order only decides how much row
-/// ordering is left to do. A parallel scan that merged its blocks in
-/// scheduling order passes them here in scan order, so the scatter sees
-/// the sequential groups and its rows arrive as sorted as the scan made
-/// them.
+/// Builds the graph of the finished group arenas `blocks`
+/// ([`CooGroups`] format), scattering their groups in the order given.
+/// The graph is the same for any split of the edges across arenas and
+/// groups and for any visit order; the order only decides how much row
+/// ordering is left to do. A parallel scan that stages each block of
+/// pivot rows in its own arena passes them here in block order, so the
+/// scatter sees the sequential groups and its rows arrive as sorted as
+/// the scan made them.
 ///
 /// # Panics
 ///
-/// If `blocks` do not cover `words.len()` words, if a block ends inside
-/// a group, or if the bitmap row ordering finds a duplicate arc (a
+/// If an arena still has an open group (call [`CooGroups::finish`]
+/// first), or if the bitmap row ordering finds a duplicate arc (a
 /// contract violation).
-pub fn csr_from_groups_blocks_in(
-    n: usize,
-    words: &[u32],
-    blocks: &[Range<usize>],
-    arena: &mut CsrArena,
-) -> CsrGraph {
-    let covered: usize = blocks.iter().map(|b| b.len()).sum();
-    assert_eq!(
-        covered,
-        words.len(),
-        "blocks must partition the group words"
+pub fn csr_from_groups_in(n: usize, blocks: &[CooGroups], arena: &mut CsrArena) -> CsrGraph {
+    assert!(
+        blocks.iter().all(|b| b.open.is_none()),
+        "unfinished group arena: call CooGroups::finish before assembly"
     );
-    assemble(
-        n,
-        || blocks.iter().flat_map(|b| Groups(&words[b.clone()])),
-        arena,
-    )
+    assemble(n, || blocks.iter().flat_map(|b| Groups(&b.words)), arena)
 }
 
 /// The one assembler core over `(pivot, run)` groups. `groups` is
@@ -501,9 +483,7 @@ mod tests {
     }
 
     fn csr_from_groups(n: usize, groups: &CooGroups) -> CsrGraph {
-        let words = groups.words();
-        let whole = 0..words.len();
-        csr_from_groups_blocks_in(n, words, std::slice::from_ref(&whole), &mut CsrArena::new())
+        csr_from_groups_in(n, std::slice::from_ref(groups), &mut CsrArena::new())
     }
 
     #[test]
@@ -513,11 +493,13 @@ mod tests {
         assert_eq!(groups.num_edges(), 4);
         let mut both = groups.clone();
         both.push(7, 8);
-        both.append(&groups_of(&[(7, 6)]));
+        both.finish();
+        both.push(7, 6);
+        both.finish();
         assert_eq!(
             &both.words()[10..],
             &[7, 1, 8, 7, 1, 6],
-            "append closes the open group"
+            "a push after finish opens a new group, even for the same pivot"
         );
         assert_eq!(both.num_edges(), 6);
         let capacity = both.capacity();
@@ -568,13 +550,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partition")]
-    fn blocks_must_cover_every_group_word() {
-        let edges = random_edges(50, 100, 1);
-        let groups = groups_of(&edges);
-        let words = groups.words();
-        let short = [0..2, 2..words.len() - 3];
-        csr_from_groups_blocks_in(50, words, &short, &mut CsrArena::new());
+    #[should_panic(expected = "unfinished")]
+    fn blocks_must_be_finished() {
+        let mut open = groups_of(&random_edges(50, 100, 1));
+        open.push(3, 4);
+        csr_from_groups_in(50, &[open], &mut CsrArena::new());
     }
 
     #[test]

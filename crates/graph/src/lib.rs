@@ -27,7 +27,7 @@ pub mod stats;
 
 pub use builder::{
     csr_from_coo_parallel_in, csr_from_coo_sequential, csr_from_coo_sequential_in,
-    csr_from_groups_blocks_in, CooGroups, CsrArena,
+    csr_from_groups_in, CooGroups, CsrArena,
 };
 pub use csr::CsrGraph;
 pub use gen::{complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph};

@@ -1,15 +1,14 @@
 //! Property tests for the graph substrate.
 
 use graph::{
-    csr_from_coo_sequential, csr_from_coo_sequential_in, csr_from_groups_blocks_in, ComplementView,
-    CsrArena, EdgeOracle,
+    csr_from_coo_sequential, csr_from_coo_sequential_in, csr_from_groups_in, ComplementView,
+    CooGroups, CsrArena, EdgeOracle,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::ops::Range;
 
 /// Generates a unique undirected edge list over `n` vertices.
 fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -108,7 +107,7 @@ proptest! {
     /// Groups are pairs: the edges, randomly oriented, gathered by pivot,
     /// each pivot's run ascending, descending or shuffled and split at
     /// random points into several groups, the groups written in random
-    /// order and the words cut at random group boundaries into blocks
+    /// order and cut at random group boundaries into [`CooGroups`] arenas
     /// visited in random order, assemble to the sorted pair list's CSR.
     #[test]
     fn groups_in_any_split_and_block_order_match_the_sorted_pairs(
@@ -142,26 +141,33 @@ proptest! {
         let pivots: HashSet<u32> = groups.iter().map(|g| g.0).collect();
         prop_assert!(pivots.len() < groups.len(), "some pivot split, seed {}", seed);
         groups.shuffle(&mut rng);
-        let mut words = Vec::new();
-        let mut boundaries = vec![0];
-        for (pivot, run) in &groups {
-            words.extend_from_slice(&[*pivot, run.len() as u32]);
-            words.extend_from_slice(run);
-            boundaries.push(words.len());
-        }
-        let mut cuts: Vec<usize> = (0..rng.random_range(0..8usize))
-            .map(|_| boundaries[rng.random_range(0..boundaries.len())])
-            .chain([0, words.len()])
+        let mut boundaries: Vec<usize> = (0..rng.random_range(0..8usize))
+            .map(|_| rng.random_range(0..=groups.len()))
+            .chain([0, groups.len()])
             .collect();
-        cuts.sort_unstable();
-        let mut blocks: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+        boundaries.sort_unstable();
+        let mut blocks: Vec<CooGroups> = boundaries
+            .windows(2)
+            .map(|w| {
+                let mut block = CooGroups::new();
+                for (pivot, run) in &groups[w[0]..w[1]] {
+                    for &v in run {
+                        block.push(*pivot, v);
+                    }
+                    // Close every group, so a pivot's split runs stay
+                    // separate groups even when adjacent.
+                    block.finish();
+                }
+                block
+            })
+            .collect();
         blocks.shuffle(&mut rng);
         prop_assert_eq!(
-            &csr_from_groups_blocks_in(n, &words, &blocks, &mut CsrArena::new()),
+            &csr_from_groups_in(n, &blocks, &mut CsrArena::new()),
             &reference,
-            "{} groups, blocks {:?}, seed {}",
+            "{} groups in {} blocks, seed {}",
             groups.len(),
-            blocks,
+            blocks.len(),
             seed
         );
     }

@@ -216,8 +216,7 @@ pub struct JobConfig {
     /// `multi:<N>:<MiB>` (a fleet of `N` devices, `<MiB>` each). Device
     /// placements start the service's degradation ladder: on a genuine
     /// capacity failure the job re-solves down `multi:<N>:<MiB>` →
-    /// `device:<MiB>` → Parallel → Sequential with the identical
-    /// coloring.
+    /// `device:<MiB>` → Parallel with the identical coloring.
     pub backend: Option<String>,
     /// List-coloring scheme override (`greedy`, or a static ordering:
     /// `natural`, `random`, `lf`, `sl`, `dlf`, `id`).

@@ -27,8 +27,8 @@
 //! is spent — then the job is **quarantined** with its full fault
 //! history. Genuine device-capacity failures instead walk the
 //! **degradation ladder** in place — packed → scalar kernels, then
-//! `MultiDevice{n}` → `MultiDevice{1}` → Parallel → Sequential — re-solving on the next
-//! rung; every backend produces bit-identical colorings, so a degraded
+//! `MultiDevice{n}` → `MultiDevice{1}` → Parallel — re-solving on the
+//! next rung; every backend produces bit-identical colorings, so a degraded
 //! response is indistinguishable from a healthy one. Jobs may carry a
 //! deadline ([`crate::JobConfig::deadline_ms`], measured from enqueue)
 //! that the solver honors cooperatively between phases. Chaos testing is
@@ -563,7 +563,7 @@ impl SolveService {
     /// One attempt's solve, walking the degradation ladder in place: a
     /// *genuine* device-capacity failure (not an injected fault, not a
     /// deadline) demotes — packed kernels → scalar first, then
-    /// `MultiDevice{n}` → `MultiDevice{1}` → Parallel → Sequential — and re-solves on
+    /// `MultiDevice{n}` → `MultiDevice{1}` → Parallel — and re-solves on
     /// the next rung. Every backend produces bit-identical colorings
     /// (the solver's determinism contract), so degraded responses are
     /// payload-identical to healthy ones; demotions surface only in
@@ -691,7 +691,9 @@ fn uses_device(backend: ConflictBackend) -> bool {
 
 /// The next rung down the degradation ladder, or `None` at the bottom.
 /// Every rung preserves the coloring bit for bit — the backends are
-/// interchangeable by the solver's determinism contract.
+/// interchangeable by the solver's determinism contract. `Parallel` is
+/// the bottom rung: only the device builder fails for capacity, and the
+/// host backends fail with nothing but deadlines, which never demote.
 fn demote_backend(backend: ConflictBackend) -> Option<ConflictBackend> {
     match backend {
         ConflictBackend::MultiDevice { devices: 1, .. } => Some(ConflictBackend::Parallel),
@@ -699,8 +701,7 @@ fn demote_backend(backend: ConflictBackend) -> Option<ConflictBackend> {
             devices: 1,
             capacity_each,
         }),
-        ConflictBackend::AllPairs | ConflictBackend::Parallel => Some(ConflictBackend::Sequential),
-        ConflictBackend::Sequential => None,
+        ConflictBackend::Parallel | ConflictBackend::AllPairs | ConflictBackend::Sequential => None,
     }
 }
 
@@ -1202,15 +1203,14 @@ mod tests {
             }
         );
         assert_eq!(demote_backend(dev).unwrap(), ConflictBackend::Parallel);
-        assert_eq!(
-            demote_backend(ConflictBackend::Parallel).unwrap(),
-            ConflictBackend::Sequential
-        );
-        assert_eq!(
-            demote_backend(ConflictBackend::AllPairs).unwrap(),
-            ConflictBackend::Sequential
-        );
-        assert_eq!(demote_backend(ConflictBackend::Sequential), None);
+        // The host backends are the bottom: none fails for capacity.
+        for host in [
+            ConflictBackend::Parallel,
+            ConflictBackend::AllPairs,
+            ConflictBackend::Sequential,
+        ] {
+            assert_eq!(demote_backend(host), None, "{host:?}");
+        }
         assert!(uses_device(multi) && uses_device(dev));
         assert!(!uses_device(ConflictBackend::Parallel));
     }

@@ -139,8 +139,57 @@ fn warm_parallel_builds_stop_allocating_per_task() {
     );
 }
 
+#[test]
+fn device_build_peaks_on_the_host_like_the_rayon_build() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // Algorithm 3's COO lives on the device: a fleet of one charges its
+    // budget for two words per candidate pair, but holds no host array of
+    // that size. Its blocks stage edge groups exactly as the rayon build
+    // does, so from fresh contexts on the same lists the two builds peak
+    // on the host within a small constant of each other — far less than
+    // the `2·pairs`-word array a host mirror of the lease would take.
+    use picasso::conflict::{build_device, build_parallel};
+    use picasso::{IterationContext, PauliComplementOracle};
+    use rand::SeedableRng;
+    const SLACK: usize = 256 << 10;
+    let n = 2000;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let strings = pauli::string::random_unique_set(n, 24, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let oracle = PauliComplementOracle::new(&set);
+    let cfg = PicassoConfig::normal(1);
+    let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
+    let fresh = || {
+        let mut ctx = IterationContext::new();
+        ctx.assign_lists(n, 0, p, l, 1, 1);
+        ctx
+    };
+    let mut ctx = fresh();
+    let region = PeakRegion::start();
+    let par = build_parallel(&oracle, &mut ctx);
+    let par_peak = region.peak_bytes();
+    drop(ctx);
+    let mut ctx = fresh();
+    let dev = device::DeviceSim::new(64 << 20);
+    let region = PeakRegion::start();
+    let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+    let dev_peak = region.peak_bytes();
+    assert_eq!(built.graph, par.graph);
+    let mirror = 2 * built.candidate_pairs as usize * std::mem::size_of::<u32>();
+    assert!(
+        mirror > 4 * SLACK && mirror <= dev.stats().peak_bytes,
+        "the instance must lease a COO far above the slack: {mirror} B"
+    );
+    assert!(
+        dev_peak <= par_peak + SLACK,
+        "device build peaked at {} on the host, the rayon build at {}",
+        memtrack::format_bytes(dev_peak),
+        memtrack::format_bytes(par_peak)
+    );
+}
+
 /// The measured build staged its `num_edges` edges in the context's
-/// group buffer (entries plus two header words per group), which was
+/// group arenas (entries plus two header words per group), which were
 /// warm before it and did not grow.
 fn assert_group_buffer_reused(
     ctx: &mut picasso::IterationContext,
@@ -153,7 +202,8 @@ fn assert_group_buffer_reused(
         warm_capacity,
         "group buffer grew"
     );
-    let staged = ctx.lists_and_scratch().1.groups.words().len();
+    let blocks = &ctx.lists_and_scratch().1.blocks;
+    let staged: usize = blocks.iter().map(|b| b.words().len()).sum();
     assert!(
         staged > num_edges && staged < 3 * num_edges,
         "{staged} group words for {num_edges} edges"

@@ -126,15 +126,18 @@ proptest! {
 }
 
 /// The COO edge sequence the last build left in the context's group
-/// arena (CSR assembly reads it without consuming it), expanded from
-/// `[pivot, len, v_1 … v_len]` groups to `(pivot, v_i)` pairs.
+/// arenas (CSR assembly reads them without consuming them), read in
+/// order and expanded from `[pivot, len, v_1 … v_len]` groups to
+/// `(pivot, v_i)` pairs.
 fn staged_edges(ctx: &mut IterationContext) -> Vec<(u32, u32)> {
-    let mut words = ctx.lists_and_scratch().1.groups.words();
     let mut pairs = Vec::new();
-    while let [pivot, len, rest @ ..] = words {
-        let (run, tail) = rest.split_at(*len as usize);
-        pairs.extend(run.iter().map(|&v| (*pivot, v)));
-        words = tail;
+    for block in &ctx.lists_and_scratch().1.blocks {
+        let mut words = block.words();
+        while let [pivot, len, rest @ ..] = words {
+            let (run, tail) = rest.split_at(*len as usize);
+            pairs.extend(run.iter().map(|&v| (*pivot, v)));
+            words = tail;
+        }
     }
     pairs
 }
@@ -153,7 +156,7 @@ fn all_pairs_shape() -> impl Strategy<Value = (u32, u32)> {
 
 /// The packed all-pairs scan (identity layout) against the scalar
 /// all-pairs reference over `oracle`: the emitted `(u, v)` sequence —
-/// from the source scan and from the build's COO staging — must equal
+/// from the source scan and from every build's COO staging — must equal
 /// the reference loop's, and every backend's CSR must agree, with one
 /// replica and no bucket index.
 fn check_packed_all_pairs<O: graph::EdgeOracle>(
@@ -195,15 +198,24 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
     prop_assert_eq!(&seq.graph, &reference.graph, "seed {}", seed);
     prop_assert_eq!(seq.packed_lanes, seq.candidate_pairs, "seed {}", seed);
 
-    // Every other backend reads the same replica.
+    // Every other backend reads the same replica and, its block arenas
+    // read in order, stages the same sequence.
     let par = build_parallel(oracle, &mut ctx);
+    let par_edges = staged_edges(&mut ctx);
     let dev = device::DeviceSim::new(64 * 1024 * 1024);
     let devb = build_device(oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+    let dev_edges = staged_edges(&mut ctx);
     let fleet: Vec<device::DeviceSim> = (0..3)
         .map(|_| device::DeviceSim::new(32 * 1024 * 1024))
         .collect();
     let multi = build_device(oracle, &mut ctx, &fleet, 16).unwrap();
-    for (name, build) in [("parallel", &par), ("device", &devb), ("multi", &multi)] {
+    let multi_edges = staged_edges(&mut ctx);
+    for (name, build, staged) in [
+        ("parallel", &par, &par_edges),
+        ("device", &devb, &dev_edges),
+        ("multi", &multi, &multi_edges),
+    ] {
+        prop_assert_eq!(staged, &truth, "seed {}: {} sequence", seed, name);
         prop_assert_eq!(&build.graph, &reference.graph, "seed {}: {}", seed, name);
         prop_assert_eq!(
             build.packed_lanes,
