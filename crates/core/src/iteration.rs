@@ -146,9 +146,10 @@ pub struct IterationScratch {
     /// loop that makes steady-state Line 7 — **including CSR assembly**
     /// — allocation-free.
     pub csr: CsrArena,
-    /// Line-8/9 buffers for the sequential coloring schemes (live-list
-    /// matrix, buckets, stamps). Persists across iterations so the warm
-    /// greedy path allocates nothing (`tests/memory.rs`).
+    /// Line-8/9 buffers for the sequential coloring schemes (sorted live
+    /// lists or palette bitsets, size buckets, stamps). Persists across
+    /// iterations so the warm greedy path allocates nothing
+    /// (`tests/memory.rs`).
     pub color: ColorScratch,
 }
 

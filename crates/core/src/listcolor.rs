@@ -7,10 +7,17 @@
 //! vertices first), colors it with a uniform random list color, and
 //! removes that color from every uncolored neighbor's list, moving them
 //! between buckets in O(1). A vertex whose list empties joins `Vu` and is
-//! retried in the next Picasso iteration. Total time
-//! O((|Vc| + |Ec|)·L). The `_into` variant runs against a persistent
-//! [`ColorScratch`], keeping the warm sequential path at exactly zero
-//! heap allocations (pinned by `tests/memory.rs`).
+//! retried in the next Picasso iteration.
+//!
+//! The live lists take one of two forms, chosen per call by one
+//! byte-counted rule ([`uses_palette_bitset`]: bitset iff
+//! `2·⌈P/64⌉ ≤ L`). Sorted `u32` rows cost O(L) per strike (a binary
+//! search and a tail shift), O(|Vc|·L + |Ec|·L) in total. Palette bitsets
+//! of `W = ⌈P/64⌉` words cost O(1) per strike and O(W + 64) per pick of
+//! the k-th set bit, O(|Vc|·(L + W + 64) + |Ec|) in total. Either form
+//! yields the same colouring. The `_into` variant runs against a
+//! persistent [`ColorScratch`], keeping the warm sequential path at
+//! exactly zero heap allocations (pinned by `tests/memory.rs`).
 //!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
@@ -39,25 +46,20 @@ impl ListColorOutcome {
     }
 }
 
-const PENDING: u8 = 0;
-const COLORED: u8 = 1;
-const DRY: u8 = 2;
-
 /// Persistent buffers for the sequential list-coloring schemes, owned by
-/// `IterationScratch` so warm solver iterations allocate nothing: live
-/// lists are a flat `m × L` matrix, buckets/positions/states are reset by
-/// `clear + resize` (capacity retained), and the static scheme's
-/// forbidden-set uses a generation-stamped palette row instead of a hash
-/// set.
+/// `IterationScratch` so warm solver iterations allocate nothing. The
+/// greedy's live lists take one of two forms ([`uses_palette_bitset`]):
+/// sorted rows at stride `L` in `live`, or `⌈P/64⌉`-word palette bitsets
+/// in `bits`. Each is cleared and resized when its form runs and never
+/// shrunk, as are the size buckets; the static scheme's forbidden set is
+/// a generation-stamped palette row instead of a hash set.
 #[derive(Clone, Debug, Default)]
 pub struct ColorScratch {
-    /// Flat live-list matrix: vertex `v`'s list is `live[v*L .. v*L + live_len[v]]`.
+    /// Sorted form: vertex `v`'s list is `live[v*L ..][.. len]`.
     live: Vec<u32>,
-    live_len: Vec<u32>,
-    buckets: Vec<Vec<u32>>,
-    bucket_of: Vec<u32>,
-    pos: Vec<u32>,
-    state: Vec<u8>,
+    /// Bitset form: vertex `v`'s palette row is `bits[v*W .. (v+1)*W]`.
+    bits: Vec<u64>,
+    buckets: SizeBuckets,
     /// Static scheme: committed color per vertex.
     colors: Vec<u32>,
     /// Static scheme: active-vertex mask.
@@ -68,36 +70,159 @@ pub struct ColorScratch {
     generation: u32,
 }
 
-impl ColorScratch {
-    /// Resets the greedy buffers for `m` vertices × `l_max` list slots.
-    /// Allocation-free once capacities have warmed up.
-    fn prepare_greedy(&mut self, m: usize, l_max: usize) {
-        self.live.clear();
-        self.live.resize(m * l_max, 0);
-        self.live_len.clear();
-        self.live_len.resize(m, 0);
-        while self.buckets.len() < l_max + 1 {
-            self.buckets.push(Vec::new());
+/// Marks a vertex that sits in no bucket: colored, dry, or not active.
+const NO_BUCKET: u32 = u32::MAX;
+
+/// Algorithm 2's buckets keyed by current list length: a vertex with `k`
+/// live colors sits in `queues[k]` at `pos[v]`, and `len[v] == k`.
+#[derive(Clone, Debug, Default)]
+struct SizeBuckets {
+    queues: Vec<Vec<u32>>,
+    len: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl SizeBuckets {
+    /// Empties the buckets for `m` vertices with lists of at most `l`.
+    fn reset(&mut self, m: usize, l: usize) {
+        while self.queues.len() < l + 1 {
+            self.queues.push(Vec::new());
         }
-        for b in &mut self.buckets {
-            b.clear();
+        for q in &mut self.queues {
+            q.clear();
         }
-        self.bucket_of.clear();
-        self.bucket_of.resize(m, u32::MAX);
+        self.len.clear();
+        self.len.resize(m, NO_BUCKET);
         self.pos.clear();
-        self.pos.resize(m, u32::MAX);
-        self.state.clear();
-        self.state.resize(m, PENDING);
+        self.pos.resize(m, NO_BUCKET);
+    }
+
+    fn insert(&mut self, v: u32, k: usize) {
+        self.len[v as usize] = k as u32;
+        self.pos[v as usize] = self.queues[k].len() as u32;
+        self.queues[k].push(v);
+    }
+
+    /// O(1) swap-removal of `v` from its bucket.
+    fn remove(&mut self, v: u32) {
+        let q = &mut self.queues[self.len[v as usize] as usize];
+        let p = self.pos[v as usize] as usize;
+        let last = q.pop().expect("bucket underflow");
+        if last != v {
+            q[p] = last;
+            self.pos[last as usize] = p as u32;
+        }
+        self.len[v as usize] = NO_BUCKET;
+    }
+}
+
+/// Whether Algorithm 2 keeps its live lists as palette bitsets: iff a
+/// `⌈P/64⌉`-word row takes no more bytes than an `L`-entry sorted list,
+/// `8·⌈P/64⌉ ≤ 4·L`. Long lists over a small palette (Aggressive, and
+/// the `L = P` clamp of late iterations) take bitsets; short lists over
+/// a large palette (`P = 1000, L = 8`) stay sorted.
+pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
+    2 * palette_words(palette_size) <= list_size
+}
+
+/// `W = ⌈P/64⌉`, the words in one palette bitset row.
+fn palette_words(palette_size: u32) -> usize {
+    (palette_size as usize).div_ceil(64)
+}
+
+/// One storage form of the greedy's live lists. [`SizeBuckets`] tracks
+/// every list's length; a form only loads, draws from and strikes.
+trait LiveLists {
+    /// Loads vertex `v`'s sorted list as its live list.
+    fn init(&mut self, v: usize, row: &[u32]);
+    /// The `k`-th smallest live color of `v`.
+    fn pick(&self, v: usize, k: usize) -> u32;
+    /// Removes `c` from `v`'s live list of `len` colors; whether it was
+    /// there.
+    fn strike(&mut self, v: usize, len: usize, c: u32) -> bool;
+}
+
+/// Sorted rows at stride `L`: a strike is a binary search and a shift of
+/// the list's tail, O(L).
+struct SortedRows<'a> {
+    live: &'a mut [u32],
+    stride: usize,
+}
+
+impl LiveLists for SortedRows<'_> {
+    fn init(&mut self, v: usize, row: &[u32]) {
+        self.live[v * self.stride..][..row.len()].copy_from_slice(row);
+    }
+
+    fn pick(&self, v: usize, k: usize) -> u32 {
+        self.live[v * self.stride + k]
+    }
+
+    fn strike(&mut self, v: usize, len: usize, c: u32) -> bool {
+        let base = v * self.stride;
+        match self.live[base..base + len].binary_search(&c) {
+            Ok(idx) => {
+                self.live
+                    .copy_within(base + idx + 1..base + len, base + idx);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+/// Palette bitsets of `W` words, bit `c − palette_base`: a strike is one
+/// bit test and clear, O(1); a pick selects the `k`-th set bit, O(W + 64).
+struct PaletteBits<'a> {
+    bits: &'a mut [u64],
+    words: usize,
+    base: u32,
+}
+
+impl LiveLists for PaletteBits<'_> {
+    fn init(&mut self, v: usize, row: &[u32]) {
+        let bits = &mut self.bits[v * self.words..][..self.words];
+        for &c in row {
+            let i = (c - self.base) as usize;
+            bits[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    fn pick(&self, v: usize, k: usize) -> u32 {
+        let mut k = k as u32;
+        for (w, &word) in self.bits[v * self.words..][..self.words].iter().enumerate() {
+            let ones = word.count_ones();
+            if k < ones {
+                let mut word = word;
+                for _ in 0..k {
+                    word &= word - 1;
+                }
+                return self.base + (64 * w) as u32 + word.trailing_zeros();
+            }
+            k -= ones;
+        }
+        unreachable!("pick past the end of a live list")
+    }
+
+    fn strike(&mut self, v: usize, _len: usize, c: u32) -> bool {
+        let i = (c - self.base) as usize;
+        let word = &mut self.bits[v * self.words + i / 64];
+        let mask = 1u64 << (i % 64);
+        let hit = *word & mask != 0;
+        *word &= !mask;
+        hit
     }
 }
 
 /// Algorithm 2: dynamic bucket greedy list-coloring.
 ///
 /// `active` lists the local vertex ids to color (the conflicted vertices
-/// `Vc`); `gc` must contain edges only among them. Produces exactly the
-/// same assignments as [`greedy_list_color`] (identical RNG sequence);
-/// warm calls against a reused [`ColorScratch`] perform zero heap
-/// allocations.
+/// `Vc`); `gc` must contain edges only among them. The live lists take
+/// the form [`uses_palette_bitset`] picks; both forms draw the same RNG
+/// sequence and the `k`-th set bit is the `k`-th sorted entry, so the
+/// outcome does not depend on the form. Produces exactly the same
+/// assignments as [`greedy_list_color`]; warm calls against a reused
+/// [`ColorScratch`] perform zero heap allocations.
 pub fn greedy_list_color_into(
     gc: &CsrGraph,
     lists: &ColorLists,
@@ -106,92 +231,96 @@ pub fn greedy_list_color_into(
     scratch: &mut ColorScratch,
     out: &mut ListColorOutcome,
 ) {
-    out.clear();
-    let m = gc.num_vertices();
-    let l_max = lists.list_size();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
+    let bitset = uses_palette_bitset(lists.palette_size(), lists.list_size());
+    greedy_in_form(bitset, gc, lists, active, seed, scratch, out);
+}
 
-    scratch.prepare_greedy(m, l_max);
+/// [`greedy_list_color_into`] with the live-list form given.
+fn greedy_in_form(
+    bitset: bool,
+    gc: &CsrGraph,
+    lists: &ColorLists,
+    active: &[u32],
+    seed: u64,
+    scratch: &mut ColorScratch,
+    out: &mut ListColorOutcome,
+) {
+    let m = gc.num_vertices();
+    let l = lists.list_size();
     let ColorScratch {
         live,
-        live_len,
+        bits,
         buckets,
-        bucket_of,
-        pos,
-        state,
         ..
     } = scratch;
+    buckets.reset(m, l);
+    if bitset {
+        let words = palette_words(lists.palette_size());
+        bits.clear();
+        bits.resize(m * words, 0);
+        let form = PaletteBits {
+            bits,
+            words,
+            base: lists.palette_base(),
+        };
+        greedy(form, buckets, gc, lists, active, seed, out);
+    } else {
+        live.clear();
+        live.resize(m * l, 0);
+        let form = SortedRows { live, stride: l };
+        greedy(form, buckets, gc, lists, active, seed, out);
+    }
+}
 
-    // Live (mutable) copy of each active vertex's list, flat at stride
-    // `l_max`, plus the size-keyed buckets with O(1) swap-removal.
+/// The greedy loop, once for both live-list forms.
+fn greedy<F: LiveLists>(
+    mut form: F,
+    buckets: &mut SizeBuckets,
+    gc: &CsrGraph,
+    lists: &ColorLists,
+    active: &[u32],
+    seed: u64,
+    out: &mut ListColorOutcome,
+) {
+    out.clear();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
     for &v in active {
-        let vi = v as usize;
-        let row = lists.row(vi);
-        live[vi * l_max..vi * l_max + row.len()].copy_from_slice(row);
-        live_len[vi] = row.len() as u32;
-        let k = row.len();
-        bucket_of[vi] = k as u32;
-        pos[vi] = buckets[k].len() as u32;
-        buckets[k].push(v);
+        let row = lists.row(v as usize);
+        form.init(v as usize, row);
+        buckets.insert(v, row.len());
     }
 
     let mut remaining = active.len();
-
-    // O(1) removal of a vertex from its bucket.
-    let remove_from_bucket =
-        |buckets: &mut [Vec<u32>], bucket_of: &mut [u32], pos: &mut [u32], v: u32| {
-            let b = bucket_of[v as usize] as usize;
-            let p = pos[v as usize] as usize;
-            let last = *buckets[b].last().expect("bucket underflow");
-            buckets[b][p] = last;
-            pos[last as usize] = p as u32;
-            buckets[b].pop();
-            bucket_of[v as usize] = u32::MAX;
-        };
-
     while remaining > 0 {
         // Lowest non-empty bucket (≥1: empty-list vertices are retired
-        // eagerly below, so bucket 0 is always empty here).
-        let lowest = buckets
+        // eagerly below, so bucket 0 is always empty here). Its index is
+        // the picked vertex's list length.
+        let len = buckets
+            .queues
             .iter()
-            .position(|b| !b.is_empty())
+            .position(|q| !q.is_empty())
             .expect("remaining > 0 but all buckets empty");
-        // Uniform random vertex from the lowest bucket.
-        let pick = rng.random_range(0..buckets[lowest].len());
-        let v = buckets[lowest][pick];
-        remove_from_bucket(buckets, bucket_of, pos, v);
+        // Uniform random vertex from the lowest bucket, then a uniform
+        // random color from its live list.
+        let lowest = &buckets.queues[len];
+        let v = lowest[rng.random_range(0..lowest.len())];
+        buckets.remove(v);
         remaining -= 1;
-
-        // Uniform random color from the vertex's live list.
-        let vi = v as usize;
-        let len = live_len[vi] as usize;
-        debug_assert!(len > 0);
-        let c = live[vi * l_max + rng.random_range(0..len)];
-        state[vi] = COLORED;
+        let c = form.pick(v as usize, rng.random_range(0..len));
         out.assigned.push((v, c));
 
         // Strike c from every uncolored neighbor's list.
-        for &u in gc.neighbors(vi) {
-            let ui = u as usize;
-            if state[ui] != PENDING {
+        for &u in gc.neighbors(v as usize) {
+            let ulen = buckets.len[u as usize];
+            if ulen == NO_BUCKET || !form.strike(u as usize, ulen as usize, c) {
                 continue;
             }
-            let ulen = live_len[ui] as usize;
-            let base = ui * l_max;
-            if let Ok(idx) = live[base..base + ulen].binary_search(&c) {
-                live.copy_within(base + idx + 1..base + ulen, base + idx);
-                live_len[ui] = (ulen - 1) as u32;
-                remove_from_bucket(buckets, bucket_of, pos, u);
-                if ulen == 1 {
-                    state[ui] = DRY;
-                    out.uncolored.push(u);
-                    remaining -= 1;
-                } else {
-                    let k = ulen - 1;
-                    bucket_of[ui] = k as u32;
-                    pos[ui] = buckets[k].len() as u32;
-                    buckets[k].push(u);
-                }
+            buckets.remove(u);
+            if ulen == 1 {
+                out.uncolored.push(u);
+                remaining -= 1;
+            } else {
+                buckets.insert(u, ulen as usize - 1);
             }
         }
     }
@@ -428,6 +557,128 @@ mod tests {
             dyn_total * 10 >= nat_total * 9,
             "dynamic {dyn_total} far below natural {nat_total}"
         );
+    }
+
+    /// FNV-1a over a coloring outcome: `(assigned, uncolored)`.
+    fn outcome_digest(out: &ListColorOutcome) -> (u64, u64) {
+        let fnv = |words: &mut dyn Iterator<Item = u32>| {
+            words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        (
+            fnv(&mut out.assigned.iter().flat_map(|&(v, c)| [v, c])),
+            fnv(&mut out.uncolored.iter().copied()),
+        )
+    }
+
+    /// A conflict graph over `n` vertices: the pairs of an Erdős–Rényi
+    /// graph whose lists share a color, restricted to even vertices when
+    /// `even_only`. Returns it with its non-isolated (active) vertices.
+    fn conflict_instance(
+        n: usize,
+        density: f64,
+        seed: u64,
+        lists: &ColorLists,
+        even_only: bool,
+    ) -> (CsrGraph, Vec<u32>) {
+        let edges: Vec<(u32, u32)> = erdos_renyi(n, density, seed)
+            .edges()
+            .filter(|&(u, v)| !even_only || (u % 2 == 0 && v % 2 == 0))
+            .filter(|&(u, v)| lists.intersects(u as usize, v as usize))
+            .collect();
+        let gc = graph::csr_from_coo_sequential(n, &edges);
+        let active = (0..n as u32)
+            .filter(|&v| gc.degree(v as usize) > 0)
+            .collect();
+        (gc, active)
+    }
+
+    /// Algorithm 2's outcomes pinned across a `(P, L, palette_base,
+    /// active)` matrix that straddles the live-list form rule
+    /// `2·⌈P/64⌉ ≤ L`: `P < 64`, `P` off a multiple of 64, the molecule's
+    /// `P = 131, L = 110`, `L == P`, `L = 1`, a shifted palette and an
+    /// even-only active subset. One warm scratch runs the whole matrix in
+    /// order, so every form switch also reuses the other form's buffers.
+    #[test]
+    fn greedy_outcomes_match_pinned_digests() {
+        #[rustfmt::skip]
+        let cases = [
+            // (P, L, palette_base, even_only, seed, (assigned, uncolored))
+            (40, 5, 0, false, 1, (0x2f1b4b421b566e5b, 0xd036b27cd60d57de)),
+            (40, 1, 0, false, 2, (0xf97f1edb904e91c4, 0x51671674702a2aae)),
+            (40, 40, 0, false, 3, (0x53cd3dfeeff267e7, 0xf1ea9a25a4bbfff3)),
+            (64, 2, 0, false, 4, (0xed222cca90fc977f, 0xecf84804d4cbd0b9)),
+            (65, 3, 7, false, 5, (0x44468b50aca31cd1, 0xd21f90ecdb71cddc)),
+            (100, 6, 500, false, 6, (0xb04a4dd35deaaef8, 0xaf64824c8603069e)),
+            (100, 3, 500, false, 7, (0x64bfebff7efe5562, 0x537c5e4c54a5f2f0)),
+            (128, 7, 0, true, 8, (0x198672575dc15f65, 0xcbf29ce484222325)),
+            (131, 110, 0, false, 9, (0x82a82a63d80dc290, 0xcbf29ce484222325)),
+            (131, 131, 262, false, 10, (0xaaccdb57914f6f1f, 0xcbf29ce484222325)),
+            (131, 110, 131, true, 11, (0x3f59fa5a57bb29d1, 0xcbf29ce484222325)),
+            (1000, 8, 3000, false, 12, (0x7989806126273498, 0xcbf29ce484222325)),
+            (1000, 8, 0, true, 13, (0x2b066b1a87a2bf28, 0xcbf29ce484222325)),
+        ];
+        let n = 300;
+        let mut scratch = ColorScratch::default();
+        let mut out = ListColorOutcome::default();
+        let mut mismatches = Vec::new();
+        let forms: Vec<bool> = cases
+            .iter()
+            .map(|&(p, l, ..)| uses_palette_bitset(p, l as usize))
+            .collect();
+        assert!(
+            forms.contains(&true) && forms.contains(&false),
+            "both forms pinned"
+        );
+        for (p, l, base, even_only, seed, want) in cases {
+            let lists = ColorLists::assign(n, base, p, l, seed, 1);
+            let (gc, active) = conflict_instance(n, 0.5, seed, &lists, even_only);
+            assert!(
+                !even_only || active.len() <= n / 2,
+                "seed {seed}: an even subset"
+            );
+            greedy_list_color_into(&gc, &lists, &active, seed, &mut scratch, &mut out);
+            check_outcome(&gc, &lists, &active, &out);
+            let got = outcome_digest(&out);
+            if got != want {
+                mismatches.push(format!(
+                    "P={p} L={l} base={base} even_only={even_only} seed {seed}: \
+                     ({:#018x}, {:#018x})",
+                    got.0, got.1
+                ));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "digests moved:\n{}",
+            mismatches.join("\n")
+        );
+    }
+
+    /// Both live-list forms, forced, color sampled instances identically
+    /// on either side of the rule; a failing case prints its seed.
+    #[test]
+    fn live_list_forms_agree_on_sampled_instances() {
+        let mut scratch = ColorScratch::default();
+        let mut sorted = ListColorOutcome::default();
+        let mut bits = ListColorOutcome::default();
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1..150usize);
+            let p = rng.random_range(1..300u32);
+            let l = rng.random_range(1..=p.min(140));
+            let base = rng.random_range(0..5000u32);
+            let density = rng.random_range(0.0..1.0);
+            let lists = ColorLists::assign(n, base, p, l, seed, 2);
+            let (gc, active) = conflict_instance(n, density, seed, &lists, seed % 3 == 0);
+            greedy_in_form(false, &gc, &lists, &active, seed, &mut scratch, &mut sorted);
+            greedy_in_form(true, &gc, &lists, &active, seed, &mut scratch, &mut bits);
+            let case = format!("seed {seed}: n={n} P={p} L={l} base={base} density={density}");
+            assert_eq!(sorted.assigned, bits.assigned, "{case}");
+            assert_eq!(sorted.uncolored, bits.uncolored, "{case}");
+            check_outcome(&gc, &lists, &active, &bits);
+        }
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .counter("solver_safety_valve_vertices_total")
         .add(result.safety_valve_vertices as u64);
+    registry
+        .counter("solver_color_bitset_iterations_total")
+        .add(result.color_bitset_iterations() as u64);
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");
@@ -117,6 +120,12 @@ mod tests {
         assert_eq!(
             registry.counter("solver_safety_valve_vertices_total").get(),
             result.safety_valve_vertices as u64
+        );
+        assert_eq!(
+            registry
+                .counter("solver_color_bitset_iterations_total")
+                .get(),
+            result.color_bitset_iterations() as u64
         );
         assert_eq!(
             registry.gauge("solver_max_conflict_edges").get(),

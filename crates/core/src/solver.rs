@@ -128,6 +128,10 @@ pub struct IterationStats {
     pub conflict_secs: f64,
     /// Seconds in coloring (Lines 8–9).
     pub color_secs: f64,
+    /// Whether Algorithm 2 kept its live lists as palette bitsets this
+    /// iteration ([`crate::listcolor::uses_palette_bitset`] of
+    /// `palette_size` and `list_size`); false under a static scheme.
+    pub color_bitset: bool,
     /// Device backend: whether the CSR was assembled on-device.
     pub csr_on_device: Option<bool>,
 }
@@ -241,6 +245,12 @@ impl PicassoResult {
     /// Total seconds spent coloring.
     pub fn color_secs(&self) -> f64 {
         self.iterations.iter().map(|s| s.color_secs).sum()
+    }
+
+    /// Iterations whose greedy kept palette bitsets (see
+    /// [`IterationStats::color_bitset`]).
+    pub fn color_bitset_iterations(&self) -> usize {
+        self.iterations.iter().filter(|s| s.color_bitset).count()
     }
 
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
@@ -451,6 +461,8 @@ impl Picasso {
                 }
             }
             let (lists, cs) = ctx.lists_and_color_scratch();
+            let color_bitset = cfg.scheme == ListColoringScheme::DynamicGreedy
+                && listcolor::uses_palette_bitset(lists.palette_size(), lists.list_size());
             match cfg.scheme {
                 ListColoringScheme::DynamicGreedy => listcolor::greedy_list_color_into(
                     &gc,
@@ -508,6 +520,7 @@ impl Picasso {
                 assign_secs,
                 conflict_secs,
                 color_secs,
+                color_bitset,
                 csr_on_device: build.csr_on_device,
             });
 

@@ -730,12 +730,12 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |hit% |skipw \
-             |colms |Vc |Ec |uncolored"
+             |colms |Vc |Ec |uncolored |bitset"
         );
         for s in &result.iterations {
             eprintln!(
                 "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} \
-                 {:>6.2} {:>6} {:>8} {:>6}",
+                 {:>6.2} {:>6} {:>8} {:>6} {:>7}",
                 s.iteration,
                 s.live_vertices,
                 s.palette_size,
@@ -750,7 +750,8 @@ fn main() {
                 1e3 * s.color_secs,
                 s.conflict_vertices,
                 s.conflict_edges,
-                s.uncolored_after
+                s.uncolored_after,
+                if s.color_bitset { "y" } else { "n" }
             );
         }
         eprintln!("{}", summary.packing_footer());

@@ -33,6 +33,8 @@ pub struct SolveSummary {
     pub skipped_words: u64,
     /// Vertices the `max_iterations` safety valve gave a fresh color.
     pub safety_valve_vertices: u64,
+    /// Iterations whose greedy kept its live lists as palette bitsets.
+    pub color_bitset_iterations: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -53,6 +55,7 @@ impl SolveSummary {
             hit_bits: counter("solver_hit_bits_total"),
             skipped_words: counter("solver_skipped_words_total"),
             safety_valve_vertices: counter("solver_safety_valve_vertices_total"),
+            color_bitset_iterations: counter("solver_color_bitset_iterations_total"),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -92,8 +95,13 @@ impl SolveSummary {
     /// [`picasso::ListColoringScheme`] label).
     pub fn coloring_footer(&self, scheme: &str) -> String {
         format!(
-            "coloring [{}]: {:.3}s, {} vertices colored by the max-iterations safety valve",
-            scheme, self.color_secs, self.safety_valve_vertices
+            "coloring [{}]: {:.3}s, palette bitsets in {} of {} iterations, \
+             {} vertices colored by the max-iterations safety valve",
+            scheme,
+            self.color_secs,
+            self.color_bitset_iterations,
+            self.iterations,
+            self.safety_valve_vertices
         )
     }
 
@@ -184,6 +192,11 @@ mod tests {
         assert!(coloring.contains(&format!(
             "{} vertices colored by the max-iterations safety valve",
             result.safety_valve_vertices
+        )));
+        assert!(coloring.contains(&format!(
+            "palette bitsets in {} of {} iterations",
+            result.color_bitset_iterations(),
+            result.iterations.len()
         )));
         let headline = s.headline(150, result.num_colors as usize, result.color_percentage());
         assert!(headline.contains(&format!("in {} iterations", result.iterations.len())));

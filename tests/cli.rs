@@ -197,6 +197,73 @@ fn coloring_flag_selects_scheme_and_surfaces_telemetry() {
 }
 
 #[test]
+fn stats_footer_counts_palette_bitset_iterations() {
+    // 300 distinct 8-qubit strings: the greedy's live-list form is one
+    // counted rule of each iteration's P and L, shown per row and summed
+    // in the coloring footer.
+    let strings: String = (0..300usize)
+        .map(|i| {
+            let ops = [b'I', b'X', b'Y', b'Z'];
+            let mut s: Vec<u8> = (0..8).map(|q| ops[(i >> (2 * q)) & 3]).collect();
+            s.push(b'\n');
+            String::from_utf8(s).unwrap()
+        })
+        .collect();
+    let path = write_input("cli_bitset_footer.txt", &strings);
+    let run = |extra: &[&str]| {
+        let out = Command::new(CLI)
+            .arg(&path)
+            .args(["--json", "--stats"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stderr).unwrap()
+    };
+
+    let stderr = run(&[]);
+    assert!(
+        stderr.contains("|uncolored |bitset"),
+        "header in:\n{stderr}"
+    );
+    let rows: Vec<Vec<&str>> = stderr
+        .lines()
+        .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    assert!(!rows.is_empty(), "stats rows in:\n{stderr}");
+    let mut bitset_rows = 0;
+    for row in &rows {
+        let (p, l): (usize, usize) = (row[2].parse().unwrap(), row[3].parse().unwrap());
+        let want = if 2 * p.div_ceil(64) <= l { "y" } else { "n" };
+        assert_eq!(row.last(), Some(&want), "bitset column of row {row:?}");
+        bitset_rows += usize::from(want == "y");
+    }
+    // Early iterations (P = 38, L = 5) take bitsets; the last one has a
+    // single vertex with L = 1, below the rule.
+    assert!(
+        bitset_rows > 0 && bitset_rows < rows.len(),
+        "both live-list forms in:\n{stderr}"
+    );
+    let footer = format!(
+        "palette bitsets in {bitset_rows} of {} iterations",
+        rows.len()
+    );
+    assert!(stderr.contains(&footer), "{footer} in:\n{stderr}");
+
+    // A static scheme never runs the greedy, so it keeps no bitsets.
+    let stderr = run(&["--coloring", "lf"]);
+    assert!(
+        stderr.contains("coloring [lf]:") && stderr.contains("palette bitsets in 0 of"),
+        "footer in:\n{stderr}"
+    );
+}
+
+#[test]
 fn allpairs_reference_backend_matches_default() {
     let path = write_input(
         "cli_allpairs.txt",

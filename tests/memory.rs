@@ -308,64 +308,129 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
     ctx.recycle_csr(built.graph);
 }
 
-#[test]
-fn warm_sequential_coloring_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    // Line 8-9 companion to the build test above: the dynamic bucket
-    // greedy runs entirely out of the context-owned `ColorScratch` (flat
-    // live matrix, bucket queues, stamps) and a caller-recycled outcome,
-    // so a steady-state sequential coloring performs exactly zero heap
-    // allocations.
+/// One Line 8-9 round out of `ctx`: assigns `(p, l)` lists over the
+/// oracle's `n` vertices for `iter`, builds the conflict graph, colors it
+/// with Algorithm 2 from the context's `ColorScratch` into the reused
+/// `outcome`, and recycles the graph. Returns the heap allocations the
+/// coloring call alone made.
+fn coloring_round(
+    ctx: &mut picasso::IterationContext,
+    oracle: &picasso::PauliComplementOracle<'_, EncodedSet>,
+    n: usize,
+    (p, l): (u32, u32),
+    iter: u64,
+    outcome: &mut picasso::ListColorOutcome,
+) -> usize {
     use picasso::conflict::build_sequential;
-    use picasso::{listcolor, IterationContext, PauliComplementOracle};
-    use rand::SeedableRng;
-    let n = 800;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let strings = pauli::string::random_unique_set(n, 12, &mut rng);
-    let set = EncodedSet::from_strings(&strings);
-    let oracle = PauliComplementOracle::new(&set);
-    let cfg = PicassoConfig::normal(1);
-    let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
-    let mut ctx = IterationContext::new();
-    let mut outcome = listcolor::ListColorOutcome::default();
-    // Warm-up: three iterations of assign + build + color, recycling the
-    // graph and reusing the same outcome so its vectors keep capacity.
-    for iter in 1..=3u64 {
-        ctx.assign_lists(n, 0, p, l, 1, iter);
-        let built = build_sequential(&oracle, &mut ctx);
-        let conflicted: Vec<u32> = (0..n as u32)
-            .filter(|&v| built.graph.degree(v as usize) > 0)
-            .collect();
-        let (lists, scratch) = ctx.lists_and_color_scratch();
-        listcolor::greedy_list_color_into(
-            &built.graph,
-            lists,
-            &conflicted,
-            7,
-            scratch,
-            &mut outcome,
-        );
-        ctx.recycle_csr(built.graph);
-    }
-    // Measured iteration: same assignment arguments as the last warm-up
-    // (identical lists → identical bucket shapes, deterministic zero).
-    ctx.assign_lists(n, 0, p, l, 1, 3);
-    let built = build_sequential(&oracle, &mut ctx);
+    use picasso::listcolor;
+    ctx.assign_lists(n, 0, p, l, 1, iter);
+    let built = build_sequential(oracle, ctx);
     let conflicted: Vec<u32> = (0..n as u32)
         .filter(|&v| built.graph.degree(v as usize) > 0)
         .collect();
     assert!(!conflicted.is_empty());
     let before = memtrack::total_allocations();
     let (lists, scratch) = ctx.lists_and_color_scratch();
-    listcolor::greedy_list_color_into(&built.graph, lists, &conflicted, 7, scratch, &mut outcome);
+    listcolor::greedy_list_color_into(&built.graph, lists, &conflicted, 7, scratch, outcome);
     let after = memtrack::total_allocations();
     assert!(!outcome.assigned.is_empty());
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state dynamic greedy coloring must allocate nothing"
-    );
     ctx.recycle_csr(built.graph);
+    after - before
+}
+
+/// The `n = 800` random 12-qubit instance the coloring pins run on.
+fn coloring_oracle_set() -> EncodedSet {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    EncodedSet::from_strings(&pauli::string::random_unique_set(800, 12, &mut rng))
+}
+
+/// Warm-up rounds for iterations 1-3, then a measured round repeating
+/// iteration 3 (identical lists, so identical bucket shapes and a
+/// deterministic zero, not a capacity coin-flip).
+fn warm_coloring_allocations(shape: (u32, u32)) -> usize {
+    let set = coloring_oracle_set();
+    let oracle = picasso::PauliComplementOracle::new(&set);
+    let mut ctx = picasso::IterationContext::new();
+    let mut outcome = picasso::ListColorOutcome::default();
+    for iter in 1..=3u64 {
+        coloring_round(&mut ctx, &oracle, set.len(), shape, iter, &mut outcome);
+    }
+    coloring_round(&mut ctx, &oracle, set.len(), shape, 3, &mut outcome)
+}
+
+#[test]
+fn warm_sequential_coloring_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // Line 8-9 companion to the build test above: the dynamic bucket
+    // greedy runs entirely out of the context-owned `ColorScratch` (live
+    // lists, size buckets, stamps) and a caller-recycled outcome, so a
+    // steady-state sequential coloring performs exactly zero heap
+    // allocations in either live-list form. Normal lists at n = 800
+    // (P = 100, L = 6) take palette bitsets; dense_pauli's shape
+    // (P = 1000, L = 8) keeps sorted lists.
+    let cfg = PicassoConfig::normal(1);
+    let normal = (cfg.palette_size(800), cfg.list_size(800));
+    for (shape, bitset) in [(normal, true), ((1000, 8), false)] {
+        assert_eq!(
+            picasso::listcolor::uses_palette_bitset(shape.0, shape.1 as usize),
+            bitset,
+            "{shape:?}"
+        );
+        assert_eq!(
+            warm_coloring_allocations(shape),
+            0,
+            "steady-state dynamic greedy coloring of {shape:?} must allocate nothing"
+        );
+    }
+}
+
+#[test]
+fn alternating_live_list_forms_allocate_nothing_when_warm() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // One context colors list -> bitset -> list. A form switch neither
+    // releases nor shrinks the other form's buffer, so the second list
+    // round finds every capacity the first one grew.
+    use picasso::listcolor::uses_palette_bitset;
+    let (list, bitset) = ((1000, 8), (100, 6));
+    assert!(!uses_palette_bitset(list.0, list.1 as usize));
+    assert!(uses_palette_bitset(bitset.0, bitset.1 as usize));
+    let set = coloring_oracle_set();
+    let oracle = picasso::PauliComplementOracle::new(&set);
+    let mut ctx = picasso::IterationContext::new();
+    let mut outcome = picasso::ListColorOutcome::default();
+    let n = set.len();
+    coloring_round(&mut ctx, &oracle, n, list, 3, &mut outcome);
+    coloring_round(&mut ctx, &oracle, n, bitset, 3, &mut outcome);
+    assert_eq!(
+        coloring_round(&mut ctx, &oracle, n, list, 3, &mut outcome),
+        0,
+        "a list round after a bitset round must reuse the warm buffers"
+    );
+}
+
+#[test]
+fn palette_bitsets_never_take_more_bytes_than_sorted_lists() {
+    // The form rule is byte-counted: a W = ceil(P/64)-word bitset row is
+    // chosen iff it is no larger than the L-entry u32 list it replaces.
+    use picasso::listcolor::uses_palette_bitset;
+    for p in 1..=4096u32 {
+        let row_bytes = 8 * p.div_ceil(64) as usize;
+        for l in 1..=(p as usize).min(300) {
+            assert_eq!(
+                uses_palette_bitset(p, l),
+                row_bytes <= 4 * l,
+                "P={p} L={l}: {row_bytes} B bitset vs {} B list",
+                4 * l
+            );
+        }
+    }
+    // The benchmark's shapes: dense_pauli and sparse_oracle stay sorted,
+    // molecule_aggressive and service_mix take bitsets.
+    assert!(!uses_palette_bitset(1000, 8));
+    assert!(!uses_palette_bitset(5000, 10));
+    assert!(uses_palette_bitset(131, 110));
+    assert!(uses_palette_bitset(128, 7));
 }
 
 #[test]
