@@ -110,10 +110,10 @@ pub trait PairSource: Sync {
 
 /// Walks one pivot's hit masks: counts the scanned, skipped (all-zero)
 /// and set bits into `stats`, and hands every set bit's tail position
-/// `t` to `hit` in ascending order — the consumer loop shared by both
-/// sources' packed scans.
+/// `t` to `hit` in ascending order — the consumer loop shared by every
+/// [`HitSink`].
 #[inline]
-fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: impl FnMut(usize)) {
+pub(crate) fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: impl FnMut(usize)) {
     stats.scanned_words += masks.len() as u64;
     for (wi, &word) in masks.iter().enumerate() {
         if word == 0 {
@@ -126,6 +126,55 @@ fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: impl FnMut(us
             hit(wi * 64 + word.trailing_zeros() as usize);
             word &= word - 1;
         }
+    }
+}
+
+/// Where a packed row scan hands each pivot's hit mask: the edge
+/// emission of [`PairSource::scan_rows_packed`], or the conflict
+/// builders' edge groups and hit-mask rows (`crate::conflict`). One scan
+/// loop per source serves them all.
+pub(crate) trait HitSink {
+    /// One pivot of the scan. `u` sits at position `pos` of bucket `k`
+    /// (bucket 0 of the all-pairs identity layout); `mask` holds the edge
+    /// bits of its tail — bit `t` is member `pos + 1 + t`, vertex
+    /// `member(t)` — and `emit(v)` says whether the oracle edge `(u, v)`
+    /// is a conflict edge emitted from this bucket, `None` when every
+    /// hit is. Returns `false` to end the scan after this pivot.
+    #[allow(clippy::too_many_arguments)]
+    fn pivot(
+        &mut self,
+        k: usize,
+        pos: usize,
+        u: usize,
+        mask: &mut [u64],
+        stats: &mut MaskScanStats,
+        member: impl Fn(usize) -> usize,
+        emit: Option<impl Fn(usize) -> bool>,
+    ) -> bool;
+}
+
+/// The [`PairSource::scan_rows_packed`] sink: every emitted edge goes to
+/// the caller's callback.
+struct EmitEdges<'a>(&'a mut dyn FnMut(u32, u32));
+
+impl HitSink for EmitEdges<'_> {
+    fn pivot(
+        &mut self,
+        _k: usize,
+        _pos: usize,
+        u: usize,
+        mask: &mut [u64],
+        stats: &mut MaskScanStats,
+        member: impl Fn(usize) -> usize,
+        emit: Option<impl Fn(usize) -> bool>,
+    ) -> bool {
+        for_each_hit(mask, stats, |t| {
+            let v = member(t);
+            if emit.as_ref().is_none_or(|emit| emit(v)) {
+                (self.0)(u as u32, v as u32);
+            }
+        });
+        true
     }
 }
 
@@ -198,19 +247,33 @@ impl PairSource for AllPairsSource<'_> {
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
     ) {
+        self.scan_rows_into(rows, packed, masks, stats, &mut EmitEdges(emit_edge));
+    }
+}
+
+impl AllPairsSource<'_> {
+    /// The packed all-pairs scan into any [`HitSink`]; `false` when the
+    /// sink ended it early.
+    fn scan_rows_into(
+        &self,
+        rows: Range<usize>,
+        packed: &PackedBuckets,
+        masks: &mut Vec<u64>,
+        stats: &mut MaskScanStats,
+        sink: &mut impl HitSink,
+    ) -> bool {
         let m = self.lists.len();
         debug_assert_eq!(packed.num_rows(), m);
         let palette = self.lists.palette_size() as usize;
         let always_shared = 2 * self.lists.list_size() > palette;
         for i in rows {
             packed.tail_edge_mask(0, m, i, i, masks);
-            for_each_hit(masks, stats, |t| {
-                let v = i + 1 + t;
-                if always_shared || packed.shares_color_below(i, v, palette) {
-                    emit_edge(i as u32, v as u32);
-                }
-            });
+            let shared = (!always_shared).then_some(|v| packed.shares_color_below(i, v, palette));
+            if !sink.pivot(0, i, i, masks, stats, |t| i + 1 + t, shared) {
+                return false;
+            }
         }
+        true
     }
 }
 
@@ -283,22 +346,36 @@ impl<'a> BucketSource<'a> {
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
         stats: &mut MaskScanStats,
-        emit_edge: &mut dyn FnMut(u32, u32),
-    ) {
+        sink: &mut impl HitSink,
+    ) -> bool {
         let bucket = self.index.bucket(k);
         let start = self.index.bucket_start(k);
         for a in positions {
             let u = bucket[a] as usize;
             packed.tail_edge_mask(start, bucket.len(), a, u, masks);
             let tail = &bucket[a + 1..];
-            for_each_hit(masks, stats, |t| {
-                let v = tail[t] as usize;
-                // Emit only from the smallest shared color's bucket.
-                if !packed.shares_color_below(u, v, k) {
-                    emit_edge(u as u32, v as u32);
-                }
-            });
+            // Emit only from the smallest shared color's bucket.
+            let first = |v| !packed.shares_color_below(u, v, k);
+            if !sink.pivot(k, a, u, masks, stats, |t| tail[t] as usize, Some(first)) {
+                return false;
+            }
         }
+        true
+    }
+
+    /// The packed sub-bucket scan into any [`HitSink`]; `false` when the
+    /// sink ended it early.
+    fn scan_rows_into(
+        &self,
+        rows: Range<usize>,
+        packed: &PackedBuckets,
+        masks: &mut Vec<u64>,
+        stats: &mut MaskScanStats,
+        sink: &mut impl HitSink,
+    ) -> bool {
+        walk_row_span(self.index, rows, |k, positions| {
+            self.scan_positions_packed(k, positions, packed, masks, stats, sink)
+        })
     }
 }
 
@@ -336,7 +413,8 @@ impl PairSource for BucketSource<'_> {
         emit: &mut dyn FnMut(usize, &[usize]),
     ) {
         walk_row_span(self.index, rows, |k, positions| {
-            self.scan_positions(k, positions, run, emit)
+            self.scan_positions(k, positions, run, emit);
+            true
         });
     }
 
@@ -352,25 +430,23 @@ impl PairSource for BucketSource<'_> {
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
     ) {
-        walk_row_span(self.index, rows, |k, positions| {
-            self.scan_positions_packed(k, positions, packed, masks, stats, emit_edge)
-        });
+        self.scan_rows_into(rows, packed, masks, stats, &mut EmitEdges(emit_edge));
     }
 }
 
 /// Decomposes a contiguous flat-row span into per-bucket position
 /// ranges: `leaf(k, positions)` receives each touched bucket `k` with
-/// the in-bucket positions the span covers — mid-bucket at either end.
-/// The single home of the sub-bucket splitting invariant (every pivot
-/// row visited exactly once), shared by the scalar and packed row
-/// scans.
+/// the in-bucket positions the span covers — mid-bucket at either end —
+/// and returns `false` to stop the walk, which then returns `false`. The
+/// single home of the sub-bucket splitting invariant (every pivot row
+/// visited exactly once), shared by the scalar and packed row scans.
 fn walk_row_span(
     index: &BucketIndex,
     rows: Range<usize>,
-    mut leaf: impl FnMut(usize, Range<usize>),
-) {
+    mut leaf: impl FnMut(usize, Range<usize>) -> bool,
+) -> bool {
     if rows.is_empty() {
-        return;
+        return true;
     }
     let mut k = index.row_bucket(rows.start);
     let mut r = rows.start;
@@ -381,10 +457,13 @@ fn walk_row_span(
             continue;
         }
         let hi = rows.end.min(be) - bs;
-        leaf(k, (r - bs)..hi);
+        if !leaf(k, (r - bs)..hi) {
+            return false;
+        }
         r = bs + hi;
         k += 1;
     }
+    true
 }
 
 /// The engine actually used by the bucketed backends: the cheaper of the
@@ -430,6 +509,23 @@ impl<'a> CandidateEngine<'a> {
         match index {
             Some(index) => CandidateEngine::Buckets(BucketSource::new(lists, index)),
             None => CandidateEngine::AllPairs(AllPairsSource::new(lists)),
+        }
+    }
+
+    /// The packed row scan into any [`HitSink`], over the same rows and
+    /// in the same order as [`PairSource::scan_rows_packed`]; `false`
+    /// when the sink ended it early.
+    pub(crate) fn scan_rows_into(
+        &self,
+        rows: Range<usize>,
+        packed: &PackedBuckets,
+        masks: &mut Vec<u64>,
+        stats: &mut MaskScanStats,
+        sink: &mut impl HitSink,
+    ) -> bool {
+        match self {
+            CandidateEngine::Buckets(src) => src.scan_rows_into(rows, packed, masks, stats, sink),
+            CandidateEngine::AllPairs(src) => src.scan_rows_into(rows, packed, masks, stats, sink),
         }
     }
 

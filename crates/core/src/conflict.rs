@@ -9,10 +9,10 @@
 //!
 //! Every builder draws from the solver's
 //! [`IterationContext`]: the color
-//! lists, the shared [`BucketIndex`](crate::assign::BucketIndex) (built
+//! lists, the shared [`BucketIndex`] (built
 //! at most once per iteration, lent to every backend), and the reusable
-//! scratch arenas (COO group staging, oracle hit vectors, live-view
-//! remapping buffers) that persist across iterations.
+//! scratch arenas (COO group staging, the hit-mask rows, oracle hit
+//! vectors, live-view remapping buffers) that persist across iterations.
 //!
 //! # COO format
 //!
@@ -26,13 +26,61 @@
 //! the sequential builds write the first arena, and every cut-parallel
 //! build — the rayon build and each device of a fleet — scans each
 //! block of pivot rows into its own arena (`scan_cuts`). The builder's
-//! `num_edges` is the sum of the groups' lengths. The device build
+//! `num_edges` is the sum of the groups' lengths. A host build that
+//! keeps the hit-mask form (see "Graph form") drops its groups. The
+//! device build
 //! charges its budget for Algorithm 3's COO of two `u32` words per edge
 //! (so the COO lease and transfer accounting keep the `2 · pairs` word
 //! bound), but its blocks stage groups on the host like every other
 //! build. [`IterationScratch::edges`], the old pair buffer, is no longer
 //! touched by any builder: it stays only as the benchmark replay's pair
 //! staging.
+//!
+//! # Graph form
+//!
+//! Algorithm 2 asks `Gc` one question: which uncoloured neighbours of
+//! `v` may still hold the colour `c` just given to `v`? Each one was
+//! assigned `c`, so it sits in bucket `c`, and the packed scan has
+//! already computed its oracle bit there. The solver's host Line 7
+//! ([`build_host`], backends `Sequential` and `Parallel` under the
+//! dynamic greedy) may keep those bits as the conflict graph — the
+//! **hit-mask form** ([`HitMasks`]) — instead of assembling a CSR:
+//!
+//! * **Layout.** Bucket `k` of `B` members owns `B` rows of `⌈B/64⌉`
+//!   words; bit `t` of row `a` is set iff members `a` and `t` are an
+//!   oracle edge. The rows follow the scans' flat pivot-row order, so a
+//!   cut's rows are one contiguous word range and the rayon build hands
+//!   each cut its own slice. A pivot's tail mask is OR-ed into its row at
+//!   bit `a + 1`; one mirror pass then fills the lower triangles by
+//!   64×64 block transposes. The all-pairs engine has one `m × m` matrix
+//!   over the identity layout, from which the bits of pairs that share no
+//!   colour are cleared at scan time (only possible when `2L ≤ P`), so
+//!   there a set bit is a `Gc` edge. A bucket keeps its raw oracle bits,
+//!   since the greedy reads bucket `c`'s full row.
+//! * **Rule.** One byte comparison, [`uses_hit_masks`]: the masks,
+//!   `8·Σ_k B_k·⌈B_k/64⌉` bytes, are kept iff the iteration packed and
+//!   the CSR path — `8·(m+1)` bytes of offsets plus `8` of adjacency and
+//!   `4` of group COO per edge — would take more. `|Ec|` is known only
+//!   after the scan, so the scan stages groups as the CSR path does and
+//!   tallies the edges (the rayon build in one shared atomic, added to
+//!   only for rows that produced edges); the moment the CSR path
+//!   outgrows the masks, the groups are dropped and every row is scanned
+//!   again into the masks. The repeated work is bounded by the rule's
+//!   edge limit, and the outcome depends on the lists and `|Ec|` only.
+//!   `|Ec|` and the scan counters are exact in either form.
+//! * **Same colourings.** Line 8 asks whether a vertex has any set bit in
+//!   its rows; Line 9 walks `v`'s row of bucket `c` (found by a binary
+//!   search in the ascending bucket) in ascending member order. A strike
+//!   can succeed only on a live `u` that holds `c`, so only on `u ∈ B_c`,
+//!   and `B_c` ascends: the successful strikes happen in the order of the
+//!   sorted CSR row, and failed strikes change no state. The identity
+//!   layout's row is the CSR row itself, walked only over the vertices
+//!   still able to take a strike. Colourings are bit-identical by
+//!   construction.
+//!
+//! Every other builder — [`build_sequential`], [`build_parallel`],
+//! [`build_sequential_allpairs`] and [`build_device`] — returns a CSR,
+//! as do host builds under a static scheme, which orders the CSR.
 //!
 //! # Candidate enumeration
 //!
@@ -93,14 +141,16 @@
 //! sum of in-bucket pair counts) — the quantity the `conflict_build`
 //! bench compares across engines.
 
-use crate::candidates::PairSource;
+use crate::assign::{BucketIndex, ColorLists};
+use crate::candidates::{for_each_hit, CandidateEngine, HitSink, PairSource};
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
+use crate::listcolor::ConflictRows;
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
 use graph::{csr_from_groups_in, CooGroups, CsrGraph, EdgeOracle};
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A constructed conflict graph plus build metadata.
 #[derive(Debug)]
@@ -129,46 +179,573 @@ pub struct ConflictBuild {
     pub csr_on_device: Option<bool>,
 }
 
-/// Runs the candidates of contiguous flat rows `rows` through the
-/// oracle, pushing hits as `(u, v)` pairs via `push`. With a packed
-/// replica the edge bits come as `u64` hit masks from the bucket-major
-/// lane kernel ([`PairSource::scan_rows_packed`] — no candidate-run
-/// staging, no per-row gather, zero words skipped whole), with word/bit
-/// counters accumulated into `stats`; otherwise the
-/// batched-with-scratch scalar path runs. `run`, `hits`, `masks` and
-/// `mapped` are caller-owned arenas (context scratch on
-/// single-threaded paths, pooled [`TaskArena`] buffers on parallel
-/// ones), so a warm scan allocates nothing either way.
-///
-/// [`TaskArena`]: crate::iteration::TaskArena
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn scan_rows_edges<O: EdgeOracle, S: PairSource + ?Sized>(
-    oracle: &O,
-    source: &S,
-    packed: Option<&PackedBuckets>,
-    rows: Range<usize>,
-    run: &mut Vec<usize>,
-    hits: &mut Vec<bool>,
-    masks: &mut Vec<u64>,
-    stats: &mut MaskScanStats,
-    mapped: &mut Vec<usize>,
-    mut push: impl FnMut(u32, u32),
-) {
-    if let Some(packed) = packed {
-        source.scan_rows_packed(rows, packed, masks, stats, &mut |u, v| push(u, v));
-        return;
+/// The conflict graph of a host build ([`build_host`]), in the form the
+/// graph-form rule chose.
+#[derive(Debug)]
+pub enum HostGraph {
+    /// An assembled CSR, as every other builder returns.
+    Csr(CsrGraph),
+    /// Hit-mask rows in the context's [`IterationScratch::hit_masks`]
+    /// arena, valid until the context's next build or lists change.
+    Masks,
+}
+
+/// A host build ([`build_host`]): the counters of a [`ConflictBuild`],
+/// with the graph in either form.
+#[derive(Debug)]
+pub struct HostBuild {
+    /// The conflict graph.
+    pub graph: HostGraph,
+    /// Number of conflict edges `|Ec|`, exact in either form.
+    pub num_edges: usize,
+    /// As [`ConflictBuild::candidate_pairs`].
+    pub candidate_pairs: u64,
+    /// As [`ConflictBuild::packed_lanes`].
+    pub packed_lanes: u64,
+    /// As [`ConflictBuild::scan_stats`]; the same counters in either
+    /// form.
+    pub scan_stats: MaskScanStats,
+    /// Bytes of the hit-mask form of this iteration,
+    /// `8·Σ_k B_k·⌈B_k/64⌉` ([`uses_hit_masks`]' comparison value):
+    /// recorded whenever the rule ran — a packed build allowed to keep
+    /// masks — and zero otherwise.
+    pub mask_bytes: u64,
+}
+
+impl HostBuild {
+    /// The [`ConflictBuild`] of a build that kept its CSR.
+    fn into_csr(self) -> ConflictBuild {
+        let HostGraph::Csr(graph) = self.graph else {
+            unreachable!("a forced-CSR build kept hit masks")
+        };
+        ConflictBuild {
+            graph,
+            num_edges: self.num_edges,
+            candidate_pairs: self.candidate_pairs,
+            packed_lanes: self.packed_lanes,
+            scan_stats: self.scan_stats,
+            csr_on_device: None,
+        }
     }
-    source.scan_rows_scratch(rows, run, &mut |u, vs| {
-        hits.clear();
-        hits.resize(vs.len(), false);
-        oracle.has_edge_block_scratch(u, vs, hits, mapped);
-        for (&v, &hit) in vs.iter().zip(hits.iter()) {
-            if hit {
-                push(u as u32, v as u32);
+}
+
+impl From<ConflictBuild> for HostBuild {
+    fn from(build: ConflictBuild) -> HostBuild {
+        HostBuild {
+            graph: HostGraph::Csr(build.graph),
+            num_edges: build.num_edges,
+            candidate_pairs: build.candidate_pairs,
+            packed_lanes: build.packed_lanes,
+            scan_stats: build.scan_stats,
+            mask_bytes: 0,
+        }
+    }
+}
+
+/// Bytes Line 7's CSR path holds for `edges` conflict edges over `m`
+/// vertices: `8·(m+1)` of offsets, plus `8` of adjacency and `4` of
+/// group COO per edge.
+fn csr_path_bytes(m: usize, edges: u64) -> u64 {
+    8 * (m as u64 + 1) + 12 * edges
+}
+
+/// The graph-form rule: a host build keeps the hit masks of
+/// `mask_bytes` instead of the CSR of `edges` edges over `m` vertices
+/// iff the CSR path would take more bytes: `8·(m+1)` of offsets, plus
+/// `8` of adjacency and `4` of group COO per edge.
+pub fn uses_hit_masks(m: usize, edges: u64, mask_bytes: u64) -> bool {
+    csr_path_bytes(m, edges) > mask_bytes
+}
+
+/// The most edges at which the CSR path still fits in `mask_bytes`
+/// (the rule picks masks past it); `None` when even an edgeless CSR is
+/// larger.
+fn csr_edge_limit(m: usize, mask_bytes: u64) -> Option<u64> {
+    mask_bytes
+        .checked_sub(csr_path_bytes(m, 0))
+        .map(|room| room / 12)
+}
+
+/// The hit-mask form's shape over an iteration's buckets: bucket `k` of
+/// `B` members owns `B` rows of `⌈B/64⌉` words, in member order; the
+/// all-pairs engine's identity layout is one bucket of all `m` vertices.
+#[derive(Clone, Copy)]
+struct MaskLayout<'a> {
+    index: Option<&'a BucketIndex>,
+    m: usize,
+}
+
+impl MaskLayout<'_> {
+    fn buckets(&self) -> usize {
+        self.index.map_or(1, BucketIndex::num_buckets)
+    }
+
+    /// Members of bucket `k`.
+    fn len(&self, k: usize) -> usize {
+        self.index.map_or(self.m, |index| index.bucket(k).len())
+    }
+
+    /// Words per row of bucket `k`.
+    fn row_words(&self, k: usize) -> usize {
+        self.len(k).div_ceil(64)
+    }
+
+    /// The first word of flat pivot row `r` (the end for `r` = the row
+    /// count) in rows laid out at bucket word `offsets`.
+    fn row_word(&self, offsets: &[usize], r: usize) -> usize {
+        match self.index {
+            Some(index) if r < index.num_rows() => {
+                let k = index.row_bucket(r);
+                offsets[k] + (r - index.bucket_start(k)) * self.row_words(k)
+            }
+            Some(_) => offsets[self.buckets()],
+            None => r * self.row_words(0),
+        }
+    }
+
+    /// Bytes of the whole form, `8·Σ_k B_k·⌈B_k/64⌉`.
+    fn bytes(&self) -> u64 {
+        let words: usize = (0..self.buckets())
+            .map(|k| self.len(k) * self.row_words(k))
+            .sum();
+        8 * words as u64
+    }
+}
+
+/// The conflict graph in **hit-mask form** (see the module docs, "Graph
+/// form"): one square bit matrix per palette bucket, bit `t` of row `a`
+/// set iff members `a` and `t` are an oracle edge, stored bucket after
+/// bucket in the flat pivot-row order of the scans. It is the arena of
+/// [`IterationScratch::hit_masks`]: cleared and grown, never shrunk.
+#[derive(Debug, Default)]
+pub struct HitMasks {
+    /// Word offset of each bucket's square, plus the end.
+    offsets: Vec<usize>,
+    /// The rows.
+    words: Vec<u64>,
+    /// Conflict edges `|Ec|` of the graph the rows hold.
+    edges: usize,
+}
+
+impl HitMasks {
+    /// Capacity of the row words — introspection hook for the
+    /// allocation-reuse tests.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity()
+    }
+
+    /// Lays the form out for `layout`, every bit clear.
+    fn lay_out(&mut self, layout: MaskLayout<'_>) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut at = 0;
+        for k in 0..layout.buckets() {
+            at += layout.len(k) * layout.row_words(k);
+            self.offsets.push(at);
+        }
+        self.words.clear();
+        self.words.resize(at, 0);
+    }
+}
+
+/// The hit-mask graph as Lines 8–9 read it.
+pub(crate) struct MaskGraph<'a> {
+    masks: &'a HitMasks,
+    layout: MaskLayout<'a>,
+    lists: &'a ColorLists,
+}
+
+impl<'a> MaskGraph<'a> {
+    /// The graph `masks` holds for `lists`, laid out over `index` (`None`:
+    /// the identity layout).
+    pub(crate) fn new(
+        masks: &'a HitMasks,
+        index: Option<&'a BucketIndex>,
+        lists: &'a ColorLists,
+    ) -> MaskGraph<'a> {
+        let layout = MaskLayout {
+            index,
+            m: lists.len(),
+        };
+        MaskGraph {
+            masks,
+            layout,
+            lists,
+        }
+    }
+
+    /// Vertex `v`'s row in bucket `k`, which holds `v` (found by a binary
+    /// search in the ascending bucket).
+    fn row(&self, k: usize, v: usize) -> &'a [u64] {
+        let pos = match self.layout.index {
+            Some(index) => index
+                .bucket(k)
+                .binary_search(&(v as u32))
+                .expect("a vertex sits in the bucket of each of its colors"),
+            None => v,
+        };
+        let w = self.layout.row_words(k);
+        &self.masks.words[self.masks.offsets[k] + pos * w..][..w]
+    }
+}
+
+impl ConflictRows for MaskGraph<'_> {
+    fn num_vertices(&self) -> usize {
+        self.layout.m
+    }
+
+    fn num_edges(&self) -> usize {
+        self.masks.edges
+    }
+
+    fn is_conflicted(&self, v: usize) -> bool {
+        let nonzero = |row: &[u64]| row.iter().any(|&word| word != 0);
+        match self.layout.index {
+            Some(_) => {
+                let base = self.lists.palette_base();
+                self.lists
+                    .row(v)
+                    .iter()
+                    .any(|&c| nonzero(self.row((c - base) as usize, v)))
+            }
+            None => nonzero(self.row(0, v)),
+        }
+    }
+
+    fn for_each_strike(&self, v: usize, c: u32, strikable: &[u64], mut strike: impl FnMut(u32)) {
+        match self.layout.index {
+            Some(index) => {
+                let k = (c - self.lists.palette_base()) as usize;
+                let bucket = index.bucket(k);
+                for_each_bit(self.row(k, v), None, |t| strike(bucket[t]));
+            }
+            None => for_each_bit(self.row(0, v), Some(strikable), |u| strike(u as u32)),
+        }
+    }
+
+    fn reads_strikable(&self) -> bool {
+        self.layout.index.is_none()
+    }
+}
+
+/// Hands every set bit of `row` — and of `filter`, if given — to `bit`,
+/// ascending.
+#[inline]
+fn for_each_bit(row: &[u64], filter: Option<&[u64]>, mut bit: impl FnMut(usize)) {
+    for (wi, &word) in row.iter().enumerate() {
+        let mut word = filter.map_or(word, |filter| word & filter[wi]);
+        while word != 0 {
+            bit(wi * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+/// [`for_each_hit`]'s counters for `mask`, with no walk: every hit is
+/// kept. Returns the hits.
+fn count_hits(mask: &[u64], stats: &mut MaskScanStats) -> u64 {
+    stats.scanned_words += mask.len() as u64;
+    let mut hits = 0;
+    for &word in mask {
+        if word == 0 {
+            stats.skipped_words += 1;
+        }
+        hits += u64::from(word.count_ones());
+    }
+    stats.hit_bits += hits;
+    hits
+}
+
+/// [`for_each_hit`] that clears from `mask` every bit `keep` rejects.
+/// Returns the bits kept.
+fn retain_hits(
+    mask: &mut [u64],
+    stats: &mut MaskScanStats,
+    mut keep: impl FnMut(usize) -> bool,
+) -> u64 {
+    stats.scanned_words += mask.len() as u64;
+    let mut kept = 0;
+    for (wi, word) in mask.iter_mut().enumerate() {
+        if *word == 0 {
+            stats.skipped_words += 1;
+            continue;
+        }
+        stats.hit_bits += u64::from(word.count_ones());
+        let mut bits = *word;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            if !keep(wi * 64 + b as usize) {
+                *word &= !(1u64 << b);
+            }
+            bits &= bits - 1;
+        }
+        kept += u64::from(word.count_ones());
+    }
+    kept
+}
+
+/// ORs `mask` into `row` starting at bit `shift`. Bits past the row's
+/// last member are clear in `mask`, so nothing spills past the row.
+fn or_shifted(row: &mut [u64], mask: &[u64], shift: usize) {
+    let (first, s) = (shift / 64, shift % 64);
+    for (j, &word) in mask.iter().enumerate() {
+        row[first + j] |= word << s;
+        if s != 0 {
+            if let Some(next) = row.get_mut(first + j + 1) {
+                *next |= word >> (64 - s);
             }
         }
-    });
+    }
+}
+
+/// Transposes a 64×64 bit block in place (bit `c` of `a[r]` is entry
+/// `(r, c)`) by swapping ever smaller off-diagonal sub-blocks.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// Fills the lower triangle of one bucket's square of `b` rows (the
+/// scans wrote only bits above the diagonal) by 64×64 block transposes.
+fn mirror_square(square: &mut [u64], b: usize) {
+    let w = b.div_ceil(64);
+    let mut block = [0u64; 64];
+    for bi in 0..w {
+        let rows = (b - 64 * bi).min(64);
+        for bj in bi..w {
+            let cols = (b - 64 * bj).min(64);
+            block.fill(0);
+            for (r, slot) in block[..rows].iter_mut().enumerate() {
+                *slot = square[(64 * bi + r) * w + bj];
+            }
+            transpose64(&mut block);
+            for (c, &col) in block[..cols].iter().enumerate() {
+                square[(64 * bj + c) * w + bi] |= col;
+            }
+        }
+    }
+}
+
+/// Mirrors every bucket's square of `masks`, fanned out over contiguous
+/// bucket ranges when `parallel`.
+fn mirror(masks: &mut HitMasks, layout: MaskLayout<'_>, parallel: bool) {
+    let HitMasks { offsets, words, .. } = masks;
+    let mirror_buckets = |squares: &mut [u64], buckets: Range<usize>| {
+        let base = offsets[buckets.start];
+        for k in buckets {
+            let square = &mut squares[offsets[k] - base..offsets[k + 1] - base];
+            mirror_square(square, layout.len(k));
+        }
+    };
+    let buckets = layout.buckets();
+    if !parallel || buckets == 1 {
+        mirror_buckets(words, 0..buckets);
+        return;
+    }
+    let weights: Vec<u64> = offsets.windows(2).map(|o| (o[1] - o[0]) as u64).collect();
+    let mut rest: &mut [u64] = words;
+    let mut tasks = Vec::new();
+    for range in device::balanced_weight_cuts(&weights, rayon::current_num_threads() * 4) {
+        let (head, tail) = rest.split_at_mut(offsets[range.end] - offsets[range.start]);
+        tasks.push((head, range));
+        rest = tail;
+    }
+    tasks
+        .into_par_iter()
+        .for_each(|(squares, range)| mirror_buckets(squares, range));
+}
+
+/// The CSR path's sink: pushes every emitted edge into one group arena.
+/// With a tally, the scan counts its edges and adds them to the build's
+/// shared count in batches of [`TALLY_BATCH`], and once more when it
+/// ends ([`GroupSink::flush`]); it stops once the count passes the
+/// limit.
+struct GroupSink<'a> {
+    groups: &'a mut CooGroups,
+    tally: Option<&'a EdgeTally>,
+    /// Edges not yet added to the tally.
+    pending: u64,
+}
+
+/// The shared edge count of a host build's group pass, and the count
+/// past which the graph-form rule picks the masks.
+struct EdgeTally {
+    count: AtomicU64,
+    limit: u64,
+}
+
+/// Edges a scan counts before adding them to the shared tally: a
+/// sparse graph's cuts add once each at their ends, and a dense one's
+/// stage at most this many edges per cut past the rule's limit.
+const TALLY_BATCH: u64 = 4096;
+
+impl GroupSink<'_> {
+    /// Adds the pending edges to the tally; whether the count is still
+    /// within its limit.
+    fn flush(&mut self) -> bool {
+        let pending = std::mem::take(&mut self.pending);
+        match self.tally {
+            Some(tally) if pending > 0 => {
+                tally.count.fetch_add(pending, Ordering::Relaxed) + pending <= tally.limit
+            }
+            _ => true,
+        }
+    }
+}
+
+impl HitSink for GroupSink<'_> {
+    fn pivot(
+        &mut self,
+        _k: usize,
+        _pos: usize,
+        u: usize,
+        mask: &mut [u64],
+        stats: &mut MaskScanStats,
+        member: impl Fn(usize) -> usize,
+        emit: Option<impl Fn(usize) -> bool>,
+    ) -> bool {
+        let mut edges = 0;
+        for_each_hit(mask, stats, |t| {
+            let v = member(t);
+            if emit.as_ref().is_none_or(|emit| emit(v)) {
+                self.groups.push(u as u32, v as u32);
+                edges += 1;
+            }
+        });
+        self.pending += edges;
+        self.pending < TALLY_BATCH || self.flush()
+    }
+}
+
+/// The hit-mask sink of one cut: ORs every pivot's tail mask into the
+/// pivot's row at bit `pos + 1`, and counts the conflict edges. A bucket
+/// keeps its raw oracle bits, because the greedy reads bucket `c`'s full
+/// row; the identity layout keeps only the bits of conflict edges.
+struct MaskSink<'a> {
+    /// The cut's rows, from global word `first`.
+    rows: &'a mut [u64],
+    first: usize,
+    offsets: &'a [usize],
+    layout: MaskLayout<'a>,
+    edges: u64,
+}
+
+impl HitSink for MaskSink<'_> {
+    fn pivot(
+        &mut self,
+        k: usize,
+        pos: usize,
+        _u: usize,
+        mask: &mut [u64],
+        stats: &mut MaskScanStats,
+        member: impl Fn(usize) -> usize,
+        emit: Option<impl Fn(usize) -> bool>,
+    ) -> bool {
+        self.edges += match emit {
+            None => count_hits(mask, stats),
+            Some(emit) if self.layout.index.is_some() => {
+                let mut edges = 0;
+                for_each_hit(mask, stats, |t| edges += u64::from(emit(member(t))));
+                edges
+            }
+            Some(emit) => retain_hits(mask, stats, |t| emit(member(t))),
+        };
+        let w = self.layout.row_words(k);
+        let at = self.offsets[k] + pos * w - self.first;
+        or_shifted(&mut self.rows[at..at + w], mask, pos + 1);
+        true
+    }
+}
+
+/// A scan's staging buffers: candidate runs, oracle hits, tail masks and
+/// live-view remapping — the context's own on the sequential builds,
+/// a pooled [`TaskArena`]'s on the parallel ones.
+struct ScanBufs<'a> {
+    run: &'a mut Vec<usize>,
+    hits: &'a mut Vec<bool>,
+    masks: &'a mut Vec<u64>,
+    mapped: &'a mut Vec<usize>,
+}
+
+impl<'a> ScanBufs<'a> {
+    fn of(arena: &'a mut TaskArena) -> ScanBufs<'a> {
+        let TaskArena {
+            run,
+            hits,
+            masks,
+            mapped,
+        } = arena;
+        ScanBufs {
+            run,
+            hits,
+            masks,
+            mapped,
+        }
+    }
+}
+
+/// Scans the flat rows `rows` into the group arena `groups` (cleared
+/// first, finished after). With a packed replica the edge bits come as
+/// `u64` hit masks from the bucket-major lane kernel
+/// ([`CandidateEngine::scan_rows_into`] — no candidate-run staging, no
+/// per-row gather, zero words skipped whole), with word/bit counters
+/// accumulated into `stats`; otherwise the batched-with-scratch scalar
+/// path runs. A warm scan allocates nothing either way. Returns `false`
+/// when the tally passed its limit, which may stop the scan early.
+#[allow(clippy::too_many_arguments)]
+fn scan_groups<O: EdgeOracle>(
+    oracle: &O,
+    engine: &CandidateEngine<'_>,
+    packed: Option<&PackedBuckets>,
+    rows: Range<usize>,
+    bufs: ScanBufs<'_>,
+    groups: &mut CooGroups,
+    stats: &mut MaskScanStats,
+    tally: Option<&EdgeTally>,
+) -> bool {
+    groups.clear();
+    let ScanBufs {
+        run,
+        hits,
+        masks,
+        mapped,
+    } = bufs;
+    let done = match packed {
+        Some(packed) => {
+            let mut sink = GroupSink {
+                groups: &mut *groups,
+                tally,
+                pending: 0,
+            };
+            engine.scan_rows_into(rows, packed, masks, stats, &mut sink) && sink.flush()
+        }
+        None => {
+            engine.scan_rows_scratch(rows, run, &mut |u, vs| {
+                hits.clear();
+                hits.resize(vs.len(), false);
+                oracle.has_edge_block_scratch(u, vs, hits, mapped);
+                for (&v, &hit) in vs.iter().zip(hits.iter()) {
+                    if hit {
+                        groups.push(u as u32, v as u32);
+                    }
+                }
+            });
+            true
+        }
+    };
+    groups.finish();
+    done
 }
 
 /// Shared atomic accumulator for the per-block [`MaskScanStats`] of the
@@ -227,56 +804,288 @@ fn block_cuts(weights: &[u64], rows: Range<usize>) -> Vec<Range<usize>> {
 /// its mask-scan counters to `stats`. No arena is shared, so there is
 /// nothing to lock or merge: read in order, the arenas hold the groups
 /// the sequential scan of the same rows emits (a pivot row never spans
-/// two cuts).
+/// two cuts). Returns `false` when the tally passed its limit.
 #[allow(clippy::too_many_arguments)]
-fn scan_cuts<O: EdgeOracle, S: PairSource + ?Sized>(
+fn scan_cuts<O: EdgeOracle>(
     oracle: &O,
-    source: &S,
+    engine: &CandidateEngine<'_>,
     packed: Option<&PackedBuckets>,
     pool: &ScratchPool,
     cuts: &[Range<usize>],
     blocks: &mut Vec<CooGroups>,
     first: usize,
     stats: &SharedScanStats,
-) {
+    tally: Option<&EdgeTally>,
+) -> bool {
     let end = first + cuts.len();
     if blocks.len() < end {
         blocks.resize_with(end, CooGroups::default);
     }
+    let stopped = AtomicBool::new(false);
     blocks[first..end]
         .par_iter_mut()
         .enumerate()
         .for_each(|(k, groups)| {
             let mut arena = pool.take();
-            let TaskArena {
-                run,
-                hits,
-                masks,
-                mapped,
-            } = &mut arena;
-            groups.clear();
             let mut block_stats = MaskScanStats::default();
-            scan_rows_edges(
+            let bufs = ScanBufs::of(&mut arena);
+            let rows = cuts[k].clone();
+            if !scan_groups(
                 oracle,
-                source,
+                engine,
                 packed,
-                cuts[k].clone(),
-                run,
-                hits,
-                masks,
+                rows,
+                bufs,
+                groups,
                 &mut block_stats,
-                mapped,
-                |u, v| groups.push(u, v),
-            );
-            groups.finish();
+                tally,
+            ) {
+                stopped.store(true, Ordering::Relaxed);
+            }
             stats.add(block_stats);
             pool.put(arena);
         });
+    !stopped.into_inner()
+}
+
+/// Scans every cut into its rows of `masks` (laid out for `layout`, every
+/// bit clear): inline with the `staging` mask buffer when not
+/// `parallel`, else one rayon task per cut, each with its own `&mut`
+/// slice of the rows and pooled buffers. Returns the conflict edges.
+#[allow(clippy::too_many_arguments)]
+fn fill_masks(
+    engine: &CandidateEngine<'_>,
+    packed: &PackedBuckets,
+    layout: MaskLayout<'_>,
+    masks: &mut HitMasks,
+    cuts: &[Range<usize>],
+    staging: &mut Vec<u64>,
+    pool: &ScratchPool,
+    parallel: bool,
+    stats: &SharedScanStats,
+) -> u64 {
+    let HitMasks { offsets, words, .. } = masks;
+    let scan = |rows: &mut [u64], first: usize, cut: Range<usize>, staging: &mut Vec<u64>| {
+        let mut sink = MaskSink {
+            rows,
+            first,
+            offsets,
+            layout,
+            edges: 0,
+        };
+        let mut cut_stats = MaskScanStats::default();
+        engine.scan_rows_into(cut, packed, staging, &mut cut_stats, &mut sink);
+        stats.add(cut_stats);
+        sink.edges
+    };
+    if !parallel {
+        return cuts
+            .iter()
+            .map(|cut| scan(words, 0, cut.clone(), staging))
+            .sum();
+    }
+    let mut rest: &mut [u64] = words;
+    let mut at = 0;
+    let mut tasks = Vec::with_capacity(cuts.len());
+    for cut in cuts {
+        let (start, end) = (
+            layout.row_word(offsets, cut.start),
+            layout.row_word(offsets, cut.end),
+        );
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - at);
+        let (rows, tail) = tail.split_at_mut(end - start);
+        tasks.push((rows, start, cut.clone()));
+        rest = tail;
+        at = end;
+    }
+    let edges = AtomicU64::new(0);
+    tasks.into_par_iter().for_each(|(rows, first, cut)| {
+        let mut arena = pool.take();
+        edges.fetch_add(scan(rows, first, cut, &mut arena.masks), Ordering::Relaxed);
+        pool.put(arena);
+    });
+    edges.into_inner()
 }
 
 /// Edges in the closed groups of `blocks`.
 fn blocks_edges(blocks: &[CooGroups]) -> usize {
     blocks.iter().map(CooGroups::num_edges).sum()
+}
+
+/// How a host build picks its graph form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GraphRule {
+    /// Always the CSR: the forced-CSR entry points.
+    Csr,
+    /// The hit masks whenever the iteration packed, scanned into
+    /// directly (the form-equivalence tests' reference).
+    #[cfg_attr(not(test), allow(dead_code))]
+    Masks,
+    /// The byte-counted rule, [`uses_hit_masks`].
+    Bytes,
+}
+
+/// Line 7 on the host, sequential or over rayon cuts, with the graph in
+/// the form `rule` picks. Only a packed iteration can keep masks.
+///
+/// Under [`GraphRule::Bytes`] the scan stages groups as the CSR path
+/// does and tallies the edges; the moment the tally makes the CSR path
+/// larger than the masks, the scan stops, the groups are dropped and
+/// every row is scanned again into the masks. The repeated work is
+/// bounded by the rule's edge limit (plus one [`TALLY_BATCH`] per cut),
+/// and the outcome depends only on the lists and `|Ec|`: every edge
+/// reaches the tally, every check sees a count at most the final one,
+/// and the last check sees it exactly, under any scheduling.
+pub(crate) fn build_host_with<O: EdgeOracle>(
+    oracle: &O,
+    ctx: &mut IterationContext,
+    parallel: bool,
+    rule: GraphRule,
+) -> HostBuild {
+    let (engine, packed, scratch) = if parallel {
+        ctx.engine_packed_scratch_par(oracle)
+    } else {
+        ctx.engine_packed_scratch(oracle)
+    };
+    let m = engine.num_vertices();
+    debug_assert_eq!(m, oracle.num_vertices());
+    let IterationScratch {
+        blocks,
+        hits,
+        masks,
+        mapped,
+        run,
+        pool,
+        csr,
+        hit_masks,
+        ..
+    } = scratch;
+    let layout = MaskLayout {
+        index: engine.index(),
+        m,
+    };
+    let whole = 0..engine.num_rows();
+    let block_list;
+    let cuts: &[Range<usize>] = if parallel {
+        block_list = block_cuts(&engine.row_weights(), whole.clone());
+        &block_list
+    } else {
+        std::slice::from_ref(&whole)
+    };
+    let candidate_pairs = engine.candidate_pairs();
+    let packed_lanes = if packed.is_some() { candidate_pairs } else { 0 };
+    let mask_bytes = match (packed, rule) {
+        (Some(_), GraphRule::Masks | GraphRule::Bytes) => layout.bytes(),
+        _ => 0,
+    };
+    // `None`: straight into the masks. `Some(tally)`: groups first, with
+    // a tally when the rule may still pick the masks.
+    let group_pass = match (packed, rule) {
+        (Some(_), GraphRule::Masks) => None,
+        (Some(_), GraphRule::Bytes) => csr_edge_limit(m, mask_bytes).map(|limit| {
+            Some(EdgeTally {
+                count: AtomicU64::new(0),
+                limit,
+            })
+        }),
+        _ => Some(None),
+    };
+    let scan_span = telemetry::SpanGuard::begin(
+        if packed.is_some() {
+            "packed_scan"
+        } else {
+            "scalar_scan"
+        },
+        "",
+        0,
+    );
+    reset_blocks(blocks, 1);
+    let stats = SharedScanStats::default();
+    let csr_complete = group_pass.is_some_and(|tally| {
+        let tally = tally.as_ref();
+        if parallel {
+            scan_cuts(
+                oracle, &engine, packed, pool, cuts, blocks, 0, &stats, tally,
+            )
+        } else {
+            let bufs = ScanBufs {
+                run,
+                hits,
+                masks: &mut *masks,
+                mapped,
+            };
+            let mut scan_stats = MaskScanStats::default();
+            let rows = whole.clone();
+            let done = scan_groups(
+                oracle,
+                &engine,
+                packed,
+                rows,
+                bufs,
+                &mut blocks[0],
+                &mut scan_stats,
+                tally,
+            );
+            stats.add(scan_stats);
+            done
+        }
+    });
+    if csr_complete {
+        drop(scan_span);
+        let num_edges = blocks_edges(blocks);
+        let _csr_span = telemetry::span!("csr_assembly");
+        return HostBuild {
+            graph: HostGraph::Csr(csr_from_groups_in(m, blocks, csr)),
+            num_edges,
+            candidate_pairs,
+            packed_lanes,
+            scan_stats: stats.into_stats(),
+            mask_bytes,
+        };
+    }
+    // The masks: drop the groups and scan every row again.
+    let packed = packed.expect("only a packed iteration keeps hit masks");
+    reset_blocks(blocks, 0);
+    hit_masks.lay_out(layout);
+    let stats = SharedScanStats::default();
+    let edges = fill_masks(
+        &engine, packed, layout, hit_masks, cuts, masks, pool, parallel, &stats,
+    );
+    drop(scan_span);
+    {
+        let _mirror_span = telemetry::span!("mask_mirror");
+        mirror(hit_masks, layout, parallel);
+    }
+    hit_masks.edges = edges as usize;
+    HostBuild {
+        graph: HostGraph::Masks,
+        num_edges: edges as usize,
+        candidate_pairs,
+        packed_lanes,
+        scan_stats: stats.into_stats(),
+        mask_bytes,
+    }
+}
+
+/// The solver's host Line 7 (backends `Sequential`, `parallel = false`,
+/// and `Parallel`): builds like [`build_sequential`] or
+/// [`build_parallel`], but when `masks_allowed` (the dynamic greedy
+/// colors the graph) a packed iteration keeps the hit-mask form instead
+/// of assembling a CSR whenever the CSR path would take more bytes
+/// ([`uses_hit_masks`]). Colorings are the same in either form (module
+/// docs, "Graph form").
+pub fn build_host<O: EdgeOracle>(
+    oracle: &O,
+    ctx: &mut IterationContext,
+    parallel: bool,
+    masks_allowed: bool,
+) -> HostBuild {
+    let rule = if masks_allowed {
+        GraphRule::Bytes
+    } else {
+        GraphRule::Csr
+    };
+    build_host_with(oracle, ctx, parallel, rule)
 }
 
 /// Sequential bucketed build: one pass over the flat pivot-row space —
@@ -287,55 +1096,7 @@ fn blocks_edges(blocks: &[CooGroups]) -> usize {
 /// [`IterationContext::recycle_csr`]), a steady-state build performs
 /// **zero** heap allocations, output CSR included.
 pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
-    let (engine, packed, scratch) = ctx.engine_packed_scratch(oracle);
-    let m = engine.num_vertices();
-    debug_assert_eq!(m, oracle.num_vertices());
-    let IterationScratch {
-        blocks,
-        hits,
-        masks,
-        mapped,
-        run,
-        csr,
-        ..
-    } = scratch;
-    reset_blocks(blocks, 1);
-    let groups = &mut blocks[0];
-    let mut stats = MaskScanStats::default();
-    let scan_span = telemetry::SpanGuard::begin(
-        if packed.is_some() {
-            "packed_scan"
-        } else {
-            "scalar_scan"
-        },
-        "",
-        0,
-    );
-    scan_rows_edges(
-        oracle,
-        &engine,
-        packed,
-        0..engine.num_rows(),
-        run,
-        hits,
-        masks,
-        &mut stats,
-        mapped,
-        |u, v| groups.push(u, v),
-    );
-    groups.finish();
-    drop(scan_span);
-    let num_edges = groups.num_edges();
-    let candidate_pairs = engine.candidate_pairs();
-    let _csr_span = telemetry::span!("csr_assembly");
-    ConflictBuild {
-        graph: csr_from_groups_in(m, blocks, csr),
-        num_edges,
-        candidate_pairs,
-        packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
-        scan_stats: stats,
-        csr_on_device: None,
-    }
+    build_host_with(oracle, ctx, false, GraphRule::Csr).into_csr()
 }
 
 /// The legacy all-pairs reference implementation
@@ -390,38 +1151,7 @@ pub fn build_sequential_allpairs<O: EdgeOracle>(
 /// sequential build under any scheduling. [`IterationScratch::edges`] is
 /// left untouched.
 pub fn build_parallel<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
-    let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
-    let m = engine.num_vertices();
-    debug_assert_eq!(m, oracle.num_vertices());
-    let IterationScratch {
-        blocks, pool, csr, ..
-    } = scratch;
-    reset_blocks(blocks, 0);
-    let row_weights = engine.row_weights();
-    let cuts = block_cuts(&row_weights, 0..row_weights.len());
-    let stats = SharedScanStats::default();
-    let scan_span = telemetry::SpanGuard::begin(
-        if packed.is_some() {
-            "packed_scan"
-        } else {
-            "scalar_scan"
-        },
-        "",
-        0,
-    );
-    scan_cuts(oracle, &engine, packed, pool, &cuts, blocks, 0, &stats);
-    drop(scan_span);
-    let num_edges = blocks_edges(blocks);
-    let candidate_pairs = engine.candidate_pairs();
-    let _csr_span = telemetry::span!("csr_assembly");
-    ConflictBuild {
-        graph: csr_from_groups_in(m, blocks, csr),
-        num_edges,
-        candidate_pairs,
-        packed_lanes: if packed.is_some() { candidate_pairs } else { 0 },
-        scan_stats: stats.into_stats(),
-        csr_on_device: None,
-    }
+    build_host_with(oracle, ctx, true, GraphRule::Csr).into_csr()
 }
 
 /// Per-vertex byte footprint of the inputs Algorithm 3 copies to the GPU:
@@ -593,7 +1323,9 @@ pub fn build_device<O: EdgeOracle>(
         // device's.
         dev.launch()?;
         let cuts = block_cuts(&row_weights, span);
-        scan_cuts(oracle, &engine, packed, pool, &cuts, blocks, filled, &stats);
+        scan_cuts(
+            oracle, &engine, packed, pool, &cuts, blocks, filled, &stats, None,
+        );
         let span_blocks = &blocks[filled..filled + cuts.len()];
         filled += cuts.len();
         let bytes = 2 * blocks_edges(span_blocks) * word;
@@ -1178,5 +1910,179 @@ mod tests {
             }
         }
         assert_eq!(b.num_edges, expected);
+    }
+
+    #[test]
+    fn transpose64_matches_a_naive_transpose() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut block = [0u64; 64];
+        block.iter_mut().for_each(|w| *w = rng.next_u64());
+        let original = block;
+        transpose64(&mut block);
+        for (r, row) in original.iter().enumerate() {
+            for (c, col) in block.iter().enumerate() {
+                assert_eq!(col >> r & 1, row >> c & 1, "({r}, {c})");
+            }
+        }
+    }
+
+    /// The hit-mask rows of the context's last host build.
+    fn mask_words(ctx: &mut IterationContext) -> Vec<u64> {
+        ctx.lists_and_scratch().1.hit_masks.words.clone()
+    }
+
+    /// Builds one packed iteration of `lists` in both graph forms and
+    /// checks that they are the same graph: every mask walk of `v` and a
+    /// color `c` of its list is `v`'s CSR row (restricted to bucket `c`
+    /// on the bucketed engine) in ascending order, the degree-0 split,
+    /// `|Ec|` and the scan counters agree, the greedy colors both alike,
+    /// and the rayon fill plus mirror and the drop-and-rescan path write
+    /// the masks of the sequential direct mask scan.
+    fn check_graph_forms<O: EdgeOracle>(oracle: &O, lists: &ColorLists, what: &str) {
+        use crate::listcolor::{greedy_list_color_in, ConflictRows};
+        use crate::packed::PackingMode;
+        use crate::{ColorScratch, ListColorOutcome};
+        let mut ctx = ctx_for(lists);
+        ctx.set_packing(PackingMode::Always);
+        let csr = build_sequential(oracle, &mut ctx);
+        assert_eq!(csr.packed_lanes, csr.candidate_pairs, "{what}: packed");
+        let direct = build_host_with(oracle, &mut ctx, false, GraphRule::Masks);
+        assert!(matches!(direct.graph, HostGraph::Masks), "{what}");
+        assert_eq!(direct.num_edges, csr.num_edges, "{what}: |Ec|");
+        assert_eq!(direct.scan_stats, csr.scan_stats, "{what}: scan counters");
+        let words = mask_words(&mut ctx);
+        let bucketed = ctx.prefers_buckets();
+        {
+            let (gc, lists, _) = ctx.hit_mask_graph();
+            assert_eq!(gc.num_edges(), csr.num_edges, "{what}");
+            let all = vec![!0u64; lists.len().div_ceil(64)];
+            for v in 0..lists.len() {
+                let row = csr.graph.neighbors(v);
+                assert_eq!(gc.is_conflicted(v), !row.is_empty(), "{what}: v={v}");
+                for &c in lists.row(v) {
+                    let mut walk = Vec::new();
+                    gc.for_each_strike(v, c, &all, |u| walk.push(u));
+                    let want: Vec<u32> = row
+                        .iter()
+                        .copied()
+                        .filter(|&u| !bucketed || lists.row(u as usize).contains(&c))
+                        .collect();
+                    assert_eq!(walk, want, "{what}: v={v} c={c}");
+                }
+            }
+            let active: Vec<u32> = (0..lists.len() as u32)
+                .filter(|&v| gc.is_conflicted(v as usize))
+                .collect();
+            let (mut scratch, mut from_csr, mut from_masks) = (
+                ColorScratch::default(),
+                ListColorOutcome::default(),
+                ListColorOutcome::default(),
+            );
+            for seed in 0..3 {
+                greedy_list_color_in(
+                    &csr.graph,
+                    lists,
+                    &active,
+                    seed,
+                    &mut scratch,
+                    &mut from_csr,
+                );
+                greedy_list_color_in(&gc, lists, &active, seed, &mut scratch, &mut from_masks);
+                assert_eq!(
+                    from_csr.assigned, from_masks.assigned,
+                    "{what}: seed {seed}"
+                );
+                assert_eq!(
+                    from_csr.uncolored, from_masks.uncolored,
+                    "{what}: seed {seed}"
+                );
+            }
+        }
+        let m = lists.len();
+        for (parallel, rule) in [
+            (true, GraphRule::Masks),
+            (false, GraphRule::Bytes),
+            (true, GraphRule::Bytes),
+        ] {
+            let how = format!("{what}: parallel={parallel} {rule:?}");
+            let built = build_host_with(oracle, &mut ctx, parallel, rule);
+            assert_eq!(built.num_edges, csr.num_edges, "{how}");
+            assert_eq!(built.scan_stats, csr.scan_stats, "{how}");
+            assert_eq!(built.mask_bytes, direct.mask_bytes, "{how}");
+            let masks = uses_hit_masks(m, csr.num_edges as u64, direct.mask_bytes);
+            match built.graph {
+                HostGraph::Masks => {
+                    assert!(masks || rule == GraphRule::Masks, "{how}");
+                    assert_eq!(mask_words(&mut ctx), words, "{how}: mask rows");
+                }
+                HostGraph::Csr(graph) => {
+                    assert!(!masks && rule == GraphRule::Bytes, "{how}");
+                    assert_eq!(graph, csr.graph, "{how}");
+                }
+            }
+        }
+    }
+
+    /// A packable oracle over `m` random 12-qubit strings.
+    fn pauli_set(m: usize, seed: u64) -> pauli::EncodedSet {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        pauli::EncodedSet::from_strings(&pauli::string::random_unique_set(m, 12, &mut rng))
+    }
+
+    #[test]
+    fn hit_mask_and_csr_forms_are_one_graph() {
+        use crate::candidates::CandidateEngine;
+        use crate::oracle::PauliComplementOracle;
+        // (what, m, P, L, bucketed): the all-pairs engine on both sides
+        // of `2L ≤ P`, the bucketed engine on Normal lists, and buckets
+        // (or identity rows) straddling 64 and 128 members.
+        for (what, m, palette, list, bucketed) in [
+            ("all-pairs 2L > P", 150, 8u32, 6u32, false),
+            ("all-pairs 2L <= P", 150, 64, 10, false),
+            ("bucketed", 160, 24, 4, true),
+            ("buckets near 64", 640, 60, 6, true),
+            ("buckets near 128", 1280, 60, 6, true),
+        ] {
+            let set = pauli_set(m, m as u64);
+            let oracle = PauliComplementOracle::new(&set);
+            let lists = ColorLists::assign(m, 3, palette, list, 7, 1);
+            assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{what}");
+            check_graph_forms(&oracle, &lists, what);
+        }
+    }
+
+    #[test]
+    fn hit_mask_and_csr_forms_agree_on_sampled_instances() {
+        use crate::oracle::PauliComplementOracle;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = rng.random_range(2..300usize);
+            let palette = rng.random_range(1..80u32);
+            let list = rng.random_range(1..=palette);
+            let set = pauli_set(m, seed);
+            let oracle = PauliComplementOracle::new(&set);
+            let lists = ColorLists::assign(m, seed as u32, palette, list, seed, 2);
+            check_graph_forms(
+                &oracle,
+                &lists,
+                &format!("seed {seed}: m={m} P={palette} L={list}"),
+            );
+        }
+    }
+
+    #[test]
+    fn the_graph_form_rule_counts_bytes() {
+        // Masks win past `(mask_bytes - 8(m+1)) / 12` edges, and from
+        // the first edge when an edgeless CSR already outweighs them.
+        assert!(!uses_hit_masks(100, 0, 808));
+        assert_eq!(csr_edge_limit(100, 808), Some(0));
+        assert!(uses_hit_masks(100, 1, 808));
+        assert_eq!(csr_edge_limit(100, 2000), Some((2000 - 808) / 12));
+        assert!(!uses_hit_masks(100, 99, 2000) && uses_hit_masks(100, 100, 2000));
+        assert_eq!(csr_edge_limit(100, 800), None);
+        assert!(uses_hit_masks(100, 0, 800));
     }
 }

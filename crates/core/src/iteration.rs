@@ -3,7 +3,8 @@
 //! Algorithm 1 re-derives the same palette structures every round: the
 //! color lists, the inverted bucket index feeding the candidate engine,
 //! and a family of scratch buffers (per-block COO edge-group arenas,
-//! oracle hit vectors, live-view index remapping). Before this module each conflict
+//! the hit-mask rows of the conflict graph, oracle hit vectors, live-view
+//! index remapping). Before this module each conflict
 //! backend rebuilt its own `BucketIndex` and every build re-allocated
 //! its buffers; the [`IterationContext`] centralizes all of it:
 //!
@@ -30,6 +31,7 @@
 use crate::assign::{BucketIndex, BucketLoad, ColorLists};
 use crate::candidates::CandidateEngine;
 use crate::config::ListColoringScheme;
+use crate::conflict::{HitMasks, MaskGraph};
 use crate::listcolor::{ColorScratch, SchemeKind};
 use crate::packed::{PackedBuckets, PackingMode};
 use device::FaultPlan;
@@ -140,6 +142,13 @@ pub struct IterationScratch {
     /// rayon build and of every device draw their scan buffers from here
     /// instead of allocating per task).
     pub pool: ScratchPool,
+    /// The conflict graph in hit-mask form ([`crate::conflict::HitMasks`]):
+    /// one square bit matrix per palette bucket, written by a host build
+    /// ([`crate::conflict::build_host`]) that keeps the masks instead of
+    /// a CSR, and read by Lines 8–9 of the same iteration. Grown, never
+    /// shrunk, and untouched (so never grown) by iterations that keep
+    /// the CSR.
+    pub hit_masks: HitMasks,
     /// CSR assembly arena: the offset/adjacency/cursor arrays every
     /// builder assembles its output graph into. The solver hands retired
     /// graphs back via [`IterationContext::recycle_csr`], closing the
@@ -366,6 +375,16 @@ impl IterationContext {
     /// [`IterationContext::lists_and_scratch`]).
     pub fn lists_and_color_scratch(&mut self) -> (&ColorLists, &mut ColorScratch) {
         (&self.lists, &mut self.scratch.color)
+    }
+
+    /// The hit-mask conflict graph the last host build of this iteration
+    /// kept, plus the lists and the coloring scratch — the borrow of
+    /// Lines 8–9 when [`crate::conflict::build_host`] returned
+    /// [`crate::conflict::HostGraph::Masks`].
+    pub(crate) fn hit_mask_graph(&mut self) -> (MaskGraph<'_>, &ColorLists, &mut ColorScratch) {
+        let index = self.bucketed.then_some(&self.index);
+        let graph = MaskGraph::new(&self.scratch.hit_masks, index, &self.lists);
+        (graph, &self.lists, &mut self.scratch.color)
     }
 
     /// Overrides the packing policy. Takes effect from the next

@@ -19,6 +19,13 @@
 //! persistent [`ColorScratch`], keeping the warm sequential path at
 //! exactly zero heap allocations (pinned by `tests/memory.rs`).
 //!
+//! The greedy reads the conflict graph through one crate-private
+//! interface, so it colours Line 7's output in either form: a
+//! [`CsrGraph`], or the hit-mask rows the solver's host builds keep
+//! when they take fewer bytes (`crate::conflict`, "Graph form"). A
+//! strike walks only the neighbours that could take it, so both forms
+//! give the same colouring too.
+//!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
 //! favoured the dynamic scheme.
@@ -51,7 +58,8 @@ impl ListColorOutcome {
 /// greedy's live lists take one of two forms ([`uses_palette_bitset`]):
 /// sorted rows at stride `L` in `live`, or `⌈P/64⌉`-word palette bitsets
 /// in `bits`. Each is cleared and resized when its form runs and never
-/// shrunk, as are the size buckets; the static scheme's forbidden set is
+/// shrunk, as are the size buckets and the `strikable` vertex bitset
+/// that narrows the hit-mask strike walk; the static scheme's forbidden set is
 /// a generation-stamped palette row instead of a hash set.
 #[derive(Clone, Debug, Default)]
 pub struct ColorScratch {
@@ -59,6 +67,9 @@ pub struct ColorScratch {
     live: Vec<u32>,
     /// Bitset form: vertex `v`'s palette row is `bits[v*W .. (v+1)*W]`.
     bits: Vec<u64>,
+    /// Bit `v` set while `v` may still take a strike: active, not yet
+    /// colored, list not dry.
+    strikable: Vec<u64>,
     buckets: SizeBuckets,
     /// Static scheme: committed color per vertex.
     colors: Vec<u32>,
@@ -214,6 +225,51 @@ impl LiveLists for PaletteBits<'_> {
     }
 }
 
+/// What Lines 8–9 ask of a conflict graph, in either form of Line 7's
+/// output: a [`CsrGraph`], or the hit-mask rows a host build keeps
+/// (`conflict::MaskGraph`).
+pub(crate) trait ConflictRows {
+    /// Vertices of the graph: the live set's local ids.
+    fn num_vertices(&self) -> usize;
+    /// Conflict edges `|Ec|`.
+    fn num_edges(&self) -> usize;
+    /// Whether `v` has a conflict neighbour; Line 8 colors every vertex
+    /// that has none straight away.
+    fn is_conflicted(&self, v: usize) -> bool;
+    /// Calls `strike(u)`, in ascending `u`, for the neighbours `u` of `v`
+    /// that may take a strike of color `c`: all of them (a CSR row),
+    /// those set in the bitset `strikable` (the hit-mask row of the
+    /// all-pairs identity layout), or those whose lists held `c` (`v`'s
+    /// row in bucket `c`). A strike can succeed only on a strikable
+    /// neighbour whose list held `c`, and a failed strike changes
+    /// nothing, so every walk strikes the same vertices in the same
+    /// order.
+    fn for_each_strike(&self, v: usize, c: u32, strikable: &[u64], strike: impl FnMut(u32));
+    /// Whether [`ConflictRows::for_each_strike`] reads `strikable`; the
+    /// greedy keeps the bitset only then.
+    fn reads_strikable(&self) -> bool {
+        false
+    }
+}
+
+impl ConflictRows for CsrGraph {
+    fn num_vertices(&self) -> usize {
+        CsrGraph::num_vertices(self)
+    }
+
+    fn num_edges(&self) -> usize {
+        CsrGraph::num_edges(self)
+    }
+
+    fn is_conflicted(&self, v: usize) -> bool {
+        self.degree(v) > 0
+    }
+
+    fn for_each_strike(&self, v: usize, _c: u32, _strikable: &[u64], strike: impl FnMut(u32)) {
+        self.neighbors(v).iter().copied().for_each(strike);
+    }
+}
+
 /// Algorithm 2: dynamic bucket greedy list-coloring.
 ///
 /// `active` lists the local vertex ids to color (the conflicted vertices
@@ -231,14 +287,26 @@ pub fn greedy_list_color_into(
     scratch: &mut ColorScratch,
     out: &mut ListColorOutcome,
 ) {
+    greedy_list_color_in(gc, lists, active, seed, scratch, out);
+}
+
+/// [`greedy_list_color_into`] over either form of the conflict graph.
+pub(crate) fn greedy_list_color_in<G: ConflictRows>(
+    gc: &G,
+    lists: &ColorLists,
+    active: &[u32],
+    seed: u64,
+    scratch: &mut ColorScratch,
+    out: &mut ListColorOutcome,
+) {
     let bitset = uses_palette_bitset(lists.palette_size(), lists.list_size());
     greedy_in_form(bitset, gc, lists, active, seed, scratch, out);
 }
 
-/// [`greedy_list_color_into`] with the live-list form given.
-fn greedy_in_form(
+/// [`greedy_list_color_in`] with the live-list form given.
+fn greedy_in_form<G: ConflictRows>(
     bitset: bool,
-    gc: &CsrGraph,
+    gc: &G,
     lists: &ColorLists,
     active: &[u32],
     seed: u64,
@@ -250,10 +318,16 @@ fn greedy_in_form(
     let ColorScratch {
         live,
         bits,
+        strikable,
         buckets,
         ..
     } = scratch;
     buckets.reset(m, l);
+    strikable.clear();
+    if gc.reads_strikable() {
+        strikable.resize(m.div_ceil(64), 0);
+    }
+    let strikable = Strikable(strikable);
     if bitset {
         let words = palette_words(lists.palette_size());
         bits.clear();
@@ -263,20 +337,36 @@ fn greedy_in_form(
             words,
             base: lists.palette_base(),
         };
-        greedy(form, buckets, gc, lists, active, seed, out);
+        greedy(form, buckets, strikable, gc, lists, active, seed, out);
     } else {
         live.clear();
         live.resize(m * l, 0);
         let form = SortedRows { live, stride: l };
-        greedy(form, buckets, gc, lists, active, seed, out);
+        greedy(form, buckets, strikable, gc, lists, active, seed, out);
     }
 }
 
-/// The greedy loop, once for both live-list forms.
-fn greedy<F: LiveLists>(
+/// The bitset of vertices that may still take a strike; empty, and
+/// never written, when the graph does not read it.
+struct Strikable<'a>(&'a mut [u64]);
+
+impl Strikable<'_> {
+    fn set(&mut self, v: u32, on: bool) {
+        if self.0.is_empty() {
+            return;
+        }
+        let (word, bit) = (v as usize / 64, v % 64);
+        self.0[word] = self.0[word] & !(1 << bit) | u64::from(on) << bit;
+    }
+}
+
+/// The greedy loop, once for both live-list forms and both graph forms.
+#[allow(clippy::too_many_arguments)]
+fn greedy<F: LiveLists, G: ConflictRows>(
     mut form: F,
     buckets: &mut SizeBuckets,
-    gc: &CsrGraph,
+    mut strikable: Strikable<'_>,
+    gc: &G,
     lists: &ColorLists,
     active: &[u32],
     seed: u64,
@@ -288,6 +378,7 @@ fn greedy<F: LiveLists>(
         let row = lists.row(v as usize);
         form.init(v as usize, row);
         buckets.insert(v, row.len());
+        strikable.set(v, true);
     }
 
     let mut remaining = active.len();
@@ -308,12 +399,14 @@ fn greedy<F: LiveLists>(
         remaining -= 1;
         let c = form.pick(v as usize, rng.random_range(0..len));
         out.assigned.push((v, c));
+        strikable.set(v, false);
 
         // Strike c from every uncolored neighbor's list.
-        for &u in gc.neighbors(v as usize) {
+        let dry = out.uncolored.len();
+        gc.for_each_strike(v as usize, c, strikable.0, |u| {
             let ulen = buckets.len[u as usize];
             if ulen == NO_BUCKET || !form.strike(u as usize, ulen as usize, c) {
-                continue;
+                return;
             }
             buckets.remove(u);
             if ulen == 1 {
@@ -322,6 +415,9 @@ fn greedy<F: LiveLists>(
             } else {
                 buckets.insert(u, ulen as usize - 1);
             }
+        });
+        for &u in &out.uncolored[dry..] {
+            strikable.set(u, false);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The Picasso iteration driver (Algorithm 1).
 
+use crate::assign::ColorLists;
 use crate::config::{ConflictBackend, ListColoringScheme, PicassoConfig};
-use crate::conflict::{self, ConflictBuild};
+use crate::conflict::{self, HostBuild, HostGraph};
 use crate::iteration::IterationContext;
-use crate::listcolor;
+use crate::listcolor::{self, ConflictRows};
 use crate::oracle::{LiveView, PauliComplementOracle};
 use coloring::UNCOLORED;
 use device::{DeviceError, DeviceSim, DeviceStats};
@@ -132,6 +133,15 @@ pub struct IterationStats {
     /// iteration ([`crate::listcolor::uses_palette_bitset`] of
     /// `palette_size` and `list_size`); false under a static scheme.
     pub color_bitset: bool,
+    /// Whether Line 7 kept the conflict graph as hit masks instead of a
+    /// CSR this iteration ([`crate::conflict::uses_hit_masks`] of
+    /// `live_vertices`, `conflict_edges` and `mask_bytes`).
+    pub conflict_masks: bool,
+    /// Bytes of the iteration's hit-mask form, the graph-form rule's
+    /// comparison value; zero when the rule did not run (an unpacked
+    /// iteration, a static scheme, or a backend other than `Sequential`
+    /// and `Parallel`).
+    pub mask_bytes: u64,
     /// Device backend: whether the CSR was assembled on-device.
     pub csr_on_device: Option<bool>,
 }
@@ -251,6 +261,12 @@ impl PicassoResult {
     /// [`IterationStats::color_bitset`]).
     pub fn color_bitset_iterations(&self) -> usize {
         self.iterations.iter().filter(|s| s.color_bitset).count()
+    }
+
+    /// Iterations whose Line 7 kept hit masks instead of a CSR (see
+    /// [`IterationStats::conflict_masks`]).
+    pub fn conflict_mask_iterations(&self) -> usize {
+        self.iterations.iter().filter(|s| s.conflict_masks).count()
     }
 
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
@@ -427,13 +443,20 @@ impl Picasso {
                 words_bytes_per_vertex + ctx.lists().list_size() * std::mem::size_of::<u32>();
             let t1 = Instant::now();
             let build_span = telemetry::span!("conflict_build", iter = iter);
-            let build: ConflictBuild = match cfg.backend {
-                ConflictBackend::Sequential => conflict::build_sequential(&view, ctx),
-                ConflictBackend::AllPairs => conflict::build_sequential_allpairs(&view, ctx),
-                ConflictBackend::Parallel => conflict::build_parallel(&view, ctx),
+            let greedy = cfg.scheme == ListColoringScheme::DynamicGreedy;
+            let (build, csr_on_device): (HostBuild, _) = match cfg.backend {
+                ConflictBackend::Sequential => {
+                    (conflict::build_host(&view, ctx, false, greedy), None)
+                }
+                ConflictBackend::Parallel => (conflict::build_host(&view, ctx, true, greedy), None),
+                ConflictBackend::AllPairs => {
+                    (conflict::build_sequential_allpairs(&view, ctx).into(), None)
+                }
                 ConflictBackend::MultiDevice { .. } => {
-                    conflict::build_device(&view, ctx, &fleet, input_bpv)
-                        .map_err(SolveError::DeviceOom)?
+                    let build = conflict::build_device(&view, ctx, &fleet, input_bpv)
+                        .map_err(SolveError::DeviceOom)?;
+                    let on_device = build.csr_on_device;
+                    (build.into(), on_device)
                 }
             };
             drop(build_span);
@@ -441,58 +464,73 @@ impl Picasso {
             // Phase seam: a deadline passing during the build aborts
             // before any coloring work starts.
             if let Err(e) = deadline_hit(iter - 1) {
-                ctx.recycle_csr(build.graph);
+                if let HostGraph::Csr(gc) = build.graph {
+                    ctx.recycle_csr(gc);
+                }
                 return Err(e);
             }
-            let gc = build.graph;
 
             // Lines 8-9: color unconflicted vertices, then the conflict
-            // graph.
+            // graph, in whichever form Line 7 left it.
             let t2 = Instant::now();
             let color_span = telemetry::span!("color", iter = iter);
-            conflicted.clear();
-            let mut colored_unconflicted = 0usize;
-            for local in 0..m {
-                if gc.degree(local) == 0 {
-                    colors[live[local] as usize] = ctx.lists().row(local)[0];
-                    colored_unconflicted += 1;
-                } else {
-                    conflicted.push(local as u32);
+            let seed = cfg.seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            let conflict_masks = matches!(build.graph, HostGraph::Masks);
+            let (colored_unconflicted, conflict_edges) = match build.graph {
+                HostGraph::Csr(gc) => {
+                    let (lists, cs) = ctx.lists_and_color_scratch();
+                    let split = color_unconflicted(&gc, lists, &live, &mut colors, &mut conflicted);
+                    match cfg.scheme {
+                        ListColoringScheme::DynamicGreedy => listcolor::greedy_list_color_in(
+                            &gc,
+                            lists,
+                            &conflicted,
+                            seed,
+                            cs,
+                            &mut outcome,
+                        ),
+                        // The static seed predates the splitmix mixing of
+                        // the greedy one; kept verbatim for replay
+                        // compatibility.
+                        ListColoringScheme::Static(h) => listcolor::static_list_color_into(
+                            &gc,
+                            lists,
+                            &conflicted,
+                            h,
+                            cfg.seed ^ iter as u64,
+                            cs,
+                            &mut outcome,
+                        ),
+                    }
+                    // The conflict graph is done for this round: hand its
+                    // storage back so the next iteration's CSR assembles
+                    // into the same arrays (the allocation-free Line 7
+                    // loop).
+                    ctx.recycle_csr(gc);
+                    split
                 }
-            }
-            let (lists, cs) = ctx.lists_and_color_scratch();
-            let color_bitset = cfg.scheme == ListColoringScheme::DynamicGreedy
-                && listcolor::uses_palette_bitset(lists.palette_size(), lists.list_size());
-            match cfg.scheme {
-                ListColoringScheme::DynamicGreedy => listcolor::greedy_list_color_into(
-                    &gc,
-                    lists,
-                    &conflicted,
-                    cfg.seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                    cs,
-                    &mut outcome,
-                ),
-                // The static seed predates the splitmix mixing of the
-                // greedy one; kept verbatim for replay compatibility.
-                ListColoringScheme::Static(h) => listcolor::static_list_color_into(
-                    &gc,
-                    lists,
-                    &conflicted,
-                    h,
-                    cfg.seed ^ iter as u64,
-                    cs,
-                    &mut outcome,
-                ),
-            }
+                HostGraph::Masks => {
+                    let (gc, lists, cs) = ctx.hit_mask_graph();
+                    let split = color_unconflicted(&gc, lists, &live, &mut colors, &mut conflicted);
+                    listcolor::greedy_list_color_in(
+                        &gc,
+                        lists,
+                        &conflicted,
+                        seed,
+                        cs,
+                        &mut outcome,
+                    );
+                    split
+                }
+            };
+            let lists = ctx.lists();
+            let color_bitset =
+                greedy && listcolor::uses_palette_bitset(lists.palette_size(), lists.list_size());
             for &(v, c) in &outcome.assigned {
                 colors[live[v as usize] as usize] = c;
             }
             drop(color_span);
             let color_secs = t2.elapsed().as_secs_f64();
-            // The conflict graph is done for this round: hand its
-            // storage back so the next iteration's CSR assembles into
-            // the same arrays (the allocation-free Line 7 loop).
-            ctx.recycle_csr(gc);
 
             let new_live: Vec<u32> = outcome
                 .uncolored
@@ -508,7 +546,7 @@ impl Picasso {
                 max_bucket: load.max_bucket,
                 bucket_pairs_estimate: load.total_pairs,
                 conflict_vertices: conflicted.len(),
-                conflict_edges: build.num_edges,
+                conflict_edges,
                 candidate_pairs: build.candidate_pairs,
                 packed_lanes: build.packed_lanes,
                 hit_bits: build.scan_stats.hit_bits,
@@ -521,7 +559,9 @@ impl Picasso {
                 conflict_secs,
                 color_secs,
                 color_bitset,
-                csr_on_device: build.csr_on_device,
+                conflict_masks,
+                mask_bytes: build.mask_bytes,
+                csr_on_device,
             });
 
             live = new_live;
@@ -560,6 +600,30 @@ impl Picasso {
             safety_valve_vertices,
         })
     }
+}
+
+/// Line 8 over either form of the conflict graph: every live vertex
+/// without a conflict neighbour takes the first color of its list, the
+/// others are collected into `conflicted` for Line 9. Returns the
+/// vertices colored here and the graph's edge count.
+fn color_unconflicted<G: ConflictRows>(
+    gc: &G,
+    lists: &ColorLists,
+    live: &[u32],
+    colors: &mut [u32],
+    conflicted: &mut Vec<u32>,
+) -> (usize, usize) {
+    conflicted.clear();
+    let mut colored = 0;
+    for local in 0..gc.num_vertices() {
+        if gc.is_conflicted(local) {
+            conflicted.push(local as u32);
+        } else {
+            colors[live[local] as usize] = lists.row(local)[0];
+            colored += 1;
+        }
+    }
+    (colored, gc.num_edges())
 }
 
 #[cfg(test)]

@@ -730,12 +730,12 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |hit% |skipw \
-             |colms |Vc |Ec |uncolored |bitset"
+             |colms |Vc |Ec |uncolored |bitset |graph"
         );
         for s in &result.iterations {
             eprintln!(
                 "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} \
-                 {:>6.2} {:>6} {:>8} {:>6} {:>7}",
+                 {:>6.2} {:>6} {:>8} {:>6} {:>7} {:>6}",
                 s.iteration,
                 s.live_vertices,
                 s.palette_size,
@@ -751,7 +751,8 @@ fn main() {
                 s.conflict_vertices,
                 s.conflict_edges,
                 s.uncolored_after,
-                if s.color_bitset { "y" } else { "n" }
+                if s.color_bitset { "y" } else { "n" },
+                if s.conflict_masks { "masks" } else { "csr" }
             );
         }
         eprintln!("{}", summary.packing_footer());

@@ -35,6 +35,8 @@ pub struct SolveSummary {
     pub safety_valve_vertices: u64,
     /// Iterations whose greedy kept its live lists as palette bitsets.
     pub color_bitset_iterations: u64,
+    /// Iterations whose Line 7 kept hit masks instead of a CSR.
+    pub conflict_mask_iterations: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -56,6 +58,7 @@ impl SolveSummary {
             skipped_words: counter("solver_skipped_words_total"),
             safety_valve_vertices: counter("solver_safety_valve_vertices_total"),
             color_bitset_iterations: counter("solver_color_bitset_iterations_total"),
+            conflict_mask_iterations: counter("solver_conflict_mask_iterations_total"),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -79,15 +82,17 @@ impl SolveSummary {
         self.hit_bits as f64 / self.packed_lanes as f64
     }
 
-    /// The `--stats` packing footer line.
+    /// The `--stats` Line-7 footer line: packing and the graph form.
     pub fn packing_footer(&self) -> String {
         format!(
             "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
-             {} mask words skipped whole)",
+             {} mask words skipped whole), hit-mask graphs in {} of {} iterations",
             self.pack_builds,
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
-            self.skipped_words
+            self.skipped_words,
+            self.conflict_mask_iterations,
+            self.iterations
         )
     }
 
@@ -187,6 +192,11 @@ mod tests {
         let packing = s.packing_footer();
         assert!(packing.starts_with(&format!("pack builds: {}", result.pack_builds)));
         assert!(packing.contains("hit density"));
+        assert!(packing.ends_with(&format!(
+            "hit-mask graphs in {} of {} iterations",
+            result.conflict_mask_iterations(),
+            result.iterations.len()
+        )));
         let coloring = s.coloring_footer("greedy");
         assert!(coloring.starts_with("coloring [greedy]:"));
         assert!(coloring.contains(&format!(

@@ -240,7 +240,8 @@ fn stats_footer_counts_palette_bitset_iterations() {
     for row in &rows {
         let (p, l): (usize, usize) = (row[2].parse().unwrap(), row[3].parse().unwrap());
         let want = if 2 * p.div_ceil(64) <= l { "y" } else { "n" };
-        assert_eq!(row.last(), Some(&want), "bitset column of row {row:?}");
+        // The bitset column sits just before the last one, `graph`.
+        assert_eq!(row[row.len() - 2], want, "bitset column of row {row:?}");
         bitset_rows += usize::from(want == "y");
     }
     // Early iterations (P = 38, L = 5) take bitsets; the last one has a
@@ -261,6 +262,69 @@ fn stats_footer_counts_palette_bitset_iterations() {
         stderr.contains("coloring [lf]:") && stderr.contains("palette bitsets in 0 of"),
         "footer in:\n{stderr}"
     );
+}
+
+#[test]
+fn stats_graph_column_and_footer_show_the_hit_mask_form() {
+    // 300 distinct 8-qubit strings, Aggressive: the all-pairs engine
+    // packs, and half the pairs anticommute, so the CSR path outweighs
+    // the hit masks on the large iterations. The `graph` column is last
+    // and the Line-7 footer counts its `masks` rows; a static scheme and
+    // the all-pairs reference keep the CSR. All print the same groups.
+    let strings: String = (0..300usize)
+        .map(|i| {
+            let ops = [b'I', b'X', b'Y', b'Z'];
+            let mut s: Vec<u8> = (0..8).map(|q| ops[(i >> (2 * q)) & 3]).collect();
+            s.push(b'\n');
+            String::from_utf8(s).unwrap()
+        })
+        .collect();
+    let path = write_input("cli_graph_column.txt", &strings);
+    let run = |extra: &[&str]| {
+        let out = Command::new(CLI)
+            .arg(&path)
+            .args(["--aggressive", "--json", "--stats"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let graphs: Vec<String> = stderr
+            .lines()
+            .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+            .map(|l| l.split_whitespace().last().unwrap().to_string())
+            .collect();
+        let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+        (doc["groups"].clone(), stderr, graphs)
+    };
+
+    let (groups, stderr, graphs) = run(&[]);
+    assert!(stderr.contains("|bitset |graph"), "header in:\n{stderr}");
+    assert!(!graphs.is_empty(), "stats rows in:\n{stderr}");
+    assert!(
+        graphs.iter().all(|g| g == "masks" || g == "csr"),
+        "graph column in:\n{stderr}"
+    );
+    assert_eq!(graphs[0], "masks", "the first iteration keeps masks");
+    let masks = graphs.iter().filter(|g| *g == "masks").count();
+    let footer = format!("hit-mask graphs in {masks} of {} iterations", graphs.len());
+    assert!(stderr.contains(&footer), "{footer} in:\n{stderr}");
+
+    for extra in [&["--coloring", "lf"][..], &["--backend", "allpairs"]] {
+        let (other, stderr, graphs) = run(extra);
+        assert!(graphs.iter().all(|g| g == "csr"), "{extra:?}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("hit-mask graphs in 0 of {}", graphs.len())),
+            "{extra:?} footer in:\n{stderr}"
+        );
+        if extra[0] == "--backend" {
+            assert_eq!(other, groups, "all-pairs reference groups");
+        }
+    }
 }
 
 #[test]

@@ -270,8 +270,12 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
     // The all-pairs twin of the test above: Aggressive lists (L close to
     // P) select the all-pairs engine, which packs the identity layout
-    // into the same arena — no index, no allocation once warm.
-    use picasso::conflict::build_sequential;
+    // into the same arena — no index, no allocation once warm. The host
+    // build the solver runs keeps this graph as hit masks instead (the
+    // CSR path would take more bytes), and its warm build allocates
+    // nothing either: the group pass, the rescan into the masks and the
+    // mirror all reuse context arenas.
+    use picasso::conflict::{build_host, build_sequential, HostGraph};
     use picasso::{IterationContext, PauliComplementOracle};
     use rand::SeedableRng;
     let n = 800;
@@ -281,31 +285,53 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
     let oracle = PauliComplementOracle::new(&set);
     let cfg = PicassoConfig::aggressive(1);
     let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
-    let mut ctx = IterationContext::new();
-    for iter in 1..=3u64 {
-        ctx.assign_lists(n, 0, p, l, 1, iter);
-        let built = build_sequential(&oracle, &mut ctx);
-        ctx.recycle_csr(built.graph);
+    for masks in [false, true] {
+        let mut ctx = IterationContext::new();
+        let build = |ctx: &mut IterationContext| {
+            if masks {
+                build_host(&oracle, ctx, false, true)
+            } else {
+                build_sequential(&oracle, ctx).into()
+            }
+        };
+        for iter in 1..=3u64 {
+            ctx.assign_lists(n, 0, p, l, 1, iter);
+            if let HostGraph::Csr(graph) = build(&mut ctx).graph {
+                ctx.recycle_csr(graph);
+            }
+        }
+        ctx.assign_lists(n, 0, p, l, 1, 3);
+        assert!(!ctx.prefers_buckets(), "Aggressive lists select all-pairs");
+        let groups_warm = ctx.scratch_capacities().0;
+        let masks_warm = ctx.lists_and_scratch().1.hit_masks.capacity();
+        let before = memtrack::total_allocations();
+        let built = build(&mut ctx);
+        let after = memtrack::total_allocations();
+        assert!(built.num_edges > 0);
+        assert_eq!(
+            built.packed_lanes, built.candidate_pairs,
+            "the packed all-pairs kernel must be the path being measured"
+        );
+        assert_eq!(ctx.index_builds(), 0, "all-pairs packing builds no index");
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state all-pairs packed build (hit masks: {masks}) must allocate nothing"
+        );
+        match built.graph {
+            HostGraph::Csr(graph) => {
+                assert!(!masks, "the CSR path outweighs the masks here");
+                assert_group_buffer_reused(&mut ctx, groups_warm, built.num_edges);
+                ctx.recycle_csr(graph);
+            }
+            HostGraph::Masks => {
+                assert!(masks);
+                assert!(masks_warm > 0, "mask arena warmed");
+                let arena = ctx.lists_and_scratch().1.hit_masks.capacity();
+                assert_eq!(arena, masks_warm, "mask arena grew");
+            }
+        }
     }
-    ctx.assign_lists(n, 0, p, l, 1, 3);
-    assert!(!ctx.prefers_buckets(), "Aggressive lists select all-pairs");
-    let groups_warm = ctx.scratch_capacities().0;
-    let before = memtrack::total_allocations();
-    let built = build_sequential(&oracle, &mut ctx);
-    let after = memtrack::total_allocations();
-    assert!(built.num_edges > 0);
-    assert_group_buffer_reused(&mut ctx, groups_warm, built.num_edges);
-    assert_eq!(
-        built.packed_lanes, built.candidate_pairs,
-        "the packed all-pairs kernel must be the path being measured"
-    );
-    assert_eq!(ctx.index_builds(), 0, "all-pairs packing builds no index");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state all-pairs packed build + CSR assembly must allocate nothing"
-    );
-    ctx.recycle_csr(built.graph);
 }
 
 /// One Line 8-9 round out of `ctx`: assigns `(p, l)` lists over the
@@ -489,39 +515,80 @@ fn warm_solve_allocations_are_identical_across_sink_modes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let strings = pauli::string::random_unique_set(n, 12, &mut rng);
     let set = EncodedSet::from_strings(&strings);
-    let cfg = PicassoConfig::normal(1).with_backend(picasso::ConflictBackend::Sequential);
-    let measured_solve_allocs = || {
-        // The warm-up solve pays every one-time cost (thread ring, sink
-        // instrument caches); the measured solve is steady state.
-        let warm = Picasso::new(cfg).solve_pauli(&set).unwrap();
-        std::hint::black_box(warm.num_colors);
-        let before = memtrack::total_allocations();
-        let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
-        let after = memtrack::total_allocations();
-        std::hint::black_box(result.num_colors);
-        after - before
-    };
-    telemetry::uninstall();
-    let disabled = measured_solve_allocs();
-    telemetry::install(Arc::new(telemetry::NoopSink));
-    let noop = measured_solve_allocs();
-    let registry = Arc::new(telemetry::Registry::new());
-    telemetry::install(Arc::new(telemetry::AggregatingSink::new(Arc::clone(
-        &registry,
-    ))));
-    let aggregating = measured_solve_allocs();
-    telemetry::uninstall();
-    assert_eq!(
-        disabled, noop,
-        "a no-op sink must not change a warm solve's allocation count"
-    );
-    assert_eq!(
-        disabled, aggregating,
-        "a warm aggregating sink must fold spans without allocating"
-    );
+    // Normal lists keep sorted CSR rows late in the solve; Aggressive
+    // ones keep hit masks in every packed iteration.
+    for cfg in [PicassoConfig::normal(1), PicassoConfig::aggressive(1)] {
+        let cfg = cfg.with_backend(picasso::ConflictBackend::Sequential);
+        let measured_solve_allocs = || {
+            // The warm-up solve pays every one-time cost (thread ring,
+            // sink instrument caches); the measured solve is steady
+            // state.
+            let warm = Picasso::new(cfg).solve_pauli(&set).unwrap();
+            std::hint::black_box(warm.num_colors);
+            let before = memtrack::total_allocations();
+            let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
+            let after = memtrack::total_allocations();
+            std::hint::black_box(result.num_colors);
+            after - before
+        };
+        telemetry::uninstall();
+        let disabled = measured_solve_allocs();
+        telemetry::install(Arc::new(telemetry::NoopSink));
+        let noop = measured_solve_allocs();
+        let registry = Arc::new(telemetry::Registry::new());
+        telemetry::install(Arc::new(telemetry::AggregatingSink::new(Arc::clone(
+            &registry,
+        ))));
+        let aggregating = measured_solve_allocs();
+        telemetry::uninstall();
+        assert_eq!(
+            disabled, noop,
+            "{cfg:?}: a no-op sink must not change a warm solve's allocation count"
+        );
+        assert_eq!(
+            disabled, aggregating,
+            "{cfg:?}: a warm aggregating sink must fold spans without allocating"
+        );
+        assert!(
+            registry.histogram("span_conflict_build_ns").count() > 0,
+            "the aggregating sink must actually have observed the solve"
+        );
+    }
+    let aggressive = Picasso::new(PicassoConfig::aggressive(1))
+        .solve_pauli(&set)
+        .unwrap();
     assert!(
-        registry.histogram("span_conflict_build_ns").count() > 0,
-        "the aggregating sink must actually have observed the solve"
+        aggressive.conflict_mask_iterations() > 0,
+        "the Aggressive solve keeps hit masks"
+    );
+}
+
+#[test]
+fn hit_mask_solves_peak_below_the_first_csr_adjacency() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // An Aggressive all-pairs solve (2,000 random 12-qubit strings: P =
+    // 60, L = P) whose conflict graph is about half of all pairs. Its
+    // whole solve must peak below the first iteration's CSR adjacency
+    // alone, 8 bytes per edge: the hit masks replace the CSR and the
+    // group COO that fed it.
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let strings = pauli::string::random_unique_set(2000, 12, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let cfg = PicassoConfig::aggressive(1).with_backend(picasso::ConflictBackend::Sequential);
+    let region = PeakRegion::start();
+    let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
+    let peak = region.peak_bytes();
+    let first = result.iterations[0];
+    assert_eq!((first.palette_size, first.list_size), (60, 60));
+    assert!(first.conflict_masks, "the first iteration keeps hit masks");
+    let adjacency = 8 * first.conflict_edges;
+    assert!(
+        peak < adjacency,
+        "peak {} must be below the first CSR adjacency {} ({} edges)",
+        memtrack::format_bytes(peak),
+        memtrack::format_bytes(adjacency),
+        first.conflict_edges
     );
 }
 
