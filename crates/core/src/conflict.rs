@@ -257,6 +257,17 @@ pub fn uses_hit_masks(m: usize, edges: u64, mask_bytes: u64) -> bool {
     csr_path_bytes(m, edges) > mask_bytes
 }
 
+/// Bytes Line 7's hit-mask path holds for a graph of `edges` conflict
+/// edges over `m` vertices with `mask_bytes` of masks: the masks, plus
+/// the group words (`4` bytes per edge, group headers not counted) the
+/// scan staged before the edge count passed the rule's limit. Those stay
+/// allocated in the block arenas, which are cleared for the rescan, not
+/// freed.
+pub fn mask_path_bytes(m: usize, edges: u64, mask_bytes: u64) -> u64 {
+    let staged = csr_edge_limit(m, mask_bytes).map_or(0, |limit| limit.min(edges));
+    mask_bytes + 4 * staged
+}
+
 /// The most edges at which the CSR path still fits in `mask_bytes`
 /// (the rule picks masks past it); `None` when even an edgeless CSR is
 /// larger.

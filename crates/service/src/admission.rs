@@ -82,11 +82,13 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// The **observed** counterpart of [`forecast_peak_bytes`]: the same
 /// structural model evaluated on what a finished solve actually did —
 /// the real per-iteration live sets, list sizes, bucket indexes and
-/// conflict-edge counts instead of the worst-case
-/// every-candidate-an-edge bound (and the max across iterations instead
-/// of assuming the first dominates). Deterministic and
-/// allocator-independent, so it works identically in the CLI, the
-/// service, and tests.
+/// conflict graphs instead of the worst-case every-candidate-an-edge
+/// bound (and the max across iterations instead of assuming the first
+/// dominates). An iteration that kept its conflict graph as hit masks
+/// ([`picasso::IterationStats::conflict_masks`]) is charged the mask
+/// path ([`picasso::conflict::mask_path_bytes`]), not a COO and a CSR
+/// it never built. Deterministic and allocator-independent, so it works
+/// identically in the CLI, the service, and tests.
 ///
 /// Recording `observed ÷ forecast` per served job (see
 /// [`crate::ServiceMetrics`]) is the groundwork for the ROADMAP's
@@ -105,10 +107,15 @@ pub fn observed_peak_bytes(workload: &Workload, result: &picasso::PicassoResult)
         let l = s.list_size as usize;
         let lists = m * l * std::mem::size_of::<u32>();
         let index = (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>();
-        let coo = s.conflict_edges * 2 * std::mem::size_of::<u32>();
-        let csr = s.conflict_edges * 2 * std::mem::size_of::<u32>()
-            + (m + 1) * std::mem::size_of::<usize>();
-        transient = transient.max(lists + index + coo + csr);
+        let graph = if s.conflict_masks {
+            picasso::conflict::mask_path_bytes(m, s.conflict_edges as u64, s.mask_bytes) as usize
+        } else {
+            let coo = s.conflict_edges * 2 * std::mem::size_of::<u32>();
+            let csr = s.conflict_edges * 2 * std::mem::size_of::<u32>()
+                + (m + 1) * std::mem::size_of::<usize>();
+            coo + csr
+        };
+        transient = transient.max(lists + index + graph);
     }
     input + transient
 }
@@ -231,6 +238,35 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn mask_form_iterations_are_charged_their_masks_not_a_coo_and_csr() {
+        let (n, qubits, seed) = (1024, 24, 5);
+        let workload = Workload::SyntheticPauli { n, qubits, seed };
+        let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
+            .expect("a valid synthetic workload");
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let mut result = picasso::Picasso::new(PicassoConfig::aggressive(1))
+            .solve_pauli(&set)
+            .expect("the solve succeeds");
+        result.iterations.truncate(1);
+        let first = result.iterations[0];
+        assert!(
+            first.conflict_masks,
+            "the dense first iteration keeps masks"
+        );
+        let masks = observed_peak_bytes(&workload, &result);
+        result.iterations[0].conflict_masks = false;
+        let csr = observed_peak_bytes(&workload, &result);
+        let (m, edges) = (first.live_vertices, first.conflict_edges);
+        let coo_and_csr = edges * 16 + (m + 1) * 8;
+        let mask_path = picasso::conflict::mask_path_bytes(m, edges as u64, first.mask_bytes);
+        assert_eq!(csr - masks, coo_and_csr - mask_path as usize);
+        assert!(
+            (mask_path as usize) < coo_and_csr / 4,
+            "{mask_path} vs {coo_and_csr}"
+        );
     }
 
     #[test]

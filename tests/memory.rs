@@ -94,9 +94,8 @@ fn warm_parallel_builds_stop_allocating_per_task() {
     // The rayon backend draws its per-task staging buffers from the
     // iteration context's arena pool, so a warm same-shape build performs
     // a small, bucket-count-independent number of allocations (the output
-    // CSR, the block cuts, and the thread-scope overhead of the rayon
-    // fan-out) — not the O(#buckets) per-task buffers of the pre-pool
-    // implementation.
+    // CSR, the block cuts, and the rayon fan-out's item chunks) — not the
+    // O(#buckets) per-task buffers of the pre-pool implementation.
     use picasso::conflict::build_parallel;
     use picasso::{IterationContext, PauliComplementOracle};
     use rand::SeedableRng;
