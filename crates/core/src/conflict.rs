@@ -22,14 +22,14 @@
 //! row by row — a pivot and the surviving members of its candidate run —
 //! so a group is one pivot row and the COO costs about 4 bytes per edge
 //! instead of the 8 of a `(u32, u32)` pair. The groups live in the
-//! context's list of per-block arenas ([`IterationScratch::blocks`]):
-//! the sequential builds write the first arena, and every cut-parallel
-//! build — the rayon build and each device of a fleet — scans each
-//! block of pivot rows into its own arena (`scan_cuts`). The builder's
-//! `num_edges` is the sum of the groups' lengths. A host build that
-//! keeps the hit-mask form (see "Graph form") drops its groups. The
-//! device build
-//! charges its budget for Algorithm 3's COO of two `u32` words per edge
+//! context's list of per-block arenas ([`IterationScratch::blocks`]).
+//! Every host build is a cut build: `scan_cuts` scans each cut of pivot
+//! rows into its own arena. `Sequential` has one cut, which runs inline;
+//! the rayon build and each device of a fleet cut their rows into
+//! blocks. Only the all-pairs reference writes the first arena itself.
+//! The builder's `num_edges` is the sum of the groups' lengths. A host
+//! build that keeps the hit-mask form (see "Graph form") drops its
+//! groups. The device build charges its budget for Algorithm 3's COO of two `u32` words per edge
 //! (so the COO lease and transfer accounting keep the `2 · pairs` word
 //! bound), but its blocks stage groups on the host like every other
 //! build. [`IterationScratch::edges`], the old pair buffer, is no longer
@@ -245,7 +245,7 @@ impl From<ConflictBuild> for HostBuild {
 /// Bytes Line 7's CSR path holds for `edges` conflict edges over `m`
 /// vertices: `8·(m+1)` of offsets, plus `8` of adjacency and `4` of
 /// group COO per edge.
-fn csr_path_bytes(m: usize, edges: u64) -> u64 {
+pub fn csr_path_bytes(m: usize, edges: u64) -> u64 {
     8 * (m as u64 + 1) + 12 * edges
 }
 
@@ -311,6 +311,20 @@ impl MaskLayout<'_> {
             }
             Some(_) => offsets[self.buckets()],
             None => r * self.row_words(0),
+        }
+    }
+
+    /// The first bucket whose first flat row is at or after `r` (the
+    /// bucket count for `r` = the row count), so ascending row cuts that
+    /// tile the rows give each bucket to the cut holding its first row.
+    fn bucket_at(&self, r: usize) -> usize {
+        match self.index {
+            Some(index) if r < index.num_rows() => {
+                let k = index.row_bucket(r);
+                k + usize::from(index.bucket_start(k) < r)
+            }
+            Some(index) => index.num_buckets(),
+            None => usize::from(r > 0),
         }
     }
 
@@ -548,33 +562,25 @@ fn mirror_square(square: &mut [u64], b: usize) {
     }
 }
 
-/// Mirrors every bucket's square of `masks`, fanned out over contiguous
-/// bucket ranges when `parallel`.
-fn mirror(masks: &mut HitMasks, layout: MaskLayout<'_>, parallel: bool) {
+/// Mirrors every bucket's square of `masks`, each bucket with the cut of
+/// the ascending flat row cuts `cuts` (which tile the rows) that holds
+/// its first row: one rayon task per cut, inline for one cut.
+fn mirror(masks: &mut HitMasks, layout: MaskLayout<'_>, cuts: &[Range<usize>]) {
     let HitMasks { offsets, words, .. } = masks;
-    let mirror_buckets = |squares: &mut [u64], buckets: Range<usize>| {
-        let base = offsets[buckets.start];
-        for k in buckets {
-            let square = &mut squares[offsets[k] - base..offsets[k + 1] - base];
-            mirror_square(square, layout.len(k));
-        }
-    };
-    let buckets = layout.buckets();
-    if !parallel || buckets == 1 {
-        mirror_buckets(words, 0..buckets);
-        return;
-    }
-    let weights: Vec<u64> = offsets.windows(2).map(|o| (o[1] - o[0]) as u64).collect();
-    let mut rest: &mut [u64] = words;
-    let mut tasks = Vec::new();
-    for range in device::balanced_weight_cuts(&weights, rayon::current_num_threads() * 4) {
-        let (head, tail) = rest.split_at_mut(offsets[range.end] - offsets[range.start]);
-        tasks.push((head, range));
-        rest = tail;
-    }
-    tasks
-        .into_par_iter()
-        .for_each(|(squares, range)| mirror_buckets(squares, range));
+    let buckets = cuts
+        .iter()
+        .map(|cut| layout.bucket_at(cut.start)..layout.bucket_at(cut.end));
+    let spans = buckets.clone().map(|r| offsets[r.start]..offsets[r.end]);
+    crate::split_ranges_mut(words, spans)
+        .zip(buckets)
+        .par_bridge()
+        .for_each(|(squares, range)| {
+            let base = offsets[range.start];
+            for k in range {
+                let square = &mut squares[offsets[k] - base..offsets[k + 1] - base];
+                mirror_square(square, layout.len(k));
+            }
+        });
 }
 
 /// The CSR path's sink: pushes every emitted edge into one group arena.
@@ -679,86 +685,6 @@ impl HitSink for MaskSink<'_> {
     }
 }
 
-/// A scan's staging buffers: candidate runs, oracle hits, tail masks and
-/// live-view remapping — the context's own on the sequential builds,
-/// a pooled [`TaskArena`]'s on the parallel ones.
-struct ScanBufs<'a> {
-    run: &'a mut Vec<usize>,
-    hits: &'a mut Vec<bool>,
-    masks: &'a mut Vec<u64>,
-    mapped: &'a mut Vec<usize>,
-}
-
-impl<'a> ScanBufs<'a> {
-    fn of(arena: &'a mut TaskArena) -> ScanBufs<'a> {
-        let TaskArena {
-            run,
-            hits,
-            masks,
-            mapped,
-        } = arena;
-        ScanBufs {
-            run,
-            hits,
-            masks,
-            mapped,
-        }
-    }
-}
-
-/// Scans the flat rows `rows` into the group arena `groups` (cleared
-/// first, finished after). With a packed replica the edge bits come as
-/// `u64` hit masks from the bucket-major lane kernel
-/// ([`CandidateEngine::scan_rows_into`] — no candidate-run staging, no
-/// per-row gather, zero words skipped whole), with word/bit counters
-/// accumulated into `stats`; otherwise the batched-with-scratch scalar
-/// path runs. A warm scan allocates nothing either way. Returns `false`
-/// when the tally passed its limit, which may stop the scan early.
-#[allow(clippy::too_many_arguments)]
-fn scan_groups<O: EdgeOracle>(
-    oracle: &O,
-    engine: &CandidateEngine<'_>,
-    packed: Option<&PackedBuckets>,
-    rows: Range<usize>,
-    bufs: ScanBufs<'_>,
-    groups: &mut CooGroups,
-    stats: &mut MaskScanStats,
-    tally: Option<&EdgeTally>,
-) -> bool {
-    groups.clear();
-    let ScanBufs {
-        run,
-        hits,
-        masks,
-        mapped,
-    } = bufs;
-    let done = match packed {
-        Some(packed) => {
-            let mut sink = GroupSink {
-                groups: &mut *groups,
-                tally,
-                pending: 0,
-            };
-            engine.scan_rows_into(rows, packed, masks, stats, &mut sink) && sink.flush()
-        }
-        None => {
-            engine.scan_rows_scratch(rows, run, &mut |u, vs| {
-                hits.clear();
-                hits.resize(vs.len(), false);
-                oracle.has_edge_block_scratch(u, vs, hits, mapped);
-                for (&v, &hit) in vs.iter().zip(hits.iter()) {
-                    if hit {
-                        groups.push(u as u32, v as u32);
-                    }
-                }
-            });
-            true
-        }
-    };
-    groups.finish();
-    done
-}
-
 /// Shared atomic accumulator for the per-block [`MaskScanStats`] of the
 /// cut-parallel builds.
 #[derive(Default)]
@@ -810,12 +736,18 @@ fn block_cuts(weights: &[u64], rows: Range<usize>) -> Vec<Range<usize>> {
 
 /// The one cut-parallel Line-7 scan: scans each of the ascending flat
 /// row ranges `cuts` into its own group arena, `blocks[first + k]` for
-/// `cuts[k]` (the list grows as needed), one rayon task per cut. Every
-/// task draws its scan buffers from the context's arena `pool` and adds
-/// its mask-scan counters to `stats`. No arena is shared, so there is
+/// `cuts[k]` (cleared first, finished after; the list grows as needed),
+/// one rayon task per cut (one cut runs inline). With a packed replica
+/// the edge bits come as `u64` hit masks from the bucket-major lane
+/// kernel ([`CandidateEngine::scan_rows_into`] — no candidate-run
+/// staging, no per-row gather, zero words skipped whole); otherwise the
+/// batched-with-scratch scalar path runs. Every task stages in a pooled
+/// arena of `pool`, so a warm scan allocates nothing, and adds its
+/// mask-scan counters to `stats`. No arena is shared, so there is
 /// nothing to lock or merge: read in order, the arenas hold the groups
 /// the sequential scan of the same rows emits (a pivot row never spans
-/// two cuts). Returns `false` when the tally passed its limit.
+/// two cuts). Returns `false` when the tally passed its limit, which may
+/// stop a cut early.
 #[allow(clippy::too_many_arguments)]
 fn scan_cuts<O: EdgeOracle>(
     oracle: &O,
@@ -838,83 +770,89 @@ fn scan_cuts<O: EdgeOracle>(
         .enumerate()
         .for_each(|(k, groups)| {
             let mut arena = pool.take();
-            let mut block_stats = MaskScanStats::default();
-            let bufs = ScanBufs::of(&mut arena);
+            let TaskArena {
+                run,
+                hits,
+                masks,
+                mapped,
+            } = &mut arena;
+            let mut cut_stats = MaskScanStats::default();
             let rows = cuts[k].clone();
-            if !scan_groups(
-                oracle,
-                engine,
-                packed,
-                rows,
-                bufs,
-                groups,
-                &mut block_stats,
-                tally,
-            ) {
-                stopped.store(true, Ordering::Relaxed);
-            }
-            stats.add(block_stats);
+            groups.clear();
+            let done = match packed {
+                Some(packed) => {
+                    let mut sink = GroupSink {
+                        groups: &mut *groups,
+                        tally,
+                        pending: 0,
+                    };
+                    engine.scan_rows_into(rows, packed, masks, &mut cut_stats, &mut sink)
+                        && sink.flush()
+                }
+                None => {
+                    engine.scan_rows_scratch(rows, run, &mut |u, vs| {
+                        hits.clear();
+                        hits.resize(vs.len(), false);
+                        oracle.has_edge_block_scratch(u, vs, hits, mapped);
+                        for (&v, &hit) in vs.iter().zip(hits.iter()) {
+                            if hit {
+                                groups.push(u as u32, v as u32);
+                            }
+                        }
+                    });
+                    true
+                }
+            };
+            groups.finish();
+            stopped.fetch_or(!done, Ordering::Relaxed);
+            stats.add(cut_stats);
             pool.put(arena);
         });
     !stopped.into_inner()
 }
 
 /// Scans every cut into its rows of `masks` (laid out for `layout`, every
-/// bit clear): inline with the `staging` mask buffer when not
-/// `parallel`, else one rayon task per cut, each with its own `&mut`
-/// slice of the rows and pooled buffers. Returns the conflict edges.
-#[allow(clippy::too_many_arguments)]
+/// bit clear): one rayon task per cut (one cut runs inline), each with
+/// its own `&mut` slice of the rows and a pooled arena's mask buffer.
+/// Returns the conflict edges.
 fn fill_masks(
     engine: &CandidateEngine<'_>,
     packed: &PackedBuckets,
     layout: MaskLayout<'_>,
     masks: &mut HitMasks,
     cuts: &[Range<usize>],
-    staging: &mut Vec<u64>,
     pool: &ScratchPool,
-    parallel: bool,
     stats: &SharedScanStats,
 ) -> u64 {
     let HitMasks { offsets, words, .. } = masks;
-    let scan = |rows: &mut [u64], first: usize, cut: Range<usize>, staging: &mut Vec<u64>| {
-        let mut sink = MaskSink {
-            rows,
-            first,
-            offsets,
-            layout,
-            edges: 0,
-        };
-        let mut cut_stats = MaskScanStats::default();
-        engine.scan_rows_into(cut, packed, staging, &mut cut_stats, &mut sink);
-        stats.add(cut_stats);
-        sink.edges
-    };
-    if !parallel {
-        return cuts
-            .iter()
-            .map(|cut| scan(words, 0, cut.clone(), staging))
-            .sum();
-    }
-    let mut rest: &mut [u64] = words;
-    let mut at = 0;
-    let mut tasks = Vec::with_capacity(cuts.len());
-    for cut in cuts {
-        let (start, end) = (
-            layout.row_word(offsets, cut.start),
-            layout.row_word(offsets, cut.end),
-        );
-        let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - at);
-        let (rows, tail) = tail.split_at_mut(end - start);
-        tasks.push((rows, start, cut.clone()));
-        rest = tail;
-        at = end;
-    }
+    let spans = cuts
+        .iter()
+        .map(|cut| layout.row_word(offsets, cut.start)..layout.row_word(offsets, cut.end));
     let edges = AtomicU64::new(0);
-    tasks.into_par_iter().for_each(|(rows, first, cut)| {
-        let mut arena = pool.take();
-        edges.fetch_add(scan(rows, first, cut, &mut arena.masks), Ordering::Relaxed);
-        pool.put(arena);
-    });
+    crate::split_ranges_mut(words, spans)
+        .zip(cuts)
+        .par_bridge()
+        .for_each(|(rows, cut)| {
+            let mut sink = MaskSink {
+                rows,
+                first: layout.row_word(offsets, cut.start),
+                offsets,
+                layout,
+                edges: 0,
+            };
+            let mut arena = pool.take();
+            let mut cut_stats = MaskScanStats::default();
+            engine.scan_rows_into(
+                cut.clone(),
+                packed,
+                &mut arena.masks,
+                &mut cut_stats,
+                &mut sink,
+            );
+            pool.put(arena);
+            stats.add(cut_stats);
+            edges.fetch_add(sink.edges, Ordering::Relaxed);
+        });
     edges.into_inner()
 }
 
@@ -936,8 +874,12 @@ pub(crate) enum GraphRule {
     Bytes,
 }
 
-/// Line 7 on the host, sequential or over rayon cuts, with the graph in
-/// the form `rule` picks. Only a packed iteration can keep masks.
+/// Line 7 on the host, with the graph in the form `rule` picks. Only a
+/// packed iteration can keep masks. `parallel` decides one thing, the
+/// cut list: the sequential build is the single cut of every row, the
+/// rayon build pair-balanced blocks, four per thread. The group pass,
+/// the mask fill and the mirror read only that list, and one cut runs
+/// inline on the caller, out of one pooled arena.
 ///
 /// Under [`GraphRule::Bytes`] the scan stages groups as the CSR path
 /// does and tallies the edges; the moment the tally makes the CSR path
@@ -962,10 +904,6 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
         blocks,
-        hits,
-        masks,
-        mapped,
-        run,
         pool,
         csr,
         hit_masks,
@@ -1013,33 +951,17 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     reset_blocks(blocks, 1);
     let stats = SharedScanStats::default();
     let csr_complete = group_pass.is_some_and(|tally| {
-        let tally = tally.as_ref();
-        if parallel {
-            scan_cuts(
-                oracle, &engine, packed, pool, cuts, blocks, 0, &stats, tally,
-            )
-        } else {
-            let bufs = ScanBufs {
-                run,
-                hits,
-                masks: &mut *masks,
-                mapped,
-            };
-            let mut scan_stats = MaskScanStats::default();
-            let rows = whole.clone();
-            let done = scan_groups(
-                oracle,
-                &engine,
-                packed,
-                rows,
-                bufs,
-                &mut blocks[0],
-                &mut scan_stats,
-                tally,
-            );
-            stats.add(scan_stats);
-            done
-        }
+        scan_cuts(
+            oracle,
+            &engine,
+            packed,
+            pool,
+            cuts,
+            blocks,
+            0,
+            &stats,
+            tally.as_ref(),
+        )
     });
     if csr_complete {
         drop(scan_span);
@@ -1059,13 +981,11 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     reset_blocks(blocks, 0);
     hit_masks.lay_out(layout);
     let stats = SharedScanStats::default();
-    let edges = fill_masks(
-        &engine, packed, layout, hit_masks, cuts, masks, pool, parallel, &stats,
-    );
+    let edges = fill_masks(&engine, packed, layout, hit_masks, cuts, pool, &stats);
     drop(scan_span);
     {
         let _mirror_span = telemetry::span!("mask_mirror");
-        mirror(hit_masks, layout, parallel);
+        mirror(hit_masks, layout, cuts);
     }
     hit_masks.edges = edges as usize;
     HostBuild {
@@ -1099,11 +1019,11 @@ pub fn build_host<O: EdgeOracle>(
     build_host_with(oracle, ctx, parallel, rule)
 }
 
-/// Sequential bucketed build: one pass over the flat pivot-row space —
-/// through the packed lane kernel whenever the context packed this
-/// iteration — with the COO group/run/hit/remap arenas *and* the CSR
-/// assembly arrays all drawn from the context. Once the arenas are warm (and
-/// retired graphs are recycled via
+/// Sequential bucketed build: the cut build with one cut, one pass over
+/// the flat pivot-row space — through the packed lane kernel whenever
+/// the context packed this iteration — with the COO group arena, one
+/// pooled scan arena *and* the CSR assembly arrays all drawn from the
+/// context. Once the arenas are warm (and retired graphs are recycled via
 /// [`IterationContext::recycle_csr`]), a steady-state build performs
 /// **zero** heap allocations, output CSR included.
 pub fn build_sequential<O: EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> ConflictBuild {
@@ -1521,6 +1441,42 @@ mod tests {
         let dev = DeviceSim::new(64 * 1024 * 1024);
         let _ = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
         pinned(&ctx, "device build");
+    }
+
+    #[test]
+    fn sequential_host_builds_run_one_cut_out_of_one_pooled_arena() {
+        // The sequential build is the cut build with one cut: its group
+        // pass, its mask fill and the drop-and-rescan between them each
+        // run that cut inline, out of the one pooled arena, and return
+        // it — in either graph form, packed or not, warm or cold.
+        use crate::oracle::PauliComplementOracle;
+        use crate::packed::PackingMode;
+        let m = 300;
+        let set = pauli_set(m, 31);
+        let oracle = PauliComplementOracle::new(&set);
+        for (packing, rule) in [
+            (PackingMode::Never, GraphRule::Csr),
+            (PackingMode::Always, GraphRule::Csr),
+            (PackingMode::Always, GraphRule::Masks),
+            (PackingMode::Always, GraphRule::Bytes),
+        ] {
+            let mut ctx = IterationContext::new();
+            ctx.set_packing(packing);
+            for iter in 1..=3u64 {
+                let what = format!("{packing:?} {rule:?} iteration {iter}");
+                ctx.set_lists(ColorLists::assign(m, 0, 24, 4, 9, iter));
+                let built = build_host_with(&oracle, &mut ctx, false, rule);
+                let rescanned = uses_hit_masks(m, built.num_edges as u64, built.mask_bytes);
+                let masks = rule == GraphRule::Masks || rule == GraphRule::Bytes && rescanned;
+                assert_eq!(matches!(built.graph, HostGraph::Masks), masks, "{what}");
+                if let HostGraph::Csr(graph) = built.graph {
+                    ctx.recycle_csr(graph);
+                }
+                let pool = ctx.scratch_pool();
+                let arenas = (pool.arenas_created(), pool.arenas_pooled());
+                assert_eq!(arenas, (1, 1), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -40,9 +40,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The per-task scan buffers one block of a parallel build checks out
-/// of a [`ScratchPool`]: candidate-run staging, the oracle hit vector,
-/// the packed kernel's hit masks and the live-view remap arena. A block
+/// The scan buffers one cut of a host or device build checks out of a
+/// [`ScratchPool`]: candidate-run staging, the oracle hit vector, the
+/// packed kernel's hit masks and the live-view remap arena. A cut
 /// stages its edges in its own [`IterationScratch::blocks`] arena, not
 /// here. Buffers are cleared by the borrower, never shrunk, so a
 /// recycled arena serves a same-shape block without allocating.
@@ -59,16 +59,16 @@ pub struct TaskArena {
     pub mapped: Vec<usize>,
 }
 
-/// A pool of [`TaskArena`]s shared by the blocks of the parallel conflict
-/// builds (the rayon build's and every device's). Arenas are created only
-/// when a task finds the pool empty and are returned after use, so the
-/// pool never holds more arenas than the most tasks that ever ran at
-/// once (at most the thread count). Which builds reach that high-water
-/// mark depends on how their tasks overlap; once the pool holds one
-/// arena per thread, the parallel backends allocate **no scan
-/// buffers per task** — the per-thread extension of the iteration
-/// context's zero-allocation property ([`ScratchPool::arenas_created`]
-/// lets tests pin it).
+/// A pool of [`TaskArena`]s shared by the cuts of every engine-driven
+/// conflict build (the sequential build's one cut, the rayon build's and
+/// every device's). Arenas are created only when a task finds the pool
+/// empty and are returned after use, so the pool never holds more arenas
+/// than the most tasks that ever ran at once (at most the thread count).
+/// Which builds reach that high-water mark depends on how their tasks
+/// overlap; once the pool holds one arena per thread, the builds
+/// allocate **no scan buffers per task** — the per-thread extension of
+/// the iteration context's zero-allocation property
+/// ([`ScratchPool::arenas_created`] lets tests pin it).
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     arenas: Mutex<Vec<TaskArena>>,
@@ -101,6 +101,20 @@ impl ScratchPool {
     pub fn arenas_pooled(&self) -> usize {
         self.arenas.lock().unwrap().len()
     }
+
+    /// Capacities `(hits, mapped)` summed over the resting arenas.
+    fn capacities(&self) -> (usize, usize) {
+        let arenas = self
+            .arenas
+            .lock()
+            .expect("a thread panicked holding the arena pool lock");
+        arenas.iter().fold((0, 0), |(hits, mapped), arena| {
+            (
+                hits + arena.hits.capacity(),
+                mapped + arena.mapped.capacity(),
+            )
+        })
+    }
 }
 
 /// Reusable scratch arenas lent to the conflict builders. All buffers
@@ -112,13 +126,13 @@ impl ScratchPool {
 pub struct IterationScratch {
     /// The COO every conflict builder stages into and assembles from:
     /// one edge-group arena ([`graph::CooGroups`], groups `[pivot, len,
-    /// v_1 … v_len]`) per block of flat pivot rows, in row order. The
-    /// sequential and all-pairs builds write `blocks[0]`; the rayon build
-    /// writes one arena per cut, and a device fleet one per block of
-    /// each device's span, device after device. Read in order, the
-    /// arenas hold the last build's groups — every arena it did not use
-    /// is empty — and CSR assembly visits them so
-    /// ([`graph::csr_from_groups_in`]). The list is grown, never
+    /// v_1 … v_len]`) per cut of flat pivot rows, in row order. The
+    /// sequential build's one cut and the all-pairs build write
+    /// `blocks[0]`; the rayon build writes one arena per cut, and a
+    /// device fleet one per block of each device's span, device after
+    /// device. Read in order, the arenas hold the last build's groups —
+    /// every arena it did not use is empty — and CSR assembly visits them
+    /// so ([`graph::csr_from_groups_in`]). The list is grown, never
     /// shrunk, and every arena keeps its capacity.
     pub blocks: Vec<CooGroups>,
     /// `(u, v)` pair staging kept for the benchmark's traced replay,
@@ -126,21 +140,22 @@ pub struct IterationScratch {
     /// ([`graph::csr_from_coo_sequential_in`]). No conflict builder
     /// reads or writes it.
     pub edges: Vec<(u32, u32)>,
-    /// Oracle hit vector for batched `has_edge_block` queries.
+    /// Oracle hit vector, kept for the benchmark's traced replay. No
+    /// conflict builder touches it: every build scans out of
+    /// [`IterationScratch::pool`].
     pub hits: Vec<bool>,
-    /// Hit-mask words for the packed kernel's zero-word-skipping consumer
-    /// ([`crate::PackedBuckets::tail_edge_mask`]).
+    /// Packed-kernel hit-mask words, kept for the benchmark's traced
+    /// replay like [`IterationScratch::hits`]; no builder touches it.
     pub masks: Vec<u64>,
-    /// Index-remapping arena for [`crate::LiveView`]'s batched path
-    /// ([`graph::EdgeOracle::has_edge_block_scratch`]).
+    /// Live-view index remapping, kept for the benchmark's traced replay
+    /// like [`IterationScratch::hits`]; no builder touches it.
     pub mapped: Vec<usize>,
-    /// Candidate-run staging for the sequential scan
-    /// ([`crate::PairSource::scan_rows_scratch`]) — the buffer that used
-    /// to be the last per-build allocation of the sequential backend.
+    /// Candidate-run staging, kept for the benchmark's traced replay like
+    /// [`IterationScratch::hits`]; no builder touches it.
     pub run: Vec<usize>,
-    /// Per-task arena pool for the parallel backends (the blocks of the
-    /// rayon build and of every device draw their scan buffers from here
-    /// instead of allocating per task).
+    /// The scan-buffer arena pool every engine-driven build draws from:
+    /// the sequential build's one cut, the rayon build's cuts and every
+    /// device's blocks each check out one arena instead of allocating.
     pub pool: ScratchPool,
     /// The conflict graph in hit-mask form ([`crate::conflict::HitMasks`]):
     /// one square bit matrix per palette bucket, written by a host build
@@ -457,8 +472,9 @@ impl IterationContext {
     /// (no index built) for all-pairs. Idempotent within an iteration:
     /// the decision (and the replica) is shared by every backend of the
     /// round. `parallel` selects [`PackedBuckets::pack_from_parallel`]
-    /// for the key-lane scatter — only the parallel backends request it,
-    /// so the sequential build stays allocation-free.
+    /// for the key-lane scatter — only the parallel backends request it;
+    /// the sequential build's [`PackedBuckets::pack_from`] scatters as
+    /// one task.
     fn ensure_packed<O: EdgeOracle + ?Sized>(&mut self, oracle: &O, parallel: bool) {
         if self.packed_valid {
             // The replica is cached per iteration: every build between
@@ -535,8 +551,8 @@ impl IterationContext {
     /// backends: when this borrow triggers the once-per-iteration packed
     /// replica build, the key-lane scatter runs across the rayon pool
     /// ([`PackedBuckets::pack_from_parallel`]). The replica is
-    /// bit-identical either way; only the sequential backend must avoid
-    /// the parallel path (its thread scaffolding allocates).
+    /// bit-identical either way, and both passes run one scatter body;
+    /// they differ only in how many bucket ranges it is cut into.
     pub fn engine_packed_scratch_par<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
@@ -584,15 +600,29 @@ impl IterationContext {
         &self.scratch.pool
     }
 
-    /// Current arena capacities `(blocks, hits, mapped)` (`blocks` in
-    /// `u32` words, summed over the group arenas) — introspection hook
-    /// for the reuse tests and the `conflict_build` bench.
+    /// Current arena capacities `(blocks, hits, mapped)`: `blocks` in
+    /// `u32` words, summed over the group arenas, and the scan buffers
+    /// the builds use — the oracle hit vectors and live-view remaps —
+    /// summed over the arenas resting in [`IterationScratch::pool`].
+    /// Introspection hook for the reuse tests.
     pub fn scratch_capacities(&self) -> (usize, usize, usize) {
+        let (hits, mapped) = self.scratch.pool.capacities();
         (
             self.scratch.blocks.iter().map(CooGroups::capacity).sum(),
-            self.scratch.hits.capacity(),
-            self.scratch.mapped.capacity(),
+            hits,
+            mapped,
         )
+    }
+
+    /// Host bytes of this iteration's packed replica
+    /// ([`PackedBuckets::device_bytes`]: key lanes, query rows and
+    /// palette bitmasks) when a build packed it, else 0.
+    pub fn replica_bytes(&self) -> usize {
+        if self.packed_valid && self.packed_active {
+            self.packed.device_bytes()
+        } else {
+            0
+        }
     }
 
     /// Candidate pairs the selected engine will examine this iteration —

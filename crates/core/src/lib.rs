@@ -68,6 +68,27 @@ pub use partition::{partition_operator, UnitaryGroup, UnitaryPartition};
 pub use solver::{IterationStats, Picasso, PicassoResult, SolveError};
 pub use sweep::{grid_sweep, SweepPoint};
 
+/// Cuts `slice` into the disjoint pieces `slice[r]` of the ascending,
+/// non-overlapping ranges `ranges`, lazily and without allocating — the
+/// one way the parallel Line-7 steps hand each task its own `&mut` part
+/// of a shared array.
+///
+/// # Panics
+///
+/// If a range starts before the previous one ends or runs past the end.
+pub(crate) fn split_ranges_mut<T>(
+    mut slice: &mut [T],
+    ranges: impl IntoIterator<Item = std::ops::Range<usize>>,
+) -> impl Iterator<Item = &mut [T]> {
+    let mut at = 0;
+    ranges.into_iter().map(move |range| {
+        let (_, rest) = std::mem::take(&mut slice).split_at_mut(range.start - at);
+        let (piece, rest) = rest.split_at_mut(range.len());
+        (slice, at) = (rest, range.end);
+        piece
+    })
+}
+
 /// Groups vertices by their assigned color, producing the clique
 /// partition (each class is a clique of the anticommutation graph `G`,
 /// i.e. one output "unitary" of the application).
@@ -97,6 +118,18 @@ mod tests {
         assert_eq!(classes[0], vec![0, 2]);
         assert_eq!(classes[1], vec![1, 4]);
         assert_eq!(classes[2], vec![3]);
+    }
+
+    #[test]
+    fn split_ranges_mut_hands_out_the_ranges_pieces() {
+        let mut data: Vec<u32> = (0..10).collect();
+        let pieces: Vec<&mut [u32]> =
+            split_ranges_mut(&mut data, [0..2, 2..2, 4..7, 9..10]).collect();
+        assert_eq!(pieces, [&[0, 1][..], &[], &[4, 5, 6], &[9]]);
+        for (k, piece) in split_ranges_mut(&mut data, [1..3, 3..10]).enumerate() {
+            piece.fill(k as u32 + 7);
+        }
+        assert_eq!(data, [0, 7, 7, 8, 8, 8, 8, 8, 8, 8]);
     }
 
     #[test]

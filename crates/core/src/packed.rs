@@ -107,7 +107,8 @@ pub struct PackedBuckets {
     /// ([`PackedBuckets::shares_color_below`]) instead of the `O(L)`
     /// sorted-merge the scalar path pays per candidate.
     color_masks: Vec<u64>,
-    /// Staging row for the word-transposed scatter (multi-word forms).
+    /// Staging rows for the word-transposed scatter (multi-word forms),
+    /// `w` words per scatter task.
     tmp: Vec<u64>,
 }
 
@@ -131,22 +132,21 @@ impl PackedBuckets {
         lists: &ColorLists,
         index: Option<&BucketIndex>,
     ) -> bool {
-        self.pack_impl(oracle, lists, index, false)
+        self.pack_impl(oracle, lists, index, 1)
     }
 
-    /// [`PackedBuckets::pack_from`], with the bucketed key scatter fanned
-    /// out over rayon in contiguous bucket ranges (each task owns a
-    /// disjoint slice of the flat key rows, so the writes never
-    /// overlap). The parallel backends use this; the sequential path
-    /// keeps the serial pass because the thread fan-out allocates. The
-    /// identity layout's `O(m·w)` scatter always runs serially.
+    /// [`PackedBuckets::pack_from`], with the key scatter cut into
+    /// `4 × threads` contiguous bucket ranges, one rayon task each (each
+    /// task owns a disjoint slice of the flat key rows, so the writes
+    /// never overlap). The parallel backends use this. The identity
+    /// layout is one bucket, so its `O(m·w)` scatter runs as one task.
     pub fn pack_from_parallel<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
         lists: &ColorLists,
         index: Option<&BucketIndex>,
     ) -> bool {
-        self.pack_impl(oracle, lists, index, true)
+        self.pack_impl(oracle, lists, index, rayon::current_num_threads() * 4)
     }
 
     fn pack_impl<O: EdgeOracle + ?Sized>(
@@ -154,7 +154,7 @@ impl PackedBuckets {
         oracle: &O,
         lists: &ColorLists,
         index: Option<&BucketIndex>,
-        parallel: bool,
+        tasks: usize,
     ) -> bool {
         let Some(form) = oracle.packed_form() else {
             return false;
@@ -185,76 +185,49 @@ impl PackedBuckets {
         }
         self.keys.clear();
         self.keys.resize(self.num_rows * w, 0);
-        match index {
-            Some(index) if parallel && w <= PAR_PACK_MAX_WORDS && index.num_buckets() > 1 => {
-                self.scatter_keys_parallel(oracle, index, w)
-            }
-            _ => self.scatter_keys_serial(oracle, index, w),
-        }
+        self.scatter_keys(oracle, index, tasks);
         true
     }
 
-    /// Serial key scatter, bucket by bucket — or, without an index, the
-    /// all-pairs identity layout: one bucket of all `m` local vertices
-    /// in order, word-transposed as `keys[w_i·m + v]`.
-    fn scatter_keys_serial<O: EdgeOracle + ?Sized>(
+    /// The key scatter, bucket by bucket — or, without an index, the
+    /// all-pairs identity layout: one bucket of all `m` local vertices in
+    /// order, word-transposed as `keys[w_i·m + v]`. The buckets are cut
+    /// into at most `tasks` contiguous ranges, one rayon task each, with
+    /// `w` words of the staging arena apiece; one range runs inline.
+    fn scatter_keys<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
         index: Option<&BucketIndex>,
-        w: usize,
+        tasks: usize,
     ) {
-        let mut tmp = std::mem::take(&mut self.tmp);
-        tmp.clear();
-        tmp.resize(w, 0);
-        match index {
-            Some(index) => {
-                for k in 0..index.num_buckets() {
-                    let bucket = index.bucket(k);
-                    let base = index.bucket_start(k) * w;
-                    let keys = &mut self.keys[base..base + bucket.len() * w];
-                    scatter_bucket(oracle, keys, bucket.iter().map(|&v| v as usize), &mut tmp);
-                }
-            }
-            None => scatter_bucket(oracle, &mut self.keys, 0..self.num_vertices, &mut tmp),
-        }
-        self.tmp = tmp;
-    }
-
-    fn scatter_keys_parallel<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-        index: &BucketIndex,
-        w: usize,
-    ) {
-        let nb = index.num_buckets();
-        let tasks = (rayon::current_num_threads() * 4).clamp(1, nb);
-        let keys = SendPtr(self.keys.as_mut_ptr());
-        let keys = &keys;
-        (0..tasks).into_par_iter().for_each(|t| {
-            // Contiguous bucket range → contiguous, disjoint key rows
-            // `bucket_start(lo)*w .. bucket_start(hi)*w`; per-task
-            // staging lives on the stack so the hot path allocates
-            // nothing beyond the fan-out itself.
-            let lo = nb * t / tasks;
-            let hi = nb * (t + 1) / tasks;
-            let mut tmp = [0u64; PAR_PACK_MAX_WORDS];
-            for k in lo..hi {
-                let bucket = index.bucket(k);
-                let base = index.bucket_start(k) * w;
-                let b = bucket.len();
-                for (lane, &v) in bucket.iter().enumerate() {
-                    oracle.write_key_words(v as usize, &mut tmp[..w]);
-                    for (wi, &word) in tmp[..w].iter().enumerate() {
-                        // SAFETY: flat row `base/w + lane` belongs to
-                        // bucket `k`, owned by exactly this task; rows
-                        // were sized to `num_rows * w` above.
-                        unsafe {
-                            *keys.0.add(base + wi * b + lane) = word;
+        let (w, m) = (self.words, self.num_vertices);
+        let buckets = index.map_or(1, BucketIndex::num_buckets);
+        let tasks = tasks.clamp(1, buckets.max(1));
+        // The first key word of bucket `k` (the end for `k` = `buckets`).
+        let start = |k: usize| index.map_or(k * m, |index| index.bucket_start(k)) * w;
+        let ranges = (0..tasks).map(|t| buckets * t / tasks..buckets * (t + 1) / tasks);
+        self.tmp.clear();
+        self.tmp.resize(tasks * w, 0);
+        let keys = crate::split_ranges_mut(
+            &mut self.keys,
+            ranges.clone().map(|r| start(r.start)..start(r.end)),
+        );
+        keys.zip(self.tmp.chunks_mut(w))
+            .zip(ranges)
+            .par_bridge()
+            .for_each(|((keys, tmp), range)| {
+                let base = start(range.start);
+                for k in range {
+                    let keys = &mut keys[start(k) - base..start(k + 1) - base];
+                    match index {
+                        Some(index) => {
+                            let bucket = index.bucket(k).iter().map(|&v| v as usize);
+                            scatter_bucket(oracle, keys, bucket, tmp)
                         }
+                        None => scatter_bucket(oracle, keys, 0..m, tmp),
                     }
                 }
-            }
-        });
+            });
     }
 
     /// Words per packed row.
@@ -471,15 +444,6 @@ fn scatter_bucket<O: EdgeOracle + ?Sized>(
         }
     }
 }
-
-/// Widest form the parallel key scatter stages on the stack; wider
-/// forms (beyond any real Pauli encoding) fall back to the serial pass.
-const PAR_PACK_MAX_WORDS: usize = 16;
-
-/// Raw-pointer courier for the disjoint parallel key scatter.
-struct SendPtr(*mut u64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 /// Whether the running CPU has the `POPCNT` instruction. The workspace
 /// builds for baseline x86-64, where `count_ones` lowers to a ~15-op

@@ -142,6 +142,10 @@ pub struct IterationStats {
     /// iteration, a static scheme, or a backend other than `Sequential`
     /// and `Parallel`).
     pub mask_bytes: u64,
+    /// Host bytes of the iteration's packed oracle replica
+    /// ([`crate::PackedBuckets::device_bytes`]: key lanes, query rows
+    /// and palette bitmasks); zero when the iteration did not pack.
+    pub replica_bytes: u64,
     /// Device backend: whether the CSR was assembled on-device.
     pub csr_on_device: Option<bool>,
 }
@@ -561,6 +565,7 @@ impl Picasso {
                 color_bitset,
                 conflict_masks,
                 mask_bytes: build.mask_bytes,
+                replica_bytes: ctx.replica_bytes() as u64,
                 csr_on_device,
             });
 

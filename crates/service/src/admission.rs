@@ -84,10 +84,13 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// the real per-iteration live sets, list sizes, bucket indexes and
 /// conflict graphs instead of the worst-case every-candidate-an-edge
 /// bound (and the max across iterations instead of assuming the first
-/// dominates). An iteration that kept its conflict graph as hit masks
-/// ([`picasso::IterationStats::conflict_masks`]) is charged the mask
-/// path ([`picasso::conflict::mask_path_bytes`]), not a COO and a CSR
-/// it never built. Deterministic and allocator-independent, so it works
+/// dominates). Line 7's graph is charged with core's own byte counts:
+/// the mask path ([`picasso::conflict::mask_path_bytes`]) for an
+/// iteration that kept hit masks
+/// ([`picasso::IterationStats::conflict_masks`]), else the CSR path
+/// ([`picasso::conflict::csr_path_bytes`]), plus the packed oracle
+/// replica ([`picasso::IterationStats::replica_bytes`]) of an iteration
+/// that packed. Deterministic and allocator-independent, so it works
 /// identically in the CLI, the service, and tests.
 ///
 /// Recording `observed ÷ forecast` per served job (see
@@ -108,14 +111,12 @@ pub fn observed_peak_bytes(workload: &Workload, result: &picasso::PicassoResult)
         let lists = m * l * std::mem::size_of::<u32>();
         let index = (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>();
         let graph = if s.conflict_masks {
-            picasso::conflict::mask_path_bytes(m, s.conflict_edges as u64, s.mask_bytes) as usize
+            picasso::conflict::mask_path_bytes(m, s.conflict_edges as u64, s.mask_bytes)
         } else {
-            let coo = s.conflict_edges * 2 * std::mem::size_of::<u32>();
-            let csr = s.conflict_edges * 2 * std::mem::size_of::<u32>()
-                + (m + 1) * std::mem::size_of::<usize>();
-            coo + csr
+            picasso::conflict::csr_path_bytes(m, s.conflict_edges as u64)
         };
-        transient = transient.max(lists + index + graph);
+        let line7 = (graph + s.replica_bytes) as usize;
+        transient = transient.max(lists + index + line7);
     }
     input + transient
 }
@@ -259,13 +260,54 @@ mod tests {
         let masks = observed_peak_bytes(&workload, &result);
         result.iterations[0].conflict_masks = false;
         let csr = observed_peak_bytes(&workload, &result);
-        let (m, edges) = (first.live_vertices, first.conflict_edges);
-        let coo_and_csr = edges * 16 + (m + 1) * 8;
-        let mask_path = picasso::conflict::mask_path_bytes(m, edges as u64, first.mask_bytes);
-        assert_eq!(csr - masks, coo_and_csr - mask_path as usize);
+        let (m, edges) = (first.live_vertices, first.conflict_edges as u64);
+        let csr_path = picasso::conflict::csr_path_bytes(m, edges);
+        let mask_path = picasso::conflict::mask_path_bytes(m, edges, first.mask_bytes);
+        assert_eq!((csr - masks) as u64, csr_path - mask_path);
+        assert!(mask_path < csr_path / 4, "{mask_path} vs {csr_path}");
+    }
+
+    #[test]
+    fn line7_is_charged_cores_byte_counts_plus_the_packed_replica() {
+        // Normal lists on 24 qubits: most iterations pack and keep hit
+        // masks, the last ones build a CSR. Each iteration alone is
+        // charged the input, its lists and index, core's count of the
+        // graph form it kept, and exactly its replica.
+        let (n, qubits, seed) = (1024, 24, 5);
+        let workload = Workload::SyntheticPauli { n, qubits, seed };
+        let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
+            .expect("a valid synthetic workload");
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let result = picasso::Picasso::new(PicassoConfig::normal(1))
+            .solve_pauli(&set)
+            .expect("the solve succeeds");
+        let input = n * workload.input_bytes_per_vertex();
+        let (mut packed, mut csr) = (0, 0);
+        for s in &result.iterations {
+            let what = format!("iteration {}", s.iteration);
+            assert_eq!(s.replica_bytes > 0, s.packed_lanes > 0, "{what}");
+            let (m, edges) = (s.live_vertices, s.conflict_edges as u64);
+            // `u32` words of the lists (`m·L`) and of the index (`m·L + P + 1`).
+            let words =
+                m * s.list_size as usize + (m * s.list_size as usize + 1) + s.palette_size as usize;
+            let graph = if s.conflict_masks {
+                picasso::conflict::mask_path_bytes(m, edges, s.mask_bytes)
+            } else {
+                csr += 1;
+                picasso::conflict::csr_path_bytes(m, edges)
+            };
+            packed += usize::from(s.replica_bytes > 0);
+            let mut one = result.clone();
+            one.iterations = vec![*s];
+            assert_eq!(
+                observed_peak_bytes(&workload, &one),
+                input + 4 * words + (graph + s.replica_bytes) as usize,
+                "{what}"
+            );
+        }
         assert!(
-            (mask_path as usize) < coo_and_csr / 4,
-            "{mask_path} vs {coo_and_csr}"
+            packed > 0 && csr > 0,
+            "{packed} packed, {csr} CSR iterations"
         );
     }
 
