@@ -2,7 +2,7 @@
 //! bucketed candidate engine, across the sequential / rayon-parallel /
 //! simulated-device backends (the Table V microbenchmark, extended with
 //! the enumeration comparison this reproduction's candidate engine is
-//! about and the sub-bucket-sharded device fleets).
+//! about).
 //!
 //! Dense synthetic Hamiltonian input: random unique Pauli strings, whose
 //! complement graph is ~50% dense — the regime the paper targets. The
@@ -12,9 +12,8 @@
 //! Normal configuration.
 //!
 //! Beyond raw builder timing:
-//! * `device_fleet` group — Algorithm 3 on a fleet of one device (the
-//!   paper's GPU build) and on a sub-bucket-sharded fleet of three
-//!   (engine + per-device index replica);
+//! * `device` group — Algorithm 3 on one simulated device (the paper's
+//!   GPU build: engine + index replica);
 //! * `iteration_scratch` group — the same sequential build through a
 //!   persistent [`IterationContext`] (index built once, arenas warm) vs
 //!   a fresh context per build (the pre-context per-iteration cost:
@@ -53,13 +52,6 @@ fn fresh_ctx(lists: &ColorLists) -> IterationContext {
     ctx.set_lists(lists.clone());
     ctx
 }
-
-fn fleet(k: usize) -> Vec<DeviceSim> {
-    (0..k).map(|_| DeviceSim::new(256 * 1024 * 1024)).collect()
-}
-
-/// Devices of the larger fleet in the fleet comparison.
-const NUM_DEVICES: usize = 3;
 
 fn bench_conflict(c: &mut Criterion) {
     // Below ~400 vertices the Normal configuration has L²/P ≈ 1 and the
@@ -108,22 +100,16 @@ fn bench_conflict(c: &mut Criterion) {
         });
         group.finish();
 
-        // Algorithm 3: a fleet of one vs the sub-bucket-sharded fleet.
-        let mut group = c.benchmark_group(format!("device_fleet_n{n}"));
+        // Algorithm 3 on one simulated device.
+        let mut group = c.benchmark_group(format!("device_n{n}"));
         group.throughput(Throughput::Elements(pairs));
         group.sample_size(if smoke() { 2 } else { 10 });
-        for devices in [1, NUM_DEVICES] {
-            group.bench_function(BenchmarkId::new("devices", devices), |b| {
-                b.iter(|| {
-                    let devs = fleet(devices);
-                    black_box(
-                        build_device(&oracle, &mut ctx, &devs, 16)
-                            .unwrap()
-                            .num_edges,
-                    )
-                })
-            });
-        }
+        group.bench_function(BenchmarkId::new("device", n), |b| {
+            b.iter(|| {
+                let dev = DeviceSim::new(256 * 1024 * 1024);
+                black_box(build_device(&oracle, &mut ctx, &dev, 16).unwrap().num_edges)
+            })
+        });
         group.finish();
 
         // Iteration-scratch reuse, matching the solver's real steady

@@ -62,9 +62,8 @@ pub fn run(cfg: &HarnessConfig) -> Table {
         let inst = Instance::generate(spec, &uniform, 1);
         let n = inst.num_vertices();
         let counts = inst.edge_counts();
-        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: cfg.device_capacity,
+        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
+            capacity: cfg.device_capacity,
         });
         let list_size = pic_cfg.list_size(n) as usize;
         let cap_edges =
@@ -83,18 +82,14 @@ pub fn run(cfg: &HarnessConfig) -> Table {
                     "ok".into(),
                 ]);
             }
-            // A fleet of one is never a zero-device fleet, and no deadline
-            // is armed here.
-            Err(SolveError::NoDevices | SolveError::DeadlineExceeded { .. }) => {
-                unreachable!("single-device backend, no deadline")
-            }
+            // No deadline is armed here.
+            Err(SolveError::DeadlineExceeded { .. }) => unreachable!("no deadline"),
             Err(SolveError::DeviceOom(_)) => {
                 // The paper's remedy for the large tier: keep P = 12.5%
                 // but drop α to 1, shrinking the conflict graph to fit.
                 let retry_cfg = PicassoConfig::normal(1).with_alpha(1.0).with_backend(
-                    ConflictBackend::MultiDevice {
-                        devices: 1,
-                        capacity_each: cfg.device_capacity,
+                    ConflictBackend::Device {
+                        capacity: cfg.device_capacity,
                     },
                 );
                 let status = match Picasso::new(retry_cfg).solve_pauli(&inst.set) {
@@ -112,9 +107,7 @@ pub fn run(cfg: &HarnessConfig) -> Table {
                         continue;
                     }
                     Err(SolveError::DeviceOom(_)) => "OOM@a2, OOM@a1",
-                    Err(SolveError::NoDevices | SolveError::DeadlineExceeded { .. }) => {
-                        unreachable!("single-device backend, no deadline")
-                    }
+                    Err(SolveError::DeadlineExceeded { .. }) => unreachable!("no deadline"),
                 };
                 table.push_row(vec![
                     spec.name.to_string(),

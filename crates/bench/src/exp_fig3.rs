@@ -29,9 +29,8 @@ pub fn run(cfg: &HarnessConfig) -> Table {
     );
     for spec in specs {
         let inst = Instance::generate(spec, cfg, 1);
-        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: cfg.device_capacity,
+        let pic_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
+            capacity: cfg.device_capacity,
         });
         match Picasso::new(pic_cfg).solve_pauli(&inst.set) {
             Ok(r) => table.push_row(vec![

@@ -30,9 +30,8 @@ pub fn run(cfg: &HarnessConfig) -> Table {
     let mut total_speedups = Vec::new();
     for inst in small_instances(cfg, 1) {
         let seq_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Sequential);
-        let dev_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: cfg.device_capacity,
+        let dev_cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
+            capacity: cfg.device_capacity,
         });
         let seq = Picasso::new(seq_cfg)
             .solve_pauli(&inst.set)

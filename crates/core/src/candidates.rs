@@ -19,11 +19,11 @@
 //! **Rows.** A [`PairSource`] exposes its work as one flat space of
 //! *pivot rows*: row `i` is vertex `i` for the all-pairs source, and one
 //! (bucket, position) membership for the bucketed one, so a single
-//! bucket's pair triangle can be split across blocks and devices at row
-//! granularity — **sub-bucket sharding**, needed because whole buckets
-//! can be coarser than a device (a two-color palette has only two
-//! buckets). Per-row weights let every parallel backend cut the space
-//! into pair-balanced contiguous spans. Candidates are emitted as
+//! bucket's pair triangle can be split across blocks at row granularity
+//! — needed because whole buckets can be coarser than the `4 × threads`
+//! blocks of the rayon build and the device kernel (a two-color palette
+//! has only two buckets). Per-row weights let every parallel build cut
+//! the space into pair-balanced contiguous blocks. Candidates are emitted as
 //! `(pivot, run)` groups, which the builders feed to the batched oracle
 //! path ([`graph::EdgeOracle::has_edge_block_scratch`]) to amortize
 //! encoding loads.
@@ -469,9 +469,8 @@ fn walk_row_span(
 /// The engine actually used by the bucketed backends: the cheaper of the
 /// two enumerations for this iteration's lists. The decision
 /// ([`CandidateEngine::prefers_buckets`]) is a pure function of the
-/// lists, so sequential, parallel, device and multi-device builds always
-/// agree; the index itself is owned by the iteration context and lent
-/// in.
+/// lists, so sequential, parallel and device builds always agree; the
+/// index itself is owned by the iteration context and lent in.
 pub enum CandidateEngine<'a> {
     /// Bucketed scan was cheaper (the Normal regime).
     Buckets(BucketSource<'a>),
@@ -874,8 +873,8 @@ mod tests {
     #[test]
     fn row_scans_partition_the_emission_at_any_cut() {
         // Splitting the flat row space anywhere — including mid-bucket —
-        // must reproduce the full scan exactly: the sub-bucket sharding
-        // correctness contract.
+        // must reproduce the full scan exactly: the contract that lets
+        // row blocks cut through buckets.
         for (n, palette, list, seed) in
             [(50usize, 12u32, 4u32, 1u64), (70, 2, 2, 2), (30, 30, 3, 3)]
         {

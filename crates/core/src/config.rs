@@ -15,61 +15,38 @@ pub enum ConflictBackend {
     /// against (and as the honest baseline of the `conflict_build`
     /// bench).
     AllPairs,
-    /// Simulated-accelerator build following Algorithm 3 on a fleet of
-    /// `devices` ([`crate::conflict::build_device`]): one device is the
-    /// paper's GPU build, several its stated future work ("distributed
-    /// multi-GPU parallel implementations"). Rows are pair-balanced
-    /// across devices; each device replicates the encoded input and owns
-    /// its shard's edge list within its own budget. Fails with
-    /// [`crate::SolveError::DeviceOom`] when a shard's edge list outgrows
-    /// its device, as the paper's largest instance does on the 40 GB
-    /// A100.
-    MultiDevice {
-        /// Number of simulated devices.
-        devices: usize,
-        /// Memory budget of each device in bytes.
-        capacity_each: usize,
+    /// Simulated-accelerator build following Algorithm 3 on one device
+    /// ([`crate::conflict::build_device`]), the paper's single-GPU build.
+    /// The device holds the encoded input and the edge list within its
+    /// budget. Fails with [`crate::SolveError::DeviceOom`] when the edge
+    /// list outgrows the device, as the paper's largest instance does on
+    /// the 40 GB A100.
+    Device {
+        /// Memory budget of the device in bytes.
+        capacity: usize,
     },
 }
 
 impl ConflictBackend {
     /// Parses the CLI / job-config spelling of a backend: `seq`, `par`,
-    /// `allpairs`, `device:<MiB>` (a fleet of one) or
-    /// `multi:<N>:<MiB>`, with `1 ≤ MiB ≤ 2²⁰` and `1 ≤ N ≤ 64`.
+    /// `allpairs` or `device:<MiB>`, with `1 ≤ MiB ≤ 2²⁰`.
     pub fn from_label(label: &str) -> Result<ConflictBackend, String> {
         Ok(match label {
             "seq" => ConflictBackend::Sequential,
             "par" => ConflictBackend::Parallel,
             "allpairs" => ConflictBackend::AllPairs,
             _ => {
-                let (devices, capacity) = if let Some(cap) = label.strip_prefix("device:") {
-                    (1, cap)
-                } else if let Some(rest) = label.strip_prefix("multi:") {
-                    let (count, cap) = rest
-                        .split_once(':')
-                        .ok_or_else(|| format!("backend {label:?} wants multi:<N>:<MiB>"))?;
-                    let devices: usize = count
-                        .parse()
-                        .map_err(|_| format!("bad device count {count:?} in backend {label:?}"))?;
-                    if devices == 0 || devices > 64 {
-                        return Err(format!("device count {devices} out of [1, 64]"));
-                    }
-                    (devices, cap)
-                } else {
-                    return Err(format!(
-                        "unknown backend {label:?} (want seq | par | allpairs | device:<MiB> \
-                         | multi:<N>:<MiB>)"
-                    ));
-                };
+                let capacity = label.strip_prefix("device:").ok_or_else(|| {
+                    format!("unknown backend {label:?} (want seq | par | allpairs | device:<MiB>)")
+                })?;
                 let mib: usize = capacity.parse().map_err(|_| {
                     format!("bad device capacity {capacity:?} in backend {label:?}")
                 })?;
                 if mib == 0 || mib > 1024 * 1024 {
                     return Err(format!("device capacity {mib} MiB out of [1, 2^20]"));
                 }
-                ConflictBackend::MultiDevice {
-                    devices,
-                    capacity_each: mib << 20,
+                ConflictBackend::Device {
+                    capacity: mib << 20,
                 }
             }
         })
@@ -82,14 +59,7 @@ impl ConflictBackend {
             ConflictBackend::Sequential => "seq".into(),
             ConflictBackend::Parallel => "par".into(),
             ConflictBackend::AllPairs => "allpairs".into(),
-            ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each,
-            } => format!("device:{}", capacity_each >> 20),
-            ConflictBackend::MultiDevice {
-                devices,
-                capacity_each,
-            } => format!("multi:{devices}:{}", capacity_each >> 20),
+            ConflictBackend::Device { capacity } => format!("device:{}", capacity >> 20),
         }
     }
 }
@@ -261,29 +231,11 @@ mod tests {
             ("seq", ConflictBackend::Sequential),
             ("par", ConflictBackend::Parallel),
             ("allpairs", ConflictBackend::AllPairs),
-            (
-                "device:64",
-                ConflictBackend::MultiDevice {
-                    devices: 1,
-                    capacity_each: 64 << 20,
-                },
-            ),
-            (
-                "multi:4:16",
-                ConflictBackend::MultiDevice {
-                    devices: 4,
-                    capacity_each: 16 << 20,
-                },
-            ),
+            ("device:64", ConflictBackend::Device { capacity: 64 << 20 }),
         ] {
             assert_eq!(ConflictBackend::from_label(label), Ok(backend), "{label}");
             assert_eq!(backend.label(), label);
         }
-        // `multi:1:M` is the same fleet of one as `device:M`.
-        assert_eq!(
-            ConflictBackend::from_label("multi:1:8").unwrap().label(),
-            "device:8"
-        );
         for bad in [
             "device:",
             "device:0",
@@ -301,6 +253,10 @@ mod tests {
         ] {
             assert!(ConflictBackend::from_label(bad).is_err(), "{bad:?}");
         }
+        // `multi:` is no backend: it fails as an unknown label.
+        let err = ConflictBackend::from_label("multi:2:16").unwrap_err();
+        assert!(err.contains("unknown backend"), "{err}");
+        assert!(err.contains("device:<MiB>"), "{err}");
     }
 
     #[test]

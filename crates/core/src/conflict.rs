@@ -25,8 +25,8 @@
 //! context's list of per-block arenas ([`IterationScratch::blocks`]).
 //! Every host build is a cut build: `scan_cuts` scans each cut of pivot
 //! rows into its own arena. `Sequential` has one cut, which runs inline;
-//! the rayon build and each device of a fleet cut their rows into
-//! blocks. Only the all-pairs reference writes the first arena itself.
+//! the rayon build and the device kernel cut their rows into blocks.
+//! Only the all-pairs reference writes the first arena itself.
 //! The builder's `num_edges` is the sum of the groups' lengths. A host
 //! build that keeps the hit-mask form (see "Graph form") drops its
 //! groups. The device build charges its budget for Algorithm 3's COO of two `u32` words per edge
@@ -112,8 +112,7 @@
 //! # Determinism
 //!
 //! All engine-driven backends — sequential, rayon-parallel and the
-//! simulated device fleet (one device, or several sharded below bucket
-//! granularity) — are required to produce **identical** CSR graphs (the
+//! simulated device — are required to produce **identical** CSR graphs (the
 //! paper: "our GPU implementation produces exactly the same coloring as
 //! the CPU-only one because the conflict graph construction is
 //! deterministic"). The
@@ -124,7 +123,7 @@
 //! and orders each adjacency row ascending. That row order alone makes
 //! the output independent of edge order and of how the edges are split
 //! into groups, so the edges of any scheduling (or any partition of the
-//! flat pivot-row space across blocks and devices) collapse to the same
+//! flat pivot-row space into blocks) collapse to the same
 //! bit-identical CSR. The order decides only the assembly's cost: short
 //! rows sort, long rows that arrive ascending stay, other long rows go
 //! through a bitmap (see [`graph::builder`]). The sequential scans emit
@@ -132,7 +131,7 @@
 //! runs both ascend, so the scatter writes every row ascending. The
 //! cut-parallel builds scan ascending row ranges into one arena each
 //! and the assembler visits the arenas in order, so under any
-//! scheduling, thread count or fleet size the scatter sees those same
+//! scheduling or thread count the scatter sees those same
 //! sequential groups. Each pair is emitted once, as the assembler's
 //! unique-edge contract requires.
 //!
@@ -724,19 +723,16 @@ fn reset_blocks(blocks: &mut Vec<CooGroups>, len: usize) {
     }
 }
 
-/// Pair-balanced block cuts of the flat pivot rows `rows`
-/// ([`device::balanced_weight_cuts`] over their `weights`), four per
-/// thread, as global row ranges in ascending order.
-fn block_cuts(weights: &[u64], rows: Range<usize>) -> Vec<Range<usize>> {
-    device::balanced_weight_cuts(&weights[rows.clone()], rayon::current_num_threads() * 4)
-        .into_iter()
-        .map(|cut| rows.start + cut.start..rows.start + cut.end)
-        .collect()
+/// Pair-balanced block cuts of the flat pivot rows
+/// ([`device::balanced_weight_cuts`] over the rows' `weights`), four per
+/// thread, as row ranges in ascending order.
+fn block_cuts(weights: &[u64]) -> Vec<Range<usize>> {
+    device::balanced_weight_cuts(weights, rayon::current_num_threads() * 4)
 }
 
 /// The one cut-parallel Line-7 scan: scans each of the ascending flat
-/// row ranges `cuts` into its own group arena, `blocks[first + k]` for
-/// `cuts[k]` (cleared first, finished after; the list grows as needed),
+/// row ranges `cuts` into its own group arena, `blocks[k]` for `cuts[k]`
+/// (cleared first, finished after; the list grows as needed),
 /// one rayon task per cut (one cut runs inline). With a packed replica
 /// the edge bits come as `u64` hit masks from the bucket-major lane
 /// kernel ([`CandidateEngine::scan_rows_into`] — no candidate-run
@@ -756,16 +752,14 @@ fn scan_cuts<O: EdgeOracle>(
     pool: &ScratchPool,
     cuts: &[Range<usize>],
     blocks: &mut Vec<CooGroups>,
-    first: usize,
     stats: &SharedScanStats,
     tally: Option<&EdgeTally>,
 ) -> bool {
-    let end = first + cuts.len();
-    if blocks.len() < end {
-        blocks.resize_with(end, CooGroups::default);
+    if blocks.len() < cuts.len() {
+        blocks.resize_with(cuts.len(), CooGroups::default);
     }
     let stopped = AtomicBool::new(false);
-    blocks[first..end]
+    blocks[..cuts.len()]
         .par_iter_mut()
         .enumerate()
         .for_each(|(k, groups)| {
@@ -916,7 +910,7 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     let whole = 0..engine.num_rows();
     let block_list;
     let cuts: &[Range<usize>] = if parallel {
-        block_list = block_cuts(&engine.row_weights(), whole.clone());
+        block_list = block_cuts(&engine.row_weights());
         &block_list
     } else {
         std::slice::from_ref(&whole)
@@ -958,7 +952,6 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
             pool,
             cuts,
             blocks,
-            0,
             &stats,
             tally.as_ref(),
         )
@@ -1092,88 +1085,55 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
         + list_size * std::mem::size_of::<u32>()
 }
 
-/// One contiguous, pair-balanced span of flat pivot rows per device
-/// ([`device::balanced_weight_cuts`]), together covering every row: the
-/// zero-weight tail the cuts may leave joins the last span, and devices
-/// past the cuts get empty spans. A fleet of one gets the whole row
-/// space.
-fn device_spans(weights: &[u64], devices: usize) -> Vec<Range<usize>> {
-    let rows = weights.len();
-    let mut spans = device::balanced_weight_cuts(weights, devices);
-    // A cut past the `devices`-th opens only once the first `devices`
-    // ideal shares cover the total weight, so it carries no pairs.
-    spans.truncate(devices);
-    if let Some(last) = spans.last_mut() {
-        last.end = rows;
-    }
-    spans.resize(devices, rows..rows);
-    spans
-}
-
-/// Algorithm 3 on a fleet of simulated devices, extended with the
-/// bucketed candidate engine and the packed oracle replica. A single
-/// GPU — the paper's build — is a fleet of one; several devices are the
-/// paper's stated future work ("distributed multi-GPU parallel
-/// implementations").
-///
-/// The engine's flat pivot-row space (one row per bucket position for
-/// the bucketed engine, one per vertex for the all-pairs fallback) is
-/// cut into one contiguous, pair-balanced span per device. A span may
-/// start and end *mid-bucket*: a bucket's pair triangle splits across
-/// devices at row granularity, which is what lets a two-color palette
-/// (two buckets) still occupy eight devices. Each device, in fleet
-/// order, walks the same budget steps, following the paper line by line:
-/// 1. upload the input replica: the raw encoded strings + color lists
+/// Algorithm 3 on one simulated device — the paper's GPU build —
+/// extended with the bucketed candidate engine and the packed oracle
+/// replica. The device walks the paper's budget steps line by line:
+/// 1. upload the input: the raw encoded strings + color lists
 ///    (`input_bytes_per_vertex · m`) on the scalar path, or — when the
-///    iteration packed — the color lists plus the slice of the **packed
-///    replica** its span reads (key lanes, query rows and palette
-///    bitmasks, [`PackedBuckets::device_bytes_for_span`]; the whole
-///    [`PackedBuckets::device_bytes`] for a fleet of one), charged
-///    *instead of* the raw set,
-/// 2. reserve one edge-offset counter per pivot row of the span, at
-///    most `m` (4-byte, or 8-byte once `m² ≥ 2³²`),
+///    iteration packed — the color lists plus the **packed replica**
+///    (key lanes, query rows and palette bitmasks,
+///    [`PackedBuckets::device_bytes`]), charged *instead of* the raw set,
+/// 2. reserve one edge-offset counter per pivot row, at most `m`
+///    (4-byte, or 8-byte once `m² ≥ 2³²`),
 /// 3. upload the bucket index (`N·L + P + 1` u32 values) when the
-///    bucketed engine is selected — every device holds a replica of the
-///    one host-built index,
-/// 4. reserve `min(2 · span pairs, whatever fits)` u32 slots for the
-///    unordered COO edge list — two words per edge, as Algorithm 3's
+///    bucketed engine is selected — a replica of the one host-built
+///    index,
+/// 4. reserve `min(2 · candidate pairs, whatever fits)` u32 slots for
+///    the unordered COO edge list — two words per edge, as Algorithm 3's
 ///    COO stores each edge (each candidate yields at most one edge, so
 ///    the worst case is two words per candidate pair). The budget charge
 ///    is a [`device::DeviceLease`]; no host array mirrors it,
 /// 5. launch the kernel ([`DeviceSim::launch`]: the launch fault check
-///    and counter), then run it: the span is cut into pair-balanced
-///    blocks of contiguous rows, each scanned into its own group arena
-///    of the context on the rayon pool (`scan_cuts`, the rayon build's
-///    scan). If the span's edges need more than the lease's two words
-///    each, the launch fails with [`DeviceError::OutOfMemory`]
-///    (`requested = 2·edges·4` bytes, `available` = the lease),
-/// 6. on a fleet of one, if the CSR (2·|Ec| adjacency slots, the
-///    `2·edges·4` bytes of the COO) fits in the memory still available
-///    next to the COO lease, assemble it "on device" and download it;
-///    otherwise download the raw edge list for host assembly. Either
-///    download counts `2·edges·4` bytes.
+///    and counter), then run it: the engine's flat pivot-row space (one
+///    row per bucket position for the bucketed engine, one per vertex
+///    for the all-pairs fallback) is cut into pair-balanced blocks of
+///    contiguous rows, which may start and end mid-bucket, each scanned
+///    into its own group arena of the context on the rayon pool
+///    (`scan_cuts`, the rayon build's scan). If the edges need more than
+///    the lease's two words each, the launch fails with
+///    [`DeviceError::OutOfMemory`] (`requested = 2·edges·4` bytes,
+///    `available` = the lease),
+/// 6. if the CSR (2·|Ec| adjacency slots, the `2·edges·4` bytes of the
+///    COO) fits in the memory still available next to the COO lease,
+///    assemble it "on device" and download it; otherwise download the
+///    raw edge list for host assembly. Either download counts
+///    `2·edges·4` bytes.
 ///
-/// With `m < 2` each device stops after step 2, and a span without
-/// candidate pairs after step 3. The devices' block arenas follow each
-/// other in fleet order, so read in order they hold the sequential
-/// groups, and the CSR arrays come from the context's CSR arena; the
-/// graph is bit-identical for any fleet and placement.
+/// With `m < 2` the device stops after step 2, and without candidate
+/// pairs after step 3. Read in order, the block arenas hold the
+/// sequential groups, and the CSR arrays come from the context's CSR
+/// arena; the graph is bit-identical to the host builds'.
 ///
-/// Fails with [`DeviceError::OutOfMemory`] when a device's inputs don't
-/// fit or its kernel produces more edges than its allocation holds —
-/// the same failure the paper reports for its largest instance on the
-/// 40 GB A100.
-///
-/// # Panics
-///
-/// If `fleet` is empty.
+/// Fails with [`DeviceError::OutOfMemory`] when the inputs don't fit or
+/// the kernel produces more edges than its allocation holds — the same
+/// failure the paper reports for its largest instance on the 40 GB
+/// A100.
 pub fn build_device<O: EdgeOracle>(
     oracle: &O,
     ctx: &mut IterationContext,
-    fleet: &[DeviceSim],
+    dev: &DeviceSim,
     input_bytes_per_vertex: usize,
 ) -> Result<ConflictBuild, DeviceError> {
-    assert!(!fleet.is_empty(), "need at least one device");
     let list_bytes = ctx.lists().list_size() * std::mem::size_of::<u32>();
     let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
     let m = engine.num_vertices();
@@ -1182,44 +1142,31 @@ pub fn build_device<O: EdgeOracle>(
         blocks, pool, csr, ..
     } = scratch;
     reset_blocks(blocks, 0);
-    // Only a lone device keeps the CSR next to its COO lease.
-    let mut on_device = fleet.len() == 1;
-    if m == 0 {
-        return Ok(ConflictBuild {
-            graph: CsrGraph::empty(0),
-            num_edges: 0,
-            candidate_pairs: 0,
-            packed_lanes: 0,
-            scan_stats: MaskScanStats::default(),
-            csr_on_device: Some(on_device),
-        });
-    }
     // Edge-offset counters are 8-byte once |V|² overflows u32 (paper §V).
     let wide_counters = (m as u64).saturating_mul(m as u64) >= u32::MAX as u64;
     let counter_bytes = if wide_counters { 8 } else { 4 };
     let word = std::mem::size_of::<u32>();
+    let rows = engine.num_rows();
     let candidate_pairs = engine.candidate_pairs();
-    let row_weights = engine.row_weights();
     let stats = SharedScanStats::default();
-    // Block arenas filled by the devices so far.
-    let mut filled = 0;
-    for (span, dev) in device_spans(&row_weights, fleet.len())
-        .into_iter()
-        .zip(fleet)
-    {
+    let mut on_device = true;
+    'kernel: {
+        if m == 0 {
+            break 'kernel;
+        }
         // (1) Input replica, charged and counted as an H2D transfer.
         let input_bytes = match packed {
-            Some(p) => m * list_bytes + p.device_bytes_for_span(engine.index(), span.clone()),
+            Some(p) => m * list_bytes + p.device_bytes(),
             None => m * input_bytes_per_vertex,
         };
         let _input = dev.reserve(input_bytes)?;
         dev.note_h2d(input_bytes);
 
         // (2) Edge-offset counters.
-        let _counters = dev.reserve(span.len().min(m) * counter_bytes)?;
+        let _counters = dev.reserve(rows.min(m) * counter_bytes)?;
         // A single vertex has no candidate pairs; nothing to build.
         if m < 2 {
-            continue;
+            break 'kernel;
         }
 
         // (3) Bucket-index replica, when the bucketed engine runs.
@@ -1232,14 +1179,13 @@ pub fn build_device<O: EdgeOracle>(
             }
             None => None,
         };
-        let span_pairs: u64 = row_weights[span.clone()].iter().sum();
-        if span_pairs == 0 {
-            continue;
+        if candidate_pairs == 0 {
+            break 'kernel;
         }
 
         // (4) The unordered COO edge list: all remaining memory, capped
-        // at two u32 slots per candidate pair of the span.
-        let worst_slots = 2u64.saturating_mul(span_pairs).min(usize::MAX as u64) as usize;
+        // at two u32 slots per candidate pair.
+        let worst_slots = 2u64.saturating_mul(candidate_pairs).min(usize::MAX as u64) as usize;
         let edge_slots = worst_slots.min(dev.available_bytes() / word);
         if edge_slots == 0 {
             return Err(DeviceError::OutOfMemory {
@@ -1249,17 +1195,12 @@ pub fn build_device<O: EdgeOracle>(
         }
         let edge_lease = dev.reserve(edge_slots * word)?;
 
-        // (5) One launch over pair-balanced blocks of the span (global
-        // row ids), each block into its own arena after the previous
-        // device's.
+        // (5) One launch over pair-balanced blocks of the row space,
+        // each block into its own arena.
         dev.launch()?;
-        let cuts = block_cuts(&row_weights, span);
-        scan_cuts(
-            oracle, &engine, packed, pool, &cuts, blocks, filled, &stats, None,
-        );
-        let span_blocks = &blocks[filled..filled + cuts.len()];
-        filled += cuts.len();
-        let bytes = 2 * blocks_edges(span_blocks) * word;
+        let cuts = block_cuts(&engine.row_weights());
+        scan_cuts(oracle, &engine, packed, pool, &cuts, blocks, &stats, None);
+        let bytes = 2 * blocks_edges(blocks) * word;
         if bytes > edge_lease.size_bytes() {
             return Err(DeviceError::OutOfMemory {
                 requested: bytes,
@@ -1274,8 +1215,7 @@ pub fn build_device<O: EdgeOracle>(
         // still available *next to* the COO lease; a failed
         // reservation means host assembly. The graph is the same
         // either way.
-        on_device =
-            on_device && bytes <= dev.available_bytes() && dev.reserve(bytes.max(word)).is_ok();
+        on_device = bytes <= dev.available_bytes() && dev.reserve(bytes.max(word)).is_ok();
         dev.note_d2h(bytes);
     }
 
@@ -1359,7 +1299,7 @@ mod tests {
     }
 
     #[test]
-    fn device_fleets_agree_with_host_builds() {
+    fn device_builds_agree_with_host_builds() {
         for m in [1usize, 8, 50, 150] {
             let oracle = dense_oracle(m);
             // The second palette has two colors and one-slot lists: two
@@ -1369,41 +1309,26 @@ mod tests {
                 ColorLists::assign(m, 10, (m as u32 / 4).max(2), 3, 9, 1),
                 ColorLists::assign(m, 0, 2, 1, 3, 0),
             ] {
+                let what = format!("m={m} P={}", lists.palette_size());
                 let mut ctx = ctx_for(&lists);
                 let seq = build_sequential(&oracle, &mut ctx);
                 let host = build_parallel(&oracle, &mut ctx);
-                assert_eq!(seq.graph, host.graph);
-                for devices in [1usize, 2, 4, 8] {
-                    let what = format!("m={m} P={} devices={devices}", lists.palette_size());
-                    let fleet: Vec<DeviceSim> =
-                        (0..devices).map(|_| DeviceSim::new(16 << 20)).collect();
-                    let built = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-                    assert_eq!(built.graph, host.graph, "{what}");
-                    assert_eq!(built.num_edges, host.num_edges, "{what}");
-                    assert_eq!(built.candidate_pairs, host.candidate_pairs, "{what}");
-                    // Only a lone device keeps the CSR; 16 MiB holds it.
-                    assert_eq!(built.csr_on_device, Some(devices == 1), "{what}");
-                    for d in &fleet {
-                        // Every device holds an input replica, launches
-                        // at most once and releases its buffers.
-                        assert!(d.stats().h2d_bytes >= m * 16, "{what}");
-                        assert!(d.stats().kernel_launches <= 1, "{what}");
-                        assert_eq!(d.used_bytes(), 0, "{what}");
-                    }
-                    assert!(ctx.index_builds() <= 1, "index shared across backends");
-                }
+                assert_eq!(seq.graph, host.graph, "{what}");
+                let dev = DeviceSim::new(16 << 20);
+                let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+                assert_eq!(built.graph, seq.graph, "{what}");
+                assert_eq!(built.num_edges, seq.num_edges, "{what}");
+                assert_eq!(built.candidate_pairs, seq.candidate_pairs, "{what}");
+                // 16 MiB keeps the CSR on the device.
+                assert_eq!(built.csr_on_device, Some(true), "{what}");
+                // The device holds an input replica, launches at most
+                // once and releases its buffers.
+                assert!(dev.stats().h2d_bytes >= m * 16, "{what}");
+                assert!(dev.stats().kernel_launches <= 1, "{what}");
+                assert_eq!(dev.used_bytes(), 0, "{what}");
+                assert!(ctx.index_builds() <= 1, "index shared across backends");
             }
         }
-    }
-
-    #[test]
-    fn device_spans_tile_the_row_space() {
-        let weights = [3u64, 0, 2, 1, 0, 0];
-        assert_eq!(device_spans(&weights, 1), vec![0..6]);
-        // The zero-weight tail joins the last span ...
-        assert_eq!(device_spans(&weights, 2), [0..1, 1..6]);
-        // ... and devices past the balanced cuts get empty spans.
-        assert_eq!(device_spans(&weights, 4), [0..1, 1..3, 3..6, 6..6]);
     }
 
     #[test]
@@ -1439,7 +1364,7 @@ mod tests {
         }
         // The device kernels share the same pool.
         let dev = DeviceSim::new(64 * 1024 * 1024);
-        let _ = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+        let _ = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
         pinned(&ctx, "device build");
     }
 
@@ -1503,17 +1428,10 @@ mod tests {
             let seq = build_sequential(&oracle, &mut ctx);
             let par = build_parallel(&oracle, &mut ctx);
             let dev = DeviceSim::new(64 * 1024 * 1024);
-            let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
-            let fleet: Vec<DeviceSim> = (0..3).map(|_| DeviceSim::new(32 * 1024 * 1024)).collect();
-            let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+            let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
             let allpairs = build_sequential_allpairs(&oracle, &mut ctx);
 
-            for (name, b) in [
-                ("seq", &seq),
-                ("par", &par),
-                ("dev", &devb),
-                ("multi", &multi),
-            ] {
+            for (name, b) in [("seq", &seq), ("par", &par), ("dev", &devb)] {
                 assert_eq!(b.graph, reference.graph, "qubits={qubits} {name}");
                 assert_eq!(
                     b.packed_lanes, b.candidate_pairs,
@@ -1528,13 +1446,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_device_spans_charge_only_their_replica_slice() {
-        // Each device uploads exactly the lists, the slice of the packed
-        // replica its span reads and the bucketed engine's index: never
-        // the raw set, and on a wider fleet not all `m` query rows
-        // either. A fleet of one reads the whole replica — at 12 qubits
-        // (one word per row) `(key rows + m query rows + m one-word
-        // palette bitmasks) · 8 B` next to the `m·L·4 B` lists.
+    fn packed_device_uploads_the_replica_instead_of_the_raw_set() {
+        // The device uploads exactly the lists, the whole packed replica
+        // and the bucketed engine's index, never the raw set — at 12
+        // qubits (one word per row) `(key rows + m query rows + m
+        // one-word palette bitmasks) · 8 B` next to the `m·L·4 B` lists.
         use crate::oracle::PauliComplementOracle;
         use crate::packed::{PackedBuckets, PackingMode};
         use rand::SeedableRng;
@@ -1544,6 +1460,7 @@ mod tests {
         let set = pauli::EncodedSet::from_strings(&strings);
         let oracle = PauliComplementOracle::new(&set);
         for (palette, list) in [(30u32, 3usize), (8, 6)] {
+            let what = format!("P={palette}");
             let lists = ColorLists::assign(m, 0, palette, list as u32, 5, 0);
             let mut ctx = ctx_for(&lists);
             ctx.set_packing(PackingMode::Always);
@@ -1557,26 +1474,16 @@ mod tests {
             let key_rows = if bucketed { m * list } else { m };
             assert_eq!(packed.device_bytes(), (key_rows + 2 * m) * 8);
             let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
-            let weights = ctx.engine_and_scratch().0.row_weights();
-            for devices in [1usize, 4] {
-                let what = format!("P={palette} devices={devices}");
-                let fleet: Vec<DeviceSim> = (0..devices).map(|_| DeviceSim::new(8 << 20)).collect();
-                let built = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-                assert_eq!(built.graph, reference, "{what}");
-                assert_eq!(built.packed_lanes, built.candidate_pairs, "{what}");
-                let mut narrow = 0;
-                for (span, dev) in device_spans(&weights, devices).into_iter().zip(&fleet) {
-                    let span_bytes = packed.device_bytes_for_span(index.as_ref(), span.clone());
-                    assert_eq!(
-                        dev.stats().h2d_bytes,
-                        list_bytes + span_bytes + index_bytes,
-                        "{what} span {span:?}"
-                    );
-                    narrow += usize::from(span_bytes < packed.device_bytes());
-                }
-                assert_eq!(narrow > 0, devices > 1, "{what}: {narrow} narrow spans");
-            }
-            assert_eq!(ctx.pack_builds(), 1, "one replica served every fleet");
+            let dev = DeviceSim::new(8 << 20);
+            let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+            assert_eq!(built.graph, reference, "{what}");
+            assert_eq!(built.packed_lanes, built.candidate_pairs, "{what}");
+            assert_eq!(
+                dev.stats().h2d_bytes,
+                list_bytes + packed.device_bytes() + index_bytes,
+                "{what}"
+            );
+            assert_eq!(ctx.pack_builds(), 1, "{what}");
             assert_eq!(ctx.index_builds(), usize::from(bucketed));
         }
     }
@@ -1610,8 +1517,8 @@ mod tests {
     fn group_bytes_and_parallel_blocks_replay_the_sequential_groups() {
         // The COO's size is pinned: `num_edges` entry words plus two
         // header words per group, at most one group per pivot row. The
-        // block arenas of the rayon build and of device fleets of one and
-        // three, read in order, are the sequential build's group buffer
+        // block arenas of the rayon build and of the device, read in
+        // order, are the sequential build's group buffer
         // word for word — on a bucketed and on an all-pairs packed
         // iteration. On the all-pairs one that order leaves every row
         // ascending, so no build ever needs the assembler's row bitmap.
@@ -1644,14 +1551,11 @@ mod tests {
             assert!(groups <= rows, "{what}: {groups} groups, {rows} rows");
             assert!(groups < seq.num_edges, "{what}: runs hold several hits");
 
-            let fleet = |devices: usize| -> Vec<DeviceSim> {
-                (0..devices).map(|_| DeviceSim::new(16 << 20)).collect()
-            };
-            for name in ["par", "device:1", "device:3"] {
+            let dev = DeviceSim::new(16 << 20);
+            for name in ["par", "device"] {
                 let built = match name {
                     "par" => build_parallel(&oracle, &mut ctx),
-                    "device:1" => build_device(&oracle, &mut ctx, &fleet(1), 16).unwrap(),
-                    _ => build_device(&oracle, &mut ctx, &fleet(3), 16).unwrap(),
+                    _ => build_device(&oracle, &mut ctx, &dev, 16).unwrap(),
                 };
                 let what = format!("{what} {name}");
                 assert_eq!(built.packed_lanes, built.candidate_pairs, "{what}: packed");
@@ -1717,63 +1621,47 @@ mod tests {
     }
 
     #[test]
-    fn sub_bucket_sharding_splits_coarse_buckets() {
-        // Two-color palette: only two buckets, but seven devices must all
-        // receive pair work — the degenerate case row sharding of buckets
-        // cannot handle.
+    fn row_blocks_split_coarse_buckets() {
+        // Two-color palette, one-slot lists: two disjoint buckets, each
+        // ~m/2 deep (the bucketed engine wins, Σ|B|² / 2 ≈ m²/4 < m²/2),
+        // but `4 × threads` row blocks, so cuts fall inside the buckets
+        // and more blocks than buckets carry edges. The rayon build and
+        // the device kernel still build the sequential graph.
         let m = 120;
         let oracle = dense_oracle(m);
-        // L=1 over P=2: two disjoint buckets, each ~m/2 deep; the
-        // bucketed engine wins (Σ|B|² / 2 ≈ m²/4 < m²/2).
         let lists = ColorLists::assign(m, 0, 2, 1, 3, 0);
         let mut ctx = ctx_for(&lists);
         assert!(ctx.prefers_buckets(), "two sparse buckets beat all-pairs");
-        let host = build_sequential(&oracle, &mut ctx);
-        let devices: Vec<DeviceSim> = (0..7).map(|_| DeviceSim::new(4 * 1024 * 1024)).collect();
-        let multi = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
-        assert_eq!(host.graph, multi.graph);
-        assert_eq!(host.candidate_pairs, multi.candidate_pairs);
-        // All seven devices launched; the first several carry real pair
-        // work even though there are only two buckets.
-        let working = devices.iter().filter(|d| d.stats().d2h_bytes > 0).count();
-        assert!(
-            working >= 4,
-            "sub-bucket sharding must spread two buckets over most of 7 devices (got {working})"
-        );
-        for d in &devices {
-            assert_eq!(d.stats().kernel_launches, 1);
+        let seq = build_sequential(&oracle, &mut ctx);
+        {
+            let engine = ctx.engine_and_scratch().0;
+            let index = engine.index().expect("bucketed engine");
+            assert_eq!(index.num_buckets(), 2);
+            let cuts = block_cuts(&engine.row_weights());
+            let mid_bucket = cuts
+                .iter()
+                .filter(|cut| index.bucket_start(index.row_bucket(cut.start)) != cut.start)
+                .count();
+            assert!(mid_bucket > 0, "no cut inside a bucket: {cuts:?}");
         }
-    }
-
-    #[test]
-    fn multi_device_splits_memory_pressure() {
-        // A workload that overflows one small device fits when sharded
-        // over four of the same size: the point of going multi-GPU.
-        let m = 400;
-        let oracle = dense_oracle(m);
-        let lists = ColorLists::assign(m, 0, 2, 2, 3, 0); // every adjacent pair conflicts
-        let one = vec![DeviceSim::new(128 * 1024)];
-        assert!(matches!(
-            build_device(&oracle, &mut ctx_for(&lists), &one, 16),
-            Err(DeviceError::OutOfMemory { .. })
-        ));
-        let four: Vec<DeviceSim> = (0..4).map(|_| DeviceSim::new(128 * 1024)).collect();
-        let built = build_device(&oracle, &mut ctx_for(&lists), &four, 16).unwrap();
-        assert!(built.num_edges > 0);
+        let dev = DeviceSim::new(4 << 20);
+        for name in ["par", "device"] {
+            let built = match name {
+                "par" => build_parallel(&oracle, &mut ctx),
+                _ => build_device(&oracle, &mut ctx, &dev, 16).unwrap(),
+            };
+            assert_eq!(built.graph, seq.graph, "{name}");
+            assert_eq!(built.candidate_pairs, seq.candidate_pairs, "{name}");
+            let blocks = &ctx.lists_and_scratch().1.blocks;
+            let working = blocks.iter().filter(|b| b.num_edges() > 0).count();
+            assert!(working > 2, "{name}: {working} blocks carry edges");
+        }
+        assert_eq!(dev.stats().kernel_launches, 1);
     }
 
     /// One device run of the golden pin: the device's counters, then
     /// where the CSR was assembled or the OOM payload.
     type DevicePin = (usize, usize, usize, usize, Result<bool, (usize, usize)>);
-
-    /// Algorithm 3 on a fleet of one, as the golden pin drives it.
-    fn pin_build(
-        oracle: &crate::oracle::PauliComplementOracle<'_, pauli::EncodedSet>,
-        ctx: &mut IterationContext,
-        dev: &DeviceSim,
-    ) -> Result<ConflictBuild, DeviceError> {
-        build_device(oracle, ctx, std::slice::from_ref(dev), 16)
-    }
 
     #[test]
     fn single_device_accounting_is_pinned() {
@@ -1834,7 +1722,7 @@ mod tests {
                     );
                     for (capacity, pinned) in [64 << 20, tight, tight / 4].into_iter().zip(pruns) {
                         let dev = DeviceSim::new(capacity);
-                        let built = pin_build(&oracle, &mut fresh(), &dev);
+                        let built = build_device(&oracle, &mut fresh(), &dev, 16);
                         let s = dev.stats();
                         assert_eq!(s.used_bytes, 0, "{what}: every lease released");
                         assert!(s.peak_bytes <= capacity, "{what}: peak within capacity");

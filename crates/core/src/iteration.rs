@@ -22,8 +22,8 @@
 //!   [`IterationStats`](crate::solver::IterationStats).
 //!
 //! The conflict builders ([`crate::conflict`]) all draw from the context
-//! — `build_sequential`, `build_parallel` and the sub-bucket-sharded
-//! device fleet's `build_device` share one engine view
+//! — `build_sequential`, `build_parallel` and the device's
+//! `build_device` share one engine view
 //! ([`CandidateEngine::with_index`]) over the context's lists and index,
 //! which is what guarantees every backend enumerates the identical
 //! candidate set.
@@ -128,9 +128,8 @@ pub struct IterationScratch {
     /// one edge-group arena ([`graph::CooGroups`], groups `[pivot, len,
     /// v_1 … v_len]`) per cut of flat pivot rows, in row order. The
     /// sequential build's one cut and the all-pairs build write
-    /// `blocks[0]`; the rayon build writes one arena per cut, and a
-    /// device fleet one per block of each device's span, device after
-    /// device. Read in order, the arenas hold the last build's groups —
+    /// `blocks[0]`; the rayon build and the device kernel write one arena
+    /// per block of the row space. Read in order, the arenas hold the last build's groups —
     /// every arena it did not use is empty — and CSR assembly visits them
     /// so ([`graph::csr_from_groups_in`]). The list is grown, never
     /// shrunk, and every arena keeps its capacity.
@@ -261,8 +260,8 @@ impl IterationContext {
         self.deadline
     }
 
-    /// Installs (or clears) the fault plan future solver-created devices
-    /// inherit. A no-op plan is kept as `None`.
+    /// Installs (or clears) the fault plan a future solver-created device
+    /// inherits. A no-op plan is kept as `None`.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan.filter(|p| !p.is_noop());
     }

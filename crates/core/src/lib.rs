@@ -13,8 +13,8 @@
 //!    palette's inverted index (`color → vertex bucket`, [`candidates`]),
 //!    built once per iteration by the solver-owned [`iteration`]
 //!    workspace and lent to every backend — and the sequential,
-//!    rayon-parallel, simulated-GPU and sub-bucket-sharded multi-GPU
-//!    backends produce identical graphs,
+//!    rayon-parallel and simulated-GPU backends produce identical
+//!    graphs,
 //! 3. colors unconflicted vertices with any list color,
 //! 4. list-colors the conflict graph with the dynamic bucket greedy of
 //!    Algorithm 2 ([`listcolor`]),

@@ -172,11 +172,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let strings = pauli::string::random_unique_set(90, 8, &mut rng);
         let set = EncodedSet::from_strings(&strings);
-        let cfg =
-            PicassoConfig::normal(3).with_backend(crate::config::ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 32 * 1024 * 1024,
-            });
+        let cfg = PicassoConfig::normal(3).with_backend(crate::config::ConflictBackend::Device {
+            capacity: 32 * 1024 * 1024,
+        });
         let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
         let registry = Registry::new();
         record_result(&registry, &result);

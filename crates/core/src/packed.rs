@@ -243,50 +243,13 @@ impl PackedBuckets {
         self.num_rows
     }
 
-    /// Bytes a full device replica of this packing holds: every key
-    /// lane, every query row, and the per-vertex palette bitmasks, as
-    /// `u64` words. This is what Algorithm 3 charges **instead of** the
-    /// raw encoded set when the packed kernel runs — the replica *is*
-    /// the kernel's input. Single-device builds upload all of it;
-    /// sub-bucket spans charge [`PackedBuckets::device_bytes_for_span`].
+    /// Bytes the device replica of this packing holds: every key lane,
+    /// every query row, and the per-vertex palette bitmasks, as `u64`
+    /// words. This is what Algorithm 3 uploads **instead of** the raw
+    /// encoded set when the packed kernel runs — the replica *is* the
+    /// kernel's input.
     pub fn device_bytes(&self) -> usize {
         (self.keys.len() + self.query.len() + self.color_masks.len()) * std::mem::size_of::<u64>()
-    }
-
-    /// Bytes the replica slice serving flat-row span `span` actually
-    /// uploads to one device: the key lanes from the span's first pivot
-    /// row through the end of the last bucket it touches (a pivot scans
-    /// its whole bucket tail), one query row per pivot in the span, and
-    /// the palette bitmasks of the touched buckets' members. `index` is
-    /// the layout the replica was packed with: `None` (all-pairs) is one
-    /// bucket of all `m` vertices, so a span charges key rows
-    /// `span.start..m`, `span.len()` query rows and all `m` bitmasks.
-    /// Always `≤ device_bytes()`, and equal to it for the full-row span —
-    /// so a fleet of one charges the whole replica while narrow spans
-    /// stop charging all `m` query rows.
-    pub fn device_bytes_for_span(
-        &self,
-        index: Option<&BucketIndex>,
-        span: std::ops::Range<usize>,
-    ) -> usize {
-        if span.is_empty() {
-            return 0;
-        }
-        debug_assert!(span.end <= self.num_rows);
-        let (touched_start, touched_end) = match index {
-            Some(index) => {
-                debug_assert_eq!(index.num_rows(), self.num_rows);
-                let first = index.row_bucket(span.start);
-                let last = index.row_bucket(span.end - 1);
-                (index.bucket_start(first), index.bucket_start(last + 1))
-            }
-            None => (0, self.num_rows),
-        };
-        let key_rows = touched_end - span.start;
-        let query_rows = span.len().min(self.num_vertices);
-        let mask_rows = (touched_end - touched_start).min(self.num_vertices);
-        (key_rows * self.words + query_rows * self.words + mask_rows * self.color_words)
-            * std::mem::size_of::<u64>()
     }
 
     /// Debug-build guard for the iteration context's replica cache:
@@ -645,28 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_span_charges_cover_the_tail_rows() {
-        let ss = strings(100, 12, 13);
-        let enc = EncodedSet::from_strings(&ss);
-        let oracle = PauliComplementOracle::new(&enc);
-        let lists = ColorLists::assign(100, 0, 8, 6, 3, 1);
-        let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, None));
-        // 100 key rows + 100 query rows + 100 one-word bitmasks.
-        assert_eq!(packed.device_bytes(), 300 * 8);
-        assert_eq!(
-            packed.device_bytes_for_span(None, 0..100),
-            packed.device_bytes()
-        );
-        assert_eq!(packed.device_bytes_for_span(None, 0..0), 0);
-        // Rows 40..60 read key rows 40..100, 20 query rows, 100 bitmasks.
-        assert_eq!(
-            packed.device_bytes_for_span(None, 40..60),
-            (60 + 20 + 100) * 8
-        );
-    }
-
-    #[test]
     fn packed_kernel_matches_the_scalar_oracle_both_encodings() {
         // One-word (3-bit, ≤21 qubits), multi-word (3-bit, >21 qubits),
         // and the symplectic form (always ≥2 words).
@@ -803,45 +744,5 @@ mod tests {
         // 50 vertices × 4 list colors = 200 key rows + 50 query rows +
         // 50 one-word palette bitmasks (palette 10 < 64), one word each.
         assert_eq!(packed.device_bytes(), (200 + 50 + 50) * 8);
-        // The full-row span charges exactly the full replica…
-        assert_eq!(
-            packed.device_bytes_for_span(Some(&index), 0..index.num_rows()),
-            packed.device_bytes()
-        );
-        // …while a narrow span charges only its touched slice, and an
-        // empty span charges nothing.
-        assert_eq!(packed.device_bytes_for_span(Some(&index), 0..0), 0);
-        let k = index.num_buckets() / 2;
-        let span = index.bucket_start(k)..index.bucket_start(k + 1);
-        let b = span.len();
-        assert_eq!(
-            packed.device_bytes_for_span(Some(&index), span.clone()),
-            (b + b.min(50) + b.min(50)) * 8
-        );
-        assert!(packed.device_bytes_for_span(Some(&index), span) < packed.device_bytes());
-    }
-
-    #[test]
-    fn span_charges_are_bounded_by_the_full_replica() {
-        // Spans cutting mid-bucket still charge the whole touched
-        // bucket's keys and masks (the pivot scans its full tail).
-        let mut rng = StdRng::seed_from_u64(23);
-        let ss: Vec<PauliString> = (0..90).map(|_| PauliString::random(11, &mut rng)).collect();
-        let enc = EncodedSet::from_strings(&ss);
-        let oracle = PauliComplementOracle::new(&enc);
-        let lists = ColorLists::assign(90, 0, 9, 3, 4, 1);
-        let index = lists.bucket_index();
-        let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
-        let rows = index.num_rows();
-        for cut in [1, rows / 3, rows / 2, rows - 1] {
-            let a = packed.device_bytes_for_span(Some(&index), 0..cut);
-            let b = packed.device_bytes_for_span(Some(&index), cut..rows);
-            assert!(a <= packed.device_bytes());
-            assert!(b <= packed.device_bytes());
-            // Each side alone never exceeds the full replica, and both
-            // sides cover at least every key row once.
-            assert!(a + b >= rows * packed.words() * 8);
-        }
     }
 }

@@ -19,11 +19,6 @@ pub enum SolveError {
     /// The device backend ran out of memory while building a conflict
     /// graph — the paper's failure mode for its largest instance.
     DeviceOom(DeviceError),
-    /// [`ConflictBackend::MultiDevice`] was configured with zero
-    /// devices. Earlier versions silently clamped this to a one-device
-    /// run; a fleet of zero devices is a configuration error and is
-    /// rejected loudly.
-    NoDevices,
     /// The deadline armed via
     /// [`IterationContext::set_deadline`](crate::IterationContext::set_deadline)
     /// passed. The solver checks it cooperatively between phases (never
@@ -50,9 +45,6 @@ impl std::fmt::Display for SolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolveError::DeviceOom(e) => write!(f, "conflict graph build failed: {e}"),
-            SolveError::NoDevices => {
-                write!(f, "multi-device backend configured with zero devices")
-            }
             SolveError::DeadlineExceeded {
                 completed_iterations,
             } => write!(
@@ -357,30 +349,14 @@ impl Picasso {
         let mut iterations = Vec::new();
         let mut safety_valve_vertices = 0usize;
 
-        // Devices inherit the context's fault plan (if any): chaos
+        // The device inherits the context's fault plan (if any): chaos
         // testing threads through here without touching `PicassoConfig`,
         // so fault injection can never perturb cache identity.
-        let faults = ctx.fault_plan();
-        let fleet: Vec<DeviceSim> = match cfg.backend {
-            ConflictBackend::MultiDevice {
-                devices,
-                capacity_each,
-            } => {
-                if devices == 0 {
-                    return Err(SolveError::NoDevices);
-                }
-                (0..devices)
-                    .map(|d| {
-                        // Salt the plan per device so fleet members draw
-                        // independent fault streams; device 0's salt is
-                        // the identity, so a lone device draws the plan's
-                        // own stream.
-                        let salted = faults.map(|p| p.reseed(p.seed() ^ ((d as u64) << 32)));
-                        DeviceSim::with_fault_plan(capacity_each, salted)
-                    })
-                    .collect()
+        let device = match cfg.backend {
+            ConflictBackend::Device { capacity } => {
+                Some(DeviceSim::with_fault_plan(capacity, ctx.fault_plan()))
             }
-            _ => Vec::new(),
+            _ => None,
         };
 
         // The per-iteration workspace: constructed once per solve (or
@@ -456,8 +432,9 @@ impl Picasso {
                 ConflictBackend::AllPairs => {
                     (conflict::build_sequential_allpairs(&view, ctx).into(), None)
                 }
-                ConflictBackend::MultiDevice { .. } => {
-                    let build = conflict::build_device(&view, ctx, &fleet, input_bpv)
+                ConflictBackend::Device { .. } => {
+                    let dev = device.as_ref().expect("device backend has a device");
+                    let build = conflict::build_device(&view, ctx, dev, input_bpv)
                         .map_err(SolveError::DeviceOom)?;
                     let on_device = build.csr_on_device;
                     (build.into(), on_device)
@@ -579,18 +556,7 @@ impl Picasso {
             used.dedup();
             used.len() as u32
         };
-        // Device runs report the counters summed across the fleet.
-        let device_stats = (!fleet.is_empty()).then(|| {
-            let mut total = DeviceStats::default();
-            for s in fleet.iter().map(DeviceSim::stats) {
-                total.used_bytes += s.used_bytes;
-                total.peak_bytes += s.peak_bytes;
-                total.h2d_bytes += s.h2d_bytes;
-                total.d2h_bytes += s.d2h_bytes;
-                total.kernel_launches += s.kernel_launches;
-            }
-            total
-        });
+        let device_stats = device.as_ref().map(DeviceSim::stats);
         // A solve is a natural trace boundary: deliver this thread's
         // ring to the sink rather than waiting for it to fill.
         telemetry::flush_thread();
@@ -716,15 +682,11 @@ mod tests {
         let src = injected.source().unwrap();
         assert!(src.to_string().contains("injected device_reserve fault"));
 
-        for err in [
-            SolveError::NoDevices,
-            SolveError::DeadlineExceeded {
-                completed_iterations: 0,
-            },
-        ] {
-            assert!(err.source().is_none(), "{err} has no inner error");
-            assert!(!err.is_injected());
-        }
+        let err = SolveError::DeadlineExceeded {
+            completed_iterations: 0,
+        };
+        assert!(err.source().is_none(), "{err} has no inner error");
+        assert!(!err.is_injected());
     }
 
     #[test]
@@ -757,9 +719,8 @@ mod tests {
     fn injected_device_faults_surface_as_typed_transient_errors() {
         use device::FaultPlan;
         let set = random_set(60, 8, 6);
-        let cfg = PicassoConfig::normal(3).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: 32 * 1024 * 1024,
+        let cfg = PicassoConfig::normal(3).with_backend(ConflictBackend::Device {
+            capacity: 32 * 1024 * 1024,
         });
         let mut ctx = IterationContext::new();
         ctx.set_fault_plan(Some(FaultPlan::uniform(11, 1.0)));
@@ -785,9 +746,8 @@ mod tests {
         let par = Picasso::new(base.with_backend(ConflictBackend::Parallel))
             .solve_pauli(&set)
             .unwrap();
-        let dev = Picasso::new(base.with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: 32 * 1024 * 1024,
+        let dev = Picasso::new(base.with_backend(ConflictBackend::Device {
+            capacity: 32 * 1024 * 1024,
         }))
         .solve_pauli(&set)
         .unwrap();
@@ -813,45 +773,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_device_backend_matches_others() {
-        let set = random_set(120, 8, 14);
-        let base = PicassoConfig::normal(6);
-        let par = Picasso::new(base).solve_pauli(&set).unwrap();
-        let multi = Picasso::new(base.with_backend(ConflictBackend::MultiDevice {
-            devices: 3,
-            capacity_each: 16 * 1024 * 1024,
-        }))
-        .solve_pauli(&set)
-        .unwrap();
-        assert_eq!(par.colors, multi.colors);
-        let stats = multi.device_stats.expect("aggregated stats");
-        assert!(stats.kernel_launches >= multi.iterations.len() * 3);
-    }
-
-    #[test]
-    fn zero_devices_is_a_configuration_error() {
-        // Regression: `devices = 0` used to be silently clamped to a
-        // one-device run.
-        let set = random_set(40, 6, 13);
-        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 0,
-            capacity_each: 16 * 1024 * 1024,
-        });
-        let err = Picasso::new(cfg).solve_pauli(&set).unwrap_err();
-        assert_eq!(err, SolveError::NoDevices);
-        assert!(err.to_string().contains("zero devices"));
-    }
-
-    #[test]
     fn bucket_index_is_built_at_most_once_per_iteration() {
         let set = random_set(200, 10, 21);
         let base = PicassoConfig::normal(4);
         for backend in [
             ConflictBackend::Sequential,
             ConflictBackend::Parallel,
-            ConflictBackend::MultiDevice {
-                devices: 3,
-                capacity_each: 32 * 1024 * 1024,
+            ConflictBackend::Device {
+                capacity: 32 * 1024 * 1024,
             },
         ] {
             let r = Picasso::new(base.with_backend(backend))
@@ -993,10 +922,8 @@ mod tests {
     #[test]
     fn device_oom_surfaces_as_error() {
         let set = random_set(200, 8, 5);
-        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: 4 * 1024,
-        });
+        let cfg =
+            PicassoConfig::normal(1).with_backend(ConflictBackend::Device { capacity: 4 * 1024 });
         let err = Picasso::new(cfg).solve_pauli(&set);
         assert!(matches!(err, Err(SolveError::DeviceOom(_))), "got {err:?}");
     }

@@ -2,8 +2,8 @@
 //! discipline and conflict-graph correctness on arbitrary oracles —
 //! including the equivalence suite pinning the bucketed candidate
 //! engine to the legacy all-pairs reference on random Pauli workloads,
-//! and the sub-bucket-sharding suite pinning the multi-device build to
-//! the sequential reference for every device count.
+//! and the row-block suite pinning the rayon build and the device kernel
+//! to the sequential reference where blocks cut through buckets.
 
 use device::DeviceSim;
 use graph::FnOracle;
@@ -41,9 +41,9 @@ fn ctx_for(lists: &ColorLists) -> IterationContext {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All conflict builders — including the sub-bucket-sharded
-    /// multi-device path — produce the same graph for arbitrary oracles,
-    /// palettes and list sizes, from one shared context.
+    /// All conflict builders — including the device path — produce the
+    /// same graph for arbitrary oracles, palettes and list sizes, from
+    /// one shared context.
     #[test]
     fn all_backends_build_identical_graphs(
         n in 2usize..90,
@@ -59,19 +59,15 @@ proptest! {
         let a = build_sequential(&oracle, &mut ctx);
         let b = build_parallel(&oracle, &mut ctx);
         let dev = DeviceSim::new(32 * 1024 * 1024);
-        let c = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
-        let devices: Vec<DeviceSim> = (0..3).map(|_| DeviceSim::new(16 * 1024 * 1024)).collect();
-        let d = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
+        let c = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
         prop_assert_eq!(&reference.graph, &a.graph);
         prop_assert_eq!(&a.graph, &b.graph);
         prop_assert_eq!(&a.graph, &c.graph);
-        prop_assert_eq!(&a.graph, &d.graph);
-        prop_assert_eq!(a.num_edges, d.num_edges);
+        prop_assert_eq!(a.num_edges, c.num_edges);
         // Enumeration accounting: bucketed backends agree and never
         // exceed the all-pairs count (the engine falls back otherwise).
         prop_assert_eq!(a.candidate_pairs, b.candidate_pairs);
         prop_assert_eq!(a.candidate_pairs, c.candidate_pairs);
-        prop_assert_eq!(a.candidate_pairs, d.candidate_pairs);
         prop_assert!(a.candidate_pairs <= reference.candidate_pairs);
         // One context, many backends: the index was built at most once.
         prop_assert!(ctx.index_builds() <= 1);
@@ -158,7 +154,7 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = DeviceSim::new(32 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
         prop_assert_eq!(&reference.graph, &seq.graph);
         prop_assert_eq!(&reference.graph, &par.graph);
         prop_assert_eq!(&reference.graph, &devb.graph);
@@ -168,47 +164,47 @@ proptest! {
         prop_assert!(seq.candidate_pairs <= reference.candidate_pairs);
     }
 
-    /// Sub-bucket sharding acceptance contract: random Pauli sets ×
-    /// (palette, α) × device counts {1, 2, 3, 7} produce CSRs
-    /// bit-identical to the sequential reference — including the
-    /// degenerate two-color-palette case where two coarse buckets must
-    /// split across more devices than there are buckets.
+    /// Row-block acceptance contract: random Pauli sets × (palette, α)
+    /// give the rayon build and the device kernel CSRs bit-identical to
+    /// the sequential reference — including two-color, one-slot lists,
+    /// whose two coarse buckets the `4 × threads` blocks cut through.
     #[test]
-    fn multi_device_sharding_matches_sequential_for_all_device_counts(
+    fn row_blocks_match_sequential_on_coarse_buckets(
         n in 2usize..60,
         qubits in 4usize..16,
         set_seed in any::<u64>(),
-        palette_choice in 0usize..4,
+        palette_choice in 0usize..5,
         alpha in 0.5f64..6.0,
-        dev_choice in 0usize..4,
         list_seed in any::<u64>(),
     ) {
-        // Palette grid includes the two-color degenerate case.
-        let palette = [2u32, 3, 12, 40][palette_choice];
-        let num_devices = [1usize, 2, 3, 7][dev_choice];
+        // Choice 0 is two colors of one slot each: two disjoint buckets.
+        let palette = [2u32, 2, 3, 12, 40][palette_choice];
         let mut rng = StdRng::seed_from_u64(set_seed);
         let strings = pauli::string::random_unique_set(n, qubits, &mut rng);
         let set = EncodedSet::from_strings(&strings);
         let oracle = PauliComplementOracle::new(&set);
-        let list = ((alpha * (n.max(2) as f64).log10()).ceil() as u32).clamp(1, palette);
+        let list = match palette_choice {
+            0 => 1,
+            _ => ((alpha * (n.max(2) as f64).log10()).ceil() as u32).clamp(1, palette),
+        };
         let lists = ColorLists::assign(n, 3, palette, list, list_seed, 1);
 
         let mut ctx = ctx_for(&lists);
         let seq = build_sequential(&oracle, &mut ctx);
-        let devices: Vec<DeviceSim> = (0..num_devices)
-            .map(|_| DeviceSim::new(16 * 1024 * 1024))
-            .collect();
-        let multi = build_device(&oracle, &mut ctx, &devices, 16).unwrap();
-        prop_assert_eq!(&seq.graph, &multi.graph, "devices={}", num_devices);
-        prop_assert_eq!(seq.num_edges, multi.num_edges);
-        prop_assert_eq!(seq.candidate_pairs, multi.candidate_pairs);
+        let par = build_parallel(&oracle, &mut ctx);
+        let dev = DeviceSim::new(16 * 1024 * 1024);
+        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        for (name, built) in [("parallel", &par), ("device", &devb)] {
+            prop_assert_eq!(&seq.graph, &built.graph, "{} P={} L={}", name, palette, list);
+            prop_assert_eq!(seq.num_edges, built.num_edges, "{}", name);
+            prop_assert_eq!(seq.candidate_pairs, built.candidate_pairs, "{}", name);
+        }
         prop_assert!(ctx.index_builds() <= 1);
     }
 
     /// End-to-end determinism across engines: for a fixed seed, a full
     /// solve over the all-pairs reference backend produces exactly the
-    /// colors of the bucketed backends — multi-device included, at every
-    /// device count.
+    /// colors of the bucketed backends, the device included.
     #[test]
     fn solver_colors_identical_across_engines(
         n in 2usize..60,
@@ -216,7 +212,6 @@ proptest! {
         cfg_seed in any::<u64>(),
         palette_fraction in 0.02f64..0.4,
         alpha in 0.5f64..5.0,
-        dev_choice in 0usize..4,
     ) {
         let mut rng = StdRng::seed_from_u64(set_seed);
         let strings = pauli::string::random_unique_set(n, 8, &mut rng);
@@ -233,18 +228,17 @@ proptest! {
         let par = Picasso::new(base.with_backend(ConflictBackend::Parallel))
             .solve_pauli(&set)
             .unwrap();
-        let multi = Picasso::new(base.with_backend(ConflictBackend::MultiDevice {
-            devices: [1usize, 2, 3, 7][dev_choice],
-            capacity_each: 32 * 1024 * 1024,
+        let dev = Picasso::new(base.with_backend(ConflictBackend::Device {
+            capacity: 32 * 1024 * 1024,
         }))
         .solve_pauli(&set)
         .unwrap();
         prop_assert_eq!(&reference.colors, &seq.colors);
         prop_assert_eq!(&reference.colors, &par.colors);
-        prop_assert_eq!(&reference.colors, &multi.colors);
+        prop_assert_eq!(&reference.colors, &dev.colors);
         prop_assert_eq!(reference.num_colors, seq.num_colors);
         prop_assert!(seq.total_candidate_pairs() <= reference.total_candidate_pairs());
-        prop_assert_eq!(seq.total_candidate_pairs(), multi.total_candidate_pairs());
+        prop_assert_eq!(seq.total_candidate_pairs(), dev.total_candidate_pairs());
         // The reference backend never builds an index; the bucketed ones
         // build at most one per iteration.
         prop_assert_eq!(reference.index_builds, 0);

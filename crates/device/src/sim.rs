@@ -259,10 +259,9 @@ impl DeviceSim {
 /// Cuts `0..weights.len()` into at most `k` contiguous ranges whose total
 /// weights are near-equal (each range closes as soon as it reaches the
 /// ideal share, so no range exceeds the ideal by more than one item).
-/// Deterministic; the rayon-parallel build and every device of a fleet
-/// cut their pivot rows into blocks with it, and the fleet cuts the row
-/// space into per-device spans. Equal-width cuts would leave one block
-/// stuck with a giant bucket's whole tail of work.
+/// Deterministic; the rayon-parallel build and the device kernel cut
+/// their pivot rows into blocks with it. Equal-width cuts would leave one
+/// block stuck with a giant bucket's whole tail of work.
 pub fn balanced_weight_cuts(weights: &[u64], k: usize) -> Vec<std::ops::Range<usize>> {
     let n = weights.len();
     let k = k.max(1);

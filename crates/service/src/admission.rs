@@ -93,6 +93,11 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// that packed. Deterministic and allocator-independent, so it works
 /// identically in the CLI, the service, and tests.
 ///
+/// It is a **lower bound** on the solve's peak, not the peak itself: it
+/// leaves out the pooled scan arenas (`TaskArena`, one per concurrently
+/// running cut) and the colouring scratch (`ColorScratch`), so
+/// `observed ÷ forecast` reads low.
+///
 /// Recording `observed ÷ forecast` per served job (see
 /// [`crate::ServiceMetrics`]) is the groundwork for the ROADMAP's
 /// "calibrate the admission forecast" item: the ratio *is* the

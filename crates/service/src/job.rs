@@ -211,12 +211,11 @@ pub struct JobConfig {
     pub seed: Option<u64>,
     /// Start from the Aggressive preset instead of Normal.
     pub aggressive: bool,
-    /// Conflict backend override: `seq`, `par`, `allpairs`,
-    /// `device:<MiB>` (simulated device of that capacity) or
-    /// `multi:<N>:<MiB>` (a fleet of `N` devices, `<MiB>` each). Device
-    /// placements start the service's degradation ladder: on a genuine
-    /// capacity failure the job re-solves down `multi:<N>:<MiB>` →
-    /// `device:<MiB>` → Parallel with the identical coloring.
+    /// Conflict backend override: `seq`, `par`, `allpairs` or
+    /// `device:<MiB>` (the simulated device of that capacity). A device
+    /// placement starts the service's degradation ladder: on a genuine
+    /// capacity failure the job re-solves on the device with scalar
+    /// kernels, then on `Parallel`, with the identical coloring.
     pub backend: Option<String>,
     /// List-coloring scheme override (`greedy`, or a static ordering:
     /// `natural`, `random`, `lf`, `sl`, `dlf`, `id`).
@@ -825,22 +824,8 @@ mod tests {
         .unwrap();
         assert_eq!(
             dev.backend,
-            ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 64 * 1024 * 1024,
-            }
-        );
-        let multi = JobConfig {
-            backend: Some("multi:4:16".into()),
-            ..JobConfig::default()
-        }
-        .effective()
-        .unwrap();
-        assert_eq!(
-            multi.backend,
-            ConflictBackend::MultiDevice {
-                devices: 4,
-                capacity_each: 16 * 1024 * 1024
+            ConflictBackend::Device {
+                capacity: 64 * 1024 * 1024,
             }
         );
         for bad in [
@@ -852,6 +837,7 @@ mod tests {
             "multi:0:16",
             "multi:999:16",
             "multi:2:0",
+            "multi:4:16",
             "warp",
         ] {
             let err = JobConfig {
@@ -860,6 +846,28 @@ mod tests {
             }
             .effective();
             assert!(err.is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn a_multi_backend_line_comes_back_malformed() {
+        // `multi:` is no backend: its JSONL line is a per-line
+        // rejection naming the backends there are.
+        let parsed = parse_request_lines(concat!(
+            r#"{"id": "fleet", "workload": {"type": "synthetic_pauli", "n": 40, "qubits": 8},"#,
+            r#" "config": {"backend": "multi:2:16"}}"#,
+        ));
+        assert!(parsed.requests.is_empty());
+        match &parsed.malformed[..] {
+            [SolveResponse {
+                id,
+                outcome: JobOutcome::Malformed { line: 1, error },
+            }] => {
+                assert_eq!(id, "fleet");
+                assert!(error.contains("unknown backend"), "{error}");
+                assert!(error.contains("device:<MiB>"), "{error}");
+            }
+            other => panic!("{other:?}"),
         }
     }
 

@@ -26,9 +26,9 @@
 //! deterministic exponential backoff until [`ServiceConfig::max_attempts`]
 //! is spent — then the job is **quarantined** with its full fault
 //! history. Genuine device-capacity failures instead walk the
-//! **degradation ladder** in place — packed → scalar kernels, then
-//! `MultiDevice{n}` → `MultiDevice{1}` → Parallel — re-solving on the
-//! next rung; every backend produces bit-identical colorings, so a degraded
+//! **degradation ladder** in place — `device:<MiB>` with packed kernels,
+//! then with scalar kernels, then `Parallel` — re-solving on the next
+//! rung; every backend produces bit-identical colorings, so a degraded
 //! response is indistinguishable from a healthy one. Jobs may carry a
 //! deadline ([`crate::JobConfig::deadline_ms`], measured from enqueue)
 //! that the solver honors cooperatively between phases. Chaos testing is
@@ -562,9 +562,8 @@ impl SolveService {
 
     /// One attempt's solve, walking the degradation ladder in place: a
     /// *genuine* device-capacity failure (not an injected fault, not a
-    /// deadline) demotes — packed kernels → scalar first, then
-    /// `MultiDevice{n}` → `MultiDevice{1}` → Parallel — and re-solves on
-    /// the next rung. Every backend produces bit-identical colorings
+    /// deadline) demotes — the device's packed kernels → scalar first,
+    /// then the device → Parallel — and re-solves on the next rung. Every backend produces bit-identical colorings
     /// (the solver's determinism contract), so degraded responses are
     /// payload-identical to healthy ones; demotions surface only in
     /// `service_degradations_total` and the telemetry events.
@@ -628,7 +627,6 @@ impl SolveService {
                             self.metrics.degradations.inc();
                             telemetry::event!("degrade_backend");
                             ctx.set_packing(PackingMode::Auto);
-                            scalar_retried = false;
                             cfg = cfg.with_backend(next);
                         }
                         // Bottom of the ladder: the failure is real.
@@ -645,9 +643,10 @@ impl SolveService {
         // instruments every exposition surface reads.
         picasso::metrics::record_result(self.metrics.registry(), &result);
         // Forecast calibration: pair the admission-time worst case with
-        // the structural peak this solve actually reached; the running
-        // observed ÷ forecast ratio is the correction factor the ROADMAP
-        // asks to fit.
+        // a lower bound on this solve's structural peak (it leaves out
+        // the pooled scan arenas and the colouring scratch, so the
+        // running observed ÷ forecast ratio reads low); that ratio is
+        // the correction factor the ROADMAP asks to fit.
         let forecast = crate::admission::forecast_peak_bytes(&request.workload, &cfg);
         let observed = crate::admission::observed_peak_bytes(&request.workload, &result);
         self.metrics.forecast_bytes_total.add(forecast as u64);
@@ -683,10 +682,10 @@ fn injected_site(e: &SolveError) -> Option<FaultSite> {
     }
 }
 
-/// Whether the backend places work on simulated devices (and can
+/// Whether the backend places work on the simulated device (and can
 /// therefore fail for capacity reasons the ladder can fix).
 fn uses_device(backend: ConflictBackend) -> bool {
-    matches!(backend, ConflictBackend::MultiDevice { .. })
+    matches!(backend, ConflictBackend::Device { .. })
 }
 
 /// The next rung down the degradation ladder, or `None` at the bottom.
@@ -696,11 +695,7 @@ fn uses_device(backend: ConflictBackend) -> bool {
 /// host backends fail with nothing but deadlines, which never demote.
 fn demote_backend(backend: ConflictBackend) -> Option<ConflictBackend> {
     match backend {
-        ConflictBackend::MultiDevice { devices: 1, .. } => Some(ConflictBackend::Parallel),
-        ConflictBackend::MultiDevice { capacity_each, .. } => Some(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each,
-        }),
+        ConflictBackend::Device { .. } => Some(ConflictBackend::Parallel),
         ConflictBackend::Parallel | ConflictBackend::AllPairs | ConflictBackend::Sequential => None,
     }
 }
@@ -1106,7 +1101,7 @@ mod tests {
     #[test]
     fn genuine_device_oom_walks_the_ladder_to_an_identical_coloring() {
         // A 1 MiB device cannot hold this build: the ladder demotes
-        // packed → scalar, then the fleet of one → Parallel, and the job still
+        // packed → scalar, then the device → Parallel, and the job still
         // solves — with the exact payload the healthy backend produces.
         let service = small_service(1);
         let mut degraded = synth("degraded", 1500, 7);
@@ -1190,18 +1185,7 @@ mod tests {
 
     #[test]
     fn ladder_rungs_demote_in_order_and_bottom_out() {
-        let multi = ConflictBackend::MultiDevice {
-            devices: 4,
-            capacity_each: 123,
-        };
-        let dev = demote_backend(multi).unwrap();
-        assert_eq!(
-            dev,
-            ConflictBackend::MultiDevice {
-                devices: 1,
-                capacity_each: 123,
-            }
-        );
+        let dev = ConflictBackend::Device { capacity: 123 };
         assert_eq!(demote_backend(dev).unwrap(), ConflictBackend::Parallel);
         // The host backends are the bottom: none fails for capacity.
         for host in [
@@ -1211,7 +1195,7 @@ mod tests {
         ] {
             assert_eq!(demote_backend(host), None, "{host:?}");
         }
-        assert!(uses_device(multi) && uses_device(dev));
+        assert!(uses_device(dev));
         assert!(!uses_device(ConflictBackend::Parallel));
     }
 }

@@ -50,6 +50,30 @@ fn over_budget_job_is_rejected_with_zero_candidate_pairs_scanned() {
 }
 
 #[test]
+fn a_multi_backend_is_rejected_at_admission_and_never_retried() {
+    // `multi:` is no backend: an in-code request naming it fails its
+    // configuration check before any solve work, once.
+    let svc = service(1, AdmissionConfig::default());
+    let mut req = synth("fleet", 40, 1);
+    req.config.backend = Some("multi:2:16".into());
+    let report = svc.process_batch(vec![req]);
+    match &report.responses[0].outcome {
+        JobOutcome::Rejected { reason } => {
+            assert!(reason.contains("invalid configuration"), "{reason}");
+            assert!(reason.contains("unknown backend"), "{reason}");
+        }
+        other => panic!("expected rejection, got {other:?}"),
+    }
+    assert_eq!(report.metrics.rejected, 1);
+    assert_eq!(
+        report.metrics.retries, 0,
+        "a bad configuration never retries"
+    );
+    assert_eq!(report.metrics.candidate_pairs_scanned, 0);
+    assert!(svc.quarantined().is_empty());
+}
+
+#[test]
 fn mixed_batch_rejects_only_the_over_budget_jobs() {
     let svc = service(
         2,

@@ -22,9 +22,8 @@ fn main() {
     let mut colors = Vec::new();
     let mut failed = false;
     for capacity_mib in [64usize, 8, 4, 2, 1] {
-        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: capacity_mib * 1024 * 1024,
+        let cfg = PicassoConfig::normal(1).with_backend(ConflictBackend::Device {
+            capacity: capacity_mib * 1024 * 1024,
         });
         match Picasso::new(cfg).solve_pauli(&set) {
             Ok(r) => {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! picasso-cli strings.txt [--palette PCT] [--alpha A] [--seed N]
-//!             [--aggressive] [--backend seq|par|allpairs|device:MIB|multi:N:MIB]
+//!             [--aggressive] [--backend seq|par|allpairs|device:MIB]
 //!             [--coloring greedy|natural|random|lf|sl|dlf|id]
 //!             [--json] [--stats] [--metrics FILE] [--trace FILE]
 //!
@@ -17,7 +17,8 @@
 //!
 //! One-shot mode: one Pauli string per line (`IXYZ…`), `#` comments
 //! allowed; output is one group per line (`U<k>: S1 S2 …`), or a JSON
-//! document with `--json`.
+//! document with `--json`. `--backend device:MIB` builds each conflict
+//! graph on one simulated device of `MIB` MiB (Algorithm 3).
 //!
 //! Serve mode: drains a JSONL request file through the
 //! admission-controlled [`picasso_service::SolveService`] and emits one
@@ -72,7 +73,7 @@ struct CliArgs {
 fn usage() -> ! {
     eprintln!(
         "usage: picasso-cli [FILE|-] [--palette PCT] [--alpha A] [--seed N] \
-         [--aggressive] [--backend seq|par|allpairs|device:MIB|multi:N:MIB] \
+         [--aggressive] [--backend seq|par|allpairs|device:MIB] \
          [--coloring greedy|natural|random|lf|sl|dlf|id] [--json] [--stats] \
          [--metrics FILE] [--trace FILE]"
     );

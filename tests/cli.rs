@@ -358,9 +358,9 @@ fn allpairs_reference_backend_matches_default() {
 }
 
 #[test]
-fn device_fleet_backend_prints_the_same_groups_as_seq() {
+fn device_backend_prints_the_same_groups_as_seq() {
     let path = write_input(
-        "cli_multi.txt",
+        "cli_device.txt",
         "XXXX\nYYYY\nZZZZ\nXYZI\nIZYX\nXZXZ\nYZYZ\nZXZX\n",
     );
     let run = |backend: &str| {
@@ -378,8 +378,26 @@ fn device_fleet_backend_prints_the_same_groups_as_seq() {
     };
     let seq = run("seq");
     assert!(seq.starts_with("U0:"), "{seq}");
-    assert_eq!(run("multi:2:16"), seq);
     assert_eq!(run("device:16"), seq);
+}
+
+#[test]
+fn a_multi_backend_is_an_unknown_label() {
+    let path = write_input("cli_multi.txt", "XZ\nZX\nYY\n");
+    let out = Command::new(CLI)
+        .arg(&path)
+        .args(["--backend", "multi:2:16"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .contains("unknown backend \"multi:2:16\" (want seq | par | allpairs | device:<MiB>)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage: picasso-cli"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

@@ -15,8 +15,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const DEVICES: usize = 3;
-
 fn random_set(n: usize, qubits: usize, seed: u64) -> EncodedSet {
     let mut rng = StdRng::seed_from_u64(seed);
     EncodedSet::from_strings(&pauli::string::random_unique_set(n, qubits, &mut rng))
@@ -36,26 +34,17 @@ fn warm_up(ctx: &mut IterationContext, n: usize, warm_seed: u64) {
     Picasso::new(PicassoConfig::aggressive(warm_seed).with_backend(ConflictBackend::Sequential))
         .solve_pauli_in(&small, ctx)
         .expect("warm-up solve");
-    Picasso::new(normal.with_backend(ConflictBackend::MultiDevice {
-        devices: 1,
-        capacity_each: 64 << 20,
-    }))
-    .solve_oracle_in(&oracle, ctx)
-    .expect("warm-up solve");
+    Picasso::new(normal.with_backend(ConflictBackend::Device { capacity: 64 << 20 }))
+        .solve_oracle_in(&oracle, ctx)
+        .expect("warm-up solve");
 }
 
 fn backends() -> [ConflictBackend; 4] {
     [
         ConflictBackend::Sequential,
         ConflictBackend::Parallel,
-        ConflictBackend::MultiDevice {
-            devices: 1,
-            capacity_each: 64 << 20,
-        },
-        ConflictBackend::MultiDevice {
-            devices: DEVICES,
-            capacity_each: 32 << 20,
-        },
+        ConflictBackend::Device { capacity: 64 << 20 },
+        ConflictBackend::Device { capacity: 32 << 20 },
     ]
 }
 
@@ -152,7 +141,7 @@ proptest! {
     #[test]
     fn differently_warmed_workers_serve_byte_identical_responses(
         n in 60usize..220,
-        backend in prop_oneof![Just("seq"), Just("par"), Just("device:64"), Just("multi:3:16")],
+        backend in prop_oneof![Just("seq"), Just("par"), Just("device:64"), Just("device:16")],
         coloring in prop_oneof![Just("greedy"), Just("sl")],
         seed in any::<u64>(),
     ) {
@@ -160,7 +149,7 @@ proptest! {
         let b = one_worker_service();
         let cold = one_worker_service();
         warm_service(&a, &[(400, 20, "par"), (50, 6, "seq")], seed);
-        warm_service(&b, &[(90, 10, "device:64"), (300, 14, "multi:2:32")], seed ^ 7);
+        warm_service(&b, &[(90, 10, "device:64"), (300, 14, "device:32")], seed ^ 7);
 
         let mut request = SolveRequest::new(
             "target",
@@ -197,7 +186,7 @@ fn digest(colors: &[u32]) -> u64 {
 }
 
 /// Colourings do not depend on the thread count. The parallel and
-/// multi-device solves of a fixed instance equal the sequential one and
+/// device solves of a fixed instance equal the sequential one and
 /// a digest pinned here; run the suite under `RAYON_NUM_THREADS=1`, `=4`
 /// and the host default to compare thread counts across processes.
 #[test]

@@ -49,9 +49,8 @@ fn all_backends_agree_on_molecular_input() {
     let par = Picasso::new(base.with_backend(ConflictBackend::Parallel))
         .solve_pauli(&set)
         .unwrap();
-    let dev = Picasso::new(base.with_backend(ConflictBackend::MultiDevice {
-        devices: 1,
-        capacity_each: 128 * 1024 * 1024,
+    let dev = Picasso::new(base.with_backend(ConflictBackend::Device {
+        capacity: 128 * 1024 * 1024,
     }))
     .solve_pauli(&set)
     .unwrap();

@@ -141,7 +141,7 @@ fn warm_parallel_builds_stop_allocating_per_task() {
 #[test]
 fn device_build_peaks_on_the_host_like_the_rayon_build() {
     let _guard = MEASURE_LOCK.lock().unwrap();
-    // Algorithm 3's COO lives on the device: a fleet of one charges its
+    // Algorithm 3's COO lives on the device: the device charges its
     // budget for two words per candidate pair, but holds no host array of
     // that size. Its blocks stage edge groups exactly as the rayon build
     // does, so from fresh contexts on the same lists the two builds peak
@@ -171,7 +171,7 @@ fn device_build_peaks_on_the_host_like_the_rayon_build() {
     let mut ctx = fresh();
     let dev = device::DeviceSim::new(64 << 20);
     let region = PeakRegion::start();
-    let built = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+    let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
     let dev_peak = region.peak_bytes();
     assert_eq!(built.graph, par.graph);
     let mirror = 2 * built.candidate_pairs as usize * std::mem::size_of::<u32>();

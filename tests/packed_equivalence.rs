@@ -38,8 +38,9 @@ fn ctx_with(lists: &ColorLists, mode: PackingMode) -> IterationContext {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Packed vs scalar vs all-pairs, across all five backends, for the
-    /// 3-bit encoding.
+    /// Packed vs scalar vs all-pairs, for the 3-bit encoding: five
+    /// builds (the scalar bucketed reference, the all-pairs scan, and the
+    /// packed sequential, parallel and device builds) give one CSR.
     #[test]
     fn packed_csrs_bit_identical_across_all_five_backends(
         qubits in prop_oneof![Just(1usize), Just(8), Just(21), Just(26), Just(70)],
@@ -65,16 +66,12 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
-        let fleet: Vec<device::DeviceSim> =
-            (0..3).map(|_| device::DeviceSim::new(32 * 1024 * 1024)).collect();
-        let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
+        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
 
-        let builds: [(&str, &graph::CsrGraph, u64, u64); 4] = [
+        let builds: [(&str, &graph::CsrGraph, u64, u64); 3] = [
             ("sequential", &seq.graph, seq.packed_lanes, seq.candidate_pairs),
             ("parallel", &par.graph, par.packed_lanes, par.candidate_pairs),
             ("device", &devb.graph, devb.packed_lanes, devb.candidate_pairs),
-            ("multi-device", &multi.graph, multi.packed_lanes, multi.candidate_pairs),
         ];
         let packed_engaged = ctx.pack_builds() == 1;
         for (name, graph, lanes, pairs) in builds {
@@ -87,7 +84,7 @@ proptest! {
                 prop_assert_eq!(lanes, 0u64, "{}", name);
             }
         }
-        // One replica (at most) served all four backends.
+        // One replica (at most) served all three packed builds.
         prop_assert!(ctx.pack_builds() <= 1);
     }
 
@@ -112,7 +109,7 @@ proptest! {
         let scalar = build_sequential(&sym_oracle, &mut scalar_ctx);
         prop_assert_eq!(&packed.graph, &scalar.graph);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
-        let devb = build_device(&sym_oracle, &mut packed_ctx, std::slice::from_ref(&dev), 16)
+        let devb = build_device(&sym_oracle, &mut packed_ctx, &dev, 16)
             .unwrap();
         prop_assert_eq!(&devb.graph, &scalar.graph, "seed {}: device", seed);
         prop_assert_eq!(devb.packed_lanes, devb.candidate_pairs, "seed {}: packed path ran", seed);
@@ -203,17 +200,11 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
     let par = build_parallel(oracle, &mut ctx);
     let par_edges = staged_edges(&mut ctx);
     let dev = device::DeviceSim::new(64 * 1024 * 1024);
-    let devb = build_device(oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
+    let devb = build_device(oracle, &mut ctx, &dev, 16).unwrap();
     let dev_edges = staged_edges(&mut ctx);
-    let fleet: Vec<device::DeviceSim> = (0..3)
-        .map(|_| device::DeviceSim::new(32 * 1024 * 1024))
-        .collect();
-    let multi = build_device(oracle, &mut ctx, &fleet, 16).unwrap();
-    let multi_edges = staged_edges(&mut ctx);
     for (name, build, staged) in [
         ("parallel", &par, &par_edges),
         ("device", &devb, &dev_edges),
-        ("multi", &multi, &multi_edges),
     ] {
         prop_assert_eq!(staged, &truth, "seed {}: {} sequence", seed, name);
         prop_assert_eq!(&build.graph, &reference.graph, "seed {}: {}", seed, name);
@@ -290,13 +281,8 @@ proptest! {
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
-        let devb = build_device(&oracle, &mut ctx, std::slice::from_ref(&dev), 16).unwrap();
-        let fleet: Vec<device::DeviceSim> =
-            (0..3).map(|_| device::DeviceSim::new(32 * 1024 * 1024)).collect();
-        let multi = build_device(&oracle, &mut ctx, &fleet, 16).unwrap();
-        for (name, build) in
-            [("sequential", &seq), ("parallel", &par), ("device", &devb), ("multi", &multi)]
-        {
+        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        for (name, build) in [("sequential", &seq), ("parallel", &par), ("device", &devb)] {
             prop_assert_eq!(&build.graph, &reference.graph, "{} at density {}", name, density);
             prop_assert!(build.scan_stats.skipped_words <= build.scan_stats.scanned_words);
             if build.packed_lanes > 0 {
