@@ -173,7 +173,7 @@ mod tests {
                 .total_pairs as f64;
             assert!(
                 (estimate / measured - 1.0).abs() < 0.10,
-                "m={m} P={palette} L={list}: estimate {estimate} vs measured {measured}"
+                "seed {seed}: m={m} P={palette} L={list}: estimate {estimate} vs measured {measured}"
             );
         }
     }

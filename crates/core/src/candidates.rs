@@ -11,8 +11,12 @@
 //! **Deduplication.** A pair sharing `k` colors sits in `k` buckets; it
 //! is emitted only from the bucket of its *smallest* shared color
 //! ([`ColorLists::first_common`]), so every candidate reaches the oracle
-//! exactly once. The emitted pair *set* is therefore identical to the
-//! all-pairs scan's (`intersects ∧ oracle`), and since CSR assembly
+//! exactly once. The packed scans run the same test on oracle hits only,
+//! in the form the replica picked ([`crate::packed::SharedColorFilter`]):
+//! against its palette bitmasks where it keeps them, against the sorted
+//! lists elsewhere. The emitted pair *set* is
+//! therefore identical to the all-pairs scan's (`intersects ∧ oracle`),
+//! and since CSR assembly
 //! orders each adjacency row ascending, every backend — and either engine — produces a
 //! bit-identical CSR graph.
 //!
@@ -42,7 +46,7 @@
 //! replica's identity layout, which needs no index at all.
 
 use crate::assign::{BucketIndex, ColorLists};
-use crate::packed::{MaskScanStats, PackedBuckets};
+use crate::packed::{MaskScanStats, PackedBuckets, SharedColorFilter};
 use std::ops::Range;
 
 /// A deterministic source of candidate pairs over a flat pivot-row
@@ -95,6 +99,9 @@ pub trait PairSource: Sync {
     /// source's layout: the bucket index for the bucketed source, the
     /// identity layout (`None`) for all-pairs. `masks` is the caller's
     /// reusable mask staging; word/bit counters accumulate into `stats`.
+    /// Without the replica's palette bitmasks the shared-color filter
+    /// also needs a `⌈P/64⌉`-word color bitset, allocated per call here
+    /// (the conflict builders lend a pooled one instead).
     ///
     /// Emits exactly `{(u, v) : scan_rows_scratch emits the pair ∧ the
     /// packed oracle has the edge}`, in the scalar scan's row order.
@@ -151,6 +158,55 @@ pub(crate) trait HitSink {
         member: impl Fn(usize) -> usize,
         emit: Option<impl Fn(usize) -> bool>,
     ) -> bool;
+}
+
+/// The list arm of the packed scans' shared-color filter, used where the
+/// replica keeps no palette bitmasks: a `⌈P/64⌉`-word scratch bitset
+/// holds one pivot's colors while its hits are tested, and is all-zero
+/// between pivots.
+struct ColorBits<'a> {
+    lists: &'a ColorLists,
+    bits: &'a mut Vec<u64>,
+}
+
+impl<'a> ColorBits<'a> {
+    /// The filter over `lists`, with `bits` (any contents) as its scratch.
+    fn new(lists: &'a ColorLists, bits: &'a mut Vec<u64>) -> ColorBits<'a> {
+        bits.clear();
+        bits.resize(crate::packed::palette_words(lists.palette_size()), 0);
+        ColorBits { lists, bits }
+    }
+
+    /// Flips the bits of `colors`: sets them before a pivot's hits are
+    /// tested, clears them after.
+    fn toggle(&mut self, colors: &[u32]) {
+        let base = self.lists.palette_base();
+        for &c in colors {
+            let k = (c - base) as usize;
+            self.bits[k / 64] ^= 1u64 << (k % 64);
+        }
+    }
+
+    /// Whether any of `v`'s colors has its bit set: a branch-free OR over
+    /// its `L` colors.
+    #[inline]
+    fn holds_any(&self, v: usize) -> bool {
+        let base = self.lists.palette_base();
+        let any = self.lists.row(v).iter().fold(0u64, |acc, &c| {
+            let k = (c - base) as usize;
+            acc | self.bits[k / 64] >> (k % 64)
+        });
+        any & 1 != 0
+    }
+}
+
+/// The `emit` of a pivot whose every hit is a conflict edge.
+const EVERY_HIT: Option<fn(usize) -> bool> = None;
+
+/// Whether a pivot's tail mask has a set bit.
+#[inline]
+fn any_hit(mask: &[u64]) -> bool {
+    mask.iter().any(|&word| word != 0)
 }
 
 /// The [`PairSource::scan_rows_packed`] sink: every emitted edge goes to
@@ -235,9 +291,8 @@ impl PairSource for AllPairsSource<'_> {
 
     /// Packed all-pairs scan over the identity layout (one bucket of all
     /// `m` vertices in order): row `i`'s hit mask covers `i+1..m`, and a
-    /// hit survives iff the two lists share any palette color
-    /// ([`PackedBuckets::shares_color_below`] at the palette size) — a
-    /// test skipped when `2L > P`, where every two lists intersect.
+    /// hit survives iff the two lists share any palette color — a test
+    /// skipped when `2L > P`, where every two lists intersect.
     /// Emission order is `(i, v)` ascending, the scalar scan's order.
     fn scan_rows_packed(
         &self,
@@ -247,29 +302,53 @@ impl PairSource for AllPairsSource<'_> {
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
     ) {
-        self.scan_rows_into(rows, packed, masks, stats, &mut EmitEdges(emit_edge));
+        let sink = &mut EmitEdges(emit_edge);
+        self.scan_rows_into(rows, packed, masks, &mut Vec::new(), stats, sink);
     }
 }
 
 impl AllPairsSource<'_> {
-    /// The packed all-pairs scan into any [`HitSink`]; `false` when the
-    /// sink ended it early.
+    /// The packed all-pairs scan into any [`HitSink`], with `colors` as
+    /// the list arm's scratch; `false` when the sink ended it early. The
+    /// shared-color test follows the replica's [`SharedColorFilter`]: the
+    /// bitmask test ([`PackedBuckets::shares_color_below`] at the palette
+    /// size), or a pivot with hits sets its whole list in the scratch
+    /// bitset and a hit survives iff the member holds one of those
+    /// colors, or no test at all where every two lists intersect.
     fn scan_rows_into(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
+        colors: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
         let m = self.lists.len();
         debug_assert_eq!(packed.num_rows(), m);
         let palette = self.lists.palette_size() as usize;
-        let always_shared = 2 * self.lists.list_size() > palette;
+        let filter = packed.shared_color_filter();
+        let mut bits =
+            (filter == SharedColorFilter::Lists).then(|| ColorBits::new(self.lists, colors));
         for i in rows {
             packed.tail_edge_mask(0, m, i, i, masks);
-            let shared = (!always_shared).then_some(|v| packed.shares_color_below(i, v, palette));
-            if !sink.pivot(0, i, i, masks, stats, |t| i + 1 + t, shared) {
+            let member = |t| i + 1 + t;
+            let go = match (filter, &mut bits) {
+                (SharedColorFilter::Bitmasks, _) => {
+                    let shared = |v| packed.shares_color_below(i, v, palette);
+                    sink.pivot(0, i, i, masks, stats, member, Some(shared))
+                }
+                (SharedColorFilter::Lists, Some(bits)) if any_hit(masks) => {
+                    let row = self.lists.row(i);
+                    bits.toggle(row);
+                    let go = sink.pivot(0, i, i, masks, stats, member, Some(|v| bits.holds_any(v)));
+                    bits.toggle(row);
+                    go
+                }
+                // `Skipped`, or a pivot without hits.
+                _ => sink.pivot(0, i, i, masks, stats, member, EVERY_HIT),
+            };
+            if !go {
                 return false;
             }
         }
@@ -328,53 +407,63 @@ impl<'a> BucketSource<'a> {
         }
     }
 
-    /// Packed-kernel twin of [`BucketSource::scan_positions`]: the
-    /// oracle runs first (whole-tail mask kernel), the dedup filter
-    /// second, only on hits — the emitted edge set is identical because
-    /// both filters are pure and intersection is order-independent. The
-    /// dedup itself is the packed bitmask test
-    /// ([`PackedBuckets::shares_color_below`]): both vertices hold this
-    /// bucket's color, so their smallest shared color is this one
-    /// exactly when they share nothing below it. Zero mask words are
-    /// skipped without touching the bucket at all; set bits are walked
-    /// with `trailing_zeros`, so a near-empty tail costs one branch per
-    /// 64 candidates.
-    fn scan_positions_packed(
-        &self,
-        k: usize,
-        positions: Range<usize>,
-        packed: &PackedBuckets,
-        masks: &mut Vec<u64>,
-        stats: &mut MaskScanStats,
-        sink: &mut impl HitSink,
-    ) -> bool {
-        let bucket = self.index.bucket(k);
-        let start = self.index.bucket_start(k);
-        for a in positions {
-            let u = bucket[a] as usize;
-            packed.tail_edge_mask(start, bucket.len(), a, u, masks);
-            let tail = &bucket[a + 1..];
-            // Emit only from the smallest shared color's bucket.
-            let first = |v| !packed.shares_color_below(u, v, k);
-            if !sink.pivot(k, a, u, masks, stats, |t| tail[t] as usize, Some(first)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The packed sub-bucket scan into any [`HitSink`]; `false` when the
-    /// sink ended it early.
+    /// The packed sub-bucket scan into any [`HitSink`], with `colors` as
+    /// the list arm's scratch; `false` when the sink ended it early.
+    /// Packed-kernel twin of [`BucketSource::scan_positions`]: the oracle
+    /// runs first (whole-tail mask kernel), the dedup filter second, only
+    /// on hits — the emitted edge set is identical because both filters
+    /// are pure and intersection is order-independent. Both vertices hold
+    /// this bucket's color, so their smallest shared color is this one
+    /// exactly when they share nothing below it. Where the replica keeps
+    /// palette bitmasks that is [`PackedBuckets::shares_color_below`];
+    /// otherwise a pivot with hits and colors below the bucket's sets
+    /// those in the scratch bitset, and a hit survives iff the member
+    /// holds none of them (every other pivot emits all its hits). Zero
+    /// mask words are skipped without touching the bucket at all; set
+    /// bits are walked with `trailing_zeros`, so a near-empty tail costs
+    /// one branch per 64 candidates.
     fn scan_rows_into(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
+        colors: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
+        let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
+        let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
         walk_row_span(self.index, rows, |k, positions| {
-            self.scan_positions_packed(k, positions, packed, masks, stats, sink)
+            let bucket = self.index.bucket(k);
+            let start = self.index.bucket_start(k);
+            let color = self.index.color(k);
+            for a in positions {
+                let u = bucket[a] as usize;
+                packed.tail_edge_mask(start, bucket.len(), a, u, masks);
+                let tail = &bucket[a + 1..];
+                let member = |t| tail[t] as usize;
+                // Emit only from the smallest shared color's bucket.
+                let go = match &mut bits {
+                    None => {
+                        let first = |v| !packed.shares_color_below(u, v, k);
+                        sink.pivot(k, a, u, masks, stats, member, Some(first))
+                    }
+                    Some(bits) if any_hit(masks) && self.lists.row(u)[0] < color => {
+                        let row = self.lists.row(u);
+                        let below = &row[..row.partition_point(|&c| c < color)];
+                        bits.toggle(below);
+                        let first = |v| !bits.holds_any(v);
+                        let go = sink.pivot(k, a, u, masks, stats, member, Some(first));
+                        bits.toggle(below);
+                        go
+                    }
+                    Some(_) => sink.pivot(k, a, u, masks, stats, member, EVERY_HIT),
+                };
+                if !go {
+                    return false;
+                }
+            }
+            true
         })
     }
 }
@@ -430,7 +519,8 @@ impl PairSource for BucketSource<'_> {
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
     ) {
-        self.scan_rows_into(rows, packed, masks, stats, &mut EmitEdges(emit_edge));
+        let sink = &mut EmitEdges(emit_edge);
+        self.scan_rows_into(rows, packed, masks, &mut Vec::new(), stats, sink);
     }
 }
 
@@ -512,19 +602,26 @@ impl<'a> CandidateEngine<'a> {
     }
 
     /// The packed row scan into any [`HitSink`], over the same rows and
-    /// in the same order as [`PairSource::scan_rows_packed`]; `false`
-    /// when the sink ended it early.
+    /// in the same order as [`PairSource::scan_rows_packed`], with
+    /// `colors` as the shared-color filter's scratch bitset where the
+    /// replica keeps no palette bitmasks; `false` when the sink ended it
+    /// early.
     pub(crate) fn scan_rows_into(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
+        colors: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
         match self {
-            CandidateEngine::Buckets(src) => src.scan_rows_into(rows, packed, masks, stats, sink),
-            CandidateEngine::AllPairs(src) => src.scan_rows_into(rows, packed, masks, stats, sink),
+            CandidateEngine::Buckets(src) => {
+                src.scan_rows_into(rows, packed, masks, colors, stats, sink)
+            }
+            CandidateEngine::AllPairs(src) => {
+                src.scan_rows_into(rows, packed, masks, colors, stats, sink)
+            }
         }
     }
 
@@ -659,12 +756,9 @@ mod tests {
             // No duplicates survived deduplication.
             let mut dedup = bucketed.clone();
             dedup.dedup();
-            assert_eq!(dedup.len(), bucketed.len(), "duplicate emission");
-            assert_eq!(
-                bucketed,
-                truth_pairs(&lists),
-                "n={n} palette={palette} list={list}"
-            );
+            let what = format!("seed {seed}: n={n} palette={palette} list={list}");
+            assert_eq!(dedup.len(), bucketed.len(), "{what}: duplicate emission");
+            assert_eq!(bucketed, truth_pairs(&lists), "{what}");
         }
     }
 
@@ -762,16 +856,25 @@ mod tests {
         use graph::EdgeOracle;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        // Single-word and multi-word packed forms.
-        for qubits in [6usize, 25] {
+        // Single-word and multi-word packed forms, each with a palette
+        // that keeps bitmasks (P = 14) and one too wide for them (P =
+        // 1000: 16 words against L·w ≤ 6), which filters on the lists.
+        for (qubits, palette, list) in [
+            (6usize, 14u32, 4u32),
+            (25, 14, 4),
+            (6, 1000, 3),
+            (25, 1000, 3),
+        ] {
             let strings = pauli::string::random_unique_set(70, qubits, &mut rng);
             let set = pauli::EncodedSet::from_strings(&strings);
             let oracle = PauliComplementOracle::new(&set);
-            let lists = ColorLists::assign(70, 0, 14, 4, 13, 1);
+            let lists = ColorLists::assign(70, 0, palette, list, 13, 1);
             let index = lists.bucket_index();
             let source = BucketSource::new(&lists, &index);
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, Some(&index)));
+            let bitmasks = packed.shared_color_filter() == SharedColorFilter::Bitmasks;
+            assert_eq!(bitmasks, palette == 14, "P={palette}");
 
             // Ground truth: scalar candidate scan filtered by the
             // scalar oracle.
@@ -805,7 +908,10 @@ mod tests {
                     at = hi;
                 }
                 row_edges.sort_unstable();
-                assert_eq!(row_edges, truth, "qubits={qubits} parts={parts}");
+                assert_eq!(
+                    row_edges, truth,
+                    "qubits={qubits} P={palette} parts={parts}"
+                );
                 // Every examined word is either skipped or scanned, hits
                 // dominate the (deduplicated) emission, and the per-pivot
                 // word totals cover the candidate pairs.
@@ -824,16 +930,20 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         // P = 64, L = 10: all-pairs is still the cheaper engine, but
         // 2L ≤ P, so some hits share no color and the filter rejects
-        // them. Single-word and multi-word forms.
-        for qubits in [8usize, 30] {
+        // them. Single-word and multi-word forms. P = 8000, L = 100 is
+        // all-pairs too, with a palette too wide for one-word bitmasks
+        // (125 words > L·w = 100), so it filters on the lists.
+        for (qubits, palette, list) in [(8usize, 64u32, 10u32), (30, 64, 10), (8, 8000, 100)] {
             let strings = pauli::string::random_unique_set(150, qubits, &mut rng);
             let set = pauli::EncodedSet::from_strings(&strings);
             let oracle = PauliComplementOracle::new(&set);
-            let lists = ColorLists::assign(150, 0, 64, 10, 3, 1);
+            let lists = ColorLists::assign(150, 0, palette, list, 3, 1);
             assert!(!CandidateEngine::prefers_buckets(&lists));
             let source = AllPairsSource::new(&lists);
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, None));
+            let bitmasks = packed.shared_color_filter() == SharedColorFilter::Bitmasks;
+            assert_eq!(bitmasks, palette == 64, "P={palette}");
 
             let mut truth = Vec::new();
             source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {
@@ -900,13 +1010,17 @@ mod tests {
                     assert_eq!(
                         merged,
                         full,
-                        "n={n} palette={palette} parts={parts} bucketed={}",
+                        "seed {seed}: n={n} palette={palette} parts={parts} bucketed={}",
                         source.is_bucketed()
                     );
                 }
                 // Degenerate cuts.
-                assert!(collect_rows(&source, 0..0).is_empty());
-                assert_eq!(collect_rows(&source, 0..rows).len(), full.len());
+                assert!(collect_rows(&source, 0..0).is_empty(), "seed {seed}");
+                assert_eq!(
+                    collect_rows(&source, 0..rows).len(),
+                    full.len(),
+                    "seed {seed}"
+                );
             }
         }
     }

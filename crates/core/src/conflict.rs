@@ -95,6 +95,16 @@
 //! the choice is a pure function of the lists, so every backend makes
 //! the same one.
 //!
+//! The packed scans run that test on oracle hits only, in the form the
+//! replica picked ([`crate::packed::SharedColorFilter::choose`]): word
+//! ANDs against per-vertex palette bitmasks where a `⌈P/64⌉`-word bitmask
+//! is no bigger than the vertex's `L·w` key words, or else the sorted
+//! lists, through a pivot's color bitset in the cut's pooled
+//! [`TaskArena`]. The replica thus stays linear in `m·L` — at most
+//! `8·(2·m·L·w + m·w)` bytes — and so do the device's upload of it and
+//! [`crate::IterationStats::replica_bytes`]. `|Ec|` is exact in either
+//! form, and the sinks see the same `emit` predicate.
+//!
 //! # The packed kernel, for either engine
 //!
 //! Whenever the iteration context packs ([`crate::packed`]), every
@@ -768,6 +778,7 @@ fn scan_cuts<O: EdgeOracle>(
                 run,
                 hits,
                 masks,
+                colors,
                 mapped,
             } = &mut arena;
             let mut cut_stats = MaskScanStats::default();
@@ -780,7 +791,7 @@ fn scan_cuts<O: EdgeOracle>(
                         tally,
                         pending: 0,
                     };
-                    engine.scan_rows_into(rows, packed, masks, &mut cut_stats, &mut sink)
+                    engine.scan_rows_into(rows, packed, masks, colors, &mut cut_stats, &mut sink)
                         && sink.flush()
                 }
                 None => {
@@ -840,6 +851,7 @@ fn fill_masks(
                 cut.clone(),
                 packed,
                 &mut arena.masks,
+                &mut arena.colors,
                 &mut cut_stats,
                 &mut sink,
             );
@@ -1091,7 +1103,8 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 /// 1. upload the input: the raw encoded strings + color lists
 ///    (`input_bytes_per_vertex · m`) on the scalar path, or — when the
 ///    iteration packed — the color lists plus the **packed replica**
-///    (key lanes, query rows and palette bitmasks,
+///    (key lanes, query rows and the palette bitmasks where
+///    [`crate::packed::SharedColorFilter::choose`] keeps them,
 ///    [`PackedBuckets::device_bytes`]), charged *instead of* the raw set,
 /// 2. reserve one edge-offset counter per pivot row, at most `m`
 ///    (4-byte, or 8-byte once `m² ≥ 2³²`),
@@ -1449,10 +1462,12 @@ mod tests {
     fn packed_device_uploads_the_replica_instead_of_the_raw_set() {
         // The device uploads exactly the lists, the whole packed replica
         // and the bucketed engine's index, never the raw set — at 12
-        // qubits (one word per row) `(key rows + m query rows + m
-        // one-word palette bitmasks) · 8 B` next to the `m·L·4 B` lists.
+        // qubits (one word per row) `(key rows + m query rows) · 8 B`,
+        // plus `m` one-word palette bitmasks on the bucketed lists (the
+        // all-pairs ones have `2L > P`, so no scan would read them), next
+        // to the `m·L·4 B` lists.
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::{PackedBuckets, PackingMode};
+        use crate::packed::{PackedBuckets, PackingMode, SharedColorFilter};
         use rand::SeedableRng;
         let m = 150;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -1471,8 +1486,10 @@ mod tests {
             let list_bytes = m * list * 4;
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, index.as_ref()));
-            let key_rows = if bucketed { m * list } else { m };
-            assert_eq!(packed.device_bytes(), (key_rows + 2 * m) * 8);
+            let (key_rows, bitmasks) = if bucketed { (m * list, m) } else { (m, 0) };
+            let filter = packed.shared_color_filter();
+            assert_eq!(filter == SharedColorFilter::Bitmasks, bucketed, "{what}");
+            assert_eq!(packed.device_bytes(), (key_rows + m + bitmasks) * 8);
             let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
             let dev = DeviceSim::new(8 << 20);
             let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
@@ -1674,7 +1691,12 @@ mod tests {
         // `(m, packed, bucketed lists, tight capacity, runs)`; a run is
         // `(peak, h2d, d2h, launches, Ok(csr_on_device) | Err((requested,
         // available)))`. A change here moves the single-device
-        // `DeviceStats`, OOM payloads or fault-op numbering.
+        // `DeviceStats`, OOM payloads or fault-op numbering. The packed
+        // all-pairs rows (P = 8, L = 6, so `2L > P`) upload no palette
+        // bitmasks: no scan reads them (`SharedColorFilter::Skipped`).
+        // Their tight capacities are that smaller footprint, so the tight
+        // runs still end in the counter OOM (m = 1) and the host-CSR
+        // fallback (m ≥ 2).
         use crate::oracle::PauliComplementOracle;
         use crate::packed::PackingMode;
         use rand::SeedableRng;
@@ -1685,19 +1707,19 @@ mod tests {
             (0, false, true, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
             (0, false, false, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
             (1, true, true, 36, [(40, 36, 0, 0, Ok(true)), (36, 36, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((36, 9)))]),
-            (1, true, false, 48, [(52, 48, 0, 0, Ok(true)), (48, 48, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((48, 12)))]),
+            (1, true, false, 40, [(44, 40, 0, 0, Ok(true)), (40, 40, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((40, 10)))]),
             (1, false, true, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
             (1, false, false, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
             (2, true, true, 236, [(236, 228, 0, 0, Ok(true)), (236, 228, 0, 0, Ok(true)), (0, 0, 0, 0, Err((104, 59)))]),
-            (2, true, false, 112, [(120, 96, 8, 1, Ok(true)), (112, 96, 8, 1, Ok(false)), (0, 0, 0, 0, Err((96, 28)))]),
+            (2, true, false, 96, [(104, 80, 8, 1, Ok(true)), (96, 80, 8, 1, Ok(false)), (0, 0, 0, 0, Err((80, 24)))]),
             (2, false, true, 164, [(164, 156, 0, 0, Ok(true)), (164, 156, 0, 0, Ok(true)), (40, 32, 0, 0, Err((124, 1)))]),
             (2, false, false, 48, [(56, 32, 8, 1, Ok(true)), (48, 32, 8, 1, Ok(false)), (0, 0, 0, 0, Err((32, 12)))]),
             (50, true, true, 7212, [(8748, 3300, 1536, 1, Ok(true)), (7212, 3300, 1536, 1, Ok(false)), (0, 0, 0, 0, Err((2600, 1803)))]),
-            (50, true, false, 12400, [(17048, 2400, 4648, 1, Ok(true)), (12400, 2400, 4648, 1, Ok(false)), (3100, 2400, 0, 1, Err((4648, 500)))]),
+            (50, true, false, 12000, [(16648, 2000, 4648, 1, Ok(true)), (12000, 2000, 4648, 1, Ok(false)), (3000, 2000, 0, 1, Err((4648, 800)))]),
             (50, false, true, 5412, [(6948, 1500, 1536, 1, Ok(true)), (5412, 1500, 1536, 1, Ok(false)), (1000, 800, 0, 0, Err((700, 353)))]),
             (50, false, false, 10800, [(15448, 800, 4648, 1, Ok(true)), (10800, 800, 4648, 1, Ok(false)), (2700, 800, 0, 1, Err((4648, 1700)))]),
             (120, true, true, 29316, [(39180, 7780, 9864, 1, Ok(true)), (29316, 7780, 9864, 1, Ok(false)), (6720, 6240, 0, 0, Err((1540, 609)))]),
-            (120, true, false, 63360, [(92120, 5760, 28760, 1, Ok(true)), (63360, 5760, 28760, 1, Ok(false)), (15840, 5760, 0, 1, Err((28760, 9600)))]),
+            (120, true, false, 62400, [(91160, 4800, 28760, 1, Ok(true)), (62400, 4800, 28760, 1, Ok(false)), (15600, 4800, 0, 1, Err((28760, 10320)))]),
             (120, false, true, 24996, [(34860, 3460, 9864, 1, Ok(true)), (24996, 3460, 9864, 1, Ok(false)), (6248, 3460, 0, 1, Err((9864, 2308)))]),
             (120, false, false, 59520, [(88280, 1920, 28760, 1, Ok(true)), (59520, 1920, 28760, 1, Ok(false)), (14880, 1920, 0, 1, Err((28760, 12480)))]),
         ];
@@ -1890,42 +1912,67 @@ mod tests {
     fn hit_mask_and_csr_forms_are_one_graph() {
         use crate::candidates::CandidateEngine;
         use crate::oracle::PauliComplementOracle;
-        // (what, m, P, L, bucketed): the all-pairs engine on both sides
-        // of `2L ≤ P`, the bucketed engine on Normal lists, and buckets
-        // (or identity rows) straddling 64 and 128 members.
-        for (what, m, palette, list, bucketed) in [
-            ("all-pairs 2L > P", 150, 8u32, 6u32, false),
-            ("all-pairs 2L <= P", 150, 64, 10, false),
-            ("bucketed", 160, 24, 4, true),
-            ("buckets near 64", 640, 60, 6, true),
-            ("buckets near 128", 1280, 60, 6, true),
+        use crate::packed::SharedColorFilter::{self, Bitmasks, Lists, Skipped};
+        // (what, m, P, L, bucketed, filter): the all-pairs
+        // engine on both sides of `2L ≤ P`, the bucketed engine on Normal
+        // lists, buckets (or identity rows) straddling 64 and 128 members,
+        // and both engines with palettes too wide for bitmasks, where the
+        // shared-color filter runs on the lists.
+        for (what, m, palette, list, bucketed, filter) in [
+            ("all-pairs 2L > P", 150, 8u32, 6u32, false, Skipped),
+            ("all-pairs 2L <= P", 150, 64, 10, false, Bitmasks),
+            ("bucketed", 160, 24, 4, true, Bitmasks),
+            ("buckets near 64", 640, 60, 6, true, Bitmasks),
+            ("buckets near 128", 1280, 60, 6, true, Bitmasks),
+            ("all-pairs list filter", 200, 8000, 100, false, Lists),
+            ("bucketed list filter", 400, 2000, 4, true, Lists),
         ] {
             let set = pauli_set(m, m as u64);
             let oracle = PauliComplementOracle::new(&set);
             let lists = ColorLists::assign(m, 3, palette, list, 7, 1);
             assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{what}");
+            let rule = SharedColorFilter::choose(palette, list as usize, 1, bucketed);
+            assert_eq!(rule, filter, "{what}");
             check_graph_forms(&oracle, &lists, what);
         }
     }
 
     #[test]
     fn hit_mask_and_csr_forms_agree_on_sampled_instances() {
+        // Seeds from 24 on draw palettes up to 5,000 colors with lists of
+        // at most `⌈P/64⌉` colors, so most of them filter shared colors
+        // on the lists instead of palette bitmasks (12 qubits: `w` = 1).
+        use crate::candidates::CandidateEngine;
         use crate::oracle::PauliComplementOracle;
+        use crate::packed::SharedColorFilter;
         use rand::{Rng, SeedableRng};
-        for seed in 0..24u64 {
+        let mut list_filtered = 0;
+        for seed in 0..36u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let m = rng.random_range(2..300usize);
-            let palette = rng.random_range(1..80u32);
-            let list = rng.random_range(1..=palette);
+            let (palette, list) = if seed < 24 {
+                let palette = rng.random_range(1..80u32);
+                (palette, rng.random_range(1..=palette))
+            } else {
+                let palette = rng.random_range(100..5000u32);
+                (palette, rng.random_range(1..=palette.div_ceil(64)))
+            };
             let set = pauli_set(m, seed);
             let oracle = PauliComplementOracle::new(&set);
             let lists = ColorLists::assign(m, seed as u32, palette, list, seed, 2);
+            let bucketed = CandidateEngine::prefers_buckets(&lists);
+            let filter = SharedColorFilter::choose(palette, list as usize, 1, bucketed);
+            list_filtered += usize::from(filter == SharedColorFilter::Lists);
             check_graph_forms(
                 &oracle,
                 &lists,
                 &format!("seed {seed}: m={m} P={palette} L={list}"),
             );
         }
+        assert!(
+            list_filtered > 0,
+            "no sampled instance filtered on the lists"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::candidates::CandidateEngine;
 use crate::config::ListColoringScheme;
 use crate::conflict::{HitMasks, MaskGraph};
 use crate::listcolor::{ColorScratch, SchemeKind};
-use crate::packed::{PackedBuckets, PackingMode};
+use crate::packed::{PackedBuckets, PackingMode, SharedColorFilter};
 use device::FaultPlan;
 use graph::{CooGroups, CsrArena, CsrGraph, EdgeOracle};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,7 +42,8 @@ use std::time::Instant;
 
 /// The scan buffers one cut of a host or device build checks out of a
 /// [`ScratchPool`]: candidate-run staging, the oracle hit vector, the
-/// packed kernel's hit masks and the live-view remap arena. A cut
+/// packed kernel's hit masks, the shared-color filter's color bitset and
+/// the live-view remap arena. A cut
 /// stages its edges in its own [`IterationScratch::blocks`] arena, not
 /// here. Buffers are cleared by the borrower, never shrunk, so a
 /// recycled arena serves a same-shape block without allocating.
@@ -55,6 +56,10 @@ pub struct TaskArena {
     /// Hit-mask words for the packed kernel
     /// ([`crate::PackedBuckets::tail_edge_mask`]).
     pub masks: Vec<u64>,
+    /// One pivot's colors as a `⌈P/64⌉`-word palette bitset: the packed
+    /// scans' shared-color filter where the replica keeps no palette
+    /// bitmasks ([`crate::packed::SharedColorFilter::Lists`]).
+    pub colors: Vec<u64>,
     /// Index-remapping arena for [`crate::LiveView`]'s batched path.
     pub mapped: Vec<usize>,
 }
@@ -614,14 +619,24 @@ impl IterationContext {
     }
 
     /// Host bytes of this iteration's packed replica
-    /// ([`PackedBuckets::device_bytes`]: key lanes, query rows and
-    /// palette bitmasks) when a build packed it, else 0.
+    /// ([`PackedBuckets::device_bytes`]: key lanes, query rows and the
+    /// palette bitmasks where [`SharedColorFilter::choose`] keeps them)
+    /// when a build packed it, else 0.
     pub fn replica_bytes(&self) -> usize {
-        if self.packed_valid && self.packed_active {
-            self.packed.device_bytes()
-        } else {
-            0
-        }
+        self.packed_replica().map_or(0, PackedBuckets::device_bytes)
+    }
+
+    /// How the scans of this iteration's packed replica ran the
+    /// shared-color test ([`PackedBuckets::shared_color_filter`]); `None`
+    /// when no build packed.
+    pub fn shared_color_filter(&self) -> Option<SharedColorFilter> {
+        self.packed_replica()
+            .map(PackedBuckets::shared_color_filter)
+    }
+
+    /// The replica a build of this iteration packed, if any.
+    fn packed_replica(&self) -> Option<&PackedBuckets> {
+        (self.packed_valid && self.packed_active).then_some(&self.packed)
     }
 
     /// Candidate pairs the selected engine will examine this iteration —
@@ -747,10 +762,13 @@ mod tests {
                 assert_eq!(
                     ctx.packing_decision(Some(words)),
                     expect,
-                    "n={n} P={palette} L={list} w={words}: {pairs} pairs"
+                    "seed {seed}: n={n} P={palette} L={list} w={words}: {pairs} pairs"
                 );
             }
-            assert!(!ctx.packing_decision(None), "no packed form, no pack");
+            assert!(
+                !ctx.packing_decision(None),
+                "seed {seed}: no packed form, no pack"
+            );
         }
     }
 

@@ -524,22 +524,31 @@ mod tests {
 
     /// Coloring must use only list colors and never color an edge
     /// monochromatically.
-    fn check_outcome(gc: &CsrGraph, lists: &ColorLists, active: &[u32], out: &ListColorOutcome) {
+    /// Checks `out` is a valid partial list coloring of `active`; `case`
+    /// names the instance (its seed) in every failure message.
+    fn check_outcome(
+        gc: &CsrGraph,
+        lists: &ColorLists,
+        active: &[u32],
+        out: &ListColorOutcome,
+        case: &str,
+    ) {
         let mut color: Vec<Option<u32>> = vec![None; gc.num_vertices()];
         for &(v, c) in &out.assigned {
             assert!(
                 lists.row(v as usize).contains(&c),
-                "vertex {v} got color {c} outside its list"
+                "{case}: vertex {v} got color {c} outside its list"
             );
             color[v as usize] = Some(c);
         }
         for (u, v) in gc.edges() {
             if let (Some(cu), Some(cv)) = (color[u as usize], color[v as usize]) {
-                assert_ne!(cu, cv, "edge ({u},{v}) monochromatic");
+                assert_ne!(cu, cv, "{case}: edge ({u},{v}) monochromatic");
             }
         }
         // Every active vertex is either assigned or declared dry.
-        assert_eq!(out.assigned.len() + out.uncolored.len(), active.len());
+        let settled = out.assigned.len() + out.uncolored.len();
+        assert_eq!(settled, active.len(), "{case}");
     }
 
     #[test]
@@ -548,7 +557,7 @@ mod tests {
         let active: Vec<u32> = (0..20).collect();
         let lists = ColorLists::assign(20, 0, 10, 4, 1, 0);
         let out = greedy_list_color(&gc, &lists, &active, 7);
-        check_outcome(&gc, &lists, &active, &out);
+        check_outcome(&gc, &lists, &active, &out, "cycle");
         // With 4 colors per list on a cycle, everything should color.
         assert!(out.uncolored.is_empty(), "uncolored: {:?}", out.uncolored);
     }
@@ -560,7 +569,7 @@ mod tests {
         let active: Vec<u32> = (0..10).collect();
         let lists = ColorLists::assign(10, 0, 4, 4, 1, 0);
         let out = greedy_list_color(&gc, &lists, &active, 3);
-        check_outcome(&gc, &lists, &active, &out);
+        check_outcome(&gc, &lists, &active, &out, "complete graph");
         assert!(out.assigned.len() <= 4);
         assert!(!out.uncolored.is_empty());
     }
@@ -571,7 +580,7 @@ mod tests {
         let active: Vec<u32> = vec![0, 1, 2];
         let lists = ColorLists::assign(10, 0, 6, 3, 2, 0);
         let out = greedy_list_color(&gc, &lists, &active, 1);
-        check_outcome(&gc, &lists, &active, &out);
+        check_outcome(&gc, &lists, &active, &out, "active subset");
         for &(v, _) in &out.assigned {
             assert!(active.contains(&v));
         }
@@ -604,9 +613,10 @@ mod tests {
             let lists = ColorLists::assign(n, 0, palette, l, seed, 0);
             greedy_list_color_into(&gc, &lists, &active, seed, &mut scratch, &mut out);
             let fresh = greedy_list_color(&gc, &lists, &active, seed);
-            assert_eq!(out.assigned, fresh.assigned);
-            assert_eq!(out.uncolored, fresh.uncolored);
-            check_outcome(&gc, &lists, &active, &out);
+            let case = format!("seed {seed}: n={n} P={palette} L={l}");
+            assert_eq!(out.assigned, fresh.assigned, "{case}");
+            assert_eq!(out.uncolored, fresh.uncolored, "{case}");
+            check_outcome(&gc, &lists, &active, &out, &case);
         }
     }
 
@@ -626,7 +636,7 @@ mod tests {
             OrderingHeuristic::IncidenceDegree,
         ] {
             static_list_color_into(&gc, &lists, &active, h, 3, &mut scratch, &mut out);
-            check_outcome(&gc, &lists, &active, &out);
+            check_outcome(&gc, &lists, &active, &out, &format!("{h:?}"));
             let fresh = static_list_color(&gc, &lists, &active, h, 3);
             assert_eq!(out.assigned, fresh.assigned);
             assert_eq!(out.uncolored, fresh.uncolored);
@@ -735,7 +745,7 @@ mod tests {
                 "seed {seed}: an even subset"
             );
             greedy_list_color_into(&gc, &lists, &active, seed, &mut scratch, &mut out);
-            check_outcome(&gc, &lists, &active, &out);
+            check_outcome(&gc, &lists, &active, &out, &format!("seed {seed}"));
             let got = outcome_digest(&out);
             if got != want {
                 mismatches.push(format!(
@@ -773,7 +783,7 @@ mod tests {
             let case = format!("seed {seed}: n={n} P={p} L={l} base={base} density={density}");
             assert_eq!(sorted.assigned, bits.assigned, "{case}");
             assert_eq!(sorted.uncolored, bits.uncolored, "{case}");
-            check_outcome(&gc, &lists, &active, &bits);
+            check_outcome(&gc, &lists, &active, &bits, &case);
         }
     }
 

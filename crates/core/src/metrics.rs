@@ -53,6 +53,9 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .counter("solver_conflict_mask_iterations_total")
         .add(result.conflict_mask_iterations() as u64);
+    registry
+        .counter("solver_replica_color_mask_iterations_total")
+        .add(result.replica_color_mask_iterations() as u64);
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");
@@ -72,6 +75,9 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .gauge("solver_max_conflict_edges")
         .set_max(result.max_conflict_edges() as u64);
+    registry
+        .gauge("solver_max_replica_bytes")
+        .set_max(result.max_replica_bytes());
     if let Some(dev) = &result.device_stats {
         registry
             .gauge("device_reserved_peak_bytes")
@@ -137,9 +143,20 @@ mod tests {
             result.conflict_mask_iterations() as u64
         );
         assert_eq!(
+            registry
+                .counter("solver_replica_color_mask_iterations_total")
+                .get(),
+            result.replica_color_mask_iterations() as u64
+        );
+        assert_eq!(
             registry.gauge("solver_max_conflict_edges").get(),
             result.max_conflict_edges() as u64
         );
+        assert_eq!(
+            registry.gauge("solver_max_replica_bytes").get(),
+            result.max_replica_bytes()
+        );
+        assert!(result.max_replica_bytes() > 0, "the solve packed");
 
         // A second solve accumulates monotonically.
         record_result(&registry, &result);

@@ -28,8 +28,30 @@
 //! the anticommutation graph gets *sparser* as the palette grows, and
 //! the consumer's cost now tracks the hit count instead of the
 //! candidate count. The smallest-shared-color deduplication filter runs
-//! only on surviving bits, so the `O(L)` list merge is paid on hits
-//! instead of on every candidate.
+//! only on surviving bits, so its cost is paid on hits instead of on
+//! every candidate.
+//!
+//! **The palette filter stays linear in `m·L`.** The dedup test runs in
+//! one of three forms, which the replica picks once per pack
+//! ([`SharedColorFilter::choose`]) and every scan of it reads back
+//! ([`PackedBuckets::shared_color_filter`]). A per-vertex palette
+//! bitmask of `⌈P/64⌉` words is built only where it is no bigger than
+//! the `L·w` key words of the vertex it filters, `⌈P/64⌉ ≤ L·w`; a hit
+//! then costs a couple of word ANDs ([`PackedBuckets::shares_color_below`]).
+//! Elsewhere the scans test against the sorted lists: a pivot with hits
+//! and colors below the bucket's sets those colors in a `⌈P/64⌉`-word
+//! scratch bitset of its task arena, and a hit survives iff none of the
+//! member's `L` colors is set. On the identity layout with `2L > P`
+//! every two lists intersect, so no test runs and no bitmask is built.
+//! `Normal` lists grow `P` as `m/8`, so a bitmask per vertex would grow
+//! the replica as `m²/8` bits; under the rule the replica is at most its
+//! key lanes twice over plus the query rows, `O(m·L·w)` words. The rule
+//! reads only the lists and the oracle's packed form, so every backend
+//! makes the same choice. The bitmask form is kept where it fits because
+//! it is the faster one at small palettes: forcing the list form on
+//! picbench's `dense_pauli` (`P = 1000`, 16 ≤ 16) and `service_mix`
+//! (`P = 128`, 2 ≤ 14) made their solves 6–8% and 27% slower (median of
+//! 5 alternating pairs each, 2 vCPUs).
 //!
 //! **All-pairs is one bucket.** When the candidate engine falls back to
 //! the all-pairs scan, the replica takes the *identity layout*: a single
@@ -52,6 +74,7 @@
 use crate::assign::{BucketIndex, ColorLists};
 use graph::EdgeOracle;
 use rayon::prelude::*;
+use serde::Serialize;
 
 /// Whether (and when) the iteration context builds the packed replica.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,13 +122,16 @@ pub struct PackedBuckets {
     keys: Vec<u64>,
     /// Row-major query words of every local vertex.
     query: Vec<u64>,
-    /// `u64` words per per-vertex palette bitmask.
+    /// How the scans of this replica run the shared-color test.
+    filter: SharedColorFilter,
+    /// `u64` words per per-vertex palette bitmask; zero unless the
+    /// filter is [`SharedColorFilter::Bitmasks`].
     color_words: usize,
     /// Per-vertex palette bitmask (bit `k` set ⟺ the vertex's list
-    /// holds palette color `k`). Turns the smallest-shared-color
-    /// deduplication test into a handful of word ANDs
-    /// ([`PackedBuckets::shares_color_below`]) instead of the `O(L)`
-    /// sorted-merge the scalar path pays per candidate.
+    /// holds palette color `k`), filled only for
+    /// [`SharedColorFilter::Bitmasks`].
+    /// Turns the smallest-shared-color deduplication test into a handful
+    /// of word ANDs ([`PackedBuckets::shares_color_below`]).
     color_masks: Vec<u64>,
     /// Staging rows for the word-transposed scatter (multi-word forms),
     /// `w` words per scatter task.
@@ -171,16 +197,23 @@ impl PackedBuckets {
         for u in 0..m {
             oracle.write_query_words(u, &mut self.query[u * w..(u + 1) * w]);
         }
-        // Palette bitmasks: one bit per palette color per vertex.
-        let cw = (lists.palette_size() as usize).div_ceil(64).max(1);
+        // Palette bitmasks, one bit per palette color per vertex, only
+        // where they are no bigger than the key lanes they filter.
+        let palette = lists.palette_size();
+        self.filter = SharedColorFilter::choose(palette, lists.list_size(), w, index.is_some());
+        let cw = if self.filter == SharedColorFilter::Bitmasks {
+            palette_words(palette)
+        } else {
+            0
+        };
         let base = lists.palette_base();
         self.color_words = cw;
         self.color_masks.clear();
         self.color_masks.resize(m * cw, 0);
-        for v in 0..m {
+        for (v, mask) in self.color_masks.chunks_exact_mut(cw.max(1)).enumerate() {
             for &c in lists.row(v) {
                 let k = (c - base) as usize;
-                self.color_masks[v * cw + k / 64] |= 1u64 << (k % 64);
+                mask[k / 64] |= 1u64 << (k % 64);
             }
         }
         self.keys.clear();
@@ -244,10 +277,13 @@ impl PackedBuckets {
     }
 
     /// Bytes the device replica of this packing holds: every key lane,
-    /// every query row, and the per-vertex palette bitmasks, as `u64`
-    /// words. This is what Algorithm 3 uploads **instead of** the raw
-    /// encoded set when the packed kernel runs — the replica *is* the
-    /// kernel's input.
+    /// every query row, and the per-vertex palette bitmasks where
+    /// [`SharedColorFilter::choose`] keeps them, as `u64` words. This is what
+    /// Algorithm 3 uploads **instead of** the raw encoded set when the
+    /// packed kernel runs — the replica *is* the kernel's input. The
+    /// rule keeps a vertex's bitmask no bigger than its `L·w` key words,
+    /// so this is at most `8·(2·m·L·w + m·w)` bytes: linear in `m·L`,
+    /// whatever the palette.
     pub fn device_bytes(&self) -> usize {
         (self.keys.len() + self.query.len() + self.color_masks.len()) * std::mem::size_of::<u64>()
     }
@@ -282,14 +318,22 @@ impl PackedBuckets {
         ok
     }
 
+    /// How the scans of this replica run the shared-color test, as
+    /// [`SharedColorFilter::choose`] picked it at the last pack.
+    #[inline]
+    pub fn shared_color_filter(&self) -> SharedColorFilter {
+        self.filter
+    }
+
     /// Whether vertices `u` and `v` share a palette color with index
-    /// **strictly below** `k` — the packed form of the
+    /// **strictly below** `k` — the bitmask form of the
     /// smallest-shared-color deduplication test: a pair met in bucket
     /// `k` (so they share color `k`) is emitted from bucket `k` exactly
-    /// when this is false. A couple of word ANDs against the bitmasks
-    /// replaces the scalar path's `O(L)` sorted-merge per candidate.
+    /// when this is false. A couple of word ANDs against the bitmasks;
+    /// only valid under [`SharedColorFilter::Bitmasks`].
     #[inline]
     pub fn shares_color_below(&self, u: usize, v: usize, k: usize) -> bool {
+        debug_assert_eq!(self.filter, SharedColorFilter::Bitmasks);
         let cw = self.color_words;
         let a = &self.color_masks[u * cw..(u + 1) * cw];
         let b = &self.color_masks[v * cw..(v + 1) * cw];
@@ -381,6 +425,58 @@ impl PackedBuckets {
             if let Some(last) = masks.last_mut() {
                 *last &= (1u64 << rem) - 1;
             }
+        }
+    }
+}
+
+/// `u64` words of one palette bitset over `palette` colors (at least
+/// one).
+#[inline]
+pub(crate) fn palette_words(palette: u32) -> usize {
+    (palette as usize).div_ceil(64).max(1)
+}
+
+/// How the packed scans run the smallest-shared-color test on oracle
+/// hits. A replica picks one form per pack ([`SharedColorFilter::choose`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+pub enum SharedColorFilter {
+    /// Word ANDs against the replica's per-vertex palette bitmasks
+    /// ([`PackedBuckets::shares_color_below`]).
+    Bitmasks,
+    /// A pivot's colors in a `⌈P/64⌉`-word scratch bitset, each hit's
+    /// `L` colors tested against it; the replica holds no bitmasks.
+    Lists,
+    /// No test: on the identity layout with `2L > P` every two lists
+    /// share a color. The replica holds no bitmasks.
+    #[default]
+    Skipped,
+}
+
+impl SharedColorFilter {
+    /// The rule for a replica of `w`-word rows over lists of `list`
+    /// colors from a `palette`-color palette, on the bucketed layout or
+    /// the all-pairs identity layout. The identity layout with `2L > P`
+    /// needs no test; otherwise one `⌈P/64⌉`-word bitmask per vertex is
+    /// kept iff it is no bigger than the vertex's `L·w` key words it
+    /// filters, `⌈P/64⌉ ≤ L·w`, and the test runs on the lists where it
+    /// is not. A pure function of the lists and the oracle's packed
+    /// form, so every backend makes the same choice.
+    pub fn choose(palette: u32, list: usize, w: usize, bucketed: bool) -> SharedColorFilter {
+        if !bucketed && 2 * list > palette as usize {
+            SharedColorFilter::Skipped
+        } else if palette_words(palette) <= list * w {
+            SharedColorFilter::Bitmasks
+        } else {
+            SharedColorFilter::Lists
+        }
+    }
+
+    /// The `--stats` label: `bits`, `list` or `none`.
+    pub fn label(self) -> &'static str {
+        match self {
+            SharedColorFilter::Bitmasks => "bits",
+            SharedColorFilter::Lists => "list",
+            SharedColorFilter::Skipped => "none",
         }
     }
 }
@@ -647,20 +743,67 @@ mod tests {
 
     #[test]
     fn parallel_pack_matches_the_serial_pass() {
-        for qubits in [8usize, 30, 70] {
-            let ss = strings(120, qubits, 17);
-            let enc = EncodedSet::from_strings(&ss);
-            let oracle = PauliComplementOracle::new(&enc);
-            let lists = ColorLists::assign(120, 0, 18, 4, 5, 1);
-            let index = lists.bucket_index();
-            let mut serial = PackedBuckets::new();
-            let mut parallel = PackedBuckets::new();
-            assert!(serial.pack_from(&oracle, &lists, Some(&index)));
-            assert!(parallel.pack_from_parallel(&oracle, &lists, Some(&index)));
-            assert_eq!(serial.keys, parallel.keys, "{qubits} qubits");
-            assert_eq!(serial.query, parallel.query);
-            assert_eq!(serial.color_masks, parallel.color_masks);
+        // P = 18 keeps the palette bitmasks, P = 2000 (32 words) drops
+        // them at every row width here.
+        for palette in [18u32, 2000] {
+            for qubits in [8usize, 30, 70] {
+                let what = format!("P={palette}, {qubits} qubits");
+                let ss = strings(120, qubits, 17);
+                let enc = EncodedSet::from_strings(&ss);
+                let oracle = PauliComplementOracle::new(&enc);
+                let lists = ColorLists::assign(120, 0, palette, 4, 5, 1);
+                let index = lists.bucket_index();
+                let mut serial = PackedBuckets::new();
+                let mut parallel = PackedBuckets::new();
+                assert!(serial.pack_from(&oracle, &lists, Some(&index)));
+                assert!(parallel.pack_from_parallel(&oracle, &lists, Some(&index)));
+                assert_eq!(serial.keys, parallel.keys, "{what}");
+                assert_eq!(serial.query, parallel.query, "{what}");
+                assert_eq!(serial.color_masks, parallel.color_masks, "{what}");
+                let filter = if palette == 18 {
+                    SharedColorFilter::Bitmasks
+                } else {
+                    SharedColorFilter::Lists
+                };
+                assert_eq!(serial.shared_color_filter(), filter, "{what}");
+                assert_eq!(parallel.shared_color_filter(), filter, "{what}");
+            }
         }
+    }
+
+    #[test]
+    fn palette_bitmasks_are_kept_only_where_no_bigger_than_the_key_lanes() {
+        // `⌈P/64⌉ ≤ L·w`, and on the identity layout no test at all with
+        // `2L > P`. At the benchmark's shapes: dense_pauli (P = 1000, L =
+        // 8, two words) sits on the boundary and keeps them, service_mix
+        // (P = 128, L = 7) keeps them, sparse_oracle (P = 5000, L = 10)
+        // filters on the lists, and the all-pairs molecule (2L > P) runs
+        // no test.
+        use SharedColorFilter::{Bitmasks, Lists, Skipped};
+        for p in 1..=3000u32 {
+            for (l, w) in [(1usize, 1usize), (3, 1), (8, 2), (10, 2), (40, 4)] {
+                let fits = if (p as usize).div_ceil(64) <= l * w {
+                    Bitmasks
+                } else {
+                    Lists
+                };
+                let what = format!("P={p} L={l} w={w}");
+                assert_eq!(SharedColorFilter::choose(p, l, w, true), fits, "{what}");
+                let identity = if 2 * l > p as usize { Skipped } else { fits };
+                assert_eq!(
+                    SharedColorFilter::choose(p, l, w, false),
+                    identity,
+                    "{what}"
+                );
+            }
+        }
+        assert_eq!(SharedColorFilter::choose(1000, 8, 2, true), Bitmasks);
+        assert_eq!(SharedColorFilter::choose(1025, 8, 2, true), Lists);
+        assert_eq!(SharedColorFilter::choose(128, 7, 2, true), Bitmasks);
+        assert_eq!(SharedColorFilter::choose(5000, 10, 2, true), Lists);
+        assert_eq!(SharedColorFilter::choose(131, 110, 4, false), Skipped);
+        let labels = [Bitmasks, Lists, Skipped].map(SharedColorFilter::label);
+        assert_eq!(labels, ["bits", "list", "none"]);
     }
 
     #[test]
@@ -729,6 +872,30 @@ mod tests {
                 "iteration {iter} grew the arena"
             );
             check_matches_scalar(&oracle, &lists);
+        }
+    }
+
+    #[test]
+    fn replicas_without_bitmasks_stay_linear_in_the_key_lanes() {
+        // The sparse shape, P ≫ 64·L·w: a two-word packed-word oracle
+        // with 3-color lists from a 3000-color palette (47 words per
+        // bitmask against 6 key words per vertex). The replica is the key
+        // lanes and the query rows, `8·(N·L·w + m·w)`, on either layout
+        // (all-pairs: N·w key words) and for either pass.
+        let n = 600;
+        let oracle = graph::PackedWordOracle::with_edge_density(n, 2, 0.01, 3);
+        let lists = ColorLists::assign(n, 0, 3000, 3, 7, 1);
+        let index = lists.bucket_index();
+        for (layout, rows) in [(Some(&index), n * 3), (None, n)] {
+            let mut serial = PackedBuckets::new();
+            let mut parallel = PackedBuckets::new();
+            assert!(serial.pack_from(&oracle, &lists, layout));
+            assert!(parallel.pack_from_parallel(&oracle, &lists, layout));
+            for packed in [&serial, &parallel] {
+                assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
+                assert!(packed.color_masks.is_empty());
+                assert_eq!(packed.device_bytes(), 8 * (rows * 2 + n * 2));
+            }
         }
     }
 

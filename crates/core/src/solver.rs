@@ -6,6 +6,7 @@ use crate::conflict::{self, HostBuild, HostGraph};
 use crate::iteration::IterationContext;
 use crate::listcolor::{self, ConflictRows};
 use crate::oracle::{LiveView, PauliComplementOracle};
+use crate::packed::SharedColorFilter;
 use coloring::UNCOLORED;
 use device::{DeviceError, DeviceSim, DeviceStats};
 use graph::EdgeOracle;
@@ -136,8 +137,16 @@ pub struct IterationStats {
     pub mask_bytes: u64,
     /// Host bytes of the iteration's packed oracle replica
     /// ([`crate::PackedBuckets::device_bytes`]: key lanes, query rows
-    /// and palette bitmasks); zero when the iteration did not pack.
+    /// and, under [`SharedColorFilter::Bitmasks`], palette bitmasks);
+    /// zero when the iteration did not pack. The rule keeps a vertex's
+    /// bitmask no bigger than its `L·w` key words, so this is linear in
+    /// `m·L`: at most `8·(2·m·L·w + m·w)` for `w`-word rows.
     pub replica_bytes: u64,
+    /// How the packed scans ran the shared-color test on oracle hits
+    /// ([`SharedColorFilter::choose`]): word ANDs against the replica's
+    /// palette bitmasks, the sorted lists, or no test; `None` when the
+    /// iteration did not pack.
+    pub shared_color_filter: Option<SharedColorFilter>,
     /// Device backend: whether the CSR was assembled on-device.
     pub csr_on_device: Option<bool>,
 }
@@ -263,6 +272,25 @@ impl PicassoResult {
     /// [`IterationStats::conflict_masks`]).
     pub fn conflict_mask_iterations(&self) -> usize {
         self.iterations.iter().filter(|s| s.conflict_masks).count()
+    }
+
+    /// Iterations whose packed replica held palette bitmasks (see
+    /// [`IterationStats::shared_color_filter`]).
+    pub fn replica_color_mask_iterations(&self) -> usize {
+        self.iterations
+            .iter()
+            .filter(|s| s.shared_color_filter == Some(SharedColorFilter::Bitmasks))
+            .count()
+    }
+
+    /// Largest packed replica across iterations, in bytes (see
+    /// [`IterationStats::replica_bytes`]); zero when no iteration packed.
+    pub fn max_replica_bytes(&self) -> u64 {
+        self.iterations
+            .iter()
+            .map(|s| s.replica_bytes)
+            .max()
+            .unwrap_or(0)
     }
 
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
@@ -543,6 +571,7 @@ impl Picasso {
                 conflict_masks,
                 mask_bytes: build.mask_bytes,
                 replica_bytes: ctx.replica_bytes() as u64,
+                shared_color_filter: ctx.shared_color_filter(),
                 csr_on_device,
             });
 
@@ -914,7 +943,7 @@ mod tests {
             let fresh = Picasso::new(base).solve_pauli(&set).unwrap();
             let reused = Picasso::new(base).solve_pauli_in(&set, &mut ctx).unwrap();
             assert_eq!(fresh.colors, reused.colors, "seed {seed}");
-            assert_eq!(fresh.num_colors, reused.num_colors);
+            assert_eq!(fresh.num_colors, reused.num_colors, "seed {seed}");
             assert_eq!(fresh.index_builds, reused.index_builds, "seed {seed}");
         }
     }

@@ -39,7 +39,9 @@
 //! `picasso-cli trace FILE` replays such a log into a per-phase
 //! flame-style table.
 
-use picasso::{color_classes, ConflictBackend, ListColoringScheme, Picasso, PicassoConfig};
+use picasso::{
+    color_classes, ConflictBackend, ListColoringScheme, Picasso, PicassoConfig, SharedColorFilter,
+};
 use picasso_service::{
     parse_request_lines, silence_injected_panics, AdmissionConfig, FaultPlan, JobOutcome,
     ParsedRequests, ServiceConfig, SolveRequest, SolveService, Workload,
@@ -730,13 +732,13 @@ fn main() {
 
     if args.stats {
         eprintln!(
-            "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |hit% |skipw \
-             |colms |Vc |Ec |uncolored |bitset |graph"
+            "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |replica \
+             |dedup |hit% |skipw |colms |Vc |Ec |uncolored |bitset |graph"
         );
         for s in &result.iterations {
             eprintln!(
-                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>5.1} {:>6} \
-                 {:>6.2} {:>6} {:>8} {:>6} {:>7} {:>6}",
+                "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>7.1} {:>5} \
+                 {:>5.1} {:>6} {:>6.2} {:>6} {:>8} {:>6} {:>7} {:>6}",
                 s.iteration,
                 s.live_vertices,
                 s.palette_size,
@@ -746,6 +748,8 @@ fn main() {
                 s.candidate_pairs,
                 if s.packed_lanes > 0 { "y" } else { "n" },
                 100.0 * s.packed_lanes as f64 / s.candidate_pairs.max(1) as f64,
+                s.replica_bytes as f64 / 1024.0,
+                s.shared_color_filter.map_or("-", SharedColorFilter::label),
                 100.0 * s.hit_bits as f64 / s.packed_lanes.max(1) as f64,
                 s.skipped_words,
                 1e3 * s.color_secs,

@@ -37,6 +37,11 @@ pub struct SolveSummary {
     pub color_bitset_iterations: u64,
     /// Iterations whose Line 7 kept hit masks instead of a CSR.
     pub conflict_mask_iterations: u64,
+    /// Iterations whose packed replica held palette bitmasks (the
+    /// shared-color filter ran as word ANDs, not on the sorted lists).
+    pub replica_color_mask_iterations: u64,
+    /// Largest packed replica of any iteration, in bytes.
+    pub max_replica_bytes: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -59,6 +64,8 @@ impl SolveSummary {
             safety_valve_vertices: counter("solver_safety_valve_vertices_total"),
             color_bitset_iterations: counter("solver_color_bitset_iterations_total"),
             conflict_mask_iterations: counter("solver_conflict_mask_iterations_total"),
+            replica_color_mask_iterations: counter("solver_replica_color_mask_iterations_total"),
+            max_replica_bytes: registry.gauge("solver_max_replica_bytes").get(),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -82,15 +89,20 @@ impl SolveSummary {
         self.hit_bits as f64 / self.packed_lanes as f64
     }
 
-    /// The `--stats` Line-7 footer line: packing and the graph form.
+    /// The `--stats` Line-7 footer line: packing, the replica's palette
+    /// filter and the graph form.
     pub fn packing_footer(&self) -> String {
         format!(
             "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
-             {} mask words skipped whole), hit-mask graphs in {} of {} iterations",
+             {} mask words skipped whole), palette bitmasks in {} of {} replicas \
+             (largest {:.1} KiB), hit-mask graphs in {} of {} iterations",
             self.pack_builds,
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
             self.skipped_words,
+            self.replica_color_mask_iterations,
+            self.pack_builds,
+            self.max_replica_bytes as f64 / 1024.0,
             self.conflict_mask_iterations,
             self.iterations
         )
@@ -136,6 +148,7 @@ impl SolveSummary {
             ("total_hit_bits", Value::from(self.hit_bits)),
             ("total_skipped_words", Value::from(self.skipped_words)),
             ("hit_density", Value::from(self.hit_density())),
+            ("max_replica_bytes", Value::from(self.max_replica_bytes)),
             ("color_secs", Value::from(self.color_secs)),
             (
                 "safety_valve_vertices",
@@ -192,6 +205,11 @@ mod tests {
         let packing = s.packing_footer();
         assert!(packing.starts_with(&format!("pack builds: {}", result.pack_builds)));
         assert!(packing.contains("hit density"));
+        assert!(packing.contains(&format!(
+            "palette bitmasks in {} of {} replicas",
+            result.replica_color_mask_iterations(),
+            result.pack_builds
+        )));
         assert!(packing.ends_with(&format!(
             "hit-mask graphs in {} of {} iterations",
             result.conflict_mask_iterations(),
@@ -223,6 +241,7 @@ mod tests {
         assert_eq!(doc["total_candidate_pairs"], result.total_candidate_pairs());
         assert_eq!(doc["pack_builds"], result.pack_builds as u64);
         assert!(doc["hit_density"].as_f64().is_some());
+        assert_eq!(doc["max_replica_bytes"], result.max_replica_bytes());
         assert_eq!(
             doc["safety_valve_vertices"],
             result.safety_valve_vertices as u64

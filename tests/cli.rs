@@ -94,8 +94,29 @@ fn stats_table_surfaces_packed_lane_columns() {
             matches!(packed, Some("y") | Some("n")),
             "packed column in row: {row}"
         );
+        // The replica's size and how its shared-color filter ran.
+        let dedup = row.split_whitespace().nth(10);
+        let want: &[&str] = if packed == Some("y") {
+            &["bits", "list", "none"]
+        } else {
+            &["-"]
+        };
+        assert!(
+            dedup.is_some_and(|d| want.contains(&d)),
+            "dedup column in row: {row}"
+        );
     }
+    assert!(
+        stderr.contains("|lane% |replica |dedup |hit%"),
+        "replica columns in:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("palette bitmasks in"),
+        "replica footer in:\n{stderr}"
+    );
     let doc: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
+    // The largest replica rides along in the JSON roll-up.
+    assert!(doc["max_replica_bytes"].as_u64().unwrap() > 0);
     // 700 distinct strings at Normal parameters pack from iteration one.
     assert!(doc["pack_builds"].as_u64().unwrap() >= 1);
     assert!(doc["packed_lane_utilization"].as_f64().unwrap() > 0.0);

@@ -7,7 +7,7 @@ static ALLOC: memtrack::TrackingAllocator = memtrack::TrackingAllocator;
 
 use memtrack::PeakRegion;
 use pauli::{AntiCommuteSet, EncodedSet};
-use picasso::{Picasso, PicassoConfig};
+use picasso::{Picasso, PicassoConfig, SharedColorFilter};
 use qchem::{generate_pauli_set, BasisSet, Dimensionality};
 use std::sync::Mutex;
 
@@ -331,6 +331,52 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
             }
         }
     }
+}
+
+#[test]
+fn warm_sequential_list_filtered_build_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // The sparse shape: a palette too wide for per-vertex bitmasks
+    // (`⌈P/64⌉` = 32 words against `L·w` = 8 key words), so the packed
+    // scan filters shared colors on the lists, with its color bitset in
+    // the pooled task arena. The Sequential Line 7 the solver runs
+    // allocates nothing on it once warm.
+    use picasso::conflict::{build_host, HostGraph};
+    use picasso::IterationContext;
+    let n = 4000;
+    let oracle = graph::PackedWordOracle::with_edge_density(n, 2, 0.001, 7);
+    let (p, l) = (2000, 4);
+    let mut ctx = IterationContext::new();
+    let build = |ctx: &mut IterationContext, iter: u64| {
+        ctx.assign_lists(n, 0, p, l, 1, iter);
+        let before = memtrack::total_allocations();
+        let built = build_host(&oracle, ctx, false, true);
+        let allocations = memtrack::total_allocations() - before;
+        let edges = built.num_edges;
+        assert_eq!(
+            built.packed_lanes, built.candidate_pairs,
+            "the packed scan ran"
+        );
+        if let HostGraph::Csr(graph) = built.graph {
+            ctx.recycle_csr(graph);
+        }
+        (allocations, edges)
+    };
+    for iter in 1..=3u64 {
+        build(&mut ctx, iter);
+    }
+    // The measured build repeats the last warm-up's lists.
+    let (allocations, edges) = build(&mut ctx, 3);
+    assert!(edges > 0);
+    assert_eq!(
+        ctx.shared_color_filter(),
+        Some(SharedColorFilter::Lists),
+        "the replica must hold no palette bitmasks"
+    );
+    assert_eq!(
+        allocations, 0,
+        "steady-state list-filtered sequential build must allocate nothing"
+    );
 }
 
 /// One Line 8-9 round out of `ctx`: assigns `(p, l)` lists over the

@@ -5,11 +5,12 @@
 //! degenerate case (one packed word, duplicate strings guaranteed) and
 //! >64-qubit registers (multi-word rows in both encodings).
 
-use graph::{CsrGraph, PackedWordOracle};
+use graph::{CsrGraph, EdgeOracle, PackedWordOracle};
 use pauli::{EncodedSet, PauliString, SymplecticSet};
 use picasso::conflict::{
     build_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
+use picasso::packed::SharedColorFilter;
 use picasso::{
     AllPairsSource, BucketSource, CandidateEngine, ColorLists, IterationContext, MaskScanStats,
     PackedBuckets, PackingMode, PairSource, PauliComplementOracle,
@@ -45,7 +46,7 @@ proptest! {
     fn packed_csrs_bit_identical_across_all_five_backends(
         qubits in prop_oneof![Just(1usize), Just(8), Just(21), Just(26), Just(70)],
         n in 20usize..90,
-        palette in 4u32..32,
+        palette in prop_oneof![4u32..32, 400u32..2000],
         list in 2u32..6,
         seed in any::<u64>(),
     ) {
@@ -74,6 +75,11 @@ proptest! {
             ("device", &devb.graph, devb.packed_lanes, devb.candidate_pairs),
         ];
         let packed_engaged = ctx.pack_builds() == 1;
+        // The wide palettes (⌈P/64⌉ ≥ 7 words against L·w ≤ 20) mostly
+        // filter shared colors on the lists, the narrow ones on bitmasks.
+        let words = oracle.packed_form().map_or(1, |f| f.words.max(1));
+        let filter = SharedColorFilter::choose(palette, list as usize, words, ctx.prefers_buckets());
+        prop_assert_eq!(ctx.shared_color_filter(), packed_engaged.then_some(filter));
         for (name, graph, lanes, pairs) in builds {
             prop_assert_eq!(graph, &reference.graph, "{} vs scalar reference", name);
             if packed_engaged {
@@ -344,6 +350,87 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     assert_eq!(edges, vec![(0, 64), (0, 65), (64, 65)]);
     assert_eq!(stats.hit_bits, 3, "one set bit per defect pair");
     assert!(stats.skipped_words > 0, "the empty tails skip whole words");
+}
+
+/// Non-property pin: the sparse shape, `P ≫ 64·L·w`, where the replica
+/// keeps no palette bitmasks and the shared-color filter runs on the
+/// lists. Over a two-word packed-word oracle, on the bucketed and the
+/// all-pairs engine, every packed backend's CSR and `|Ec|` equal the
+/// scalar all-pairs reference's, and the replica is exactly its key
+/// lanes and query rows, `8·(N·L·w + m·w)` bytes (`N·w` key words on the
+/// all-pairs identity layout).
+#[test]
+fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
+    let (n, w) = (900usize, 2usize);
+    // (P, L, bucketed): 4000 colors are 63 words against L·w = 6. The
+    // all-pairs shape (L² > P, so all-pairs is cheaper, and 2L ≤ P) is
+    // 125 words, more than L·w = 100 on a one-word oracle.
+    for (palette, list, bucketed) in [(4000u32, 3u32, true), (8000, 100, false)] {
+        let w = if bucketed { w } else { 1 };
+        let what = format!("P={palette} L={list}");
+        let oracle = PackedWordOracle::with_edge_density(n, w, 0.05, u64::from(palette));
+        let lists = ColorLists::assign(n, 0, palette, list, 11, 1);
+        assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{what}");
+        let filter = SharedColorFilter::choose(palette, list as usize, w, bucketed);
+        assert_eq!(filter, SharedColorFilter::Lists, "{what}");
+
+        let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
+        let truth = build_sequential_allpairs(&oracle, &mut scalar_ctx);
+        assert!(truth.num_edges > 0, "{what}");
+
+        let mut ctx = ctx_with(&lists, PackingMode::Always);
+        let seq = build_sequential(&oracle, &mut ctx);
+        let par = build_parallel(&oracle, &mut ctx);
+        let dev = device::DeviceSim::new(64 << 20);
+        let devb = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
+        for (name, build) in [("sequential", &seq), ("parallel", &par), ("device", &devb)] {
+            assert_eq!(build.graph, truth.graph, "{what}: {name}");
+            assert_eq!(build.num_edges, truth.num_edges, "{what}: {name}");
+            assert_eq!(build.packed_lanes, build.candidate_pairs, "{what}: {name}");
+        }
+        assert_eq!(ctx.pack_builds(), 1, "{what}");
+        assert_eq!(ctx.shared_color_filter(), Some(filter), "{what}");
+        let key_rows = if bucketed { n * list as usize } else { n };
+        assert_eq!(ctx.replica_bytes(), 8 * (key_rows * w + n * w), "{what}");
+    }
+}
+
+/// Non-property pin: over a fixed sweep of the five-backend property's
+/// shapes, both forms of the shared-color filter run — palette bitmasks
+/// on the narrow palettes, the sorted lists on a non-zero share of the
+/// wide ones — and every packed CSR equals the scalar reference.
+#[test]
+fn the_packed_sweep_reaches_both_shared_color_filters() {
+    let (mut bitmasks, mut lists_only) = (0, 0);
+    for (k, qubits) in [1usize, 8, 21, 26, 70].into_iter().enumerate() {
+        for palette in [12u32, 31, 400, 1999] {
+            for list in 2u32..6 {
+                let seed = (k as u64) << 32 | u64::from(palette) << 8 | u64::from(list);
+                let n = 40 + (seed % 50) as usize;
+                let strings = random_strings(n, qubits, seed);
+                let set = EncodedSet::from_strings(&strings);
+                let oracle = PauliComplementOracle::new(&set);
+                let lists = ColorLists::assign(n, 0, palette, list, seed, 1);
+                let reference =
+                    build_sequential(&oracle, &mut ctx_with(&lists, PackingMode::Never));
+                let mut ctx = ctx_with(&lists, PackingMode::Always);
+                let packed = build_sequential(&oracle, &mut ctx);
+                let par = build_parallel(&oracle, &mut ctx);
+                let what = format!("{qubits} qubits, n={n} P={palette} L={list}");
+                assert_eq!(packed.graph, reference.graph, "{what}");
+                assert_eq!(par.graph, reference.graph, "{what}");
+                match ctx.shared_color_filter() {
+                    Some(SharedColorFilter::Bitmasks) => bitmasks += 1,
+                    Some(SharedColorFilter::Lists) => lists_only += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(
+        bitmasks > 0 && lists_only > 0,
+        "{bitmasks} bitmask and {lists_only} list replicas"
+    );
 }
 
 /// Non-property pin: an empty set and a singleton survive the packed
