@@ -28,7 +28,7 @@ use pauli::EncodedSet;
 use picasso::conflict::{
     build_device, build_parallel, build_sequential, build_sequential_allpairs,
 };
-use picasso::{ColorLists, IterationContext, PackingMode, PauliComplementOracle, PicassoConfig};
+use picasso::{ColorLists, IterationContext, PauliComplementOracle, PicassoConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -140,9 +140,24 @@ fn bench_conflict(c: &mut Criterion) {
     }
 }
 
+/// Steady-state mean of one sequential build over warm repetitions,
+/// graphs recycled so the timing measures the kernel, not allocator
+/// traffic.
+fn mean_build_secs<O: graph::EdgeOracle>(oracle: &O, ctx: &mut IterationContext) -> f64 {
+    let reps = if smoke() { 3 } else { 12 };
+    let t = Instant::now();
+    for _ in 0..reps {
+        let b = build_sequential(oracle, ctx);
+        black_box(b.num_edges);
+        ctx.recycle_csr(b.graph);
+    }
+    t.elapsed().as_secs_f64() / reps as f64
+}
+
 /// Scalar block path vs the packed bucket-major oracle kernel, on the
 /// bucketed **sequential** engine (the apples-to-apples comparison: the
-/// only difference between the two contexts is the packing mode). The
+/// scalar arm runs the same oracle through [`graph::ScalarView`], which
+/// hides its packed form and forwards its encoded block queries). The
 /// `≥ 1.5×` assertion at n = 2048 is the packed pipeline's acceptance
 /// bar; the smoke run covers n = 512 so CI keeps both arms compiling
 /// and agreeing without paying full measurement time.
@@ -151,36 +166,21 @@ fn bench_oracle_batch(c: &mut Criterion) {
     for &n in sizes {
         let (set, lists) = setup(n);
         let oracle = PauliComplementOracle::new(&set);
-        let mut packed_ctx = IterationContext::new();
-        packed_ctx.set_packing(PackingMode::Always);
-        packed_ctx.set_lists(lists.clone());
-        let mut scalar_ctx = IterationContext::new();
-        scalar_ctx.set_packing(PackingMode::Never);
-        scalar_ctx.set_lists(lists.clone());
+        let scalar_oracle = graph::ScalarView::new(&oracle);
+        let mut packed_ctx = fresh_ctx(&lists);
+        let mut scalar_ctx = fresh_ctx(&lists);
 
         // Correctness gate (and arena warm-up) before any timing.
         let p = build_sequential(&oracle, &mut packed_ctx);
-        let s = build_sequential(&oracle, &mut scalar_ctx);
+        let s = build_sequential(&scalar_oracle, &mut scalar_ctx);
         assert_eq!(p.graph, s.graph, "packed and scalar kernels must agree");
         assert_eq!(p.packed_lanes, p.candidate_pairs, "packed arm must pack");
         assert_eq!(s.packed_lanes, 0, "scalar arm must not pack");
         packed_ctx.recycle_csr(p.graph);
         scalar_ctx.recycle_csr(s.graph);
 
-        // Steady-state mean over warm repetitions, graphs recycled so
-        // both arms measure the kernel, not allocator traffic.
-        let reps = if smoke() { 3 } else { 12 };
-        let time = |ctx: &mut IterationContext| {
-            let t = Instant::now();
-            for _ in 0..reps {
-                let b = build_sequential(&oracle, ctx);
-                black_box(b.num_edges);
-                ctx.recycle_csr(b.graph);
-            }
-            t.elapsed().as_secs_f64() / reps as f64
-        };
-        let scalar_secs = time(&mut scalar_ctx);
-        let packed_secs = time(&mut packed_ctx);
+        let scalar_secs = mean_build_secs(&scalar_oracle, &mut scalar_ctx);
+        let packed_secs = mean_build_secs(&oracle, &mut packed_ctx);
         let speedup = scalar_secs / packed_secs.max(1e-12);
         println!(
             "oracle_batch_n{n}: scalar-block={:.2}ms packed-kernel={:.2}ms ({speedup:.2}x faster)",
@@ -200,7 +200,7 @@ fn bench_oracle_batch(c: &mut Criterion) {
         group.sample_size(if smoke() { 2 } else { 10 });
         group.bench_function("scalar_block", |b| {
             b.iter(|| {
-                let built = build_sequential(&oracle, &mut scalar_ctx);
+                let built = build_sequential(&scalar_oracle, &mut scalar_ctx);
                 let edges = built.num_edges;
                 scalar_ctx.recycle_csr(built.graph);
                 black_box(edges)

@@ -1246,7 +1246,7 @@ pub fn build_device<O: EdgeOracle>(
 mod tests {
     use super::*;
     use crate::assign::ColorLists;
-    use graph::FnOracle;
+    use graph::{FnOracle, ScalarView};
 
     fn dense_oracle(m: usize) -> FnOracle<impl Fn(usize, usize) -> bool + Sync> {
         // Complement-graph-like density ~50%, deterministic.
@@ -1388,22 +1388,24 @@ mod tests {
         // run that cut inline, out of the one pooled arena, and return
         // it — in either graph form, packed or not, warm or cold.
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackingMode;
         let m = 300;
         let set = pauli_set(m, 31);
         let oracle = PauliComplementOracle::new(&set);
-        for (packing, rule) in [
-            (PackingMode::Never, GraphRule::Csr),
-            (PackingMode::Always, GraphRule::Csr),
-            (PackingMode::Always, GraphRule::Masks),
-            (PackingMode::Always, GraphRule::Bytes),
+        for (packed, rule) in [
+            (false, GraphRule::Csr),
+            (true, GraphRule::Csr),
+            (true, GraphRule::Masks),
+            (true, GraphRule::Bytes),
         ] {
             let mut ctx = IterationContext::new();
-            ctx.set_packing(packing);
             for iter in 1..=3u64 {
-                let what = format!("{packing:?} {rule:?} iteration {iter}");
+                let what = format!("packed={packed} {rule:?} iteration {iter}");
                 ctx.set_lists(ColorLists::assign(m, 0, 24, 4, 9, iter));
-                let built = build_host_with(&oracle, &mut ctx, false, rule);
+                let built = if packed {
+                    build_host_with(&oracle, &mut ctx, false, rule)
+                } else {
+                    build_host_with(&ScalarView::new(&oracle), &mut ctx, false, rule)
+                };
                 let rescanned = uses_hit_masks(m, built.num_edges as u64, built.mask_bytes);
                 let masks = rule == GraphRule::Masks || rule == GraphRule::Bytes && rescanned;
                 assert_eq!(matches!(built.graph, HostGraph::Masks), masks, "{what}");
@@ -1420,7 +1422,6 @@ mod tests {
     #[test]
     fn packed_kernel_builds_identical_csrs_across_all_backends() {
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackingMode;
         use rand::SeedableRng;
         // Single-word (≤21 qubits) and multi-word (>21) packed forms.
         for qubits in [10usize, 25] {
@@ -1431,13 +1432,11 @@ mod tests {
             let lists = ColorLists::assign(140, 0, 24, 4, 9, 1);
 
             let mut scalar_ctx = ctx_for(&lists);
-            scalar_ctx.set_packing(PackingMode::Never);
-            let reference = build_sequential(&oracle, &mut scalar_ctx);
-            assert_eq!(reference.packed_lanes, 0, "Never mode must not pack");
+            let reference = build_sequential(&ScalarView::new(&oracle), &mut scalar_ctx);
+            assert_eq!(reference.packed_lanes, 0, "the scalar view must not pack");
             assert_eq!(scalar_ctx.pack_builds(), 0);
 
             let mut ctx = ctx_for(&lists);
-            ctx.set_packing(PackingMode::Always);
             let seq = build_sequential(&oracle, &mut ctx);
             let par = build_parallel(&oracle, &mut ctx);
             let dev = DeviceSim::new(64 * 1024 * 1024);
@@ -1467,7 +1466,7 @@ mod tests {
         // all-pairs ones have `2L > P`, so no scan would read them), next
         // to the `m·L·4 B` lists.
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::{PackedBuckets, PackingMode, SharedColorFilter};
+        use crate::packed::{PackedBuckets, SharedColorFilter};
         use rand::SeedableRng;
         let m = 150;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -1478,7 +1477,6 @@ mod tests {
             let what = format!("P={palette}");
             let lists = ColorLists::assign(m, 0, palette, list as u32, 5, 0);
             let mut ctx = ctx_for(&lists);
-            ctx.set_packing(PackingMode::Always);
             let bucketed = ctx.prefers_buckets();
             assert_eq!(bucketed, palette == 30);
             let index = bucketed.then(|| lists.bucket_index());
@@ -1544,7 +1542,6 @@ mod tests {
         // one group sequentially and two in parallel — same graph; these
         // instances have none.)
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackingMode;
         use rand::SeedableRng;
         let m = 160;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -1556,7 +1553,6 @@ mod tests {
             ("all-pairs", ColorLists::assign(m, 0, 8, 6, 5, 0), false),
         ] {
             let mut ctx = ctx_for(&lists);
-            ctx.set_packing(PackingMode::Always);
             assert_eq!(ctx.prefers_buckets(), bucketed, "{what}");
             let rows = ctx.engine_and_scratch().0.num_rows();
             ctx.lists_and_scratch().1.edges.push((0, 1));
@@ -1591,22 +1587,37 @@ mod tests {
     }
 
     #[test]
-    fn auto_packing_requires_a_packable_oracle_and_real_pair_load() {
-        // FnOracle has no packed form: Auto must fall back to the scalar
-        // path and report zero packed lanes, with identical output.
-        let m = 200;
-        let oracle = dense_oracle(m);
-        let lists = ColorLists::assign(m, 0, 30, 4, 3, 0);
+    fn packing_is_the_oracles_call() {
+        // A Pauli oracle packs even the degenerate load — a palette so
+        // large that almost every bucket is a singleton, with fewer
+        // candidate pairs than key rows — and the packed CSR is the
+        // scalar view's and the all-pairs reference's. An oracle without
+        // a packed form never packs.
+        use crate::oracle::PauliComplementOracle;
+        use rand::SeedableRng;
+        let m = 40;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let strings = pauli::string::random_unique_set(m, 10, &mut rng);
+        let set = pauli::EncodedSet::from_strings(&strings);
+        let oracle = PauliComplementOracle::new(&set);
+        let lists = ColorLists::assign(m, 0, 600, 2, 7, 1);
         let mut ctx = ctx_for(&lists);
-        let built = build_sequential(&oracle, &mut ctx);
-        assert_eq!(built.packed_lanes, 0);
-        assert_eq!(ctx.pack_builds(), 0);
+        assert!(ctx.prefers_buckets());
+        assert!(ctx.bucket_load().total_pairs < (m * 2) as u64);
+        let packed = build_sequential(&oracle, &mut ctx);
+        assert_eq!(ctx.pack_builds(), 1);
+        assert_eq!(packed.packed_lanes, packed.candidate_pairs);
         let mut scalar_ctx = ctx_for(&lists);
-        scalar_ctx.set_packing(crate::packed::PackingMode::Never);
-        assert_eq!(
-            built.graph,
-            build_sequential(&oracle, &mut scalar_ctx).graph
-        );
+        let scalar = build_sequential(&ScalarView::new(&oracle), &mut scalar_ctx);
+        assert_eq!((scalar.packed_lanes, scalar_ctx.pack_builds()), (0, 0));
+        assert_eq!(packed.graph, scalar.graph);
+        let reference = build_sequential_allpairs(&oracle, &mut scalar_ctx);
+        assert_eq!(packed.graph, reference.graph);
+
+        let fn_oracle = dense_oracle(200);
+        let mut ctx = ctx_for(&ColorLists::assign(200, 0, 30, 4, 3, 0));
+        let built = build_sequential(&fn_oracle, &mut ctx);
+        assert_eq!((built.packed_lanes, ctx.pack_builds()), (0, 0));
     }
 
     #[test]
@@ -1698,7 +1709,6 @@ mod tests {
         // runs still end in the counter OOM (m = 1) and the host-CSR
         // fallback (m ≥ 2).
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::PackingMode;
         use rand::SeedableRng;
         #[rustfmt::skip]
         const PINNED: [(usize, bool, bool, usize, [DevicePin; 3]); 20] = [
@@ -1729,22 +1739,19 @@ mod tests {
             let strings = pauli::string::random_unique_set(m, 12, &mut rng);
             let set = pauli::EncodedSet::from_strings(&strings);
             let oracle = PauliComplementOracle::new(&set);
-            for packing in [PackingMode::Always, PackingMode::Never] {
+            for packed in [true, false] {
                 for (bucketed, palette, list) in [(true, 24u32, 3u32), (false, 8, 6)] {
-                    let fresh = || {
-                        let mut ctx = ctx_for(&ColorLists::assign(m, 0, palette, list, 5, 1));
-                        ctx.set_packing(packing);
-                        ctx
-                    };
+                    let fresh = || ctx_for(&ColorLists::assign(m, 0, palette, list, 5, 1));
                     let &(pm, ppacked, pbucketed, tight, ref pruns) = rows.next().unwrap();
-                    let what = format!("m={m} packing={packing:?} bucketed={bucketed}");
-                    assert_eq!(
-                        (pm, ppacked, pbucketed),
-                        (m, packing == PackingMode::Always, bucketed)
-                    );
+                    let what = format!("m={m} packed={packed} bucketed={bucketed}");
+                    assert_eq!((pm, ppacked, pbucketed), (m, packed, bucketed));
                     for (capacity, pinned) in [64 << 20, tight, tight / 4].into_iter().zip(pruns) {
                         let dev = DeviceSim::new(capacity);
-                        let built = build_device(&oracle, &mut fresh(), &dev, 16);
+                        let built = if packed {
+                            build_device(&oracle, &mut fresh(), &dev, 16)
+                        } else {
+                            build_device(&ScalarView::new(&oracle), &mut fresh(), &dev, 16)
+                        };
                         let s = dev.stats();
                         assert_eq!(s.used_bytes, 0, "{what}: every lease released");
                         assert!(s.peak_bytes <= capacity, "{what}: peak within capacity");
@@ -1818,10 +1825,8 @@ mod tests {
     /// the masks of the sequential direct mask scan.
     fn check_graph_forms<O: EdgeOracle>(oracle: &O, lists: &ColorLists, what: &str) {
         use crate::listcolor::{greedy_list_color_in, ConflictRows};
-        use crate::packed::PackingMode;
         use crate::{ColorScratch, ListColorOutcome};
         let mut ctx = ctx_for(lists);
-        ctx.set_packing(PackingMode::Always);
         let csr = build_sequential(oracle, &mut ctx);
         assert_eq!(csr.packed_lanes, csr.candidate_pairs, "{what}: packed");
         let direct = build_host_with(oracle, &mut ctx, false, GraphRule::Masks);

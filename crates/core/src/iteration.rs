@@ -33,7 +33,7 @@ use crate::candidates::CandidateEngine;
 use crate::config::ListColoringScheme;
 use crate::conflict::{HitMasks, MaskGraph};
 use crate::listcolor::{ColorScratch, SchemeKind};
-use crate::packed::{PackedBuckets, PackingMode, SharedColorFilter};
+use crate::packed::{PackedBuckets, SharedColorFilter};
 use device::FaultPlan;
 use graph::{CooGroups, CsrArena, CsrGraph, EdgeOracle};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,8 +205,6 @@ pub struct IterationContext {
     /// Whether the current iteration's builds use the packed kernel
     /// (valid only when `packed_valid`).
     packed_active: bool,
-    /// Packing policy (default [`PackingMode::Auto`]).
-    packing: PackingMode,
     /// Total packed-replica builds — at most one per iteration, shared
     /// by every backend of the round, mirrored by the solver into
     /// [`PicassoResult::pack_builds`](crate::PicassoResult::pack_builds).
@@ -245,7 +243,6 @@ impl IterationContext {
             packed: PackedBuckets::new(),
             packed_valid: false,
             packed_active: false,
-            packing: PackingMode::Auto,
             pack_builds: 0,
             scratch: IterationScratch::default(),
             deadline: None,
@@ -342,16 +339,11 @@ impl IterationContext {
         self.pack_builds
     }
 
-    /// The packing policy (see [`PackingMode`]); `Auto` by default.
-    pub fn packing(&self) -> PackingMode {
-        self.packing
-    }
-
     /// Kept for callers written against the wall-clock packing
-    /// autotuner: a no-op. The packing decision is a pure function of
-    /// the lists and the oracle's word width (see
-    /// [`PackingMode::Auto`]), so no build outcome feeds back into it and
-    /// the solver no longer calls this.
+    /// autotuner: a no-op. An iteration packs exactly when the oracle has
+    /// a packed form ([`graph::EdgeOracle::packed_form`]), so no build
+    /// outcome feeds back into the decision and the solver no longer
+    /// calls this.
     pub fn record_packing(
         &mut self,
         _build: &crate::conflict::ConflictBuild,
@@ -406,16 +398,6 @@ impl IterationContext {
         (graph, &self.lists, &mut self.scratch.color)
     }
 
-    /// Overrides the packing policy. Takes effect from the next
-    /// iteration's (or the next backend's first) engine borrow; the
-    /// policy is a pure function of the context, so every backend of an
-    /// iteration sees one consistent decision.
-    pub fn set_packing(&mut self, mode: PackingMode) {
-        self.packing = mode;
-        self.packed_valid = false;
-        self.packed_active = false;
-    }
-
     /// Hands a retired conflict graph's storage back to the context's
     /// CSR arena, so the next build assembles into the same allocations
     /// — the final step of the allocation-free Line 7 loop. The solver
@@ -437,40 +419,8 @@ impl IterationContext {
         }
     }
 
-    /// The single packing-decision site, read by the build's
-    /// `ensure_packed`: a pure function of the lists, the policy, and the
-    /// oracle's packed word width (`None` = no packed form). Both engines
-    /// pack: the all-pairs scan runs on the identity layout. `Auto` packs
-    /// when the iteration's candidate pairs are at least the key words the
-    /// packing pass writes (`pairs ≥ key_rows·w`, [`Self::num_rows`] key
-    /// rows): below that the pass costs more than the scan it speeds up.
-    fn packing_decision(&self, packed_words: Option<usize>) -> bool {
-        let Some(words) = packed_words else {
-            return false;
-        };
-        match self.packing {
-            PackingMode::Never => false,
-            PackingMode::Always => true,
-            PackingMode::Auto => {
-                let key_words = self.num_rows() as u64 * words as u64;
-                self.forecast_pairs() >= key_words.max(1)
-            }
-        }
-    }
-
-    /// Flat pivot rows of the selected engine — also the packed
-    /// replica's key rows: `N·L` bucket memberships for the bucketed
-    /// engine, `N` vertices for all-pairs.
-    fn num_rows(&self) -> usize {
-        if self.bucketed {
-            self.lists.len() * self.lists.list_size()
-        } else {
-            self.lists.len()
-        }
-    }
-
     /// Builds the packed oracle replica for the current iteration if the
-    /// policy engages and the oracle has a packed form — lazily, at most
+    /// oracle has a packed form (the one packing rule) — lazily, at most
     /// once per iteration, into the persistent arena: bucket-major over
     /// the shared index for the bucketed engine, the identity layout
     /// (no index built) for all-pairs. Idempotent within an iteration:
@@ -499,7 +449,7 @@ impl IterationContext {
         }
         self.packed_valid = true;
         self.packed_active = false;
-        if !self.packing_decision(oracle.packed_form().map(|f| f.words.max(1))) {
+        if oracle.packed_form().is_none() {
             return;
         }
         self.ensure_index();
@@ -530,9 +480,8 @@ impl IterationContext {
     }
 
     /// [`IterationContext::engine_and_scratch`] plus this iteration's
-    /// packed oracle replica (built on first use, `None` when packing
-    /// was skipped — unpackable oracle, `Never` policy, or an `Auto`
-    /// pair load below the `key_rows·w` key words of the packing pass).
+    /// packed oracle replica (built on first use, `None` when the oracle
+    /// has no packed form and the builds take the scalar block path).
     /// The borrow every packed-capable conflict builder starts from.
     ///
     /// **Contract:** the replica is cached for the whole iteration, so
@@ -638,18 +587,6 @@ impl IterationContext {
     fn packed_replica(&self) -> Option<&PackedBuckets> {
         (self.packed_valid && self.packed_active).then_some(&self.packed)
     }
-
-    /// Candidate pairs the selected engine will examine this iteration —
-    /// exact, from the pre-oracle bucket histogram (equals
-    /// [`BucketIndex::total_pairs`] when bucketed, `m(m−1)/2` otherwise).
-    fn forecast_pairs(&self) -> u64 {
-        if self.bucketed {
-            self.load.total_pairs
-        } else {
-            let m = self.lists.len() as u64;
-            m * m.saturating_sub(1) / 2
-        }
-    }
 }
 
 #[cfg(test)]
@@ -685,7 +622,6 @@ mod tests {
         let set = pauli::EncodedSet::from_strings(&strings);
         let oracle = crate::oracle::PauliComplementOracle::new(&set);
         let mut ctx = IterationContext::new();
-        ctx.set_packing(PackingMode::Always);
         ctx.set_lists(ColorLists::assign(120, 0, 30, 4, 3, 1));
         assert_eq!(ctx.pack_builds(), 0, "lazy: no pack before first use");
         // Three "backends" of one iteration share one replica.
@@ -702,74 +638,13 @@ mod tests {
         let _ = ctx.engine_packed_scratch(&oracle);
         let _ = ctx.engine_packed_scratch(&oracle);
         assert_eq!(ctx.pack_builds(), 2);
-        // Never mode: decision refreshed, no packing, scalar path.
-        ctx.set_packing(PackingMode::Never);
-        let (_, packed, _) = ctx.engine_packed_scratch(&oracle);
-        assert!(packed.is_none());
-        assert_eq!(ctx.pack_builds(), 2);
-        // An unpackable oracle is declined even under Always.
+        // An unpackable oracle takes the scalar path.
         let fn_oracle = graph::FnOracle::new(120, |u, v| (u + v) % 2 == 0);
         assert!(fn_oracle.packed_form().is_none());
-        ctx.set_packing(PackingMode::Always);
         ctx.assign_lists(120, 55, 25, 4, 3, 3);
         let (_, packed, _) = ctx.engine_packed_scratch(&fn_oracle);
         assert!(packed.is_none());
         assert_eq!(ctx.pack_builds(), 2);
-    }
-
-    #[test]
-    fn auto_packing_skips_degenerate_pair_loads() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let strings = pauli::string::random_unique_set(40, 10, &mut rng);
-        let set = pauli::EncodedSet::from_strings(&strings);
-        let oracle = crate::oracle::PauliComplementOracle::new(&set);
-        let mut ctx = IterationContext::new();
-        // A huge palette spreads 40·2 memberships over 600 buckets:
-        // almost every bucket is a singleton, total_pairs ≪ num_rows,
-        // and the O(N·L) packing pass cannot amortize.
-        ctx.set_lists(ColorLists::assign(40, 0, 600, 2, 7, 1));
-        assert!(ctx.prefers_buckets());
-        assert!(ctx.bucket_load().total_pairs < 40 * 2);
-        let (_, packed, _) = ctx.engine_packed_scratch(&oracle);
-        assert!(packed.is_none(), "Auto must skip the degenerate load");
-        assert_eq!(ctx.pack_builds(), 0);
-    }
-
-    #[test]
-    fn auto_packing_is_the_counted_pair_rule() {
-        // Auto packs exactly when the iteration's candidate pairs reach
-        // the key words the packing pass writes (N·L key rows bucketed,
-        // N all-pairs) — a pure function of the lists and the word
-        // width, never of history.
-        let mut ctx = IterationContext::new();
-        for (n, palette, list, seed) in [
-            (40usize, 600u32, 2u32, 7u64),
-            (120, 30, 4, 3),
-            (200, 400, 3, 5),
-            (300, 40, 6, 1),
-            (80, 6, 6, 2),
-            (3, 4, 4, 1),
-        ] {
-            ctx.set_lists(ColorLists::assign(n, 0, palette, list, seed, 1));
-            let (pairs, key_rows) = if ctx.prefers_buckets() {
-                (ctx.bucket_load().total_pairs, n * list as usize)
-            } else {
-                ((n * (n - 1) / 2) as u64, n)
-            };
-            for words in [1usize, 2, 5] {
-                let expect = pairs >= (key_rows * words) as u64;
-                assert_eq!(
-                    ctx.packing_decision(Some(words)),
-                    expect,
-                    "seed {seed}: n={n} P={palette} L={list} w={words}: {pairs} pairs"
-                );
-            }
-            assert!(
-                !ctx.packing_decision(None),
-                "seed {seed}: no packed form, no pack"
-            );
-        }
     }
 
     #[test]
@@ -846,7 +721,6 @@ mod tests {
         let oracle_a = crate::oracle::PauliComplementOracle::new(&a);
         let oracle_b = crate::oracle::PauliComplementOracle::new(&b);
         let mut ctx = IterationContext::new();
-        ctx.set_packing(PackingMode::Always);
         ctx.set_lists(ColorLists::assign(80, 0, 20, 4, 3, 1));
         let _ = ctx.engine_packed_scratch(&oracle_a);
         // Same lists, different oracle: the cached replica would be

@@ -63,7 +63,7 @@ pub use conflict::ConflictBuild;
 pub use iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
 pub use listcolor::{ColorScratch, ListColorOutcome, SchemeKind};
 pub use oracle::{LiveView, PauliComplementOracle};
-pub use packed::{MaskScanStats, PackedBuckets, PackingMode, SharedColorFilter};
+pub use packed::{MaskScanStats, PackedBuckets, SharedColorFilter};
 pub use partition::{partition_operator, UnitaryGroup, UnitaryPartition};
 pub use solver::{IterationStats, Picasso, PicassoResult, SolveError};
 pub use sweep::{grid_sweep, SweepPoint};

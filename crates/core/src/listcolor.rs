@@ -136,6 +136,20 @@ pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
     2 * palette_words(palette_size) <= list_size
 }
 
+/// Bytes Algorithm 2's [`ColorScratch`] holds to colour `m` live
+/// vertices with lists of `L` over a palette of `P`: per vertex, the live
+/// list in the form [`uses_palette_bitset`] picks (`8·⌈P/64⌉` bytes of
+/// bitset or `4·L` of sorted row), plus `12` of size buckets (its list
+/// length, its queue position and its queue entry).
+pub fn greedy_scratch_bytes(m: usize, palette_size: u32, list_size: usize) -> u64 {
+    let live = if uses_palette_bitset(palette_size, list_size) {
+        8 * palette_words(palette_size)
+    } else {
+        4 * list_size
+    };
+    (m * (live + 12)) as u64
+}
+
 /// `W = ⌈P/64⌉`, the words in one palette bitset row.
 fn palette_words(palette_size: u32) -> usize {
     (palette_size as usize).div_ceil(64)

@@ -63,35 +63,17 @@
 //!
 //! The replica is built at most once per iteration, into a persistent
 //! arena owned by the [`IterationContext`](crate::IterationContext)
-//! (the `pack_builds` counter pins the contract), and is **skipped**
-//! when the oracle has no packed form or — in [`PackingMode::Auto`] —
-//! when the iteration's candidate pairs are fewer than the key words
-//! the packing pass writes (`pairs < key_rows·w`, with `key_rows = N·L`
-//! for the bucketed engine and `N` for all-pairs, counted from the
-//! pre-oracle bucket histogram, so the decision is a pure function of
-//! the lists).
+//! (the `pack_builds` counter pins the contract). Packing is the
+//! oracle's call: an iteration packs exactly when
+//! [`EdgeOracle::packed_form`] is `Some`, whatever the engine or the
+//! pair load, and every oracle without a packed form (the CSR and
+//! closure oracles, [`graph::ScalarView`] over a packable one) takes
+//! the scalar block path.
 
 use crate::assign::{BucketIndex, ColorLists};
 use graph::EdgeOracle;
 use rayon::prelude::*;
 use serde::Serialize;
-
-/// Whether (and when) the iteration context builds the packed replica.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PackingMode {
-    /// Pack whenever the oracle has a packed form and the iteration's
-    /// candidate pairs are at least the key words the packing pass
-    /// writes (`pairs ≥ key_rows·w`; `key_rows` is `N·L` for the
-    /// bucketed engine, `N` for all-pairs) — the default.
-    #[default]
-    Auto,
-    /// Pack whenever the oracle has a packed form, for either engine and
-    /// however small the iteration (equivalence suites).
-    Always,
-    /// Never pack: every backend takes the scalar block path (the bench
-    /// baseline and an escape hatch).
-    Never,
-}
 
 /// Counters of one mask-kernel consumer pass: how many hit-mask words
 /// were scanned, how many of them were skipped as all-zero, and how

@@ -173,9 +173,8 @@ pub struct PicassoResult {
     /// Packed-oracle-replica builds across the solve — at most one per
     /// iteration, shared by every backend of the round, for either
     /// candidate engine; zero when every iteration took a scalar path
-    /// (unpackable oracle, packing disabled, pair loads below the
-    /// packing pass, or the forced [`ConflictBackend::AllPairs`]
-    /// reference).
+    /// (an oracle without a packed form, or the forced
+    /// [`ConflictBackend::AllPairs`] reference).
     pub pack_builds: usize,
     /// Vertices still live after [`PicassoConfig::max_iterations`] that
     /// the safety valve gave one fresh color each instead of a palette

@@ -31,4 +31,6 @@ pub use builder::{
 };
 pub use csr::CsrGraph;
 pub use gen::{complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph};
-pub use oracle::{ComplementView, EdgeOracle, FnOracle, PackedOracleForm, PackedWordOracle};
+pub use oracle::{
+    ComplementView, EdgeOracle, FnOracle, PackedOracleForm, PackedWordOracle, ScalarView,
+};

@@ -165,6 +165,49 @@ impl<O: EdgeOracle> EdgeOracle for ComplementView<'_, O> {
     }
 }
 
+/// The same graph with its packed form hidden: every query forwards to
+/// the inner oracle, and [`EdgeOracle::packed_form`] stays `None`, so the
+/// conflict builders run the scalar block path on it. The scalar
+/// reference the packed-kernel tests and benches compare against.
+pub struct ScalarView<'a, O: EdgeOracle + ?Sized> {
+    inner: &'a O,
+}
+
+impl<'a, O: EdgeOracle + ?Sized> ScalarView<'a, O> {
+    /// Wraps an oracle.
+    pub fn new(inner: &'a O) -> Self {
+        ScalarView { inner }
+    }
+}
+
+impl<O: EdgeOracle + ?Sized> EdgeOracle for ScalarView<'_, O> {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.inner.num_vertices()
+    }
+
+    #[inline]
+    fn has_edge(&self, u: usize, v: usize) -> bool {
+        self.inner.has_edge(u, v)
+    }
+
+    #[inline]
+    fn has_edge_block(&self, u: usize, vs: &[usize], out: &mut [bool]) {
+        self.inner.has_edge_block(u, vs, out);
+    }
+
+    #[inline]
+    fn has_edge_block_scratch(
+        &self,
+        u: usize,
+        vs: &[usize],
+        out: &mut [bool],
+        scratch: &mut Vec<usize>,
+    ) {
+        self.inner.has_edge_block_scratch(u, vs, out, scratch);
+    }
+}
+
 /// A packed AND-popcount oracle over explicit row-major `u64` words —
 /// the *synthetic* counterpart of the Pauli complement oracle, with a
 /// tunable edge density.

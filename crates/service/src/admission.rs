@@ -12,7 +12,7 @@
 //! them in the queue.
 
 use crate::job::{SolveRequest, Workload};
-use picasso::PicassoConfig;
+use picasso::{ListColoringScheme, PicassoConfig};
 
 /// Byte budgets the controller enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,20 +90,27 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// ([`picasso::IterationStats::conflict_masks`]), else the CSR path
 /// ([`picasso::conflict::csr_path_bytes`]), plus the packed oracle
 /// replica ([`picasso::IterationStats::replica_bytes`]) of an iteration
-/// that packed. Deterministic and allocator-independent, so it works
-/// identically in the CLI, the service, and tests.
+/// that packed; beside it, under the greedy scheme, the colouring
+/// scratch that reads that graph
+/// ([`picasso::listcolor::greedy_scratch_bytes`]). Deterministic and
+/// allocator-independent, so it works identically in the CLI, the
+/// service, and tests.
 ///
 /// It is a **lower bound** on the solve's peak, not the peak itself: it
 /// leaves out the pooled scan arenas (`TaskArena`, one per concurrently
-/// running cut) and the colouring scratch (`ColorScratch`), so
-/// `observed ÷ forecast` reads low.
+/// running cut) and the static schemes' scratch, so `observed ÷
+/// forecast` reads low (`tests/memory.rs` pins how low on one solve).
 ///
 /// Recording `observed ÷ forecast` per served job (see
 /// [`crate::ServiceMetrics`]) is the groundwork for the ROADMAP's
 /// "calibrate the admission forecast" item: the ratio *is* the
 /// correction factor a calibrated controller would fit, and the service
 /// surfaces its running aggregate after every batch.
-pub fn observed_peak_bytes(workload: &Workload, result: &picasso::PicassoResult) -> usize {
+pub fn observed_peak_bytes(
+    workload: &Workload,
+    cfg: &PicassoConfig,
+    result: &picasso::PicassoResult,
+) -> usize {
     let n = workload.num_vertices();
     if n == 0 {
         return 0;
@@ -121,7 +128,13 @@ pub fn observed_peak_bytes(workload: &Workload, result: &picasso::PicassoResult)
             picasso::conflict::csr_path_bytes(m, s.conflict_edges as u64)
         };
         let line7 = (graph + s.replica_bytes) as usize;
-        transient = transient.max(lists + index + line7);
+        let color = match cfg.scheme {
+            ListColoringScheme::DynamicGreedy => {
+                picasso::listcolor::greedy_scratch_bytes(m, s.palette_size, l) as usize
+            }
+            ListColoringScheme::Static(_) => 0,
+        };
+        transient = transient.max(lists + index + line7 + color);
     }
     input + transient
 }
@@ -253,7 +266,8 @@ mod tests {
         let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
             .expect("a valid synthetic workload");
         let set = pauli::EncodedSet::from_strings(&strings);
-        let mut result = picasso::Picasso::new(PicassoConfig::aggressive(1))
+        let cfg = PicassoConfig::aggressive(1);
+        let mut result = picasso::Picasso::new(cfg)
             .solve_pauli(&set)
             .expect("the solve succeeds");
         result.iterations.truncate(1);
@@ -262,9 +276,9 @@ mod tests {
             first.conflict_masks,
             "the dense first iteration keeps masks"
         );
-        let masks = observed_peak_bytes(&workload, &result);
+        let masks = observed_peak_bytes(&workload, &cfg, &result);
         result.iterations[0].conflict_masks = false;
-        let csr = observed_peak_bytes(&workload, &result);
+        let csr = observed_peak_bytes(&workload, &cfg, &result);
         let (m, edges) = (first.live_vertices, first.conflict_edges as u64);
         let csr_path = picasso::conflict::csr_path_bytes(m, edges);
         let mask_path = picasso::conflict::mask_path_bytes(m, edges, first.mask_bytes);
@@ -274,46 +288,58 @@ mod tests {
 
     #[test]
     fn line7_is_charged_cores_byte_counts_plus_the_packed_replica() {
-        // Normal lists on 24 qubits: most iterations pack and keep hit
-        // masks, the last ones build a CSR. Each iteration alone is
-        // charged the input, its lists and index, core's count of the
-        // graph form it kept, and exactly its replica.
+        // Normal lists on 24 qubits: every iteration packs and keeps hit
+        // masks. Each iteration alone, in either graph form, is charged
+        // the input, its lists and index, core's count of that graph
+        // form, exactly its replica and, under the greedy scheme, core's
+        // count of the colouring scratch.
         let (n, qubits, seed) = (1024, 24, 5);
         let workload = Workload::SyntheticPauli { n, qubits, seed };
         let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
             .expect("a valid synthetic workload");
         let set = pauli::EncodedSet::from_strings(&strings);
-        let result = picasso::Picasso::new(PicassoConfig::normal(1))
+        let cfg = PicassoConfig::normal(1);
+        let result = picasso::Picasso::new(cfg)
             .solve_pauli(&set)
             .expect("the solve succeeds");
+        let static_cfg = PicassoConfig {
+            scheme: ListColoringScheme::from_label("natural").unwrap(),
+            ..cfg
+        };
         let input = n * workload.input_bytes_per_vertex();
-        let (mut packed, mut csr) = (0, 0);
         for s in &result.iterations {
-            let what = format!("iteration {}", s.iteration);
-            assert_eq!(s.replica_bytes > 0, s.packed_lanes > 0, "{what}");
+            assert!(s.replica_bytes > 0, "iteration {}: packed", s.iteration);
             let (m, edges) = (s.live_vertices, s.conflict_edges as u64);
             // `u32` words of the lists (`m·L`) and of the index (`m·L + P + 1`).
             let words =
                 m * s.list_size as usize + (m * s.list_size as usize + 1) + s.palette_size as usize;
-            let graph = if s.conflict_masks {
-                picasso::conflict::mask_path_bytes(m, edges, s.mask_bytes)
-            } else {
-                csr += 1;
-                picasso::conflict::csr_path_bytes(m, edges)
-            };
-            packed += usize::from(s.replica_bytes > 0);
-            let mut one = result.clone();
-            one.iterations = vec![*s];
-            assert_eq!(
-                observed_peak_bytes(&workload, &one),
-                input + 4 * words + (graph + s.replica_bytes) as usize,
-                "{what}"
-            );
+            let color =
+                picasso::listcolor::greedy_scratch_bytes(m, s.palette_size, s.list_size as usize);
+            for conflict_masks in [true, false] {
+                let what = format!("iteration {} masks={conflict_masks}", s.iteration);
+                let graph = if conflict_masks {
+                    picasso::conflict::mask_path_bytes(m, edges, s.mask_bytes)
+                } else {
+                    picasso::conflict::csr_path_bytes(m, edges)
+                };
+                let mut one = result.clone();
+                one.iterations = vec![picasso::IterationStats {
+                    conflict_masks,
+                    ..*s
+                }];
+                let line7 = input + 4 * words + (graph + s.replica_bytes) as usize;
+                assert_eq!(
+                    observed_peak_bytes(&workload, &static_cfg, &one),
+                    line7,
+                    "{what}"
+                );
+                assert_eq!(
+                    observed_peak_bytes(&workload, &cfg, &one),
+                    line7 + color as usize,
+                    "{what}"
+                );
+            }
         }
-        assert!(
-            packed > 0 && csr > 0,
-            "{packed} packed, {csr} CSR iterations"
-        );
     }
 
     #[test]

@@ -214,8 +214,8 @@ pub struct JobConfig {
     /// Conflict backend override: `seq`, `par`, `allpairs` or
     /// `device:<MiB>` (the simulated device of that capacity). A device
     /// placement starts the service's degradation ladder: on a genuine
-    /// capacity failure the job re-solves on the device with scalar
-    /// kernels, then on `Parallel`, with the identical coloring.
+    /// capacity failure the job re-solves on `Parallel`, with the
+    /// identical coloring.
     pub backend: Option<String>,
     /// List-coloring scheme override (`greedy`, or a static ordering:
     /// `natural`, `random`, `lf`, `sl`, `dlf`, `id`).

@@ -26,10 +26,10 @@
 //! deterministic exponential backoff until [`ServiceConfig::max_attempts`]
 //! is spent — then the job is **quarantined** with its full fault
 //! history. Genuine device-capacity failures instead walk the
-//! **degradation ladder** in place — `device:<MiB>` with packed kernels,
-//! then with scalar kernels, then `Parallel` — re-solving on the next
-//! rung; every backend produces bit-identical colorings, so a degraded
-//! response is indistinguishable from a healthy one. Jobs may carry a
+//! **degradation ladder** in place — `device:<MiB>`, then `Parallel` —
+//! re-solving on the next rung; every backend produces bit-identical
+//! colorings, so a degraded response is indistinguishable from a
+//! healthy one. Jobs may carry a
 //! deadline ([`crate::JobConfig::deadline_ms`], measured from enqueue)
 //! that the solver honors cooperatively between phases. Chaos testing is
 //! first-class: a seeded [`FaultPlan`] in [`ServiceConfig::faults`]
@@ -46,7 +46,7 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::queue::{JobQueue, QueueFull, QueuedJob};
 use device::{DeviceError, FaultPlan, FaultSite};
 use parking_lot::Mutex;
-use picasso::{ConflictBackend, IterationContext, PackingMode, Picasso, SolveError};
+use picasso::{ConflictBackend, IterationContext, Picasso, SolveError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -465,7 +465,6 @@ impl SolveService {
                 // carries nothing into the next job.
                 ctx.set_deadline(None);
                 ctx.set_fault_plan(None);
-                ctx.set_packing(PackingMode::Auto);
                 outcome
             }
             Err(payload) => {
@@ -562,11 +561,11 @@ impl SolveService {
 
     /// One attempt's solve, walking the degradation ladder in place: a
     /// *genuine* device-capacity failure (not an injected fault, not a
-    /// deadline) demotes — the device's packed kernels → scalar first,
-    /// then the device → Parallel — and re-solves on the next rung. Every backend produces bit-identical colorings
-    /// (the solver's determinism contract), so degraded responses are
-    /// payload-identical to healthy ones; demotions surface only in
-    /// `service_degradations_total` and the telemetry events.
+    /// deadline) demotes the device to `Parallel` and re-solves there.
+    /// Every backend produces bit-identical colorings (the solver's
+    /// determinism contract), so a degraded response is payload-identical
+    /// to a healthy one; the demotion surfaces only in
+    /// `service_degradations_total` and the `degrade_backend` event.
     fn solve(
         &self,
         request: &SolveRequest,
@@ -596,7 +595,6 @@ impl SolveService {
                 Encoded::Oracle(HashOracle::new(*n, *density, *seed))
             }
         };
-        let mut scalar_retried = false;
         let result = loop {
             let solver = Picasso::new(cfg);
             let outcome = match &encoded {
@@ -611,28 +609,15 @@ impl SolveService {
                 Err(e @ SolveError::DeadlineExceeded { .. }) => {
                     return Err(SolveFailure::Solver(e))
                 }
-                Err(e) => {
-                    // First rung on a device backend: drop the packed
-                    // kernels (their replica masks cost device memory)
-                    // and re-solve scalar on the same placement.
-                    if !scalar_retried && uses_device(cfg.backend) {
-                        scalar_retried = true;
-                        ctx.set_packing(PackingMode::Never);
+                Err(e) => match demote_backend(cfg.backend) {
+                    Some(next) => {
                         self.metrics.degradations.inc();
-                        telemetry::event!("degrade_scalar");
-                        continue;
+                        telemetry::event!("degrade_backend");
+                        cfg = cfg.with_backend(next);
                     }
-                    match demote_backend(cfg.backend) {
-                        Some(next) => {
-                            self.metrics.degradations.inc();
-                            telemetry::event!("degrade_backend");
-                            ctx.set_packing(PackingMode::Auto);
-                            cfg = cfg.with_backend(next);
-                        }
-                        // Bottom of the ladder: the failure is real.
-                        None => return Err(SolveFailure::Solver(e)),
-                    }
-                }
+                    // Bottom of the ladder: the failure is real.
+                    None => return Err(SolveFailure::Solver(e)),
+                },
             }
         };
         self.metrics
@@ -644,11 +629,11 @@ impl SolveService {
         picasso::metrics::record_result(self.metrics.registry(), &result);
         // Forecast calibration: pair the admission-time worst case with
         // a lower bound on this solve's structural peak (it leaves out
-        // the pooled scan arenas and the colouring scratch, so the
-        // running observed ÷ forecast ratio reads low); that ratio is
-        // the correction factor the ROADMAP asks to fit.
+        // the pooled scan arenas, so the running observed ÷ forecast
+        // ratio reads low); that ratio is the correction factor the
+        // ROADMAP asks to fit.
         let forecast = crate::admission::forecast_peak_bytes(&request.workload, &cfg);
-        let observed = crate::admission::observed_peak_bytes(&request.workload, &result);
+        let observed = crate::admission::observed_peak_bytes(&request.workload, &cfg, &result);
         self.metrics.forecast_bytes_total.add(forecast as u64);
         self.metrics.observed_peak_bytes_total.add(observed as u64);
         self.metrics.calibration_samples.inc();
@@ -680,12 +665,6 @@ fn injected_site(e: &SolveError) -> Option<FaultSite> {
         SolveError::DeviceOom(DeviceError::Injected { site, .. }) => Some(*site),
         _ => None,
     }
-}
-
-/// Whether the backend places work on the simulated device (and can
-/// therefore fail for capacity reasons the ladder can fix).
-fn uses_device(backend: ConflictBackend) -> bool {
-    matches!(backend, ConflictBackend::Device { .. })
 }
 
 /// The next rung down the degradation ladder, or `None` at the bottom.
@@ -1100,9 +1079,9 @@ mod tests {
 
     #[test]
     fn genuine_device_oom_walks_the_ladder_to_an_identical_coloring() {
-        // A 1 MiB device cannot hold this build: the ladder demotes
-        // packed → scalar, then the device → Parallel, and the job still
-        // solves — with the exact payload the healthy backend produces.
+        // A 1 MiB device cannot hold this build: the ladder demotes the
+        // device → Parallel once, and the job still solves — with the
+        // exact payload the healthy backend produces.
         let service = small_service(1);
         let mut degraded = synth("degraded", 1500, 7);
         degraded.config.backend = Some("device:1".into());
@@ -1116,11 +1095,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(
-            report.metrics.degradations >= 1,
-            "ladder recorded {} demotions",
-            report.metrics.degradations
-        );
+        assert_eq!(report.metrics.degradations, 1, "one demotion");
         assert_eq!(
             report.metrics.retries, 0,
             "capacity truths demote, not retry"
@@ -1195,7 +1170,5 @@ mod tests {
         ] {
             assert_eq!(demote_backend(host), None, "{host:?}");
         }
-        assert!(uses_device(dev));
-        assert!(!uses_device(ConflictBackend::Parallel));
     }
 }

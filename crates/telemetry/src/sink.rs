@@ -196,12 +196,12 @@ mod tests {
         sink.record_spans(&[
             span("assign", 100),
             span("assign", 300),
-            event("degrade_scalar"),
+            event("degrade_backend"),
         ]);
         let h = registry.histogram("span_assign_ns");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 400);
-        assert_eq!(registry.counter("event_degrade_scalar_total").get(), 1);
+        assert_eq!(registry.counter("event_degrade_backend_total").get(), 1);
     }
 
     #[test]

@@ -240,7 +240,7 @@ macro_rules! span {
 /// Records a point event (a mark, not a duration).
 ///
 /// ```
-/// telemetry::event!("degrade_scalar", iter = 2u64);
+/// telemetry::event!("degrade_backend", iter = 2u64);
 /// ```
 #[macro_export]
 macro_rules! event {

@@ -236,7 +236,7 @@ mod tests {
             span("conflict_build", 5_400, 7_000),
             SpanRecord {
                 is_event: true,
-                ..span("degrade_scalar", 12_400, 0)
+                ..span("degrade_backend", 12_400, 0)
             },
         ]);
         let rows = summarize_jsonl(&text).unwrap();
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(rows[0].self_ns, 12_000);
         assert_eq!(rows[1].name, "assign");
         assert_eq!(rows[1].total_ns, 400);
-        let ev = rows.iter().find(|r| r.name == "degrade_scalar").unwrap();
+        let ev = rows.iter().find(|r| r.name == "degrade_backend").unwrap();
         assert!(ev.is_event);
         assert_eq!(ev.count, 1);
     }

@@ -746,7 +746,11 @@ fn main() {
                 s.max_bucket,
                 s.bucket_pairs_estimate,
                 s.candidate_pairs,
-                if s.packed_lanes > 0 { "y" } else { "n" },
+                if s.shared_color_filter.is_some() {
+                    "y"
+                } else {
+                    "n"
+                },
                 100.0 * s.packed_lanes as f64 / s.candidate_pairs.max(1) as f64,
                 s.replica_bytes as f64 / 1024.0,
                 s.shared_color_filter.map_or("-", SharedColorFilter::label),

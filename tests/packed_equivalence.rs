@@ -5,7 +5,7 @@
 //! degenerate case (one packed word, duplicate strings guaranteed) and
 //! >64-qubit registers (multi-word rows in both encodings).
 
-use graph::{CsrGraph, EdgeOracle, PackedWordOracle};
+use graph::{CsrGraph, EdgeOracle, PackedWordOracle, ScalarView};
 use pauli::{EncodedSet, PauliString, SymplecticSet};
 use picasso::conflict::{
     build_device, build_parallel, build_sequential, build_sequential_allpairs,
@@ -13,7 +13,7 @@ use picasso::conflict::{
 use picasso::packed::SharedColorFilter;
 use picasso::{
     AllPairsSource, BucketSource, CandidateEngine, ColorLists, IterationContext, MaskScanStats,
-    PackedBuckets, PackingMode, PairSource, PauliComplementOracle,
+    PackedBuckets, PairSource, PauliComplementOracle,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -29,9 +29,8 @@ fn random_strings(n: usize, qubits: usize, seed: u64) -> Vec<PauliString> {
         .collect()
 }
 
-fn ctx_with(lists: &ColorLists, mode: PackingMode) -> IterationContext {
+fn ctx_with(lists: &ColorLists) -> IterationContext {
     let mut ctx = IterationContext::new();
-    ctx.set_packing(mode);
     ctx.set_lists(lists.clone());
     ctx
 }
@@ -55,15 +54,16 @@ proptest! {
         let oracle = PauliComplementOracle::new(&set);
         let lists = ColorLists::assign(n, 0, palette, list, seed ^ 0x5bd1e995, 1);
 
-        // Scalar references: bucketed-without-packing and all-pairs.
-        let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
-        let reference = build_sequential(&oracle, &mut scalar_ctx);
+        // Scalar references over the scalar view: bucketed and all-pairs.
+        let scalar = ScalarView::new(&oracle);
+        let mut scalar_ctx = ctx_with(&lists);
+        let reference = build_sequential(&scalar, &mut scalar_ctx);
         prop_assert_eq!(reference.packed_lanes, 0);
-        let allpairs = build_sequential_allpairs(&oracle, &mut scalar_ctx);
+        let allpairs = build_sequential_allpairs(&scalar, &mut scalar_ctx);
         prop_assert_eq!(&allpairs.graph, &reference.graph);
 
         // Packed pipeline through every backend.
-        let mut ctx = ctx_with(&lists, PackingMode::Always);
+        let mut ctx = ctx_with(&lists);
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
@@ -85,8 +85,9 @@ proptest! {
             if packed_engaged {
                 prop_assert_eq!(lanes, pairs, "{}: packed lanes cover enumeration", name);
             } else {
-                // Always packs either engine (all-pairs on the identity
-                // layout), so only a pair-free build skips the replica.
+                // A packable oracle packs either engine (all-pairs on the
+                // identity layout), so only a pair-free build skips the
+                // replica.
                 prop_assert_eq!(lanes, 0u64, "{}", name);
             }
         }
@@ -109,10 +110,10 @@ proptest! {
         let lists = ColorLists::assign(n, 0, palette, 3, seed ^ 0x9e3779b9, 2);
         let sym = SymplecticSet::from_strings(&strings);
         let sym_oracle = PauliComplementOracle::new(&sym);
-        let mut packed_ctx = ctx_with(&lists, PackingMode::Always);
+        let mut packed_ctx = ctx_with(&lists);
         let packed = build_sequential(&sym_oracle, &mut packed_ctx);
-        let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
-        let scalar = build_sequential(&sym_oracle, &mut scalar_ctx);
+        let mut scalar_ctx = ctx_with(&lists);
+        let scalar = build_sequential(&ScalarView::new(&sym_oracle), &mut scalar_ctx);
         prop_assert_eq!(&packed.graph, &scalar.graph);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
         let devb = build_device(&sym_oracle, &mut packed_ctx, &dev, 16)
@@ -122,7 +123,7 @@ proptest! {
 
         let enc = EncodedSet::from_strings(&strings);
         let enc_oracle = PauliComplementOracle::new(&enc);
-        let mut enc_ctx = ctx_with(&lists, PackingMode::Always);
+        let mut enc_ctx = ctx_with(&lists);
         let enc_build = build_sequential(&enc_oracle, &mut enc_ctx);
         prop_assert_eq!(&enc_build.graph, &packed.graph);
     }
@@ -169,8 +170,8 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
 ) -> Result<(), TestCaseError> {
     let n = lists.len();
     // Scalar ground truth: the reference all-pairs loop's COO.
-    let mut scalar_ctx = ctx_with(lists, PackingMode::Never);
-    let reference = build_sequential_allpairs(oracle, &mut scalar_ctx);
+    let mut scalar_ctx = ctx_with(lists);
+    let reference = build_sequential_allpairs(&ScalarView::new(oracle), &mut scalar_ctx);
     let truth = staged_edges(&mut scalar_ctx);
 
     // The packed source scan, straight off an identity replica.
@@ -190,7 +191,7 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
     prop_assert!(stats.hit_bits >= truth.len() as u64, "seed {}", seed);
 
     // The packed sequential build stages the same sequence.
-    let mut ctx = ctx_with(lists, PackingMode::Always);
+    let mut ctx = ctx_with(lists);
     let seq = build_sequential(oracle, &mut ctx);
     prop_assert_eq!(
         &staged_edges(&mut ctx),
@@ -276,14 +277,15 @@ proptest! {
         let lists = ColorLists::assign(n, 0, palette, list, seed ^ 0xa076_1d64, 1);
 
         // Scalar references.
-        let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
-        let reference = build_sequential(&oracle, &mut scalar_ctx);
+        let scalar = ScalarView::new(&oracle);
+        let mut scalar_ctx = ctx_with(&lists);
+        let reference = build_sequential(&scalar, &mut scalar_ctx);
         prop_assert_eq!(reference.packed_lanes, 0);
-        let allpairs = build_sequential_allpairs(&oracle, &mut scalar_ctx);
+        let allpairs = build_sequential_allpairs(&scalar, &mut scalar_ctx);
         prop_assert_eq!(&allpairs.graph, &reference.graph);
 
         // Mask pipeline through every backend.
-        let mut ctx = ctx_with(&lists, PackingMode::Always);
+        let mut ctx = ctx_with(&lists);
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 * 1024 * 1024);
@@ -374,11 +376,11 @@ fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
         let filter = SharedColorFilter::choose(palette, list as usize, w, bucketed);
         assert_eq!(filter, SharedColorFilter::Lists, "{what}");
 
-        let mut scalar_ctx = ctx_with(&lists, PackingMode::Never);
-        let truth = build_sequential_allpairs(&oracle, &mut scalar_ctx);
+        let mut scalar_ctx = ctx_with(&lists);
+        let truth = build_sequential_allpairs(&ScalarView::new(&oracle), &mut scalar_ctx);
         assert!(truth.num_edges > 0, "{what}");
 
-        let mut ctx = ctx_with(&lists, PackingMode::Always);
+        let mut ctx = ctx_with(&lists);
         let seq = build_sequential(&oracle, &mut ctx);
         let par = build_parallel(&oracle, &mut ctx);
         let dev = device::DeviceSim::new(64 << 20);
@@ -411,9 +413,8 @@ fn the_packed_sweep_reaches_both_shared_color_filters() {
                 let set = EncodedSet::from_strings(&strings);
                 let oracle = PauliComplementOracle::new(&set);
                 let lists = ColorLists::assign(n, 0, palette, list, seed, 1);
-                let reference =
-                    build_sequential(&oracle, &mut ctx_with(&lists, PackingMode::Never));
-                let mut ctx = ctx_with(&lists, PackingMode::Always);
+                let reference = build_sequential(&ScalarView::new(&oracle), &mut ctx_with(&lists));
+                let mut ctx = ctx_with(&lists);
                 let packed = build_sequential(&oracle, &mut ctx);
                 let par = build_parallel(&oracle, &mut ctx);
                 let what = format!("{qubits} qubits, n={n} P={palette} L={list}");
@@ -442,7 +443,7 @@ fn degenerate_sets_build_empty_graphs() {
         let set = EncodedSet::from_strings(&strings);
         let oracle = PauliComplementOracle::new(&set);
         let lists = ColorLists::assign(n, 0, 4, 2, 1, 1);
-        let mut ctx = ctx_with(&lists, PackingMode::Always);
+        let mut ctx = ctx_with(&lists);
         let built = build_sequential(&oracle, &mut ctx);
         assert_eq!(built.graph, CsrGraph::empty(n));
         assert_eq!(built.num_edges, 0);
