@@ -4,9 +4,9 @@
 //! replacement from the iteration's palette `[base, base + P)`. Lists are
 //! stored row-major in one flat array and kept **sorted**, so the
 //! conflict check between two vertices is an `O(L)` sorted-merge
-//! intersection. Assignment is rayon-parallel with per-vertex
-//! deterministic seeding: the result depends only on
-//! `(seed, iteration, vertex)`.
+//! intersection. Assignment is rayon-parallel over contiguous vertex
+//! blocks with per-vertex deterministic seeding: the result depends only
+//! on `(seed, iteration, vertex)`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,19 +85,26 @@ impl ColorLists {
         let l = list_size.min(palette_size) as usize;
         self.colors.clear();
         self.colors.resize(n * l, 0u32);
+        // Contiguous vertex blocks, four per thread as Line 7 cuts its
+        // rows: the fan-out hands out a few block items, not one item per
+        // vertex.
+        let block = n.div_ceil(4 * rayon::current_num_threads()).max(1);
         self.colors
-            .par_chunks_mut(l)
+            .par_chunks_mut(block * l)
             .enumerate()
-            .for_each(|(v, row)| {
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ iteration.wrapping_mul(0x9E3779B97F4A7C15)
-                        ^ (v as u64).wrapping_mul(0xC2B2AE3D27D4EB4F),
-                );
-                sample_distinct(&mut rng, palette_size, row);
-                for c in row.iter_mut() {
-                    *c += palette_base;
+            .for_each(|(b, rows)| {
+                for (i, row) in rows.chunks_mut(l).enumerate() {
+                    let v = b * block + i;
+                    let mut rng = StdRng::seed_from_u64(
+                        seed ^ iteration.wrapping_mul(0x9E3779B97F4A7C15)
+                            ^ (v as u64).wrapping_mul(0xC2B2AE3D27D4EB4F),
+                    );
+                    sample_distinct(&mut rng, palette_size, row);
+                    for c in row.iter_mut() {
+                        *c += palette_base;
+                    }
+                    row.sort_unstable();
                 }
-                row.sort_unstable();
             });
         self.n = n;
         self.stride = l;

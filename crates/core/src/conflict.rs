@@ -74,9 +74,12 @@
 //!   can succeed only on a live `u` that holds `c`, so only on `u ∈ B_c`,
 //!   and `B_c` ascends: the successful strikes happen in the order of the
 //!   sorted CSR row, and failed strikes change no state. The identity
-//!   layout's row is the CSR row itself, walked only over the vertices
-//!   still able to take a strike. Colourings are bit-identical by
-//!   construction.
+//!   layout's row is the CSR row itself. There the greedy keeps one
+//!   `⌈m/64⌉`-word holder set per palette colour (the uncoloured
+//!   vertices whose lists still hold it), and the walk ANDs `v`'s row
+//!   with `c`'s set a word at a time and clears the bits it hands out:
+//!   `⌈m/64⌉` words per coloured vertex and one callback per successful
+//!   strike. Colourings are bit-identical by construction.
 //!
 //! Every other builder — [`build_sequential`], [`build_parallel`],
 //! [`build_sequential_allpairs`] and [`build_device`] — returns a CSR,
@@ -446,28 +449,33 @@ impl ConflictRows for MaskGraph<'_> {
         }
     }
 
-    fn for_each_strike(&self, v: usize, c: u32, strikable: &[u64], mut strike: impl FnMut(u32)) {
+    fn for_each_strike(&self, v: usize, c: u32, holders: &mut [u64], mut strike: impl FnMut(u32)) {
         match self.layout.index {
             Some(index) => {
                 let k = (c - self.lists.palette_base()) as usize;
                 let bucket = index.bucket(k);
-                for_each_bit(self.row(k, v), None, |t| strike(bucket[t]));
+                for_each_bit(self.row(k, v).iter().copied(), |t| strike(bucket[t]));
             }
-            None => for_each_bit(self.row(0, v), Some(strikable), |u| strike(u as u32)),
+            None => {
+                let hits = self.row(0, v).iter().zip(holders).map(|(&word, held)| {
+                    let hits = word & *held;
+                    *held &= !hits;
+                    hits
+                });
+                for_each_bit(hits, |u| strike(u as u32));
+            }
         }
     }
 
-    fn reads_strikable(&self) -> bool {
+    fn reads_holders(&self) -> bool {
         self.layout.index.is_none()
     }
 }
 
-/// Hands every set bit of `row` — and of `filter`, if given — to `bit`,
-/// ascending.
+/// Hands the index of every set bit of `words` to `bit`, ascending.
 #[inline]
-fn for_each_bit(row: &[u64], filter: Option<&[u64]>, mut bit: impl FnMut(usize)) {
-    for (wi, &word) in row.iter().enumerate() {
-        let mut word = filter.map_or(word, |filter| word & filter[wi]);
+fn for_each_bit(words: impl Iterator<Item = u64>, mut bit: impl FnMut(usize)) {
+    for (wi, mut word) in words.enumerate() {
         while word != 0 {
             bit(wi * 64 + word.trailing_zeros() as usize);
             word &= word - 1;
@@ -1818,8 +1826,10 @@ mod tests {
 
     /// Builds one packed iteration of `lists` in both graph forms and
     /// checks that they are the same graph: every mask walk of `v` and a
-    /// color `c` of its list is `v`'s CSR row (restricted to bucket `c`
-    /// on the bucketed engine) in ascending order, the degree-0 split,
+    /// color `c` of its list, against `c`'s holder set built from the
+    /// lists, is `v`'s CSR row restricted to the holders of `c` in
+    /// ascending order (the identity walk clears exactly the bits it
+    /// handed out, a bucket walk leaves the set alone), the degree-0 split,
     /// `|Ec|` and the scan counters agree, the greedy colors both alike,
     /// and the rayon fill plus mirror and the drop-and-rescan path write
     /// the masks of the sequential direct mask scan.
@@ -1838,19 +1848,26 @@ mod tests {
         {
             let (gc, lists, _) = ctx.hit_mask_graph();
             assert_eq!(gc.num_edges(), csr.num_edges, "{what}");
-            let all = vec![!0u64; lists.len().div_ceil(64)];
+            let holds = |u: u32, c: u32| lists.row(u as usize).contains(&c);
             for v in 0..lists.len() {
                 let row = csr.graph.neighbors(v);
                 assert_eq!(gc.is_conflicted(v), !row.is_empty(), "{what}: v={v}");
                 for &c in lists.row(v) {
+                    let mut holders = vec![0u64; lists.len().div_ceil(64)];
+                    for u in (0..lists.len() as u32).filter(|&u| holds(u, c)) {
+                        holders[u as usize / 64] |= 1 << (u % 64);
+                    }
+                    let mut left = holders.clone();
                     let mut walk = Vec::new();
-                    gc.for_each_strike(v, c, &all, |u| walk.push(u));
-                    let want: Vec<u32> = row
-                        .iter()
-                        .copied()
-                        .filter(|&u| !bucketed || lists.row(u as usize).contains(&c))
-                        .collect();
+                    gc.for_each_strike(v, c, &mut left, |u| walk.push(u));
+                    let want: Vec<u32> = row.iter().copied().filter(|&u| holds(u, c)).collect();
                     assert_eq!(walk, want, "{what}: v={v} c={c}");
+                    if !bucketed {
+                        for &u in &walk {
+                            holders[u as usize / 64] &= !(1 << (u % 64));
+                        }
+                    }
+                    assert_eq!(left, holders, "{what}: v={v} c={c}: holders left");
                 }
             }
             let active: Vec<u32> = (0..lists.len() as u32)

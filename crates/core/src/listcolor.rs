@@ -24,7 +24,12 @@
 //! [`CsrGraph`], or the hit-mask rows the solver's host builds keep
 //! when they take fewer bytes (`crate::conflict`, "Graph form"). A
 //! strike walks only the neighbours that could take it, so both forms
-//! give the same colouring too.
+//! give the same colouring too. On the all-pairs identity layout the
+//! greedy keeps one `⌈m/64⌉`-word holder set per palette colour (the
+//! uncoloured vertices whose live lists still hold it), and a strike of
+//! `c` walks `v`'s row AND-ed with `c`'s set: `⌈m/64⌉` words per coloured
+//! vertex plus one callback per successful strike, where a CSR row or a
+//! bucket row also calls back for neighbours that no longer hold `c`.
 //!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
@@ -58,18 +63,18 @@ impl ListColorOutcome {
 /// greedy's live lists take one of two forms ([`uses_palette_bitset`]):
 /// sorted rows at stride `L` in `live`, or `⌈P/64⌉`-word palette bitsets
 /// in `bits`. Each is cleared and resized when its form runs and never
-/// shrunk, as are the size buckets and the `strikable` vertex bitset
-/// that narrows the hit-mask strike walk; the static scheme's forbidden set is
-/// a generation-stamped palette row instead of a hash set.
+/// shrunk, as are the size buckets and the per-colour holder sets that
+/// the identity-layout strike walk reads; the static scheme's forbidden
+/// set is a generation-stamped palette row instead of a hash set.
 #[derive(Clone, Debug, Default)]
 pub struct ColorScratch {
     /// Sorted form: vertex `v`'s list is `live[v*L ..][.. len]`.
     live: Vec<u32>,
     /// Bitset form: vertex `v`'s palette row is `bits[v*W .. (v+1)*W]`.
     bits: Vec<u64>,
-    /// Bit `v` set while `v` may still take a strike: active, not yet
-    /// colored, list not dry.
-    strikable: Vec<u64>,
+    /// Colour `c`'s holder set is `holders[(c − base)·⌈m/64⌉ ..]`: bit `u`
+    /// set while `u` is active, not yet colored and still holds `c`.
+    holders: Vec<u64>,
     buckets: SizeBuckets,
     /// Static scheme: committed color per vertex.
     colors: Vec<u32>,
@@ -140,14 +145,26 @@ pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
 /// vertices with lists of `L` over a palette of `P`: per vertex, the live
 /// list in the form [`uses_palette_bitset`] picks (`8·⌈P/64⌉` bytes of
 /// bitset or `4·L` of sorted row), plus `12` of size buckets (its list
-/// length, its queue position and its queue entry).
-pub fn greedy_scratch_bytes(m: usize, palette_size: u32, list_size: usize) -> u64 {
+/// length, its queue position and its queue entry); and, when it colours
+/// the all-pairs identity layout of the hit masks (`identity_masks`), the
+/// holder sets, `8·P·⌈m/64⌉` bytes.
+pub fn greedy_scratch_bytes(
+    m: usize,
+    palette_size: u32,
+    list_size: usize,
+    identity_masks: bool,
+) -> u64 {
     let live = if uses_palette_bitset(palette_size, list_size) {
         8 * palette_words(palette_size)
     } else {
         4 * list_size
     };
-    (m * (live + 12)) as u64
+    let holders = if identity_masks {
+        8 * palette_size as usize * m.div_ceil(64)
+    } else {
+        0
+    };
+    (m * (live + 12) + holders) as u64
 }
 
 /// `W = ⌈P/64⌉`, the words in one palette bitset row.
@@ -165,6 +182,8 @@ trait LiveLists {
     /// Removes `c` from `v`'s live list of `len` colors; whether it was
     /// there.
     fn strike(&mut self, v: usize, len: usize, c: u32) -> bool;
+    /// Calls `color` for each of the `len` live colors of `v`.
+    fn for_each_color(&self, v: usize, len: usize, color: impl FnMut(u32));
 }
 
 /// Sorted rows at stride `L`: a strike is a binary search and a shift of
@@ -193,6 +212,13 @@ impl LiveLists for SortedRows<'_> {
             }
             Err(_) => false,
         }
+    }
+
+    fn for_each_color(&self, v: usize, len: usize, color: impl FnMut(u32)) {
+        self.live[v * self.stride..][..len]
+            .iter()
+            .copied()
+            .for_each(color);
     }
 }
 
@@ -237,6 +263,16 @@ impl LiveLists for PaletteBits<'_> {
         *word &= !mask;
         hit
     }
+
+    fn for_each_color(&self, v: usize, _len: usize, mut color: impl FnMut(u32)) {
+        for (w, &word) in self.bits[v * self.words..][..self.words].iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                color(self.base + (64 * w) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    }
 }
 
 /// What Lines 8–9 ask of a conflict graph, in either form of Line 7's
@@ -252,16 +288,18 @@ pub(crate) trait ConflictRows {
     fn is_conflicted(&self, v: usize) -> bool;
     /// Calls `strike(u)`, in ascending `u`, for the neighbours `u` of `v`
     /// that may take a strike of color `c`: all of them (a CSR row),
-    /// those set in the bitset `strikable` (the hit-mask row of the
-    /// all-pairs identity layout), or those whose lists held `c` (`v`'s
-    /// row in bucket `c`). A strike can succeed only on a strikable
-    /// neighbour whose list held `c`, and a failed strike changes
-    /// nothing, so every walk strikes the same vertices in the same
-    /// order.
-    fn for_each_strike(&self, v: usize, c: u32, strikable: &[u64], strike: impl FnMut(u32));
-    /// Whether [`ConflictRows::for_each_strike`] reads `strikable`; the
-    /// greedy keeps the bitset only then.
-    fn reads_strikable(&self) -> bool {
+    /// those whose lists held `c` (`v`'s row in bucket `c`), or those set
+    /// in `holders`, `c`'s holder set (the hit-mask row of the all-pairs
+    /// identity layout, a word at a time: `⌈m/64⌉` words and one call per
+    /// successful strike). That walk clears from `holders` every bit it
+    /// hands out; the others ignore it. A strike can succeed only on an
+    /// uncoloured neighbour whose list still holds `c`, and a failed
+    /// strike changes nothing, so every walk strikes the same vertices in
+    /// the same order.
+    fn for_each_strike(&self, v: usize, c: u32, holders: &mut [u64], strike: impl FnMut(u32));
+    /// Whether [`ConflictRows::for_each_strike`] reads `holders`; the
+    /// greedy keeps the holder sets only then.
+    fn reads_holders(&self) -> bool {
         false
     }
 }
@@ -279,7 +317,7 @@ impl ConflictRows for CsrGraph {
         self.degree(v) > 0
     }
 
-    fn for_each_strike(&self, v: usize, _c: u32, _strikable: &[u64], strike: impl FnMut(u32)) {
+    fn for_each_strike(&self, v: usize, _c: u32, _holders: &mut [u64], strike: impl FnMut(u32)) {
         self.neighbors(v).iter().copied().for_each(strike);
     }
 }
@@ -332,16 +370,23 @@ fn greedy_in_form<G: ConflictRows>(
     let ColorScratch {
         live,
         bits,
-        strikable,
+        holders,
         buckets,
         ..
     } = scratch;
     buckets.reset(m, l);
-    strikable.clear();
-    if gc.reads_strikable() {
-        strikable.resize(m.div_ceil(64), 0);
-    }
-    let strikable = Strikable(strikable);
+    let words = if gc.reads_holders() {
+        m.div_ceil(64)
+    } else {
+        0
+    };
+    holders.clear();
+    holders.resize(lists.palette_size() as usize * words, 0);
+    let holders = Holders {
+        bits: holders,
+        words,
+        base: lists.palette_base(),
+    };
     if bitset {
         let words = palette_words(lists.palette_size());
         bits.clear();
@@ -351,26 +396,36 @@ fn greedy_in_form<G: ConflictRows>(
             words,
             base: lists.palette_base(),
         };
-        greedy(form, buckets, strikable, gc, lists, active, seed, out);
+        greedy(form, buckets, holders, gc, lists, active, seed, out);
     } else {
         live.clear();
         live.resize(m * l, 0);
         let form = SortedRows { live, stride: l };
-        greedy(form, buckets, strikable, gc, lists, active, seed, out);
+        greedy(form, buckets, holders, gc, lists, active, seed, out);
     }
 }
 
-/// The bitset of vertices that may still take a strike; empty, and
-/// never written, when the graph does not read it.
-struct Strikable<'a>(&'a mut [u64]);
+/// The per-colour holder sets of the identity-layout walk, `words` per
+/// palette colour; empty (`words == 0`), and never written, when the
+/// graph does not read them.
+struct Holders<'a> {
+    bits: &'a mut [u64],
+    words: usize,
+    base: u32,
+}
 
-impl Strikable<'_> {
-    fn set(&mut self, v: u32, on: bool) {
-        if self.0.is_empty() {
-            return;
-        }
-        let (word, bit) = (v as usize / 64, v % 64);
-        self.0[word] = self.0[word] & !(1 << bit) | u64::from(on) << bit;
+impl Holders<'_> {
+    /// Colour `c`'s holder set (empty when unused).
+    fn of(&mut self, c: u32) -> &mut [u64] {
+        let at = (c - self.base) as usize * self.words;
+        &mut self.bits[at..at + self.words]
+    }
+
+    /// Sets (`on`) or clears `v`'s bit in colour `c`'s holder set.
+    fn set(&mut self, c: u32, v: u32, on: bool) {
+        let word = &mut self.of(c)[v as usize / 64];
+        let bit = v % 64;
+        *word = *word & !(1 << bit) | u64::from(on) << bit;
     }
 }
 
@@ -379,7 +434,7 @@ impl Strikable<'_> {
 fn greedy<F: LiveLists, G: ConflictRows>(
     mut form: F,
     buckets: &mut SizeBuckets,
-    mut strikable: Strikable<'_>,
+    mut holders: Holders<'_>,
     gc: &G,
     lists: &ColorLists,
     active: &[u32],
@@ -387,12 +442,15 @@ fn greedy<F: LiveLists, G: ConflictRows>(
     out: &mut ListColorOutcome,
 ) {
     out.clear();
+    let held = holders.words > 0;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
     for &v in active {
         let row = lists.row(v as usize);
         form.init(v as usize, row);
         buckets.insert(v, row.len());
-        strikable.set(v, true);
+        if held {
+            row.iter().for_each(|&c| holders.set(c, v, true));
+        }
     }
 
     let mut remaining = active.len();
@@ -413,13 +471,18 @@ fn greedy<F: LiveLists, G: ConflictRows>(
         remaining -= 1;
         let c = form.pick(v as usize, rng.random_range(0..len));
         out.assigned.push((v, c));
-        strikable.set(v, false);
+        if held {
+            form.for_each_color(v as usize, len, |h| holders.set(h, v, false));
+        }
 
-        // Strike c from every uncolored neighbor's list.
-        let dry = out.uncolored.len();
-        gc.for_each_strike(v as usize, c, strikable.0, |u| {
+        // Strike c from every uncolored neighbor's list. A holder-set
+        // walk hands out only the neighbours that still hold c, so a
+        // vertex that runs dry has left every set already.
+        gc.for_each_strike(v as usize, c, holders.of(c), |u| {
             let ulen = buckets.len[u as usize];
-            if ulen == NO_BUCKET || !form.strike(u as usize, ulen as usize, c) {
+            let struck = ulen != NO_BUCKET && form.strike(u as usize, ulen as usize, c);
+            debug_assert!(struck || !held, "holder {u} of {c} took no strike");
+            if !struck {
                 return;
             }
             buckets.remove(u);
@@ -430,9 +493,6 @@ fn greedy<F: LiveLists, G: ConflictRows>(
                 buckets.insert(u, ulen as usize - 1);
             }
         });
-        for &u in &out.uncolored[dry..] {
-            strikable.set(u, false);
-        }
     }
 }
 
@@ -798,6 +858,156 @@ mod tests {
             assert_eq!(sorted.assigned, bits.assigned, "{case}");
             assert_eq!(sorted.uncolored, bits.uncolored, "{case}");
             check_outcome(&gc, &lists, &active, &bits, &case);
+        }
+    }
+
+    /// A graph whose strike walks count their callbacks.
+    struct Counted<'a, G> {
+        graph: &'a G,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<G: ConflictRows> ConflictRows for Counted<'_, G> {
+        fn num_vertices(&self) -> usize {
+            self.graph.num_vertices()
+        }
+
+        fn num_edges(&self) -> usize {
+            self.graph.num_edges()
+        }
+
+        fn is_conflicted(&self, v: usize) -> bool {
+            self.graph.is_conflicted(v)
+        }
+
+        fn for_each_strike(
+            &self,
+            v: usize,
+            c: u32,
+            holders: &mut [u64],
+            mut strike: impl FnMut(u32),
+        ) {
+            self.graph.for_each_strike(v, c, holders, |u| {
+                self.calls.set(self.calls.get() + 1);
+                strike(u);
+            });
+        }
+
+        fn reads_holders(&self) -> bool {
+            self.graph.reads_holders()
+        }
+    }
+
+    /// Replays `out`'s assignments in order over `gc`, striking each
+    /// color from the live lists of the uncolored neighbours that still
+    /// hold it. Returns the successful strikes and the vertices that ran
+    /// dry, ascending.
+    fn replay_strikes(
+        gc: &CsrGraph,
+        lists: &ColorLists,
+        active: &[u32],
+        out: &ListColorOutcome,
+    ) -> (usize, Vec<u32>) {
+        let mut live: Vec<Option<Vec<u32>>> = vec![None; gc.num_vertices()];
+        for &v in active {
+            live[v as usize] = Some(lists.row(v as usize).to_vec());
+        }
+        let (mut strikes, mut dry) = (0, Vec::new());
+        for &(v, c) in &out.assigned {
+            live[v as usize] = None;
+            for &u in gc.neighbors(v as usize) {
+                let Some(list) = &mut live[u as usize] else {
+                    continue;
+                };
+                if let Some(at) = list.iter().position(|&h| h == c) {
+                    list.remove(at);
+                    strikes += 1;
+                    if list.is_empty() {
+                        live[u as usize] = None;
+                        dry.push(u);
+                    }
+                }
+            }
+        }
+        dry.sort_unstable();
+        (strikes, dry)
+    }
+
+    /// On the all-pairs identity layout the holder-set walk calls back
+    /// once per successful strike, in both live-list forms, where the CSR
+    /// walk of the same colouring also calls back for neighbours that no
+    /// longer hold the colour. A warm scratch keeps the holder sets'
+    /// buffer across runs, a CSR run between them included.
+    #[test]
+    fn identity_walk_calls_back_once_per_successful_strike() {
+        use crate::candidates::CandidateEngine;
+        use crate::conflict::{build_host, build_sequential, HostGraph};
+        use crate::{IterationContext, PauliComplementOracle};
+        let m = 300;
+        let mut rng = StdRng::seed_from_u64(3);
+        let set =
+            pauli::EncodedSet::from_strings(&pauli::string::random_unique_set(m, 12, &mut rng));
+        let oracle = PauliComplementOracle::new(&set);
+        // (P, L): all-pairs lists whose rule picks bitsets, then sorted
+        // rows; each instance runs in both forms.
+        for (p, l) in [(40u32, 30u32), (8000, 100)] {
+            let lists = ColorLists::assign(m, 5, p, l, 7, 1);
+            assert!(!CandidateEngine::prefers_buckets(&lists), "P={p} L={l}");
+            let mut ctx = IterationContext::new();
+            ctx.set_lists(lists.clone());
+            let csr = build_sequential(&oracle, &mut ctx).graph;
+            let built = build_host(&oracle, &mut ctx, false, true);
+            assert!(matches!(built.graph, HostGraph::Masks), "P={p} L={l}");
+            let (masks, lists, _) = ctx.hit_mask_graph();
+            assert!(masks.reads_holders());
+            let active: Vec<u32> = (0..m as u32)
+                .filter(|&v| csr.degree(v as usize) > 0)
+                .collect();
+            let mut scratch = ColorScratch::default();
+            let (mut from_masks, mut from_csr) =
+                (ListColorOutcome::default(), ListColorOutcome::default());
+            let mut warm = None;
+            for bitset in [false, true] {
+                let case = format!("P={p} L={l} bitset={bitset}");
+                let walk = Counted {
+                    graph: &masks,
+                    calls: Default::default(),
+                };
+                greedy_in_form(
+                    bitset,
+                    &walk,
+                    lists,
+                    &active,
+                    11,
+                    &mut scratch,
+                    &mut from_masks,
+                );
+                let (strikes, dry) = replay_strikes(&csr, lists, &active, &from_masks);
+                let mut uncolored = from_masks.uncolored.clone();
+                uncolored.sort_unstable();
+                assert_eq!(uncolored, dry, "{case}");
+                assert!(strikes > 0, "{case}");
+                assert_eq!(walk.calls.get(), strikes, "{case}: identity callbacks");
+                let held = (scratch.holders.as_ptr(), scratch.holders.capacity());
+                assert_eq!(*warm.get_or_insert(held), held, "{case}: holder buffer");
+
+                let walk = Counted {
+                    graph: &csr,
+                    calls: Default::default(),
+                };
+                greedy_in_form(
+                    bitset,
+                    &walk,
+                    lists,
+                    &active,
+                    11,
+                    &mut scratch,
+                    &mut from_csr,
+                );
+                assert_eq!(from_csr.assigned, from_masks.assigned, "{case}");
+                assert_eq!(from_csr.uncolored, from_masks.uncolored, "{case}");
+                assert!(walk.calls.get() > strikes, "{case}: CSR callbacks");
+            }
         }
     }
 

@@ -22,11 +22,18 @@
 //! is this CSR"), the [`HeapSize`] trait is provided.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static TOTAL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // `const`-initialised and without a destructor, so the allocator can
+    // touch it without allocating or registering anything.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A [`System`]-backed allocator that maintains live/peak byte counters.
 ///
@@ -64,6 +71,7 @@ fn record_alloc(size: usize) {
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(now, Ordering::Relaxed);
     TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|count| count.set(count.get() + 1));
 }
 
 #[inline]
@@ -86,6 +94,16 @@ pub fn peak_bytes() -> usize {
 /// Number of allocations since process start.
 pub fn total_allocations() -> usize {
     TOTAL_ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Number of allocations the calling thread has made since it started.
+/// Unlike [`total_allocations`], another thread's allocations never land
+/// in it, so a zero-allocation check of code that runs on the caller
+/// holds while other threads (a test harness spawning the next test)
+/// allocate; code that fans out to worker threads needs the process-wide
+/// count.
+pub fn thread_allocations() -> usize {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Resets the peak to the current live size, so subsequent peaks measure
@@ -235,6 +253,27 @@ mod tests {
         let before = total_allocations();
         let _v: Vec<u64> = Vec::with_capacity(10);
         assert!(total_allocations() > before);
+    }
+
+    #[test]
+    fn thread_allocations_count_only_the_calling_thread() {
+        let _guard = MEASURE_LOCK.lock().unwrap();
+        let before = thread_allocations();
+        let _v: Vec<u64> = Vec::with_capacity(10);
+        assert_eq!(thread_allocations(), before + 1);
+        let (before, total) = (thread_allocations(), total_allocations());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..1000 {
+                    std::hint::black_box(Vec::<u64>::with_capacity(10));
+                }
+            });
+        });
+        assert!(total_allocations() - total >= 1000);
+        // Spawning the thread allocates a little on this one; the
+        // spawned thread's thousand allocations do not count here.
+        let here = thread_allocations() - before;
+        assert!(here < 100, "{here} allocations on the caller");
     }
 
     #[test]

@@ -81,10 +81,11 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 
 /// The **observed** counterpart of [`forecast_peak_bytes`]: the same
 /// structural model evaluated on what a finished solve actually did —
-/// the real per-iteration live sets, list sizes, bucket indexes and
-/// conflict graphs instead of the worst-case every-candidate-an-edge
-/// bound (and the max across iterations instead of assuming the first
-/// dominates). Line 7's graph is charged with core's own byte counts:
+/// the real per-iteration live sets, list sizes, bucket indexes (only
+/// on an iteration that ran the bucketed engine) and conflict graphs
+/// instead of the worst-case every-candidate-an-edge bound (and the max
+/// across iterations instead of assuming the first dominates). Line 7's
+/// graph is charged with core's own byte counts:
 /// the mask path ([`picasso::conflict::mask_path_bytes`]) for an
 /// iteration that kept hit masks
 /// ([`picasso::IterationStats::conflict_masks`]), else the CSR path
@@ -92,9 +93,10 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// replica ([`picasso::IterationStats::replica_bytes`]) of an iteration
 /// that packed; beside it, under the greedy scheme, the colouring
 /// scratch that reads that graph
-/// ([`picasso::listcolor::greedy_scratch_bytes`]). Deterministic and
-/// allocator-independent, so it works identically in the CLI, the
-/// service, and tests.
+/// ([`picasso::listcolor::greedy_scratch_bytes`], with the holder sets
+/// of an iteration that coloured the all-pairs identity layout of the
+/// hit masks). Deterministic and allocator-independent, so it works
+/// identically in the CLI, the service, and tests.
 ///
 /// It is a **lower bound** on the solve's peak, not the peak itself: it
 /// leaves out the pooled scan arenas (`TaskArena`, one per concurrently
@@ -121,7 +123,12 @@ pub fn observed_peak_bytes(
         let m = s.live_vertices;
         let l = s.list_size as usize;
         let lists = m * l * std::mem::size_of::<u32>();
-        let index = (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>();
+        let bucketed = bucketed(s);
+        let index = if bucketed {
+            (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>()
+        } else {
+            0
+        };
         let graph = if s.conflict_masks {
             picasso::conflict::mask_path_bytes(m, s.conflict_edges as u64, s.mask_bytes)
         } else {
@@ -129,14 +136,24 @@ pub fn observed_peak_bytes(
         };
         let line7 = (graph + s.replica_bytes) as usize;
         let color = match cfg.scheme {
-            ListColoringScheme::DynamicGreedy => {
-                picasso::listcolor::greedy_scratch_bytes(m, s.palette_size, l) as usize
-            }
+            ListColoringScheme::DynamicGreedy => picasso::listcolor::greedy_scratch_bytes(
+                m,
+                s.palette_size,
+                l,
+                s.conflict_masks && !bucketed,
+            ) as usize,
             ListColoringScheme::Static(_) => 0,
         };
         transient = transient.max(lists + index + line7 + color);
     }
     input + transient
+}
+
+/// Whether iteration `s` ran the bucketed engine, the one that builds a
+/// bucket index; the all-pairs engine builds none, and its hit masks are
+/// the identity layout, whose greedy keeps holder sets.
+fn bucketed(s: &picasso::IterationStats) -> bool {
+    picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, s.live_vertices)
 }
 
 /// The admission controller.
@@ -282,7 +299,11 @@ mod tests {
         let (m, edges) = (first.live_vertices, first.conflict_edges as u64);
         let csr_path = picasso::conflict::csr_path_bytes(m, edges);
         let mask_path = picasso::conflict::mask_path_bytes(m, edges, first.mask_bytes);
-        assert_eq!((csr - masks) as u64, csr_path - mask_path);
+        // The all-pairs identity layout: its greedy also keeps the holder
+        // sets, `8·P·⌈m/64⌉` bytes.
+        assert!(!bucketed(&first), "all-pairs lists");
+        let holders = 8 * u64::from(first.palette_size) * m.div_ceil(64) as u64;
+        assert_eq!((csr - masks) as u64 + holders, csr_path - mask_path);
         assert!(mask_path < csr_path / 4, "{mask_path} vs {csr_path}");
     }
 
@@ -292,7 +313,8 @@ mod tests {
         // masks. Each iteration alone, in either graph form, is charged
         // the input, its lists and index, core's count of that graph
         // form, exactly its replica and, under the greedy scheme, core's
-        // count of the colouring scratch.
+        // count of the colouring scratch (with the holder sets where the
+        // masks are the all-pairs identity layout).
         let (n, qubits, seed) = (1024, 24, 5);
         let workload = Workload::SyntheticPauli { n, qubits, seed };
         let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
@@ -310,11 +332,16 @@ mod tests {
         for s in &result.iterations {
             assert!(s.replica_bytes > 0, "iteration {}: packed", s.iteration);
             let (m, edges) = (s.live_vertices, s.conflict_edges as u64);
-            // `u32` words of the lists (`m·L`) and of the index (`m·L + P + 1`).
-            let words =
-                m * s.list_size as usize + (m * s.list_size as usize + 1) + s.palette_size as usize;
-            let color =
-                picasso::listcolor::greedy_scratch_bytes(m, s.palette_size, s.list_size as usize);
+            // `u32` words of the lists (`m·L`) and, on the bucketed
+            // engine, of the index (`m·L + P + 1`).
+            let bucketed =
+                picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, m);
+            let index = if bucketed {
+                m * s.list_size as usize + 1 + s.palette_size as usize
+            } else {
+                0
+            };
+            let words = m * s.list_size as usize + index;
             for conflict_masks in [true, false] {
                 let what = format!("iteration {} masks={conflict_masks}", s.iteration);
                 let graph = if conflict_masks {
@@ -322,6 +349,13 @@ mod tests {
                 } else {
                     picasso::conflict::csr_path_bytes(m, edges)
                 };
+                let identity = conflict_masks && !bucketed;
+                let color = picasso::listcolor::greedy_scratch_bytes(
+                    m,
+                    s.palette_size,
+                    s.list_size as usize,
+                    identity,
+                );
                 let mut one = result.clone();
                 one.iterations = vec![picasso::IterationStats {
                     conflict_masks,
