@@ -18,6 +18,11 @@
 //!   persistent [`IterationContext`] (index built once, arenas warm) vs
 //!   a fresh context per build (the pre-context per-iteration cost:
 //!   index rebuild + arena + list-storage allocation).
+//! * `hit_masks` group — the host Line 7 the solver runs
+//!   ([`build_host`]) on a dense Normal 40-qubit shape, where the graph-form
+//!   rule keeps the bucketed hit masks and the mask fill counts `|Ec|`
+//!   from each bucket's lower-color member sets; its `|Ec|` and scan
+//!   counters must equal the CSR build's.
 //!
 //! Set `PICASSO_BENCH_SMOKE=1` to run a seconds-scale smoke version (CI
 //! keeps the target from rotting without paying full bench time).
@@ -26,7 +31,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use device::DeviceSim;
 use pauli::EncodedSet;
 use picasso::conflict::{
-    build_device, build_parallel, build_sequential, build_sequential_allpairs,
+    build_device, build_host, build_parallel, build_sequential, build_sequential_allpairs,
+    HostGraph,
 };
 use picasso::{ColorLists, IterationContext, PauliComplementOracle, PicassoConfig};
 use rand::rngs::StdRng;
@@ -39,8 +45,13 @@ fn smoke() -> bool {
 }
 
 fn setup(n: usize) -> (EncodedSet, ColorLists) {
+    setup_qubits(n, 16)
+}
+
+/// `n` random unique strings on `qubits` qubits, with Normal lists.
+fn setup_qubits(n: usize, qubits: usize) -> (EncodedSet, ColorLists) {
     let mut rng = StdRng::seed_from_u64(7);
-    let strings = pauli::string::random_unique_set(n, 16, &mut rng);
+    let strings = pauli::string::random_unique_set(n, qubits, &mut rng);
     let set = EncodedSet::from_strings(&strings);
     let cfg = PicassoConfig::normal(1);
     let lists = ColorLists::assign(n, 0, cfg.palette_size(n), cfg.list_size(n), 1, 1);
@@ -135,6 +146,57 @@ fn bench_conflict(c: &mut Criterion) {
                 cold.assign_lists(n, 0, p, l, 1, 1);
                 black_box(build_sequential(&oracle, &mut cold).num_edges)
             })
+        });
+        group.finish();
+    }
+}
+
+/// The bucketed hit-mask form: the host build the solver runs on a dense
+/// Normal 40-qubit shape (the `dense_pauli` regime), where the CSR path
+/// would outweigh the masks. Before timing, its `|Ec|` and mask-scan
+/// counters must equal the forced-CSR build's, so the smoke run checks
+/// the mask fill's column count on every CI pass.
+fn bench_hit_masks(c: &mut Criterion) {
+    let sizes: &[usize] = if smoke() { &[512] } else { &[512, 2048] };
+    for &n in sizes {
+        let (set, lists) = setup_qubits(n, 40);
+        let oracle = PauliComplementOracle::new(&set);
+        let mut ctx = fresh_ctx(&lists);
+        let csr = build_sequential(&oracle, &mut ctx);
+        assert!(
+            ctx.prefers_buckets(),
+            "Normal lists select the bucketed engine"
+        );
+        for parallel in [false, true] {
+            let masks = build_host(&oracle, &mut ctx, parallel, true);
+            assert!(
+                matches!(masks.graph, HostGraph::Masks),
+                "the rule keeps hit masks on the dense shape"
+            );
+            assert_eq!(
+                masks.num_edges, csr.num_edges,
+                "|Ec| (parallel: {parallel})"
+            );
+            assert_eq!(
+                masks.scan_stats, csr.scan_stats,
+                "scan counters (parallel: {parallel})"
+            );
+        }
+        println!(
+            "hit_masks_n{n}: |Ec|={} of {} candidate pairs",
+            csr.num_edges, csr.candidate_pairs
+        );
+        let pairs = csr.candidate_pairs;
+        ctx.recycle_csr(csr.graph);
+
+        let mut group = c.benchmark_group(format!("hit_masks_n{n}"));
+        group.throughput(Throughput::Elements(pairs));
+        group.sample_size(if smoke() { 2 } else { 10 });
+        group.bench_function(BenchmarkId::new("sequential", n), |b| {
+            b.iter(|| black_box(build_host(&oracle, &mut ctx, false, true).num_edges))
+        });
+        group.bench_function(BenchmarkId::new("parallel", n), |b| {
+            b.iter(|| black_box(build_host(&oracle, &mut ctx, true, true).num_edges))
         });
         group.finish();
     }
@@ -385,6 +447,7 @@ criterion_group!(
     benches,
     bench_conflict,
     bench_oracle_batch,
-    bench_oracle_sparse
+    bench_oracle_sparse,
+    bench_hit_masks
 );
 criterion_main!(benches);

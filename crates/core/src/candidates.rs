@@ -14,7 +14,11 @@
 //! exactly once. The packed scans run the same test on oracle hits only,
 //! in the form the replica picked ([`crate::packed::SharedColorFilter`]):
 //! against its palette bitmasks where it keeps them, against the sorted
-//! lists elsewhere. The emitted pair *set* is
+//! lists elsewhere. The one exception is the bucketed hit-mask fill of
+//! `crate::conflict`, which keeps every raw hit and only counts `|Ec|`:
+//! it takes the test over per bucket (`HitSink::enter_bucket`) and
+//! counts with the bucket's lower-color member sets instead, so it pays
+//! no per-hit work. The emitted pair *set* is
 //! therefore identical to the all-pairs scan's (`intersects ∧ oracle`),
 //! and since CSR assembly
 //! orders each adjacency row ascending, every backend — and either engine — produces a
@@ -141,12 +145,23 @@ pub(crate) fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: im
 /// builders' edge groups and hit-mask rows (`crate::conflict`). One scan
 /// loop per source serves them all.
 pub(crate) trait HitSink {
+    /// The bucketed scan enters bucket `k`, before the first pivot it
+    /// scans there (mid-bucket too, when its rows start there). `true`:
+    /// the sink tells this bucket's conflict edges apart itself, so the
+    /// scan hands its pivots no `emit` test and runs no shared-color
+    /// filter — the hit-mask fill, which counts `|Ec|` from the bucket's
+    /// lower-color member sets. Every other sink takes the default.
+    fn enter_bucket(&mut self, _k: usize) -> bool {
+        false
+    }
+
     /// One pivot of the scan. `u` sits at position `pos` of bucket `k`
     /// (bucket 0 of the all-pairs identity layout); `mask` holds the edge
     /// bits of its tail — bit `t` is member `pos + 1 + t`, vertex
     /// `member(t)` — and `emit(v)` says whether the oracle edge `(u, v)`
     /// is a conflict edge emitted from this bucket, `None` when every
-    /// hit is. Returns `false` to end the scan after this pivot.
+    /// hit is or when [`HitSink::enter_bucket`] took the test over.
+    /// Returns `false` to end the scan after this pivot.
     #[allow(clippy::too_many_arguments)]
     fn pivot(
         &mut self,
@@ -418,10 +433,12 @@ impl<'a> BucketSource<'a> {
     /// palette bitmasks that is [`PackedBuckets::shares_color_below`];
     /// otherwise a pivot with hits and colors below the bucket's sets
     /// those in the scratch bitset, and a hit survives iff the member
-    /// holds none of them (every other pivot emits all its hits). Zero
-    /// mask words are skipped without touching the bucket at all; set
-    /// bits are walked with `trailing_zeros`, so a near-empty tail costs
-    /// one branch per 64 candidates.
+    /// holds none of them (every other pivot emits all its hits). A sink
+    /// whose [`HitSink::enter_bucket`] takes the test over gets every hit
+    /// of that bucket unfiltered. Zero mask words are skipped without
+    /// touching the bucket at all; set bits are walked with
+    /// `trailing_zeros`, so a near-empty tail costs one branch per 64
+    /// candidates.
     fn scan_rows_into(
         &self,
         rows: Range<usize>,
@@ -437,6 +454,7 @@ impl<'a> BucketSource<'a> {
             let bucket = self.index.bucket(k);
             let start = self.index.bucket_start(k);
             let color = self.index.color(k);
+            let own_test = sink.enter_bucket(k);
             for a in positions {
                 let u = bucket[a] as usize;
                 packed.tail_edge_mask(start, bucket.len(), a, u, masks);
@@ -444,6 +462,7 @@ impl<'a> BucketSource<'a> {
                 let member = |t| tail[t] as usize;
                 // Emit only from the smallest shared color's bucket.
                 let go = match &mut bits {
+                    _ if own_test => sink.pivot(k, a, u, masks, stats, member, EVERY_HIT),
                     None => {
                         let first = |v| !packed.shares_color_below(u, v, k);
                         sink.pivot(k, a, u, masks, stats, member, Some(first))
@@ -622,6 +641,14 @@ impl<'a> CandidateEngine<'a> {
             CandidateEngine::AllPairs(src) => {
                 src.scan_rows_into(rows, packed, masks, colors, stats, sink)
             }
+        }
+    }
+
+    /// The iteration's color lists.
+    pub(crate) fn lists(&self) -> &'a ColorLists {
+        match self {
+            CandidateEngine::Buckets(src) => src.lists,
+            CandidateEngine::AllPairs(src) => src.lists,
         }
     }
 

@@ -56,7 +56,16 @@
 //!   over the identity layout, from which the bits of pairs that share no
 //!   colour are cleared at scan time (only possible when `2L ≤ P`), so
 //!   there a set bit is a `Gc` edge. A bucket keeps its raw oracle bits,
-//!   since the greedy reads bucket `c`'s full row.
+//!   since the greedy reads bucket `c`'s full row, so there the dedup
+//!   only counts `|Ec|`, and the fill counts it with bit sets instead of
+//!   a per-hit test ([`BucketColumns`]): entering bucket `k` (color
+//!   `c_k`, `B` members), a cut builds one `⌈B/64⌉`-word member set per
+//!   color below `c_k` that any member holds — the whole bucket's, even
+//!   when the cut starts mid-bucket — and a pivot's conflict edges are
+//!   `popcount(row ∧ ¬dup)`, `dup` the OR of the sets of its own colors
+//!   below `c_k`. That is about `m·L(L−1)/2` bit writes per iteration
+//!   plus `j·⌈B/64⌉` word ORs per pivot with hits (`j` its colors below
+//!   `c_k`), and the scan hands these pivots no `emit` test.
 //! * **Rule.** One byte comparison, [`uses_hit_masks`]: the masks,
 //!   `8·Σ_k B_k·⌈B_k/64⌉` bytes, are kept iff the iteration packed and
 //!   the CSR path — `8·(m+1)` bytes of offsets plus `8` of adjacency and
@@ -106,7 +115,8 @@
 //! [`TaskArena`]. The replica thus stays linear in `m·L` — at most
 //! `8·(2·m·L·w + m·w)` bytes — and so do the device's upload of it and
 //! [`crate::IterationStats::replica_bytes`]. `|Ec|` is exact in either
-//! form, and the sinks see the same `emit` predicate.
+//! form, and the sinks see the same `emit` predicate — except the
+//! bucketed hit-mask fill, which needs none (see "Graph form").
 //!
 //! # The packed kernel, for either engine
 //!
@@ -665,40 +675,147 @@ impl HitSink for GroupSink<'_> {
 /// The hit-mask sink of one cut: ORs every pivot's tail mask into the
 /// pivot's row at bit `pos + 1`, and counts the conflict edges. A bucket
 /// keeps its raw oracle bits, because the greedy reads bucket `c`'s full
-/// row; the identity layout keeps only the bits of conflict edges.
+/// row, so the count is all the dedup is for: entering a bucket, the
+/// sink builds its lower-color member sets ([`BucketColumns`]), and a
+/// pivot's conflict edges are the bits of its row outside the columns of
+/// its own lower colors — no per-hit test. The identity layout keeps
+/// only the bits of conflict edges, cleared hit by hit with the scan's
+/// `emit` test.
 struct MaskSink<'a> {
     /// The cut's rows, from global word `first`.
     rows: &'a mut [u64],
     first: usize,
     offsets: &'a [usize],
     layout: MaskLayout<'a>,
+    lists: &'a ColorLists,
+    /// The lower-color member sets of the bucket being scanned.
+    columns: &'a mut BucketColumns,
     edges: u64,
 }
 
 impl HitSink for MaskSink<'_> {
+    fn enter_bucket(&mut self, k: usize) -> bool {
+        let index = self
+            .layout
+            .index
+            .expect("only the bucketed scan enters buckets");
+        self.columns
+            .build(self.lists, index.bucket(k), index.color(k));
+        true
+    }
+
     fn pivot(
         &mut self,
         k: usize,
         pos: usize,
-        _u: usize,
+        u: usize,
         mask: &mut [u64],
         stats: &mut MaskScanStats,
         member: impl Fn(usize) -> usize,
         emit: Option<impl Fn(usize) -> bool>,
     ) -> bool {
-        self.edges += match emit {
-            None => count_hits(mask, stats),
-            Some(emit) if self.layout.index.is_some() => {
-                let mut edges = 0;
-                for_each_hit(mask, stats, |t| edges += u64::from(emit(member(t))));
-                edges
-            }
-            Some(emit) => retain_hits(mask, stats, |t| emit(member(t))),
-        };
         let w = self.layout.row_words(k);
         let at = self.offsets[k] + pos * w - self.first;
-        or_shifted(&mut self.rows[at..at + w], mask, pos + 1);
+        let row = &mut self.rows[at..at + w];
+        if self.layout.index.is_some() {
+            debug_assert!(emit.is_none(), "the columns are the bucket's dedup");
+            if count_hits(mask, stats) != 0 {
+                or_shifted(row, mask, pos + 1);
+                self.edges += self.columns.count(self.lists.row(u), row, pos + 1);
+            }
+            return true;
+        }
+        self.edges += match emit {
+            None => count_hits(mask, stats),
+            Some(emit) => retain_hits(mask, stats, |t| emit(member(t))),
+        };
+        or_shifted(row, mask, pos + 1);
         true
+    }
+}
+
+/// Column slot of a palette color without a column.
+const NO_COLUMN: u32 = u32::MAX;
+
+/// One bucket's lower-color member sets, the hit-mask fill's `|Ec|`
+/// count: for bucket `k` (color `c_k`, `B` members), one `⌈B/64⌉`-word
+/// **column** per color `c < c_k` held by any member, bit `p` set iff
+/// member `p`'s list holds `c`. Members `a` and `p` of the bucket share a
+/// color below `c_k` — so their pair is emitted from a lower bucket —
+/// iff bit `p` is set in the OR of the columns of `a`'s colors below
+/// `c_k`. A build writes about `B·L(L−1)/2` bits over a bucket; the
+/// count ORs `j` columns per pivot with hits, for its `j` colors below
+/// `c_k`. It lives in the pooled [`TaskArena`]: cleared and grown, never
+/// shrunk, so a warm build allocates nothing.
+#[derive(Debug, Default)]
+pub struct BucketColumns {
+    /// Column slot of every palette color (by offset from the palette
+    /// base), [`NO_COLUMN`] where the bucket has none.
+    slot: Vec<u32>,
+    /// The palette offsets holding a column, in slot order: the list
+    /// that resets `slot`.
+    colors: Vec<u32>,
+    /// The columns, `width` words each, in slot order.
+    words: Vec<u64>,
+    /// Words per column, `⌈B/64⌉`.
+    width: usize,
+    /// The bucket's color, and the palette base the slots count from.
+    color: u32,
+    base: u32,
+}
+
+impl BucketColumns {
+    /// Capacity of the scratch, in words of either type — introspection
+    /// hook for the allocation-reuse tests.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slot.capacity() + self.colors.capacity() + self.words.capacity()
+    }
+
+    /// Builds the columns of the bucket of color `color` with the
+    /// ascending `members`, whole whichever of its rows a cut starts at,
+    /// so the count does not depend on where the cuts fall.
+    fn build(&mut self, lists: &ColorLists, members: &[u32], color: u32) {
+        for &c in &self.colors {
+            self.slot[c as usize] = NO_COLUMN;
+        }
+        self.colors.clear();
+        self.words.clear();
+        let palette = lists.palette_size() as usize;
+        if self.slot.len() < palette {
+            self.slot.resize(palette, NO_COLUMN);
+        }
+        let (base, width) = (lists.palette_base(), members.len().div_ceil(64));
+        (self.width, self.color, self.base) = (width, color, base);
+        for (p, &v) in members.iter().enumerate() {
+            for &c in lists.row(v as usize).iter().take_while(|&&c| c < color) {
+                let c = c - base;
+                let mut s = self.slot[c as usize];
+                if s == NO_COLUMN {
+                    s = self.colors.len() as u32;
+                    self.slot[c as usize] = s;
+                    self.colors.push(c);
+                    self.words.resize(self.words.len() + width, 0);
+                }
+                self.words[s as usize * width + p / 64] |= 1 << (p % 64);
+            }
+        }
+    }
+
+    /// The conflict edges of a pivot with the sorted list `list`: the set
+    /// bits of its `row` (all at or past bit `from`) whose members share
+    /// none of the pivot's colors below the bucket's — that is,
+    /// `popcount(row ∧ ¬dup)`, `dup` the OR of those colors' columns.
+    fn count(&self, list: &[u32], row: &[u64], from: usize) -> u64 {
+        let below = &list[..list.partition_point(|&c| c < self.color)];
+        let column = |c: u32| self.slot[(c - self.base) as usize] as usize * self.width;
+        let mut edges = 0;
+        for (i, &word) in row.iter().enumerate().skip(from / 64) {
+            let dup = below
+                .iter()
+                .fold(0, |dup, &c| dup | self.words[column(c) + i]);
+            edges += u64::from((word & !dup).count_ones());
+        }
+        edges
     }
 }
 
@@ -788,6 +905,7 @@ fn scan_cuts<O: EdgeOracle>(
                 masks,
                 colors,
                 mapped,
+                ..
             } = &mut arena;
             let mut cut_stats = MaskScanStats::default();
             let rows = cuts[k].clone();
@@ -826,8 +944,8 @@ fn scan_cuts<O: EdgeOracle>(
 
 /// Scans every cut into its rows of `masks` (laid out for `layout`, every
 /// bit clear): one rayon task per cut (one cut runs inline), each with
-/// its own `&mut` slice of the rows and a pooled arena's mask buffer.
-/// Returns the conflict edges.
+/// its own `&mut` slice of the rows and a pooled arena's mask buffer and
+/// column scratch ([`BucketColumns`]). Returns the conflict edges.
 fn fill_masks(
     engine: &CandidateEngine<'_>,
     packed: &PackedBuckets,
@@ -846,26 +964,34 @@ fn fill_masks(
         .zip(cuts)
         .par_bridge()
         .for_each(|(rows, cut)| {
+            let mut arena = pool.take();
+            let TaskArena {
+                masks,
+                colors,
+                columns,
+                ..
+            } = &mut arena;
             let mut sink = MaskSink {
                 rows,
                 first: layout.row_word(offsets, cut.start),
                 offsets,
                 layout,
+                lists: engine.lists(),
+                columns,
                 edges: 0,
             };
-            let mut arena = pool.take();
             let mut cut_stats = MaskScanStats::default();
             engine.scan_rows_into(
                 cut.clone(),
                 packed,
-                &mut arena.masks,
-                &mut arena.colors,
+                masks,
+                colors,
                 &mut cut_stats,
                 &mut sink,
             );
+            edges.fetch_add(sink.edges, Ordering::Relaxed);
             pool.put(arena);
             stats.add(cut_stats);
-            edges.fetch_add(sink.edges, Ordering::Relaxed);
         });
     edges.into_inner()
 }
@@ -1938,14 +2064,25 @@ mod tests {
         // (what, m, P, L, bucketed, filter): the all-pairs
         // engine on both sides of `2L ≤ P`, the bucketed engine on Normal
         // lists, buckets (or identity rows) straddling 64 and 128 members,
-        // and both engines with palettes too wide for bitmasks, where the
-        // shared-color filter runs on the lists.
+        // buckets with `L` close to `√P`, where many pairs share two or
+        // more colors (so the mask fill's count ORs several lower-color
+        // columns per pivot), and both engines with palettes too wide for
+        // bitmasks, where the shared-color filter runs on the lists.
         for (what, m, palette, list, bucketed, filter) in [
             ("all-pairs 2L > P", 150, 8u32, 6u32, false, Skipped),
             ("all-pairs 2L <= P", 150, 64, 10, false, Bitmasks),
             ("bucketed", 160, 24, 4, true, Bitmasks),
             ("buckets near 64", 640, 60, 6, true, Bitmasks),
             ("buckets near 128", 1280, 60, 6, true, Bitmasks),
+            ("L near sqrt P, buckets near 64", 600, 64, 7, true, Bitmasks),
+            (
+                "L near sqrt P, buckets near 128",
+                1170,
+                64,
+                7,
+                true,
+                Bitmasks,
+            ),
             ("all-pairs list filter", 200, 8000, 100, false, Lists),
             ("bucketed list filter", 400, 2000, 4, true, Lists),
         ] {
@@ -1957,6 +2094,33 @@ mod tests {
             assert_eq!(rule, filter, "{what}");
             check_graph_forms(&oracle, &lists, what);
         }
+    }
+
+    #[test]
+    fn hit_mask_count_does_not_depend_on_where_the_cuts_fall() {
+        // Five colors of ~256 members each: the rayon build's `4 × threads`
+        // pair-balanced cuts start inside buckets whose members hold lower
+        // colors too, so a cut's mask fill builds the lower-color columns
+        // of a bucket it scans only part of. Its `|Ec|` and rows must be
+        // the sequential build's (`check_graph_forms`).
+        use crate::candidates::{BucketSource, CandidateEngine};
+        use crate::oracle::PauliComplementOracle;
+        let (m, palette, list) = (640, 5, 2);
+        let set = pauli_set(m, 13);
+        let oracle = PauliComplementOracle::new(&set);
+        let lists = ColorLists::assign(m, 0, palette, list, 3, 1);
+        assert!(CandidateEngine::prefers_buckets(&lists));
+        let index = lists.bucket_index();
+        let cuts = block_cuts(&BucketSource::new(&lists, &index).row_weights());
+        let mid_bucket = cuts.iter().any(|cut| {
+            let k = index.row_bucket(cut.start);
+            k > 0 && index.bucket_start(k) < cut.start && cut.start < index.num_rows()
+        });
+        assert!(
+            mid_bucket,
+            "no cut starts inside a bucket above the first: {cuts:?}"
+        );
+        check_graph_forms(&oracle, &lists, "cuts inside buckets");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::assign::{BucketIndex, BucketLoad, ColorLists};
 use crate::candidates::CandidateEngine;
 use crate::config::ListColoringScheme;
-use crate::conflict::{HitMasks, MaskGraph};
+use crate::conflict::{BucketColumns, HitMasks, MaskGraph};
 use crate::listcolor::{ColorScratch, SchemeKind};
 use crate::packed::{PackedBuckets, SharedColorFilter};
 use device::FaultPlan;
@@ -62,6 +62,9 @@ pub struct TaskArena {
     pub colors: Vec<u64>,
     /// Index-remapping arena for [`crate::LiveView`]'s batched path.
     pub mapped: Vec<usize>,
+    /// One bucket's lower-color member sets: the bucketed hit-mask
+    /// fill's `|Ec|` count.
+    pub columns: BucketColumns,
 }
 
 /// A pool of [`TaskArena`]s shared by the cuts of every engine-driven
@@ -100,6 +103,17 @@ impl ScratchPool {
     /// an arena at once, and constant once it reaches the thread count.
     pub fn arenas_created(&self) -> usize {
         self.created.load(Ordering::Relaxed)
+    }
+
+    /// Capacity of the column scratch ([`TaskArena::columns`], in words
+    /// of either type) summed over the resting arenas — introspection
+    /// hook for the allocation-reuse tests.
+    pub fn column_capacity(&self) -> usize {
+        let arenas = self
+            .arenas
+            .lock()
+            .expect("a thread panicked holding the arena pool lock");
+        arenas.iter().map(|arena| arena.columns.capacity()).sum()
     }
 
     /// Arenas currently resting in the pool.

@@ -78,6 +78,9 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .gauge("solver_max_replica_bytes")
         .set_max(result.max_replica_bytes());
+    registry
+        .gauge("solver_max_mask_bytes")
+        .set_max(result.max_mask_bytes());
     if let Some(dev) = &result.device_stats {
         registry
             .gauge("device_reserved_peak_bytes")
@@ -157,6 +160,10 @@ mod tests {
             result.max_replica_bytes()
         );
         assert!(result.max_replica_bytes() > 0, "the solve packed");
+        assert_eq!(
+            registry.gauge("solver_max_mask_bytes").get(),
+            result.max_mask_bytes()
+        );
 
         // A second solve accumulates monotonically.
         record_result(&registry, &result);

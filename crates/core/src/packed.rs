@@ -47,11 +47,17 @@
 //! the replica as `m²/8` bits; under the rule the replica is at most its
 //! key lanes twice over plus the query rows, `O(m·L·w)` words. The rule
 //! reads only the lists and the oracle's packed form, so every backend
-//! makes the same choice. The bitmask form is kept where it fits because
-//! it is the faster one at small palettes: forcing the list form on
-//! picbench's `dense_pauli` (`P = 1000`, 16 ≤ 16) and `service_mix`
-//! (`P = 128`, 2 ≤ 14) made their solves 6–8% and 27% slower (median of
-//! 5 alternating pairs each, 2 vCPUs).
+//! makes the same choice. The bitmask form is kept where it fits, though
+//! it no longer wins everywhere. Most of what it once saved was the
+//! bucketed hit-mask fill's per-hit dedup, which only counted `|Ec|` and
+//! now counts it from member sets without any shared-color test
+//! (`crate::conflict`). Forcing the list form on picbench's
+//! `dense_pauli` (`P = 1000`, 16 ≤ 16) now makes its `Sequential`
+//! solves 13% faster and its peak 22% smaller (3 alternating pairs of
+//! 6 s runs, 2 vCPUs). On `service_mix` (`P = 128`, 2 ≤ 14) it makes the
+//! `Sequential` solves 12% faster but the `Parallel` ones 9% slower (5
+//! of 6 pairs), and the service's requests per second lower in 4 of 6
+//! pairs, so the arm stays until that is understood.
 //!
 //! **All-pairs is one bucket.** When the candidate engine falls back to
 //! the all-pairs scan, the replica takes the *identity layout*: a single

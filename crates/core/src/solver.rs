@@ -292,6 +292,17 @@ impl PicassoResult {
             .unwrap_or(0)
     }
 
+    /// Largest hit-mask form across iterations, in bytes (see
+    /// [`IterationStats::mask_bytes`]); zero when the graph-form rule
+    /// never ran.
+    pub fn max_mask_bytes(&self) -> u64 {
+        self.iterations
+            .iter()
+            .map(|s| s.mask_bytes)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// `C / |V| · 100` — the paper's *Color percentage* (shrinkage of
     /// Pauli strings into unitaries).
     pub fn color_percentage(&self) -> f64 {

@@ -733,12 +733,12 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |replica \
-             |dedup |hit% |skipw |colms |Vc |Ec |uncolored |bitset |graph"
+             |dedup |hit% |skipw |colms |Vc |Ec |masks |uncolored |bitset |graph"
         );
         for s in &result.iterations {
             eprintln!(
                 "{:>4} {:>6} {:>7} {:>3} {:>5} {:>10} {:>10} {:>6} {:>5.1} {:>7.1} {:>5} \
-                 {:>5.1} {:>6} {:>6.2} {:>6} {:>8} {:>6} {:>7} {:>6}",
+                 {:>5.1} {:>6} {:>6.2} {:>6} {:>8} {:>7.1} {:>6} {:>7} {:>6}",
                 s.iteration,
                 s.live_vertices,
                 s.palette_size,
@@ -759,6 +759,7 @@ fn main() {
                 1e3 * s.color_secs,
                 s.conflict_vertices,
                 s.conflict_edges,
+                s.mask_bytes as f64 / 1024.0,
                 s.uncolored_after,
                 if s.color_bitset { "y" } else { "n" },
                 if s.conflict_masks { "masks" } else { "csr" }

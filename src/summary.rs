@@ -42,6 +42,9 @@ pub struct SolveSummary {
     pub replica_color_mask_iterations: u64,
     /// Largest packed replica of any iteration, in bytes.
     pub max_replica_bytes: u64,
+    /// Largest hit-mask form of any iteration, in bytes (the graph-form
+    /// rule's comparison value, recorded whether or not it kept masks).
+    pub max_mask_bytes: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -66,6 +69,7 @@ impl SolveSummary {
             conflict_mask_iterations: counter("solver_conflict_mask_iterations_total"),
             replica_color_mask_iterations: counter("solver_replica_color_mask_iterations_total"),
             max_replica_bytes: registry.gauge("solver_max_replica_bytes").get(),
+            max_mask_bytes: registry.gauge("solver_max_mask_bytes").get(),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -90,12 +94,14 @@ impl SolveSummary {
     }
 
     /// The `--stats` Line-7 footer line: packing, the replica's palette
-    /// filter and the graph form.
+    /// filter and the graph form, with the largest replica and hit-mask
+    /// form.
     pub fn packing_footer(&self) -> String {
         format!(
             "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
              {} mask words skipped whole), palette bitmasks in {} of {} replicas \
-             (largest {:.1} KiB), hit-mask graphs in {} of {} iterations",
+             (largest {:.1} KiB), hit-mask graphs in {} of {} iterations \
+             (largest masks {:.1} KiB)",
             self.pack_builds,
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
@@ -104,7 +110,8 @@ impl SolveSummary {
             self.pack_builds,
             self.max_replica_bytes as f64 / 1024.0,
             self.conflict_mask_iterations,
-            self.iterations
+            self.iterations,
+            self.max_mask_bytes as f64 / 1024.0
         )
     }
 
@@ -149,6 +156,7 @@ impl SolveSummary {
             ("total_skipped_words", Value::from(self.skipped_words)),
             ("hit_density", Value::from(self.hit_density())),
             ("max_replica_bytes", Value::from(self.max_replica_bytes)),
+            ("max_mask_bytes", Value::from(self.max_mask_bytes)),
             ("color_secs", Value::from(self.color_secs)),
             (
                 "safety_valve_vertices",
@@ -211,10 +219,12 @@ mod tests {
             result.pack_builds
         )));
         assert!(packing.ends_with(&format!(
-            "hit-mask graphs in {} of {} iterations",
+            "hit-mask graphs in {} of {} iterations (largest masks {:.1} KiB)",
             result.conflict_mask_iterations(),
-            result.iterations.len()
+            result.iterations.len(),
+            result.max_mask_bytes() as f64 / 1024.0
         )));
+        assert!(result.max_mask_bytes() > 0, "the greedy solve ran the rule");
         let coloring = s.coloring_footer("greedy");
         assert!(coloring.starts_with("coloring [greedy]:"));
         assert!(coloring.contains(&format!(
@@ -242,6 +252,7 @@ mod tests {
         assert_eq!(doc["pack_builds"], result.pack_builds as u64);
         assert!(doc["hit_density"].as_f64().is_some());
         assert_eq!(doc["max_replica_bytes"], result.max_replica_bytes());
+        assert_eq!(doc["max_mask_bytes"], result.max_mask_bytes());
         assert_eq!(
             doc["safety_valve_vertices"],
             result.safety_valve_vertices as u64

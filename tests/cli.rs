@@ -132,6 +132,61 @@ fn stats_table_surfaces_packed_lane_columns() {
 }
 
 #[test]
+fn stats_table_surfaces_the_mask_bytes_column() {
+    // The same 700 packing strings: every packed iteration of the
+    // default greedy runs the graph-form rule, so each prints the bytes
+    // of its hit-mask form (`masks`, KiB, just after `Ec`), the footer
+    // the largest, and the JSON roll-up `max_mask_bytes`.
+    let strings: String = (0..700usize)
+        .map(|i| {
+            let ops = [b'I', b'X', b'Y', b'Z'];
+            let mut s: Vec<u8> = (0..8).map(|q| ops[(i >> (2 * q)) & 3]).collect();
+            s.push(b'\n');
+            String::from_utf8(s).unwrap()
+        })
+        .collect();
+    let path = write_input("cli_stats_masks.txt", &strings);
+    let out = Command::new(CLI)
+        .arg(&path)
+        .args(["--json", "--stats"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("|Ec |masks |uncolored"),
+        "masks column in:\n{stderr}"
+    );
+    let doc: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
+    let max_mask_bytes = doc["max_mask_bytes"].as_u64().unwrap();
+    assert!(max_mask_bytes > 0, "the rule ran");
+    let largest = format!("{:.1}", max_mask_bytes as f64 / 1024.0);
+    let mut printed = Vec::new();
+    for row in stderr
+        .lines()
+        .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+    {
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        let kib: f64 = cols[16].parse().expect("masks column is KiB");
+        // The first iteration packs all 700 vertices and runs the rule.
+        if cols[0] == "1" {
+            assert!(cols[7] == "y" && kib > 0.0, "masks column in row: {row}");
+        }
+        printed.push(cols[16].to_string());
+    }
+    assert!(
+        printed.contains(&largest),
+        "{largest} KiB among {printed:?}"
+    );
+    let footer = format!("(largest masks {largest} KiB)");
+    assert!(stderr.contains(&footer), "{footer} in:\n{stderr}");
+}
+
+#[test]
 fn coloring_flag_selects_scheme_and_surfaces_telemetry() {
     // Enough distinct strings that every iteration actually has a
     // conflict graph to color (base-4 digits of the counter, 8 qubits).

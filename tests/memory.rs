@@ -384,6 +384,69 @@ fn warm_sequential_list_filtered_build_allocates_nothing() {
     );
 }
 
+#[test]
+fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // The dense bucketed shape the solver keeps as hit masks: Normal
+    // lists over random Pauli strings, where the CSR path outweighs the
+    // masks. The mask fill counts `|Ec|` from each bucket's lower-color
+    // member sets, built in the pooled task arena; once warm, neither
+    // that scratch nor the mask arena grows, and the build allocates
+    // nothing.
+    use picasso::conflict::{build_host, HostGraph};
+    use picasso::{IterationContext, PauliComplementOracle};
+    use rand::SeedableRng;
+    let n = 800;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let strings = pauli::string::random_unique_set(n, 12, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let oracle = PauliComplementOracle::new(&set);
+    let cfg = PicassoConfig::normal(1);
+    let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
+    let mut ctx = IterationContext::new();
+    for iter in 1..=3u64 {
+        ctx.assign_lists(n, 0, p, l, 1, iter);
+        build_host(&oracle, &mut ctx, false, true);
+    }
+    // The measured build repeats the last warm-up's lists.
+    ctx.assign_lists(n, 0, p, l, 1, 3);
+    assert!(
+        ctx.prefers_buckets(),
+        "Normal lists select the bucketed engine"
+    );
+    let masks_warm = ctx.lists_and_scratch().1.hit_masks.capacity();
+    let columns_warm = ctx.scratch_pool().column_capacity();
+    let before = memtrack::thread_allocations();
+    let built = build_host(&oracle, &mut ctx, false, true);
+    let after = memtrack::thread_allocations();
+    assert!(
+        matches!(built.graph, HostGraph::Masks),
+        "the rule keeps masks"
+    );
+    assert!(built.num_edges > 0);
+    assert_eq!(
+        built.packed_lanes, built.candidate_pairs,
+        "the packed scan ran"
+    );
+    assert!(masks_warm > 0, "mask arena warmed");
+    assert_eq!(
+        ctx.lists_and_scratch().1.hit_masks.capacity(),
+        masks_warm,
+        "mask arena grew"
+    );
+    assert!(columns_warm > 0, "column scratch warmed");
+    assert_eq!(
+        ctx.scratch_pool().column_capacity(),
+        columns_warm,
+        "column scratch grew"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state bucketed hit-mask build must allocate nothing"
+    );
+}
+
 /// One Line 8-9 round out of `ctx`: assigns `(p, l)` lists over the
 /// oracle's `n` vertices for `iter`, builds the conflict graph, colors it
 /// with Algorithm 2 from the context's `ColorScratch` into the reused
