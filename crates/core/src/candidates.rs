@@ -12,10 +12,10 @@
 //! is emitted only from the bucket of its *smallest* shared color
 //! ([`ColorLists::first_common`]), so every candidate reaches the oracle
 //! exactly once. The packed scans run the same test on oracle hits only,
-//! in the form the replica picked ([`crate::packed::SharedColorFilter`]):
-//! against its palette bitmasks where it keeps them, against the sorted
-//! lists elsewhere. The one exception is the bucketed hit-mask fill of
-//! `crate::conflict`, which keeps every raw hit and only counts `|Ec|`:
+//! against the sorted lists, unless every two lists intersect
+//! ([`crate::packed::SharedColorFilter`]). The one exception is the
+//! bucketed hit-mask fill of `crate::conflict`, which keeps every raw
+//! hit and only counts `|Ec|`:
 //! it takes the test over per bucket (`HitSink::enter_bucket`) and
 //! counts with the bucket's lower-color member sets instead, so it pays
 //! no per-hit work. The emitted pair *set* is
@@ -103,9 +103,9 @@ pub trait PairSource: Sync {
     /// source's layout: the bucket index for the bucketed source, the
     /// identity layout (`None`) for all-pairs. `masks` is the caller's
     /// reusable mask staging; word/bit counters accumulate into `stats`.
-    /// Without the replica's palette bitmasks the shared-color filter
-    /// also needs a `⌈P/64⌉`-word color bitset, allocated per call here
-    /// (the conflict builders lend a pooled one instead).
+    /// The shared-color filter also needs a `⌈P/64⌉`-word color bitset,
+    /// allocated per call here (the conflict builders lend a pooled one
+    /// instead).
     ///
     /// Emits exactly `{(u, v) : scan_rows_scratch emits the pair ∧ the
     /// packed oracle has the edge}`, in the scalar scan's row order.
@@ -175,10 +175,10 @@ pub(crate) trait HitSink {
     ) -> bool;
 }
 
-/// The list arm of the packed scans' shared-color filter, used where the
-/// replica keeps no palette bitmasks: a `⌈P/64⌉`-word scratch bitset
-/// holds one pivot's colors while its hits are tested, and is all-zero
-/// between pivots.
+/// The packed scans' shared-color filter
+/// ([`SharedColorFilter::Lists`]): a `⌈P/64⌉`-word scratch bitset holds
+/// one pivot's colors while its hits are tested, and is all-zero between
+/// pivots.
 struct ColorBits<'a> {
     lists: &'a ColorLists,
     bits: &'a mut Vec<u64>,
@@ -324,12 +324,11 @@ impl PairSource for AllPairsSource<'_> {
 
 impl AllPairsSource<'_> {
     /// The packed all-pairs scan into any [`HitSink`], with `colors` as
-    /// the list arm's scratch; `false` when the sink ended it early. The
-    /// shared-color test follows the replica's [`SharedColorFilter`]: the
-    /// bitmask test ([`PackedBuckets::shares_color_below`] at the palette
-    /// size), or a pivot with hits sets its whole list in the scratch
-    /// bitset and a hit survives iff the member holds one of those
-    /// colors, or no test at all where every two lists intersect.
+    /// the shared-color filter's scratch; `false` when the sink ended it
+    /// early. The test follows the replica's [`SharedColorFilter`]: a
+    /// pivot with hits sets its whole list in the scratch bitset and a
+    /// hit survives iff the member holds one of those colors, or no test
+    /// at all where every two lists intersect.
     fn scan_rows_into(
         &self,
         rows: Range<usize>,
@@ -341,19 +340,13 @@ impl AllPairsSource<'_> {
     ) -> bool {
         let m = self.lists.len();
         debug_assert_eq!(packed.num_rows(), m);
-        let palette = self.lists.palette_size() as usize;
-        let filter = packed.shared_color_filter();
-        let mut bits =
-            (filter == SharedColorFilter::Lists).then(|| ColorBits::new(self.lists, colors));
+        let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
+        let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
         for i in rows {
             packed.tail_edge_mask(0, m, i, i, masks);
             let member = |t| i + 1 + t;
-            let go = match (filter, &mut bits) {
-                (SharedColorFilter::Bitmasks, _) => {
-                    let shared = |v| packed.shares_color_below(i, v, palette);
-                    sink.pivot(0, i, i, masks, stats, member, Some(shared))
-                }
-                (SharedColorFilter::Lists, Some(bits)) if any_hit(masks) => {
+            let go = match &mut bits {
+                Some(bits) if any_hit(masks) => {
                     let row = self.lists.row(i);
                     bits.toggle(row);
                     let go = sink.pivot(0, i, i, masks, stats, member, Some(|v| bits.holds_any(v)));
@@ -423,19 +416,18 @@ impl<'a> BucketSource<'a> {
     }
 
     /// The packed sub-bucket scan into any [`HitSink`], with `colors` as
-    /// the list arm's scratch; `false` when the sink ended it early.
+    /// the shared-color filter's scratch; `false` when the sink ended it
+    /// early.
     /// Packed-kernel twin of [`BucketSource::scan_positions`]: the oracle
     /// runs first (whole-tail mask kernel), the dedup filter second, only
     /// on hits — the emitted edge set is identical because both filters
     /// are pure and intersection is order-independent. Both vertices hold
     /// this bucket's color, so their smallest shared color is this one
-    /// exactly when they share nothing below it. Where the replica keeps
-    /// palette bitmasks that is [`PackedBuckets::shares_color_below`];
-    /// otherwise a pivot with hits and colors below the bucket's sets
-    /// those in the scratch bitset, and a hit survives iff the member
-    /// holds none of them (every other pivot emits all its hits). A sink
-    /// whose [`HitSink::enter_bucket`] takes the test over gets every hit
-    /// of that bucket unfiltered. Zero mask words are skipped without
+    /// exactly when they share nothing below it: a pivot with hits and
+    /// colors below the bucket's sets those in the scratch bitset, and a
+    /// hit survives iff the member holds none of them (every other pivot
+    /// emits all its hits). A sink whose [`HitSink::enter_bucket`] takes
+    /// the test over gets every hit of that bucket unfiltered. Zero mask words are skipped without
     /// touching the bucket at all; set bits are walked with
     /// `trailing_zeros`, so a near-empty tail costs one branch per 64
     /// candidates.
@@ -448,8 +440,8 @@ impl<'a> BucketSource<'a> {
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
-        let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
-        let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
+        debug_assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
+        let mut bits = ColorBits::new(self.lists, colors);
         walk_row_span(self.index, rows, |k, positions| {
             let bucket = self.index.bucket(k);
             let start = self.index.bucket_start(k);
@@ -461,22 +453,16 @@ impl<'a> BucketSource<'a> {
                 let tail = &bucket[a + 1..];
                 let member = |t| tail[t] as usize;
                 // Emit only from the smallest shared color's bucket.
-                let go = match &mut bits {
-                    _ if own_test => sink.pivot(k, a, u, masks, stats, member, EVERY_HIT),
-                    None => {
-                        let first = |v| !packed.shares_color_below(u, v, k);
-                        sink.pivot(k, a, u, masks, stats, member, Some(first))
-                    }
-                    Some(bits) if any_hit(masks) && self.lists.row(u)[0] < color => {
-                        let row = self.lists.row(u);
-                        let below = &row[..row.partition_point(|&c| c < color)];
-                        bits.toggle(below);
-                        let first = |v| !bits.holds_any(v);
-                        let go = sink.pivot(k, a, u, masks, stats, member, Some(first));
-                        bits.toggle(below);
-                        go
-                    }
-                    Some(_) => sink.pivot(k, a, u, masks, stats, member, EVERY_HIT),
+                let go = if !own_test && any_hit(masks) && self.lists.row(u)[0] < color {
+                    let row = self.lists.row(u);
+                    let below = &row[..row.partition_point(|&c| c < color)];
+                    bits.toggle(below);
+                    let first = |v| !bits.holds_any(v);
+                    let go = sink.pivot(k, a, u, masks, stats, member, Some(first));
+                    bits.toggle(below);
+                    go
+                } else {
+                    sink.pivot(k, a, u, masks, stats, member, EVERY_HIT)
                 };
                 if !go {
                     return false;
@@ -622,9 +608,8 @@ impl<'a> CandidateEngine<'a> {
 
     /// The packed row scan into any [`HitSink`], over the same rows and
     /// in the same order as [`PairSource::scan_rows_packed`], with
-    /// `colors` as the shared-color filter's scratch bitset where the
-    /// replica keeps no palette bitmasks; `false` when the sink ended it
-    /// early.
+    /// `colors` as the shared-color filter's scratch bitset; `false` when
+    /// the sink ended it early.
     pub(crate) fn scan_rows_into(
         &self,
         rows: Range<usize>,
@@ -883,9 +868,9 @@ mod tests {
         use graph::EdgeOracle;
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        // Single-word and multi-word packed forms, each with a palette
-        // that keeps bitmasks (P = 14) and one too wide for them (P =
-        // 1000: 16 words against L·w ≤ 6), which filters on the lists.
+        // Single-word and multi-word packed forms, each with a narrow
+        // palette (P = 14) and a wide one (P = 1000: a 16-word color
+        // bitset); both filter on the lists.
         for (qubits, palette, list) in [
             (6usize, 14u32, 4u32),
             (25, 14, 4),
@@ -900,8 +885,7 @@ mod tests {
             let source = BucketSource::new(&lists, &index);
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, Some(&index)));
-            let bitmasks = packed.shared_color_filter() == SharedColorFilter::Bitmasks;
-            assert_eq!(bitmasks, palette == 14, "P={palette}");
+            assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
 
             // Ground truth: scalar candidate scan filtered by the
             // scalar oracle.
@@ -956,10 +940,9 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         // P = 64, L = 10: all-pairs is still the cheaper engine, but
-        // 2L ≤ P, so some hits share no color and the filter rejects
+        // 2L ≤ P, so some hits share no color and the list filter rejects
         // them. Single-word and multi-word forms. P = 8000, L = 100 is
-        // all-pairs too, with a palette too wide for one-word bitmasks
-        // (125 words > L·w = 100), so it filters on the lists.
+        // all-pairs too, with a 125-word color bitset.
         for (qubits, palette, list) in [(8usize, 64u32, 10u32), (30, 64, 10), (8, 8000, 100)] {
             let strings = pauli::string::random_unique_set(150, qubits, &mut rng);
             let set = pauli::EncodedSet::from_strings(&strings);
@@ -969,8 +952,7 @@ mod tests {
             let source = AllPairsSource::new(&lists);
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, None));
-            let bitmasks = packed.shared_color_filter() == SharedColorFilter::Bitmasks;
-            assert_eq!(bitmasks, palette == 64, "P={palette}");
+            assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
 
             let mut truth = Vec::new();
             source.scan_rows_scratch(0..source.num_rows(), &mut Vec::new(), &mut |u, vs| {

@@ -107,16 +107,15 @@
 //! the choice is a pure function of the lists, so every backend makes
 //! the same one.
 //!
-//! The packed scans run that test on oracle hits only, in the form the
-//! replica picked ([`crate::packed::SharedColorFilter::choose`]): word
-//! ANDs against per-vertex palette bitmasks where a `⌈P/64⌉`-word bitmask
-//! is no bigger than the vertex's `L·w` key words, or else the sorted
-//! lists, through a pivot's color bitset in the cut's pooled
-//! [`TaskArena`]. The replica thus stays linear in `m·L` — at most
-//! `8·(2·m·L·w + m·w)` bytes — and so do the device's upload of it and
-//! [`crate::IterationStats::replica_bytes`]. `|Ec|` is exact in either
-//! form, and the sinks see the same `emit` predicate — except the
-//! bucketed hit-mask fill, which needs none (see "Graph form").
+//! The packed scans run that test on oracle hits only, against the
+//! sorted lists through a pivot's color bitset in the cut's pooled
+//! [`TaskArena`], and skip it where every two lists intersect
+//! ([`crate::packed::SharedColorFilter::choose`]). The replica holds
+//! nothing per palette color, so it is exactly its key lanes and query
+//! rows, `8·(N·L·w + m·w)` bytes, and so are the device's upload of it
+//! and [`crate::IterationStats::replica_bytes`]. `|Ec|` is exact, and the
+//! sinks see the same `emit` predicate — except the bucketed hit-mask
+//! fill, which needs none (see "Graph form").
 //!
 //! # The packed kernel, for either engine
 //!
@@ -612,9 +611,9 @@ fn mirror(masks: &mut HitMasks, layout: MaskLayout<'_>, cuts: &[Range<usize>]) {
 
 /// The CSR path's sink: pushes every emitted edge into one group arena.
 /// With a tally, the scan counts its edges and adds them to the build's
-/// shared count in batches of [`TALLY_BATCH`], and once more when it
-/// ends ([`GroupSink::flush`]); it stops once the count passes the
-/// limit.
+/// shared count whenever the tally's batch is pending, and once more
+/// when it ends ([`GroupSink::flush`]); the moment the count passes the
+/// limit, the sink pushes no more and ends the scan after the pivot.
 struct GroupSink<'a> {
     groups: &'a mut CooGroups,
     tally: Option<&'a EdgeTally>,
@@ -622,17 +621,30 @@ struct GroupSink<'a> {
     pending: u64,
 }
 
-/// The shared edge count of a host build's group pass, and the count
-/// past which the graph-form rule picks the masks.
+/// The shared edge count of a host build's group pass, the count past
+/// which the graph-form rule picks the masks, and the edges a cut counts
+/// before adding them to it: `max(1, limit / (8·cuts))`. The count
+/// accepts at most `limit` edges, and each cut stages at most one batch
+/// that it refuses, so a pass that stops has staged at most `9/8·limit`
+/// edges (`limit + cuts` when the limit is below `8·cuts`), all dropped.
+/// A pass that completes has at most `limit` edges, so its cuts add to
+/// the count at most `limit / batch + cuts` times: about `9·cuts`.
 struct EdgeTally {
     count: AtomicU64,
     limit: u64,
+    batch: u64,
 }
 
-/// Edges a scan counts before adding them to the shared tally: a
-/// sparse graph's cuts add once each at their ends, and a dense one's
-/// stage at most this many edges per cut past the rule's limit.
-const TALLY_BATCH: u64 = 4096;
+impl EdgeTally {
+    /// An empty tally against `limit`, for a pass over `cuts` cuts.
+    fn new(limit: u64, cuts: usize) -> EdgeTally {
+        EdgeTally {
+            count: AtomicU64::new(0),
+            limit,
+            batch: (limit / (8 * cuts.max(1) as u64)).max(1),
+        }
+    }
+}
 
 impl GroupSink<'_> {
     /// Adds the pending edges to the tally; whether the count is still
@@ -659,16 +671,17 @@ impl HitSink for GroupSink<'_> {
         member: impl Fn(usize) -> usize,
         emit: Option<impl Fn(usize) -> bool>,
     ) -> bool {
-        let mut edges = 0;
+        let batch = self.tally.map_or(u64::MAX, |tally| tally.batch);
+        let mut go = true;
         for_each_hit(mask, stats, |t| {
             let v = member(t);
-            if emit.as_ref().is_none_or(|emit| emit(v)) {
+            if go && emit.as_ref().is_none_or(|emit| emit(v)) {
                 self.groups.push(u as u32, v as u32);
-                edges += 1;
+                self.pending += 1;
+                go = self.pending < batch || self.flush();
             }
         });
-        self.pending += edges;
-        self.pending < TALLY_BATCH || self.flush()
+        go
     }
 }
 
@@ -1022,13 +1035,14 @@ pub(crate) enum GraphRule {
 /// inline on the caller, out of one pooled arena.
 ///
 /// Under [`GraphRule::Bytes`] the scan stages groups as the CSR path
-/// does and tallies the edges; the moment the tally makes the CSR path
-/// larger than the masks, the scan stops, the groups are dropped and
-/// every row is scanned again into the masks. The repeated work is
-/// bounded by the rule's edge limit (plus one [`TALLY_BATCH`] per cut),
-/// and the outcome depends only on the lists and `|Ec|`: every edge
-/// reaches the tally, every check sees a count at most the final one,
-/// and the last check sees it exactly, under any scheduling.
+/// does and tallies the edges, each cut in batches of `max(1, limit /
+/// (8·cuts))`; the moment the tally makes the CSR path larger than the
+/// masks, the scan stops, the groups are dropped and every row is
+/// scanned again into the masks. The edges staged and dropped are at
+/// most `9/8` of the rule's edge limit ([`EdgeTally`]), and the outcome
+/// depends only on the lists and `|Ec|`: every edge reaches the tally,
+/// every check sees a count at most the final one, and the last check
+/// sees it exactly, under any scheduling.
 pub(crate) fn build_host_with<O: EdgeOracle>(
     oracle: &O,
     ctx: &mut IterationContext,
@@ -1071,12 +1085,9 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     // a tally when the rule may still pick the masks.
     let group_pass = match (packed, rule) {
         (Some(_), GraphRule::Masks) => None,
-        (Some(_), GraphRule::Bytes) => csr_edge_limit(m, mask_bytes).map(|limit| {
-            Some(EdgeTally {
-                count: AtomicU64::new(0),
-                limit,
-            })
-        }),
+        (Some(_), GraphRule::Bytes) => {
+            csr_edge_limit(m, mask_bytes).map(|limit| Some(EdgeTally::new(limit, cuts.len())))
+        }
         _ => Some(None),
     };
     let scan_span = telemetry::SpanGuard::begin(
@@ -1237,9 +1248,8 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 /// 1. upload the input: the raw encoded strings + color lists
 ///    (`input_bytes_per_vertex · m`) on the scalar path, or — when the
 ///    iteration packed — the color lists plus the **packed replica**
-///    (key lanes, query rows and the palette bitmasks where
-///    [`crate::packed::SharedColorFilter::choose`] keeps them,
-///    [`PackedBuckets::device_bytes`]), charged *instead of* the raw set,
+///    (key lanes and query rows, [`PackedBuckets::device_bytes`]),
+///    charged *instead of* the raw set,
 /// 2. reserve one edge-offset counter per pivot row, at most `m`
 ///    (4-byte, or 8-byte once `m² ≥ 2³²`),
 /// 3. upload the bucket index (`N·L + P + 1` u32 values) when the
@@ -1596,9 +1606,8 @@ mod tests {
         // The device uploads exactly the lists, the whole packed replica
         // and the bucketed engine's index, never the raw set — at 12
         // qubits (one word per row) `(key rows + m query rows) · 8 B`,
-        // plus `m` one-word palette bitmasks on the bucketed lists (the
-        // all-pairs ones have `2L > P`, so no scan would read them), next
-        // to the `m·L·4 B` lists.
+        // next to the `m·L·4 B` lists. The bucketed scans filter on the
+        // lists; the all-pairs ones have `2L > P` and run no test.
         use crate::oracle::PauliComplementOracle;
         use crate::packed::{PackedBuckets, SharedColorFilter};
         use rand::SeedableRng;
@@ -1618,10 +1627,13 @@ mod tests {
             let list_bytes = m * list * 4;
             let mut packed = PackedBuckets::new();
             assert!(packed.pack_from(&oracle, &lists, index.as_ref()));
-            let (key_rows, bitmasks) = if bucketed { (m * list, m) } else { (m, 0) };
-            let filter = packed.shared_color_filter();
-            assert_eq!(filter == SharedColorFilter::Bitmasks, bucketed, "{what}");
-            assert_eq!(packed.device_bytes(), (key_rows + m + bitmasks) * 8);
+            let (key_rows, filter) = if bucketed {
+                (m * list, SharedColorFilter::Lists)
+            } else {
+                (m, SharedColorFilter::Skipped)
+            };
+            assert_eq!(packed.shared_color_filter(), filter, "{what}");
+            assert_eq!(packed.device_bytes(), (key_rows + m) * 8);
             let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
             let dev = DeviceSim::new(8 << 20);
             let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
@@ -1836,12 +1848,10 @@ mod tests {
         // `(m, packed, bucketed lists, tight capacity, runs)`; a run is
         // `(peak, h2d, d2h, launches, Ok(csr_on_device) | Err((requested,
         // available)))`. A change here moves the single-device
-        // `DeviceStats`, OOM payloads or fault-op numbering. The packed
-        // all-pairs rows (P = 8, L = 6, so `2L > P`) upload no palette
-        // bitmasks: no scan reads them (`SharedColorFilter::Skipped`).
-        // Their tight capacities are that smaller footprint, so the tight
-        // runs still end in the counter OOM (m = 1) and the host-CSR
-        // fallback (m ≥ 2).
+        // `DeviceStats`, OOM payloads or fault-op numbering. A packed
+        // row's replica is its key lanes and query rows only, so the
+        // tight runs still end in the counter OOM (m = 1) and the
+        // host-CSR fallback (m ≥ 2).
         use crate::oracle::PauliComplementOracle;
         use rand::SeedableRng;
         #[rustfmt::skip]
@@ -1850,19 +1860,19 @@ mod tests {
             (0, true, false, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
             (0, false, true, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
             (0, false, false, 0, [(0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true)), (0, 0, 0, 0, Ok(true))]),
-            (1, true, true, 36, [(40, 36, 0, 0, Ok(true)), (36, 36, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((36, 9)))]),
+            (1, true, true, 28, [(32, 28, 0, 0, Ok(true)), (28, 28, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((28, 7)))]),
             (1, true, false, 40, [(44, 40, 0, 0, Ok(true)), (40, 40, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((40, 10)))]),
             (1, false, true, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
             (1, false, false, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
-            (2, true, true, 236, [(236, 228, 0, 0, Ok(true)), (236, 228, 0, 0, Ok(true)), (0, 0, 0, 0, Err((104, 59)))]),
+            (2, true, true, 220, [(220, 212, 0, 0, Ok(true)), (220, 212, 0, 0, Ok(true)), (0, 0, 0, 0, Err((88, 55)))]),
             (2, true, false, 96, [(104, 80, 8, 1, Ok(true)), (96, 80, 8, 1, Ok(false)), (0, 0, 0, 0, Err((80, 24)))]),
             (2, false, true, 164, [(164, 156, 0, 0, Ok(true)), (164, 156, 0, 0, Ok(true)), (40, 32, 0, 0, Err((124, 1)))]),
             (2, false, false, 48, [(56, 32, 8, 1, Ok(true)), (48, 32, 8, 1, Ok(false)), (0, 0, 0, 0, Err((32, 12)))]),
-            (50, true, true, 7212, [(8748, 3300, 1536, 1, Ok(true)), (7212, 3300, 1536, 1, Ok(false)), (0, 0, 0, 0, Err((2600, 1803)))]),
+            (50, true, true, 6812, [(8348, 2900, 1536, 1, Ok(true)), (6812, 2900, 1536, 1, Ok(false)), (0, 0, 0, 0, Err((2200, 1703)))]),
             (50, true, false, 12000, [(16648, 2000, 4648, 1, Ok(true)), (12000, 2000, 4648, 1, Ok(false)), (3000, 2000, 0, 1, Err((4648, 800)))]),
             (50, false, true, 5412, [(6948, 1500, 1536, 1, Ok(true)), (5412, 1500, 1536, 1, Ok(false)), (1000, 800, 0, 0, Err((700, 353)))]),
             (50, false, false, 10800, [(15448, 800, 4648, 1, Ok(true)), (10800, 800, 4648, 1, Ok(false)), (2700, 800, 0, 1, Err((4648, 1700)))]),
-            (120, true, true, 29316, [(39180, 7780, 9864, 1, Ok(true)), (29316, 7780, 9864, 1, Ok(false)), (6720, 6240, 0, 0, Err((1540, 609)))]),
+            (120, true, true, 28356, [(38220, 6820, 9864, 1, Ok(true)), (28356, 6820, 9864, 1, Ok(false)), (5760, 5280, 0, 0, Err((1540, 1329)))]),
             (120, true, false, 62400, [(91160, 4800, 28760, 1, Ok(true)), (62400, 4800, 28760, 1, Ok(false)), (15600, 4800, 0, 1, Err((28760, 10320)))]),
             (120, false, true, 24996, [(34860, 3460, 9864, 1, Ok(true)), (24996, 3460, 9864, 1, Ok(false)), (6248, 3460, 0, 1, Err((9864, 2308)))]),
             (120, false, false, 59520, [(88280, 1920, 28760, 1, Ok(true)), (59520, 1920, 28760, 1, Ok(false)), (14880, 1920, 0, 1, Err((28760, 12480)))]),
@@ -2060,37 +2070,30 @@ mod tests {
     fn hit_mask_and_csr_forms_are_one_graph() {
         use crate::candidates::CandidateEngine;
         use crate::oracle::PauliComplementOracle;
-        use crate::packed::SharedColorFilter::{self, Bitmasks, Lists, Skipped};
+        use crate::packed::SharedColorFilter::{self, Lists, Skipped};
         // (what, m, P, L, bucketed, filter): the all-pairs
         // engine on both sides of `2L ≤ P`, the bucketed engine on Normal
         // lists, buckets (or identity rows) straddling 64 and 128 members,
         // buckets with `L` close to `√P`, where many pairs share two or
         // more colors (so the mask fill's count ORs several lower-color
-        // columns per pivot), and both engines with palettes too wide for
-        // bitmasks, where the shared-color filter runs on the lists.
+        // columns per pivot), and both engines with wide palettes, whose
+        // color bitsets span many words.
         for (what, m, palette, list, bucketed, filter) in [
             ("all-pairs 2L > P", 150, 8u32, 6u32, false, Skipped),
-            ("all-pairs 2L <= P", 150, 64, 10, false, Bitmasks),
-            ("bucketed", 160, 24, 4, true, Bitmasks),
-            ("buckets near 64", 640, 60, 6, true, Bitmasks),
-            ("buckets near 128", 1280, 60, 6, true, Bitmasks),
-            ("L near sqrt P, buckets near 64", 600, 64, 7, true, Bitmasks),
-            (
-                "L near sqrt P, buckets near 128",
-                1170,
-                64,
-                7,
-                true,
-                Bitmasks,
-            ),
-            ("all-pairs list filter", 200, 8000, 100, false, Lists),
-            ("bucketed list filter", 400, 2000, 4, true, Lists),
+            ("all-pairs 2L <= P", 150, 64, 10, false, Lists),
+            ("bucketed", 160, 24, 4, true, Lists),
+            ("buckets near 64", 640, 60, 6, true, Lists),
+            ("buckets near 128", 1280, 60, 6, true, Lists),
+            ("L near sqrt P, buckets near 64", 600, 64, 7, true, Lists),
+            ("L near sqrt P, buckets near 128", 1170, 64, 7, true, Lists),
+            ("all-pairs wide palette", 200, 8000, 100, false, Lists),
+            ("bucketed wide palette", 400, 2000, 4, true, Lists),
         ] {
             let set = pauli_set(m, m as u64);
             let oracle = PauliComplementOracle::new(&set);
             let lists = ColorLists::assign(m, 3, palette, list, 7, 1);
             assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{what}");
-            let rule = SharedColorFilter::choose(palette, list as usize, 1, bucketed);
+            let rule = SharedColorFilter::choose(palette, list as usize, bucketed);
             assert_eq!(rule, filter, "{what}");
             check_graph_forms(&oracle, &lists, what);
         }
@@ -2126,8 +2129,8 @@ mod tests {
     #[test]
     fn hit_mask_and_csr_forms_agree_on_sampled_instances() {
         // Seeds from 24 on draw palettes up to 5,000 colors with lists of
-        // at most `⌈P/64⌉` colors, so most of them filter shared colors
-        // on the lists instead of palette bitmasks (12 qubits: `w` = 1).
+        // at most `⌈P/64⌉` colors, so their color bitsets span many
+        // words (12 qubits: `w` = 1).
         use crate::candidates::CandidateEngine;
         use crate::oracle::PauliComplementOracle;
         use crate::packed::SharedColorFilter;
@@ -2147,7 +2150,7 @@ mod tests {
             let oracle = PauliComplementOracle::new(&set);
             let lists = ColorLists::assign(m, seed as u32, palette, list, seed, 2);
             let bucketed = CandidateEngine::prefers_buckets(&lists);
-            let filter = SharedColorFilter::choose(palette, list as usize, 1, bucketed);
+            let filter = SharedColorFilter::choose(palette, list as usize, bucketed);
             list_filtered += usize::from(filter == SharedColorFilter::Lists);
             check_graph_forms(
                 &oracle,
@@ -2159,6 +2162,51 @@ mod tests {
             list_filtered > 0,
             "no sampled instance filtered on the lists"
         );
+    }
+
+    #[test]
+    fn the_group_pass_stages_at_most_twice_its_edge_limit() {
+        // The service shape's first iteration (P = 128, L = 7) over 1024
+        // 12-qubit strings: `|Ec|` is several times the rule's edge limit,
+        // so the group pass stops and its groups are dropped. Scanned in
+        // eight pair-balanced cuts, each of which would hold fewer edges
+        // than a fixed 4096-edge batch, it may stage only the edges the
+        // tally accepted (at most the limit) plus one refused batch per
+        // cut, an eighth of the limit in all.
+        use crate::oracle::PauliComplementOracle;
+        let m = 1024;
+        let set = pauli_set(m, 11);
+        let oracle = PauliComplementOracle::new(&set);
+        let lists = ColorLists::assign(m, 0, 128, 7, 11, 1);
+        let num_edges = build_sequential(&oracle, &mut ctx_for(&lists)).num_edges as u64;
+        let mut ctx = ctx_for(&lists);
+        let (engine, packed, scratch) = ctx.engine_packed_scratch(&oracle);
+        let packed = packed.expect("a Pauli oracle packs");
+        let layout = MaskLayout {
+            index: engine.index(),
+            m,
+        };
+        let limit = csr_edge_limit(m, layout.bytes()).expect("an edgeless CSR fits");
+        assert!(num_edges > 4 * limit, "|Ec| = {num_edges}, limit {limit}");
+        let cuts = device::balanced_weight_cuts(&engine.row_weights(), 8);
+        assert_eq!(cuts.len(), 8);
+        let tally = EdgeTally::new(limit, cuts.len());
+        let IterationScratch { blocks, pool, .. } = scratch;
+        let stats = SharedScanStats::default();
+        let complete = scan_cuts(
+            &oracle,
+            &engine,
+            Some(packed),
+            pool,
+            &cuts,
+            blocks,
+            &stats,
+            Some(&tally),
+        );
+        assert!(!complete, "the pass must stop past the limit");
+        let staged = blocks_edges(blocks) as u64;
+        assert!(staged > limit, "staged {staged}, limit {limit}");
+        assert!(8 * staged <= 9 * limit, "staged {staged}, limit {limit}");
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct TaskArena {
     /// ([`crate::PackedBuckets::tail_edge_mask`]).
     pub masks: Vec<u64>,
     /// One pivot's colors as a `⌈P/64⌉`-word palette bitset: the packed
-    /// scans' shared-color filter where the replica keeps no palette
-    /// bitmasks ([`crate::packed::SharedColorFilter::Lists`]).
+    /// scans' shared-color filter
+    /// ([`crate::packed::SharedColorFilter::Lists`]).
     pub colors: Vec<u64>,
     /// Index-remapping arena for [`crate::LiveView`]'s batched path.
     pub mapped: Vec<usize>,
@@ -582,9 +582,8 @@ impl IterationContext {
     }
 
     /// Host bytes of this iteration's packed replica
-    /// ([`PackedBuckets::device_bytes`]: key lanes, query rows and the
-    /// palette bitmasks where [`SharedColorFilter::choose`] keeps them)
-    /// when a build packed it, else 0.
+    /// ([`PackedBuckets::device_bytes`]: key lanes and query rows) when a
+    /// build packed it, else 0.
     pub fn replica_bytes(&self) -> usize {
         self.packed_replica().map_or(0, PackedBuckets::device_bytes)
     }

@@ -36,6 +36,7 @@
 //! favoured the dynamic scheme.
 
 use crate::assign::ColorLists;
+use crate::packed::palette_words;
 use coloring::OrderingHeuristic;
 use graph::CsrGraph;
 use rand::rngs::StdRng;
@@ -165,11 +166,6 @@ pub fn greedy_scratch_bytes(
         0
     };
     (m * (live + 12) + holders) as u64
-}
-
-/// `W = ⌈P/64⌉`, the words in one palette bitset row.
-fn palette_words(palette_size: u32) -> usize {
-    (palette_size as usize).div_ceil(64)
 }
 
 /// One storage form of the greedy's live lists. [`SizeBuckets`] tracks

@@ -53,9 +53,6 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .counter("solver_conflict_mask_iterations_total")
         .add(result.conflict_mask_iterations() as u64);
-    registry
-        .counter("solver_replica_color_mask_iterations_total")
-        .add(result.replica_color_mask_iterations() as u64);
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");
@@ -144,12 +141,6 @@ mod tests {
                 .counter("solver_conflict_mask_iterations_total")
                 .get(),
             result.conflict_mask_iterations() as u64
-        );
-        assert_eq!(
-            registry
-                .counter("solver_replica_color_mask_iterations_total")
-                .get(),
-            result.replica_color_mask_iterations() as u64
         );
         assert_eq!(
             registry.gauge("solver_max_conflict_edges").get(),

@@ -31,33 +31,18 @@
 //! only on surviving bits, so its cost is paid on hits instead of on
 //! every candidate.
 //!
-//! **The palette filter stays linear in `m·L`.** The dedup test runs in
-//! one of three forms, which the replica picks once per pack
-//! ([`SharedColorFilter::choose`]) and every scan of it reads back
-//! ([`PackedBuckets::shared_color_filter`]). A per-vertex palette
-//! bitmask of `⌈P/64⌉` words is built only where it is no bigger than
-//! the `L·w` key words of the vertex it filters, `⌈P/64⌉ ≤ L·w`; a hit
-//! then costs a couple of word ANDs ([`PackedBuckets::shares_color_below`]).
-//! Elsewhere the scans test against the sorted lists: a pivot with hits
-//! and colors below the bucket's sets those colors in a `⌈P/64⌉`-word
-//! scratch bitset of its task arena, and a hit survives iff none of the
-//! member's `L` colors is set. On the identity layout with `2L > P`
-//! every two lists intersect, so no test runs and no bitmask is built.
-//! `Normal` lists grow `P` as `m/8`, so a bitmask per vertex would grow
-//! the replica as `m²/8` bits; under the rule the replica is at most its
-//! key lanes twice over plus the query rows, `O(m·L·w)` words. The rule
-//! reads only the lists and the oracle's packed form, so every backend
-//! makes the same choice. The bitmask form is kept where it fits, though
-//! it no longer wins everywhere. Most of what it once saved was the
-//! bucketed hit-mask fill's per-hit dedup, which only counted `|Ec|` and
-//! now counts it from member sets without any shared-color test
-//! (`crate::conflict`). Forcing the list form on picbench's
-//! `dense_pauli` (`P = 1000`, 16 ≤ 16) now makes its `Sequential`
-//! solves 13% faster and its peak 22% smaller (3 alternating pairs of
-//! 6 s runs, 2 vCPUs). On `service_mix` (`P = 128`, 2 ≤ 14) it makes the
-//! `Sequential` solves 12% faster but the `Parallel` ones 9% slower (5
-//! of 6 pairs), and the service's requests per second lower in 4 of 6
-//! pairs, so the arm stays until that is understood.
+//! **The palette filter stays linear in `m·L`.** The replica holds key
+//! lanes and query rows only. The dedup test runs in one of two forms,
+//! which the replica picks once per pack ([`SharedColorFilter::choose`])
+//! and every scan of it reads back ([`PackedBuckets::shared_color_filter`]).
+//! The scans test against the sorted lists: a pivot with hits and colors
+//! below the bucket's sets those colors in a `⌈P/64⌉`-word scratch bitset
+//! of its task arena, and a hit survives iff none of the member's `L`
+//! colors is set. On the identity layout with `2L > P` every two lists
+//! intersect, so no test runs. The rule reads only the lists and the
+//! layout, so every backend makes the same choice. `Normal` lists grow
+//! `P` as `m/8`, so a palette bitmask per vertex would grow the replica
+//! as `m²/8` bits; the scratch bitset costs `⌈P/64⌉` words per task.
 //!
 //! **All-pairs is one bucket.** When the candidate engine falls back to
 //! the all-pairs scan, the replica takes the *identity layout*: a single
@@ -112,15 +97,6 @@ pub struct PackedBuckets {
     query: Vec<u64>,
     /// How the scans of this replica run the shared-color test.
     filter: SharedColorFilter,
-    /// `u64` words per per-vertex palette bitmask; zero unless the
-    /// filter is [`SharedColorFilter::Bitmasks`].
-    color_words: usize,
-    /// Per-vertex palette bitmask (bit `k` set ⟺ the vertex's list
-    /// holds palette color `k`), filled only for
-    /// [`SharedColorFilter::Bitmasks`].
-    /// Turns the smallest-shared-color deduplication test into a handful
-    /// of word ANDs ([`PackedBuckets::shares_color_below`]).
-    color_masks: Vec<u64>,
     /// Staging rows for the word-transposed scatter (multi-word forms),
     /// `w` words per scatter task.
     tmp: Vec<u64>,
@@ -185,25 +161,8 @@ impl PackedBuckets {
         for u in 0..m {
             oracle.write_query_words(u, &mut self.query[u * w..(u + 1) * w]);
         }
-        // Palette bitmasks, one bit per palette color per vertex, only
-        // where they are no bigger than the key lanes they filter.
-        let palette = lists.palette_size();
-        self.filter = SharedColorFilter::choose(palette, lists.list_size(), w, index.is_some());
-        let cw = if self.filter == SharedColorFilter::Bitmasks {
-            palette_words(palette)
-        } else {
-            0
-        };
-        let base = lists.palette_base();
-        self.color_words = cw;
-        self.color_masks.clear();
-        self.color_masks.resize(m * cw, 0);
-        for (v, mask) in self.color_masks.chunks_exact_mut(cw.max(1)).enumerate() {
-            for &c in lists.row(v) {
-                let k = (c - base) as usize;
-                mask[k / 64] |= 1u64 << (k % 64);
-            }
-        }
+        self.filter =
+            SharedColorFilter::choose(lists.palette_size(), lists.list_size(), index.is_some());
         self.keys.clear();
         self.keys.resize(self.num_rows * w, 0);
         self.scatter_keys(oracle, index, tasks);
@@ -264,16 +223,14 @@ impl PackedBuckets {
         self.num_rows
     }
 
-    /// Bytes the device replica of this packing holds: every key lane,
-    /// every query row, and the per-vertex palette bitmasks where
-    /// [`SharedColorFilter::choose`] keeps them, as `u64` words. This is what
-    /// Algorithm 3 uploads **instead of** the raw encoded set when the
-    /// packed kernel runs — the replica *is* the kernel's input. The
-    /// rule keeps a vertex's bitmask no bigger than its `L·w` key words,
-    /// so this is at most `8·(2·m·L·w + m·w)` bytes: linear in `m·L`,
-    /// whatever the palette.
+    /// Bytes the device replica of this packing holds: every key lane and
+    /// every query row, as `u64` words. This is what Algorithm 3 uploads
+    /// **instead of** the raw encoded set when the packed kernel runs —
+    /// the replica *is* the kernel's input. Exactly `8·(N·L·w + m·w)`
+    /// bytes on the bucketed layout (`8·(m·w + m·w)` on the identity
+    /// layout): linear in `m·L`, whatever the palette.
     pub fn device_bytes(&self) -> usize {
-        (self.keys.len() + self.query.len() + self.color_masks.len()) * std::mem::size_of::<u64>()
+        (self.keys.len() + self.query.len()) * std::mem::size_of::<u64>()
     }
 
     /// Debug-build guard for the iteration context's replica cache:
@@ -311,28 +268,6 @@ impl PackedBuckets {
     #[inline]
     pub fn shared_color_filter(&self) -> SharedColorFilter {
         self.filter
-    }
-
-    /// Whether vertices `u` and `v` share a palette color with index
-    /// **strictly below** `k` — the bitmask form of the
-    /// smallest-shared-color deduplication test: a pair met in bucket
-    /// `k` (so they share color `k`) is emitted from bucket `k` exactly
-    /// when this is false. A couple of word ANDs against the bitmasks;
-    /// only valid under [`SharedColorFilter::Bitmasks`].
-    #[inline]
-    pub fn shares_color_below(&self, u: usize, v: usize, k: usize) -> bool {
-        debug_assert_eq!(self.filter, SharedColorFilter::Bitmasks);
-        let cw = self.color_words;
-        let a = &self.color_masks[u * cw..(u + 1) * cw];
-        let b = &self.color_masks[v * cw..(v + 1) * cw];
-        let full = k / 64;
-        for w in 0..full {
-            if a[w] & b[w] != 0 {
-                return true;
-            }
-        }
-        let rem = k % 64;
-        rem != 0 && (a[full] & b[full] & ((1u64 << rem) - 1)) != 0
     }
 
     /// The hit-mask kernel: edge bits of pivot `pivot` (local vertex
@@ -428,41 +363,32 @@ pub(crate) fn palette_words(palette: u32) -> usize {
 /// hits. A replica picks one form per pack ([`SharedColorFilter::choose`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum SharedColorFilter {
-    /// Word ANDs against the replica's per-vertex palette bitmasks
-    /// ([`PackedBuckets::shares_color_below`]).
-    Bitmasks,
     /// A pivot's colors in a `⌈P/64⌉`-word scratch bitset, each hit's
-    /// `L` colors tested against it; the replica holds no bitmasks.
+    /// `L` colors tested against it.
     Lists,
     /// No test: on the identity layout with `2L > P` every two lists
-    /// share a color. The replica holds no bitmasks.
+    /// share a color.
     #[default]
     Skipped,
 }
 
 impl SharedColorFilter {
-    /// The rule for a replica of `w`-word rows over lists of `list`
-    /// colors from a `palette`-color palette, on the bucketed layout or
-    /// the all-pairs identity layout. The identity layout with `2L > P`
-    /// needs no test; otherwise one `⌈P/64⌉`-word bitmask per vertex is
-    /// kept iff it is no bigger than the vertex's `L·w` key words it
-    /// filters, `⌈P/64⌉ ≤ L·w`, and the test runs on the lists where it
-    /// is not. A pure function of the lists and the oracle's packed
-    /// form, so every backend makes the same choice.
-    pub fn choose(palette: u32, list: usize, w: usize, bucketed: bool) -> SharedColorFilter {
+    /// The rule for a replica over lists of `list` colors from a
+    /// `palette`-color palette, on the bucketed layout or the all-pairs
+    /// identity layout: the identity layout with `2L > P` needs no test,
+    /// every other scan tests on the lists. A pure function of the lists
+    /// and the engine's choice, so every backend makes the same one.
+    pub fn choose(palette: u32, list: usize, bucketed: bool) -> SharedColorFilter {
         if !bucketed && 2 * list > palette as usize {
             SharedColorFilter::Skipped
-        } else if palette_words(palette) <= list * w {
-            SharedColorFilter::Bitmasks
         } else {
             SharedColorFilter::Lists
         }
     }
 
-    /// The `--stats` label: `bits`, `list` or `none`.
+    /// The `--stats` label: `list` or `none`.
     pub fn label(self) -> &'static str {
         match self {
-            SharedColorFilter::Bitmasks => "bits",
             SharedColorFilter::Lists => "list",
             SharedColorFilter::Skipped => "none",
         }
@@ -731,8 +657,8 @@ mod tests {
 
     #[test]
     fn parallel_pack_matches_the_serial_pass() {
-        // P = 18 keeps the palette bitmasks, P = 2000 (32 words) drops
-        // them at every row width here.
+        // A narrow and a wide palette: the replica is the same keys and
+        // queries either way, filtered on the lists.
         for palette in [18u32, 2000] {
             for qubits in [8usize, 30, 70] {
                 let what = format!("P={palette}, {qubits} qubits");
@@ -747,12 +673,7 @@ mod tests {
                 assert!(parallel.pack_from_parallel(&oracle, &lists, Some(&index)));
                 assert_eq!(serial.keys, parallel.keys, "{what}");
                 assert_eq!(serial.query, parallel.query, "{what}");
-                assert_eq!(serial.color_masks, parallel.color_masks, "{what}");
-                let filter = if palette == 18 {
-                    SharedColorFilter::Bitmasks
-                } else {
-                    SharedColorFilter::Lists
-                };
+                let filter = SharedColorFilter::Lists;
                 assert_eq!(serial.shared_color_filter(), filter, "{what}");
                 assert_eq!(parallel.shared_color_filter(), filter, "{what}");
             }
@@ -760,38 +681,28 @@ mod tests {
     }
 
     #[test]
-    fn palette_bitmasks_are_kept_only_where_no_bigger_than_the_key_lanes() {
-        // `⌈P/64⌉ ≤ L·w`, and on the identity layout no test at all with
-        // `2L > P`. At the benchmark's shapes: dense_pauli (P = 1000, L =
-        // 8, two words) sits on the boundary and keeps them, service_mix
-        // (P = 128, L = 7) keeps them, sparse_oracle (P = 5000, L = 10)
-        // filters on the lists, and the all-pairs molecule (2L > P) runs
-        // no test.
-        use SharedColorFilter::{Bitmasks, Lists, Skipped};
+    fn only_an_identity_layout_with_2l_above_p_skips_the_list_test() {
+        // The bucketed layout always tests on the lists; the identity
+        // layout skips the test iff `2L > P`. At the benchmark's shapes:
+        // dense_pauli (P = 1000, L = 8), service_mix (P = 128, L = 7) and
+        // sparse_oracle (P = 5000, L = 10) bucket and test on the lists,
+        // and the all-pairs molecule (2L > P) runs no test.
+        use SharedColorFilter::{Lists, Skipped};
         for p in 1..=3000u32 {
-            for (l, w) in [(1usize, 1usize), (3, 1), (8, 2), (10, 2), (40, 4)] {
-                let fits = if (p as usize).div_ceil(64) <= l * w {
-                    Bitmasks
-                } else {
-                    Lists
-                };
-                let what = format!("P={p} L={l} w={w}");
-                assert_eq!(SharedColorFilter::choose(p, l, w, true), fits, "{what}");
-                let identity = if 2 * l > p as usize { Skipped } else { fits };
-                assert_eq!(
-                    SharedColorFilter::choose(p, l, w, false),
-                    identity,
-                    "{what}"
-                );
+            for l in [1usize, 3, 8, 10, 40, 1500] {
+                let what = format!("P={p} L={l}");
+                assert_eq!(SharedColorFilter::choose(p, l, true), Lists, "{what}");
+                let identity = if 2 * l > p as usize { Skipped } else { Lists };
+                assert_eq!(SharedColorFilter::choose(p, l, false), identity, "{what}");
             }
         }
-        assert_eq!(SharedColorFilter::choose(1000, 8, 2, true), Bitmasks);
-        assert_eq!(SharedColorFilter::choose(1025, 8, 2, true), Lists);
-        assert_eq!(SharedColorFilter::choose(128, 7, 2, true), Bitmasks);
-        assert_eq!(SharedColorFilter::choose(5000, 10, 2, true), Lists);
-        assert_eq!(SharedColorFilter::choose(131, 110, 4, false), Skipped);
-        let labels = [Bitmasks, Lists, Skipped].map(SharedColorFilter::label);
-        assert_eq!(labels, ["bits", "list", "none"]);
+        assert_eq!(SharedColorFilter::choose(1000, 8, true), Lists);
+        assert_eq!(SharedColorFilter::choose(128, 7, true), Lists);
+        assert_eq!(SharedColorFilter::choose(5000, 10, true), Lists);
+        assert_eq!(SharedColorFilter::choose(131, 110, false), Skipped);
+        assert_eq!(SharedColorFilter::choose(220, 110, false), Lists);
+        let labels = [Lists, Skipped].map(SharedColorFilter::label);
+        assert_eq!(labels, ["list", "none"]);
     }
 
     #[test]
@@ -864,12 +775,11 @@ mod tests {
     }
 
     #[test]
-    fn replicas_without_bitmasks_stay_linear_in_the_key_lanes() {
+    fn replicas_stay_linear_in_the_key_lanes() {
         // The sparse shape, P ≫ 64·L·w: a two-word packed-word oracle
-        // with 3-color lists from a 3000-color palette (47 words per
-        // bitmask against 6 key words per vertex). The replica is the key
-        // lanes and the query rows, `8·(N·L·w + m·w)`, on either layout
-        // (all-pairs: N·w key words) and for either pass.
+        // with 3-color lists from a 3000-color palette. The replica is
+        // the key lanes and the query rows, `8·(N·L·w + m·w)`, on either
+        // layout (all-pairs: N·w key words) and for either pass.
         let n = 600;
         let oracle = graph::PackedWordOracle::with_edge_density(n, 2, 0.01, 3);
         let lists = ColorLists::assign(n, 0, 3000, 3, 7, 1);
@@ -881,7 +791,6 @@ mod tests {
             assert!(parallel.pack_from_parallel(&oracle, &lists, layout));
             for packed in [&serial, &parallel] {
                 assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
-                assert!(packed.color_masks.is_empty());
                 assert_eq!(packed.device_bytes(), 8 * (rows * 2 + n * 2));
             }
         }
@@ -896,8 +805,8 @@ mod tests {
         let mut packed = PackedBuckets::new();
         let index = lists.bucket_index();
         assert!(packed.pack_from(&oracle, &lists, Some(&index)));
-        // 50 vertices × 4 list colors = 200 key rows + 50 query rows +
-        // 50 one-word palette bitmasks (palette 10 < 64), one word each.
-        assert_eq!(packed.device_bytes(), (200 + 50 + 50) * 8);
+        // 50 vertices × 4 list colors = 200 key rows + 50 query rows,
+        // one word each.
+        assert_eq!(packed.device_bytes(), (200 + 50) * 8);
     }
 }

@@ -136,16 +136,14 @@ pub struct IterationStats {
     /// and `Parallel`).
     pub mask_bytes: u64,
     /// Host bytes of the iteration's packed oracle replica
-    /// ([`crate::PackedBuckets::device_bytes`]: key lanes, query rows
-    /// and, under [`SharedColorFilter::Bitmasks`], palette bitmasks);
-    /// zero when the iteration did not pack. The rule keeps a vertex's
-    /// bitmask no bigger than its `L·w` key words, so this is linear in
-    /// `m·L`: at most `8·(2·m·L·w + m·w)` for `w`-word rows.
+    /// ([`crate::PackedBuckets::device_bytes`]: key lanes and query
+    /// rows); zero when the iteration did not pack. Linear in `m·L`:
+    /// exactly `8·(N·L·w + m·w)` for `w`-word rows on the bucketed
+    /// layout, `8·(m·w + m·w)` on the all-pairs identity layout.
     pub replica_bytes: u64,
     /// How the packed scans ran the shared-color test on oracle hits
-    /// ([`SharedColorFilter::choose`]): word ANDs against the replica's
-    /// palette bitmasks, the sorted lists, or no test; `None` when the
-    /// iteration did not pack.
+    /// ([`SharedColorFilter::choose`]): on the sorted lists, or no test;
+    /// `None` when the iteration did not pack.
     pub shared_color_filter: Option<SharedColorFilter>,
     /// Device backend: whether the CSR was assembled on-device.
     pub csr_on_device: Option<bool>,
@@ -271,15 +269,6 @@ impl PicassoResult {
     /// [`IterationStats::conflict_masks`]).
     pub fn conflict_mask_iterations(&self) -> usize {
         self.iterations.iter().filter(|s| s.conflict_masks).count()
-    }
-
-    /// Iterations whose packed replica held palette bitmasks (see
-    /// [`IterationStats::shared_color_filter`]).
-    pub fn replica_color_mask_iterations(&self) -> usize {
-        self.iterations
-            .iter()
-            .filter(|s| s.shared_color_filter == Some(SharedColorFilter::Bitmasks))
-            .count()
     }
 
     /// Largest packed replica across iterations, in bytes (see

@@ -37,9 +37,6 @@ pub struct SolveSummary {
     pub color_bitset_iterations: u64,
     /// Iterations whose Line 7 kept hit masks instead of a CSR.
     pub conflict_mask_iterations: u64,
-    /// Iterations whose packed replica held palette bitmasks (the
-    /// shared-color filter ran as word ANDs, not on the sorted lists).
-    pub replica_color_mask_iterations: u64,
     /// Largest packed replica of any iteration, in bytes.
     pub max_replica_bytes: u64,
     /// Largest hit-mask form of any iteration, in bytes (the graph-form
@@ -67,7 +64,6 @@ impl SolveSummary {
             safety_valve_vertices: counter("solver_safety_valve_vertices_total"),
             color_bitset_iterations: counter("solver_color_bitset_iterations_total"),
             conflict_mask_iterations: counter("solver_conflict_mask_iterations_total"),
-            replica_color_mask_iterations: counter("solver_replica_color_mask_iterations_total"),
             max_replica_bytes: registry.gauge("solver_max_replica_bytes").get(),
             max_mask_bytes: registry.gauge("solver_max_mask_bytes").get(),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
@@ -93,21 +89,17 @@ impl SolveSummary {
         self.hit_bits as f64 / self.packed_lanes as f64
     }
 
-    /// The `--stats` Line-7 footer line: packing, the replica's palette
-    /// filter and the graph form, with the largest replica and hit-mask
-    /// form.
+    /// The `--stats` Line-7 footer line: packing and the graph form,
+    /// with the largest replica and hit-mask form.
     pub fn packing_footer(&self) -> String {
         format!(
             "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
-             {} mask words skipped whole), palette bitmasks in {} of {} replicas \
-             (largest {:.1} KiB), hit-mask graphs in {} of {} iterations \
-             (largest masks {:.1} KiB)",
+             {} mask words skipped whole, largest replica {:.1} KiB), hit-mask graphs \
+             in {} of {} iterations (largest masks {:.1} KiB)",
             self.pack_builds,
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
             self.skipped_words,
-            self.replica_color_mask_iterations,
-            self.pack_builds,
             self.max_replica_bytes as f64 / 1024.0,
             self.conflict_mask_iterations,
             self.iterations,
@@ -214,9 +206,8 @@ mod tests {
         assert!(packing.starts_with(&format!("pack builds: {}", result.pack_builds)));
         assert!(packing.contains("hit density"));
         assert!(packing.contains(&format!(
-            "palette bitmasks in {} of {} replicas",
-            result.replica_color_mask_iterations(),
-            result.pack_builds
+            "largest replica {:.1} KiB",
+            result.max_replica_bytes() as f64 / 1024.0
         )));
         assert!(packing.ends_with(&format!(
             "hit-mask graphs in {} of {} iterations (largest masks {:.1} KiB)",

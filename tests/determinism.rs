@@ -9,7 +9,7 @@
 
 use graph::PackedWordOracle;
 use pauli::EncodedSet;
-use picasso::{ConflictBackend, IterationContext, Picasso, PicassoConfig};
+use picasso::{ConflictBackend, IterationContext, Picasso, PicassoConfig, PicassoResult};
 use picasso_service::{JobOutcome, ServiceConfig, SolveRequest, SolveService, Workload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -188,7 +188,11 @@ fn digest(colors: &[u32]) -> u64 {
 /// Colourings do not depend on the thread count. The parallel and
 /// device solves of a fixed instance equal the sequential one and
 /// a digest pinned here; run the suite under `RAYON_NUM_THREADS=1`, `=4`
-/// and the host default to compare thread counts across processes.
+/// and the host default to compare thread counts across processes. So
+/// does the graph form: the `Parallel` group pass tallies its edges in
+/// batches of the edge limit over `4 × threads` cuts, yet every
+/// iteration keeps the form, and counts the `|Ec|`, of the `Sequential`
+/// one-cut pass, and some iteration keeps hit masks.
 #[test]
 fn colorings_do_not_depend_on_the_thread_count() {
     let set = random_set(300, 12, 21);
@@ -197,16 +201,27 @@ fn colorings_do_not_depend_on_the_thread_count() {
         Picasso::new(PicassoConfig::normal(5).with_backend(backend))
             .solve_pauli(&set)
             .expect("solve")
-            .colors
+    };
+    let graph_forms = |result: &PicassoResult| -> Vec<(bool, usize)> {
+        let iterations = result.iterations.iter();
+        iterations
+            .map(|s| (s.conflict_masks, s.conflict_edges))
+            .collect()
     };
     let reference = solve(ConflictBackend::Sequential);
+    assert!(
+        reference.conflict_mask_iterations() > 0,
+        "no iteration kept hit masks"
+    );
     for backend in backends() {
-        assert_eq!(
-            solve(backend),
-            reference,
-            "{backend:?}, RAYON_NUM_THREADS={threads}"
-        );
+        let result = solve(backend);
+        let what = format!("{backend:?}, RAYON_NUM_THREADS={threads}");
+        assert_eq!(result.colors, reference.colors, "{what}");
+        if backend == ConflictBackend::Parallel {
+            assert_eq!(graph_forms(&result), graph_forms(&reference), "{what}");
+        }
     }
+    let reference = reference.colors;
     assert_eq!(
         digest(&reference),
         4_675_664_629_842_432_619,

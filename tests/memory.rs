@@ -341,11 +341,11 @@ fn warm_sequential_all_pairs_packed_build_allocates_nothing() {
 #[test]
 fn warm_sequential_list_filtered_build_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
-    // The sparse shape: a palette too wide for per-vertex bitmasks
-    // (`⌈P/64⌉` = 32 words against `L·w` = 8 key words), so the packed
-    // scan filters shared colors on the lists, with its color bitset in
-    // the pooled task arena. The Sequential Line 7 the solver runs
-    // allocates nothing on it once warm.
+    // The sparse shape: a wide palette (`⌈P/64⌉` = 32 words against
+    // `L·w` = 8 key words). The packed scan filters shared colors on the
+    // lists, with its color bitset in the pooled task arena. The
+    // Sequential Line 7 the solver runs allocates nothing on it once
+    // warm.
     use picasso::conflict::{build_host, HostGraph};
     use picasso::IterationContext;
     let n = 4000;
@@ -376,7 +376,7 @@ fn warm_sequential_list_filtered_build_allocates_nothing() {
     assert_eq!(
         ctx.shared_color_filter(),
         Some(SharedColorFilter::Lists),
-        "the replica must hold no palette bitmasks"
+        "the packed scan filters on the lists"
     );
     assert_eq!(
         allocations, 0,
@@ -727,10 +727,10 @@ fn conflict_graph_is_sublinear_fraction_of_input_graph() {
 /// cold-context `Sequential` solve per config (1,024 synthetic 24-qubit
 /// strings, seed 5; the input encoded inside the region): `observed ≤
 /// measured` must hold, since the model is a lower bound, and it must
-/// reach 3/4 of the peak. Normal lists read 335,828 B of a measured
-/// 421,364 B (0.80). Aggressive lists (`P = L = 31`, the all-pairs
+/// reach 3/4 of the peak. Normal lists read 319,444 B of a measured
+/// 375,668 B (0.85). Aggressive lists (`P = L = 31`, the all-pairs
 /// engine, hit masks over the identity layout, whose greedy keeps
-/// per-colour holder sets) read 372,604 B of 473,224 B (0.79); before
+/// per-colour holder sets) read 372,604 B of 473,576 B (0.79); before
 /// the model left out the bucket index that engine never builds, it
 /// read 495,740 B, above the peak. Both peaks are the same at 1 to 8
 /// threads. The pooled scan arenas are what the model still leaves out.

@@ -5,7 +5,7 @@
 //! degenerate case (one packed word, duplicate strings guaranteed) and
 //! >64-qubit registers (multi-word rows in both encodings).
 
-use graph::{CsrGraph, EdgeOracle, PackedWordOracle, ScalarView};
+use graph::{CsrGraph, PackedWordOracle, ScalarView};
 use pauli::{EncodedSet, PauliString, SymplecticSet};
 use picasso::conflict::{
     build_device, build_parallel, build_sequential, build_sequential_allpairs,
@@ -75,10 +75,9 @@ proptest! {
             ("device", &devb.graph, devb.packed_lanes, devb.candidate_pairs),
         ];
         let packed_engaged = ctx.pack_builds() == 1;
-        // The wide palettes (⌈P/64⌉ ≥ 7 words against L·w ≤ 20) mostly
-        // filter shared colors on the lists, the narrow ones on bitmasks.
-        let words = oracle.packed_form().map_or(1, |f| f.words.max(1));
-        let filter = SharedColorFilter::choose(palette, list as usize, words, ctx.prefers_buckets());
+        // Every replica filters shared colors on the lists, except an
+        // all-pairs one with `2L > P`, which runs no test.
+        let filter = SharedColorFilter::choose(palette, list as usize, ctx.prefers_buckets());
         prop_assert_eq!(ctx.shared_color_filter(), packed_engaged.then_some(filter));
         for (name, graph, lanes, pairs) in builds {
             prop_assert_eq!(graph, &reference.graph, "{} vs scalar reference", name);
@@ -354,9 +353,9 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     assert!(stats.skipped_words > 0, "the empty tails skip whole words");
 }
 
-/// Non-property pin: the sparse shape, `P ≫ 64·L·w`, where the replica
-/// keeps no palette bitmasks and the shared-color filter runs on the
-/// lists. Over a two-word packed-word oracle, on the bucketed and the
+/// Non-property pin: the sparse shape, `P ≫ 64·L·w`, where the
+/// shared-color filter's color bitset spans many words. Over a two-word
+/// packed-word oracle, on the bucketed and the
 /// all-pairs engine, every packed backend's CSR and `|Ec|` equal the
 /// scalar all-pairs reference's, and the replica is exactly its key
 /// lanes and query rows, `8·(N·L·w + m·w)` bytes (`N·w` key words on the
@@ -366,14 +365,14 @@ fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
     let (n, w) = (900usize, 2usize);
     // (P, L, bucketed): 4000 colors are 63 words against L·w = 6. The
     // all-pairs shape (L² > P, so all-pairs is cheaper, and 2L ≤ P) is
-    // 125 words, more than L·w = 100 on a one-word oracle.
+    // 125 words, against L·w = 100 on a one-word oracle.
     for (palette, list, bucketed) in [(4000u32, 3u32, true), (8000, 100, false)] {
         let w = if bucketed { w } else { 1 };
         let what = format!("P={palette} L={list}");
         let oracle = PackedWordOracle::with_edge_density(n, w, 0.05, u64::from(palette));
         let lists = ColorLists::assign(n, 0, palette, list, 11, 1);
         assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{what}");
-        let filter = SharedColorFilter::choose(palette, list as usize, w, bucketed);
+        let filter = SharedColorFilter::choose(palette, list as usize, bucketed);
         assert_eq!(filter, SharedColorFilter::Lists, "{what}");
 
         let mut scalar_ctx = ctx_with(&lists);
@@ -398,14 +397,14 @@ fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
 }
 
 /// Non-property pin: over a fixed sweep of the five-backend property's
-/// shapes, both forms of the shared-color filter run — palette bitmasks
-/// on the narrow palettes, the sorted lists on a non-zero share of the
-/// wide ones — and every packed CSR equals the scalar reference.
+/// shapes, both forms of the shared-color filter run — the sorted lists,
+/// and no test on the all-pairs replicas of the smallest palette, where
+/// `2L > P` — and every packed CSR equals the scalar reference.
 #[test]
 fn the_packed_sweep_reaches_both_shared_color_filters() {
-    let (mut bitmasks, mut lists_only) = (0, 0);
+    let (mut skipped, mut lists_only) = (0, 0);
     for (k, qubits) in [1usize, 8, 21, 26, 70].into_iter().enumerate() {
-        for palette in [12u32, 31, 400, 1999] {
+        for palette in [6u32, 12, 31, 400, 1999] {
             for list in 2u32..6 {
                 let seed = (k as u64) << 32 | u64::from(palette) << 8 | u64::from(list);
                 let n = 40 + (seed % 50) as usize;
@@ -421,16 +420,16 @@ fn the_packed_sweep_reaches_both_shared_color_filters() {
                 assert_eq!(packed.graph, reference.graph, "{what}");
                 assert_eq!(par.graph, reference.graph, "{what}");
                 match ctx.shared_color_filter() {
-                    Some(SharedColorFilter::Bitmasks) => bitmasks += 1,
+                    Some(SharedColorFilter::Skipped) => skipped += 1,
                     Some(SharedColorFilter::Lists) => lists_only += 1,
-                    _ => {}
+                    None => {}
                 }
             }
         }
     }
     assert!(
-        bitmasks > 0 && lists_only > 0,
-        "{bitmasks} bitmask and {lists_only} list replicas"
+        skipped > 0 && lists_only > 0,
+        "{skipped} unfiltered and {lists_only} list replicas"
     );
 }
 
