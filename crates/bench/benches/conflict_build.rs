@@ -216,7 +216,7 @@ fn mean_build_secs<O: graph::EdgeOracle>(oracle: &O, ctx: &mut IterationContext)
     t.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Scalar block path vs the packed bucket-major oracle kernel, on the
+/// Scalar block path vs the packed oracle kernel, on the
 /// bucketed **sequential** engine (the apples-to-apples comparison: the
 /// scalar arm runs the same oracle through [`graph::ScalarView`], which
 /// hides its packed form and forwards its encoded block queries). The
@@ -304,7 +304,7 @@ fn bench_oracle_sparse(c: &mut Criterion) {
     for &density in densities {
         let oracle = graph::PackedWordOracle::with_edge_density(n, 1, density, 11);
         let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
+        assert!(packed.pack_from(&oracle, &lists, true));
         let mut masks: Vec<u64> = Vec::new();
         let (mut run, mut hits, mut mapped) = (Vec::new(), Vec::new(), Vec::new());
 

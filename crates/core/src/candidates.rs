@@ -46,8 +46,10 @@
 //! [`IterationContext`](crate::iteration::IterationContext) builds the
 //! index at most once per iteration and lends it to every backend via
 //! [`CandidateEngine::with_index`]. Both engines have a packed scan
-//! ([`PairSource::scan_rows_packed`]): the all-pairs source runs on the
-//! replica's identity layout, which needs no index at all.
+//! ([`PairSource::scan_rows_packed`]) over the one replica: the
+//! all-pairs source runs straight off its key table, which needs no
+//! index at all, and the bucketed source gathers each bucket's lanes out
+//! of that table as its scan enters the bucket.
 
 use crate::assign::{BucketIndex, ColorLists};
 use crate::packed::{MaskScanStats, PackedBuckets, SharedColorFilter};
@@ -92,19 +94,21 @@ pub trait PairSource: Sync {
     );
 
     /// Packed-kernel scan of the contiguous rows `rows`: every pivot's
-    /// tail gets its edge bits as `u64` hit masks from `packed`'s
-    /// word-transposed lanes in one straight-line loop
-    /// ([`PackedBuckets::tail_edge_mask`]); the consumer skips zero
+    /// tail gets its edge bits as `u64` hit masks from word-transposed
+    /// lanes in one straight-line loop
+    /// ([`PackedBuckets::tail_edge_mask`]) — `packed`'s key table for
+    /// all-pairs, a tile of each bucket's lanes gathered out of it as
+    /// the bucketed scan enters the bucket. The consumer skips zero
     /// words whole, walks set bits with `trailing_zeros`, applies the
     /// shared-color filter only on those hits, and emits surviving pairs
     /// as **edges** directly — the oracle-block stage of the scalar path
     /// disappears, and the walk cost tracks the hit count rather than
-    /// the candidate count. `packed` must have been packed with this
-    /// source's layout: the bucket index for the bucketed source, the
-    /// identity layout (`None`) for all-pairs. `masks` is the caller's
-    /// reusable mask staging; word/bit counters accumulate into `stats`.
-    /// The shared-color filter also needs a `⌈P/64⌉`-word color bitset,
-    /// allocated per call here (the conflict builders lend a pooled one
+    /// the candidate count. `packed` must have been packed for this
+    /// source's engine (`bucketed` as [`PackedBuckets::pack_from`] takes
+    /// it). `masks` is the caller's reusable mask staging; word/bit
+    /// counters accumulate into `stats`. The shared-color filter's
+    /// `⌈P/64⌉`-word color bitset and the bucketed scan's tile are
+    /// allocated per call here (the conflict builders lend pooled ones
     /// instead).
     ///
     /// Emits exactly `{(u, v) : scan_rows_scratch emits the pair ∧ the
@@ -304,8 +308,8 @@ impl PairSource for AllPairsSource<'_> {
         }
     }
 
-    /// Packed all-pairs scan over the identity layout (one bucket of all
-    /// `m` vertices in order): row `i`'s hit mask covers `i+1..m`, and a
+    /// Packed all-pairs scan straight off the replica's key table (lane
+    /// `v` is vertex `v`): row `i`'s hit mask covers `i+1..m`, and a
     /// hit survives iff the two lists share any palette color — a test
     /// skipped when `2L > P`, where every two lists intersect.
     /// Emission order is `(i, v)` ascending, the scalar scan's order.
@@ -338,12 +342,10 @@ impl AllPairsSource<'_> {
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
-        let m = self.lists.len();
-        debug_assert_eq!(packed.num_rows(), m);
         let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
         let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
         for i in rows {
-            packed.tail_edge_mask(0, m, i, i, masks);
+            packed.tail_edge_mask(None, i, i, masks);
             let member = |t| i + 1 + t;
             let go = match &mut bits {
                 Some(bits) if any_hit(masks) => {
@@ -416,8 +418,12 @@ impl<'a> BucketSource<'a> {
     }
 
     /// The packed sub-bucket scan into any [`HitSink`], with `colors` as
-    /// the shared-color filter's scratch; `false` when the sink ended it
-    /// early.
+    /// the shared-color filter's scratch and `tile` as the lane tile;
+    /// `false` when the sink ended it early. Entering bucket `k`, the
+    /// scan gathers the key lanes of the members from its first pivot
+    /// there to the bucket's end into `tile`
+    /// ([`PackedBuckets::gather_tile`]), and every pivot's tail mask runs
+    /// over the tile.
     /// Packed-kernel twin of [`BucketSource::scan_positions`]: the oracle
     /// runs first (whole-tail mask kernel), the dedup filter second, only
     /// on hits — the emitted edge set is identical because both filters
@@ -431,12 +437,14 @@ impl<'a> BucketSource<'a> {
     /// touching the bucket at all; set bits are walked with
     /// `trailing_zeros`, so a near-empty tail costs one branch per 64
     /// candidates.
+    #[allow(clippy::too_many_arguments)]
     fn scan_rows_into(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
         colors: &mut Vec<u64>,
+        tile: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
@@ -444,12 +452,13 @@ impl<'a> BucketSource<'a> {
         let mut bits = ColorBits::new(self.lists, colors);
         walk_row_span(self.index, rows, |k, positions| {
             let bucket = self.index.bucket(k);
-            let start = self.index.bucket_start(k);
             let color = self.index.color(k);
             let own_test = sink.enter_bucket(k);
+            let first = positions.start;
+            packed.gather_tile(&bucket[first..], tile);
             for a in positions {
                 let u = bucket[a] as usize;
-                packed.tail_edge_mask(start, bucket.len(), a, u, masks);
+                packed.tail_edge_mask(Some(&tile[..]), a - first, u, masks);
                 let tail = &bucket[a + 1..];
                 let member = |t| tail[t] as usize;
                 // Emit only from the smallest shared color's bucket.
@@ -524,8 +533,9 @@ impl PairSource for BucketSource<'_> {
         stats: &mut MaskScanStats,
         emit_edge: &mut dyn FnMut(u32, u32),
     ) {
+        let (colors, tile) = (&mut Vec::new(), &mut Vec::new());
         let sink = &mut EmitEdges(emit_edge);
-        self.scan_rows_into(rows, packed, masks, &mut Vec::new(), stats, sink);
+        self.scan_rows_into(rows, packed, masks, colors, tile, stats, sink);
     }
 }
 
@@ -608,20 +618,23 @@ impl<'a> CandidateEngine<'a> {
 
     /// The packed row scan into any [`HitSink`], over the same rows and
     /// in the same order as [`PairSource::scan_rows_packed`], with
-    /// `colors` as the shared-color filter's scratch bitset; `false` when
-    /// the sink ended it early.
+    /// `colors` as the shared-color filter's scratch bitset and `tile` as
+    /// the bucketed scan's lane tile; `false` when the sink ended it
+    /// early.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_rows_into(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
         masks: &mut Vec<u64>,
         colors: &mut Vec<u64>,
+        tile: &mut Vec<u64>,
         stats: &mut MaskScanStats,
         sink: &mut impl HitSink,
     ) -> bool {
         match self {
             CandidateEngine::Buckets(src) => {
-                src.scan_rows_into(rows, packed, masks, colors, stats, sink)
+                src.scan_rows_into(rows, packed, masks, colors, tile, stats, sink)
             }
             CandidateEngine::AllPairs(src) => {
                 src.scan_rows_into(rows, packed, masks, colors, stats, sink)
@@ -870,21 +883,16 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         // Single-word and multi-word packed forms, each with a narrow
         // palette (P = 14) and a wide one (P = 1000: a 16-word color
-        // bitset); both filter on the lists.
-        for (qubits, palette, list) in [
-            (6usize, 14u32, 4u32),
-            (25, 14, 4),
-            (6, 1000, 3),
-            (25, 1000, 3),
-        ] {
-            let strings = pauli::string::random_unique_set(70, qubits, &mut rng);
-            let set = pauli::EncodedSet::from_strings(&strings);
-            let oracle = PauliComplementOracle::new(&set);
-            let lists = ColorLists::assign(70, 0, palette, list, 13, 1);
+        // bitset); both filter on the lists. Every shape runs on the 3-bit
+        // encoding, whose key and query words are the same, and on the
+        // symplectic one, whose key words swap the x and z planes: a tile
+        // gathered from the query table, or from the wrong lane, emits
+        // other pairs there.
+        fn check<O: EdgeOracle>(oracle: &O, lists: &ColorLists, what: &str) {
             let index = lists.bucket_index();
-            let source = BucketSource::new(&lists, &index);
+            let source = BucketSource::new(lists, &index);
             let mut packed = PackedBuckets::new();
-            assert!(packed.pack_from(&oracle, &lists, Some(&index)));
+            assert!(packed.pack_from(oracle, lists, true));
             assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
 
             // Ground truth: scalar candidate scan filtered by the
@@ -919,10 +927,7 @@ mod tests {
                     at = hi;
                 }
                 row_edges.sort_unstable();
-                assert_eq!(
-                    row_edges, truth,
-                    "qubits={qubits} P={palette} parts={parts}"
-                );
+                assert_eq!(row_edges, truth, "{what} parts={parts}");
                 // Every examined word is either skipped or scanned, hits
                 // dominate the (deduplicated) emission, and the per-pivot
                 // word totals cover the candidate pairs.
@@ -930,6 +935,24 @@ mod tests {
                 assert!(stats.hit_bits >= truth.len() as u64);
                 assert!(stats.scanned_words * 64 >= source.candidate_pairs());
             }
+        }
+        for (qubits, palette, list) in [
+            (6usize, 14u32, 4u32),
+            (25, 14, 4),
+            (6, 1000, 3),
+            (25, 1000, 3),
+        ] {
+            let strings = pauli::string::random_unique_set(70, qubits, &mut rng);
+            let lists = ColorLists::assign(70, 0, palette, list, 13, 1);
+            let what = format!("qubits={qubits} P={palette}");
+            let set = pauli::EncodedSet::from_strings(&strings);
+            check(&PauliComplementOracle::new(&set), &lists, &what);
+            let set = pauli::SymplecticSet::from_strings(&strings);
+            check(
+                &PauliComplementOracle::new(&set),
+                &lists,
+                &format!("{what} symplectic"),
+            );
         }
     }
 
@@ -951,7 +974,7 @@ mod tests {
             assert!(!CandidateEngine::prefers_buckets(&lists));
             let source = AllPairsSource::new(&lists);
             let mut packed = PackedBuckets::new();
-            assert!(packed.pack_from(&oracle, &lists, None));
+            assert!(packed.pack_from(&oracle, &lists, false));
             assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
 
             let mut truth = Vec::new();

@@ -111,20 +111,23 @@
 //! sorted lists through a pivot's color bitset in the cut's pooled
 //! [`TaskArena`], and skip it where every two lists intersect
 //! ([`crate::packed::SharedColorFilter::choose`]). The replica holds
-//! nothing per palette color, so it is exactly its key lanes and query
-//! rows, `8·(N·L·w + m·w)` bytes, and so are the device's upload of it
-//! and [`crate::IterationStats::replica_bytes`]. `|Ec|` is exact, and the
-//! sinks see the same `emit` predicate — except the bucketed hit-mask
-//! fill, which needs none (see "Graph form").
+//! nothing per palette color and nothing per bucket: it is exactly its
+//! key and query tables, `16·m·w` bytes on either engine, and so are the
+//! device's upload of it and [`crate::IterationStats::replica_bytes`].
+//! `|Ec|` is exact, and the sinks see the same `emit` predicate — except
+//! the bucketed hit-mask fill, which needs none (see "Graph form").
 //!
 //! # The packed kernel, for either engine
 //!
 //! Whenever the iteration context packs ([`crate::packed`]), every
 //! engine-driven builder scans through the AND-popcount hit-mask kernel
 //! ([`crate::PairSource::scan_rows_packed`]) instead of the scalar
-//! block path — the bucketed engine over its bucket-major replica, the
-//! all-pairs engine over the identity layout (one bucket of all `m`
-//! vertices, no index). The device build then charges the replica
+//! block path, over one replica for either engine: the all-pairs engine
+//! runs the kernel straight off the key table (the identity layout, lane
+//! `v` = vertex `v`, no index), and the bucketed engine, entering a
+//! bucket, gathers the lanes of the members it scans there out of that
+//! table into a tile of the cut's pooled [`TaskArena`] and runs the
+//! kernel over the tile. The device build then charges the replica
 //! instead of the raw encoded set. The scalar `Θ(m²)` scan survives
 //! only as [`build_sequential_allpairs`] (backend
 //! [`crate::ConflictBackend::AllPairs`]): it never packs, so it stays
@@ -882,9 +885,9 @@ fn block_cuts(weights: &[u64]) -> Vec<Range<usize>> {
 /// row ranges `cuts` into its own group arena, `blocks[k]` for `cuts[k]`
 /// (cleared first, finished after; the list grows as needed),
 /// one rayon task per cut (one cut runs inline). With a packed replica
-/// the edge bits come as `u64` hit masks from the bucket-major lane
-/// kernel ([`CandidateEngine::scan_rows_into`] — no candidate-run
-/// staging, no per-row gather, zero words skipped whole); otherwise the
+/// the edge bits come as `u64` hit masks from the lane kernel
+/// ([`CandidateEngine::scan_rows_into`] — no candidate-run staging, one
+/// lane gather per bucket entered, zero words skipped whole); otherwise the
 /// batched-with-scratch scalar path runs. Every task stages in a pooled
 /// arena of `pool`, so a warm scan allocates nothing, and adds its
 /// mask-scan counters to `stats`. No arena is shared, so there is
@@ -917,6 +920,7 @@ fn scan_cuts<O: EdgeOracle>(
                 hits,
                 masks,
                 colors,
+                tile,
                 mapped,
                 ..
             } = &mut arena;
@@ -930,7 +934,8 @@ fn scan_cuts<O: EdgeOracle>(
                         tally,
                         pending: 0,
                     };
-                    engine.scan_rows_into(rows, packed, masks, colors, &mut cut_stats, &mut sink)
+                    let stats = &mut cut_stats;
+                    engine.scan_rows_into(rows, packed, masks, colors, tile, stats, &mut sink)
                         && sink.flush()
                 }
                 None => {
@@ -957,8 +962,9 @@ fn scan_cuts<O: EdgeOracle>(
 
 /// Scans every cut into its rows of `masks` (laid out for `layout`, every
 /// bit clear): one rayon task per cut (one cut runs inline), each with
-/// its own `&mut` slice of the rows and a pooled arena's mask buffer and
-/// column scratch ([`BucketColumns`]). Returns the conflict edges.
+/// its own `&mut` slice of the rows and a pooled arena's mask buffer,
+/// lane tile and column scratch ([`BucketColumns`]). Returns the conflict
+/// edges.
 fn fill_masks(
     engine: &CandidateEngine<'_>,
     packed: &PackedBuckets,
@@ -981,6 +987,7 @@ fn fill_masks(
             let TaskArena {
                 masks,
                 colors,
+                tile,
                 columns,
                 ..
             } = &mut arena;
@@ -999,6 +1006,7 @@ fn fill_masks(
                 packed,
                 masks,
                 colors,
+                tile,
                 &mut cut_stats,
                 &mut sink,
             );
@@ -1049,11 +1057,7 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     parallel: bool,
     rule: GraphRule,
 ) -> HostBuild {
-    let (engine, packed, scratch) = if parallel {
-        ctx.engine_packed_scratch_par(oracle)
-    } else {
-        ctx.engine_packed_scratch(oracle)
-    };
+    let (engine, packed, scratch) = ctx.engine_packed_scratch(oracle);
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
@@ -1248,8 +1252,12 @@ pub fn device_input_bytes_per_vertex(num_qubits: usize, list_size: usize) -> usi
 /// 1. upload the input: the raw encoded strings + color lists
 ///    (`input_bytes_per_vertex · m`) on the scalar path, or — when the
 ///    iteration packed — the color lists plus the **packed replica**
-///    (key lanes and query rows, [`PackedBuckets::device_bytes`]),
-///    charged *instead of* the raw set,
+///    (the key and query tables, `16·m·w` bytes,
+///    [`PackedBuckets::device_bytes`]), charged *instead of* the raw
+///    set. Each vertex's packed words are uploaded once, beside its
+///    color list, as in the paper; the lane tile a bucketed block
+///    gathers is per-block on-chip scratch, like GPU shared memory, and
+///    is not charged to the global budget,
 /// 2. reserve one edge-offset counter per pivot row, at most `m`
 ///    (4-byte, or 8-byte once `m² ≥ 2³²`),
 /// 3. upload the bucket index (`N·L + P + 1` u32 values) when the
@@ -1292,7 +1300,7 @@ pub fn build_device<O: EdgeOracle>(
     input_bytes_per_vertex: usize,
 ) -> Result<ConflictBuild, DeviceError> {
     let list_bytes = ctx.lists().list_size() * std::mem::size_of::<u32>();
-    let (engine, packed, scratch) = ctx.engine_packed_scratch_par(oracle);
+    let (engine, packed, scratch) = ctx.engine_packed_scratch(oracle);
     let m = engine.num_vertices();
     debug_assert_eq!(m, oracle.num_vertices());
     let IterationScratch {
@@ -1605,9 +1613,10 @@ mod tests {
     fn packed_device_uploads_the_replica_instead_of_the_raw_set() {
         // The device uploads exactly the lists, the whole packed replica
         // and the bucketed engine's index, never the raw set — at 12
-        // qubits (one word per row) `(key rows + m query rows) · 8 B`,
-        // next to the `m·L·4 B` lists. The bucketed scans filter on the
-        // lists; the all-pairs ones have `2L > P` and run no test.
+        // qubits (one word per row) `(m key words + m query words) · 8 B`
+        // on either engine, next to the `m·L·4 B` lists. The bucketed
+        // scans filter on the lists; the all-pairs ones have `2L > P` and
+        // run no test.
         use crate::oracle::PauliComplementOracle;
         use crate::packed::{PackedBuckets, SharedColorFilter};
         use rand::SeedableRng;
@@ -1626,14 +1635,14 @@ mod tests {
             let index_bytes = index.as_ref().map_or(0, |i| i.device_bytes());
             let list_bytes = m * list * 4;
             let mut packed = PackedBuckets::new();
-            assert!(packed.pack_from(&oracle, &lists, index.as_ref()));
-            let (key_rows, filter) = if bucketed {
-                (m * list, SharedColorFilter::Lists)
+            assert!(packed.pack_from(&oracle, &lists, bucketed));
+            let filter = if bucketed {
+                SharedColorFilter::Lists
             } else {
-                (m, SharedColorFilter::Skipped)
+                SharedColorFilter::Skipped
             };
             assert_eq!(packed.shared_color_filter(), filter, "{what}");
-            assert_eq!(packed.device_bytes(), (key_rows + m) * 8);
+            assert_eq!(packed.device_bytes(), (m + m) * 8);
             let reference = build_sequential_allpairs(&oracle, &mut ctx).graph;
             let dev = DeviceSim::new(8 << 20);
             let built = build_device(&oracle, &mut ctx, &dev, 16).unwrap();
@@ -1849,8 +1858,9 @@ mod tests {
         // `(peak, h2d, d2h, launches, Ok(csr_on_device) | Err((requested,
         // available)))`. A change here moves the single-device
         // `DeviceStats`, OOM payloads or fault-op numbering. A packed
-        // row's replica is its key lanes and query rows only, so the
-        // tight runs still end in the counter OOM (m = 1) and the
+        // row's replica is its key and query tables, `16·m·w` bytes on
+        // either engine (the bucketed scans' tiles are on-chip scratch),
+        // so the tight runs still end in the counter OOM (m = 1) and the
         // host-CSR fallback (m ≥ 2).
         use crate::oracle::PauliComplementOracle;
         use rand::SeedableRng;
@@ -1864,15 +1874,15 @@ mod tests {
             (1, true, false, 40, [(44, 40, 0, 0, Ok(true)), (40, 40, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((40, 10)))]),
             (1, false, true, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
             (1, false, false, 16, [(20, 16, 0, 0, Ok(true)), (16, 16, 0, 0, Err((4, 0))), (0, 0, 0, 0, Err((16, 4)))]),
-            (2, true, true, 220, [(220, 212, 0, 0, Ok(true)), (220, 212, 0, 0, Ok(true)), (0, 0, 0, 0, Err((88, 55)))]),
+            (2, true, true, 188, [(188, 180, 0, 0, Ok(true)), (188, 180, 0, 0, Ok(true)), (0, 0, 0, 0, Err((56, 47)))]),
             (2, true, false, 96, [(104, 80, 8, 1, Ok(true)), (96, 80, 8, 1, Ok(false)), (0, 0, 0, 0, Err((80, 24)))]),
             (2, false, true, 164, [(164, 156, 0, 0, Ok(true)), (164, 156, 0, 0, Ok(true)), (40, 32, 0, 0, Err((124, 1)))]),
             (2, false, false, 48, [(56, 32, 8, 1, Ok(true)), (48, 32, 8, 1, Ok(false)), (0, 0, 0, 0, Err((32, 12)))]),
-            (50, true, true, 6812, [(8348, 2900, 1536, 1, Ok(true)), (6812, 2900, 1536, 1, Ok(false)), (0, 0, 0, 0, Err((2200, 1703)))]),
+            (50, true, true, 6012, [(7548, 2100, 1536, 1, Ok(true)), (6012, 2100, 1536, 1, Ok(false)), (1400, 1400, 0, 0, Err((200, 103)))]),
             (50, true, false, 12000, [(16648, 2000, 4648, 1, Ok(true)), (12000, 2000, 4648, 1, Ok(false)), (3000, 2000, 0, 1, Err((4648, 800)))]),
             (50, false, true, 5412, [(6948, 1500, 1536, 1, Ok(true)), (5412, 1500, 1536, 1, Ok(false)), (1000, 800, 0, 0, Err((700, 353)))]),
             (50, false, false, 10800, [(15448, 800, 4648, 1, Ok(true)), (10800, 800, 4648, 1, Ok(false)), (2700, 800, 0, 1, Err((4648, 1700)))]),
-            (120, true, true, 28356, [(38220, 6820, 9864, 1, Ok(true)), (28356, 6820, 9864, 1, Ok(false)), (5760, 5280, 0, 0, Err((1540, 1329)))]),
+            (120, true, true, 26436, [(36300, 4900, 9864, 1, Ok(true)), (26436, 4900, 9864, 1, Ok(false)), (6608, 4900, 0, 1, Err((9864, 1228)))]),
             (120, true, false, 62400, [(91160, 4800, 28760, 1, Ok(true)), (62400, 4800, 28760, 1, Ok(false)), (15600, 4800, 0, 1, Err((28760, 10320)))]),
             (120, false, true, 24996, [(34860, 3460, 9864, 1, Ok(true)), (24996, 3460, 9864, 1, Ok(false)), (6248, 3460, 0, 1, Err((9864, 2308)))]),
             (120, false, false, 59520, [(88280, 1920, 28760, 1, Ok(true)), (59520, 1920, 28760, 1, Ok(false)), (14880, 1920, 0, 1, Err((28760, 12480)))]),

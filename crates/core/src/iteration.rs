@@ -42,8 +42,9 @@ use std::time::Instant;
 
 /// The scan buffers one cut of a host or device build checks out of a
 /// [`ScratchPool`]: candidate-run staging, the oracle hit vector, the
-/// packed kernel's hit masks, the shared-color filter's color bitset and
-/// the live-view remap arena. A cut
+/// packed kernel's hit masks, the shared-color filter's color bitset,
+/// the bucketed scan's lane tile, the live-view remap arena and the
+/// bucketed mask fill's column scratch. A cut
 /// stages its edges in its own [`IterationScratch::blocks`] arena, not
 /// here. Buffers are cleared by the borrower, never shrunk, so a
 /// recycled arena serves a same-shape block without allocating.
@@ -60,6 +61,13 @@ pub struct TaskArena {
     /// scans' shared-color filter
     /// ([`crate::packed::SharedColorFilter::Lists`]).
     pub colors: Vec<u64>,
+    /// One bucket's key lanes, gathered out of the packed replica's key
+    /// table as the bucketed scan enters the bucket
+    /// (`PackedBuckets::gather_tile`): the members from the
+    /// cut's first pivot there to the bucket's end, word-transposed. It
+    /// is scan-time scratch, like a GPU block's shared memory, and not
+    /// part of the replica.
+    pub tile: Vec<u64>,
     /// Index-remapping arena for [`crate::LiveView`]'s batched path.
     pub mapped: Vec<usize>,
     /// One bucket's lower-color member sets: the bucketed hit-mask
@@ -121,18 +129,21 @@ impl ScratchPool {
         self.arenas.lock().unwrap().len()
     }
 
-    /// Capacities `(hits, mapped)` summed over the resting arenas.
-    fn capacities(&self) -> (usize, usize) {
+    /// Capacities `(hits, mapped, tile)` summed over the resting arenas.
+    fn capacities(&self) -> (usize, usize, usize) {
         let arenas = self
             .arenas
             .lock()
             .expect("a thread panicked holding the arena pool lock");
-        arenas.iter().fold((0, 0), |(hits, mapped), arena| {
-            (
-                hits + arena.hits.capacity(),
-                mapped + arena.mapped.capacity(),
-            )
-        })
+        arenas
+            .iter()
+            .fold((0, 0, 0), |(hits, mapped, tile), arena| {
+                (
+                    hits + arena.hits.capacity(),
+                    mapped + arena.mapped.capacity(),
+                    tile + arena.tile.capacity(),
+                )
+            })
     }
 }
 
@@ -435,15 +446,13 @@ impl IterationContext {
 
     /// Builds the packed oracle replica for the current iteration if the
     /// oracle has a packed form (the one packing rule) — lazily, at most
-    /// once per iteration, into the persistent arena: bucket-major over
-    /// the shared index for the bucketed engine, the identity layout
-    /// (no index built) for all-pairs. Idempotent within an iteration:
+    /// once per iteration, into the persistent arena, in one serial
+    /// `O(m·w)` pass ([`PackedBuckets::pack_from`]): the same key and
+    /// query tables for either engine, read by the bucketed scans
+    /// through the tiles they gather. Idempotent within an iteration:
     /// the decision (and the replica) is shared by every backend of the
-    /// round. `parallel` selects [`PackedBuckets::pack_from_parallel`]
-    /// for the key-lane scatter — only the parallel backends request it;
-    /// the sequential build's [`PackedBuckets::pack_from`] scatters as
-    /// one task.
-    fn ensure_packed<O: EdgeOracle + ?Sized>(&mut self, oracle: &O, parallel: bool) {
+    /// round.
+    fn ensure_packed<O: EdgeOracle + ?Sized>(&mut self, oracle: &O) {
         if self.packed_valid {
             // The replica is cached per iteration: every build between
             // two lists changes must use the same oracle (the solver
@@ -466,15 +475,8 @@ impl IterationContext {
         if oracle.packed_form().is_none() {
             return;
         }
-        self.ensure_index();
         let _span = telemetry::span!("replica_pack");
-        let index = self.bucketed.then_some(&self.index);
-        let packed = if parallel {
-            self.packed.pack_from_parallel(oracle, &self.lists, index)
-        } else {
-            self.packed.pack_from(oracle, &self.lists, index)
-        };
-        if packed {
+        if self.packed.pack_from(oracle, &self.lists, self.bucketed) {
             self.packed_active = true;
             self.pack_builds += 1;
         }
@@ -511,37 +513,8 @@ impl IterationContext {
         Option<&PackedBuckets>,
         &mut IterationScratch,
     ) {
-        self.engine_packed_scratch_impl(oracle, false)
-    }
-
-    /// [`IterationContext::engine_packed_scratch`] for the parallel
-    /// backends: when this borrow triggers the once-per-iteration packed
-    /// replica build, the key-lane scatter runs across the rayon pool
-    /// ([`PackedBuckets::pack_from_parallel`]). The replica is
-    /// bit-identical either way, and both passes run one scatter body;
-    /// they differ only in how many bucket ranges it is cut into.
-    pub fn engine_packed_scratch_par<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-    ) -> (
-        CandidateEngine<'_>,
-        Option<&PackedBuckets>,
-        &mut IterationScratch,
-    ) {
-        self.engine_packed_scratch_impl(oracle, true)
-    }
-
-    fn engine_packed_scratch_impl<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-        parallel: bool,
-    ) -> (
-        CandidateEngine<'_>,
-        Option<&PackedBuckets>,
-        &mut IterationScratch,
-    ) {
         self.ensure_index();
-        self.ensure_packed(oracle, parallel);
+        self.ensure_packed(oracle);
         let index = self.bucketed.then_some(&self.index);
         let packed = if self.packed_active {
             Some(&self.packed)
@@ -567,23 +540,25 @@ impl IterationContext {
         &self.scratch.pool
     }
 
-    /// Current arena capacities `(blocks, hits, mapped)`: `blocks` in
-    /// `u32` words, summed over the group arenas, and the scan buffers
-    /// the builds use — the oracle hit vectors and live-view remaps —
-    /// summed over the arenas resting in [`IterationScratch::pool`].
-    /// Introspection hook for the reuse tests.
-    pub fn scratch_capacities(&self) -> (usize, usize, usize) {
-        let (hits, mapped) = self.scratch.pool.capacities();
+    /// Current arena capacities `(blocks, hits, mapped, tile)`: `blocks`
+    /// in `u32` words, summed over the group arenas, and the scan buffers
+    /// the builds use — the oracle hit vectors, live-view remaps and the
+    /// bucketed packed scan's lane tiles — summed over the arenas resting
+    /// in [`IterationScratch::pool`]. Introspection hook for the reuse
+    /// tests.
+    pub fn scratch_capacities(&self) -> (usize, usize, usize, usize) {
+        let (hits, mapped, tile) = self.scratch.pool.capacities();
         (
             self.scratch.blocks.iter().map(CooGroups::capacity).sum(),
             hits,
             mapped,
+            tile,
         )
     }
 
     /// Host bytes of this iteration's packed replica
-    /// ([`PackedBuckets::device_bytes`]: key lanes and query rows) when a
-    /// build packed it, else 0.
+    /// ([`PackedBuckets::device_bytes`]: the key and query tables,
+    /// `16·m·w`) when a build packed it, else 0.
     pub fn replica_bytes(&self) -> usize {
         self.packed_replica().map_or(0, PackedBuckets::device_bytes)
     }
@@ -678,7 +653,7 @@ mod tests {
         let oracle = crate::oracle::PauliComplementOracle::new(&set);
         let (engine, packed, _) = ctx.engine_packed_scratch(&oracle);
         assert!(!engine.is_bucketed());
-        assert_eq!(packed.map(PackedBuckets::num_rows), Some(80));
+        assert_eq!(packed.map(PackedBuckets::device_bytes), Some(16 * 80));
         assert_eq!((ctx.pack_builds(), ctx.index_builds()), (1, 0));
     }
 

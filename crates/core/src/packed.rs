@@ -1,24 +1,38 @@
-//! The bucket-major **packed oracle replica** feeding the SIMD-shaped
-//! conflict kernels.
+//! The **packed oracle replica** feeding the SIMD-shaped conflict
+//! kernels: one key table and one query table per iteration, `m·w`
+//! words each, for either candidate engine.
 //!
 //! The scalar block path ([`graph::EdgeOracle::has_edge_block_scratch`])
 //! amortizes the pivot load but still *gathers* each candidate row
 //! through an index indirection, one row at a time. The packed replica
-//! removes the gather: when an oracle exposes an AND-popcount form
-//! ([`graph::PackedOracleForm`] — the Pauli complement oracle over
-//! either packed encoding does), the iteration context lays the **key**
-//! words of every bucket's members out contiguously, in word-transposed
-//! SoA order, next to a row-major **query** table:
+//! removes the per-row gather: when an oracle exposes an AND-popcount
+//! form ([`graph::PackedOracleForm`] — the Pauli complement oracle over
+//! either packed encoding does), the iteration context writes the
+//! **key** words of every local vertex once, in word-transposed SoA
+//! order, next to a row-major **query** table — as Algorithm 3 uploads
+//! each vertex's packed words once, beside its color list:
 //!
 //! ```text
-//! keys  (per bucket k, B = |B_k| lanes):  [w0·lane0 w0·lane1 … w0·laneB-1  w1·lane0 …]
-//! query (per local vertex u):             [u·w0 u·w1 …]
+//! keys  (one lane per local vertex v):  [w0·v0 w0·v1 … w0·vm-1  w1·v0 …]
+//! query (per local vertex u):           [u·w0 u·w1 …]
+//! tile  (a bucket's n scanned members): [w0·t0 w0·t1 … w0·tn-1  w1·t0 …]
 //! ```
 //!
-//! A pivot's scan of its bucket tail is then `query_word &
-//! keys[w][lane]` over contiguous `u64` lanes — straight-line,
-//! autovectorizable, no per-row indirection; 21 Pauli operators per
-//! word-lane for the 3-bit code.
+//! The two tables differ: the symplectic encoding writes its key words
+//! with the x and z planes swapped, so a query row is not a key.
+//!
+//! A pivot's scan of its tail is then `query_word & lanes[w][lane]`
+//! over contiguous `u64` lanes — straight-line, autovectorizable, no
+//! per-row indirection; 21 Pauli operators per word-lane for the 3-bit
+//! code. The lanes are the key table itself on the all-pairs engine
+//! (the *identity layout*: lane `v` is vertex `v`, so row `i`'s tail is
+//! vertices `i+1..m`). On the bucketed engine a
+//! scan entering bucket `k` first gathers the members from its first
+//! pivot there to the bucket's end out of the key table into a **tile**
+//! of its pooled task arena (`PackedBuckets::gather_tile`), and the
+//! kernel runs over the tile. The tile is scan-time scratch, like a GPU
+//! block's shared memory: it holds one bucket's lanes per cut, so the
+//! replica itself is `16·m·w` bytes on either engine.
 //!
 //! The kernel's output is a **hit mask**: one `u64` word per 64 tail
 //! lanes, bit `t % 64` of word `t / 64` set exactly when tail candidate
@@ -31,39 +45,30 @@
 //! only on surviving bits, so its cost is paid on hits instead of on
 //! every candidate.
 //!
-//! **The palette filter stays linear in `m·L`.** The replica holds key
-//! lanes and query rows only. The dedup test runs in one of two forms,
+//! **The palette filter stays linear in `m·L`.** The replica holds the
+//! key and query tables only. The dedup test runs in one of two forms,
 //! which the replica picks once per pack ([`SharedColorFilter::choose`])
 //! and every scan of it reads back ([`PackedBuckets::shared_color_filter`]).
 //! The scans test against the sorted lists: a pivot with hits and colors
 //! below the bucket's sets those colors in a `⌈P/64⌉`-word scratch bitset
 //! of its task arena, and a hit survives iff none of the member's `L`
-//! colors is set. On the identity layout with `2L > P` every two lists
+//! colors is set. On the all-pairs engine with `2L > P` every two lists
 //! intersect, so no test runs. The rule reads only the lists and the
-//! layout, so every backend makes the same choice. `Normal` lists grow
+//! engine, so every backend makes the same choice. `Normal` lists grow
 //! `P` as `m/8`, so a palette bitmask per vertex would grow the replica
 //! as `m²/8` bits; the scratch bitset costs `⌈P/64⌉` words per task.
 //!
-//! **All-pairs is one bucket.** When the candidate engine falls back to
-//! the all-pairs scan, the replica takes the *identity layout*: a single
-//! bucket holding every live vertex in order (`num_rows = m`, lane `v`
-//! = local vertex `v`, keys at `keys[w_i·m + v]`). Row `i`'s tail is then
-//! vertices `i+1..m`, and the same kernel, zero-word skip and palette
-//! filter serve both engines — the all-pairs consumer keeps a hit iff
-//! the two lists share any palette color.
-//!
-//! The replica is built at most once per iteration, into a persistent
-//! arena owned by the [`IterationContext`](crate::IterationContext)
-//! (the `pack_builds` counter pins the contract). Packing is the
-//! oracle's call: an iteration packs exactly when
-//! [`EdgeOracle::packed_form`] is `Some`, whatever the engine or the
-//! pair load, and every oracle without a packed form (the CSR and
-//! closure oracles, [`graph::ScalarView`] over a packable one) takes
-//! the scalar block path.
+//! The replica is built at most once per iteration, in one serial
+//! `O(m·w)` pass, into a persistent arena owned by the
+//! [`IterationContext`](crate::IterationContext) (the `pack_builds`
+//! counter pins the contract). Packing is the oracle's call: an
+//! iteration packs exactly when [`EdgeOracle::packed_form`] is `Some`,
+//! whatever the engine or the pair load, and every oracle without a
+//! packed form (the CSR and closure oracles, [`graph::ScalarView`] over
+//! a packable one) takes the scalar block path.
 
-use crate::assign::{BucketIndex, ColorLists};
+use crate::assign::ColorLists;
 use graph::EdgeOracle;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Counters of one mask-kernel consumer pass: how many hit-mask words
@@ -82,24 +87,20 @@ pub struct MaskScanStats {
     pub skipped_words: u64,
 }
 
-/// The packed, bucket-major oracle replica of one iteration (see the
-/// module docs for the layout).
+/// The packed oracle replica of one iteration: the key and query tables
+/// of every local vertex (see the module docs for the layout).
 #[derive(Debug, Default)]
 pub struct PackedBuckets {
     words: usize,
     odd_means_edge: bool,
-    num_rows: usize,
     num_vertices: usize,
-    /// Word-transposed key lanes: bucket `k` starting at flat row `o`
-    /// with `B` members occupies `keys[o·w ..][w_i·B + lane]`.
+    /// Word-transposed key lanes: word `w_i` of local vertex `v` at
+    /// `keys[w_i·m + v]`.
     keys: Vec<u64>,
     /// Row-major query words of every local vertex.
     query: Vec<u64>,
     /// How the scans of this replica run the shared-color test.
     filter: SharedColorFilter,
-    /// Staging rows for the word-transposed scatter (multi-word forms),
-    /// `w` words per scatter task.
-    tmp: Vec<u64>,
 }
 
 impl PackedBuckets {
@@ -108,106 +109,45 @@ impl PackedBuckets {
         PackedBuckets::default()
     }
 
-    /// (Re)builds the replica for `oracle` over `lists` and their
-    /// `index` (`None`: the all-pairs identity layout), reusing this
-    /// arena's storage. Returns `false` — leaving the replica inactive —
-    /// when the oracle has no packed form.
+    /// (Re)builds the replica for `oracle` over `lists`, for scans of the
+    /// bucketed engine (`bucketed`) or of the all-pairs engine, reusing
+    /// this arena's storage. Returns `false` — leaving the replica
+    /// inactive — when the oracle has no packed form.
     ///
-    /// This serial pass is the one the sequential backend uses: it
-    /// allocates nothing once the arena is warm, which
-    /// `tests/memory.rs` pins at exactly zero heap allocations.
+    /// One serial pass writes `m·w` key words and `m·w` query words; the
+    /// engine decides only the shared-color filter. Once the arena is warm
+    /// it allocates nothing, which `tests/memory.rs` pins at exactly zero
+    /// heap allocations.
     pub fn pack_from<O: EdgeOracle + ?Sized>(
         &mut self,
         oracle: &O,
         lists: &ColorLists,
-        index: Option<&BucketIndex>,
-    ) -> bool {
-        self.pack_impl(oracle, lists, index, 1)
-    }
-
-    /// [`PackedBuckets::pack_from`], with the key scatter cut into
-    /// `4 × threads` contiguous bucket ranges, one rayon task each (each
-    /// task owns a disjoint slice of the flat key rows, so the writes
-    /// never overlap). The parallel backends use this. The identity
-    /// layout is one bucket, so its `O(m·w)` scatter runs as one task.
-    pub fn pack_from_parallel<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-        lists: &ColorLists,
-        index: Option<&BucketIndex>,
-    ) -> bool {
-        self.pack_impl(oracle, lists, index, rayon::current_num_threads() * 4)
-    }
-
-    fn pack_impl<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-        lists: &ColorLists,
-        index: Option<&BucketIndex>,
-        tasks: usize,
+        bucketed: bool,
     ) -> bool {
         let Some(form) = oracle.packed_form() else {
             return false;
         };
-        let w = form.words.max(1);
-        let m = oracle.num_vertices();
+        let (w, m) = (form.words.max(1), oracle.num_vertices());
         debug_assert_eq!(m, lists.len());
         self.words = w;
         self.odd_means_edge = form.odd_means_edge;
-        self.num_rows = index.map_or(m, BucketIndex::num_rows);
         self.num_vertices = m;
+        self.filter = SharedColorFilter::choose(lists.palette_size(), lists.list_size(), bucketed);
+        self.keys.clear();
+        self.keys.resize(m * w, 0);
         self.query.clear();
         self.query.resize(m * w, 0);
-        for u in 0..m {
-            oracle.write_query_words(u, &mut self.query[u * w..(u + 1) * w]);
+        for v in 0..m {
+            // The query row stages the key words on their way into the
+            // transposed table.
+            let row = &mut self.query[v * w..(v + 1) * w];
+            oracle.write_key_words(v, row);
+            for (wi, &word) in row.iter().enumerate() {
+                self.keys[wi * m + v] = word;
+            }
+            oracle.write_query_words(v, row);
         }
-        self.filter =
-            SharedColorFilter::choose(lists.palette_size(), lists.list_size(), index.is_some());
-        self.keys.clear();
-        self.keys.resize(self.num_rows * w, 0);
-        self.scatter_keys(oracle, index, tasks);
         true
-    }
-
-    /// The key scatter, bucket by bucket — or, without an index, the
-    /// all-pairs identity layout: one bucket of all `m` local vertices in
-    /// order, word-transposed as `keys[w_i·m + v]`. The buckets are cut
-    /// into at most `tasks` contiguous ranges, one rayon task each, with
-    /// `w` words of the staging arena apiece; one range runs inline.
-    fn scatter_keys<O: EdgeOracle + ?Sized>(
-        &mut self,
-        oracle: &O,
-        index: Option<&BucketIndex>,
-        tasks: usize,
-    ) {
-        let (w, m) = (self.words, self.num_vertices);
-        let buckets = index.map_or(1, BucketIndex::num_buckets);
-        let tasks = tasks.clamp(1, buckets.max(1));
-        // The first key word of bucket `k` (the end for `k` = `buckets`).
-        let start = |k: usize| index.map_or(k * m, |index| index.bucket_start(k)) * w;
-        let ranges = (0..tasks).map(|t| buckets * t / tasks..buckets * (t + 1) / tasks);
-        self.tmp.clear();
-        self.tmp.resize(tasks * w, 0);
-        let keys = crate::split_ranges_mut(
-            &mut self.keys,
-            ranges.clone().map(|r| start(r.start)..start(r.end)),
-        );
-        keys.zip(self.tmp.chunks_mut(w))
-            .zip(ranges)
-            .par_bridge()
-            .for_each(|((keys, tmp), range)| {
-                let base = start(range.start);
-                for k in range {
-                    let keys = &mut keys[start(k) - base..start(k + 1) - base];
-                    match index {
-                        Some(index) => {
-                            let bucket = index.bucket(k).iter().map(|&v| v as usize);
-                            scatter_bucket(oracle, keys, bucket, tmp)
-                        }
-                        None => scatter_bucket(oracle, keys, 0..m, tmp),
-                    }
-                }
-            });
     }
 
     /// Words per packed row.
@@ -216,19 +156,12 @@ impl PackedBuckets {
         self.words
     }
 
-    /// Flat key rows currently packed: `Σ_c |B_c| = N·L` for a bucketed
-    /// layout, `N` for the all-pairs identity layout.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Bytes the device replica of this packing holds: every key lane and
-    /// every query row, as `u64` words. This is what Algorithm 3 uploads
+    /// Bytes the device replica of this packing holds: the key table and
+    /// the query table, as `u64` words. This is what Algorithm 3 uploads
     /// **instead of** the raw encoded set when the packed kernel runs —
-    /// the replica *is* the kernel's input. Exactly `8·(N·L·w + m·w)`
-    /// bytes on the bucketed layout (`8·(m·w + m·w)` on the identity
-    /// layout): linear in `m·L`, whatever the palette.
+    /// the replica *is* the kernel's input. Exactly `16·m·w` bytes on
+    /// either engine, whatever the palette. The bucketed scans' tiles are
+    /// scan-time scratch and not part of it.
     pub fn device_bytes(&self) -> usize {
         (self.keys.len() + self.query.len()) * std::mem::size_of::<u64>()
     }
@@ -240,7 +173,7 @@ impl PackedBuckets {
     /// calls), and catches the practical misuse — swapping oracles
     /// between builds of one iteration without reassigning the lists.
     #[cfg(debug_assertions)]
-    pub(crate) fn probe_matches<O: EdgeOracle + ?Sized>(&mut self, oracle: &O) -> bool {
+    pub(crate) fn probe_matches<O: EdgeOracle + ?Sized>(&self, oracle: &O) -> bool {
         if oracle.num_vertices() != self.num_vertices {
             return false;
         }
@@ -251,16 +184,11 @@ impl PackedBuckets {
             return true;
         }
         let w = self.words;
-        let mut tmp = std::mem::take(&mut self.tmp);
-        tmp.clear();
-        tmp.resize(w, 0);
-        let mut ok = true;
-        for r in [0, self.num_vertices - 1] {
-            oracle.write_query_words(r, &mut tmp);
-            ok &= tmp[..] == self.query[r * w..(r + 1) * w];
-        }
-        self.tmp = tmp;
-        ok
+        let mut row = vec![0; w];
+        [0, self.num_vertices - 1].into_iter().all(|r| {
+            oracle.write_query_words(r, &mut row);
+            row[..] == self.query[r * w..(r + 1) * w]
+        })
     }
 
     /// How the scans of this replica run the shared-color test, as
@@ -270,11 +198,26 @@ impl PackedBuckets {
         self.filter
     }
 
-    /// The hit-mask kernel: edge bits of pivot `pivot` (local vertex
-    /// id, sitting at position `pos` of the bucket starting at flat row
-    /// `bucket_start` with `bucket_len` members) against the **whole
-    /// bucket tail** `pos+1..bucket_len`, packed 64 lanes per `u64`
-    /// into `masks` — bit `t % 64` of word `t / 64` set ⟺ tail
+    /// Gathers the key lanes of `members` (local vertex ids) out of the
+    /// key table into `tile`, word-transposed like the table: word `w_i`
+    /// of member `t` lands at `tile[w_i·n + t]`, `n = members.len()`.
+    /// `tile` is cleared first and never shrunk, so a warm tile gathers
+    /// without allocating.
+    pub(crate) fn gather_tile(&self, members: &[u32], tile: &mut Vec<u64>) {
+        let m = self.num_vertices;
+        tile.clear();
+        for wi in 0..self.words {
+            let table = &self.keys[wi * m..(wi + 1) * m];
+            tile.extend(members.iter().map(|&v| table[v as usize]));
+        }
+    }
+
+    /// The hit-mask kernel: edge bits of pivot `pivot` (local vertex id)
+    /// against the lanes after position `pos` of a lane slice — the
+    /// gathered `tile` of a bucket's members (`PackedBuckets::gather_tile`)
+    /// or, for `None`, the key table itself, whose lane `v` is vertex `v`.
+    /// The tail `pos+1..n` (`n` lanes in the slice) is packed 64 lanes per
+    /// `u64` into `masks` — bit `t % 64` of word `t / 64` set ⟺ tail
     /// candidate `t` is an edge, with the form's parity polarity and
     /// the partial-word masking already folded in. One-word forms take
     /// `AND`+parity per lane; wider forms XOR-accumulate the per-word
@@ -284,17 +227,17 @@ impl PackedBuckets {
     /// CPU has it and a bitsliced 8-lane fold otherwise.
     pub fn tail_edge_mask(
         &self,
-        bucket_start: usize,
-        bucket_len: usize,
+        tile: Option<&[u64]>,
         pos: usize,
         pivot: usize,
         masks: &mut Vec<u64>,
     ) {
-        debug_assert!(pos < bucket_len);
-        debug_assert!(pivot < self.num_vertices);
         let w = self.words;
-        let tail = bucket_len - pos - 1;
-        let base = bucket_start * w;
+        let lanes = tile.unwrap_or(&self.keys);
+        let len = lanes.len() / w;
+        debug_assert!(pos < len);
+        debug_assert!(pivot < self.num_vertices);
+        let tail = len - pos - 1;
         masks.clear();
         if tail == 0 {
             return;
@@ -302,7 +245,7 @@ impl PackedBuckets {
         let use_popcnt = have_popcnt();
         if w == 1 {
             let qw = self.query[pivot];
-            let keys = &self.keys[base + pos + 1..base + bucket_len];
+            let keys = &lanes[pos + 1..len];
             for chunk in keys.chunks(64) {
                 let word = if use_popcnt {
                     // SAFETY: guarded by runtime POPCNT detection.
@@ -320,7 +263,7 @@ impl PackedBuckets {
                 let c = 64.min(tail - t);
                 acc[..c].fill(0);
                 for (wi, &qw) in q.iter().enumerate() {
-                    let keys = &self.keys[base + wi * bucket_len + pos + 1 + t..][..c];
+                    let keys = &lanes[wi * len + pos + 1 + t..][..c];
                     for (a, &kw) in acc[..c].iter_mut().zip(keys) {
                         *a ^= qw & kw;
                     }
@@ -366,7 +309,7 @@ pub enum SharedColorFilter {
     /// A pivot's colors in a `⌈P/64⌉`-word scratch bitset, each hit's
     /// `L` colors tested against it.
     Lists,
-    /// No test: on the identity layout with `2L > P` every two lists
+    /// No test: on the all-pairs engine with `2L > P` every two lists
     /// share a color.
     #[default]
     Skipped,
@@ -374,9 +317,9 @@ pub enum SharedColorFilter {
 
 impl SharedColorFilter {
     /// The rule for a replica over lists of `list` colors from a
-    /// `palette`-color palette, on the bucketed layout or the all-pairs
-    /// identity layout: the identity layout with `2L > P` needs no test,
-    /// every other scan tests on the lists. A pure function of the lists
+    /// `palette`-color palette, scanned by the bucketed engine or the
+    /// all-pairs one: all-pairs with `2L > P` needs no test, every other
+    /// scan tests on the lists. A pure function of the lists
     /// and the engine's choice, so every backend makes the same one.
     pub fn choose(palette: u32, list: usize, bucketed: bool) -> SharedColorFilter {
         if !bucketed && 2 * list > palette as usize {
@@ -391,29 +334,6 @@ impl SharedColorFilter {
         match self {
             SharedColorFilter::Lists => "list",
             SharedColorFilter::Skipped => "none",
-        }
-    }
-}
-
-/// Writes the key words of one bucket's `members` into its key slice
-/// `keys` (`members.len() · w` words), word-transposed: word `w_i` of
-/// lane `lane` lands at `keys[w_i·B + lane]`. `tmp` is `w` words of
-/// staging for multi-word forms.
-fn scatter_bucket<O: EdgeOracle + ?Sized>(
-    oracle: &O,
-    keys: &mut [u64],
-    members: impl ExactSizeIterator<Item = usize>,
-    tmp: &mut [u64],
-) {
-    let b = members.len();
-    for (lane, v) in members.enumerate() {
-        if tmp.len() == 1 {
-            oracle.write_key_words(v, &mut keys[lane..lane + 1]);
-        } else {
-            oracle.write_key_words(v, tmp);
-            for (wi, &word) in tmp.iter().enumerate() {
-                keys[wi * b + lane] = word;
-            }
         }
     }
 }
@@ -536,51 +456,53 @@ mod tests {
             .collect()
     }
 
+    /// The bucketed scans: each bucket's tail masks, over a tile gathered
+    /// from the bucket's first member and from its middle one (where a
+    /// cut may start), match the scalar oracle.
     fn check_matches_scalar<O: EdgeOracle>(oracle: &O, lists: &ColorLists) {
         let index = lists.bucket_index();
         let mut packed = PackedBuckets::new();
         assert!(
-            packed.pack_from(oracle, lists, Some(&index)),
+            packed.pack_from(oracle, lists, true),
             "oracle must be packable"
         );
-        assert_eq!(packed.num_rows(), index.num_rows());
-        let mut masks = Vec::new();
+        let (mut masks, mut tile) = (Vec::new(), Vec::new());
         for k in 0..index.num_buckets() {
             let bucket = index.bucket(k);
-            let start = index.bucket_start(k);
-            for (a, &u) in bucket.iter().enumerate() {
-                let tail = bucket.len() - a - 1;
-                packed.tail_edge_mask(start, bucket.len(), a, u as usize, &mut masks);
-                assert_eq!(masks.len(), tail.div_ceil(64));
-                for t in 0..tail {
-                    let v = bucket[a + 1 + t] as usize;
-                    assert_eq!(
-                        masks[t / 64] >> (t % 64) & 1 == 1,
-                        oracle.has_edge(u as usize, v),
-                        "bucket {k} pivot {u} vs {v}"
-                    );
-                }
-                // No garbage past the tail in the partial last word.
-                if !tail.is_multiple_of(64) {
-                    assert_eq!(masks[tail / 64] & !((1u64 << (tail % 64)) - 1), 0);
+            for first in [0, bucket.len() / 2] {
+                packed.gather_tile(&bucket[first..], &mut tile);
+                assert_eq!(tile.len(), (bucket.len() - first) * packed.words());
+                for (a, &u) in bucket.iter().enumerate().skip(first) {
+                    let tail = bucket.len() - a - 1;
+                    packed.tail_edge_mask(Some(&tile), a - first, u as usize, &mut masks);
+                    assert_eq!(masks.len(), tail.div_ceil(64));
+                    for t in 0..tail {
+                        let v = bucket[a + 1 + t] as usize;
+                        assert_eq!(
+                            masks[t / 64] >> (t % 64) & 1 == 1,
+                            oracle.has_edge(u as usize, v),
+                            "bucket {k} from {first}: pivot {u} vs {v}"
+                        );
+                    }
+                    // No garbage past the tail in the partial last word.
+                    if !tail.is_multiple_of(64) {
+                        assert_eq!(masks[tail / 64] & !((1u64 << (tail % 64)) - 1), 0);
+                    }
                 }
             }
         }
     }
 
-    /// The all-pairs identity layout: row `i`'s tail is `i+1..m`, and
-    /// the serial and parallel packs write the same replica.
+    /// The all-pairs scans, straight off the key table: row `i`'s tail is
+    /// `i+1..m`.
     fn check_identity_matches_scalar<O: EdgeOracle>(oracle: &O, lists: &ColorLists) {
         let m = lists.len();
         let mut packed = PackedBuckets::new();
-        assert!(packed.pack_from(oracle, lists, None));
-        assert_eq!(packed.num_rows(), m);
-        let mut parallel = PackedBuckets::new();
-        assert!(parallel.pack_from_parallel(oracle, lists, None));
-        assert_eq!(packed.keys, parallel.keys);
+        assert!(packed.pack_from(oracle, lists, false));
+        assert_eq!(packed.device_bytes(), 16 * m * packed.words());
         let mut masks = Vec::new();
         for i in 0..m {
-            packed.tail_edge_mask(0, m, i, i, &mut masks);
+            packed.tail_edge_mask(None, i, i, &mut masks);
             assert_eq!(masks.len(), (m - i - 1).div_ceil(64));
             for t in 0..m - i - 1 {
                 assert_eq!(
@@ -656,31 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pack_matches_the_serial_pass() {
-        // A narrow and a wide palette: the replica is the same keys and
-        // queries either way, filtered on the lists.
-        for palette in [18u32, 2000] {
-            for qubits in [8usize, 30, 70] {
-                let what = format!("P={palette}, {qubits} qubits");
-                let ss = strings(120, qubits, 17);
-                let enc = EncodedSet::from_strings(&ss);
-                let oracle = PauliComplementOracle::new(&enc);
-                let lists = ColorLists::assign(120, 0, palette, 4, 5, 1);
-                let index = lists.bucket_index();
-                let mut serial = PackedBuckets::new();
-                let mut parallel = PackedBuckets::new();
-                assert!(serial.pack_from(&oracle, &lists, Some(&index)));
-                assert!(parallel.pack_from_parallel(&oracle, &lists, Some(&index)));
-                assert_eq!(serial.keys, parallel.keys, "{what}");
-                assert_eq!(serial.query, parallel.query, "{what}");
-                let filter = SharedColorFilter::Lists;
-                assert_eq!(serial.shared_color_filter(), filter, "{what}");
-                assert_eq!(parallel.shared_color_filter(), filter, "{what}");
-            }
-        }
-    }
-
-    #[test]
     fn only_an_identity_layout_with_2l_above_p_skips_the_list_test() {
         // The bucketed layout always tests on the lists; the identity
         // layout skips the test iff `2L > P`. At the benchmark's shapes:
@@ -746,11 +643,10 @@ mod tests {
     #[test]
     fn unpackable_oracles_are_declined() {
         let lists = ColorLists::assign(20, 0, 5, 2, 1, 1);
-        let index = lists.bucket_index();
         let oracle = graph::FnOracle::new(20, |u, v| (u + v) % 2 == 0);
         let mut packed = PackedBuckets::new();
-        assert!(!packed.pack_from(&oracle, &lists, Some(&index)));
-        assert!(!packed.pack_from_parallel(&oracle, &lists, Some(&index)));
+        assert!(!packed.pack_from(&oracle, &lists, true));
+        assert!(!packed.pack_from(&oracle, &lists, false));
     }
 
     #[test]
@@ -760,11 +656,11 @@ mod tests {
         let oracle = PauliComplementOracle::new(&enc);
         let mut packed = PackedBuckets::new();
         let big = ColorLists::assign(100, 0, 20, 4, 3, 1);
-        assert!(packed.pack_from(&oracle, &big, Some(&big.bucket_index())));
+        assert!(packed.pack_from(&oracle, &big, true));
         let caps = (packed.keys.capacity(), packed.query.capacity());
         for iter in 2..5u64 {
             let lists = ColorLists::assign(100, 0, 20, 4, 3, iter);
-            assert!(packed.pack_from(&oracle, &lists, Some(&lists.bucket_index())));
+            assert!(packed.pack_from(&oracle, &lists, true));
             assert_eq!(
                 (packed.keys.capacity(), packed.query.capacity()),
                 caps,
@@ -778,35 +674,31 @@ mod tests {
     fn replicas_stay_linear_in_the_key_lanes() {
         // The sparse shape, P ≫ 64·L·w: a two-word packed-word oracle
         // with 3-color lists from a 3000-color palette. The replica is
-        // the key lanes and the query rows, `8·(N·L·w + m·w)`, on either
-        // layout (all-pairs: N·w key words) and for either pass.
+        // the key table and the query table, `16·m·w` bytes, on either
+        // engine: the bucketed scans gather their lanes at scan time.
         let n = 600;
         let oracle = graph::PackedWordOracle::with_edge_density(n, 2, 0.01, 3);
         let lists = ColorLists::assign(n, 0, 3000, 3, 7, 1);
-        let index = lists.bucket_index();
-        for (layout, rows) in [(Some(&index), n * 3), (None, n)] {
-            let mut serial = PackedBuckets::new();
-            let mut parallel = PackedBuckets::new();
-            assert!(serial.pack_from(&oracle, &lists, layout));
-            assert!(parallel.pack_from_parallel(&oracle, &lists, layout));
-            for packed in [&serial, &parallel] {
-                assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
-                assert_eq!(packed.device_bytes(), 8 * (rows * 2 + n * 2));
-            }
+        for bucketed in [true, false] {
+            let mut packed = PackedBuckets::new();
+            assert!(packed.pack_from(&oracle, &lists, bucketed));
+            assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
+            assert_eq!(packed.device_bytes(), 16 * n * 2);
         }
     }
 
     #[test]
     fn device_bytes_cover_keys_and_queries() {
+        // 50 vertices, one key word and one query word each, on either
+        // engine: the 4-color lists add nothing.
         let ss = strings(50, 8, 5);
         let enc = EncodedSet::from_strings(&ss);
         let oracle = PauliComplementOracle::new(&enc);
         let lists = ColorLists::assign(50, 0, 10, 4, 3, 1);
         let mut packed = PackedBuckets::new();
-        let index = lists.bucket_index();
-        assert!(packed.pack_from(&oracle, &lists, Some(&index)));
-        // 50 vertices × 4 list colors = 200 key rows + 50 query rows,
-        // one word each.
-        assert_eq!(packed.device_bytes(), (200 + 50) * 8);
+        for bucketed in [true, false] {
+            assert!(packed.pack_from(&oracle, &lists, bucketed));
+            assert_eq!(packed.device_bytes(), (50 + 50) * 8);
+        }
     }
 }

@@ -136,10 +136,11 @@ pub struct IterationStats {
     /// and `Parallel`).
     pub mask_bytes: u64,
     /// Host bytes of the iteration's packed oracle replica
-    /// ([`crate::PackedBuckets::device_bytes`]: key lanes and query
-    /// rows); zero when the iteration did not pack. Linear in `m·L`:
-    /// exactly `8·(N·L·w + m·w)` for `w`-word rows on the bucketed
-    /// layout, `8·(m·w + m·w)` on the all-pairs identity layout.
+    /// ([`crate::PackedBuckets::device_bytes`]: the key and query
+    /// tables); zero when the iteration did not pack. Exactly `16·m·w`
+    /// for `w`-word rows on either engine: the bucketed scans gather
+    /// each bucket's lanes into a pooled tile at scan time, which is not
+    /// counted here.
     pub replica_bytes: u64,
     /// How the packed scans ran the shared-color test on oracle hits
     /// ([`SharedColorFilter::choose`]): on the sorted lists, or no test;

@@ -18,9 +18,10 @@ use crate::csr::CsrGraph;
 /// [`EdgeOracle::write_query_words`] / [`EdgeOracle::write_key_words`].
 /// Oracles with such a form (the Pauli complement oracle and anything
 /// wrapping one) let the conflict builders replace per-row oracle
-/// queries with a bucket-major packed kernel: key words packed
-/// contiguously per palette bucket, one pivot query streamed against
-/// 4–8 `u64` lanes per loop iteration with no per-row gather.
+/// queries with a packed kernel: key words packed contiguously in
+/// word-transposed lanes (a palette bucket's gathered once per scan of
+/// it), one pivot query streamed against 4–8 `u64` lanes per loop
+/// iteration with no per-row gather.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackedOracleForm {
     /// `u64` words per packed row (query and key have equal width).

@@ -67,10 +67,10 @@ pub trait AntiCommuteSet: Sync {
     /// it: the 3-bit code with `query = key = row` (Eq. 5), the
     /// symplectic code with the planes of the key swapped so the AND
     /// produces exactly the symplectic product's two terms. This is the
-    /// factorization the bucket-major packed conflict kernels exploit:
-    /// key words are laid out contiguously per palette bucket, so one
-    /// pivot's query streams the whole bucket tail with no per-row
-    /// gather.
+    /// factorization the packed conflict kernels exploit: key words are
+    /// laid out contiguously in word-transposed lanes (a palette bucket's
+    /// gathered once per scan of it), so one pivot's query streams the
+    /// whole bucket tail with no per-row gather.
     #[inline]
     fn packed_words(&self) -> Option<usize> {
         None

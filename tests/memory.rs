@@ -243,6 +243,7 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
     // not a capacity coin-flip).
     ctx.assign_lists(n, 0, p, l, 1, 3);
     let groups_warm = ctx.scratch_capacities().0;
+    let tile_warm = ctx.scratch_capacities().3;
     let before = memtrack::thread_allocations();
     let built = build_sequential(&oracle, &mut ctx);
     let after = memtrack::thread_allocations();
@@ -252,6 +253,10 @@ fn warm_sequential_build_and_csr_assembly_allocate_nothing() {
         "the packed kernel must be the path being measured"
     );
     assert_group_buffer_reused(&mut ctx, groups_warm, built.num_edges);
+    // The bucketed scan gathers each bucket's lanes into the pooled
+    // arena's tile, which a warm build reuses.
+    assert!(tile_warm > 0, "lane tile warmed");
+    assert_eq!(ctx.scratch_capacities().3, tile_warm, "lane tile grew");
     assert_eq!(
         after - before,
         0,
@@ -390,9 +395,10 @@ fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
     // The dense bucketed shape the solver keeps as hit masks: Normal
     // lists over random Pauli strings, where the CSR path outweighs the
     // masks. The mask fill counts `|Ec|` from each bucket's lower-color
-    // member sets, built in the pooled task arena; once warm, neither
-    // that scratch nor the mask arena grows, and the build allocates
-    // nothing.
+    // member sets, built in the pooled task arena, and each scan entering
+    // a bucket gathers its lanes into the arena's tile; once warm, neither
+    // that scratch, the tile nor the mask arena grows, and the build
+    // allocates nothing.
     use picasso::conflict::{build_host, HostGraph};
     use picasso::{IterationContext, PauliComplementOracle};
     use rand::SeedableRng;
@@ -416,6 +422,7 @@ fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
     );
     let masks_warm = ctx.lists_and_scratch().1.hit_masks.capacity();
     let columns_warm = ctx.scratch_pool().column_capacity();
+    let tile_warm = ctx.scratch_capacities().3;
     let before = memtrack::thread_allocations();
     let built = build_host(&oracle, &mut ctx, false, true);
     let after = memtrack::thread_allocations();
@@ -440,6 +447,8 @@ fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
         columns_warm,
         "column scratch grew"
     );
+    assert!(tile_warm > 0, "lane tile warmed");
+    assert_eq!(ctx.scratch_capacities().3, tile_warm, "lane tile grew");
     assert_eq!(
         after - before,
         0,
@@ -727,13 +736,15 @@ fn conflict_graph_is_sublinear_fraction_of_input_graph() {
 /// cold-context `Sequential` solve per config (1,024 synthetic 24-qubit
 /// strings, seed 5; the input encoded inside the region): `observed ≤
 /// measured` must hold, since the model is a lower bound, and it must
-/// reach 3/4 of the peak. Normal lists read 319,444 B of a measured
-/// 375,668 B (0.85). Aggressive lists (`P = L = 31`, the all-pairs
-/// engine, hit masks over the identity layout, whose greedy keeps
-/// per-colour holder sets) read 372,604 B of 473,576 B (0.79); before
-/// the model left out the bucket index that engine never builds, it
-/// read 495,740 B, above the peak. Both peaks are the same at 1 to 8
-/// threads. The pooled scan arenas are what the model still leaves out.
+/// reach 3/4 of the peak. Normal lists read 221,140 B of a measured
+/// 279,316 B (0.79), the bucketed replica being the key and query
+/// tables, `16·m·w` bytes, on both sides. Aggressive lists (`P = L = 31`, the
+/// all-pairs engine, hit masks over the identity layout, whose greedy
+/// keeps per-colour holder sets) read 372,604 B of 473,640 B (0.79);
+/// before the model left out the bucket index that engine never builds,
+/// it read 495,740 B, above the peak. Both peaks are the same at 1 to 8
+/// threads. The pooled scan arenas, lane tiles included, are what the
+/// model still leaves out.
 #[test]
 fn observed_peak_is_a_tight_lower_bound_on_a_sequential_solve() {
     let _guard = MEASURE_LOCK.lock().unwrap();

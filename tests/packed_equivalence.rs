@@ -173,10 +173,11 @@ fn check_packed_all_pairs<O: graph::EdgeOracle>(
     let reference = build_sequential_allpairs(&ScalarView::new(oracle), &mut scalar_ctx);
     let truth = staged_edges(&mut scalar_ctx);
 
-    // The packed source scan, straight off an identity replica.
+    // The packed source scan, straight off the replica's key table.
     let mut packed = PackedBuckets::new();
-    prop_assert!(packed.pack_from(oracle, lists, None), "seed {}", seed);
-    prop_assert_eq!(packed.num_rows(), n, "seed {}", seed);
+    prop_assert!(packed.pack_from(oracle, lists, false), "seed {}", seed);
+    let replica = 16 * n * packed.words();
+    prop_assert_eq!(packed.device_bytes(), replica, "seed {}", seed);
     let mut edges = Vec::new();
     let mut stats = MaskScanStats::default();
     AllPairsSource::new(lists).scan_rows_packed(
@@ -327,9 +328,11 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
     assert_eq!(index.num_buckets(), 1);
     assert_eq!(index.bucket(0).len(), n);
     let mut packed = PackedBuckets::new();
-    assert!(packed.pack_from(&oracle, &lists, Some(&index)));
+    assert!(packed.pack_from(&oracle, &lists, true));
     let mut masks = Vec::new();
-    packed.tail_edge_mask(0, n, 0, index.bucket(0)[0] as usize, &mut masks);
+    // The one bucket holds every vertex in order, so its lanes are the
+    // key table's.
+    packed.tail_edge_mask(None, 0, index.bucket(0)[0] as usize, &mut masks);
     assert_eq!(masks.len(), 2, "69-lane tail spans two mask words");
     assert_eq!(masks[0], 1u64 << 63, "high-bit-only hit in word 0");
     assert_eq!(masks[1], 1u64, "low-bit hit in word 1");
@@ -357,9 +360,8 @@ fn mask_words_with_high_bit_only_hits_round_trip() {
 /// shared-color filter's color bitset spans many words. Over a two-word
 /// packed-word oracle, on the bucketed and the
 /// all-pairs engine, every packed backend's CSR and `|Ec|` equal the
-/// scalar all-pairs reference's, and the replica is exactly its key
-/// lanes and query rows, `8·(N·L·w + m·w)` bytes (`N·w` key words on the
-/// all-pairs identity layout).
+/// scalar all-pairs reference's, and the replica is exactly its key and
+/// query tables, `16·m·w` bytes, on either engine.
 #[test]
 fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
     let (n, w) = (900usize, 2usize);
@@ -391,8 +393,7 @@ fn sparse_palettes_filter_on_the_lists_across_all_packed_backends() {
         }
         assert_eq!(ctx.pack_builds(), 1, "{what}");
         assert_eq!(ctx.shared_color_filter(), Some(filter), "{what}");
-        let key_rows = if bucketed { n * list as usize } else { n };
-        assert_eq!(ctx.replica_bytes(), 8 * (key_rows * w + n * w), "{what}");
+        assert_eq!(ctx.replica_bytes(), 16 * n * w, "{what}");
     }
 }
 
