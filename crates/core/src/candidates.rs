@@ -222,12 +222,6 @@ impl<'a> ColorBits<'a> {
 /// The `emit` of a pivot whose every hit is a conflict edge.
 const EVERY_HIT: Option<fn(usize) -> bool> = None;
 
-/// Whether a pivot's tail mask has a set bit.
-#[inline]
-fn any_hit(mask: &[u64]) -> bool {
-    mask.iter().any(|&word| word != 0)
-}
-
 /// The [`PairSource::scan_rows_packed`] sink: every emitted edge goes to
 /// the caller's callback.
 struct EmitEdges<'a>(&'a mut dyn FnMut(u32, u32));
@@ -345,10 +339,10 @@ impl AllPairsSource<'_> {
         let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
         let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
         for i in rows {
-            packed.tail_edge_mask(None, i, i, masks);
+            let hit = packed.tail_edge_mask(None, i, i, masks);
             let member = |t| i + 1 + t;
             let go = match &mut bits {
-                Some(bits) if any_hit(masks) => {
+                Some(bits) if hit => {
                     let row = self.lists.row(i);
                     bits.toggle(row);
                     let go = sink.pivot(0, i, i, masks, stats, member, Some(|v| bits.holds_any(v)));
@@ -458,11 +452,11 @@ impl<'a> BucketSource<'a> {
             packed.gather_tile(&bucket[first..], tile);
             for a in positions {
                 let u = bucket[a] as usize;
-                packed.tail_edge_mask(Some(&tile[..]), a - first, u, masks);
+                let hit = packed.tail_edge_mask(Some(&tile[..]), a - first, u, masks);
                 let tail = &bucket[a + 1..];
                 let member = |t| tail[t] as usize;
                 // Emit only from the smallest shared color's bucket.
-                let go = if !own_test && any_hit(masks) && self.lists.row(u)[0] < color {
+                let go = if !own_test && hit && self.lists.row(u)[0] < color {
                     let row = self.lists.row(u);
                     let below = &row[..row.partition_point(|&c| c < color)];
                     bits.toggle(below);

@@ -45,6 +45,22 @@
 //! only on surviving bits, so its cost is paid on hits instead of on
 //! every candidate.
 //!
+//! **The parity runs on one of three arms**, the fastest the CPU has,
+//! picked once per process by runtime feature detection and named by
+//! [`parity_kernel`]:
+//!
+//! - `avx512` (`avx512f` + `avx512vpopcntdq`): 8 lanes per step — a
+//!   masked load per query word, `AND` (XOR-accumulated for `w > 1`), a
+//!   vector `POPCNT`, and one masked test of bit 0 that is the 8 mask
+//!   bits. Testing for a set bit or a clear one applies the polarity,
+//!   and the load-and-test mask stops at the tail's end, so nothing is
+//!   read or set past it.
+//! - `popcnt`: one scalar `POPCNT` per lane.
+//! - `portable`: a bitsliced 8-lane fold, for any CPU.
+//!
+//! Each arm defines every bit the same way, so the masks — and every
+//! colouring downstream — are bit-identical whichever arm runs.
+//!
 //! **The palette filter stays linear in `m·L`.** The replica holds the
 //! key and query tables only. The dedup test runs in one of two forms,
 //! which the replica picks once per pack ([`SharedColorFilter::choose`])
@@ -219,79 +235,192 @@ impl PackedBuckets {
     /// The tail `pos+1..n` (`n` lanes in the slice) is packed 64 lanes per
     /// `u64` into `masks` — bit `t % 64` of word `t / 64` set ⟺ tail
     /// candidate `t` is an edge, with the form's parity polarity and
-    /// the partial-word masking already folded in. One-word forms take
-    /// `AND`+parity per lane; wider forms XOR-accumulate the per-word
-    /// `AND`s first (`popcount(x ⊕ y) ≡ popcount(x) + popcount(y)
-    /// (mod 2)`), so the parity fold is paid once per lane, not per
-    /// word. The parity itself uses the `POPCNT` instruction when the
-    /// CPU has it and a bitsliced 8-lane fold otherwise.
+    /// the partial-word masking already folded in. Returns whether any
+    /// bit is set, so a consumer need not scan the words again.
+    ///
+    /// One-word forms take `AND`+parity per lane; wider forms
+    /// XOR-accumulate the per-word `AND`s first (`popcount(x ⊕ y) ≡
+    /// popcount(x) + popcount(y) (mod 2)`), so the parity fold is paid
+    /// once per lane, not per word. The parity runs on the arm
+    /// [`parity_kernel`] names (see the module docs); every arm defines
+    /// each bit the same way.
     pub fn tail_edge_mask(
         &self,
         tile: Option<&[u64]>,
         pos: usize,
         pivot: usize,
         masks: &mut Vec<u64>,
-    ) {
+    ) -> bool {
         let w = self.words;
         let lanes = tile.unwrap_or(&self.keys);
         let len = lanes.len() / w;
         debug_assert!(pos < len);
         debug_assert!(pivot < self.num_vertices);
-        let tail = len - pos - 1;
-        masks.clear();
-        if tail == 0 {
-            return;
+        let tail = Tail {
+            lanes,
+            len,
+            start: pos + 1,
+            query: &self.query[pivot * w..(pivot + 1) * w],
+            odd_means_edge: self.odd_means_edge,
+        };
+        // SAFETY: `ParityKernel::get` returns an arm this CPU supports.
+        unsafe { ParityKernel::get().run(&tail, masks) }
+    }
+}
+
+/// The name of the parity arm [`PackedBuckets::tail_edge_mask`] runs on
+/// this CPU: `"avx512"`, `"popcnt"` or `"portable"`.
+pub fn parity_kernel() -> &'static str {
+    ParityKernel::get().label()
+}
+
+/// The parity arms of the hit-mask kernel, fastest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ParityKernel {
+    /// `avx512f` + `avx512vpopcntdq`: 8 lanes per vector `POPCNT`, the
+    /// polarity and the tail's end folded into one masked test.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// One scalar `POPCNT` per lane. The workspace builds for baseline
+    /// x86-64, where `count_ones` lowers to a ~15-op SWAR sequence.
+    #[cfg(target_arch = "x86_64")]
+    Popcnt,
+    /// The bitsliced 8-lane fold ([`parity_bits_8`]), for any CPU.
+    Portable,
+}
+
+impl ParityKernel {
+    /// Every arm this build has, fastest first.
+    const ALL: &'static [ParityKernel] = &[
+        #[cfg(target_arch = "x86_64")]
+        ParityKernel::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        ParityKernel::Popcnt,
+        ParityKernel::Portable,
+    ];
+
+    /// The fastest arm the running CPU supports, detected on the first
+    /// call.
+    #[inline]
+    fn get() -> ParityKernel {
+        static KERNEL: std::sync::OnceLock<ParityKernel> = std::sync::OnceLock::new();
+        *KERNEL.get_or_init(|| {
+            let supported = ParityKernel::ALL.iter().find(|k| k.supported());
+            *supported.expect("the portable arm runs anywhere")
+        })
+    }
+
+    /// Whether the running CPU has the instructions this arm needs.
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ParityKernel::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            ParityKernel::Popcnt => std::arch::is_x86_feature_detected!("popcnt"),
+            ParityKernel::Portable => true,
         }
-        let use_popcnt = have_popcnt();
-        if w == 1 {
-            let qw = self.query[pivot];
-            let keys = &lanes[pos + 1..len];
-            for chunk in keys.chunks(64) {
-                let word = if use_popcnt {
-                    // SAFETY: guarded by runtime POPCNT detection.
-                    unsafe { popcnt::mask_word_1(qw, chunk) }
-                } else {
-                    mask_word_1_portable(qw, chunk)
-                };
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ParityKernel::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            ParityKernel::Popcnt => "popcnt",
+            ParityKernel::Portable => "portable",
+        }
+    }
+
+    /// Writes `tail`'s hit masks into `masks` on this arm; whether any bit
+    /// is set.
+    ///
+    /// # Safety
+    /// The running CPU must support this arm ([`ParityKernel::supported`]).
+    unsafe fn run(self, tail: &Tail<'_>, masks: &mut Vec<u64>) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the caller checked `avx512f` and `avx512vpopcntdq`.
+            ParityKernel::Avx512 => unsafe { avx512::tail_mask(tail, masks) },
+            #[cfg(target_arch = "x86_64")]
+            ParityKernel::Popcnt => tail.scalar_mask(
+                // SAFETY: the caller checked `POPCNT`.
+                |qw, keys| unsafe { popcnt::mask_word_1(qw, keys) },
+                // SAFETY: as above.
+                |accs| unsafe { popcnt::mask_word_acc(accs) },
+                masks,
+            ),
+            ParityKernel::Portable => {
+                tail.scalar_mask(mask_word_1_portable, mask_word_acc_portable, masks)
+            }
+        }
+    }
+}
+
+/// One pivot's tail as every parity arm reads it: `query.len()` word
+/// planes of `len` lanes each in `lanes` (word `w_i` of lane `t` at
+/// `lanes[w_i·len + t]`), the tail being lanes `start..len`.
+struct Tail<'a> {
+    lanes: &'a [u64],
+    len: usize,
+    start: usize,
+    query: &'a [u64],
+    odd_means_edge: bool,
+}
+
+impl Tail<'_> {
+    /// The scalar arms, 64 lanes per mask word: `fold_1` folds one-word
+    /// lanes against the query word, `fold_acc` XOR-accumulated ones.
+    /// Polarity and the tail's end are applied to each word as it is
+    /// written.
+    fn scalar_mask(
+        &self,
+        fold_1: impl Fn(u64, &[u64]) -> u64,
+        fold_acc: impl Fn(&[u64]) -> u64,
+        masks: &mut Vec<u64>,
+    ) -> bool {
+        let (len, start) = (self.len, self.start);
+        let flip = if self.odd_means_edge { 0 } else { !0 };
+        let mut any = 0u64;
+        masks.clear();
+        if let [qw] = *self.query {
+            for chunk in self.lanes[start..len].chunks(64) {
+                let word = (fold_1(qw, chunk) ^ flip) & ones(chunk.len());
+                any |= word;
                 masks.push(word);
             }
         } else {
-            let q = &self.query[pivot * w..(pivot + 1) * w];
+            let tail = len - start;
             let mut t = 0usize;
             let mut acc = [0u64; 64];
             while t < tail {
                 let c = 64.min(tail - t);
                 acc[..c].fill(0);
-                for (wi, &qw) in q.iter().enumerate() {
-                    let keys = &lanes[wi * len + pos + 1 + t..][..c];
+                for (wi, &qw) in self.query.iter().enumerate() {
+                    let keys = &self.lanes[wi * len + start + t..][..c];
                     for (a, &kw) in acc[..c].iter_mut().zip(keys) {
                         *a ^= qw & kw;
                     }
                 }
-                let word = if use_popcnt {
-                    // SAFETY: guarded by runtime POPCNT detection.
-                    unsafe { popcnt::mask_word_acc(&acc[..c]) }
-                } else {
-                    mask_word_acc_portable(&acc[..c])
-                };
+                let word = (fold_acc(&acc[..c]) ^ flip) & ones(c);
+                any |= word;
                 masks.push(word);
                 t += c;
             }
         }
-        if !self.odd_means_edge {
-            for word in masks.iter_mut() {
-                *word = !*word;
-            }
-        }
-        // Clear the bits past the tail in the (possibly partial) last
-        // word: the inversion above sets them, and consumers index the
-        // bucket by set-bit position.
-        let rem = tail % 64;
-        if rem != 0 {
-            if let Some(last) = masks.last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
-        }
+        any != 0
+    }
+}
+
+/// The low `n` bits set (all 64 for `n ≥ 64`).
+#[inline]
+fn ones(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -338,19 +467,65 @@ impl SharedColorFilter {
     }
 }
 
-/// Whether the running CPU has the `POPCNT` instruction. The workspace
-/// builds for baseline x86-64, where `count_ones` lowers to a ~15-op
-/// SWAR sequence; the detected fast path cuts that to one instruction
-/// per lane. The detection macro caches internally.
-#[inline]
-fn have_popcnt() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("popcnt")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The AVX-512 arm. Each 8-lane step's mask `k` covers only the
+    //! lanes inside the tail, so the partial last step neither loads past
+    //! the tail nor sets bits past it; testing bit 0 of the popcount set
+    //! (`test`) or clear (`testn`) applies the parity polarity.
+
+    use super::Tail;
+    use std::arch::x86_64::*;
+
+    /// [`Tail::scalar_mask`]'s masks, 8 lanes per instruction.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub unsafe fn tail_mask(tail: &Tail<'_>, masks: &mut Vec<u64>) -> bool {
+        let len = tail.len;
+        // Every load below stays inside `lanes` because of this check.
+        assert!(tail.start <= len && tail.lanes.len() >= tail.query.len() * len);
+        let n = len - tail.start;
+        let (first, rest) = tail.query.split_first().expect("w >= 1");
+        let one = _mm512_set1_epi64(1);
+        let base = tail.lanes.as_ptr().wrapping_add(tail.start);
+        masks.clear();
+        masks.resize(n.div_ceil(64), 0);
+        let mut any = 0u64;
+        for (wd, out) in masks.iter_mut().enumerate() {
+            let mut word = 0u64;
+            for g in 0..(n - 64 * wd).div_ceil(8).min(8) {
+                let at = 64 * wd + 8 * g;
+                let k: __mmask8 = if n - at >= 8 { !0 } else { (1 << (n - at)) - 1 };
+                let lane = base.wrapping_add(at);
+                // SAFETY: `k` enables tail lanes `at..min(at + 8, n)`
+                // only, so the load reads lanes `start + at..` of plane 0,
+                // all below `len` and so inside `lanes` (asserted above);
+                // disabled lanes are not read.
+                let x = unsafe { _mm512_maskz_loadu_epi64(k, lane.cast()) };
+                let mut acc = _mm512_and_si512(x, _mm512_set1_epi64(*first as i64));
+                for (wi, &qw) in rest.iter().enumerate() {
+                    // SAFETY: the same lanes of plane `wi + 1`, `len`
+                    // words further on.
+                    let x = unsafe {
+                        _mm512_maskz_loadu_epi64(k, lane.wrapping_add((wi + 1) * len).cast())
+                    };
+                    // acc ^ (q & x)
+                    acc = _mm512_ternarylogic_epi64::<0x78>(acc, _mm512_set1_epi64(qw as i64), x);
+                }
+                let parity = _mm512_popcnt_epi64(acc);
+                let bits = if tail.odd_means_edge {
+                    _mm512_mask_test_epi64_mask(k, parity, one)
+                } else {
+                    _mm512_mask_testn_epi64_mask(k, parity, one)
+                };
+                word |= u64::from(bits) << (8 * g);
+            }
+            *out = word;
+            any |= word;
+        }
+        any != 0
     }
 }
 
@@ -602,42 +777,78 @@ mod tests {
         assert_eq!(labels, ["list", "none"]);
     }
 
+    /// Every parity arm this CPU can run, called directly, against a
+    /// naive `count_ones` parity: tails of 1–130 lanes (partial words and
+    /// several words) at unaligned starts, `w` = 1, 2 and 3, both
+    /// polarities. An arm the CPU lacks is named on stderr, past the
+    /// test harness's capture, so a host without it shows in the log.
     #[test]
-    fn portable_parity_folds_match_a_naive_popcount() {
+    fn every_parity_arm_matches_a_naive_popcount() {
+        use std::io::Write;
         let mut rng = StdRng::seed_from_u64(5);
-        for len in [1usize, 7, 8, 9, 63, 64] {
-            let qw: u64 = rng.next_u64();
-            let keys: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let word = mask_word_1_portable(qw, &keys);
-            for (t, &kw) in keys.iter().enumerate() {
-                let expect = (qw & kw).count_ones() & 1 == 1;
-                assert_eq!(word >> t & 1 == 1, expect, "len {len} lane {t}");
+        let mut report = std::io::stderr().lock();
+        for &kernel in ParityKernel::ALL {
+            if !kernel.supported() {
+                writeln!(
+                    report,
+                    "parity arm {} skipped: not supported here",
+                    kernel.label()
+                )
+                .unwrap();
+                continue;
             }
-            assert_eq!(word & !ones(len), 0, "bits past lane {len} must be 0");
-            let accs: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-            let word = mask_word_acc_portable(&accs);
-            for (t, &x) in accs.iter().enumerate() {
-                assert_eq!(word >> t & 1, (x.count_ones() & 1) as u64);
-            }
-            if have_popcnt() {
-                // SAFETY: just detected.
-                unsafe {
-                    assert_eq!(
-                        popcnt::mask_word_1(qw, &keys),
-                        mask_word_1_portable(qw, &keys)
-                    );
-                    assert_eq!(popcnt::mask_word_acc(&accs), mask_word_acc_portable(&accs));
+            let mut masks = Vec::new();
+            for w in 1..=3usize {
+                for start in [0usize, 1, 3, 8, 13] {
+                    for n in 1..=130usize {
+                        let len = start + n;
+                        let lanes: Vec<u64> = (0..w * len).map(|_| rng.next_u64()).collect();
+                        let query: Vec<u64> = (0..w).map(|_| rng.next_u64()).collect();
+                        for odd_means_edge in [true, false] {
+                            let tail = Tail {
+                                lanes: &lanes,
+                                len,
+                                start,
+                                query: &query,
+                                odd_means_edge,
+                            };
+                            // SAFETY: `supported` just checked.
+                            let any = unsafe { kernel.run(&tail, &mut masks) };
+                            let what = format!(
+                                "{} w={w} start={start} n={n} odd={odd_means_edge}",
+                                kernel.label()
+                            );
+                            assert_eq!(masks.len(), n.div_ceil(64), "{what}");
+                            for t in 0..n {
+                                let set: u32 = (0..w)
+                                    .map(|wi| {
+                                        (query[wi] & lanes[wi * len + start + t]).count_ones()
+                                    })
+                                    .sum();
+                                let edge = (set % 2 == 1) == odd_means_edge;
+                                assert_eq!(
+                                    masks[t / 64] >> (t % 64) & 1 == 1,
+                                    edge,
+                                    "{what} lane {t}"
+                                );
+                            }
+                            let last = masks[masks.len() - 1];
+                            let past = last & !ones(n - 64 * (masks.len() - 1));
+                            assert_eq!(past, 0, "{what}: bits past the tail");
+                            assert_eq!(any, masks.iter().any(|&m| m != 0), "{what}");
+                        }
+                    }
                 }
             }
+            writeln!(report, "parity arm {} ran and matched", kernel.label()).unwrap();
         }
     }
 
-    fn ones(n: usize) -> u64 {
-        if n >= 64 {
-            !0
-        } else {
-            (1u64 << n) - 1
-        }
+    #[test]
+    fn the_named_parity_arm_is_the_fastest_supported_one() {
+        let first = ParityKernel::ALL.iter().find(|k| k.supported()).unwrap();
+        assert_eq!(parity_kernel(), first.label());
+        assert!(["avx512", "popcnt", "portable"].contains(&parity_kernel()));
     }
 
     #[test]

@@ -89,14 +89,17 @@ impl SolveSummary {
         self.hit_bits as f64 / self.packed_lanes as f64
     }
 
-    /// The `--stats` Line-7 footer line: packing and the graph form,
-    /// with the largest replica and hit-mask form.
+    /// The `--stats` Line-7 footer line: packing (with the parity arm
+    /// the packed kernel runs on this CPU) and the graph form, with the
+    /// largest replica and hit-mask form.
     pub fn packing_footer(&self) -> String {
         format!(
-            "pack builds: {} ({}% of candidate enumeration ran packed, {:.1}% hit density, \
+            "pack builds: {} ({} parity kernel, {}% of candidate enumeration ran packed, \
+             {:.1}% hit density, \
              {} mask words skipped whole, largest replica {:.1} KiB), hit-mask graphs \
              in {} of {} iterations (largest masks {:.1} KiB)",
             self.pack_builds,
+            picasso::packed::parity_kernel(),
             (100.0 * self.packed_lane_utilization()).round(),
             100.0 * self.hit_density(),
             self.skipped_words,
@@ -140,6 +143,10 @@ impl SolveSummary {
             ("total_candidate_pairs", Value::from(self.candidate_pairs)),
             ("index_builds", Value::from(self.index_builds)),
             ("pack_builds", Value::from(self.pack_builds)),
+            (
+                "parity_kernel",
+                Value::from(picasso::packed::parity_kernel()),
+            ),
             (
                 "packed_lane_utilization",
                 Value::from(self.packed_lane_utilization()),
@@ -203,7 +210,11 @@ mod tests {
         let (registry, result) = solved_registry();
         let s = SolveSummary::from_registry(&registry);
         let packing = s.packing_footer();
-        assert!(packing.starts_with(&format!("pack builds: {}", result.pack_builds)));
+        assert!(packing.starts_with(&format!(
+            "pack builds: {} ({} parity kernel, ",
+            result.pack_builds,
+            picasso::packed::parity_kernel()
+        )));
         assert!(packing.contains("hit density"));
         assert!(packing.contains(&format!(
             "largest replica {:.1} KiB",
@@ -241,6 +252,7 @@ mod tests {
         assert_eq!(doc["iterations"], result.iterations.len() as u64);
         assert_eq!(doc["total_candidate_pairs"], result.total_candidate_pairs());
         assert_eq!(doc["pack_builds"], result.pack_builds as u64);
+        assert_eq!(doc["parity_kernel"], picasso::packed::parity_kernel());
         assert!(doc["hit_density"].as_f64().is_some());
         assert_eq!(doc["max_replica_bytes"], result.max_replica_bytes());
         assert_eq!(doc["max_mask_bytes"], result.max_mask_bytes());

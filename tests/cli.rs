@@ -78,6 +78,13 @@ fn stats_table_surfaces_packed_lane_columns() {
         "mask-scan columns in:\n{stderr}"
     );
     assert!(stderr.contains("pack builds:"), "summary in:\n{stderr}");
+    // The parity arm the packed kernel ran, in the footer and the JSON,
+    // so a host without AVX-512 shows in a CI log.
+    let kernel = picasso::packed::parity_kernel();
+    assert!(
+        stderr.contains(&format!("({kernel} parity kernel, ")),
+        "parity kernel in:\n{stderr}"
+    );
     assert!(
         stderr.contains("hit density") && stderr.contains("mask words skipped whole"),
         "mask-scan summary in:\n{stderr}"
@@ -115,6 +122,7 @@ fn stats_table_surfaces_packed_lane_columns() {
         "replica footer in:\n{stderr}"
     );
     let doc: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
+    assert_eq!(doc["parity_kernel"], kernel);
     // The largest replica rides along in the JSON roll-up.
     assert!(doc["max_replica_bytes"].as_u64().unwrap() > 0);
     // 700 distinct strings at Normal parameters pack from iteration one.
