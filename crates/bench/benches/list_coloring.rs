@@ -3,8 +3,8 @@
 //! `ColorScratch` path) vs static-order first-fit under the ordering
 //! heuristics, on one solver-realistic conflict graph — and the warm
 //! greedy on both sides of its live-list form rule: Aggressive lists
-//! (`L = P`, palette bitsets) and a Normal instance with a palette as
-//! large as the vertex set (sorted lists).
+//! (`L = P`, per-colour holder sets) and a Normal instance with a palette
+//! as large as the vertex set (per-vertex position masks).
 //!
 //! Set `PICASSO_BENCH_SMOKE=1` for the seconds-scale CI smoke version.
 
@@ -84,7 +84,7 @@ fn bench_live_list_forms(c: &mut Criterion) {
     let n = if smoke() { 600 } else { 3000 };
     let mut group = c.benchmark_group("greedy_live_list_forms");
     group.sample_size(if smoke() { 10 } else { 20 });
-    for (label, cfg, bitset) in [
+    for (label, cfg, holders) in [
         ("aggressive", PicassoConfig::aggressive(1), true),
         (
             "normal_wide_palette",
@@ -95,12 +95,12 @@ fn bench_live_list_forms(c: &mut Criterion) {
         let (gc, lists, active, mut ctx) = conflict_instance(n, 3, cfg);
         assert_eq!(
             uses_palette_bitset(lists.palette_size(), lists.list_size()),
-            bitset,
+            holders,
             "{label}: P = {}, L = {}",
             lists.palette_size(),
             lists.list_size()
         );
-        let form = if bitset { "bitset" } else { "sorted" };
+        let form = if holders { "holders" } else { "positions" };
         let mut outcome = ListColorOutcome::default();
         group.bench_function(BenchmarkId::new(label, form), |b| {
             b.iter(|| {

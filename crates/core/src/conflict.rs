@@ -83,12 +83,14 @@
 //!   can succeed only on a live `u` that holds `c`, so only on `u ∈ B_c`,
 //!   and `B_c` ascends: the successful strikes happen in the order of the
 //!   sorted CSR row, and failed strikes change no state. The identity
-//!   layout's row is the CSR row itself. There the greedy keeps one
-//!   `⌈m/64⌉`-word holder set per palette colour (the uncoloured
-//!   vertices whose lists still hold it), and the walk ANDs `v`'s row
-//!   with `c`'s set a word at a time and clears the bits it hands out:
-//!   `⌈m/64⌉` words per coloured vertex and one callback per successful
-//!   strike. Colourings are bit-identical by construction.
+//!   layout's row is the CSR row itself. Where the greedy keeps holder
+//!   sets (one `⌈m/64⌉`-word set per palette colour of the uncoloured
+//!   vertices whose lists still hold it), every walk hands out exactly
+//!   the members of `c`'s set and clears them, whatever the graph form:
+//!   the identity walk ANDs `v`'s row with the set a word at a time
+//!   (`⌈m/64⌉` words per coloured vertex), a bucket row or a CSR row
+//!   tests each member; either way one callback per successful strike.
+//!   Colourings are bit-identical by construction.
 //!
 //! Every other builder — [`build_sequential`], [`build_parallel`],
 //! [`build_sequential_allpairs`] and [`build_device`] — returns a CSR,
@@ -168,7 +170,7 @@
 use crate::assign::{BucketIndex, ColorLists};
 use crate::candidates::{for_each_hit, CandidateEngine, HitSink, PairSource};
 use crate::iteration::{IterationContext, IterationScratch, ScratchPool, TaskArena};
-use crate::listcolor::ConflictRows;
+use crate::listcolor::{take_holder, ConflictRows};
 use crate::packed::{MaskScanStats, PackedBuckets};
 use device::{DeviceError, DeviceSim};
 use graph::{csr_from_groups_in, CooGroups, CsrGraph, EdgeOracle};
@@ -466,7 +468,14 @@ impl ConflictRows for MaskGraph<'_> {
             Some(index) => {
                 let k = (c - self.lists.palette_base()) as usize;
                 let bucket = index.bucket(k);
-                for_each_bit(self.row(k, v).iter().copied(), |t| strike(bucket[t]));
+                for_each_bit(self.row(k, v).iter().copied(), |t| {
+                    if take_holder(holders, bucket[t]) {
+                        strike(bucket[t]);
+                    }
+                });
+            }
+            None if holders.is_empty() => {
+                for_each_bit(self.row(0, v).iter().copied(), |u| strike(u as u32));
             }
             None => {
                 let hits = self.row(0, v).iter().zip(holders).map(|(&word, held)| {
@@ -477,10 +486,6 @@ impl ConflictRows for MaskGraph<'_> {
                 for_each_bit(hits, |u| strike(u as u32));
             }
         }
-    }
-
-    fn reads_holders(&self) -> bool {
-        self.layout.index.is_none()
     }
 }
 
@@ -1971,11 +1976,13 @@ mod tests {
     }
 
     /// Builds one packed iteration of `lists` in both graph forms and
-    /// checks that they are the same graph: every mask walk of `v` and a
-    /// color `c` of its list, against `c`'s holder set built from the
-    /// lists, is `v`'s CSR row restricted to the holders of `c` in
-    /// ascending order (the identity walk clears exactly the bits it
-    /// handed out, a bucket walk leaves the set alone), the degree-0 split,
+    /// checks that they are the same graph: for `v` and a color `c` of
+    /// its list, against `c`'s holder set built from the lists, the mask
+    /// walk and the CSR walk each hand out `v`'s CSR row restricted to the
+    /// holders of `c` in ascending order and clear exactly the bits they
+    /// handed out, and without a holder set the mask walk hands out an
+    /// ascending superset of them (the whole row, or its members of
+    /// `B_c`); the degree-0 split,
     /// `|Ec|` and the scan counters agree, the greedy colors both alike,
     /// and the rayon fill plus mirror and the drop-and-rescan path write
     /// the masks of the sequential direct mask scan.
@@ -1990,7 +1997,6 @@ mod tests {
         assert_eq!(direct.num_edges, csr.num_edges, "{what}: |Ec|");
         assert_eq!(direct.scan_stats, csr.scan_stats, "{what}: scan counters");
         let words = mask_words(&mut ctx);
-        let bucketed = ctx.prefers_buckets();
         {
             let (gc, lists, _) = ctx.hit_mask_graph();
             assert_eq!(gc.num_edges(), csr.num_edges, "{what}");
@@ -2003,17 +2009,25 @@ mod tests {
                     for u in (0..lists.len() as u32).filter(|&u| holds(u, c)) {
                         holders[u as usize / 64] |= 1 << (u % 64);
                     }
-                    let mut left = holders.clone();
-                    let mut walk = Vec::new();
-                    gc.for_each_strike(v, c, &mut left, |u| walk.push(u));
                     let want: Vec<u32> = row.iter().copied().filter(|&u| holds(u, c)).collect();
-                    assert_eq!(walk, want, "{what}: v={v} c={c}");
-                    if !bucketed {
-                        for &u in &walk {
-                            holders[u as usize / 64] &= !(1 << (u % 64));
-                        }
+                    let mut left = holders.clone();
+                    for &u in &want {
+                        left[u as usize / 64] &= !(1 << (u % 64));
                     }
-                    assert_eq!(left, holders, "{what}: v={v} c={c}: holders left");
+                    for form in ["masks", "csr"] {
+                        let (mut set, mut walk) = (holders.clone(), Vec::new());
+                        match form {
+                            "masks" => gc.for_each_strike(v, c, &mut set, |u| walk.push(u)),
+                            _ => csr.graph.for_each_strike(v, c, &mut set, |u| walk.push(u)),
+                        }
+                        assert_eq!(walk, want, "{what}: {form} v={v} c={c}");
+                        assert_eq!(set, left, "{what}: {form} v={v} c={c}: holders left");
+                    }
+                    let mut unheld = Vec::new();
+                    gc.for_each_strike(v, c, &mut [], |u| unheld.push(u));
+                    assert!(unheld.is_sorted(), "{what}: v={v} c={c}: ascending");
+                    let held: Vec<u32> = unheld.into_iter().filter(|&u| holds(u, c)).collect();
+                    assert_eq!(held, want, "{what}: v={v} c={c}: no holder set");
                 }
             }
             let active: Vec<u32> = (0..lists.len() as u32)

@@ -9,27 +9,31 @@
 //! between buckets in O(1). A vertex whose list empties joins `Vu` and is
 //! retried in the next Picasso iteration.
 //!
-//! The live lists take one of two forms, chosen per call by one
-//! byte-counted rule ([`uses_palette_bitset`]: bitset iff
-//! `2·⌈P/64⌉ ≤ L`). Sorted `u32` rows cost O(L) per strike (a binary
-//! search and a tail shift), O(|Vc|·L + |Ec|·L) in total. Palette bitsets
-//! of `W = ⌈P/64⌉` words cost O(1) per strike and O(W + 64) per pick of
-//! the k-th set bit, O(|Vc|·(L + W + 64) + |Ec|) in total. Either form
-//! yields the same colouring. The `_into` variant runs against a
-//! persistent [`ColorScratch`], keeping the warm sequential path at
-//! exactly zero heap allocations (pinned by `tests/memory.rs`).
+//! The lists themselves stay in [`ColorLists`], immutable and sorted;
+//! the greedy keeps only which colours of each are still live, one bit
+//! per (vertex, list colour), in one of two forms chosen per call by one
+//! rule ([`uses_palette_bitset`]: `2·⌈P/64⌉ ≤ L`). Long lists take
+//! **holder sets**, one `⌈m/64⌉`-word set per palette colour of the
+//! uncoloured vertices whose lists still hold it: a strike is one bit
+//! test and clear, O(1). Short lists take **position masks**, one
+//! `⌈L/64⌉`-word mask per vertex over the positions of its sorted row: a
+//! strike finds the position by binary search, O(log L). Either way a
+//! colour draw takes the `k`-th live colour in row order, O(L), as it
+//! clears the drawn vertex's bits, so both forms yield the same
+//! colouring. The `_into` variant runs against a persistent
+//! [`ColorScratch`], keeping the warm sequential path at exactly zero
+//! heap allocations (pinned by `tests/memory.rs`).
 //!
 //! The greedy reads the conflict graph through one crate-private
 //! interface, so it colours Line 7's output in either form: a
 //! [`CsrGraph`], or the hit-mask rows the solver's host builds keep
 //! when they take fewer bytes (`crate::conflict`, "Graph form"). A
-//! strike walks only the neighbours that could take it, so both forms
-//! give the same colouring too. On the all-pairs identity layout the
-//! greedy keeps one `⌈m/64⌉`-word holder set per palette colour (the
-//! uncoloured vertices whose live lists still hold it), and a strike of
-//! `c` walks `v`'s row AND-ed with `c`'s set: `⌈m/64⌉` words per coloured
-//! vertex plus one callback per successful strike, where a CSR row or a
-//! bucket row also calls back for neighbours that no longer hold `c`.
+//! strike walk has one contract on every form: given `c`'s holder set it
+//! hands out exactly the neighbours in it and clears them, so it calls
+//! back once per successful strike. The all-pairs identity layout ANDs
+//! `v`'s row with the set, `⌈m/64⌉` words per coloured vertex; a CSR row
+//! or a bucket row tests each member. Without holder sets the walk hands
+//! out every neighbour that may hold `c`, and each strike searches.
 //!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
@@ -61,21 +65,22 @@ impl ListColorOutcome {
 
 /// Persistent buffers for the sequential list-coloring schemes, owned by
 /// `IterationScratch` so warm solver iterations allocate nothing. The
-/// greedy's live lists take one of two forms ([`uses_palette_bitset`]):
-/// sorted rows at stride `L` in `live`, or `⌈P/64⌉`-word palette bitsets
-/// in `bits`. Each is cleared and resized when its form runs and never
-/// shrunk, as are the size buckets and the per-colour holder sets that
-/// the identity-layout strike walk reads; the static scheme's forbidden
-/// set is a generation-stamped palette row instead of a hash set.
+/// greedy reads each list from [`ColorLists`] and keeps only which of its
+/// colours are still live, one bit each, in the form
+/// [`uses_palette_bitset`] picks: one `⌈m/64⌉`-word holder set per
+/// palette colour, or one `⌈L/64⌉`-word mask per vertex over the
+/// positions of its sorted row. Both forms share one buffer, cleared and
+/// resized per call and never shrunk, as are the size buckets; the static
+/// scheme's forbidden set is a generation-stamped palette row instead of
+/// a hash set.
 #[derive(Clone, Debug, Default)]
 pub struct ColorScratch {
-    /// Sorted form: vertex `v`'s list is `live[v*L ..][.. len]`.
-    live: Vec<u32>,
-    /// Bitset form: vertex `v`'s palette row is `bits[v*W .. (v+1)*W]`.
+    /// The live bits. Holder sets: colour `c`'s set is `bits[(c − base)·⌈m/64⌉
+    /// ..]`, bit `u` set while `u` is active, not yet colored and still
+    /// holds `c`. Position masks: vertex `v`'s mask is `bits[v·⌈L/64⌉ ..]`,
+    /// bit `i` set while `v` is active, not yet colored and still holds
+    /// `lists.row(v)[i]`.
     bits: Vec<u64>,
-    /// Colour `c`'s holder set is `holders[(c − base)·⌈m/64⌉ ..]`: bit `u`
-    /// set while `u` is active, not yet colored and still holds `c`.
-    holders: Vec<u64>,
     buckets: SizeBuckets,
     /// Static scheme: committed color per vertex.
     colors: Vec<u32>,
@@ -131,144 +136,61 @@ impl SizeBuckets {
         }
         self.len[v as usize] = NO_BUCKET;
     }
+
+    /// Moves `u`, which just lost a live colour, down one bucket, or into
+    /// `dry` when that was its last.
+    fn shrink(&mut self, u: u32, dry: &mut Vec<u32>) {
+        let len = self.len[u as usize];
+        debug_assert_ne!(len, NO_BUCKET, "a strike on {u}, which holds nothing");
+        self.remove(u);
+        if len == 1 {
+            dry.push(u);
+        } else {
+            self.insert(u, len as usize - 1);
+        }
+    }
 }
 
-/// Whether Algorithm 2 keeps its live lists as palette bitsets: iff a
-/// `⌈P/64⌉`-word row takes no more bytes than an `L`-entry sorted list,
-/// `8·⌈P/64⌉ ≤ 4·L`. Long lists over a small palette (Aggressive, and
-/// the `L = P` clamp of late iterations) take bitsets; short lists over
-/// a large palette (`P = 1000, L = 8`) stay sorted.
+/// Whether Algorithm 2 keeps its live lists as per-colour holder sets
+/// rather than per-vertex position masks: iff `2·⌈P/64⌉ ≤ L`. The rule is
+/// one of strike cost: a holder set strikes in O(1) (the walk tests and
+/// clears the neighbour's bit) and, where the rule picks it (`P ≤ 32·L`),
+/// the `P` sets take about `P·m/8` bytes, no more than an `m·L`-entry
+/// `u32` copy of the lists; a position mask takes `⌈L/64⌉` words per
+/// vertex and strikes in O(log L), a binary search of the vertex's sorted
+/// row. Long lists over a small palette (Aggressive, and the `L = P`
+/// clamp of late iterations) take holder sets; short lists over a large
+/// palette (`P = 1000, L = 8`) take position masks.
 pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
     2 * palette_words(palette_size) <= list_size
 }
 
 /// Bytes Algorithm 2's [`ColorScratch`] holds to colour `m` live
-/// vertices with lists of `L` over a palette of `P`: per vertex, the live
-/// list in the form [`uses_palette_bitset`] picks (`8·⌈P/64⌉` bytes of
-/// bitset or `4·L` of sorted row), plus `12` of size buckets (its list
-/// length, its queue position and its queue entry); and, when it colours
-/// the all-pairs identity layout of the hit masks (`identity_masks`), the
-/// holder sets, `8·P·⌈m/64⌉` bytes.
-pub fn greedy_scratch_bytes(
-    m: usize,
-    palette_size: u32,
-    list_size: usize,
-    identity_masks: bool,
-) -> u64 {
+/// vertices with lists of `L` over a palette of `P`: the live lists in
+/// the form [`uses_palette_bitset`] picks, `8·P·⌈m/64⌉` bytes of holder
+/// sets or `8·m·⌈L/64⌉` of position masks, plus `12` per vertex of size
+/// buckets (its list length, its queue position and its queue entry).
+pub fn greedy_scratch_bytes(m: usize, palette_size: u32, list_size: usize) -> u64 {
     let live = if uses_palette_bitset(palette_size, list_size) {
-        8 * palette_words(palette_size)
-    } else {
-        4 * list_size
-    };
-    let holders = if identity_masks {
         8 * palette_size as usize * m.div_ceil(64)
     } else {
-        0
+        8 * m * list_size.div_ceil(64)
     };
-    (m * (live + 12) + holders) as u64
+    (live + 12 * m) as u64
 }
 
-/// One storage form of the greedy's live lists. [`SizeBuckets`] tracks
-/// every list's length; a form only loads, draws from and strikes.
-trait LiveLists {
-    /// Loads vertex `v`'s sorted list as its live list.
-    fn init(&mut self, v: usize, row: &[u32]);
-    /// The `k`-th smallest live color of `v`.
-    fn pick(&self, v: usize, k: usize) -> u32;
-    /// Removes `c` from `v`'s live list of `len` colors; whether it was
-    /// there.
-    fn strike(&mut self, v: usize, len: usize, c: u32) -> bool;
-    /// Calls `color` for each of the `len` live colors of `v`.
-    fn for_each_color(&self, v: usize, len: usize, color: impl FnMut(u32));
-}
-
-/// Sorted rows at stride `L`: a strike is a binary search and a shift of
-/// the list's tail, O(L).
-struct SortedRows<'a> {
-    live: &'a mut [u32],
-    stride: usize,
-}
-
-impl LiveLists for SortedRows<'_> {
-    fn init(&mut self, v: usize, row: &[u32]) {
-        self.live[v * self.stride..][..row.len()].copy_from_slice(row);
+/// Whether a strike walk hands out `u`: always without a holder set
+/// (`holders` empty), else iff `u` is in it, which clears it.
+#[inline]
+pub(crate) fn take_holder(holders: &mut [u64], u: u32) -> bool {
+    if holders.is_empty() {
+        return true;
     }
-
-    fn pick(&self, v: usize, k: usize) -> u32 {
-        self.live[v * self.stride + k]
-    }
-
-    fn strike(&mut self, v: usize, len: usize, c: u32) -> bool {
-        let base = v * self.stride;
-        match self.live[base..base + len].binary_search(&c) {
-            Ok(idx) => {
-                self.live
-                    .copy_within(base + idx + 1..base + len, base + idx);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn for_each_color(&self, v: usize, len: usize, color: impl FnMut(u32)) {
-        self.live[v * self.stride..][..len]
-            .iter()
-            .copied()
-            .for_each(color);
-    }
-}
-
-/// Palette bitsets of `W` words, bit `c − palette_base`: a strike is one
-/// bit test and clear, O(1); a pick selects the `k`-th set bit, O(W + 64).
-struct PaletteBits<'a> {
-    bits: &'a mut [u64],
-    words: usize,
-    base: u32,
-}
-
-impl LiveLists for PaletteBits<'_> {
-    fn init(&mut self, v: usize, row: &[u32]) {
-        let bits = &mut self.bits[v * self.words..][..self.words];
-        for &c in row {
-            let i = (c - self.base) as usize;
-            bits[i / 64] |= 1 << (i % 64);
-        }
-    }
-
-    fn pick(&self, v: usize, k: usize) -> u32 {
-        let mut k = k as u32;
-        for (w, &word) in self.bits[v * self.words..][..self.words].iter().enumerate() {
-            let ones = word.count_ones();
-            if k < ones {
-                let mut word = word;
-                for _ in 0..k {
-                    word &= word - 1;
-                }
-                return self.base + (64 * w) as u32 + word.trailing_zeros();
-            }
-            k -= ones;
-        }
-        unreachable!("pick past the end of a live list")
-    }
-
-    fn strike(&mut self, v: usize, _len: usize, c: u32) -> bool {
-        let i = (c - self.base) as usize;
-        let word = &mut self.bits[v * self.words + i / 64];
-        let mask = 1u64 << (i % 64);
-        let hit = *word & mask != 0;
-        *word &= !mask;
-        hit
-    }
-
-    fn for_each_color(&self, v: usize, _len: usize, mut color: impl FnMut(u32)) {
-        for (w, &word) in self.bits[v * self.words..][..self.words].iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                color(self.base + (64 * w) as u32 + word.trailing_zeros());
-                word &= word - 1;
-            }
-        }
-    }
+    let word = &mut holders[u as usize / 64];
+    let bit = 1 << (u % 64);
+    let held = *word & bit != 0;
+    *word &= !bit;
+    held
 }
 
 /// What Lines 8–9 ask of a conflict graph, in either form of Line 7's
@@ -282,22 +204,17 @@ pub(crate) trait ConflictRows {
     /// Whether `v` has a conflict neighbour; Line 8 colors every vertex
     /// that has none straight away.
     fn is_conflicted(&self, v: usize) -> bool;
-    /// Calls `strike(u)`, in ascending `u`, for the neighbours `u` of `v`
-    /// that may take a strike of color `c`: all of them (a CSR row),
-    /// those whose lists held `c` (`v`'s row in bucket `c`), or those set
-    /// in `holders`, `c`'s holder set (the hit-mask row of the all-pairs
-    /// identity layout, a word at a time: `⌈m/64⌉` words and one call per
-    /// successful strike). That walk clears from `holders` every bit it
-    /// hands out; the others ignore it. A strike can succeed only on an
-    /// uncoloured neighbour whose list still holds `c`, and a failed
-    /// strike changes nothing, so every walk strikes the same vertices in
-    /// the same order.
+    /// Calls `strike(u)`, in ascending `u`, for neighbours `u` of `v`
+    /// after `v` took color `c`. Given a non-empty `holders`, `c`'s holder
+    /// set, it hands out exactly the neighbours in it and clears each
+    /// one's bit: the identity layout's hit-mask row ANDs it a word at a
+    /// time, a CSR row and `v`'s row in bucket `c` test each member. Given
+    /// an empty one, it hands out every neighbour that may hold `c`: all
+    /// of them (a CSR or identity row) or those whose lists held `c` (the
+    /// bucket row). A strike can succeed only on an uncoloured neighbour
+    /// whose list still holds `c`, and a failed strike changes nothing,
+    /// so every walk strikes the same vertices in the same order.
     fn for_each_strike(&self, v: usize, c: u32, holders: &mut [u64], strike: impl FnMut(u32));
-    /// Whether [`ConflictRows::for_each_strike`] reads `holders`; the
-    /// greedy keeps the holder sets only then.
-    fn reads_holders(&self) -> bool {
-        false
-    }
 }
 
 impl ConflictRows for CsrGraph {
@@ -313,8 +230,12 @@ impl ConflictRows for CsrGraph {
         self.degree(v) > 0
     }
 
-    fn for_each_strike(&self, v: usize, _c: u32, _holders: &mut [u64], strike: impl FnMut(u32)) {
-        self.neighbors(v).iter().copied().for_each(strike);
+    fn for_each_strike(&self, v: usize, _c: u32, holders: &mut [u64], strike: impl FnMut(u32)) {
+        self.neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&u| take_holder(holders, u))
+            .for_each(strike);
     }
 }
 
@@ -323,10 +244,10 @@ impl ConflictRows for CsrGraph {
 /// `active` lists the local vertex ids to color (the conflicted vertices
 /// `Vc`); `gc` must contain edges only among them. The live lists take
 /// the form [`uses_palette_bitset`] picks; both forms draw the same RNG
-/// sequence and the `k`-th set bit is the `k`-th sorted entry, so the
-/// outcome does not depend on the form. Produces exactly the same
-/// assignments as [`greedy_list_color`]; warm calls against a reused
-/// [`ColorScratch`] perform zero heap allocations.
+/// sequence and pick the `k`-th live colour in row order, so the outcome
+/// does not depend on the form. Produces exactly the same assignments as
+/// [`greedy_list_color`]; warm calls against a reused [`ColorScratch`]
+/// perform zero heap allocations.
 pub fn greedy_list_color_into(
     gc: &CsrGraph,
     lists: &ColorLists,
@@ -347,13 +268,58 @@ pub(crate) fn greedy_list_color_in<G: ConflictRows>(
     scratch: &mut ColorScratch,
     out: &mut ListColorOutcome,
 ) {
-    let bitset = uses_palette_bitset(lists.palette_size(), lists.list_size());
-    greedy_in_form(bitset, gc, lists, active, seed, scratch, out);
+    let holders = uses_palette_bitset(lists.palette_size(), lists.list_size());
+    greedy_in_form(holders, gc, lists, active, seed, scratch, out);
 }
 
-/// [`greedy_list_color_in`] with the live-list form given.
+/// The live bits of [`ColorScratch::bits`] in one form: holder sets
+/// (`holders`, `words = ⌈m/64⌉`) or position masks (`words = ⌈L/64⌉`).
+struct LiveBits<'a> {
+    bits: &'a mut [u64],
+    holders: bool,
+    words: usize,
+    base: u32,
+}
+
+impl LiveBits<'_> {
+    /// The word and bit that say whether `v` still holds `c`, its list's
+    /// `i`-th colour.
+    fn locate(&self, v: u32, i: usize, c: u32) -> (usize, u64) {
+        let v = v as usize;
+        if self.holders {
+            (
+                (c - self.base) as usize * self.words + v / 64,
+                1 << (v % 64),
+            )
+        } else {
+            (v * self.words + i / 64, 1 << (i % 64))
+        }
+    }
+
+    fn set(&mut self, v: u32, i: usize, c: u32) {
+        let (w, bit) = self.locate(v, i, c);
+        self.bits[w] |= bit;
+    }
+
+    /// Clears the bit; whether it was set.
+    fn take(&mut self, v: u32, i: usize, c: u32) -> bool {
+        let (w, bit) = self.locate(v, i, c);
+        let held = self.bits[w] & bit != 0;
+        self.bits[w] &= !bit;
+        held
+    }
+
+    /// Colour `c`'s holder set.
+    fn holder_set(&mut self, c: u32) -> &mut [u64] {
+        let at = (c - self.base) as usize * self.words;
+        &mut self.bits[at..at + self.words]
+    }
+}
+
+/// [`greedy_list_color_in`] with the live-list form given: holder sets
+/// (`holders`) or position masks.
 fn greedy_in_form<G: ConflictRows>(
-    bitset: bool,
+    holders: bool,
     gc: &G,
     lists: &ColorLists,
     active: &[u32],
@@ -362,95 +328,32 @@ fn greedy_in_form<G: ConflictRows>(
     out: &mut ListColorOutcome,
 ) {
     let m = gc.num_vertices();
-    let l = lists.list_size();
-    let ColorScratch {
-        live,
+    let ColorScratch { bits, buckets, .. } = scratch;
+    buckets.reset(m, lists.list_size());
+    let (sets, words) = if holders {
+        (lists.palette_size() as usize, m.div_ceil(64))
+    } else {
+        (m, lists.list_size().div_ceil(64))
+    };
+    bits.clear();
+    bits.resize(sets * words, 0);
+    let mut live = LiveBits {
         bits,
         holders,
-        buckets,
-        ..
-    } = scratch;
-    buckets.reset(m, l);
-    let words = if gc.reads_holders() {
-        m.div_ceil(64)
-    } else {
-        0
-    };
-    holders.clear();
-    holders.resize(lists.palette_size() as usize * words, 0);
-    let holders = Holders {
-        bits: holders,
         words,
         base: lists.palette_base(),
     };
-    if bitset {
-        let words = palette_words(lists.palette_size());
-        bits.clear();
-        bits.resize(m * words, 0);
-        let form = PaletteBits {
-            bits,
-            words,
-            base: lists.palette_base(),
-        };
-        greedy(form, buckets, holders, gc, lists, active, seed, out);
-    } else {
-        live.clear();
-        live.resize(m * l, 0);
-        let form = SortedRows { live, stride: l };
-        greedy(form, buckets, holders, gc, lists, active, seed, out);
-    }
-}
-
-/// The per-colour holder sets of the identity-layout walk, `words` per
-/// palette colour; empty (`words == 0`), and never written, when the
-/// graph does not read them.
-struct Holders<'a> {
-    bits: &'a mut [u64],
-    words: usize,
-    base: u32,
-}
-
-impl Holders<'_> {
-    /// Colour `c`'s holder set (empty when unused).
-    fn of(&mut self, c: u32) -> &mut [u64] {
-        let at = (c - self.base) as usize * self.words;
-        &mut self.bits[at..at + self.words]
-    }
-
-    /// Sets (`on`) or clears `v`'s bit in colour `c`'s holder set.
-    fn set(&mut self, c: u32, v: u32, on: bool) {
-        let word = &mut self.of(c)[v as usize / 64];
-        let bit = v % 64;
-        *word = *word & !(1 << bit) | u64::from(on) << bit;
-    }
-}
-
-/// The greedy loop, once for both live-list forms and both graph forms.
-#[allow(clippy::too_many_arguments)]
-fn greedy<F: LiveLists, G: ConflictRows>(
-    mut form: F,
-    buckets: &mut SizeBuckets,
-    mut holders: Holders<'_>,
-    gc: &G,
-    lists: &ColorLists,
-    active: &[u32],
-    seed: u64,
-    out: &mut ListColorOutcome,
-) {
     out.clear();
-    let held = holders.words > 0;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
     for &v in active {
         let row = lists.row(v as usize);
-        form.init(v as usize, row);
-        buckets.insert(v, row.len());
-        if held {
-            row.iter().for_each(|&c| holders.set(c, v, true));
+        for (i, &c) in row.iter().enumerate() {
+            live.set(v, i, c);
         }
+        buckets.insert(v, row.len());
     }
 
-    let mut remaining = active.len();
-    while remaining > 0 {
+    while out.assigned.len() + out.uncolored.len() < active.len() {
         // Lowest non-empty bucket (≥1: empty-list vertices are retired
         // eagerly below, so bucket 0 is always empty here). Its index is
         // the picked vertex's list length.
@@ -458,37 +361,47 @@ fn greedy<F: LiveLists, G: ConflictRows>(
             .queues
             .iter()
             .position(|q| !q.is_empty())
-            .expect("remaining > 0 but all buckets empty");
+            .expect("uncolored vertices left but all buckets empty");
         // Uniform random vertex from the lowest bucket, then a uniform
-        // random color from its live list.
+        // random color from its live list: its `k`-th live colour in row
+        // order. Every live bit of `v` is cleared on the way.
         let lowest = &buckets.queues[len];
         let v = lowest[rng.random_range(0..lowest.len())];
         buckets.remove(v);
-        remaining -= 1;
-        let c = form.pick(v as usize, rng.random_range(0..len));
-        out.assigned.push((v, c));
-        if held {
-            form.for_each_color(v as usize, len, |h| holders.set(h, v, false));
+        let k = rng.random_range(0..len);
+        let mut live_colors = 0;
+        let mut picked = None;
+        for (i, &h) in lists.row(v as usize).iter().enumerate() {
+            if live.take(v, i, h) {
+                if live_colors == k {
+                    picked = Some(h);
+                }
+                live_colors += 1;
+            }
         }
+        debug_assert_eq!(live_colors, len, "vertex {v}: bucket and bits disagree");
+        let c = picked.expect("pick past the end of a live list");
+        out.assigned.push((v, c));
 
-        // Strike c from every uncolored neighbor's list. A holder-set
-        // walk hands out only the neighbours that still hold c, so a
-        // vertex that runs dry has left every set already.
-        gc.for_each_strike(v as usize, c, holders.of(c), |u| {
-            let ulen = buckets.len[u as usize];
-            let struck = ulen != NO_BUCKET && form.strike(u as usize, ulen as usize, c);
-            debug_assert!(struck || !held, "holder {u} of {c} took no strike");
-            if !struck {
-                return;
-            }
-            buckets.remove(u);
-            if ulen == 1 {
-                out.uncolored.push(u);
-                remaining -= 1;
-            } else {
-                buckets.insert(u, ulen as usize - 1);
-            }
-        });
+        // Strike c from every uncolored neighbour's list. A holder-set
+        // walk hands out exactly the neighbours that still hold c, clearing
+        // their bits; without one, each neighbour's bit is found by a
+        // binary search of its row.
+        if holders {
+            gc.for_each_strike(v as usize, c, live.holder_set(c), |u| {
+                buckets.shrink(u, &mut out.uncolored);
+            });
+        } else {
+            gc.for_each_strike(v as usize, c, &mut [], |u| {
+                let struck = match lists.row(u as usize).binary_search(&c) {
+                    Ok(i) => live.take(u, i, c),
+                    Err(_) => false,
+                };
+                if struck {
+                    buckets.shrink(u, &mut out.uncolored);
+                }
+            });
+        }
     }
 }
 
@@ -775,7 +688,7 @@ mod tests {
     /// `2·⌈P/64⌉ ≤ L`: `P < 64`, `P` off a multiple of 64, the molecule's
     /// `P = 131, L = 110`, `L == P`, `L = 1`, a shifted palette and an
     /// even-only active subset. One warm scratch runs the whole matrix in
-    /// order, so every form switch also reuses the other form's buffers.
+    /// order, so every form switch reuses the one live-bit buffer.
     #[test]
     fn greedy_outcomes_match_pinned_digests() {
         #[rustfmt::skip]
@@ -837,8 +750,8 @@ mod tests {
     #[test]
     fn live_list_forms_agree_on_sampled_instances() {
         let mut scratch = ColorScratch::default();
-        let mut sorted = ListColorOutcome::default();
-        let mut bits = ListColorOutcome::default();
+        let mut positions = ListColorOutcome::default();
+        let mut holders = ListColorOutcome::default();
         for seed in 0..60u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.random_range(1..150usize);
@@ -848,12 +761,20 @@ mod tests {
             let density = rng.random_range(0.0..1.0);
             let lists = ColorLists::assign(n, base, p, l, seed, 2);
             let (gc, active) = conflict_instance(n, density, seed, &lists, seed % 3 == 0);
-            greedy_in_form(false, &gc, &lists, &active, seed, &mut scratch, &mut sorted);
-            greedy_in_form(true, &gc, &lists, &active, seed, &mut scratch, &mut bits);
+            greedy_in_form(
+                false,
+                &gc,
+                &lists,
+                &active,
+                seed,
+                &mut scratch,
+                &mut positions,
+            );
+            greedy_in_form(true, &gc, &lists, &active, seed, &mut scratch, &mut holders);
             let case = format!("seed {seed}: n={n} P={p} L={l} base={base} density={density}");
-            assert_eq!(sorted.assigned, bits.assigned, "{case}");
-            assert_eq!(sorted.uncolored, bits.uncolored, "{case}");
-            check_outcome(&gc, &lists, &active, &bits, &case);
+            assert_eq!(positions.assigned, holders.assigned, "{case}");
+            assert_eq!(positions.uncolored, holders.uncolored, "{case}");
+            check_outcome(&gc, &lists, &active, &holders, &case);
         }
     }
 
@@ -888,10 +809,24 @@ mod tests {
                 strike(u);
             });
         }
+    }
 
-        fn reads_holders(&self) -> bool {
-            self.graph.reads_holders()
-        }
+    /// Colours `active` over `gc` in the given live-list form; returns the
+    /// walks' callbacks.
+    fn counted_run<G: ConflictRows>(
+        holders: bool,
+        gc: &G,
+        lists: &ColorLists,
+        active: &[u32],
+        scratch: &mut ColorScratch,
+        out: &mut ListColorOutcome,
+    ) -> usize {
+        let walk = Counted {
+            graph: gc,
+            calls: Default::default(),
+        };
+        greedy_in_form(holders, &walk, lists, active, 11, scratch, out);
+        walk.calls.get()
     }
 
     /// Replays `out`'s assignments in order over `gc`, striking each
@@ -929,81 +864,72 @@ mod tests {
         (strikes, dry)
     }
 
-    /// On the all-pairs identity layout the holder-set walk calls back
-    /// once per successful strike, in both live-list forms, where the CSR
-    /// walk of the same colouring also calls back for neighbours that no
-    /// longer hold the colour. A warm scratch keeps the holder sets'
-    /// buffer across runs, a CSR run between them included.
+    /// With holder sets, the strike walk calls back once per successful
+    /// strike on all three graph forms (identity-layout masks, bucket
+    /// masks and a CSR), where without them a CSR walk of the same
+    /// colouring also calls back for neighbours that no longer hold the
+    /// colour. Position masks, forced on the same instances, colour them
+    /// identically on both graph forms. The instances straddle the rule
+    /// on either engine.
     #[test]
-    fn identity_walk_calls_back_once_per_successful_strike() {
+    fn holder_walks_call_back_once_per_successful_strike_on_all_three_graph_forms() {
         use crate::candidates::CandidateEngine;
-        use crate::conflict::{build_host, build_sequential, HostGraph};
+        use crate::conflict::{build_host_with, build_sequential, GraphRule, HostGraph};
         use crate::{IterationContext, PauliComplementOracle};
         let m = 300;
         let mut rng = StdRng::seed_from_u64(3);
         let set =
             pauli::EncodedSet::from_strings(&pauli::string::random_unique_set(m, 12, &mut rng));
         let oracle = PauliComplementOracle::new(&set);
-        // (P, L): all-pairs lists whose rule picks bitsets, then sorted
-        // rows; each instance runs in both forms.
-        for (p, l) in [(40u32, 30u32), (8000, 100)] {
+        // (P, L, bucketed, holder sets by the rule)
+        for (p, l, bucketed, by_rule) in [
+            (40u32, 30u32, false, true),
+            (8000, 100, false, false),
+            (100, 6, true, true),
+            (1000, 8, true, false),
+        ] {
+            let case = format!("P={p} L={l}");
             let lists = ColorLists::assign(m, 5, p, l, 7, 1);
-            assert!(!CandidateEngine::prefers_buckets(&lists), "P={p} L={l}");
+            assert_eq!(CandidateEngine::prefers_buckets(&lists), bucketed, "{case}");
+            assert_eq!(uses_palette_bitset(p, l as usize), by_rule, "{case}");
             let mut ctx = IterationContext::new();
             ctx.set_lists(lists.clone());
             let csr = build_sequential(&oracle, &mut ctx).graph;
-            let built = build_host(&oracle, &mut ctx, false, true);
-            assert!(matches!(built.graph, HostGraph::Masks), "P={p} L={l}");
+            let built = build_host_with(&oracle, &mut ctx, false, GraphRule::Masks);
+            assert!(matches!(built.graph, HostGraph::Masks), "{case}");
             let (masks, lists, _) = ctx.hit_mask_graph();
-            assert!(masks.reads_holders());
             let active: Vec<u32> = (0..m as u32)
                 .filter(|&v| csr.degree(v as usize) > 0)
                 .collect();
             let mut scratch = ColorScratch::default();
-            let (mut from_masks, mut from_csr) =
-                (ListColorOutcome::default(), ListColorOutcome::default());
-            let mut warm = None;
-            for bitset in [false, true] {
-                let case = format!("P={p} L={l} bitset={bitset}");
-                let walk = Counted {
-                    graph: &masks,
-                    calls: Default::default(),
-                };
-                greedy_in_form(
-                    bitset,
-                    &walk,
-                    lists,
-                    &active,
-                    11,
-                    &mut scratch,
-                    &mut from_masks,
-                );
-                let (strikes, dry) = replay_strikes(&csr, lists, &active, &from_masks);
-                let mut uncolored = from_masks.uncolored.clone();
-                uncolored.sort_unstable();
-                assert_eq!(uncolored, dry, "{case}");
-                assert!(strikes > 0, "{case}");
-                assert_eq!(walk.calls.get(), strikes, "{case}: identity callbacks");
-                let held = (scratch.holders.as_ptr(), scratch.holders.capacity());
-                assert_eq!(*warm.get_or_insert(held), held, "{case}: holder buffer");
+            let mut held = ListColorOutcome::default();
+            let mut out = ListColorOutcome::default();
 
-                let walk = Counted {
-                    graph: &csr,
-                    calls: Default::default(),
-                };
-                greedy_in_form(
-                    bitset,
-                    &walk,
-                    lists,
-                    &active,
-                    11,
-                    &mut scratch,
-                    &mut from_csr,
-                );
-                assert_eq!(from_csr.assigned, from_masks.assigned, "{case}");
-                assert_eq!(from_csr.uncolored, from_masks.uncolored, "{case}");
-                assert!(walk.calls.get() > strikes, "{case}: CSR callbacks");
-            }
+            let calls = counted_run(true, &masks, lists, &active, &mut scratch, &mut held);
+            let (strikes, dry) = replay_strikes(&csr, lists, &active, &held);
+            let mut uncolored = held.uncolored.clone();
+            uncolored.sort_unstable();
+            assert_eq!(uncolored, dry, "{case}");
+            assert!(strikes > 0, "{case}");
+            assert_eq!(calls, strikes, "{case}: mask-walk callbacks");
+            let calls = counted_run(true, &csr, lists, &active, &mut scratch, &mut out);
+            assert_eq!(
+                (&out.assigned, &out.uncolored),
+                (&held.assigned, &held.uncolored)
+            );
+            assert_eq!(calls, strikes, "{case}: CSR-walk callbacks");
+
+            counted_run(false, &masks, lists, &active, &mut scratch, &mut out);
+            assert_eq!(
+                (&out.assigned, &out.uncolored),
+                (&held.assigned, &held.uncolored)
+            );
+            let calls = counted_run(false, &csr, lists, &active, &mut scratch, &mut out);
+            assert_eq!(
+                (&out.assigned, &out.uncolored),
+                (&held.assigned, &held.uncolored)
+            );
+            assert!(calls > strikes, "{case}: CSR callbacks without holder sets");
         }
     }
 

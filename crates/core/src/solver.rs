@@ -122,9 +122,10 @@ pub struct IterationStats {
     pub conflict_secs: f64,
     /// Seconds in coloring (Lines 8–9).
     pub color_secs: f64,
-    /// Whether Algorithm 2 kept its live lists as palette bitsets this
-    /// iteration ([`crate::listcolor::uses_palette_bitset`] of
-    /// `palette_size` and `list_size`); false under a static scheme.
+    /// Whether Algorithm 2 kept its live lists as per-colour holder sets
+    /// this iteration rather than per-vertex position masks
+    /// ([`crate::listcolor::uses_palette_bitset`] of `palette_size` and
+    /// `list_size`, on any graph form); false under a static scheme.
     pub color_bitset: bool,
     /// Whether Line 7 kept the conflict graph as hit masks instead of a
     /// CSR this iteration ([`crate::conflict::uses_hit_masks`] of

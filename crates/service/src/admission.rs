@@ -92,10 +92,9 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// ([`picasso::conflict::csr_path_bytes`]), plus the packed oracle
 /// replica ([`picasso::IterationStats::replica_bytes`]) of an iteration
 /// that packed; beside it, under the greedy scheme, the colouring
-/// scratch that reads that graph
-/// ([`picasso::listcolor::greedy_scratch_bytes`], with the holder sets
-/// of an iteration that coloured the all-pairs identity layout of the
-/// hit masks). Deterministic and allocator-independent, so it works
+/// scratch, its live lists in the form the lists' shape picks on any
+/// graph form ([`picasso::listcolor::greedy_scratch_bytes`]: holder sets
+/// or position masks). Deterministic and allocator-independent, so it works
 /// identically in the CLI, the service, and tests.
 ///
 /// It is a **lower bound** on the solve's peak, not the peak itself: it
@@ -123,8 +122,8 @@ pub fn observed_peak_bytes(
         let m = s.live_vertices;
         let l = s.list_size as usize;
         let lists = m * l * std::mem::size_of::<u32>();
-        let bucketed = bucketed(s);
-        let index = if bucketed {
+        // Only the bucketed engine builds a bucket index.
+        let index = if picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, m) {
             (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>()
         } else {
             0
@@ -136,24 +135,14 @@ pub fn observed_peak_bytes(
         };
         let line7 = (graph + s.replica_bytes) as usize;
         let color = match cfg.scheme {
-            ListColoringScheme::DynamicGreedy => picasso::listcolor::greedy_scratch_bytes(
-                m,
-                s.palette_size,
-                l,
-                s.conflict_masks && !bucketed,
-            ) as usize,
+            ListColoringScheme::DynamicGreedy => {
+                picasso::listcolor::greedy_scratch_bytes(m, s.palette_size, l) as usize
+            }
             ListColoringScheme::Static(_) => 0,
         };
         transient = transient.max(lists + index + line7 + color);
     }
     input + transient
-}
-
-/// Whether iteration `s` ran the bucketed engine, the one that builds a
-/// bucket index; the all-pairs engine builds none, and its hit masks are
-/// the identity layout, whose greedy keeps holder sets.
-fn bucketed(s: &picasso::IterationStats) -> bool {
-    picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, s.live_vertices)
 }
 
 /// The admission controller.
@@ -299,11 +288,8 @@ mod tests {
         let (m, edges) = (first.live_vertices, first.conflict_edges as u64);
         let csr_path = picasso::conflict::csr_path_bytes(m, edges);
         let mask_path = picasso::conflict::mask_path_bytes(m, edges, first.mask_bytes);
-        // The all-pairs identity layout: its greedy also keeps the holder
-        // sets, `8·P·⌈m/64⌉` bytes.
-        assert!(!bucketed(&first), "all-pairs lists");
-        let holders = 8 * u64::from(first.palette_size) * m.div_ceil(64) as u64;
-        assert_eq!((csr - masks) as u64 + holders, csr_path - mask_path);
+        // The colouring scratch does not depend on the graph form.
+        assert_eq!((csr - masks) as u64, csr_path - mask_path);
         assert!(mask_path < csr_path / 4, "{mask_path} vs {csr_path}");
     }
 
@@ -313,8 +299,7 @@ mod tests {
         // masks. Each iteration alone, in either graph form, is charged
         // the input, its lists and index, core's count of that graph
         // form, exactly its replica and, under the greedy scheme, core's
-        // count of the colouring scratch (with the holder sets where the
-        // masks are the all-pairs identity layout).
+        // count of the colouring scratch, the same in either form.
         let (n, qubits, seed) = (1024, 24, 5);
         let workload = Workload::SyntheticPauli { n, qubits, seed };
         let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
@@ -349,12 +334,10 @@ mod tests {
                 } else {
                     picasso::conflict::csr_path_bytes(m, edges)
                 };
-                let identity = conflict_masks && !bucketed;
                 let color = picasso::listcolor::greedy_scratch_bytes(
                     m,
                     s.palette_size,
                     s.list_size as usize,
-                    identity,
                 );
                 let mut one = result.clone();
                 one.iterations = vec![picasso::IterationStats {

@@ -108,9 +108,11 @@ struct Ring {
 }
 
 impl Ring {
+    /// An empty ring: its slots are allocated by the first record, so a
+    /// thread that only flushes (every solve does) holds none.
     fn new() -> Ring {
         Ring {
-            buf: Vec::with_capacity(RING_CAPACITY),
+            buf: Vec::new(),
             thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -118,7 +120,9 @@ impl Ring {
     #[inline]
     fn push(&mut self, mut record: SpanRecord) {
         record.thread = self.thread;
-        if self.buf.len() == RING_CAPACITY {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(RING_CAPACITY);
+        } else if self.buf.len() == RING_CAPACITY {
             self.drain();
         }
         self.buf.push(record);

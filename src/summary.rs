@@ -33,7 +33,8 @@ pub struct SolveSummary {
     pub skipped_words: u64,
     /// Vertices the `max_iterations` safety valve gave a fresh color.
     pub safety_valve_vertices: u64,
-    /// Iterations whose greedy kept its live lists as palette bitsets.
+    /// Iterations whose greedy kept its live lists as per-colour holder
+    /// sets (the `bitset` side of `listcolor::uses_palette_bitset`).
     pub color_bitset_iterations: u64,
     /// Iterations whose Line 7 kept hit masks instead of a CSR.
     pub conflict_mask_iterations: u64,

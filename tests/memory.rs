@@ -512,17 +512,17 @@ fn warm_sequential_coloring_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
     // Line 8-9 companion to the build test above: the dynamic bucket
     // greedy runs entirely out of the context-owned `ColorScratch` (live
-    // lists, size buckets, stamps) and a caller-recycled outcome, so a
+    // bits, size buckets, stamps) and a caller-recycled outcome, so a
     // steady-state sequential coloring performs exactly zero heap
     // allocations in either live-list form. Normal lists at n = 800
-    // (P = 100, L = 6) take palette bitsets; dense_pauli's shape
-    // (P = 1000, L = 8) keeps sorted lists.
+    // (P = 100, L = 6) take holder sets; dense_pauli's shape
+    // (P = 1000, L = 8) takes position masks.
     let cfg = PicassoConfig::normal(1);
     let normal = (cfg.palette_size(800), cfg.list_size(800));
-    for (shape, bitset) in [(normal, true), ((1000, 8), false)] {
+    for (shape, holders) in [(normal, true), ((1000, 8), false)] {
         assert_eq!(
             picasso::listcolor::uses_palette_bitset(shape.0, shape.1 as usize),
-            bitset,
+            holders,
             "{shape:?}"
         );
         assert_eq!(
@@ -536,31 +536,33 @@ fn warm_sequential_coloring_allocates_nothing() {
 #[test]
 fn alternating_live_list_forms_allocate_nothing_when_warm() {
     let _guard = MEASURE_LOCK.lock().unwrap();
-    // One context colors list -> bitset -> list. A form switch neither
-    // releases nor shrinks the other form's buffer, so the second list
-    // round finds every capacity the first one grew.
+    // One context colors positions -> holders -> positions. Both forms
+    // share one live-bit buffer, which a switch neither releases nor
+    // shrinks, so the second position round finds every capacity the
+    // first two grew.
     use picasso::listcolor::uses_palette_bitset;
-    let (list, bitset) = ((1000, 8), (100, 6));
-    assert!(!uses_palette_bitset(list.0, list.1 as usize));
-    assert!(uses_palette_bitset(bitset.0, bitset.1 as usize));
+    let (positions, holders) = ((1000, 8), (100, 6));
+    assert!(!uses_palette_bitset(positions.0, positions.1 as usize));
+    assert!(uses_palette_bitset(holders.0, holders.1 as usize));
     let set = coloring_oracle_set();
     let oracle = picasso::PauliComplementOracle::new(&set);
     let mut ctx = picasso::IterationContext::new();
     let mut outcome = picasso::ListColorOutcome::default();
     let n = set.len();
-    coloring_round(&mut ctx, &oracle, n, list, 3, &mut outcome);
-    coloring_round(&mut ctx, &oracle, n, bitset, 3, &mut outcome);
+    coloring_round(&mut ctx, &oracle, n, positions, 3, &mut outcome);
+    coloring_round(&mut ctx, &oracle, n, holders, 3, &mut outcome);
     assert_eq!(
-        coloring_round(&mut ctx, &oracle, n, list, 3, &mut outcome),
+        coloring_round(&mut ctx, &oracle, n, positions, 3, &mut outcome),
         0,
-        "a list round after a bitset round must reuse the warm buffers"
+        "a position-mask round after a holder-set round must reuse the warm buffers"
     );
 }
 
 #[test]
 fn palette_bitsets_never_take_more_bytes_than_sorted_lists() {
-    // The form rule is byte-counted: a W = ceil(P/64)-word bitset row is
-    // chosen iff it is no larger than the L-entry u32 list it replaces.
+    // The form rule: holder sets iff a W = ceil(P/64)-word palette row is
+    // no larger than an L-entry u32 list. So where holder sets are kept,
+    // their P * m / 8 bytes are about those of an m * L u32 copy or less.
     use picasso::listcolor::uses_palette_bitset;
     for p in 1..=4096u32 {
         let row_bytes = 8 * p.div_ceil(64) as usize;
@@ -573,8 +575,8 @@ fn palette_bitsets_never_take_more_bytes_than_sorted_lists() {
             );
         }
     }
-    // The benchmark's shapes: dense_pauli and sparse_oracle stay sorted,
-    // molecule_aggressive and service_mix take bitsets.
+    // The benchmark's shapes: dense_pauli and sparse_oracle take position
+    // masks, molecule_aggressive and service_mix take holder sets.
     assert!(!uses_palette_bitset(1000, 8));
     assert!(!uses_palette_bitset(5000, 10));
     assert!(uses_palette_bitset(131, 110));
@@ -584,6 +586,15 @@ fn palette_bitsets_never_take_more_bytes_than_sorted_lists() {
 #[test]
 fn warm_sequential_build_with_noop_sink_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
+    // The traced thread's span ring is freed when that thread exits, so
+    // it runs on a thread joined here: the free lands under the lock,
+    // not inside the next test's peak region.
+    std::thread::scope(|s| s.spawn(noop_sink_build).join())
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+}
+
+/// The body of `warm_sequential_build_with_noop_sink_allocates_nothing`.
+fn noop_sink_build() {
     // Enabled-sink variant of the zero pin above: with a sink installed
     // the phase spans record into the preallocated per-thread ring
     // (paid during warm-up), so the steady-state build still performs
@@ -620,69 +631,6 @@ fn warm_sequential_build_with_noop_sink_allocates_nothing() {
         "steady-state build with an installed no-op sink must stay within the span ring"
     );
     ctx.recycle_csr(built.graph);
-}
-
-#[test]
-fn warm_solve_allocations_are_identical_across_sink_modes() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    // The zero-overhead contract at full-solve granularity: telemetry is
-    // compiled into every solver phase, and a warm solve must allocate
-    // exactly as much with tracing disabled (the default) as with a
-    // no-op or aggregating sink installed — records live in the
-    // preallocated ring and the aggregating fold hits cached instrument
-    // handles, so neither mode touches the heap once warm.
-    use rand::SeedableRng;
-    use std::sync::Arc;
-    let n = 600;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let strings = pauli::string::random_unique_set(n, 12, &mut rng);
-    let set = EncodedSet::from_strings(&strings);
-    // Normal lists keep sorted CSR rows late in the solve; Aggressive
-    // ones keep hit masks in every packed iteration.
-    for cfg in [PicassoConfig::normal(1), PicassoConfig::aggressive(1)] {
-        let cfg = cfg.with_backend(picasso::ConflictBackend::Sequential);
-        let measured_solve_allocs = || {
-            // The warm-up solve pays every one-time cost (thread ring,
-            // sink instrument caches); the measured solve is steady
-            // state.
-            let warm = Picasso::new(cfg).solve_pauli(&set).unwrap();
-            std::hint::black_box(warm.num_colors);
-            let before = memtrack::total_allocations();
-            let result = Picasso::new(cfg).solve_pauli(&set).unwrap();
-            let after = memtrack::total_allocations();
-            std::hint::black_box(result.num_colors);
-            after - before
-        };
-        telemetry::uninstall();
-        let disabled = measured_solve_allocs();
-        telemetry::install(Arc::new(telemetry::NoopSink));
-        let noop = measured_solve_allocs();
-        let registry = Arc::new(telemetry::Registry::new());
-        telemetry::install(Arc::new(telemetry::AggregatingSink::new(Arc::clone(
-            &registry,
-        ))));
-        let aggregating = measured_solve_allocs();
-        telemetry::uninstall();
-        assert_eq!(
-            disabled, noop,
-            "{cfg:?}: a no-op sink must not change a warm solve's allocation count"
-        );
-        assert_eq!(
-            disabled, aggregating,
-            "{cfg:?}: a warm aggregating sink must fold spans without allocating"
-        );
-        assert!(
-            registry.histogram("span_conflict_build_ns").count() > 0,
-            "the aggregating sink must actually have observed the solve"
-        );
-    }
-    let aggressive = Picasso::new(PicassoConfig::aggressive(1))
-        .solve_pauli(&set)
-        .unwrap();
-    assert!(
-        aggressive.conflict_mask_iterations() > 0,
-        "the Aggressive solve keeps hit masks"
-    );
 }
 
 #[test]
@@ -739,10 +687,10 @@ fn conflict_graph_is_sublinear_fraction_of_input_graph() {
 /// reach 3/4 of the peak. Normal lists read 221,140 B of a measured
 /// 279,316 B (0.79), the bucketed replica being the key and query
 /// tables, `16·m·w` bytes, on both sides. Aggressive lists (`P = L = 31`, the
-/// all-pairs engine, hit masks over the identity layout, whose greedy
-/// keeps per-colour holder sets) read 372,604 B of 473,640 B (0.79);
-/// before the model left out the bucket index that engine never builds,
-/// it read 495,740 B, above the peak. Both peaks are the same at 1 to 8
+/// all-pairs engine, hit masks over the identity layout; the greedy keeps
+/// per-colour holder sets and no copy of the lists) read 364,412 B of
+/// 465,448 B (0.78); before the model left out the bucket index that
+/// engine never builds, it read above the peak. Both peaks are the same at 1 to 8
 /// threads. The pooled scan arenas, lane tiles included, are what the
 /// model still leaves out.
 #[test]
