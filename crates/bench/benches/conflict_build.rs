@@ -23,6 +23,10 @@
 //!   rule keeps the bucketed hit masks and the mask fill counts `|Ec|`
 //!   from each bucket's lower-color member sets; its `|Ec|` and scan
 //!   counters must equal the CSR build's.
+//! * `oracle_identity` group — the same Line 7 on the molecule's
+//!   all-pairs shape (Aggressive lists, one-word form, `n` = 4096):
+//!   every pivot's tail runs straight off the key table, thousands of
+//!   lanes long.
 //!
 //! Set `PICASSO_BENCH_SMOKE=1` to run a seconds-scale smoke version (CI
 //! keeps the target from rotting without paying full bench time).
@@ -438,6 +442,63 @@ fn bench_oracle_sparse(c: &mut Criterion) {
     println!("oracle_sparse: wrote {path}");
 }
 
+/// The `identity` group: Line 7 as the solver runs it on the molecule's
+/// shape — Aggressive lists (the all-pairs engine, whose packed scan runs
+/// straight off the key table, the identity layout, with no shared-color
+/// test), a one-word packed form over `n` random 12-qubit strings, about
+/// half of whose pairs anticommute, kept as hit masks. Every pivot's tail
+/// is the rest of the table, thousands of lanes, so this times the
+/// kernel's long-tail rate, where the bucketed `sparse` group above
+/// times its cost per bucket tile. Its `|Ec|` must equal the scalar
+/// all-pairs build's.
+fn bench_oracle_identity(c: &mut Criterion) {
+    let n: usize = if smoke() { 512 } else { 4096 };
+    let mut rng = StdRng::seed_from_u64(13);
+    let strings = pauli::string::random_unique_set(n, 12, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let oracle = PauliComplementOracle::new(&set);
+    let cfg = PicassoConfig::aggressive(1);
+    let lists = ColorLists::assign(n, 0, cfg.palette_size(n), cfg.list_size(n), 1, 1);
+    let mut ctx = fresh_ctx(&lists);
+    let scalar = build_sequential_allpairs(&oracle, &mut ctx);
+    assert!(!ctx.prefers_buckets(), "Aggressive lists select all-pairs");
+    let masks = build_host(&oracle, &mut ctx, false, true);
+    assert!(
+        matches!(masks.graph, HostGraph::Masks),
+        "the rule keeps hit masks on the molecule's shape"
+    );
+    assert_eq!(
+        masks.num_edges, scalar.num_edges,
+        "|Ec| of the identity scan"
+    );
+    let lanes = scalar.candidate_pairs;
+    ctx.recycle_csr(scalar.graph);
+
+    let (reps, rounds) = if smoke() { (2, 2) } else { (8, 5) };
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let t = Instant::now();
+        for _ in 0..reps {
+            black_box(build_host(&oracle, &mut ctx, false, true).num_edges);
+        }
+        best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+    }
+    println!(
+        "oracle_identity_n{n}: mask-fill={:.3}ms ({:.3} ns/lane, |Ec|={} of {lanes} lanes)",
+        best * 1e3,
+        best * 1e9 / lanes.max(1) as f64,
+        masks.num_edges,
+    );
+
+    let mut group = c.benchmark_group(format!("oracle_identity_n{n}"));
+    group.throughput(Throughput::Elements(lanes));
+    group.sample_size(if smoke() { 2 } else { 10 });
+    group.bench_function("mask_fill", |b| {
+        b.iter(|| black_box(build_host(&oracle, &mut ctx, false, true).num_edges))
+    });
+    group.finish();
+}
+
 /// Minimum mask-over-scalar speedup at ≤1% density, n = 2048. Two full
 /// runs on a 2-vCPU x86-64 host measured 39.5–46.6×; the bar keeps a 4×
 /// margin for shared-host noise.
@@ -448,6 +509,7 @@ criterion_group!(
     bench_conflict,
     bench_oracle_batch,
     bench_oracle_sparse,
+    bench_oracle_identity,
     bench_hit_masks
 );
 criterion_main!(benches);

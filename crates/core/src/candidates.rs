@@ -95,8 +95,8 @@ pub trait PairSource: Sync {
 
     /// Packed-kernel scan of the contiguous rows `rows`: every pivot's
     /// tail gets its edge bits as `u64` hit masks from word-transposed
-    /// lanes in one straight-line loop
-    /// ([`PackedBuckets::tail_edge_mask`]) — `packed`'s key table for
+    /// lanes, eight consecutive pivots per kernel call
+    /// ([`PackedBuckets::tail_edge_mask`] is a block of one) — `packed`'s key table for
     /// all-pairs, a tile of each bucket's lanes gathered out of it as
     /// the bucketed scan enters the bucket. The consumer skips zero
     /// words whole, walks set bits with `trailing_zeros`, applies the
@@ -105,7 +105,7 @@ pub trait PairSource: Sync {
     /// disappears, and the walk cost tracks the hit count rather than
     /// the candidate count. `packed` must have been packed for this
     /// source's engine (`bucketed` as [`PackedBuckets::pack_from`] takes
-    /// it). `masks` is the caller's reusable mask staging; word/bit
+    /// it). `masks` is the caller's reusable block buffer; word/bit
     /// counters accumulate into `stats`. The shared-color filter's
     /// `⌈P/64⌉`-word color bitset and the bucketed scan's tile are
     /// allocated per call here (the conflict builders lend pooled ones
@@ -338,22 +338,28 @@ impl AllPairsSource<'_> {
     ) -> bool {
         let lists_filter = packed.shared_color_filter() == SharedColorFilter::Lists;
         let mut bits = lists_filter.then(|| ColorBits::new(self.lists, colors));
-        for i in rows {
-            let hit = packed.tail_edge_mask(None, i, i, masks);
-            let member = |t| i + 1 + t;
-            let go = match &mut bits {
-                Some(bits) if hit => {
-                    let row = self.lists.row(i);
-                    bits.toggle(row);
-                    let go = sink.pivot(0, i, i, masks, stats, member, Some(|v| bits.holds_any(v)));
-                    bits.toggle(row);
-                    go
+        for first in rows.clone().step_by(8) {
+            let pivots = first..rows.end.min(first + 8);
+            let mut block = packed.block_edge_masks(None, first, pivots.clone(), masks);
+            for (j, i) in pivots.enumerate() {
+                let hit = block.hit(j);
+                let mask = block.tail(j);
+                let member = |t| i + 1 + t;
+                let go = match &mut bits {
+                    Some(bits) if hit => {
+                        let row = self.lists.row(i);
+                        bits.toggle(row);
+                        let emit = Some(|v| bits.holds_any(v));
+                        let go = sink.pivot(0, i, i, mask, stats, member, emit);
+                        bits.toggle(row);
+                        go
+                    }
+                    // `Skipped`, or a pivot without hits.
+                    _ => sink.pivot(0, i, i, mask, stats, member, EVERY_HIT),
+                };
+                if !go {
+                    return false;
                 }
-                // `Skipped`, or a pivot without hits.
-                _ => sink.pivot(0, i, i, masks, stats, member, EVERY_HIT),
-            };
-            if !go {
-                return false;
             }
         }
         true
@@ -416,8 +422,9 @@ impl<'a> BucketSource<'a> {
     /// `false` when the sink ended it early. Entering bucket `k`, the
     /// scan gathers the key lanes of the members from its first pivot
     /// there to the bucket's end into `tile`
-    /// ([`PackedBuckets::gather_tile`]), and every pivot's tail mask runs
-    /// over the tile.
+    /// ([`PackedBuckets::gather_tile`]), and the kernel runs over the
+    /// tile once per 8 consecutive positions, every pivot's tail mask
+    /// shifted out of the block's rows in turn.
     /// Packed-kernel twin of [`BucketSource::scan_positions`]: the oracle
     /// runs first (whole-tail mask kernel), the dedup filter second, only
     /// on hits — the emitted edge set is identical because both filters
@@ -450,25 +457,32 @@ impl<'a> BucketSource<'a> {
             let own_test = sink.enter_bucket(k);
             let first = positions.start;
             packed.gather_tile(&bucket[first..], tile);
-            for a in positions {
-                let u = bucket[a] as usize;
-                let hit = packed.tail_edge_mask(Some(&tile[..]), a - first, u, masks);
-                let tail = &bucket[a + 1..];
-                let member = |t| tail[t] as usize;
-                // Emit only from the smallest shared color's bucket.
-                let go = if !own_test && hit && self.lists.row(u)[0] < color {
-                    let row = self.lists.row(u);
-                    let below = &row[..row.partition_point(|&c| c < color)];
-                    bits.toggle(below);
-                    let first = |v| !bits.holds_any(v);
-                    let go = sink.pivot(k, a, u, masks, stats, member, Some(first));
-                    bits.toggle(below);
-                    go
-                } else {
-                    sink.pivot(k, a, u, masks, stats, member, EVERY_HIT)
-                };
-                if !go {
-                    return false;
+            for start in positions.clone().step_by(8) {
+                let pivots = &bucket[start..positions.end.min(start + 8)];
+                let lanes = pivots.iter().map(|&u| u as usize);
+                let mut block =
+                    packed.block_edge_masks(Some(&tile[..]), start - first, lanes, masks);
+                for (j, &u) in pivots.iter().enumerate() {
+                    let (a, u) = (start + j, u as usize);
+                    let hit = block.hit(j);
+                    let mask = block.tail(j);
+                    let tail = &bucket[a + 1..];
+                    let member = |t| tail[t] as usize;
+                    // Emit only from the smallest shared color's bucket.
+                    let go = if !own_test && hit && self.lists.row(u)[0] < color {
+                        let row = self.lists.row(u);
+                        let below = &row[..row.partition_point(|&c| c < color)];
+                        bits.toggle(below);
+                        let first = |v| !bits.holds_any(v);
+                        let go = sink.pivot(k, a, u, mask, stats, member, Some(first));
+                        bits.toggle(below);
+                        go
+                    } else {
+                        sink.pivot(k, a, u, mask, stats, member, EVERY_HIT)
+                    };
+                    if !go {
+                        return false;
+                    }
                 }
             }
             true

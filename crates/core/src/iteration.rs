@@ -54,8 +54,11 @@ pub struct TaskArena {
     pub run: Vec<usize>,
     /// Oracle hit vector for batched `has_edge_block` queries.
     pub hits: Vec<bool>,
-    /// Hit-mask words for the packed kernel
-    /// ([`crate::PackedBuckets::tail_edge_mask`]).
+    /// The packed kernel's block buffer: one hit-mask row per pivot of a
+    /// block of up to 8 consecutive pivots, each shifted in place to its
+    /// pivot's tail ([`crate::PackedBuckets::tail_edge_mask`] is a block
+    /// of one). Scan-time scratch like the tile, so not part of the
+    /// replica's device bytes.
     pub masks: Vec<u64>,
     /// One pivot's colors as a `⌈P/64⌉`-word palette bitset: the packed
     /// scans' shared-color filter
@@ -199,8 +202,8 @@ pub struct IterationScratch {
     /// loop that makes steady-state Line 7 — **including CSR assembly**
     /// — allocation-free.
     pub csr: CsrArena,
-    /// Line-8/9 buffers for the sequential coloring schemes (sorted live
-    /// lists or palette bitsets, size buckets, stamps). Persists across
+    /// Line-8/9 buffers for the sequential coloring schemes (live holder
+    /// sets or position masks, size buckets, stamps). Persists across
     /// iterations so the warm greedy path allocates nothing
     /// (`tests/memory.rs`).
     pub color: ColorScratch,

@@ -36,7 +36,12 @@
 //!
 //! The kernel's output is a **hit mask**: one `u64` word per 64 tail
 //! lanes, bit `t % 64` of word `t / 64` set exactly when tail candidate
-//! `t` is an edge ([`PackedBuckets::tail_edge_mask`]). The parity
+//! `t` is an edge ([`PackedBuckets::tail_edge_mask`]). The scans run it
+//! on **blocks of up to 8 consecutive pivots**
+//! (`PackedBuckets::block_edge_masks`): each 8-lane group of the slice is
+//! loaded once per block and tested against every pivot's query words,
+//! one row per pivot in the task arena's block buffer, and each row is
+//! shifted back to its pivot's tail before the consumer walks it. The parity
 //! polarity of the oracle's form is folded into the mask, so consumers
 //! skip entire zero words and walk set bits with `trailing_zeros` —
 //! the anticommutation graph gets *sparser* as the palette grows, and
@@ -49,14 +54,15 @@
 //! picked once per process by runtime feature detection and named by
 //! [`parity_kernel`]:
 //!
-//! - `avx512` (`avx512f` + `avx512vpopcntdq`): 8 lanes per step — a
-//!   masked load per query word, `AND` (XOR-accumulated for `w > 1`), a
-//!   vector `POPCNT`, and one masked test of bit 0 that is the 8 mask
-//!   bits. Testing for a set bit or a clear one applies the polarity,
-//!   and the load-and-test mask stops at the tail's end, so nothing is
-//!   read or set past it.
-//! - `popcnt`: one scalar `POPCNT` per lane.
-//! - `portable`: a bitsliced 8-lane fold, for any CPU.
+//! - `avx512` (`avx512f` + `avx512vpopcntdq`): 8 lanes per group — one
+//!   unmasked load per word plane, then per pivot an `AND`
+//!   (`vpternlogq`-accumulated for `w > 1`), a vector `POPCNT` and one
+//!   test of bit 0, stored as one mask byte with the polarity applied as
+//!   an `XOR` on the byte. Only the block's last group is masked, so
+//!   nothing is read or set past the slice's end. Specialised on
+//!   `w ≤ 3` by a const generic; wider forms reload the planes per pivot.
+//! - `popcnt`: one scalar `POPCNT` per lane, pivot by pivot.
+//! - `portable`: a bitsliced 8-lane fold, pivot by pivot, for any CPU.
 //!
 //! Each arm defines every bit the same way, so the masks — and every
 //! colouring downstream — are bit-identical whichever arm runs.
@@ -238,12 +244,8 @@ impl PackedBuckets {
     /// the partial-word masking already folded in. Returns whether any
     /// bit is set, so a consumer need not scan the words again.
     ///
-    /// One-word forms take `AND`+parity per lane; wider forms
-    /// XOR-accumulate the per-word `AND`s first (`popcount(x ⊕ y) ≡
-    /// popcount(x) + popcount(y) (mod 2)`), so the parity fold is paid
-    /// once per lane, not per word. The parity runs on the arm
-    /// [`parity_kernel`] names (see the module docs); every arm defines
-    /// each bit the same way.
+    /// A block of one pivot (`PackedBuckets::block_edge_masks`): the
+    /// scans run blocks of eight.
     pub fn tail_edge_mask(
         &self,
         tile: Option<&[u64]>,
@@ -251,25 +253,97 @@ impl PackedBuckets {
         pivot: usize,
         masks: &mut Vec<u64>,
     ) -> bool {
+        let mut block = self.block_edge_masks(tile, pos, [pivot], masks);
+        let any = block.hit(0);
+        let words = block.tail(0).len();
+        masks.truncate(words);
+        any
+    }
+
+    /// The block entry point of the hit-mask kernel: the edge bits of up
+    /// to 8 `pivots` (local vertex ids) at the consecutive positions
+    /// `pos, pos+1, …` of a lane slice — the gathered `tile` of a
+    /// bucket's members or, for `None`, the key table — against the
+    /// lanes after `pos`. Each 8-lane group of the slice is loaded once
+    /// and tested against every pivot's query words. `rows` (cleared and
+    /// grown, never shrunk) receives one row per pivot over the block's
+    /// lanes `pos+1..n`: bit `t` of pivot `j`'s row is lane `pos+1+t`,
+    /// with no bit at or below the pivot's own position (`t < j`) and
+    /// none past the slice's end.
+    ///
+    /// One-word forms take `AND`+parity per lane; wider forms
+    /// XOR-accumulate the per-word `AND`s first (`popcount(x ⊕ y) ≡
+    /// popcount(x) + popcount(y) (mod 2)`), so the parity fold is paid
+    /// once per lane, not per word. The parity runs on the arm
+    /// [`parity_kernel`] names (see the module docs); every arm defines
+    /// each bit the same way.
+    pub(crate) fn block_edge_masks<'r>(
+        &self,
+        tile: Option<&[u64]>,
+        pos: usize,
+        pivots: impl IntoIterator<Item = usize>,
+        rows: &'r mut Vec<u64>,
+    ) -> HitBlock<'r> {
         let w = self.words;
         let lanes = tile.unwrap_or(&self.keys);
         let len = lanes.len() / w;
-        debug_assert!(pos < len);
-        debug_assert!(pivot < self.num_vertices);
-        let tail = Tail {
+        let mut block = Block {
             lanes,
             len,
             start: pos + 1,
-            query: &self.query[pivot * w..(pivot + 1) * w],
+            queries: [&[]; 8],
+            pivots: 0,
             odd_means_edge: self.odd_means_edge,
         };
+        for pivot in pivots {
+            debug_assert!(pivot < self.num_vertices);
+            block.queries[block.pivots] = &self.query[pivot * w..(pivot + 1) * w];
+            block.pivots += 1;
+        }
+        debug_assert!(block.pivots >= 1 && pos + block.pivots <= len);
         // SAFETY: `ParityKernel::get` returns an arm this CPU supports.
-        unsafe { ParityKernel::get().run(&tail, masks) }
+        unsafe { block.masks(ParityKernel::get(), rows) }
     }
 }
 
-/// The name of the parity arm [`PackedBuckets::tail_edge_mask`] runs on
-/// this CPU: `"avx512"`, `"popcnt"` or `"portable"`.
+/// One block's hit-mask rows in the block buffer, as
+/// [`PackedBuckets::block_edge_masks`] leaves them.
+pub(crate) struct HitBlock<'a> {
+    /// One row of `words` words per pivot.
+    rows: &'a mut [u64],
+    words: usize,
+    /// Lanes in the block: pivot `j`'s tail is the last `lanes - j`.
+    lanes: usize,
+    /// Bit `j` set iff pivot `j`'s row has a bit set.
+    any: u8,
+}
+
+impl HitBlock<'_> {
+    /// Whether pivot `j` has any edge bit.
+    #[inline]
+    pub(crate) fn hit(&self, j: usize) -> bool {
+        self.any >> j & 1 != 0
+    }
+
+    /// Pivot `j`'s row, shifted in place into tail coordinates: bit `t`
+    /// is lane `pos+1+j+t`, `⌈(lanes−j)/64⌉` words, as
+    /// [`PackedBuckets::tail_edge_mask`] lays out a tail. Call it once
+    /// per pivot: the shift is not repeatable.
+    pub(crate) fn tail(&mut self, j: usize) -> &mut [u64] {
+        let row = &mut self.rows[j * self.words..(j + 1) * self.words];
+        let n = (self.lanes - j).div_ceil(64);
+        if j > 0 {
+            for i in 0..n {
+                let next = row.get(i + 1).map_or(0, |&word| word << (64 - j));
+                row[i] = row[i] >> j | next;
+            }
+        }
+        &mut row[..n]
+    }
+}
+
+/// The name of the parity arm the hit-mask kernel runs on this CPU:
+/// `"avx512"`, `"popcnt"` or `"portable"`.
 pub fn parity_kernel() -> &'static str {
     ParityKernel::get().label()
 }
@@ -334,83 +408,119 @@ impl ParityKernel {
         }
     }
 
-    /// Writes `tail`'s hit masks into `masks` on this arm; whether any bit
-    /// is set.
+    /// Writes `block`'s rows into `rows` (`pivots` rows of
+    /// [`Block::row_words`] words, all clear) on this arm: every bit of
+    /// the block's lanes, the diagonal included, none past the end.
     ///
     /// # Safety
     /// The running CPU must support this arm ([`ParityKernel::supported`]).
-    unsafe fn run(self, tail: &Tail<'_>, masks: &mut Vec<u64>) -> bool {
+    unsafe fn run(self, block: &Block<'_>, rows: &mut [u64]) {
         match self {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the caller checked `avx512f` and `avx512vpopcntdq`.
-            ParityKernel::Avx512 => unsafe { avx512::tail_mask(tail, masks) },
+            ParityKernel::Avx512 => unsafe { avx512::block_rows(block, rows) },
             #[cfg(target_arch = "x86_64")]
-            ParityKernel::Popcnt => tail.scalar_mask(
+            ParityKernel::Popcnt => block.scalar_rows(
                 // SAFETY: the caller checked `POPCNT`.
                 |qw, keys| unsafe { popcnt::mask_word_1(qw, keys) },
                 // SAFETY: as above.
                 |accs| unsafe { popcnt::mask_word_acc(accs) },
-                masks,
+                rows,
             ),
             ParityKernel::Portable => {
-                tail.scalar_mask(mask_word_1_portable, mask_word_acc_portable, masks)
+                block.scalar_rows(mask_word_1_portable, mask_word_acc_portable, rows)
             }
         }
     }
 }
 
-/// One pivot's tail as every parity arm reads it: `query.len()` word
-/// planes of `len` lanes each in `lanes` (word `w_i` of lane `t` at
-/// `lanes[w_i·len + t]`), the tail being lanes `start..len`.
-struct Tail<'a> {
+/// A block of up to 8 pivots at consecutive positions of a lane slice,
+/// as every parity arm reads it: `w` word planes of `len` lanes each in
+/// `lanes` (word `w_i` of lane `t` at `lanes[w_i·len + t]`), the block's
+/// rows covering lanes `start..len` (the first pivot sits at
+/// `start − 1`), and pivot `j`'s `w` query words in `queries[j]`,
+/// `j < pivots`.
+struct Block<'a> {
     lanes: &'a [u64],
     len: usize,
     start: usize,
-    query: &'a [u64],
+    queries: [&'a [u64]; 8],
+    pivots: usize,
     odd_means_edge: bool,
 }
 
-impl Tail<'_> {
-    /// The scalar arms, 64 lanes per mask word: `fold_1` folds one-word
-    /// lanes against the query word, `fold_acc` XOR-accumulated ones.
-    /// Polarity and the tail's end are applied to each word as it is
-    /// written.
-    fn scalar_mask(
+impl Block<'_> {
+    /// Words per row: `⌈(len − start)/64⌉`, at least one, so a block whose
+    /// last pivot has an empty tail still has a row for it.
+    fn row_words(&self) -> usize {
+        (self.len - self.start).div_ceil(64).max(1)
+    }
+
+    /// Runs `kernel` into `rows` (cleared and grown, never shrunk), then
+    /// clears each pivot's diagonal — its own lane and the ones before
+    /// it — and collects the any-flags.
+    ///
+    /// # Safety
+    /// The running CPU must support `kernel` ([`ParityKernel::supported`]).
+    unsafe fn masks<'r>(&self, kernel: ParityKernel, rows: &'r mut Vec<u64>) -> HitBlock<'r> {
+        let words = self.row_words();
+        rows.clear();
+        rows.resize(self.pivots * words, 0);
+        // SAFETY: the caller's contract.
+        unsafe { kernel.run(self, rows) };
+        let mut any = 0u8;
+        for (j, row) in rows.chunks_exact_mut(words).enumerate() {
+            row[0] &= !0 << j;
+            if row.iter().any(|&word| word != 0) {
+                any |= 1 << j;
+            }
+        }
+        HitBlock {
+            rows,
+            words,
+            lanes: self.len - self.start,
+            any,
+        }
+    }
+
+    /// The scalar arms: each pivot's row folded 64 lanes per mask word,
+    /// `fold_1` folding one-word lanes against the query word, `fold_acc`
+    /// XOR-accumulated ones. Polarity and the row's end are applied to
+    /// each word as it is written.
+    fn scalar_rows(
         &self,
         fold_1: impl Fn(u64, &[u64]) -> u64,
         fold_acc: impl Fn(&[u64]) -> u64,
-        masks: &mut Vec<u64>,
-    ) -> bool {
+        rows: &mut [u64],
+    ) {
         let (len, start) = (self.len, self.start);
         let flip = if self.odd_means_edge { 0 } else { !0 };
-        let mut any = 0u64;
-        masks.clear();
-        if let [qw] = *self.query {
-            for chunk in self.lanes[start..len].chunks(64) {
-                let word = (fold_1(qw, chunk) ^ flip) & ones(chunk.len());
-                any |= word;
-                masks.push(word);
+        let n = len - start;
+        let row_words = self.row_words();
+        for (query, row) in self.queries[..self.pivots]
+            .iter()
+            .zip(rows.chunks_exact_mut(row_words))
+        {
+            if let [qw] = **query {
+                for (chunk, out) in self.lanes[start..len].chunks(64).zip(row.iter_mut()) {
+                    *out = (fold_1(qw, chunk) ^ flip) & ones(chunk.len());
+                }
+                continue;
             }
-        } else {
-            let tail = len - start;
-            let mut t = 0usize;
             let mut acc = [0u64; 64];
-            while t < tail {
-                let c = 64.min(tail - t);
+            for (wd, out) in row.iter_mut().enumerate().take(n.div_ceil(64)) {
+                let t = 64 * wd;
+                let c = 64.min(n - t);
                 acc[..c].fill(0);
-                for (wi, &qw) in self.query.iter().enumerate() {
+                for (wi, &qw) in query.iter().enumerate() {
                     let keys = &self.lanes[wi * len + start + t..][..c];
                     for (a, &kw) in acc[..c].iter_mut().zip(keys) {
                         *a ^= qw & kw;
                     }
                 }
-                let word = (fold_acc(&acc[..c]) ^ flip) & ones(c);
-                any |= word;
-                masks.push(word);
-                t += c;
+                *out = (fold_acc(&acc[..c]) ^ flip) & ones(c);
             }
         }
-        any != 0
     }
 }
 
@@ -469,63 +579,152 @@ impl SharedColorFilter {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! The AVX-512 arm. Each 8-lane step's mask `k` covers only the
-    //! lanes inside the tail, so the partial last step neither loads past
-    //! the tail nor sets bits past it; testing bit 0 of the popcount set
-    //! (`test`) or clear (`testn`) applies the parity polarity.
+    //! The AVX-512 arm. Each full 8-lane group is one unmasked load per
+    //! word plane, then per pivot an `AND` (XOR-accumulated for `w > 1`),
+    //! a vector `POPCNT` and one test of bit 0, whose 8 mask bits are
+    //! stored as one byte of the pivot's row with the polarity applied as
+    //! an XOR on the byte. Only the last group is masked, so nothing is
+    //! read or set past the block's end. The step is specialised on
+    //! `w ≤ 3`, with the planes and the pivots' broadcast query words in
+    //! registers; wider forms reload the planes per pivot.
 
-    use super::Tail;
+    use super::Block;
     use std::arch::x86_64::*;
 
-    /// [`Tail::scalar_mask`]'s masks, 8 lanes per instruction.
+    /// [`Block::scalar_rows`]' rows, 8 lanes per instruction, into `rows`
+    /// as [`super::ParityKernel::run`] takes them.
     ///
     /// # Safety
     /// The CPU must support `avx512f` and `avx512vpopcntdq`.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub unsafe fn tail_mask(tail: &Tail<'_>, masks: &mut Vec<u64>) -> bool {
-        let len = tail.len;
-        // Every load below stays inside `lanes` because of this check.
-        assert!(tail.start <= len && tail.lanes.len() >= tail.query.len() * len);
-        let n = len - tail.start;
-        let (first, rest) = tail.query.split_first().expect("w >= 1");
+    pub unsafe fn block_rows(block: &Block<'_>, rows: &mut [u64]) {
+        let w = block.queries[0].len();
+        // Every load and store below stays inside `lanes` and `rows`
+        // because of these checks.
+        assert!(
+            block.start <= block.len
+                && block.lanes.len() >= w * block.len
+                && rows.len() >= block.pivots * block.row_words()
+        );
+        for query in &block.queries[..block.pivots] {
+            assert_eq!(query.len(), w);
+        }
+        // SAFETY (all four): this function's own contract.
+        match w {
+            1 => unsafe { rows_of::<1>(block, rows) },
+            2 => unsafe { rows_of::<2>(block, rows) },
+            3 => unsafe { rows_of::<3>(block, rows) },
+            _ => unsafe { rows_wide(block, rows) },
+        }
+    }
+
+    /// The rows of a `W`-word form: each group's `W` planes loaded once,
+    /// then tested against every pivot.
+    ///
+    /// # Safety
+    /// As [`block_rows`], whose check this relies on.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn rows_of<const W: usize>(block: &Block<'_>, rows: &mut [u64]) {
+        let (len, n) = (block.len, block.len - block.start);
+        let mut q = [[_mm512_setzero_si512(); W]; 8];
+        for (qj, query) in q.iter_mut().zip(&block.queries[..block.pivots]) {
+            for (v, &word) in qj.iter_mut().zip(query.iter()) {
+                *v = _mm512_set1_epi64(word as i64);
+            }
+        }
+        let q = &q[..block.pivots];
+        let flip: u8 = if block.odd_means_edge { 0 } else { !0 };
+        let stride = 8 * block.row_words();
+        let base = block.lanes.as_ptr().wrapping_add(block.start);
+        let out = rows.as_mut_ptr().cast::<u8>();
+        let mut x = [_mm512_setzero_si512(); W];
+        for g in 0..n / 8 {
+            for (wi, x) in x.iter_mut().enumerate() {
+                // SAFETY: lanes `start + 8g .. start + 8g + 8` of plane
+                // `wi`, all below `len` (`8g + 8 ≤ n`).
+                *x = unsafe { _mm512_loadu_epi64(base.wrapping_add(wi * len + 8 * g).cast()) };
+            }
+            // SAFETY: byte `g < ⌈n/8⌉ ≤ stride` of each row.
+            unsafe { test_group(&x, q, !0, flip, out.wrapping_add(g), stride) };
+        }
+        let g = n / 8;
+        if n % 8 != 0 {
+            let k: __mmask8 = (1 << (n % 8)) - 1;
+            for (wi, x) in x.iter_mut().enumerate() {
+                // SAFETY: `k` enables lanes `start + 8g .. len` of plane
+                // `wi` only; disabled lanes are not read.
+                *x = unsafe {
+                    _mm512_maskz_loadu_epi64(k, base.wrapping_add(wi * len + 8 * g).cast())
+                };
+            }
+            // SAFETY: as above.
+            unsafe { test_group(&x, q, k, flip, out.wrapping_add(g), stride) };
+        }
+    }
+
+    /// One group's mask byte per pivot: pivot `j`'s at `out + j·stride`,
+    /// its bits outside `keep` clear.
+    ///
+    /// # Safety
+    /// `out + j·stride` must be writable for every `j < q.len()`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn test_group<const W: usize>(
+        x: &[__m512i; W],
+        q: &[[__m512i; W]],
+        keep: u8,
+        flip: u8,
+        out: *mut u8,
+        stride: usize,
+    ) {
         let one = _mm512_set1_epi64(1);
-        let base = tail.lanes.as_ptr().wrapping_add(tail.start);
-        masks.clear();
-        masks.resize(n.div_ceil(64), 0);
-        let mut any = 0u64;
-        for (wd, out) in masks.iter_mut().enumerate() {
-            let mut word = 0u64;
-            for g in 0..(n - 64 * wd).div_ceil(8).min(8) {
-                let at = 64 * wd + 8 * g;
-                let k: __mmask8 = if n - at >= 8 { !0 } else { (1 << (n - at)) - 1 };
-                let lane = base.wrapping_add(at);
-                // SAFETY: `k` enables tail lanes `at..min(at + 8, n)`
-                // only, so the load reads lanes `start + at..` of plane 0,
-                // all below `len` and so inside `lanes` (asserted above);
-                // disabled lanes are not read.
-                let x = unsafe { _mm512_maskz_loadu_epi64(k, lane.cast()) };
-                let mut acc = _mm512_and_si512(x, _mm512_set1_epi64(*first as i64));
-                for (wi, &qw) in rest.iter().enumerate() {
-                    // SAFETY: the same lanes of plane `wi + 1`, `len`
-                    // words further on.
+        for (j, qj) in q.iter().enumerate() {
+            let mut acc = _mm512_and_si512(x[0], qj[0]);
+            for wi in 1..W {
+                // acc ^ (q & x)
+                acc = _mm512_ternarylogic_epi64::<0x78>(acc, qj[wi], x[wi]);
+            }
+            let bits = _mm512_test_epi64_mask(_mm512_popcnt_epi64(acc), one);
+            // SAFETY: the caller's contract.
+            unsafe { *out.wrapping_add(j * stride) = (bits ^ flip) & keep };
+        }
+    }
+
+    /// The rows of a form wider than 3 words: every load masked, the
+    /// planes reloaded per pivot.
+    ///
+    /// # Safety
+    /// As [`block_rows`], whose check this relies on.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn rows_wide(block: &Block<'_>, rows: &mut [u64]) {
+        let (len, n) = (block.len, block.len - block.start);
+        let one = _mm512_set1_epi64(1);
+        let flip: u8 = if block.odd_means_edge { 0 } else { !0 };
+        let stride = 8 * block.row_words();
+        let base = block.lanes.as_ptr().wrapping_add(block.start);
+        let out = rows.as_mut_ptr().cast::<u8>();
+        for g in 0..n.div_ceil(8) {
+            let k: __mmask8 = if n - 8 * g >= 8 {
+                !0
+            } else {
+                (1 << (n - 8 * g)) - 1
+            };
+            for (j, query) in block.queries[..block.pivots].iter().enumerate() {
+                let mut acc = _mm512_setzero_si512();
+                for (wi, &qw) in query.iter().enumerate() {
+                    // SAFETY: `k` enables lanes `start + 8g ..` of plane
+                    // `wi` below `len` only.
                     let x = unsafe {
-                        _mm512_maskz_loadu_epi64(k, lane.wrapping_add((wi + 1) * len).cast())
+                        _mm512_maskz_loadu_epi64(k, base.wrapping_add(wi * len + 8 * g).cast())
                     };
-                    // acc ^ (q & x)
                     acc = _mm512_ternarylogic_epi64::<0x78>(acc, _mm512_set1_epi64(qw as i64), x);
                 }
-                let parity = _mm512_popcnt_epi64(acc);
-                let bits = if tail.odd_means_edge {
-                    _mm512_mask_test_epi64_mask(k, parity, one)
-                } else {
-                    _mm512_mask_testn_epi64_mask(k, parity, one)
-                };
-                word |= u64::from(bits) << (8 * g);
+                let bits = _mm512_test_epi64_mask(_mm512_popcnt_epi64(acc), one);
+                // SAFETY: byte `g < ⌈n/8⌉ ≤ stride` of row `j < pivots`.
+                unsafe { *out.wrapping_add(j * stride + g) = (bits ^ flip) & k };
             }
-            *out = word;
-            any |= word;
         }
-        any != 0
     }
 }
 
@@ -777,11 +976,77 @@ mod tests {
         assert_eq!(labels, ["list", "none"]);
     }
 
-    /// Every parity arm this CPU can run, called directly, against a
-    /// naive `count_ones` parity: tails of 1–130 lanes (partial words and
-    /// several words) at unaligned starts, `w` = 1, 2 and 3, both
-    /// polarities. An arm the CPU lacks is named on stderr, past the
-    /// test harness's capture, so a host without it shows in the log.
+    /// One block of `kernel` against a naive `count_ones` parity: `pivots`
+    /// pivots from position `pos` of a `len`-lane slice of `w`-word
+    /// `lanes`, pivot `j` querying `query[j·w..]`. Each row holds no bit
+    /// at or below its pivot's own position and none past the slice's
+    /// end, the any-flags match the rows, and each tail is its row
+    /// shifted to the pivot.
+    #[allow(clippy::too_many_arguments)]
+    fn check_block(
+        kernel: ParityKernel,
+        lanes: &[u64],
+        len: usize,
+        query: &[u64],
+        w: usize,
+        pos: usize,
+        pivots: usize,
+        odd_means_edge: bool,
+    ) {
+        let mut block = Block {
+            lanes,
+            len,
+            start: pos + 1,
+            queries: [&[]; 8],
+            pivots,
+            odd_means_edge,
+        };
+        for (j, q) in query.chunks(w).take(pivots).enumerate() {
+            block.queries[j] = q;
+        }
+        let what = format!(
+            "{} w={w} len={len} pos={pos} pivots={pivots} odd={odd_means_edge}",
+            kernel.label()
+        );
+        let n = len - pos - 1;
+        let edge = |j: usize, t: usize| {
+            if t < j || t >= n {
+                return false;
+            }
+            let set: u32 = (0..w)
+                .map(|wi| (query[j * w + wi] & lanes[wi * len + pos + 1 + t]).count_ones())
+                .sum();
+            (set % 2 == 1) == odd_means_edge
+        };
+        let bit = |words: &[u64], t: usize| words[t / 64] >> (t % 64) & 1 == 1;
+        let mut rows = Vec::new();
+        // SAFETY: the caller checked `supported`.
+        let mut hits = unsafe { block.masks(kernel, &mut rows) };
+        let words = n.div_ceil(64).max(1);
+        assert_eq!(hits.rows.len(), pivots * words, "{what}");
+        for j in 0..pivots {
+            let row = &hits.rows[j * words..(j + 1) * words];
+            for t in 0..64 * words {
+                assert_eq!(bit(row, t), edge(j, t), "{what}: pivot {j} lane {t}");
+            }
+            let any = row.iter().any(|&word| word != 0);
+            assert_eq!(hits.hit(j), any, "{what}: pivot {j} any");
+        }
+        for j in 0..pivots {
+            let tail = hits.tail(j);
+            assert_eq!(tail.len(), (n - j).div_ceil(64), "{what}");
+            for t in 0..64 * tail.len() {
+                assert_eq!(bit(tail, t), edge(j, j + t), "{what}: tail {j} lane {t}");
+            }
+        }
+    }
+
+    /// Every parity arm this CPU can run, through the block entry point
+    /// ([`check_block`]): blocks of 1–8 pivots at the slice's start,
+    /// inside it and ending at its last lane (so the last pivot's tail is
+    /// empty), slices of 1–130 lanes, `w` = 1–4, both polarities. An arm
+    /// the CPU lacks is named on stderr, past the test harness's capture,
+    /// so a host without it shows in the log.
     #[test]
     fn every_parity_arm_matches_a_naive_popcount() {
         use std::io::Write;
@@ -797,45 +1062,18 @@ mod tests {
                 .unwrap();
                 continue;
             }
-            let mut masks = Vec::new();
-            for w in 1..=3usize {
-                for start in [0usize, 1, 3, 8, 13] {
-                    for n in 1..=130usize {
-                        let len = start + n;
-                        let lanes: Vec<u64> = (0..w * len).map(|_| rng.next_u64()).collect();
-                        let query: Vec<u64> = (0..w).map(|_| rng.next_u64()).collect();
-                        for odd_means_edge in [true, false] {
-                            let tail = Tail {
-                                lanes: &lanes,
-                                len,
-                                start,
-                                query: &query,
-                                odd_means_edge,
-                            };
-                            // SAFETY: `supported` just checked.
-                            let any = unsafe { kernel.run(&tail, &mut masks) };
-                            let what = format!(
-                                "{} w={w} start={start} n={n} odd={odd_means_edge}",
-                                kernel.label()
-                            );
-                            assert_eq!(masks.len(), n.div_ceil(64), "{what}");
-                            for t in 0..n {
-                                let set: u32 = (0..w)
-                                    .map(|wi| {
-                                        (query[wi] & lanes[wi * len + start + t]).count_ones()
-                                    })
-                                    .sum();
-                                let edge = (set % 2 == 1) == odd_means_edge;
-                                assert_eq!(
-                                    masks[t / 64] >> (t % 64) & 1 == 1,
-                                    edge,
-                                    "{what} lane {t}"
-                                );
+            for w in 1..=4usize {
+                for len in 1..=130usize {
+                    let lanes: Vec<u64> = (0..w * len).map(|_| rng.next_u64()).collect();
+                    let query: Vec<u64> = (0..8 * w).map(|_| rng.next_u64()).collect();
+                    for pivots in 1..=8.min(len) {
+                        let mut firsts = vec![0, 3, len / 2, len - pivots];
+                        firsts.retain(|&pos| pos + pivots <= len);
+                        firsts.dedup();
+                        for pos in firsts {
+                            for odd in [true, false] {
+                                check_block(kernel, &lanes, len, &query, w, pos, pivots, odd);
                             }
-                            let last = masks[masks.len() - 1];
-                            let past = last & !ones(n - 64 * (masks.len() - 1));
-                            assert_eq!(past, 0, "{what}: bits past the tail");
-                            assert_eq!(any, masks.iter().any(|&m| m != 0), "{what}");
                         }
                     }
                 }

@@ -261,7 +261,7 @@ impl PicassoResult {
         self.iterations.iter().map(|s| s.color_secs).sum()
     }
 
-    /// Iterations whose greedy kept palette bitsets (see
+    /// Iterations whose greedy kept per-colour holder sets (see
     /// [`IterationStats::color_bitset`]).
     pub fn color_bitset_iterations(&self) -> usize {
         self.iterations.iter().filter(|s| s.color_bitset).count()

@@ -733,7 +733,7 @@ fn main() {
     if args.stats {
         eprintln!(
             "iter |live |palette |L |maxB |est.pairs |cand.pairs |packed |lane% |replica \
-             |dedup |hit% |skipw |colms |Vc |Ec |masks |uncolored |bitset |graph"
+             |dedup |hit% |skipw |colms |Vc |Ec |masks |uncolored |holders |graph"
         );
         for s in &result.iterations {
             eprintln!(

@@ -34,7 +34,7 @@ pub struct SolveSummary {
     /// Vertices the `max_iterations` safety valve gave a fresh color.
     pub safety_valve_vertices: u64,
     /// Iterations whose greedy kept its live lists as per-colour holder
-    /// sets (the `bitset` side of `listcolor::uses_palette_bitset`).
+    /// sets (the `holders` side of `listcolor::uses_palette_bitset`).
     pub color_bitset_iterations: u64,
     /// Iterations whose Line 7 kept hit masks instead of a CSR.
     pub conflict_mask_iterations: u64,
@@ -115,7 +115,7 @@ impl SolveSummary {
     /// [`picasso::ListColoringScheme`] label).
     pub fn coloring_footer(&self, scheme: &str) -> String {
         format!(
-            "coloring [{}]: {:.3}s, palette bitsets in {} of {} iterations, \
+            "coloring [{}]: {:.3}s, holder sets in {} of {} iterations, \
              {} vertices colored by the max-iterations safety valve",
             scheme,
             self.color_secs,
@@ -235,7 +235,7 @@ mod tests {
             result.safety_valve_vertices
         )));
         assert!(coloring.contains(&format!(
-            "palette bitsets in {} of {} iterations",
+            "holder sets in {} of {} iterations",
             result.color_bitset_iterations(),
             result.iterations.len()
         )));

@@ -311,7 +311,7 @@ fn stats_footer_counts_palette_bitset_iterations() {
 
     let stderr = run(&[]);
     assert!(
-        stderr.contains("|uncolored |bitset"),
+        stderr.contains("|uncolored |holders"),
         "header in:\n{stderr}"
     );
     let rows: Vec<Vec<&str>> = stderr
@@ -324,26 +324,23 @@ fn stats_footer_counts_palette_bitset_iterations() {
     for row in &rows {
         let (p, l): (usize, usize) = (row[2].parse().unwrap(), row[3].parse().unwrap());
         let want = if 2 * p.div_ceil(64) <= l { "y" } else { "n" };
-        // The bitset column sits just before the last one, `graph`.
-        assert_eq!(row[row.len() - 2], want, "bitset column of row {row:?}");
+        // The holders column sits just before the last one, `graph`.
+        assert_eq!(row[row.len() - 2], want, "holders column of row {row:?}");
         bitset_rows += usize::from(want == "y");
     }
-    // Early iterations (P = 38, L = 5) take bitsets; the last one has a
+    // Early iterations (P = 38, L = 5) take holder sets; the last one has a
     // single vertex with L = 1, below the rule.
     assert!(
         bitset_rows > 0 && bitset_rows < rows.len(),
         "both live-list forms in:\n{stderr}"
     );
-    let footer = format!(
-        "palette bitsets in {bitset_rows} of {} iterations",
-        rows.len()
-    );
+    let footer = format!("holder sets in {bitset_rows} of {} iterations", rows.len());
     assert!(stderr.contains(&footer), "{footer} in:\n{stderr}");
 
-    // A static scheme never runs the greedy, so it keeps no bitsets.
+    // A static scheme never runs the greedy, so it keeps no holder sets.
     let stderr = run(&["--coloring", "lf"]);
     assert!(
-        stderr.contains("coloring [lf]:") && stderr.contains("palette bitsets in 0 of"),
+        stderr.contains("coloring [lf]:") && stderr.contains("holder sets in 0 of"),
         "footer in:\n{stderr}"
     );
 }
@@ -387,7 +384,7 @@ fn stats_graph_column_and_footer_show_the_hit_mask_form() {
     };
 
     let (groups, stderr, graphs) = run(&[]);
-    assert!(stderr.contains("|bitset |graph"), "header in:\n{stderr}");
+    assert!(stderr.contains("|holders |graph"), "header in:\n{stderr}");
     assert!(!graphs.is_empty(), "stats rows in:\n{stderr}");
     assert!(
         graphs.iter().all(|g| g == "masks" || g == "csr"),
