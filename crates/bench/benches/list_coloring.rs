@@ -1,10 +1,12 @@
-//! Lines 8–9 microbenchmark: the §IV-B scheme comparison — Algorithm 2's
-//! dynamic bucket greedy (fresh buffers and the solver's warm
-//! `ColorScratch` path) vs static-order first-fit under the ordering
-//! heuristics, on one solver-realistic conflict graph — and the warm
-//! greedy on both sides of its live-list form rule: Aggressive lists
-//! (`L = P`, per-colour holder sets) and a Normal instance with a palette
-//! as large as the vertex set (per-vertex position masks).
+//! Lines 6 and 8–9 microbenchmark: the §IV-B scheme comparison —
+//! Algorithm 2's dynamic bucket greedy (fresh buffers and the solver's
+//! warm `ColorScratch` path) vs static-order first-fit under the ordering
+//! heuristics, on one solver-realistic conflict graph — the warm greedy
+//! on both sides of its live-list form rule: Aggressive lists (`L = P`,
+//! per-colour holder sets) and a Normal instance with a palette as large
+//! as the vertex set (per-vertex position masks) — and Line 6 itself, a
+//! warm `ColorLists::reassign` at the benchmark workloads' list shapes,
+//! in ns per list entry.
 //!
 //! Set `PICASSO_BENCH_SMOKE=1` for the seconds-scale CI smoke version.
 
@@ -22,6 +24,7 @@ use picasso::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::time::Instant;
 
 fn smoke() -> bool {
     std::env::var_os("PICASSO_BENCH_SMOKE").is_some()
@@ -113,5 +116,59 @@ fn bench_live_list_forms(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_scheme_comparison, bench_live_list_forms);
+/// Line 6: a warm `ColorLists::reassign` at the sparse-oracle
+/// (40k vertices, `P` 5000, `L` 10: Floyd, ranked rows), dense-Pauli
+/// (8k, 1000, 8: Floyd, ranked rows) and molecule (4361, 131, 110:
+/// Fisher–Yates, bitmap rows) shapes; smaller `n` under the smoke flag.
+fn bench_line6(c: &mut Criterion) {
+    let shapes = if smoke() {
+        [
+            ("sparse", 4000, 5000, 10),
+            ("dense", 800, 1000, 8),
+            ("molecule", 436, 131, 110),
+        ]
+    } else {
+        [
+            ("sparse", 40_000, 5000, 10),
+            ("dense", 8000, 1000, 8),
+            ("molecule", 4361, 131, 110),
+        ]
+    };
+    let mut group = c.benchmark_group("line6_assign");
+    group.sample_size(if smoke() { 10 } else { 20 });
+    for (label, n, p, l) in shapes {
+        let mut lists = ColorLists::empty();
+        lists.reassign(n, 0, p, l, 3, 1);
+        let entries = (n * l as usize) as f64;
+        let (reps, rounds) = if smoke() { (5, 3) } else { (20, 5) };
+        let mut best = f64::INFINITY;
+        for _ in 0..rounds {
+            let t = Instant::now();
+            for _ in 0..reps {
+                lists.reassign(n, 0, p, l, 3, 1);
+                black_box(lists.row(n - 1));
+            }
+            best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+        }
+        println!(
+            "line6_{label}_n{n}: reassign={:.3}ms ({:.2} ns/entry, P={p}, L={l})",
+            best * 1e3,
+            best * 1e9 / entries,
+        );
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            b.iter(|| {
+                lists.reassign(n, 0, p, l, 3, 1);
+                black_box(lists.row(n - 1)[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_scheme_comparison,
+    bench_live_list_forms,
+    bench_line6
+);
 criterion_main!(benches);

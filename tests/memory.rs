@@ -583,6 +583,71 @@ fn palette_bitsets_never_take_more_bytes_than_sorted_lists() {
     assert!(uses_palette_bitset(128, 7));
 }
 
+/// Heap allocations the calling thread makes in one warm
+/// `ColorLists::reassign` of `n` vertices at `(p, l)`: two warm-up calls
+/// (the first fan-out starts the rayon shim's pool), then the measured
+/// one, on another iteration so it draws other lists.
+fn warm_reassign_allocations(
+    lists: &mut picasso::ColorLists,
+    n: usize,
+    (p, l): (u32, u32),
+) -> usize {
+    for iteration in 1..=2 {
+        lists.reassign(n, 0, p, l, 3, iteration);
+    }
+    let before = memtrack::thread_allocations();
+    lists.reassign(n, 0, p, l, 3, 3);
+    let after = memtrack::thread_allocations();
+    assert_eq!(lists.len(), n);
+    after - before
+}
+
+#[test]
+fn warm_line6_allocates_nothing_per_vertex() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // Line 6 samples every row into its place, out of one scratch per
+    // vertex block kept by the lists: a warm reassign allocates the same
+    // at 2,000 and at 40,000 vertices, and nothing at all at one thread,
+    // where the rayon shim runs the blocks inline. The shapes are
+    // sparse_oracle's (Floyd, rows placed by rank), a longer Floyd list
+    // (rows read back from the block's palette bitmap) and the
+    // molecule's first Aggressive iteration (Fisher-Yates over the
+    // block's palette permutation, rows read back from the bitmap).
+    let one_thread = std::env::var("RAYON_NUM_THREADS").as_deref() == Ok("1");
+    let shapes = [(5000, 10), (2000, 60), (131, 110)];
+    for shape in shapes {
+        let small = warm_reassign_allocations(&mut picasso::ColorLists::empty(), 2000, shape);
+        let large = warm_reassign_allocations(&mut picasso::ColorLists::empty(), 40_000, shape);
+        assert_eq!(small, large, "{shape:?}: allocations grow with n");
+        if one_thread {
+            assert_eq!(small, 0, "{shape:?}: a warm reassign allocated");
+        }
+    }
+    // One set of lists through every pair of shapes: the block scratch
+    // is cleared and grown, never shrunk, so once every shape has run a
+    // reassign finds its permutation and bitmap large enough whichever
+    // shape ran before it. All that is left is the fan-out's own count.
+    let mut lists = picasso::ColorLists::empty();
+    let fan_out = warm_reassign_allocations(&mut lists, 2000, shapes[0]);
+    for (p, l) in shapes {
+        lists.reassign(2000, 0, p, l, 3, 1);
+    }
+    for before_shape in shapes {
+        for (p, l) in shapes {
+            lists.reassign(2000, 0, before_shape.0, before_shape.1, 3, 1);
+            let before = memtrack::thread_allocations();
+            lists.reassign(2000, 0, p, l, 3, 2);
+            let after = memtrack::thread_allocations();
+            assert_eq!(
+                after - before,
+                fan_out,
+                "{:?} after {before_shape:?}",
+                (p, l)
+            );
+        }
+    }
+}
+
 #[test]
 fn warm_sequential_build_with_noop_sink_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
