@@ -404,7 +404,7 @@ impl BucketIndex {
 ///
 /// The draws are those of two classic samplers, chosen by density:
 ///
-/// - **Floyd's algorithm** (`4L < P`, every Normal list): for `k` from
+/// - **Floyd's algorithm** (`4L < P`, the Normal regime): for `k` from
 ///   `P − L` to `P − 1`, draw `t` in `0..=k` and keep `t`, or `k` if `t`
 ///   was kept before. A list of at most [`RANK_MAX`] colors is drawn into
 ///   a stack buffer, with membership tested over the drawn prefix without
