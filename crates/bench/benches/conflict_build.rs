@@ -21,8 +21,12 @@
 //! * `hit_masks` group — the host Line 7 the solver runs
 //!   ([`build_host`]) on a dense Normal 40-qubit shape, where the graph-form
 //!   rule keeps the bucketed hit masks and the mask fill counts `|Ec|`
-//!   from each bucket's lower-color member sets; its `|Ec|` and scan
+//!   in one pass over each bucket's members; its `|Ec|` and scan
 //!   counters must equal the CSR build's.
+//! * `dense_masks` group — the same `Sequential` mask build at the
+//!   `dense_pauli` benchmark's first iteration (8,000 40-qubit strings,
+//!   `P` 1000, `L` 8; 1,000 strings in the smoke run), timed in ns per
+//!   candidate pair.
 //! * `oracle_identity` group — the same Line 7 on the molecule's
 //!   all-pairs shape (Aggressive lists, one-word form, `n` = 4096):
 //!   every pivot's tail runs straight off the key table, thousands of
@@ -204,6 +208,62 @@ fn bench_hit_masks(c: &mut Criterion) {
         });
         group.finish();
     }
+}
+
+/// The `dense_masks` group: the `Sequential` hit-mask build at the
+/// shape of the `dense_pauli` benchmark's first iteration — 8,000 random
+/// 40-qubit strings with lists of 8 out of 1,000 colours (1,000 strings
+/// in the smoke run), where the rule keeps bucketed masks and the greedy
+/// position masks, so the fill also records strike positions. Its `|Ec|`
+/// must equal the CSR build's; the line it prints gives the build's cost
+/// per candidate pair.
+fn bench_dense_masks(c: &mut Criterion) {
+    let n: usize = if smoke() { 1000 } else { 8000 };
+    let mut rng = StdRng::seed_from_u64(3);
+    let strings = pauli::string::random_unique_set(n, 40, &mut rng);
+    let set = EncodedSet::from_strings(&strings);
+    let oracle = PauliComplementOracle::new(&set);
+    let lists = ColorLists::assign(n, 0, 1000, 8, 3, 1);
+    let mut ctx = fresh_ctx(&lists);
+    let csr = build_sequential(&oracle, &mut ctx);
+    assert!(
+        ctx.prefers_buckets(),
+        "lists of 8 out of 1,000 select the bucketed engine"
+    );
+    let masks = build_host(&oracle, &mut ctx, false, true);
+    assert!(
+        matches!(masks.graph, HostGraph::Masks),
+        "the rule keeps hit masks on the dense shape"
+    );
+    assert_eq!(masks.num_edges, csr.num_edges, "|Ec| of the mask build");
+    assert_eq!(masks.scan_stats, csr.scan_stats, "scan counters");
+    let pairs = csr.candidate_pairs;
+    ctx.recycle_csr(csr.graph);
+
+    let (reps, rounds) = if smoke() { (3, 2) } else { (10, 5) };
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let t = Instant::now();
+        for _ in 0..reps {
+            black_box(build_host(&oracle, &mut ctx, false, true).num_edges);
+        }
+        best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+    }
+    println!(
+        "dense_masks_n{n}: sequential mask build={:.3}ms ({:.3} ns/candidate pair, \
+         |Ec|={} of {pairs} candidate pairs)",
+        best * 1e3,
+        best * 1e9 / pairs.max(1) as f64,
+        masks.num_edges,
+    );
+
+    let mut group = c.benchmark_group(format!("dense_masks_n{n}"));
+    group.throughput(Throughput::Elements(pairs));
+    group.sample_size(if smoke() { 2 } else { 10 });
+    group.bench_function("sequential", |b| {
+        b.iter(|| black_box(build_host(&oracle, &mut ctx, false, true).num_edges))
+    });
+    group.finish();
 }
 
 /// Steady-state mean of one sequential build over warm repetitions,
@@ -510,6 +570,7 @@ criterion_group!(
     bench_oracle_batch,
     bench_oracle_sparse,
     bench_oracle_identity,
-    bench_hit_masks
+    bench_hit_masks,
+    bench_dense_masks
 );
 criterion_main!(benches);

@@ -15,14 +15,13 @@
 //! against the sorted lists, unless every two lists intersect
 //! ([`crate::packed::SharedColorFilter`]). The one exception is the
 //! bucketed hit-mask fill of `crate::conflict`, which keeps every raw
-//! hit and only counts `|Ec|`:
-//! it takes the test over per bucket (`HitSink::enter_bucket`) and
-//! counts with the bucket's lower-color member sets instead, so it pays
-//! no per-hit work. The emitted pair *set* is
-//! therefore identical to the all-pairs scan's (`intersects ∧ oracle`),
-//! and since CSR assembly
-//! orders each adjacency row ascending, every backend — and either engine — produces a
-//! bit-identical CSR graph.
+//! hit and only counts `|Ec|`: it takes the test over
+//! (`HitSink::OWN_TEST`) and counts in one pass over the bucket's
+//! members as the scan leaves it (`HitSink::leave_bucket`), so it pays
+//! no per-hit work. The emitted pair *set* is therefore identical to the
+//! all-pairs scan's (`intersects ∧ oracle`), and since CSR assembly
+//! orders each adjacency row ascending, every backend — and either
+//! engine — produces a bit-identical CSR graph.
 //!
 //! **Rows.** A [`PairSource`] exposes its work as one flat space of
 //! *pivot rows*: row `i` is vertex `i` for the all-pairs source, and one
@@ -149,22 +148,26 @@ pub(crate) fn for_each_hit(masks: &[u64], stats: &mut MaskScanStats, mut hit: im
 /// builders' edge groups and hit-mask rows (`crate::conflict`). One scan
 /// loop per source serves them all.
 pub(crate) trait HitSink {
-    /// The bucketed scan enters bucket `k`, before the first pivot it
-    /// scans there (mid-bucket too, when its rows start there). `true`:
-    /// the sink tells this bucket's conflict edges apart itself, so the
-    /// scan hands its pivots no `emit` test and runs no shared-color
-    /// filter — the hit-mask fill, which counts `|Ec|` from the bucket's
-    /// lower-color member sets. Every other sink takes the default.
-    fn enter_bucket(&mut self, _k: usize) -> bool {
-        false
-    }
+    /// `true`: the sink tells a bucket's conflict edges apart itself, so
+    /// the bucketed scan hands its pivots no `emit` test and runs no
+    /// shared-color filter — the hit-mask fill, which counts `|Ec|` as it
+    /// leaves each bucket ([`HitSink::leave_bucket`]). Every other sink
+    /// takes the default.
+    const OWN_TEST: bool = false;
+
+    /// The bucketed scan leaves bucket `k` after its pivots at positions
+    /// `pivots`, every one of them handed to [`HitSink::pivot`] (a scan
+    /// the sink ended early leaves no bucket). The hit-mask fill counts
+    /// those pivots' conflict edges here; every other sink takes the
+    /// default.
+    fn leave_bucket(&mut self, _k: usize, _pivots: Range<usize>) {}
 
     /// One pivot of the scan. `u` sits at position `pos` of bucket `k`
     /// (bucket 0 of the all-pairs identity layout); `mask` holds the edge
     /// bits of its tail — bit `t` is member `pos + 1 + t`, vertex
     /// `member(t)` — and `emit(v)` says whether the oracle edge `(u, v)`
     /// is a conflict edge emitted from this bucket, `None` when every
-    /// hit is or when [`HitSink::enter_bucket`] took the test over.
+    /// hit is or when the sink takes the test over ([`HitSink::OWN_TEST`]).
     /// Returns `false` to end the scan after this pivot.
     #[allow(clippy::too_many_arguments)]
     fn pivot(
@@ -433,13 +436,13 @@ impl<'a> BucketSource<'a> {
     /// exactly when they share nothing below it: a pivot with hits and
     /// colors below the bucket's sets those in the scratch bitset, and a
     /// hit survives iff the member holds none of them (every other pivot
-    /// emits all its hits). A sink whose [`HitSink::enter_bucket`] takes
-    /// the test over gets every hit of that bucket unfiltered. Zero mask words are skipped without
+    /// emits all its hits). A sink that takes the test over
+    /// ([`HitSink::OWN_TEST`]) gets every hit of the bucket unfiltered. Zero mask words are skipped without
     /// touching the bucket at all; set bits are walked with
     /// `trailing_zeros`, so a near-empty tail costs one branch per 64
     /// candidates.
     #[allow(clippy::too_many_arguments)]
-    fn scan_rows_into(
+    fn scan_rows_into<S: HitSink>(
         &self,
         rows: Range<usize>,
         packed: &PackedBuckets,
@@ -447,14 +450,13 @@ impl<'a> BucketSource<'a> {
         colors: &mut Vec<u64>,
         tile: &mut Vec<u64>,
         stats: &mut MaskScanStats,
-        sink: &mut impl HitSink,
+        sink: &mut S,
     ) -> bool {
         debug_assert_eq!(packed.shared_color_filter(), SharedColorFilter::Lists);
         let mut bits = ColorBits::new(self.lists, colors);
         walk_row_span(self.index, rows, |k, positions| {
             let bucket = self.index.bucket(k);
             let color = self.index.color(k);
-            let own_test = sink.enter_bucket(k);
             let first = positions.start;
             packed.gather_tile(&bucket[first..], tile);
             for start in positions.clone().step_by(8) {
@@ -469,7 +471,7 @@ impl<'a> BucketSource<'a> {
                     let tail = &bucket[a + 1..];
                     let member = |t| tail[t] as usize;
                     // Emit only from the smallest shared color's bucket.
-                    let go = if !own_test && hit && self.lists.row(u)[0] < color {
+                    let go = if !S::OWN_TEST && hit && self.lists.row(u)[0] < color {
                         let row = self.lists.row(u);
                         let below = &row[..row.partition_point(|&c| c < color)];
                         bits.toggle(below);
@@ -485,6 +487,7 @@ impl<'a> BucketSource<'a> {
                     }
                 }
             }
+            sink.leave_bucket(k, positions);
             true
         })
     }

@@ -57,15 +57,26 @@
 //!   colour are cleared at scan time (only possible when `2L ≤ P`), so
 //!   there a set bit is a `Gc` edge. A bucket keeps its raw oracle bits,
 //!   since the greedy reads bucket `c`'s full row, so there the dedup
-//!   only counts `|Ec|`, and the fill counts it with bit sets instead of
-//!   a per-hit test ([`BucketColumns`]): entering bucket `k` (color
-//!   `c_k`, `B` members), a cut builds one `⌈B/64⌉`-word member set per
-//!   color below `c_k` that any member holds — the whole bucket's, even
-//!   when the cut starts mid-bucket — and a pivot's conflict edges are
-//!   `popcount(row ∧ ¬dup)`, `dup` the OR of the sets of its own colors
-//!   below `c_k`. That is about `m·L(L−1)/2` bit writes per iteration
-//!   plus `j·⌈B/64⌉` word ORs per pivot with hits (`j` its colors below
-//!   `c_k`), and the scan hands these pivots no `emit` test.
+//!   only counts `|Ec|`, and the fill counts it in one pass per bucket
+//!   instead of a per-hit test ([`BucketColumns`]): leaving bucket `k`
+//!   (color `c_k`, `B` members) after its pivots, a cut walks the
+//!   members from the last down to its first pivot there — past its own
+//!   rows too, so the count does not depend on where the cuts fall. Each
+//!   member reads its colors below `c_k` (`lower`, a `partition_point`),
+//!   ORs their sets in a palette-indexed table of `⌈B/64⌉`-word member
+//!   sets into `dup`, and sets its own bit in each; a pivot of the cut
+//!   adds `popcount(row ∧ ¬dup)`, since its row holds only bits above the
+//!   diagonal until the mirror and `dup` only later members. The touched
+//!   cells are cleared from a list. That is one read of each member's
+//!   list per bucket and about `m·L/2` bit writes per iteration, and the
+//!   scan hands these pivots no `emit` test.
+//! * **Strike positions.** `lower` is the position of `c_k` in the
+//!   member's sorted list. Where the greedy keeps position masks and a
+//!   position fits a byte ([`records_strike_positions`]), the fill
+//!   writes it to a `u8` per flat row (`m·L` bytes, each cut its own
+//!   rows), and a strike walk along a bucket row hands it to the greedy,
+//!   which then clears the neighbour's live bit without searching its
+//!   list.
 //! * **Rule.** One byte comparison, [`uses_hit_masks`]: the masks,
 //!   `8·Σ_k B_k·⌈B_k/64⌉` bytes, are kept iff the iteration packed and
 //!   the CSR path — `8·(m+1)` bytes of offsets plus `8` of adjacency and
@@ -368,12 +379,19 @@ impl MaskLayout<'_> {
 /// set iff members `a` and `t` are an oracle edge, stored bucket after
 /// bucket in the flat pivot-row order of the scans. It is the arena of
 /// [`IterationScratch::hit_masks`]: cleared and grown, never shrunk.
+/// Where the greedy strikes through position masks
+/// ([`records_strike_positions`]), a bucketed form also keeps one byte
+/// per flat row: the position of the bucket's color in the member's
+/// sorted list, which the strikes read instead of searching the list.
 #[derive(Debug, Default)]
 pub struct HitMasks {
     /// Word offset of each bucket's square, plus the end.
     offsets: Vec<usize>,
     /// The rows.
     words: Vec<u64>,
+    /// Per flat row `(k, a)`: the position of color `c_k` in the sorted
+    /// list of member `a` of bucket `k`. Empty when not recorded.
+    positions: Vec<u8>,
     /// Conflict edges `|Ec|` of the graph the rows hold.
     edges: usize,
 }
@@ -385,8 +403,15 @@ impl HitMasks {
         self.words.capacity()
     }
 
-    /// Lays the form out for `layout`, every bit clear.
-    fn lay_out(&mut self, layout: MaskLayout<'_>) {
+    /// Capacity of the strike-position table, in bytes — introspection
+    /// hook for the allocation-reuse tests.
+    pub fn position_capacity(&self) -> usize {
+        self.positions.capacity()
+    }
+
+    /// Lays the form out for `layout`, every bit clear, with a position
+    /// table of one byte per flat row iff `positions`.
+    fn lay_out(&mut self, layout: MaskLayout<'_>, positions: bool) {
         self.offsets.clear();
         self.offsets.push(0);
         let mut at = 0;
@@ -396,6 +421,31 @@ impl HitMasks {
         }
         self.words.clear();
         self.words.resize(at, 0);
+        self.positions.clear();
+        if positions {
+            let rows = layout.index.map_or(0, BucketIndex::num_rows);
+            self.positions.resize(rows, 0);
+        }
+    }
+}
+
+/// Whether a bucketed hit-mask build records each flat row's strike
+/// position ([`HitMasks`]): iff the greedy keeps position masks
+/// ([`crate::listcolor::uses_palette_bitset`] is false) and a position
+/// fits a byte (`L ≤ 256`).
+pub fn records_strike_positions(palette_size: u32, list_size: usize) -> bool {
+    !crate::listcolor::uses_palette_bitset(palette_size, list_size) && list_size <= 256
+}
+
+/// Bytes of a hit-mask form's strike-position table over `m` live
+/// vertices with lists of `L` over a palette of `P`: `m·L`, one per flat
+/// row, on a `bucketed` iteration that [`records_strike_positions`], else
+/// zero.
+pub fn strike_position_bytes(m: usize, palette_size: u32, list_size: usize, bucketed: bool) -> u64 {
+    if bucketed && records_strike_positions(palette_size, list_size) {
+        (m * list_size) as u64
+    } else {
+        0
     }
 }
 
@@ -463,19 +513,30 @@ impl ConflictRows for MaskGraph<'_> {
         }
     }
 
-    fn for_each_strike(&self, v: usize, c: u32, holders: &mut [u64], mut strike: impl FnMut(u32)) {
+    fn for_each_strike(
+        &self,
+        v: usize,
+        c: u32,
+        holders: &mut [u64],
+        mut strike: impl FnMut(u32, Option<usize>),
+    ) {
         match self.layout.index {
             Some(index) => {
                 let k = (c - self.lists.palette_base()) as usize;
                 let bucket = index.bucket(k);
+                let positions = if self.masks.positions.is_empty() {
+                    &[][..]
+                } else {
+                    &self.masks.positions[index.bucket_start(k)..][..bucket.len()]
+                };
                 for_each_bit(self.row(k, v).iter().copied(), |t| {
                     if take_holder(holders, bucket[t]) {
-                        strike(bucket[t]);
+                        strike(bucket[t], positions.get(t).map(|&i| usize::from(i)));
                     }
                 });
             }
             None if holders.is_empty() => {
-                for_each_bit(self.row(0, v).iter().copied(), |u| strike(u as u32));
+                for_each_bit(self.row(0, v).iter().copied(), |u| strike(u as u32, None));
             }
             None => {
                 let hits = self.row(0, v).iter().zip(holders).map(|(&word, held)| {
@@ -483,7 +544,7 @@ impl ConflictRows for MaskGraph<'_> {
                     *held &= !hits;
                     hits
                 });
-                for_each_bit(hits, |u| strike(u as u32));
+                for_each_bit(hits, |u| strike(u as u32, None));
             }
         }
     }
@@ -696,40 +757,55 @@ impl HitSink for GroupSink<'_> {
 /// The hit-mask sink of one cut: ORs every pivot's tail mask into the
 /// pivot's row at bit `pos + 1`, and counts the conflict edges. A bucket
 /// keeps its raw oracle bits, because the greedy reads bucket `c`'s full
-/// row, so the count is all the dedup is for: entering a bucket, the
-/// sink builds its lower-color member sets ([`BucketColumns`]), and a
-/// pivot's conflict edges are the bits of its row outside the columns of
-/// its own lower colors — no per-hit test. The identity layout keeps
-/// only the bits of conflict edges, cleared hit by hit with the scan's
-/// `emit` test.
+/// row, so the count is all the dedup is for: leaving a bucket, one pass
+/// over its members ([`BucketColumns`]) counts the edges of the cut's
+/// pivots there and records each pivot's list position of the bucket's
+/// color — no per-hit test. The identity layout keeps only the bits of
+/// conflict edges, cleared hit by hit with the scan's `emit` test.
 struct MaskSink<'a> {
     /// The cut's rows, from global word `first`.
     rows: &'a mut [u64],
     first: usize,
+    /// The cut's strike positions ([`HitMasks::positions`]), from flat
+    /// row `first_row`; empty when the build records none.
+    positions: &'a mut [u8],
+    first_row: usize,
     offsets: &'a [usize],
     layout: MaskLayout<'a>,
     lists: &'a ColorLists,
-    /// The lower-color member sets of the bucket being scanned.
+    /// The count's member-set table.
     columns: &'a mut BucketColumns,
     edges: u64,
 }
 
 impl HitSink for MaskSink<'_> {
-    fn enter_bucket(&mut self, k: usize) -> bool {
+    const OWN_TEST: bool = true;
+
+    fn leave_bucket(&mut self, k: usize, pivots: Range<usize>) {
         let index = self
             .layout
             .index
-            .expect("only the bucketed scan enters buckets");
-        self.columns
-            .build(self.lists, index.bucket(k), index.color(k));
-        true
+            .expect("only the bucketed scan leaves buckets");
+        let w = self.layout.row_words(k);
+        let at = self.offsets[k] + pivots.start * w - self.first;
+        let rows = &self.rows[at..at + pivots.len() * w];
+        let positions: &mut [u8] = if self.positions.is_empty() {
+            &mut []
+        } else {
+            let row = index.bucket_start(k) + pivots.start - self.first_row;
+            &mut self.positions[row..row + pivots.len()]
+        };
+        let (members, color) = (index.bucket(k), index.color(k));
+        self.edges += self
+            .columns
+            .count(self.lists, members, color, pivots, rows, positions);
     }
 
     fn pivot(
         &mut self,
         k: usize,
         pos: usize,
-        u: usize,
+        _u: usize,
         mask: &mut [u64],
         stats: &mut MaskScanStats,
         member: impl Fn(usize) -> usize,
@@ -739,10 +815,9 @@ impl HitSink for MaskSink<'_> {
         let at = self.offsets[k] + pos * w - self.first;
         let row = &mut self.rows[at..at + w];
         if self.layout.index.is_some() {
-            debug_assert!(emit.is_none(), "the columns are the bucket's dedup");
+            debug_assert!(emit.is_none(), "the bucket pass is the bucket's dedup");
             if count_hits(mask, stats) != 0 {
                 or_shifted(row, mask, pos + 1);
-                self.edges += self.columns.count(self.lists.row(u), row, pos + 1);
             }
             return true;
         }
@@ -755,87 +830,87 @@ impl HitSink for MaskSink<'_> {
     }
 }
 
-/// Column slot of a palette color without a column.
-const NO_COLUMN: u32 = u32::MAX;
-
-/// One bucket's lower-color member sets, the hit-mask fill's `|Ec|`
-/// count: for bucket `k` (color `c_k`, `B` members), one `⌈B/64⌉`-word
-/// **column** per color `c < c_k` held by any member, bit `p` set iff
-/// member `p`'s list holds `c`. Members `a` and `p` of the bucket share a
-/// color below `c_k` — so their pair is emitted from a lower bucket —
-/// iff bit `p` is set in the OR of the columns of `a`'s colors below
-/// `c_k`. A build writes about `B·L(L−1)/2` bits over a bucket; the
-/// count ORs `j` columns per pivot with hits, for its `j` colors below
-/// `c_k`. It lives in the pooled [`TaskArena`]: cleared and grown, never
-/// shrunk, so a warm build allocates nothing.
+/// The hit-mask fill's `|Ec|` count over one bucket (color `c_k`, `B`
+/// members): a palette-indexed table of member sets, `⌈B/64⌉` words per
+/// color, all zero between buckets. Leaving the bucket, one pass
+/// (`BucketColumns::count`) walks the members from the last down to the
+/// cut's first pivot; each member ORs the sets of its colors below `c_k`
+/// into `dup` (the later members that share such a color with it, so
+/// whose pair is emitted from a lower bucket), then joins those sets. A
+/// pivot's conflict edges are `popcount(row ∧ ¬dup)`: its row holds only
+/// bits above the diagonal until the mirror, and `dup` only later
+/// members. The pass writes about `B·L/2` bits and reads each member's
+/// list once. The set cells it touched are cleared from a list, so the
+/// table costs nothing per palette color. It lives in the pooled
+/// [`TaskArena`]: cleared and grown, never shrunk (`P·⌈B_max/64⌉` words),
+/// so a warm build allocates nothing.
 #[derive(Debug, Default)]
 pub struct BucketColumns {
-    /// Column slot of every palette color (by offset from the palette
-    /// base), [`NO_COLUMN`] where the bucket has none.
-    slot: Vec<u32>,
-    /// The palette offsets holding a column, in slot order: the list
-    /// that resets `slot`.
-    colors: Vec<u32>,
-    /// The columns, `width` words each, in slot order.
-    words: Vec<u64>,
-    /// Words per column, `⌈B/64⌉`.
-    width: usize,
-    /// The bucket's color, and the palette base the slots count from.
-    color: u32,
-    base: u32,
+    /// Color `c`'s set is `cells[(c − base)·⌈B/64⌉ ..]`.
+    cells: Vec<u64>,
+    /// The cells made non-zero by the current pass: the list that clears
+    /// them.
+    touched: Vec<usize>,
 }
 
 impl BucketColumns {
     /// Capacity of the scratch, in words of either type — introspection
     /// hook for the allocation-reuse tests.
     pub(crate) fn capacity(&self) -> usize {
-        self.slot.capacity() + self.colors.capacity() + self.words.capacity()
+        self.cells.capacity() + self.touched.capacity()
     }
 
-    /// Builds the columns of the bucket of color `color` with the
-    /// ascending `members`, whole whichever of its rows a cut starts at,
-    /// so the count does not depend on where the cuts fall.
-    fn build(&mut self, lists: &ColorLists, members: &[u32], color: u32) {
-        for &c in &self.colors {
-            self.slot[c as usize] = NO_COLUMN;
+    /// The conflict edges of the pivots `pivots` of the bucket of color
+    /// `color` with the ascending `members`. `rows` holds the pivots'
+    /// hit-mask rows, `⌈B/64⌉` words each, with bits above the diagonal
+    /// only; a non-empty `positions` (one entry per pivot) receives the
+    /// position of `color` in each pivot's sorted list. The pass walks
+    /// every member from the bucket's last down to `pivots.start`, so the
+    /// count does not depend on where the cuts fall.
+    fn count(
+        &mut self,
+        lists: &ColorLists,
+        members: &[u32],
+        color: u32,
+        pivots: Range<usize>,
+        rows: &[u64],
+        positions: &mut [u8],
+    ) -> u64 {
+        let width = members.len().div_ceil(64);
+        let base = lists.palette_base();
+        let cells = lists.palette_size() as usize * width;
+        if self.cells.len() < cells {
+            self.cells.resize(cells, 0);
         }
-        self.colors.clear();
-        self.words.clear();
-        let palette = lists.palette_size() as usize;
-        if self.slot.len() < palette {
-            self.slot.resize(palette, NO_COLUMN);
-        }
-        let (base, width) = (lists.palette_base(), members.len().div_ceil(64));
-        (self.width, self.color, self.base) = (width, color, base);
-        for (p, &v) in members.iter().enumerate() {
-            for &c in lists.row(v as usize).iter().take_while(|&&c| c < color) {
-                let c = c - base;
-                let mut s = self.slot[c as usize];
-                if s == NO_COLUMN {
-                    s = self.colors.len() as u32;
-                    self.slot[c as usize] = s;
-                    self.colors.push(c);
-                    self.words.resize(self.words.len() + width, 0);
+        let cell = |c: u32, word: usize| (c - base) as usize * width + word;
+        let mut edges = 0;
+        for a in (pivots.start..members.len()).rev() {
+            let list = lists.row(members[a] as usize);
+            let lower = list.partition_point(|&c| c < color);
+            let below = &list[..lower];
+            if a < pivots.end {
+                let p = a - pivots.start;
+                if let Some(at) = positions.get_mut(p) {
+                    *at = lower as u8;
                 }
-                self.words[s as usize * width + p / 64] |= 1 << (p % 64);
+                let row = &rows[p * width..(p + 1) * width];
+                for (i, &word) in row.iter().enumerate().skip((a + 1) / 64) {
+                    let dup = below.iter().fold(0, |dup, &c| dup | self.cells[cell(c, i)]);
+                    edges += u64::from((word & !dup).count_ones());
+                }
+            }
+            for &c in below {
+                let at = cell(c, a / 64);
+                if self.cells[at] == 0 {
+                    self.touched.push(at);
+                }
+                self.cells[at] |= 1 << (a % 64);
             }
         }
-    }
-
-    /// The conflict edges of a pivot with the sorted list `list`: the set
-    /// bits of its `row` (all at or past bit `from`) whose members share
-    /// none of the pivot's colors below the bucket's — that is,
-    /// `popcount(row ∧ ¬dup)`, `dup` the OR of those colors' columns.
-    fn count(&self, list: &[u32], row: &[u64], from: usize) -> u64 {
-        let below = &list[..list.partition_point(|&c| c < self.color)];
-        let column = |c: u32| self.slot[(c - self.base) as usize] as usize * self.width;
-        let mut edges = 0;
-        for (i, &word) in row.iter().enumerate().skip(from / 64) {
-            let dup = below
-                .iter()
-                .fold(0, |dup, &c| dup | self.words[column(c) + i]);
-            edges += u64::from((word & !dup).count_ones());
+        for &at in &self.touched {
+            self.cells[at] = 0;
         }
+        self.touched.clear();
         edges
     }
 }
@@ -967,9 +1042,9 @@ fn scan_cuts<O: EdgeOracle>(
 
 /// Scans every cut into its rows of `masks` (laid out for `layout`, every
 /// bit clear): one rayon task per cut (one cut runs inline), each with
-/// its own `&mut` slice of the rows and a pooled arena's mask buffer,
-/// lane tile and column scratch ([`BucketColumns`]). Returns the conflict
-/// edges.
+/// its own `&mut` slices of the rows and of the strike positions, and a
+/// pooled arena's mask buffer, lane tile and count table
+/// ([`BucketColumns`]). Returns the conflict edges.
 fn fill_masks(
     engine: &CandidateEngine<'_>,
     packed: &PackedBuckets,
@@ -979,15 +1054,26 @@ fn fill_masks(
     pool: &ScratchPool,
     stats: &SharedScanStats,
 ) -> u64 {
-    let HitMasks { offsets, words, .. } = masks;
+    let HitMasks {
+        offsets,
+        words,
+        positions,
+        ..
+    } = masks;
     let spans = cuts
         .iter()
         .map(|cut| layout.row_word(offsets, cut.start)..layout.row_word(offsets, cut.end));
+    // Each cut records the positions of its own rows, if any are kept.
+    let recorded = !positions.is_empty();
+    let position_spans = cuts
+        .iter()
+        .map(|cut| if recorded { cut.clone() } else { 0..0 });
     let edges = AtomicU64::new(0);
     crate::split_ranges_mut(words, spans)
+        .zip(crate::split_ranges_mut(positions, position_spans))
         .zip(cuts)
         .par_bridge()
-        .for_each(|(rows, cut)| {
+        .for_each(|((rows, positions), cut)| {
             let mut arena = pool.take();
             let TaskArena {
                 masks,
@@ -999,6 +1085,8 @@ fn fill_masks(
             let mut sink = MaskSink {
                 rows,
                 first: layout.row_word(offsets, cut.start),
+                positions,
+                first_row: cut.start,
                 offsets,
                 layout,
                 lists: engine.lists(),
@@ -1138,7 +1226,10 @@ pub(crate) fn build_host_with<O: EdgeOracle>(
     // The masks: drop the groups and scan every row again.
     let packed = packed.expect("only a packed iteration keeps hit masks");
     reset_blocks(blocks, 0);
-    hit_masks.lay_out(layout);
+    let lists = engine.lists();
+    let positions =
+        layout.index.is_some() && records_strike_positions(lists.palette_size(), lists.list_size());
+    hit_masks.lay_out(layout, positions);
     let stats = SharedScanStats::default();
     let edges = fill_masks(&engine, packed, layout, hit_masks, cuts, pool, &stats);
     drop(scan_span);
@@ -2017,14 +2108,24 @@ mod tests {
                     for form in ["masks", "csr"] {
                         let (mut set, mut walk) = (holders.clone(), Vec::new());
                         match form {
-                            "masks" => gc.for_each_strike(v, c, &mut set, |u| walk.push(u)),
-                            _ => csr.graph.for_each_strike(v, c, &mut set, |u| walk.push(u)),
+                            "masks" => gc.for_each_strike(v, c, &mut set, |u, _| walk.push(u)),
+                            _ => csr
+                                .graph
+                                .for_each_strike(v, c, &mut set, |u, _| walk.push(u)),
                         }
                         assert_eq!(walk, want, "{what}: {form} v={v} c={c}");
                         assert_eq!(set, left, "{what}: {form} v={v} c={c}: holders left");
                     }
                     let mut unheld = Vec::new();
-                    gc.for_each_strike(v, c, &mut [], |u| unheld.push(u));
+                    gc.for_each_strike(v, c, &mut [], |u, at| {
+                        let row = lists.row(u as usize);
+                        let found = at.map(|i| row[i]);
+                        assert!(
+                            found.is_none_or(|h| h == c),
+                            "{what}: u={u} c={c}: at {at:?}"
+                        );
+                        unheld.push(u);
+                    });
                     assert!(unheld.is_sorted(), "{what}: v={v} c={c}: ascending");
                     let held: Vec<u32> = unheld.into_iter().filter(|&u| holds(u, c)).collect();
                     assert_eq!(held, want, "{what}: v={v} c={c}: no holder set");
@@ -2148,6 +2249,75 @@ mod tests {
             "no cut starts inside a bucket above the first: {cuts:?}"
         );
         check_graph_forms(&oracle, &lists, "cuts inside buckets");
+    }
+
+    #[test]
+    fn the_bucket_pass_counts_ec_and_records_strike_positions() {
+        // Lists of 3 colours over a 100-colour palette based at 500, so
+        // the greedy keeps position masks and the fill records positions:
+        // buckets of about 40, 100 and 150 members, one, two and three
+        // words wide. The fill runs as one cut and as seven cuts that start
+        // inside buckets. `|Ec|` must be the naive count, over every
+        // bucket, of its oracle edges whose smallest shared colour is the
+        // bucket's, and every recorded position must hold the colour.
+        use crate::oracle::PauliComplementOracle;
+        assert!(records_strike_positions(100, 3));
+        for (m, width) in [(1333, 1), (3333, 2), (5000, 3)] {
+            let set = pauli_set(m, m as u64);
+            let oracle = PauliComplementOracle::new(&set);
+            let lists = ColorLists::assign(m, 500, 100, 3, 9, 1);
+            let index = lists.bucket_index();
+            let buckets = || (0..index.num_buckets()).map(|k| (k, index.bucket(k)));
+            assert!(
+                buckets().any(|(_, bucket)| bucket.len().div_ceil(64) == width),
+                "m={m}: no bucket {width} words wide"
+            );
+            let mut naive = 0;
+            for (k, bucket) in buckets() {
+                for (a, &u) in bucket.iter().enumerate() {
+                    for &v in &bucket[a + 1..] {
+                        let (u, v) = (u as usize, v as usize);
+                        let first = lists.first_common(u, v) == Some(index.color(k));
+                        naive += u64::from(first && oracle.has_edge(u, v));
+                    }
+                }
+            }
+            let mut ctx = ctx_for(&lists);
+            let (engine, packed, scratch) = ctx.engine_packed_scratch(&oracle);
+            let packed = packed.expect("a Pauli oracle packs");
+            let layout = MaskLayout {
+                index: engine.index(),
+                m,
+            };
+            let rows = engine.num_rows();
+            let step = rows / 7 + 13;
+            let seven: Vec<Range<usize>> = (0..rows)
+                .step_by(step)
+                .map(|r| r..rows.min(r + step))
+                .collect();
+            assert!(seven.iter().skip(1).all(|cut| {
+                let k = index.row_bucket(cut.start);
+                index.bucket_start(k) < cut.start
+            }));
+            for cuts in [std::iter::once(0..rows).collect(), seven] {
+                let what = format!("m={m}, {} cuts", cuts.len());
+                let IterationScratch {
+                    hit_masks, pool, ..
+                } = &mut *scratch;
+                hit_masks.lay_out(layout, true);
+                let stats = SharedScanStats::default();
+                let edges = fill_masks(&engine, packed, layout, hit_masks, &cuts, pool, &stats);
+                assert_eq!(edges, naive, "{what}: |Ec|");
+                assert_eq!(hit_masks.positions.len(), rows, "{what}");
+                for (k, bucket) in buckets() {
+                    let recorded = &hit_masks.positions[index.bucket_start(k)..][..bucket.len()];
+                    for (&u, &i) in bucket.iter().zip(recorded) {
+                        let list = lists.row(u as usize);
+                        assert_eq!(list[i as usize], index.color(k), "{what}: u={u}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

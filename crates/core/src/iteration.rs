@@ -44,7 +44,7 @@ use std::time::Instant;
 /// [`ScratchPool`]: candidate-run staging, the oracle hit vector, the
 /// packed kernel's hit masks, the shared-color filter's color bitset,
 /// the bucketed scan's lane tile, the live-view remap arena and the
-/// bucketed mask fill's column scratch. A cut
+/// bucketed mask fill's member-set table. A cut
 /// stages its edges in its own [`IterationScratch::blocks`] arena, not
 /// here. Buffers are cleared by the borrower, never shrunk, so a
 /// recycled arena serves a same-shape block without allocating.
@@ -73,8 +73,10 @@ pub struct TaskArena {
     pub tile: Vec<u64>,
     /// Index-remapping arena for [`crate::LiveView`]'s batched path.
     pub mapped: Vec<usize>,
-    /// One bucket's lower-color member sets: the bucketed hit-mask
-    /// fill's `|Ec|` count.
+    /// The bucketed hit-mask fill's `|Ec|` count: a palette-indexed table
+    /// of `⌈B/64⌉`-word member sets, filled by one pass over each bucket
+    /// as the scan leaves it and cleared cell by cell after, so it is
+    /// all zero between buckets.
     pub columns: BucketColumns,
 }
 
@@ -116,9 +118,9 @@ impl ScratchPool {
         self.created.load(Ordering::Relaxed)
     }
 
-    /// Capacity of the column scratch ([`TaskArena::columns`], in words
-    /// of either type) summed over the resting arenas — introspection
-    /// hook for the allocation-reuse tests.
+    /// Capacity of the member-set tables ([`TaskArena::columns`], in
+    /// words of either type) summed over the resting arenas —
+    /// introspection hook for the allocation-reuse tests.
     pub fn column_capacity(&self) -> usize {
         let arenas = self
             .arenas

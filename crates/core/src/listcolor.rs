@@ -15,9 +15,13 @@
 //! rule ([`uses_palette_bitset`]: `2·⌈P/64⌉ ≤ L`). Long lists take
 //! **holder sets**, one `⌈m/64⌉`-word set per palette colour of the
 //! uncoloured vertices whose lists still hold it: a strike is one bit
-//! test and clear, O(1). Short lists take **position masks**, one
-//! `⌈L/64⌉`-word mask per vertex over the positions of its sorted row: a
-//! strike finds the position by binary search, O(log L). Either way a
+//! test and clear, O(1). Short lists take **position masks**, `L` bits
+//! per vertex over the positions of its sorted row, packed end to end
+//! (vertex `v`'s bit `i` is bit `v·L + i` of one `⌈m·L/64⌉`-word array):
+//! a strike needs the position of the colour in the neighbour's row. A
+//! bucket row of the hit-mask form hands it out, recorded by Line 7's
+//! fill (`crate::conflict::HitMasks`); a CSR or identity row does not,
+//! and the strike finds it by binary search, O(log L). Either way a
 //! colour draw takes the `k`-th live colour in row order, O(L), as it
 //! clears the drawn vertex's bits, so both forms yield the same
 //! colouring. The `_into` variant runs against a persistent
@@ -33,7 +37,10 @@
 //! back once per successful strike. The all-pairs identity layout ANDs
 //! `v`'s row with the set, `⌈m/64⌉` words per coloured vertex; a CSR row
 //! or a bucket row tests each member. Without holder sets the walk hands
-//! out every neighbour that may hold `c`, and each strike searches.
+//! out every neighbour that may hold `c`, with the position of `c` in its
+//! row where the graph form knows it, and each strike without one
+//! searches. The outcome counts the strikes and the walks' callbacks
+//! ([`ListColorOutcome::strikes`]).
 //!
 //! Static-order alternatives (Natural / Random / LF / SL / DLF / ID over
 //! the conflict graph) are provided for the paper's comparison that
@@ -53,6 +60,13 @@ pub struct ListColorOutcome {
     pub assigned: Vec<(u32, u32)>,
     /// Local vertices whose lists ran dry (`Vu` in the paper).
     pub uncolored: Vec<u32>,
+    /// Algorithm 2's successful strikes: live colours removed from an
+    /// uncoloured neighbour's list. Zero under a static scheme.
+    pub strikes: u64,
+    /// Callbacks of the greedy's strike walks, successful or not: equal
+    /// to [`ListColorOutcome::strikes`] with holder sets, above it where
+    /// a walk hands out neighbours that no longer hold the colour.
+    pub strike_callbacks: u64,
 }
 
 impl ListColorOutcome {
@@ -60,6 +74,8 @@ impl ListColorOutcome {
     pub fn clear(&mut self) {
         self.assigned.clear();
         self.uncolored.clear();
+        self.strikes = 0;
+        self.strike_callbacks = 0;
     }
 }
 
@@ -68,8 +84,8 @@ impl ListColorOutcome {
 /// greedy reads each list from [`ColorLists`] and keeps only which of its
 /// colours are still live, one bit each, in the form
 /// [`uses_palette_bitset`] picks: one `⌈m/64⌉`-word holder set per
-/// palette colour, or one `⌈L/64⌉`-word mask per vertex over the
-/// positions of its sorted row. Both forms share one buffer, cleared and
+/// palette colour, or `L` bits per vertex over the positions of its
+/// sorted row, packed end to end. Both forms share one buffer, cleared and
 /// resized per call and never shrunk, as are the size buckets; the static
 /// scheme's forbidden set is a generation-stamped palette row instead of
 /// a hash set.
@@ -77,9 +93,8 @@ impl ListColorOutcome {
 pub struct ColorScratch {
     /// The live bits. Holder sets: colour `c`'s set is `bits[(c − base)·⌈m/64⌉
     /// ..]`, bit `u` set while `u` is active, not yet colored and still
-    /// holds `c`. Position masks: vertex `v`'s mask is `bits[v·⌈L/64⌉ ..]`,
-    /// bit `i` set while `v` is active, not yet colored and still holds
-    /// `lists.row(v)[i]`.
+    /// holds `c`. Position masks: bit `v·L + i` of `bits` is set while `v`
+    /// is active, not yet colored and still holds `lists.row(v)[i]`.
     bits: Vec<u64>,
     buckets: SizeBuckets,
     /// Static scheme: committed color per vertex.
@@ -156,9 +171,10 @@ impl SizeBuckets {
 /// one of strike cost: a holder set strikes in O(1) (the walk tests and
 /// clears the neighbour's bit) and, where the rule picks it (`P ≤ 32·L`),
 /// the `P` sets take about `P·m/8` bytes, no more than an `m·L`-entry
-/// `u32` copy of the lists; a position mask takes `⌈L/64⌉` words per
-/// vertex and strikes in O(log L), a binary search of the vertex's sorted
-/// row. Long lists over a small palette (Aggressive, and the `L = P`
+/// `u32` copy of the lists; position masks take `L` bits per vertex and
+/// strike in O(1) where the graph form hands out the position, else in
+/// O(log L), a binary search of the vertex's sorted row. Long lists over
+/// a small palette (Aggressive, and the `L = P`
 /// clamp of late iterations) take holder sets; short lists over a large
 /// palette (`P = 1000, L = 8`) take position masks.
 pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
@@ -168,13 +184,13 @@ pub fn uses_palette_bitset(palette_size: u32, list_size: usize) -> bool {
 /// Bytes Algorithm 2's [`ColorScratch`] holds to colour `m` live
 /// vertices with lists of `L` over a palette of `P`: the live lists in
 /// the form [`uses_palette_bitset`] picks, `8·P·⌈m/64⌉` bytes of holder
-/// sets or `8·m·⌈L/64⌉` of position masks, plus `12` per vertex of size
+/// sets or `8·⌈m·L/64⌉` of position masks, plus `12` per vertex of size
 /// buckets (its list length, its queue position and its queue entry).
 pub fn greedy_scratch_bytes(m: usize, palette_size: u32, list_size: usize) -> u64 {
     let live = if uses_palette_bitset(palette_size, list_size) {
         8 * palette_size as usize * m.div_ceil(64)
     } else {
-        8 * m * list_size.div_ceil(64)
+        8 * (m * list_size).div_ceil(64)
     };
     (live + 12 * m) as u64
 }
@@ -204,7 +220,7 @@ pub(crate) trait ConflictRows {
     /// Whether `v` has a conflict neighbour; Line 8 colors every vertex
     /// that has none straight away.
     fn is_conflicted(&self, v: usize) -> bool;
-    /// Calls `strike(u)`, in ascending `u`, for neighbours `u` of `v`
+    /// Calls `strike(u, at)`, in ascending `u`, for neighbours `u` of `v`
     /// after `v` took color `c`. Given a non-empty `holders`, `c`'s holder
     /// set, it hands out exactly the neighbours in it and clears each
     /// one's bit: the identity layout's hit-mask row ANDs it a word at a
@@ -213,8 +229,19 @@ pub(crate) trait ConflictRows {
     /// of them (a CSR or identity row) or those whose lists held `c` (the
     /// bucket row). A strike can succeed only on an uncoloured neighbour
     /// whose list still holds `c`, and a failed strike changes nothing,
-    /// so every walk strikes the same vertices in the same order.
-    fn for_each_strike(&self, v: usize, c: u32, holders: &mut [u64], strike: impl FnMut(u32));
+    /// so every walk strikes the same vertices in the same order. `at` is
+    /// the position of `c` in `u`'s sorted list where the form recorded
+    /// it (a bucket row of a build that [`records_strike_positions`]),
+    /// else `None`.
+    ///
+    /// [`records_strike_positions`]: crate::conflict::records_strike_positions
+    fn for_each_strike(
+        &self,
+        v: usize,
+        c: u32,
+        holders: &mut [u64],
+        strike: impl FnMut(u32, Option<usize>),
+    );
 }
 
 impl ConflictRows for CsrGraph {
@@ -230,12 +257,18 @@ impl ConflictRows for CsrGraph {
         self.degree(v) > 0
     }
 
-    fn for_each_strike(&self, v: usize, _c: u32, holders: &mut [u64], strike: impl FnMut(u32)) {
-        self.neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| take_holder(holders, u))
-            .for_each(strike);
+    fn for_each_strike(
+        &self,
+        v: usize,
+        _c: u32,
+        holders: &mut [u64],
+        mut strike: impl FnMut(u32, Option<usize>),
+    ) {
+        for &u in self.neighbors(v) {
+            if take_holder(holders, u) {
+                strike(u, None);
+            }
+        }
     }
 }
 
@@ -273,11 +306,12 @@ pub(crate) fn greedy_list_color_in<G: ConflictRows>(
 }
 
 /// The live bits of [`ColorScratch::bits`] in one form: holder sets
-/// (`holders`, `words = ⌈m/64⌉`) or position masks (`words = ⌈L/64⌉`).
+/// (`holders`, `stride = ⌈m/64⌉` words a colour) or position masks
+/// (`stride = L` bits a vertex).
 struct LiveBits<'a> {
     bits: &'a mut [u64],
     holders: bool,
-    words: usize,
+    stride: usize,
     base: u32,
 }
 
@@ -288,11 +322,12 @@ impl LiveBits<'_> {
         let v = v as usize;
         if self.holders {
             (
-                (c - self.base) as usize * self.words + v / 64,
+                (c - self.base) as usize * self.stride + v / 64,
                 1 << (v % 64),
             )
         } else {
-            (v * self.words + i / 64, 1 << (i % 64))
+            let bit = v * self.stride + i;
+            (bit / 64, 1 << (bit % 64))
         }
     }
 
@@ -311,8 +346,8 @@ impl LiveBits<'_> {
 
     /// Colour `c`'s holder set.
     fn holder_set(&mut self, c: u32) -> &mut [u64] {
-        let at = (c - self.base) as usize * self.words;
-        &mut self.bits[at..at + self.words]
+        let at = (c - self.base) as usize * self.stride;
+        &mut self.bits[at..at + self.stride]
     }
 }
 
@@ -330,28 +365,34 @@ fn greedy_in_form<G: ConflictRows>(
     let m = gc.num_vertices();
     let ColorScratch { bits, buckets, .. } = scratch;
     buckets.reset(m, lists.list_size());
-    let (sets, words) = if holders {
-        (lists.palette_size() as usize, m.div_ceil(64))
+    let (words, stride) = if holders {
+        let stride = m.div_ceil(64);
+        (lists.palette_size() as usize * stride, stride)
     } else {
-        (m, lists.list_size().div_ceil(64))
+        ((m * lists.list_size()).div_ceil(64), lists.list_size())
     };
     bits.clear();
-    bits.resize(sets * words, 0);
+    bits.resize(words, 0);
     let mut live = LiveBits {
         bits,
         holders,
-        words,
+        stride,
         base: lists.palette_base(),
     };
     out.clear();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_C01D);
+    // Every live bit is cleared once, by a pick or by a strike, so the
+    // strikes are the bits set here less the bits the picks clear.
+    let mut strikes = 0;
     for &v in active {
         let row = lists.row(v as usize);
         for (i, &c) in row.iter().enumerate() {
             live.set(v, i, c);
         }
         buckets.insert(v, row.len());
+        strikes += row.len() as u64;
     }
+    let mut callbacks = 0;
 
     while out.assigned.len() + out.uncolored.len() < active.len() {
         // Lowest non-empty bucket (≥1: empty-list vertices are retired
@@ -368,6 +409,7 @@ fn greedy_in_form<G: ConflictRows>(
         let lowest = &buckets.queues[len];
         let v = lowest[rng.random_range(0..lowest.len())];
         buckets.remove(v);
+        strikes -= len as u64;
         let k = rng.random_range(0..len);
         let mut live_colors = 0;
         let mut picked = None;
@@ -385,24 +427,26 @@ fn greedy_in_form<G: ConflictRows>(
 
         // Strike c from every uncolored neighbour's list. A holder-set
         // walk hands out exactly the neighbours that still hold c, clearing
-        // their bits; without one, each neighbour's bit is found by a
-        // binary search of its row.
+        // their bits; without one, each neighbour's bit is at the position
+        // the walk hands out, or found by a binary search of its row.
         if holders {
-            gc.for_each_strike(v as usize, c, live.holder_set(c), |u| {
+            gc.for_each_strike(v as usize, c, live.holder_set(c), |u, _| {
                 buckets.shrink(u, &mut out.uncolored);
             });
         } else {
-            gc.for_each_strike(v as usize, c, &mut [], |u| {
-                let struck = match lists.row(u as usize).binary_search(&c) {
-                    Ok(i) => live.take(u, i, c),
-                    Err(_) => false,
-                };
-                if struck {
+            gc.for_each_strike(v as usize, c, &mut [], |u, at| {
+                callbacks += 1;
+                debug_assert!(at.is_none_or(|i| lists.row(u as usize)[i] == c));
+                let at = at.or_else(|| lists.row(u as usize).binary_search(&c).ok());
+                if at.is_some_and(|i| live.take(u, i, c)) {
                     buckets.shrink(u, &mut out.uncolored);
                 }
             });
         }
     }
+    // A holder-set walk calls back once per successful strike.
+    out.strikes = strikes;
+    out.strike_callbacks = if holders { strikes } else { callbacks };
 }
 
 /// Convenience wrapper over [`greedy_list_color_into`] with fresh
@@ -778,6 +822,32 @@ mod tests {
         }
     }
 
+    /// Position masks pack `L` bits per vertex end to end, so a vertex's
+    /// bits straddle a word boundary unless `64 | L`. Lists of 63, 64, 65
+    /// and 100 colours over palettes of `64·L` colours, which take
+    /// position masks by the rule, colour alike in both forms, with as
+    /// many strikes.
+    #[test]
+    fn packed_position_masks_agree_across_word_boundaries() {
+        let mut scratch = ColorScratch::default();
+        let mut positions = ListColorOutcome::default();
+        let mut holders = ListColorOutcome::default();
+        for (l, seed) in [(63u32, 1u64), (64, 2), (65, 3), (100, 4)] {
+            let (n, p) = (150, 64 * l);
+            let case = format!("seed {seed}: P={p} L={l}");
+            assert!(!uses_palette_bitset(p, l as usize), "{case}");
+            let lists = ColorLists::assign(n, 7, p, l, seed, 1);
+            let (gc, active) = conflict_instance(n, 0.6, seed, &lists, false);
+            greedy_list_color_into(&gc, &lists, &active, seed, &mut scratch, &mut positions);
+            greedy_in_form(true, &gc, &lists, &active, seed, &mut scratch, &mut holders);
+            assert_eq!(positions.assigned, holders.assigned, "{case}");
+            assert_eq!(positions.uncolored, holders.uncolored, "{case}");
+            assert!(positions.strikes > 0, "{case}");
+            assert_eq!(positions.strikes, holders.strikes, "{case}");
+            check_outcome(&gc, &lists, &active, &positions, &case);
+        }
+    }
+
     /// A graph whose strike walks count their callbacks.
     struct Counted<'a, G> {
         graph: &'a G,
@@ -802,17 +872,17 @@ mod tests {
             v: usize,
             c: u32,
             holders: &mut [u64],
-            mut strike: impl FnMut(u32),
+            mut strike: impl FnMut(u32, Option<usize>),
         ) {
-            self.graph.for_each_strike(v, c, holders, |u| {
+            self.graph.for_each_strike(v, c, holders, |u, at| {
                 self.calls.set(self.calls.get() + 1);
-                strike(u);
+                strike(u, at);
             });
         }
     }
 
     /// Colours `active` over `gc` in the given live-list form; returns the
-    /// walks' callbacks.
+    /// walks' callbacks, which the outcome counts too.
     fn counted_run<G: ConflictRows>(
         holders: bool,
         gc: &G,
@@ -826,6 +896,7 @@ mod tests {
             calls: Default::default(),
         };
         greedy_in_form(holders, &walk, lists, active, 11, scratch, out);
+        assert_eq!(out.strike_callbacks as usize, walk.calls.get());
         walk.calls.get()
     }
 
@@ -869,8 +940,9 @@ mod tests {
     /// masks and a CSR), where without them a CSR walk of the same
     /// colouring also calls back for neighbours that no longer hold the
     /// colour. Position masks, forced on the same instances, colour them
-    /// identically on both graph forms. The instances straddle the rule
-    /// on either engine.
+    /// identically on both graph forms, with as many strikes. The
+    /// outcome's counters count the callbacks and strikes. The instances
+    /// straddle the rule on either engine.
     #[test]
     fn holder_walks_call_back_once_per_successful_strike_on_all_three_graph_forms() {
         use crate::candidates::CandidateEngine;
@@ -907,6 +979,7 @@ mod tests {
 
             let calls = counted_run(true, &masks, lists, &active, &mut scratch, &mut held);
             let (strikes, dry) = replay_strikes(&csr, lists, &active, &held);
+            assert_eq!(held.strikes as usize, strikes, "{case}: counted strikes");
             let mut uncolored = held.uncolored.clone();
             uncolored.sort_unstable();
             assert_eq!(uncolored, dry, "{case}");
@@ -924,11 +997,13 @@ mod tests {
                 (&out.assigned, &out.uncolored),
                 (&held.assigned, &held.uncolored)
             );
+            assert_eq!(out.strikes as usize, strikes, "{case}: mask strikes");
             let calls = counted_run(false, &csr, lists, &active, &mut scratch, &mut out);
             assert_eq!(
                 (&out.assigned, &out.uncolored),
                 (&held.assigned, &held.uncolored)
             );
+            assert_eq!(out.strikes as usize, strikes, "{case}: CSR strikes");
             assert!(calls > strikes, "{case}: CSR callbacks without holder sets");
         }
     }

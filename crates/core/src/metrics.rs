@@ -53,6 +53,12 @@ pub fn record_result(registry: &Registry, result: &PicassoResult) {
     registry
         .counter("solver_conflict_mask_iterations_total")
         .add(result.conflict_mask_iterations() as u64);
+    registry
+        .counter("solver_strikes_total")
+        .add(result.total_strikes());
+    registry
+        .counter("solver_strike_callbacks_total")
+        .add(result.total_strike_callbacks());
 
     let assign = registry.histogram("solver_assign_ns");
     let conflict = registry.histogram("solver_conflict_ns");
@@ -141,6 +147,15 @@ mod tests {
                 .counter("solver_conflict_mask_iterations_total")
                 .get(),
             result.conflict_mask_iterations() as u64
+        );
+        assert_eq!(
+            registry.counter("solver_strikes_total").get(),
+            result.total_strikes()
+        );
+        assert!(result.total_strikes() > 0, "the greedy struck colours");
+        assert_eq!(
+            registry.counter("solver_strike_callbacks_total").get(),
+            result.total_strike_callbacks()
         );
         assert_eq!(
             registry.gauge("solver_max_conflict_edges").get(),

@@ -122,6 +122,15 @@ pub struct IterationStats {
     pub conflict_secs: f64,
     /// Seconds in coloring (Lines 8–9).
     pub color_secs: f64,
+    /// Algorithm 2's successful strikes this iteration
+    /// ([`crate::ListColorOutcome::strikes`]); zero under a static scheme.
+    /// `color_secs / strikes` bounds the cost of a strike.
+    pub strikes: u64,
+    /// Callbacks of Algorithm 2's strike walks this iteration
+    /// ([`crate::ListColorOutcome::strike_callbacks`]): `strikes` with
+    /// holder sets, more where a walk hands out neighbours that no longer
+    /// hold the colour.
+    pub strike_callbacks: u64,
     /// Whether Algorithm 2 kept its live lists as per-colour holder sets
     /// this iteration rather than per-vertex position masks
     /// ([`crate::listcolor::uses_palette_bitset`] of `palette_size` and
@@ -259,6 +268,18 @@ impl PicassoResult {
     /// Total seconds spent coloring.
     pub fn color_secs(&self) -> f64 {
         self.iterations.iter().map(|s| s.color_secs).sum()
+    }
+
+    /// Algorithm 2's successful strikes across iterations (see
+    /// [`IterationStats::strikes`]).
+    pub fn total_strikes(&self) -> u64 {
+        self.iterations.iter().map(|s| s.strikes).sum()
+    }
+
+    /// Strike-walk callbacks across iterations (see
+    /// [`IterationStats::strike_callbacks`]).
+    pub fn total_strike_callbacks(&self) -> u64 {
+        self.iterations.iter().map(|s| s.strike_callbacks).sum()
     }
 
     /// Iterations whose greedy kept per-colour holder sets (see
@@ -568,6 +589,8 @@ impl Picasso {
                 assign_secs,
                 conflict_secs,
                 color_secs,
+                strikes: outcome.strikes,
+                strike_callbacks: outcome.strike_callbacks,
                 color_bitset,
                 conflict_masks,
                 mask_bytes: build.mask_bytes,

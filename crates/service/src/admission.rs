@@ -86,9 +86,11 @@ pub fn forecast_peak_bytes(workload: &Workload, cfg: &PicassoConfig) -> usize {
 /// instead of the worst-case every-candidate-an-edge bound (and the max
 /// across iterations instead of assuming the first dominates). Line 7's
 /// graph is charged with core's own byte counts:
-/// the mask path ([`picasso::conflict::mask_path_bytes`]) for an
-/// iteration that kept hit masks
-/// ([`picasso::IterationStats::conflict_masks`]), else the CSR path
+/// the mask path ([`picasso::conflict::mask_path_bytes`], plus the
+/// masks' strike-position table,
+/// [`picasso::conflict::strike_position_bytes`]) for an iteration that
+/// kept hit masks ([`picasso::IterationStats::conflict_masks`]), else
+/// the CSR path
 /// ([`picasso::conflict::csr_path_bytes`]), plus the packed oracle
 /// replica ([`picasso::IterationStats::replica_bytes`]) of an iteration
 /// that packed; beside it, under the greedy scheme, the colouring
@@ -123,13 +125,15 @@ pub fn observed_peak_bytes(
         let l = s.list_size as usize;
         let lists = m * l * std::mem::size_of::<u32>();
         // Only the bucketed engine builds a bucket index.
-        let index = if picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, m) {
+        let bucketed = picasso::CandidateEngine::bucketed_is_cheaper(s.bucket_pairs_estimate, m);
+        let index = if bucketed {
             (m * l + s.palette_size as usize + 1) * std::mem::size_of::<u32>()
         } else {
             0
         };
         let graph = if s.conflict_masks {
             picasso::conflict::mask_path_bytes(m, s.conflict_edges as u64, s.mask_bytes)
+                + picasso::conflict::strike_position_bytes(m, s.palette_size, l, bucketed)
         } else {
             picasso::conflict::csr_path_bytes(m, s.conflict_edges as u64)
         };
@@ -287,6 +291,8 @@ mod tests {
         let csr = observed_peak_bytes(&workload, &cfg, &result);
         let (m, edges) = (first.live_vertices, first.conflict_edges as u64);
         let csr_path = picasso::conflict::csr_path_bytes(m, edges);
+        // Aggressive lists take holder sets, so the masks record no
+        // strike positions.
         let mask_path = picasso::conflict::mask_path_bytes(m, edges, first.mask_bytes);
         // The colouring scratch does not depend on the graph form.
         assert_eq!((csr - masks) as u64, csr_path - mask_path);
@@ -298,8 +304,10 @@ mod tests {
         // Normal lists on 24 qubits: every iteration packs and keeps hit
         // masks. Each iteration alone, in either graph form, is charged
         // the input, its lists and index, core's count of that graph
-        // form, exactly its replica and, under the greedy scheme, core's
-        // count of the colouring scratch, the same in either form.
+        // form (the masks with their strike-position table, where one is
+        // recorded), exactly its replica and,
+        // under the greedy scheme, core's count of the colouring scratch,
+        // the same in either form.
         let (n, qubits, seed) = (1024, 24, 5);
         let workload = Workload::SyntheticPauli { n, qubits, seed };
         let strings = crate::job::synthetic_pauli_strings(n, qubits, seed)
@@ -327,10 +335,16 @@ mod tests {
                 0
             };
             let words = m * s.list_size as usize + index;
+            let positions = picasso::conflict::strike_position_bytes(
+                m,
+                s.palette_size,
+                s.list_size as usize,
+                bucketed,
+            );
             for conflict_masks in [true, false] {
                 let what = format!("iteration {} masks={conflict_masks}", s.iteration);
                 let graph = if conflict_masks {
-                    picasso::conflict::mask_path_bytes(m, edges, s.mask_bytes)
+                    picasso::conflict::mask_path_bytes(m, edges, s.mask_bytes) + positions
                 } else {
                     picasso::conflict::csr_path_bytes(m, edges)
                 };

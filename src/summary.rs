@@ -43,6 +43,10 @@ pub struct SolveSummary {
     /// Largest hit-mask form of any iteration, in bytes (the graph-form
     /// rule's comparison value, recorded whether or not it kept masks).
     pub max_mask_bytes: u64,
+    /// Algorithm 2's successful strikes.
+    pub strikes: u64,
+    /// Callbacks of Algorithm 2's strike walks, successful or not.
+    pub strike_callbacks: u64,
     /// Seconds spent in the coloring phase (Lines 8-9).
     pub color_secs: f64,
     /// End-to-end solve seconds.
@@ -67,6 +71,8 @@ impl SolveSummary {
             conflict_mask_iterations: counter("solver_conflict_mask_iterations_total"),
             max_replica_bytes: registry.gauge("solver_max_replica_bytes").get(),
             max_mask_bytes: registry.gauge("solver_max_mask_bytes").get(),
+            strikes: counter("solver_strikes_total"),
+            strike_callbacks: counter("solver_strike_callbacks_total"),
             color_secs: registry.histogram("solver_color_ns").sum() as f64 / 1e9,
             total_secs: registry.histogram("solver_total_ns").sum() as f64 / 1e9,
         }
@@ -116,11 +122,14 @@ impl SolveSummary {
     pub fn coloring_footer(&self, scheme: &str) -> String {
         format!(
             "coloring [{}]: {:.3}s, holder sets in {} of {} iterations, \
+             {} strikes ({} walk callbacks), \
              {} vertices colored by the max-iterations safety valve",
             scheme,
             self.color_secs,
             self.color_bitset_iterations,
             self.iterations,
+            self.strikes,
+            self.strike_callbacks,
             self.safety_valve_vertices
         )
     }
@@ -158,6 +167,8 @@ impl SolveSummary {
             ("max_replica_bytes", Value::from(self.max_replica_bytes)),
             ("max_mask_bytes", Value::from(self.max_mask_bytes)),
             ("color_secs", Value::from(self.color_secs)),
+            ("total_strikes", Value::from(self.strikes)),
+            ("total_strike_callbacks", Value::from(self.strike_callbacks)),
             (
                 "safety_valve_vertices",
                 Value::from(self.safety_valve_vertices),
@@ -235,6 +246,11 @@ mod tests {
             result.safety_valve_vertices
         )));
         assert!(coloring.contains(&format!(
+            "{} strikes ({} walk callbacks)",
+            result.total_strikes(),
+            result.total_strike_callbacks()
+        )));
+        assert!(coloring.contains(&format!(
             "holder sets in {} of {} iterations",
             result.color_bitset_iterations(),
             result.iterations.len()
@@ -257,6 +273,12 @@ mod tests {
         assert!(doc["hit_density"].as_f64().is_some());
         assert_eq!(doc["max_replica_bytes"], result.max_replica_bytes());
         assert_eq!(doc["max_mask_bytes"], result.max_mask_bytes());
+        assert_eq!(doc["total_strikes"], result.total_strikes());
+        assert!(result.total_strikes() > 0, "the greedy struck colours");
+        assert_eq!(
+            doc["total_strike_callbacks"],
+            result.total_strike_callbacks()
+        );
         assert_eq!(
             doc["safety_valve_vertices"],
             result.safety_valve_vertices as u64

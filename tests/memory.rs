@@ -392,14 +392,17 @@ fn warm_sequential_list_filtered_build_allocates_nothing() {
 #[test]
 fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
-    // The dense bucketed shape the solver keeps as hit masks: Normal
-    // lists over random Pauli strings, where the CSR path outweighs the
-    // masks. The mask fill counts `|Ec|` from each bucket's lower-color
-    // member sets, built in the pooled task arena, and each scan entering
-    // a bucket gathers its lanes into the arena's tile; once warm, neither
-    // that scratch, the tile nor the mask arena grows, and the build
-    // allocates nothing.
-    use picasso::conflict::{build_host, HostGraph};
+    // The dense bucketed shape the solver keeps as hit masks: lists over
+    // random Pauli strings where the CSR path outweighs the masks, once
+    // Normal (the greedy keeps holder sets) and once 8 colours out of
+    // 1,000 (`dense_pauli`'s lists, position masks). The mask fill counts
+    // `|Ec|` in one pass per bucket through a palette-indexed member-set
+    // table in the pooled task arena and, for position masks, records
+    // each row's strike position in the mask arena's position table; each
+    // scan entering a bucket gathers its lanes into the arena's tile.
+    // Once warm, neither the table, the tile, the positions nor the mask
+    // arena grows, and the build allocates nothing.
+    use picasso::conflict::{build_host, records_strike_positions, HostGraph};
     use picasso::{IterationContext, PauliComplementOracle};
     use rand::SeedableRng;
     let n = 800;
@@ -408,52 +411,68 @@ fn warm_sequential_bucketed_hit_mask_build_allocates_nothing() {
     let set = EncodedSet::from_strings(&strings);
     let oracle = PauliComplementOracle::new(&set);
     let cfg = PicassoConfig::normal(1);
-    let (p, l) = (cfg.palette_size(n), cfg.list_size(n));
-    let mut ctx = IterationContext::new();
-    for iter in 1..=3u64 {
-        ctx.assign_lists(n, 0, p, l, 1, iter);
-        build_host(&oracle, &mut ctx, false, true);
+    for (p, l) in [(cfg.palette_size(n), cfg.list_size(n)), (1000, 8)] {
+        let what = format!("P={p} L={l}");
+        let positions = records_strike_positions(p, l as usize);
+        assert_eq!(positions, p == 1000, "{what}: strike positions");
+        let mut ctx = IterationContext::new();
+        for iter in 1..=3u64 {
+            ctx.assign_lists(n, 0, p, l, 1, iter);
+            build_host(&oracle, &mut ctx, false, true);
+        }
+        // The measured build repeats the last warm-up's lists.
+        ctx.assign_lists(n, 0, p, l, 1, 3);
+        assert!(ctx.prefers_buckets(), "{what}: the bucketed engine");
+        let masks_warm = ctx.lists_and_scratch().1.hit_masks.capacity();
+        let positions_warm = ctx.lists_and_scratch().1.hit_masks.position_capacity();
+        let columns_warm = ctx.scratch_pool().column_capacity();
+        let tile_warm = ctx.scratch_capacities().3;
+        let before = memtrack::thread_allocations();
+        let built = build_host(&oracle, &mut ctx, false, true);
+        let after = memtrack::thread_allocations();
+        assert!(
+            matches!(built.graph, HostGraph::Masks),
+            "{what}: the rule keeps masks"
+        );
+        assert!(built.num_edges > 0);
+        assert_eq!(
+            built.packed_lanes, built.candidate_pairs,
+            "{what}: the packed scan ran"
+        );
+        assert!(masks_warm > 0, "{what}: mask arena warmed");
+        assert_eq!(
+            ctx.lists_and_scratch().1.hit_masks.capacity(),
+            masks_warm,
+            "{what}: mask arena grew"
+        );
+        assert_eq!(
+            positions_warm >= n * l as usize,
+            positions,
+            "{what}: position table warmed iff recorded"
+        );
+        assert_eq!(
+            ctx.lists_and_scratch().1.hit_masks.position_capacity(),
+            positions_warm,
+            "{what}: position table grew"
+        );
+        assert!(columns_warm > 0, "{what}: member-set table warmed");
+        assert_eq!(
+            ctx.scratch_pool().column_capacity(),
+            columns_warm,
+            "{what}: member-set table grew"
+        );
+        assert!(tile_warm > 0, "{what}: lane tile warmed");
+        assert_eq!(
+            ctx.scratch_capacities().3,
+            tile_warm,
+            "{what}: lane tile grew"
+        );
+        assert_eq!(
+            after - before,
+            0,
+            "{what}: steady-state bucketed hit-mask build must allocate nothing"
+        );
     }
-    // The measured build repeats the last warm-up's lists.
-    ctx.assign_lists(n, 0, p, l, 1, 3);
-    assert!(
-        ctx.prefers_buckets(),
-        "Normal lists select the bucketed engine"
-    );
-    let masks_warm = ctx.lists_and_scratch().1.hit_masks.capacity();
-    let columns_warm = ctx.scratch_pool().column_capacity();
-    let tile_warm = ctx.scratch_capacities().3;
-    let before = memtrack::thread_allocations();
-    let built = build_host(&oracle, &mut ctx, false, true);
-    let after = memtrack::thread_allocations();
-    assert!(
-        matches!(built.graph, HostGraph::Masks),
-        "the rule keeps masks"
-    );
-    assert!(built.num_edges > 0);
-    assert_eq!(
-        built.packed_lanes, built.candidate_pairs,
-        "the packed scan ran"
-    );
-    assert!(masks_warm > 0, "mask arena warmed");
-    assert_eq!(
-        ctx.lists_and_scratch().1.hit_masks.capacity(),
-        masks_warm,
-        "mask arena grew"
-    );
-    assert!(columns_warm > 0, "column scratch warmed");
-    assert_eq!(
-        ctx.scratch_pool().column_capacity(),
-        columns_warm,
-        "column scratch grew"
-    );
-    assert!(tile_warm > 0, "lane tile warmed");
-    assert_eq!(ctx.scratch_capacities().3, tile_warm, "lane tile grew");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state bucketed hit-mask build must allocate nothing"
-    );
 }
 
 /// One Line 8-9 round out of `ctx`: assigns `(p, l)` lists over the
@@ -750,14 +769,16 @@ fn conflict_graph_is_sublinear_fraction_of_input_graph() {
 /// strings, seed 5; the input encoded inside the region): `observed ≤
 /// measured` must hold, since the model is a lower bound, and it must
 /// reach 3/4 of the peak. Normal lists read 221,140 B of a measured
-/// 279,316 B (0.79), the bucketed replica being the key and query
-/// tables, `16·m·w` bytes, on both sides. Aggressive lists (`P = L = 31`, the
-/// all-pairs engine, hit masks over the identity layout; the greedy keeps
-/// per-colour holder sets and no copy of the lists) read 364,412 B of
-/// 465,448 B (0.78); before the model left out the bucket index that
-/// engine never builds, it read above the peak. Both peaks are the same at 1 to 8
-/// threads. The pooled scan arenas, lane tiles included, are what the
-/// model still leaves out.
+/// 280,532 B (0.79) at 1 thread, the bucketed replica being the key and
+/// query tables, `16·m·w` bytes, on both sides; they keep holder sets,
+/// so the masks record no strike positions. Aggressive lists (`P = L =
+/// 31`, the all-pairs engine, hit masks over the identity layout; the
+/// greedy keeps per-colour holder sets and no copy of the lists) read
+/// 364,412 B of 466,632 B (0.78); before the model left out the bucket
+/// index that engine never builds, it read above the peak. The measured
+/// peaks grow by 1–3 KB from 1 to 8 threads. The pooled scan arenas,
+/// lane tiles and member-set tables included, are what the model still
+/// leaves out.
 #[test]
 fn observed_peak_is_a_tight_lower_bound_on_a_sequential_solve() {
     let _guard = MEASURE_LOCK.lock().unwrap();
